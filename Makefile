@@ -21,7 +21,7 @@ vet:
 
 # lint runs the repo's own analyzer suite (cmd/streamadlint: hotalloc,
 # detrand, floatsafe, lockdiscipline, ctxgoroutine, statesync,
-# metriclint, directive) over every package with cross-package facts,
+# directive) over every package with cross-package facts,
 # then shellcheck, staticcheck and govulncheck when they are on PATH
 # (CI installs pinned versions; locally they are optional extras).
 lint:

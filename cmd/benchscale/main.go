@@ -103,7 +103,7 @@ type PhaseStats struct {
 	PoolWorkers int     `json:"score_pool_workers"`
 }
 
-// TransitionStats mirrors the streamad_tier_transitions_total families.
+// TransitionStats mirrors the streamad_tier_* transition counters.
 type TransitionStats struct {
 	HotToWarm  uint64 `json:"hot_to_warm"`
 	WarmToHot  uint64 `json:"warm_to_hot"`

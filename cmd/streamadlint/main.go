@@ -38,9 +38,10 @@ import (
 
 // version participates in the go command's tool-ID handshake (-V=full);
 // bump it when analyzer behaviour changes so cached vet results are
-// invalidated. lint-2: fact layer, statesync, metriclint, directive,
-// transitive hotalloc.
-const version = "streamad-lint-2"
+// invalidated. lint-2: fact layer, statesync, directive, transitive
+// hotalloc. lint-3: metriclint retired (the /metrics registry in
+// internal/server makes its findings unwritable).
+const version = "streamad-lint-3"
 
 func main() {
 	progname := filepath.Base(os.Args[0])

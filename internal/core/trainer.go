@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"streamad/internal/stats"
 )
 
 // Cloner is the optional model capability behind asynchronous
@@ -65,35 +67,24 @@ type trainedModel struct {
 // All fields are atomics (or only touched by the Step goroutine) so the
 // background fine-tune never contends with scoring.
 type trainer struct {
-	inFlight   atomic.Int32
-	pending    atomic.Pointer[trainedModel]
-	wg         sync.WaitGroup
-	cancel     func() bool // pending pool job's cancel; scoring-goroutine only
-	launched   atomic.Int64
-	skipped    atomic.Int64
-	completed  atomic.Int64
-	lastNanos  atomic.Int64
-	totalNanos atomic.Int64
-	bucketHits []atomic.Uint64 // len(FineTuneBuckets)+1
+	inFlight  atomic.Int32
+	pending   atomic.Pointer[trainedModel]
+	wg        sync.WaitGroup
+	cancel    func() bool // pending pool job's cancel; scoring-goroutine only
+	launched  atomic.Int64
+	skipped   atomic.Int64
+	lastNanos atomic.Int64
+	durations *stats.Histogram // one observation (ns) per finished epoch
 }
 
 func newTrainer() *trainer {
-	return &trainer{bucketHits: make([]atomic.Uint64, len(FineTuneBuckets)+1)}
+	return &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9)}
 }
 
 // record accumulates one fine-tune duration into the metrics.
 func (t *trainer) record(d time.Duration) {
-	t.completed.Add(1)
 	t.lastNanos.Store(int64(d))
-	t.totalNanos.Add(int64(d))
-	secs := d.Seconds()
-	i := 0
-	for ; i < len(FineTuneBuckets); i++ {
-		if secs <= FineTuneBuckets[i] {
-			break
-		}
-	}
-	t.bucketHits[i].Add(1)
+	t.durations.Observe(int64(d))
 }
 
 // fineTune handles a drift trigger. In synchronous mode (the default) it
@@ -248,20 +239,17 @@ func (d *Detector) Close() {
 // FineTuneStats returns a snapshot of fine-tuning activity. Unlike most
 // Detector methods it is safe to call from any goroutine.
 func (d *Detector) FineTuneStats() FineTuneStats {
-	st := FineTuneStats{
+	h := d.train.durations.Snapshot()
+	return FineTuneStats{
 		Async:        d.asyncFT,
 		InFlight:     d.train.inFlight.Load() != 0,
 		Launched:     d.train.launched.Load(),
 		Skipped:      d.train.skipped.Load(),
-		Completed:    d.train.completed.Load(),
+		Completed:    int64(h.Count()),
 		LastSeconds:  float64(d.train.lastNanos.Load()) / 1e9,
-		TotalSeconds: float64(d.train.totalNanos.Load()) / 1e9,
-		Buckets:      make([]uint64, len(d.train.bucketHits)),
+		TotalSeconds: float64(h.Sum) / 1e9,
+		Buckets:      h.Buckets,
 	}
-	for i := range d.train.bucketHits {
-		st.Buckets[i] = d.train.bucketHits[i].Load()
-	}
-	return st
 }
 
 // snapshotSet deep-copies the training set for the background trainer:

@@ -251,7 +251,7 @@ func (r *Registry) install(st *stream) error {
 	if r.cfg.Store == nil {
 		return nil
 	}
-	if err := r.snapshotStream(st.id, st); err != nil {
+	if err := r.snapshotStream(st.id, st, 0); err != nil {
 		// Without an anchoring checkpoint a restart would replay this
 		// stream's mid-sequence WAL into a fresh detector and diverge
 		// silently; fail the install instead.

@@ -1,6 +1,6 @@
 // Package ingest is the sharded ingestion layer between the HTTP
-// transport and the detectors: the fleet-scale front end the monitor's
-// "thousands of independent device streams" story needs. The stream
+// transport and the detectors: the fleet-scale front end that
+// "thousands of independent device streams" needs. The stream
 // registry is split into N shards (FNV-1a hash of the stream id, one
 // mutex per shard), so stream lookup and creation never serialize the
 // whole fleet behind one lock the way the first server did.
@@ -45,6 +45,7 @@ import (
 	"streamad/internal/persist"
 	"streamad/internal/pool"
 	"streamad/internal/score"
+	"streamad/internal/stats"
 )
 
 // Stepper is the per-stream detector contract (streamad.StreamDetector
@@ -302,6 +303,7 @@ func New(cfg Config) (*Registry, error) {
 		return nil, fmt.Errorf("ingest: WarmAfter requires a Store to page window state to")
 	}
 	r := &Registry{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	r.met.batchSize = stats.NewHistogram(batchSizeBounds, 1)
 	if cfg.ScorePool != nil {
 		r.pool = cfg.ScorePool
 	} else {
@@ -340,9 +342,6 @@ func New(cfg Config) (*Registry, error) {
 	}
 	return r, nil
 }
-
-// ScorePoolStats snapshots the scoring pool's load.
-func (r *Registry) ScorePoolStats() pool.Stats { return r.pool.Stats() }
 
 // RetryAfter is the back-off hint producers should honour after a shed.
 func (r *Registry) RetryAfter() time.Duration { return r.cfg.RetryAfter }
@@ -515,7 +514,7 @@ func (r *Registry) dispatch(st *stream) {
 		}
 		st.notFull.Broadcast()
 		st.qmu.Unlock()
-		r.met.observeBatch(len(batch))
+		r.met.batchSize.Observe(int64(len(batch)))
 		st.procMu.Lock()
 		if err := r.ensureResident(st); err != nil {
 			// The stream cannot score without its paged window state; fail
@@ -686,13 +685,7 @@ func (r *Registry) EvictIdle(now time.Time) int {
 // finalCheckpoint snapshots a stream about to be unloaded, skipping the
 // write when the on-disk snapshot is already current.
 func (r *Registry) finalCheckpoint(id string, st *stream) error {
-	st.procMu.Lock()
-	dirty := st.walSince > 0
-	st.procMu.Unlock()
-	if !dirty {
-		return nil
-	}
-	return r.snapshotStream(id, st)
+	return r.snapshotStream(id, st, 1)
 }
 
 // StreamInfo is an instantaneous snapshot of one stream's observable

@@ -330,8 +330,8 @@ func TestBatchCoalescing(t *testing.T) {
 		<-a.Done
 	}
 	st := r.Stats()
-	if st.Batches != 2 || st.BatchSizeSum != 11 {
-		t.Fatalf("batches = %d (sum %d), want the 10 queued vectors coalesced into one pass after the first", st.Batches, st.BatchSizeSum)
+	if n := st.BatchSize.Count(); n != 2 || st.BatchSize.Sum != 11 {
+		t.Fatalf("batches = %d (sum %d), want the 10 queued vectors coalesced into one pass after the first", n, st.BatchSize.Sum)
 	}
 }
 

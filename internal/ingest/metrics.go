@@ -8,15 +8,12 @@ import (
 	"sync/atomic"
 
 	"streamad/internal/pool"
+	"streamad/internal/stats"
 )
 
-// PoolStats re-exports the shared worker pool's stats snapshot so
-// callers reading Stats need not import internal/pool.
-type PoolStats = pool.Stats
-
-// BatchSizeBounds are the histogram's upper bucket bounds (a final +Inf
-// bucket is implicit via Batches).
-var BatchSizeBounds = [...]int{1, 2, 4, 8, 16, 32, 64, 128}
+// batchSizeBounds are the upper bucket bounds of the dispatcher
+// batch-size histogram, in vectors per pass.
+var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // ingestMetrics is the registry's hot-path instrumentation; every field
 // is atomic so scoring never takes a lock to count.
@@ -33,20 +30,9 @@ type ingestMetrics struct {
 	hotToCold  atomic.Uint64
 	coldToHot  atomic.Uint64
 
-	batches  atomic.Uint64
-	batchSum atomic.Uint64
-	buckets  [len(BatchSizeBounds)]atomic.Uint64 // cumulative (≤ bound)
-}
-
-// observeBatch records one dispatcher pass over n coalesced vectors.
-func (m *ingestMetrics) observeBatch(n int) {
-	m.batches.Add(1)
-	m.batchSum.Add(uint64(n))
-	for i, b := range BatchSizeBounds {
-		if n <= b {
-			m.buckets[i].Add(1)
-		}
-	}
+	// batchSize takes one observation per dispatcher pass: the number
+	// of vectors the pass coalesced.
+	batchSize *stats.Histogram
 }
 
 // ShardStat is one shard's instantaneous load.
@@ -80,17 +66,15 @@ type Stats struct {
 	ColdToHot  uint64
 
 	// ScorePool is the shared scoring pool's instantaneous load.
-	ScorePool PoolStats
+	ScorePool pool.Stats
 
 	ShedTotal    uint64
 	DroppedTotal uint64
 	EvictedTotal uint64
 
-	Batches      uint64
-	BatchSizeSum uint64
-	// BatchSizeBuckets[i] counts batches of size ≤ BatchSizeBounds[i]
-	// (cumulative, Prometheus histogram convention).
-	BatchSizeBuckets [len(BatchSizeBounds)]uint64
+	// BatchSize is the vectors-per-dispatcher-pass histogram: its count
+	// is the number of passes, its sum the vectors they scored.
+	BatchSize stats.HistogramSnapshot
 
 	PerShard []ShardStat
 }
@@ -113,12 +97,8 @@ func (r *Registry) Stats() Stats {
 		HotToCold:    r.met.hotToCold.Load(),
 		ColdToHot:    r.met.coldToHot.Load(),
 		ScorePool:    r.pool.Stats(),
-		Batches:      r.met.batches.Load(),
-		BatchSizeSum: r.met.batchSum.Load(),
+		BatchSize:    r.met.batchSize.Snapshot(),
 		PerShard:     make([]ShardStat, len(r.shards)),
-	}
-	for i := range r.met.buckets {
-		s.BatchSizeBuckets[i] = r.met.buckets[i].Load()
 	}
 	for i, sh := range r.shards {
 		sh.mu.Lock()

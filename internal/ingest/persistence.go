@@ -223,7 +223,11 @@ func (r *Registry) snapshotter() {
 			st := sh.streams[id]
 			sh.mu.Unlock()
 			if st != nil {
-				if err := r.snapshotStream(id, st); err != nil {
+				// The dispatcher kicks on every vector past the threshold
+				// and cannot be snapshotted mid-pass, so one crossing
+				// queues a kick per vector of the burst: the first resets
+				// walSince and the rest find nothing due.
+				if err := r.snapshotStream(id, st, r.cfg.SnapshotEvery); err != nil {
 					r.cfg.Logf("streamad: snapshot %q: %v", id, err)
 				}
 			}
@@ -251,13 +255,7 @@ func (r *Registry) SnapshotAll() error {
 	}
 	var first error
 	for _, e := range all {
-		e.st.procMu.Lock()
-		dirty := e.st.walSince > 0
-		e.st.procMu.Unlock()
-		if !dirty {
-			continue
-		}
-		if err := r.snapshotStream(e.id, e.st); err != nil {
+		if err := r.snapshotStream(e.id, e.st, 1); err != nil {
 			r.cfg.Logf("streamad: snapshot %q: %v", e.id, err)
 			if first == nil {
 				first = err
@@ -267,14 +265,19 @@ func (r *Registry) SnapshotAll() error {
 	return first
 }
 
-// snapshotStream checkpoints one stream: it captures the detector and
-// thresholder under the stream's processing lock, writes the snapshot
-// atomically and rotates the WAL. Holding procMu across the disk write
-// is what makes "snapshot then rotate" atomic with respect to the
-// dispatcher's appends.
-func (r *Registry) snapshotStream(id string, st *stream) error {
+// snapshotStream checkpoints one stream once at least minWAL vectors
+// have been logged since its last snapshot (0 forces one): it captures
+// the detector and thresholder under the stream's processing lock,
+// writes the snapshot atomically and rotates the WAL. Holding procMu
+// across the check and the disk write is what makes "snapshot then
+// rotate" atomic with respect to the dispatcher's appends, and keeps two
+// triggers for the same backlog from both paying for it.
+func (r *Registry) snapshotStream(id string, st *stream, minWAL int) error {
 	st.procMu.Lock()
 	defer st.procMu.Unlock()
+	if st.walSince < minWAL {
+		return nil
+	}
 	return r.snapshotLocked(id, st)
 }
 

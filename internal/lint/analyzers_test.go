@@ -22,12 +22,6 @@ func TestStateSync(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.StateSync, "statesync")
 }
 
-// TestMetricLint lists the declaring package before its importer so the
-// MetricsFact flows the same direction RunModule would order them.
-func TestMetricLint(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.MetricLint, "metriclint/decl", "metriclint")
-}
-
 func TestDirective(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.Directive, "directive")
 }

@@ -9,13 +9,12 @@ import (
 	"sort"
 )
 
-// A Fact is a unit of per-object or per-package knowledge an analyzer
-// computes in one package and consumes in another — the mechanism that
-// lets hotalloc see through a cross-package call and metriclint compare
-// label sets across emission sites in different packages. The design
-// mirrors golang.org/x/tools/go/analysis facts: an analyzer declares
-// its fact types up front (FactTypes), exports facts while analyzing a
-// package, and imports facts attached to imported objects or packages.
+// A Fact is a unit of per-object knowledge an analyzer computes in one
+// package and consumes in another — the mechanism that lets hotalloc see
+// through a cross-package call. The design mirrors
+// golang.org/x/tools/go/analysis object facts: an analyzer declares its
+// fact types up front (FactTypes), exports facts while analyzing a
+// package, and imports facts attached to imported objects.
 //
 // Facts must be gob-serializable pointers-to-struct with exported
 // fields: in `go vet -vettool` mode each compilation unit runs in its
@@ -28,8 +27,8 @@ type Fact interface {
 
 // factStore holds every fact exported while analyzing a module (or,
 // in vet mode, this unit plus everything inherited from dependency
-// vetx files). Object facts are keyed by (analyzer, package path,
-// object path, fact type); package facts use an empty object path.
+// vetx files). Facts are keyed by (analyzer, package path, object path,
+// fact type).
 type factStore struct {
 	facts map[factKey]Fact
 }
@@ -37,7 +36,7 @@ type factStore struct {
 type factKey struct {
 	analyzer string
 	pkg      string
-	obj      string // objectPath; "" for a package-level fact
+	obj      string // objectPath
 	typ      reflect.Type
 }
 
@@ -108,47 +107,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 		return false
 	}
 	return p.facts.lookup(p.Analyzer.Name, obj.Pkg().Path(), objectPath(obj), f)
-}
-
-// ExportPackageFact attaches a fact to the package under analysis.
-func (p *Pass) ExportPackageFact(f Fact) {
-	p.facts.export(p.Analyzer.Name, p.Pkg.Path(), "", f)
-}
-
-// ImportPackageFact copies the fact attached to pkg (an import,
-// possibly transitive, or the package under analysis) into f.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	return p.facts.lookup(p.Analyzer.Name, pkg.Path(), "", f)
-}
-
-// EachImportedPackageFact visits the fact of every package in the
-// transitive import closure of the package under analysis that has one,
-// in stable (path-sorted) order. proto is the fact prototype; visit
-// receives each package path with the decoded fact, which is reused
-// between calls — copy what must outlive the visit.
-func (p *Pass) EachImportedPackageFact(proto Fact, visit func(pkgPath string, f Fact)) {
-	seen := map[*types.Package]bool{p.Pkg: true}
-	var paths []string
-	byPath := make(map[string]*types.Package)
-	var walk func(pkg *types.Package)
-	walk = func(pkg *types.Package) {
-		for _, imp := range pkg.Imports() {
-			if seen[imp] {
-				continue
-			}
-			seen[imp] = true
-			paths = append(paths, imp.Path())
-			byPath[imp.Path()] = imp
-			walk(imp)
-		}
-	}
-	walk(p.Pkg)
-	sort.Strings(paths)
-	for _, path := range paths {
-		if p.facts.lookup(p.Analyzer.Name, path, "", proto) {
-			visit(path, proto)
-		}
-	}
 }
 
 // ---- vetx serialization ----
@@ -252,7 +210,7 @@ func (s *factStore) decode(data []byte, registry map[string]reflect.Type) error 
 	return nil
 }
 
-// FactSet carries facts across RunPackage calls and process
+// FactSet carries facts across RunPackageFacts calls and process
 // boundaries. The zero value is not usable; use NewFactSet.
 type FactSet struct {
 	store *factStore

@@ -13,9 +13,6 @@ func TestVetxFactRoundTrip(t *testing.T) {
 	fs := NewFactSet()
 	fs.store.export("hotalloc", "example.com/dep", "Grow", &AllocFact{Why: "append at dep.go:3:9"})
 	fs.store.export("hotalloc", "example.com/dep", "Ring.Push", &AllocFact{Why: "slice literal at dep.go:9:2"})
-	fs.store.export("metriclint", "example.com/dep", "", &MetricsFact{Families: map[string]MetricFamily{
-		"streamad_x_total": {HelpPkg: "example.com/dep", TypePkg: "example.com/dep", Type: "counter", Labels: []string{"shard"}, LabelsAt: "dep.go:12:2", HasSample: true},
-	}})
 
 	data, err := fs.Encode()
 	if err != nil {
@@ -26,8 +23,8 @@ func TestVetxFactRoundTrip(t *testing.T) {
 	if err := out.Decode(data, All()); err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 3 {
-		t.Fatalf("decoded %d facts, want 3", out.Len())
+	if out.Len() != 2 {
+		t.Fatalf("decoded %d facts, want 2", out.Len())
 	}
 	var af AllocFact
 	if !out.store.lookup("hotalloc", "example.com/dep", "Grow", &af) {
@@ -38,14 +35,6 @@ func TestVetxFactRoundTrip(t *testing.T) {
 	}
 	if !out.store.lookup("hotalloc", "example.com/dep", "Ring.Push", &af) {
 		t.Fatal("method fact missing after round trip")
-	}
-	var mf MetricsFact
-	if !out.store.lookup("metriclint", "example.com/dep", "", &mf) {
-		t.Fatal("package fact missing after round trip")
-	}
-	fam, ok := mf.Families["streamad_x_total"]
-	if !ok || fam.Type != "counter" || len(fam.Labels) != 1 || fam.Labels[0] != "shard" {
-		t.Errorf("family corrupted in round trip: %+v", fam)
 	}
 
 	// A key mismatch on any component must miss: wrong analyzer, wrong
@@ -69,7 +58,7 @@ func TestVetxEncodeDeterministic(t *testing.T) {
 		fs := NewFactSet()
 		fs.store.export("hotalloc", "example.com/b", "F", &AllocFact{Why: "make"})
 		fs.store.export("hotalloc", "example.com/a", "G", &AllocFact{Why: "append"})
-		fs.store.export("metriclint", "example.com/a", "", &MetricsFact{Families: map[string]MetricFamily{}})
+		fs.store.export("hotalloc", "example.com/a", "T.M", &AllocFact{Why: "make"})
 		data, err := fs.Encode()
 		if err != nil {
 			t.Fatal(err)

@@ -99,7 +99,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 
 // All returns the full analyzer catalogue in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, DetRand, FloatSafe, LockDiscipline, CtxGoroutine, StateSync, MetricLint, Directive}
+	return []*Analyzer{HotAlloc, DetRand, FloatSafe, LockDiscipline, CtxGoroutine, StateSync, Directive}
 }
 
 // ByName resolves a comma-free analyzer name, or nil.
@@ -112,22 +112,9 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// RunPackage applies analyzers to a loaded package with a fresh fact
-// set and returns the surviving (unsuppressed) diagnostics sorted by
-// position. Cross-package analyzers want RunPackageFacts or RunModule,
-// which thread one fact set through every package.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, err := RunPackageFacts(pkg, analyzers, NewFactSet())
-	if err != nil {
-		return nil, err
-	}
-	return dropSuppressed(diags), nil
-}
-
 // RunPackageFacts applies analyzers to one package, reading and
 // writing cross-package facts through fs. Suppressed diagnostics are
-// included (with their directive reasons); filter with dropSuppressed
-// via RunPackage or keep them for audit output.
+// included, flagged and carrying their directive reasons.
 func RunPackageFacts(pkg *Package, analyzers []*Analyzer, fs *FactSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -163,16 +150,6 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-}
-
-func dropSuppressed(diags []Diagnostic) []Diagnostic {
-	kept := diags[:0]
-	for _, d := range diags {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }
 
 // ---- shared AST/type helpers ----

@@ -35,8 +35,8 @@ func (r *ModuleResult) Unsuppressed() int {
 // RunModule loads the packages at paths and applies analyzers to each
 // in dependency order, so facts exported while analyzing a package are
 // visible to every package that imports it — the ordering that makes
-// transitive hotalloc and cross-package metriclint sound. The loader's
-// memoization means shared dependencies are loaded once.
+// transitive hotalloc sound. The loader's memoization means shared
+// dependencies are loaded once.
 func RunModule(l *Loader, paths []string, analyzers []*Analyzer) (*ModuleResult, error) {
 	res := &ModuleResult{Timing: make(map[string]time.Duration)}
 

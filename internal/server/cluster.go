@@ -1,8 +1,8 @@
 // The server side of cluster mode: the forwarding machinery behind
 // POST /v1/observe, transparent proxies for single observes and stats,
-// the migration and WAL-tail endpoints the cluster loops call, and the
-// streamad_cluster_* metric families. Everything here is inert when the
-// server was built without Config.Cluster.
+// and the migration and WAL-tail endpoints the cluster loops call.
+// Everything here is inert when the server was built without
+// Config.Cluster.
 package server
 
 import (
@@ -242,55 +242,4 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request, id string
 	for _, rec := range recs {
 		enc.Encode(cluster.WALEntry{Seq: rec.Seq, Vector: rec.Vector})
 	}
-}
-
-// writeClusterMetrics renders the streamad_cluster_* families from one
-// node stats snapshot. No-op outside cluster mode. Peer rows come out
-// sorted by URL (self included: its up gauge is pinned to 1 and its
-// forward counters stay 0).
-func (s *Server) writeClusterMetrics(w http.ResponseWriter) {
-	if s.node == nil {
-		return
-	}
-	st := s.node.Stats()
-	fmt.Fprintln(w, "# HELP streamad_cluster_node_up Health-probe view of each cluster member (1 = alive).")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_node_up gauge")
-	for _, p := range st.Peers {
-		v := 0
-		if p.Alive {
-			v = 1
-		}
-		fmt.Fprintf(w, "streamad_cluster_node_up{peer=%q} %d\n", p.URL, v)
-	}
-	fmt.Fprintln(w, "# HELP streamad_cluster_ring_nodes Members currently on the consistent-hash ring.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_ring_nodes gauge")
-	fmt.Fprintf(w, "streamad_cluster_ring_nodes %d\n", st.RingNodes)
-	fmt.Fprintln(w, "# HELP streamad_cluster_forwarded_records_total Records forwarded to each peer for scoring.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_forwarded_records_total counter")
-	for _, p := range st.Peers {
-		fmt.Fprintf(w, "streamad_cluster_forwarded_records_total{peer=%q} %d\n", p.URL, p.Forwarded)
-	}
-	fmt.Fprintln(w, "# HELP streamad_cluster_forward_errors_total Failed forward attempts per peer.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_forward_errors_total counter")
-	for _, p := range st.Peers {
-		fmt.Fprintf(w, "streamad_cluster_forward_errors_total{peer=%q} %d\n", p.URL, p.ForwardErrors)
-	}
-	fmt.Fprintln(w, "# HELP streamad_cluster_proxied_records_total Records this node scored on behalf of peers (received forwarded).")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_proxied_records_total counter")
-	fmt.Fprintf(w, "streamad_cluster_proxied_records_total %d\n", st.ForwardedIn)
-	fmt.Fprintln(w, "# HELP streamad_cluster_migrations_total Stream migrations by direction and result.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_migrations_total counter")
-	fmt.Fprintf(w, "streamad_cluster_migrations_total{direction=\"in\",result=\"ok\"} %d\n", st.MigrationsInOK)
-	fmt.Fprintf(w, "streamad_cluster_migrations_total{direction=\"in\",result=\"error\"} %d\n", st.MigrationsInErr)
-	fmt.Fprintf(w, "streamad_cluster_migrations_total{direction=\"out\",result=\"ok\"} %d\n", st.MigrationsOutOK)
-	fmt.Fprintf(w, "streamad_cluster_migrations_total{direction=\"out\",result=\"error\"} %d\n", st.MigrationsOutErr)
-	fmt.Fprintln(w, "# HELP streamad_cluster_standby_streams Warm standby replicas this node is holding.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_standby_streams gauge")
-	fmt.Fprintf(w, "streamad_cluster_standby_streams %d\n", st.StandbyStreams)
-	fmt.Fprintln(w, "# HELP streamad_cluster_standby_replayed_total WAL records replayed into standby replicas.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_standby_replayed_total counter")
-	fmt.Fprintf(w, "streamad_cluster_standby_replayed_total %d\n", st.StandbyReplayed)
-	fmt.Fprintln(w, "# HELP streamad_cluster_promotions_total Standby replicas promoted to live streams after owner failure.")
-	fmt.Fprintln(w, "# TYPE streamad_cluster_promotions_total counter")
-	fmt.Fprintf(w, "streamad_cluster_promotions_total %d\n", st.Promotions)
 }

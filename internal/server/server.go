@@ -33,24 +33,17 @@ import (
 	"strings"
 	"time"
 
-	"streamad/internal/cascade"
 	"streamad/internal/cluster"
-	"streamad/internal/core"
-	"streamad/internal/ensemble"
 	"streamad/internal/ingest"
 	"streamad/internal/persist"
 	"streamad/internal/pool"
 	"streamad/internal/score"
+	"streamad/internal/stats"
 )
 
 // Stepper is the per-stream detector contract (re-exported from the
 // ingestion layer, where it now lives).
 type Stepper = ingest.Stepper
-
-// MemberStatser is the optional Stepper extension implemented by
-// ensemble-backed detectors (streamad.Ensemble): per-member counters,
-// agreement and weights, surfaced in stream stats and /metrics.
-type MemberStatser = ingest.MemberStatser
 
 // defaultMetricsStreamCap is how many streams get per-stream series on
 // /metrics when Config.MetricsStreamCap is zero. 500 streams × ~30
@@ -92,8 +85,8 @@ type Config struct {
 	// detectors to keep goroutine count O(workers) for the whole process.
 	// The caller keeps ownership: close it after the server.
 	ScorePool *pool.Pool
-	// TrainerPool, when set, is surfaced in /metrics as the
-	// streamad_pool_train_* families. The pool itself is wired into
+	// TrainerPool, when set, is surfaced in /metrics as the trainer-pool
+	// families. The pool itself is wired into
 	// detectors by the NewDetector factory (see streamad.Config); the
 	// server only reports it. The caller keeps ownership.
 	TrainerPool *pool.Trainer
@@ -110,7 +103,7 @@ type Config struct {
 	// MetricsStreamCap bounds how many streams get per-stream series on
 	// /metrics (default 500, negative = unlimited). Streams are ranked by
 	// id, so the rendered subset is stable across scrapes; the
-	// streamad_metrics_streams_omitted gauge counts the remainder. At the
+	// streams-omitted gauge counts the remainder. At the
 	// fleet sizes the registry targets, unbounded per-stream series are a
 	// cardinality bomb for any scraper.
 	MetricsStreamCap int
@@ -126,12 +119,12 @@ type Config struct {
 
 // Server is an http.Handler serving the scoring API.
 type Server struct {
-	reg        *ingest.Registry
-	mux        *http.ServeMux
-	obsLat     latencyHist // streamad_ingest_observe_seconds
-	node       *cluster.Node
-	trainer    *pool.Trainer // reported in /metrics; owned by the caller
-	metricsCap int           // streams with per-stream series (0 = unlimited)
+	reg     *ingest.Registry
+	mux     *http.ServeMux
+	obsLat  *stats.Histogram // observe request latency, in ns
+	node    *cluster.Node
+	trainer *pool.Trainer // reported in /metrics; owned by the caller
+	metrics *metricSet
 }
 
 // New validates the configuration and returns a Server.
@@ -158,12 +151,17 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{reg: reg, mux: http.NewServeMux(), trainer: cfg.TrainerPool}
+	streamCap := cfg.MetricsStreamCap
 	switch {
-	case cfg.MetricsStreamCap > 0:
-		s.metricsCap = cfg.MetricsStreamCap
-	case cfg.MetricsStreamCap == 0:
-		s.metricsCap = defaultMetricsStreamCap
+	case streamCap == 0:
+		streamCap = defaultMetricsStreamCap
+	case streamCap < 0:
+		streamCap = 0 // unlimited
+	}
+	s := &Server{
+		reg: reg, mux: http.NewServeMux(), trainer: cfg.TrainerPool,
+		obsLat:  stats.NewHistogram(ObserveLatencyBounds, 1e9),
+		metrics: newMetricSet(metricFamilies(), streamCap),
 	}
 	if cfg.Cluster != nil && len(cfg.Cluster.Peers) > 0 {
 		ccfg := *cfg.Cluster
@@ -379,7 +377,7 @@ func retryAfterSeconds(d time.Duration) int {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
 	start := time.Now()
-	defer func() { s.obsLat.observe(time.Since(start)) }()
+	defer func() { s.obsLat.Observe(int64(time.Since(start))) }()
 	var req observeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
@@ -583,7 +581,7 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	defer func() { s.obsLat.observe(time.Since(start)) }()
+	defer func() { s.obsLat.Observe(int64(time.Since(start))) }()
 	// clusterActive: this node routes records to their ring owners. A
 	// batch that already crossed the proxy layer (forwarded header) is
 	// scored entirely locally instead — the loop guard.
@@ -734,324 +732,6 @@ func toBatchResult(stream string, res ingest.Result) BatchResult {
 		out.Threshold = finiteOrZero(res.Threshold)
 	}
 	return out
-}
-
-// handleMetrics exposes per-stream counters plus the ingestion-layer
-// families in the Prometheus text exposition format, so the daemon plugs
-// into standard scraping setups without any dependency. The stream list
-// is snapshotted first (per-stream locks only); all encoding happens
-// outside any lock. Ensemble-backed streams additionally get one row per
-// member in the streamad_ensemble_member_* families.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	rows := s.reg.Streams()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-	// Per-stream families are rendered for the first MetricsStreamCap
-	// streams by id; the rest only appear in the omitted gauge. The
-	// line-level metriclint suppressions below all rest on this bound.
-	omitted := 0
-	if s.metricsCap > 0 && len(rows) > s.metricsCap {
-		omitted = len(rows) - s.metricsCap
-		rows = rows[:s.metricsCap]
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintln(w, "# HELP streamad_metrics_streams_omitted Streams beyond the per-stream series cap (-metrics-stream-cap); their series are not rendered.")
-	fmt.Fprintln(w, "# TYPE streamad_metrics_streams_omitted gauge")
-	fmt.Fprintf(w, "streamad_metrics_streams_omitted %d\n", omitted)
-	fmt.Fprintln(w, "# HELP streamad_steps_total Stream vectors observed per stream.")
-	fmt.Fprintln(w, "# TYPE streamad_steps_total counter")
-	for _, r := range rows {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_steps_total{stream=%q} %d\n", r.ID, r.Steps)
-	}
-	fmt.Fprintln(w, "# HELP streamad_ready_steps_total Scored (post-warmup) steps per stream.")
-	fmt.Fprintln(w, "# TYPE streamad_ready_steps_total counter")
-	for _, r := range rows {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_ready_steps_total{stream=%q} %d\n", r.ID, r.Ready)
-	}
-	fmt.Fprintln(w, "# HELP streamad_alerts_total Threshold crossings per stream.")
-	fmt.Fprintln(w, "# TYPE streamad_alerts_total counter")
-	for _, r := range rows {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_alerts_total{stream=%q} %d\n", r.ID, r.Alerts)
-	}
-	writeFineTuneMetrics(w, rows)
-	writeCascadeMetrics(w, rows)
-	s.writeIngestMetrics(w)
-	s.writeClusterMetrics(w)
-	hasMembers := false
-	for _, r := range rows {
-		if len(r.Members) > 0 {
-			hasMembers = true
-			break
-		}
-	}
-	if !hasMembers {
-		return
-	}
-	memberRows := func(emit func(r ingest.StreamInfo, m ensemble.MemberStat)) {
-		for _, r := range rows {
-			for _, m := range r.Members {
-				emit(r, m)
-			}
-		}
-	}
-	fmt.Fprintln(w, "# HELP streamad_ensemble_member_ready_total Scored steps per ensemble member.")
-	fmt.Fprintln(w, "# TYPE streamad_ensemble_member_ready_total counter")
-	memberRows(func(r ingest.StreamInfo, m ensemble.MemberStat) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_ensemble_member_ready_total{stream=%q,member=\"%d\",spec=%q} %d\n", r.ID, m.Index, m.Label, m.Ready)
-	})
-	fmt.Fprintln(w, "# HELP streamad_ensemble_member_fine_tunes_total Drift-triggered fine-tunes per ensemble member.")
-	fmt.Fprintln(w, "# TYPE streamad_ensemble_member_fine_tunes_total counter")
-	memberRows(func(r ingest.StreamInfo, m ensemble.MemberStat) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_ensemble_member_fine_tunes_total{stream=%q,member=\"%d\",spec=%q} %d\n", r.ID, m.Index, m.Label, m.FineTunes)
-	})
-	fmt.Fprintln(w, "# HELP streamad_ensemble_member_agreement Rolling consensus-agreement counter per ensemble member.")
-	fmt.Fprintln(w, "# TYPE streamad_ensemble_member_agreement gauge")
-	memberRows(func(r ingest.StreamInfo, m ensemble.MemberStat) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_ensemble_member_agreement{stream=%q,member=\"%d\",spec=%q} %d\n", r.ID, m.Index, m.Label, m.Agreement)
-	})
-	fmt.Fprintln(w, "# HELP streamad_ensemble_member_weight Normalized aggregation weight per ensemble member (0 when pruned).")
-	fmt.Fprintln(w, "# TYPE streamad_ensemble_member_weight gauge")
-	memberRows(func(r ingest.StreamInfo, m ensemble.MemberStat) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_ensemble_member_weight{stream=%q,member=\"%d\",spec=%q} %g\n", r.ID, m.Index, m.Label, m.Weight)
-	})
-	fmt.Fprintln(w, "# HELP streamad_ensemble_member_disabled Whether the pruning policy currently excludes the member (0/1).")
-	fmt.Fprintln(w, "# TYPE streamad_ensemble_member_disabled gauge")
-	memberRows(func(r ingest.StreamInfo, m ensemble.MemberStat) {
-		v := 0
-		if m.Disabled {
-			v = 1
-		}
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_ensemble_member_disabled{stream=%q,member=\"%d\",spec=%q} %d\n", r.ID, m.Index, m.Label, v)
-	})
-}
-
-// writeFineTuneMetrics renders the serve/train split families for every
-// stream whose detector exposes fine-tune statistics: an in-flight gauge
-// and the fine-tune duration histogram (cumulative buckets, Prometheus
-// convention).
-func writeFineTuneMetrics(w http.ResponseWriter, rows []ingest.StreamInfo) {
-	any := false
-	for _, r := range rows {
-		if r.FineTune != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	fmt.Fprintln(w, "# HELP streamad_finetune_inflight Whether a background fine-tune is running (0/1; always 0 in sync mode).")
-	fmt.Fprintln(w, "# TYPE streamad_finetune_inflight gauge")
-	for _, r := range rows {
-		if r.FineTune == nil {
-			continue
-		}
-		v := 0
-		if r.FineTune.InFlight {
-			v = 1
-		}
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_finetune_inflight{stream=%q} %d\n", r.ID, v)
-	}
-	fmt.Fprintln(w, "# HELP streamad_finetune_skipped_total Drift triggers dropped because a fine-tune was already in flight.")
-	fmt.Fprintln(w, "# TYPE streamad_finetune_skipped_total counter")
-	for _, r := range rows {
-		if r.FineTune == nil {
-			continue
-		}
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_finetune_skipped_total{stream=%q} %d\n", r.ID, r.FineTune.Skipped)
-	}
-	fmt.Fprintln(w, "# HELP streamad_finetune_seconds Fine-tuning epoch duration.")
-	fmt.Fprintln(w, "# TYPE streamad_finetune_seconds histogram")
-	for _, r := range rows {
-		ft := r.FineTune
-		if ft == nil {
-			continue
-		}
-		var cum uint64
-		for i, bound := range core.FineTuneBuckets {
-			cum += ft.Buckets[i]
-			//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-			fmt.Fprintf(w, "streamad_finetune_seconds_bucket{stream=%q,le=\"%g\"} %d\n", r.ID, bound, cum)
-		}
-		cum += ft.Buckets[len(core.FineTuneBuckets)]
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_finetune_seconds_bucket{stream=%q,le=\"+Inf\"} %d\n", r.ID, cum)
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_finetune_seconds_sum{stream=%q} %g\n", r.ID, ft.TotalSeconds)
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_finetune_seconds_count{stream=%q} %d\n", r.ID, ft.Completed)
-	}
-}
-
-// writeCascadeMetrics renders the streamad_cascade_* families for every
-// cascade-backed stream: the per-tier traffic counters and the conformal
-// admission gate's target and observed rates.
-func writeCascadeMetrics(w http.ResponseWriter, rows []ingest.StreamInfo) {
-	any := false
-	for _, r := range rows {
-		if r.Cascade != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	cascadeRows := func(emit func(r ingest.StreamInfo, cs *cascade.Stats)) {
-		for _, r := range rows {
-			if r.Cascade != nil {
-				emit(r, r.Cascade)
-			}
-		}
-	}
-	fmt.Fprintln(w, "# HELP streamad_cascade_screened_total Vectors answered by the tier-0 gate alone.")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_screened_total counter")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_screened_total{stream=%q,gate=%q} %d\n", r.ID, cs.GateLabel, cs.Screened)
-	})
-	fmt.Fprintln(w, "# HELP streamad_cascade_admitted_total Vectors the conformal gate admitted to the heavy tier.")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_admitted_total counter")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_admitted_total{stream=%q,gate=%q} %d\n", r.ID, cs.GateLabel, cs.Admitted)
-	})
-	fmt.Fprintln(w, "# HELP streamad_cascade_forwarded_total Vectors forwarded to the heavy tier unconditionally during ramp-up.")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_forwarded_total counter")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_forwarded_total{stream=%q,gate=%q} %d\n", r.ID, cs.GateLabel, cs.Forwarded)
-	})
-	fmt.Fprintln(w, "# HELP streamad_cascade_admit_target Configured false-admission rate epsilon of the conformal gate.")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_admit_target gauge")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_admit_target{stream=%q} %g\n", r.ID, cs.AdmitTarget)
-	})
-	fmt.Fprintln(w, "# HELP streamad_cascade_admission_rate Observed admission fraction among gate decisions.")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_admission_rate gauge")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_admission_rate{stream=%q} %g\n", r.ID, cs.AdmissionRate)
-	})
-	fmt.Fprintln(w, "# HELP streamad_cascade_heavy_rate Fraction of all traffic that reached the heavy tier.")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_heavy_rate gauge")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_heavy_rate{stream=%q} %g\n", r.ID, cs.HeavyRate)
-	})
-	fmt.Fprintln(w, "# HELP streamad_cascade_screening Whether the conformal gate is currently screening (0 = ramp-up forwarding).")
-	fmt.Fprintln(w, "# TYPE streamad_cascade_screening gauge")
-	cascadeRows(func(r ingest.StreamInfo, cs *cascade.Stats) {
-		v := 0
-		if cs.Screening {
-			v = 1
-		}
-		//streamad:ignore metriclint per-stream series bounded by -metrics-stream-cap; overflow counted in streamad_metrics_streams_omitted
-		fmt.Fprintf(w, "streamad_cascade_screening{stream=%q} %d\n", r.ID, v)
-	})
-}
-
-// writeIngestMetrics renders the streamad_ingest_* families from one
-// registry stats snapshot.
-func (s *Server) writeIngestMetrics(w http.ResponseWriter) {
-	st := s.reg.Stats()
-	fmt.Fprintln(w, "# HELP streamad_ingest_shed_total Vectors rejected by the shed overload policy.")
-	fmt.Fprintln(w, "# TYPE streamad_ingest_shed_total counter")
-	fmt.Fprintf(w, "streamad_ingest_shed_total{policy=%q} %d\n", st.Overload.String(), st.ShedTotal)
-	fmt.Fprintln(w, "# HELP streamad_ingest_dropped_total Vectors discarded by the drop-oldest overload policy.")
-	fmt.Fprintln(w, "# TYPE streamad_ingest_dropped_total counter")
-	fmt.Fprintf(w, "streamad_ingest_dropped_total{policy=%q} %d\n", st.Overload.String(), st.DroppedTotal)
-	fmt.Fprintln(w, "# HELP streamad_ingest_evicted_streams_total Idle streams checkpointed and unloaded by the TTL evictor.")
-	fmt.Fprintln(w, "# TYPE streamad_ingest_evicted_streams_total counter")
-	fmt.Fprintf(w, "streamad_ingest_evicted_streams_total %d\n", st.EvictedTotal)
-	fmt.Fprintln(w, "# HELP streamad_ingest_shard_streams Live streams resident per registry shard.")
-	fmt.Fprintln(w, "# TYPE streamad_ingest_shard_streams gauge")
-	for i, sh := range st.PerShard {
-		fmt.Fprintf(w, "streamad_ingest_shard_streams{shard=\"%d\"} %d\n", i, sh.Streams)
-	}
-	fmt.Fprintln(w, "# HELP streamad_ingest_queue_depth Vectors queued per registry shard.")
-	fmt.Fprintln(w, "# TYPE streamad_ingest_queue_depth gauge")
-	for i, sh := range st.PerShard {
-		fmt.Fprintf(w, "streamad_ingest_queue_depth{shard=\"%d\"} %d\n", i, sh.QueueDepth)
-	}
-	fmt.Fprintln(w, "# HELP streamad_ingest_batch_size Vectors coalesced per dispatcher pass.")
-	fmt.Fprintln(w, "# TYPE streamad_ingest_batch_size histogram")
-	for i, bound := range ingest.BatchSizeBounds {
-		fmt.Fprintf(w, "streamad_ingest_batch_size_bucket{le=\"%d\"} %d\n", bound, st.BatchSizeBuckets[i])
-	}
-	fmt.Fprintf(w, "streamad_ingest_batch_size_bucket{le=\"+Inf\"} %d\n", st.Batches)
-	fmt.Fprintf(w, "streamad_ingest_batch_size_sum %d\n", st.BatchSizeSum)
-	fmt.Fprintf(w, "streamad_ingest_batch_size_count %d\n", st.Batches)
-	writeTierMetrics(w, st)
-	writePoolMetrics(w, st.ScorePool, s.trainer)
-	s.obsLat.write(w)
-}
-
-// writeTierMetrics renders the streamad_tier_* families: the residency
-// ladder's instantaneous occupancy and its transition counters.
-func writeTierMetrics(w http.ResponseWriter, st ingest.Stats) {
-	fmt.Fprintln(w, "# HELP streamad_tier_streams Streams per residency tier (hot+warm resident, cold checkpointed on disk).")
-	fmt.Fprintln(w, "# TYPE streamad_tier_streams gauge")
-	fmt.Fprintf(w, "streamad_tier_streams{tier=\"hot\"} %d\n", st.HotStreams)
-	fmt.Fprintf(w, "streamad_tier_streams{tier=\"warm\"} %d\n", st.WarmStreams)
-	fmt.Fprintf(w, "streamad_tier_streams{tier=\"cold\"} %d\n", st.ColdStreams)
-	fmt.Fprintln(w, "# HELP streamad_tier_transitions_total Stream moves along the residency ladder.")
-	fmt.Fprintln(w, "# TYPE streamad_tier_transitions_total counter")
-	fmt.Fprintf(w, "streamad_tier_transitions_total{from=\"hot\",to=\"warm\"} %d\n", st.HotToWarm)
-	fmt.Fprintf(w, "streamad_tier_transitions_total{from=\"warm\",to=\"hot\"} %d\n", st.WarmToHot)
-	fmt.Fprintf(w, "streamad_tier_transitions_total{from=\"warm\",to=\"cold\"} %d\n", st.WarmToCold)
-	fmt.Fprintf(w, "streamad_tier_transitions_total{from=\"hot\",to=\"cold\"} %d\n", st.HotToCold)
-	fmt.Fprintf(w, "streamad_tier_transitions_total{from=\"cold\",to=\"hot\"} %d\n", st.ColdToHot)
-}
-
-// writePoolMetrics renders the streamad_pool_* families for the shared
-// scoring pool and (when the server was handed one) the trainer pool.
-func writePoolMetrics(w http.ResponseWriter, sp pool.Stats, tr *pool.Trainer) {
-	fmt.Fprintln(w, "# HELP streamad_pool_score_workers Scoring pool worker goroutines.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_score_workers gauge")
-	fmt.Fprintf(w, "streamad_pool_score_workers %d\n", sp.Workers)
-	fmt.Fprintln(w, "# HELP streamad_pool_score_queue_depth Tasks waiting for a scoring worker.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_score_queue_depth gauge")
-	fmt.Fprintf(w, "streamad_pool_score_queue_depth %d\n", sp.Queued)
-	fmt.Fprintln(w, "# HELP streamad_pool_score_running Scoring tasks currently executing.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_score_running gauge")
-	fmt.Fprintf(w, "streamad_pool_score_running %d\n", sp.Running)
-	fmt.Fprintln(w, "# HELP streamad_pool_score_tasks_total Scoring tasks completed.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_score_tasks_total counter")
-	fmt.Fprintf(w, "streamad_pool_score_tasks_total %d\n", sp.Completed)
-	if tr == nil {
-		return
-	}
-	ts := tr.Stats()
-	fmt.Fprintln(w, "# HELP streamad_pool_train_slots Concurrent training slots.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_train_slots gauge")
-	fmt.Fprintf(w, "streamad_pool_train_slots %d\n", ts.Slots)
-	fmt.Fprintln(w, "# HELP streamad_pool_train_queue_depth Fine-tunes waiting for a training slot.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_train_queue_depth gauge")
-	fmt.Fprintf(w, "streamad_pool_train_queue_depth %d\n", ts.Queued)
-	fmt.Fprintln(w, "# HELP streamad_pool_train_running Fine-tunes currently training.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_train_running gauge")
-	fmt.Fprintf(w, "streamad_pool_train_running %d\n", ts.Running)
-	fmt.Fprintln(w, "# HELP streamad_pool_train_total Fine-tunes completed through the trainer pool.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_train_total counter")
-	fmt.Fprintf(w, "streamad_pool_train_total %d\n", ts.Completed)
-	fmt.Fprintln(w, "# HELP streamad_pool_train_canceled_total Queued fine-tunes canceled before a slot ran them.")
-	fmt.Fprintln(w, "# TYPE streamad_pool_train_canceled_total counter")
-	fmt.Fprintf(w, "streamad_pool_train_canceled_total %d\n", ts.Canceled)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -21,7 +21,7 @@ import (
 	"streamad/internal/score"
 )
 
-// stubDetector mirrors the monitor test stub: ready after 2 steps, high
+// stubDetector is a minimal Stepper: ready after 2 steps, high
 // score when the first element exceeds 1; panics on wrong dimensionality.
 type stubDetector struct {
 	dim   int
