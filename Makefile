@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-hotpath bench-smoke bench-soak bench-cascade bench-scale soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
+.PHONY: ci build vet test race fuzz-smoke bench bench-hotpath bench-smoke bench-soak bench-cascade bench-scale soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
 
 # ci is the fast gate; the race detector runs as its own CI job (make
 # race) so the concurrency suites don't slow the edit loop. The smoke
@@ -62,6 +62,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke gives each native fuzz target five seconds on top of its
+# committed seed corpus (testdata/fuzz): the snapshot-file and WAL
+# decoders and the detector checkpoint decoder must never panic, never
+# accept a CRC-bad file, and re-encode whatever they accept
+# byte-identically. go test -fuzz takes one target per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshotFile$$' -fuzztime=5s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzReadWAL$$' -fuzztime=5s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorLoad$$' -fuzztime=5s .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -21,6 +21,7 @@ import (
 	"streamad/internal/knn"
 	"streamad/internal/metrics"
 	"streamad/internal/nbeats"
+	"streamad/internal/persist"
 	"streamad/internal/reservoir"
 	"streamad/internal/score"
 	"streamad/internal/usad"
@@ -178,6 +179,76 @@ func BenchmarkDetectorStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				det.Step(s.Data[200+(i%300)])
+			}
+		})
+	}
+}
+
+// benchSink keeps measured results alive.
+var benchSink []byte
+
+// BenchmarkCheckpoint measures one checkpoint of every model at the
+// serving geometry of the repo benchmark's pipelines (w=16, m=100, SW +
+// μ/σ): save = Detector.Save plus rendering the snapshot file, load =
+// decoding that file and Detector.Load into a live detector, page =
+// PageOut plus PageIn. Run with -benchmem: B/op against the reported
+// state-bytes is the encoder's amplification, which was 17× under the
+// nested gob envelopes and must stay near 1×.
+func BenchmarkCheckpoint(b *testing.B) {
+	corpus := dataset.Daphnet(dataset.Config{Length: 600, SeriesCount: 1, Seed: 4})
+	s := corpus.Series[0]
+	for _, mk := range []streamad.ModelKind{streamad.ModelARIMA, streamad.ModelPCBIForest, streamad.ModelAE, streamad.ModelUSAD, streamad.ModelNBEATS, streamad.ModelVAR, streamad.ModelKNN} {
+		det, err := streamad.New(streamad.Config{
+			Model: mk, Task1: streamad.TaskSlidingWindow, Task2: streamad.TaskMuSigma,
+			Channels: s.Channels(), Window: 16, TrainSize: 100, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range s.Data[:400] {
+			det.Step(row)
+		}
+		snapshot := func() []byte {
+			blob, err := det.Save()
+			if err != nil {
+				b.Fatal(err)
+			}
+			file, err := persist.EncodeSnapshotFile(&persist.StreamSnapshot{ID: "bench", Seq: 400, Detector: blob})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return file
+		}
+		file := snapshot()
+		b.Run(mk.String()+"/save", func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(file)), "state-bytes")
+			for i := 0; i < b.N; i++ {
+				benchSink = snapshot()
+			}
+		})
+		b.Run(mk.String()+"/load", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				snap, err := persist.DecodeSnapshotFile(file)
+				if err == nil {
+					err = det.Load(snap.Detector)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(mk.String()+"/page", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				page, err := det.PageOut()
+				if err == nil {
+					err = det.PageIn(page)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

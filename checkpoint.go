@@ -1,36 +1,45 @@
 package streamad
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
 // snapshotVersion identifies the Detector.Save envelope layout.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-// detectorSnapshot is the serializable envelope of a full detector
-// checkpoint: the configuration fingerprint used to reject mismatched
-// restores, the framework-loop state, the model parameters and the Task 1
-// RNG position.
-type detectorSnapshot struct {
-	Version   int
-	Model     int
-	Task1     int
-	Task2     int
-	Score     int
-	Channels  int
-	Window    int
-	TrainSize int
-	Warmup    int
-	ScoreWin  int
-	ShortWin  int
-	Seed      int64
-	Sanitize  bool
-	RNGSeed   int64
-	RNGDraws  uint64
-	Core      []byte
-	ModelBlob []byte
+// fingerprintFields names, in wire order, the configuration values a
+// checkpoint leads with; Load rejects a snapshot whose values differ from
+// the receiver's before any state is touched.
+var fingerprintFields = [...]string{"model", "task1", "task2", "score", "channels", "window",
+	"train size", "warmup", "score window", "short window", "seed", "sanitize"}
+
+func (d *Detector) fingerprint() [len(fingerprintFields)]int64 {
+	c := &d.cfg
+	var sanitize int64
+	if c.Sanitize {
+		sanitize = 1
+	}
+	return [...]int64{int64(c.Model), int64(c.Task1), int64(c.Task2), int64(c.Score),
+		int64(c.Channels), int64(c.Window), int64(c.TrainSize), int64(c.WarmupVectors),
+		int64(c.ScoreWindow), int64(c.ShortWindow), c.Seed, sanitize}
+}
+
+// fingerprintValue renders field i of a fingerprint for error messages,
+// naming the four enumerated components.
+func fingerprintValue(i int, v int64) interface{} {
+	switch i {
+	case 0:
+		return ModelKind(v)
+	case 1:
+		return Task1(v)
+	case 2:
+		return Task2(v)
+	case 3:
+		return ScoreKind(v)
+	}
+	return v
 }
 
 // Save returns a binary snapshot of the complete detector state: model
@@ -40,42 +49,33 @@ type detectorSnapshot struct {
 // restored with Load resumes scoring immediately — no window refill, no
 // re-warmup — and produces scores identical to an uninterrupted run, even
 // through later drift-triggered fine-tunes.
-func (d *Detector) Save() ([]byte, error) {
+//
+// The buffer is presized from the previous snapshot saved or loaded, so
+// Save is one allocation, the first one after a restore included.
+func (d *Detector) Save() ([]byte, error) { return wire.Marshal(d, &d.blobSize) }
+
+// AppendBinary appends the Save snapshot to dst: the envelope version,
+// the configuration fingerprint, the Task 1 RNG position, then the model
+// and the framework-loop state as two sections of the same buffer.
+func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 	// Drain any in-flight asynchronous fine-tune before snapshotting, so
-	// the core counters and the model blob describe the same moment.
+	// the core counters and the model section describe the same moment.
 	d.inner.WaitFineTune()
-	coreBlob, err := d.inner.MarshalBinary()
+	model, ok := d.inner.Model().(wire.Appender)
+	if !ok {
+		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
+	}
+	dst = wire.AppendInt(dst, snapshotVersion)
+	for _, v := range d.fingerprint() {
+		dst = wire.AppendInt64(dst, v)
+	}
+	dst = wire.AppendInt64(dst, d.src.SeedValue())
+	dst = wire.AppendUint64(dst, d.src.Draws())
+	dst, err := wire.AppendSection(dst, model)
 	if err != nil {
 		return nil, err
 	}
-	modelBlob, err := d.SaveModel()
-	if err != nil {
-		return nil, err
-	}
-	snap := detectorSnapshot{
-		Version:   snapshotVersion,
-		Model:     int(d.cfg.Model),
-		Task1:     int(d.cfg.Task1),
-		Task2:     int(d.cfg.Task2),
-		Score:     int(d.cfg.Score),
-		Channels:  d.cfg.Channels,
-		Window:    d.cfg.Window,
-		TrainSize: d.cfg.TrainSize,
-		Warmup:    d.cfg.WarmupVectors,
-		ScoreWin:  d.cfg.ScoreWindow,
-		ShortWin:  d.cfg.ShortWindow,
-		Seed:      d.cfg.Seed,
-		Sanitize:  d.cfg.Sanitize,
-		RNGSeed:   d.src.SeedValue(),
-		RNGDraws:  d.src.Draws(),
-		Core:      coreBlob,
-		ModelBlob: modelBlob,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("streamad: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return wire.AppendSection(dst, d.inner)
 }
 
 // Load restores a snapshot produced by Save into this detector. The
@@ -83,62 +83,36 @@ func (d *Detector) Save() ([]byte, error) {
 // Channels, Window, TrainSize, warmup and score windows, Seed); a
 // mismatch is rejected before any state is touched.
 func (d *Detector) Load(data []byte) error {
-	var snap detectorSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+	rd := wire.NewReader(data)
+	if v := rd.Int(); rd.Err() != nil || v != snapshotVersion {
+		return fmt.Errorf("streamad: snapshot version %d, this build reads %d", v, snapshotVersion)
+	}
+	var snap [len(fingerprintFields)]int64
+	for i := range snap {
+		snap[i] = rd.Int64()
+	}
+	rngSeed, rngDraws := rd.Int64(), rd.Uint64()
+	model, inner := rd.Section(), rd.Section()
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("streamad: decode snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("streamad: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
-	}
-	if err := d.checkSnapshotConfig(snap); err != nil {
-		return err
+	for i, want := range d.fingerprint() {
+		if snap[i] != want {
+			return fmt.Errorf("streamad: snapshot %s %v does not match detector %s %v",
+				fingerprintFields[i], fingerprintValue(i, snap[i]), fingerprintFields[i], fingerprintValue(i, want))
+		}
 	}
 	// Restore the model first: its Unmarshal validates shapes against the
 	// receiver, so a corrupt or cross-model blob fails before the framework
 	// loop state is touched.
-	if err := d.LoadModel(snap.ModelBlob); err != nil {
+	if err := d.LoadModel(model); err != nil {
 		return err
 	}
-	if err := d.inner.UnmarshalBinary(snap.Core); err != nil {
+	if err := d.inner.UnmarshalBinary(inner); err != nil {
 		return err
 	}
-	d.src.Restore(snap.RNGSeed, snap.RNGDraws)
-	return nil
-}
-
-// checkSnapshotConfig verifies the snapshot's configuration fingerprint
-// against the receiver's.
-func (d *Detector) checkSnapshotConfig(snap detectorSnapshot) error {
-	mismatch := func(field string, got, want interface{}) error {
-		return fmt.Errorf("streamad: snapshot %s %v does not match detector %s %v",
-			field, got, field, want)
-	}
-	switch {
-	case snap.Model != int(d.cfg.Model):
-		return mismatch("model", ModelKind(snap.Model), d.cfg.Model)
-	case snap.Task1 != int(d.cfg.Task1):
-		return mismatch("task1", Task1(snap.Task1), d.cfg.Task1)
-	case snap.Task2 != int(d.cfg.Task2):
-		return mismatch("task2", Task2(snap.Task2), d.cfg.Task2)
-	case snap.Score != int(d.cfg.Score):
-		return mismatch("score", ScoreKind(snap.Score), d.cfg.Score)
-	case snap.Channels != d.cfg.Channels:
-		return mismatch("channels", snap.Channels, d.cfg.Channels)
-	case snap.Window != d.cfg.Window:
-		return mismatch("window", snap.Window, d.cfg.Window)
-	case snap.TrainSize != d.cfg.TrainSize:
-		return mismatch("train size", snap.TrainSize, d.cfg.TrainSize)
-	case snap.Warmup != d.cfg.WarmupVectors:
-		return mismatch("warmup", snap.Warmup, d.cfg.WarmupVectors)
-	case snap.ScoreWin != d.cfg.ScoreWindow:
-		return mismatch("score window", snap.ScoreWin, d.cfg.ScoreWindow)
-	case snap.ShortWin != d.cfg.ShortWindow:
-		return mismatch("short window", snap.ShortWin, d.cfg.ShortWindow)
-	case snap.Seed != d.cfg.Seed:
-		return mismatch("seed", snap.Seed, d.cfg.Seed)
-	case snap.Sanitize != d.cfg.Sanitize:
-		return mismatch("sanitize", snap.Sanitize, d.cfg.Sanitize)
-	}
+	d.src.Restore(rngSeed, rngDraws)
+	d.blobSize = len(data)
 	return nil
 }
 

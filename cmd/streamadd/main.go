@@ -221,6 +221,10 @@ func main() {
 	}
 	if store != nil {
 		restored, warnings, err := srv.RestoreStreams()
+		var fv persist.ErrFormatVersion
+		if errors.As(err, &fv) {
+			log.Fatalf("streamadd: state dir %s %v: start on an empty -state-dir (%v)", *stateDir, fv, err)
+		}
 		if err != nil {
 			log.Fatalf("streamadd: state dir %s is damaged: %v", *stateDir, err)
 		}

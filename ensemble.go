@@ -279,6 +279,10 @@ func (e *Ensemble) Spec() EnsembleSpec { return e.spec }
 // restored with Load scores bit-identically to an uninterrupted run.
 func (e *Ensemble) Save() ([]byte, error) { return e.inner.Save() }
 
+// AppendBinary appends the Save checkpoint to dst, so a cascade composing
+// this ensemble writes it into its own buffer instead of copying a blob.
+func (e *Ensemble) AppendBinary(dst []byte) ([]byte, error) { return e.inner.AppendBinary(dst) }
+
 // Load restores a checkpoint produced by Save. The ensemble must have
 // been built with the same specification and base configuration; member
 // and policy mismatches are rejected.

@@ -1,93 +1,56 @@
 package arima
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
-// state is the serializable form of the online ARIMA model.
-type state struct {
-	Lags     int
-	D        int
-	Channels int
-	Gamma    []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	g := make([]float64, len(m.gamma))
-	copy(g, m.gamma)
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(state{
-		Lags: m.lags, D: m.d, Channels: m.channels, Gamma: g,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("arima: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// onsState is the serializable form of the ONS wrapper: the γ snapshot of
-// the wrapped model plus the accumulated inverse second-moment matrix
-// A⁻¹, so resumed fine-tuning continues the exact Newton trajectory.
-type onsState struct {
-	Model []byte
-	Eta   float64
-	Lags  int
-	Ainv  []float64 // row-major lags×lags
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler for the ONS wrapper.
-func (o *ONS) MarshalBinary() ([]byte, error) {
-	inner, err := o.model.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	st := onsState{Model: inner, Eta: o.eta, Lags: o.model.lags}
-	for _, row := range o.ainv {
-		st.Ainv = append(st.Ainv, row...)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("arima: encode ons: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler for ONS. For
-// compatibility it also accepts a bare model snapshot (pre-ONS-state
-// format), in which case A⁻¹ keeps its current value.
-func (o *ONS) UnmarshalBinary(data []byte) error {
-	var st onsState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil || len(st.Model) == 0 {
-		return o.model.UnmarshalBinary(data)
-	}
-	if st.Lags != o.model.lags || len(st.Ainv) != st.Lags*st.Lags {
-		return fmt.Errorf("arima: ons snapshot lags %d (A⁻¹ %d) does not match model lags %d",
-			st.Lags, len(st.Ainv), o.model.lags)
-	}
-	if err := o.model.UnmarshalBinary(st.Model); err != nil {
-		return err
-	}
-	o.eta = st.Eta
-	for i, row := range o.ainv {
-		copy(row, st.Ainv[i*st.Lags:(i+1)*st.Lags])
-	}
-	return nil
+// AppendBinary implements wire.Appender.
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, m.lags)
+	dst = wire.AppendInt(dst, m.d)
+	dst = wire.AppendInt(dst, m.channels)
+	return wire.AppendFloat64s(dst, m.gamma), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // configuration must match the snapshot.
 func (m *Model) UnmarshalBinary(data []byte) error {
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("arima: decode: %w", err)
-	}
-	if st.Lags != m.lags || st.D != m.d || st.Channels != m.channels {
+	rd := wire.NewReader(data)
+	if lags, d, n := rd.Int(), rd.Int(), rd.Int(); rd.Err() == nil && (lags != m.lags || d != m.d || n != m.channels) {
 		return fmt.Errorf("arima: snapshot (lags=%d d=%d N=%d) does not match model (lags=%d d=%d N=%d)",
-			st.Lags, st.D, st.Channels, m.lags, m.d, m.channels)
+			lags, d, n, m.lags, m.d, m.channels)
 	}
-	copy(m.gamma, st.Gamma)
-	return nil
+	rd.Float64s(m.gamma)
+	return rd.Done()
+}
+
+// AppendBinary implements wire.Appender for the ONS wrapper: the wrapped
+// model's γ plus the accumulated inverse second-moment matrix A⁻¹
+// (row-major lags×lags), so resumed fine-tuning continues the exact
+// Newton trajectory.
+func (o *ONS) AppendBinary(dst []byte) ([]byte, error) {
+	dst, err := wire.AppendSection(dst, o.model)
+	if err != nil {
+		return nil, err
+	}
+	dst = wire.AppendFloat64(dst, o.eta)
+	for _, row := range o.ainv {
+		dst = wire.AppendRawFloat64s(dst, row)
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler for ONS.
+func (o *ONS) UnmarshalBinary(data []byte) error {
+	rd := wire.NewReader(data)
+	if err := o.model.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
+	}
+	o.eta = rd.Float64()
+	for _, row := range o.ainv {
+		rd.RawFloat64s(row)
+	}
+	return rd.Done()
 }

@@ -1,59 +1,42 @@
 package autoenc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"streamad/internal/nn"
+	"streamad/internal/wire"
 )
 
-// state is the serializable form of the autoencoder, including the Adam
-// moment estimates so resumed fine-tuning continues the exact optimizer
+// AppendBinary implements wire.Appender, including the Adam moment
+// estimates so resumed fine-tuning continues the exact optimizer
 // trajectory.
-type state struct {
-	Dim    int
-	Net    []byte
-	Scaler []byte
-	Opt    []byte
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	net, err := m.net.MarshalBinary()
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, m.dim)
+	dst, err := wire.AppendSection(dst, m.net)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := m.scaler.MarshalBinary()
-	if err != nil {
+	if dst, err = wire.AppendSection(dst, m.scaler); err != nil {
 		return nil, err
 	}
-	opt, err := nn.SaveOptimizer(m.opt, m.net.Params())
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state{Dim: m.dim, Net: net, Scaler: sc, Opt: opt}); err != nil {
-		return nil, fmt.Errorf("autoenc: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return nn.AppendOptimizer(dst, m.opt, m.net.Params()), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver must
 // have been constructed with the same Config dimensions.
 func (m *Model) UnmarshalBinary(data []byte) error {
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("autoenc: decode: %w", err)
+	rd := wire.NewReader(data)
+	if dim := rd.Int(); rd.Err() == nil && dim != m.dim {
+		return fmt.Errorf("autoenc: snapshot dim %d != model dim %d", dim, m.dim)
 	}
-	if st.Dim != m.dim {
-		return fmt.Errorf("autoenc: snapshot dim %d != model dim %d", st.Dim, m.dim)
+	if err := m.net.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := m.net.UnmarshalBinary(st.Net); err != nil {
-		return err
+	if err := m.scaler.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := m.scaler.UnmarshalBinary(st.Scaler); err != nil {
-		return err
+	if err := nn.LoadOptimizer(m.opt, m.net.Params(), rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	return nn.LoadOptimizer(m.opt, m.net.Params(), st.Opt)
+	return rd.Done()
 }

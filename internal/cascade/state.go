@@ -1,90 +1,65 @@
 package cascade
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
 // snapshotVersion identifies the Cascade.Save envelope layout.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-// snapshot is the serializable envelope of a cascade checkpoint: the
-// configuration fingerprint, the gate's and every heavy member's own
-// full checkpoint, the conformal calibration window and the cascade's
-// counters.
-type snapshot struct {
-	Version    int
-	Admit      float64
-	Calib      int
-	MinCalib   int
-	GateLabel  string
-	Labels     []string
-	Gate       []byte
-	Heavy      [][]byte
-	Conformal  []byte
-	HeavyReady []bool
-	AllReady   bool
-	Steps      int
-	Screened   int
-	Admitted   int
-	Forwarded  int
-	FineTunes  int
-	LastP      float64
+// AppendBinary implements wire.Appender: the configuration fingerprint
+// and cascade counters, the conformal calibration window, then the
+// gate's and every heavy member's own full checkpoint.
+func (c *Cascade) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, snapshotVersion)
+	dst = wire.AppendFloat64(dst, c.admit)
+	dst = wire.AppendInt(dst, c.calib)
+	dst = wire.AppendInt(dst, c.minCalib)
+	dst = wire.AppendString(dst, c.gateLabel)
+	dst = wire.AppendInt(dst, len(c.heavy))
+	for _, l := range c.heavyLabels {
+		dst = wire.AppendString(dst, l)
+	}
+	for _, r := range c.heavyReady {
+		dst = wire.AppendBool(dst, r)
+	}
+	dst = wire.AppendBool(dst, c.allHeavyReady)
+	dst = wire.AppendInt(dst, c.steps)
+	dst = wire.AppendInt(dst, c.screened)
+	dst = wire.AppendInt(dst, c.admitted)
+	dst = wire.AppendInt(dst, c.forwarded)
+	dst = wire.AppendInt(dst, c.fineTunes)
+	dst = wire.AppendFloat64(dst, c.lastP)
+	dst, err := wire.AppendSection(dst, c.conf)
+	if err != nil {
+		return nil, fmt.Errorf("cascade: %w", err)
+	}
+	if dst, err = wire.AppendCheckpoint(dst, c.gate); err != nil {
+		return nil, fmt.Errorf("cascade: gate (%s): %w", c.gateLabel, err)
+	}
+	for i, m := range c.heavy {
+		if dst, err = wire.AppendCheckpoint(dst, m); err != nil {
+			return nil, fmt.Errorf("cascade: heavy member %d (%s): %w", i, c.heavyLabels[i], err)
+		}
+	}
+	return dst, nil
 }
 
 // Save returns a binary checkpoint composing the gate's and every heavy
 // member's full checkpoint with the conformal calibration window and the
 // cascade counters. A cascade restored with Load screens and scores
 // bit-identically to an uninterrupted run.
-func (c *Cascade) Save() ([]byte, error) {
-	gck, ok := c.gate.(Checkpointer)
+func (c *Cascade) Save() ([]byte, error) { return c.AppendBinary(nil) }
+
+// loadMember restores one member's section through its Load.
+func loadMember(m Member, data []byte) error {
+	ck, ok := m.(Checkpointer)
 	if !ok {
-		return nil, fmt.Errorf("cascade: gate (%s) does not support checkpointing", c.gateLabel)
+		return fmt.Errorf("%T does not support checkpointing", m)
 	}
-	gate, err := gck.Save()
-	if err != nil {
-		return nil, fmt.Errorf("cascade: gate (%s): %w", c.gateLabel, err)
-	}
-	conf, err := c.conf.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("cascade: %w", err)
-	}
-	snap := snapshot{
-		Version:    snapshotVersion,
-		Admit:      c.admit,
-		Calib:      c.calib,
-		MinCalib:   c.minCalib,
-		GateLabel:  c.gateLabel,
-		Labels:     append([]string(nil), c.heavyLabels...),
-		Gate:       gate,
-		Heavy:      make([][]byte, len(c.heavy)),
-		Conformal:  conf,
-		HeavyReady: append([]bool(nil), c.heavyReady...),
-		AllReady:   c.allHeavyReady,
-		Steps:      c.steps,
-		Screened:   c.screened,
-		Admitted:   c.admitted,
-		Forwarded:  c.forwarded,
-		FineTunes:  c.fineTunes,
-		LastP:      c.lastP,
-	}
-	for i, m := range c.heavy {
-		ck, ok := m.(Checkpointer)
-		if !ok {
-			return nil, fmt.Errorf("cascade: heavy member %d (%s) does not support checkpointing", i, c.heavyLabels[i])
-		}
-		blob, err := ck.Save()
-		if err != nil {
-			return nil, fmt.Errorf("cascade: heavy member %d (%s): %w", i, c.heavyLabels[i], err)
-		}
-		snap.Heavy[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("cascade: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return ck.Load(data)
 }
 
 // Load restores a checkpoint produced by Save. The cascade must have
@@ -93,55 +68,57 @@ func (c *Cascade) Save() ([]byte, error) {
 // blob, so mismatched member configurations are rejected before any
 // cascade-level state is touched.
 func (c *Cascade) Load(data []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("cascade: decode snapshot: %w", err)
+	rd := wire.NewReader(data)
+	if v := rd.Int(); rd.Err() != nil || v != snapshotVersion {
+		return fmt.Errorf("cascade: snapshot version %d, this build reads %d", v, snapshotVersion)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("cascade: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
-	}
+	admit, calib, minCalib, gateLabel, heavy := rd.Float64(), rd.Int(), rd.Int(), rd.String(), rd.Int()
 	switch {
-	case snap.Admit != c.admit:
-		return fmt.Errorf("cascade: snapshot admit=%v does not match cascade admit=%v", snap.Admit, c.admit)
-	case snap.Calib != c.calib || snap.MinCalib != c.minCalib:
+	case rd.Err() != nil:
+		return fmt.Errorf("cascade: decode snapshot: %w", rd.Err())
+	case admit != c.admit:
+		return fmt.Errorf("cascade: snapshot admit=%v does not match cascade admit=%v", admit, c.admit)
+	case calib != c.calib || minCalib != c.minCalib:
 		return fmt.Errorf("cascade: snapshot calibration (%d/%d) does not match cascade (%d/%d)",
-			snap.MinCalib, snap.Calib, c.minCalib, c.calib)
-	case snap.GateLabel != c.gateLabel:
-		return fmt.Errorf("cascade: snapshot gate %q does not match cascade gate %q", snap.GateLabel, c.gateLabel)
-	case len(snap.Heavy) != len(c.heavy) || len(snap.HeavyReady) != len(c.heavy):
-		return fmt.Errorf("cascade: snapshot has %d heavy members, cascade has %d", len(snap.Heavy), len(c.heavy))
+			minCalib, calib, c.minCalib, c.calib)
+	case gateLabel != c.gateLabel:
+		return fmt.Errorf("cascade: snapshot gate %q does not match cascade gate %q", gateLabel, c.gateLabel)
+	case heavy != len(c.heavy):
+		return fmt.Errorf("cascade: snapshot has %d heavy members, cascade has %d", heavy, len(c.heavy))
 	}
-	for i, l := range snap.Labels {
-		if i >= len(c.heavyLabels) || l != c.heavyLabels[i] {
-			return fmt.Errorf("cascade: snapshot heavy member %d is %q, cascade has %q", i, l, c.heavyLabels[i])
+	for i, want := range c.heavyLabels {
+		if l := rd.String(); rd.Err() == nil && l != want {
+			return fmt.Errorf("cascade: snapshot heavy member %d is %q, cascade has %q", i, l, want)
 		}
 	}
-	gck, ok := c.gate.(Checkpointer)
-	if !ok {
-		return fmt.Errorf("cascade: gate (%s) does not support checkpointing", c.gateLabel)
+	heavyReady := make([]bool, len(c.heavy))
+	for i := range heavyReady {
+		heavyReady[i] = rd.Bool()
 	}
-	if err := gck.Load(snap.Gate); err != nil {
+	allReady := rd.Bool()
+	steps, screened, admitted, forwarded, fineTunes := rd.Int(), rd.Int(), rd.Int(), rd.Int(), rd.Int()
+	lastP := rd.Float64()
+	conf, gate := rd.Section(), rd.Section()
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("cascade: decode snapshot: %w", err)
+	}
+	if err := loadMember(c.gate, gate); err != nil {
 		return fmt.Errorf("cascade: gate (%s): %w", c.gateLabel, err)
 	}
 	for i, m := range c.heavy {
-		ck, ok := m.(Checkpointer)
-		if !ok {
-			return fmt.Errorf("cascade: heavy member %d (%s) does not support checkpointing", i, c.heavyLabels[i])
-		}
-		if err := ck.Load(snap.Heavy[i]); err != nil {
+		if err := loadMember(m, rd.Section()); err != nil {
 			return fmt.Errorf("cascade: heavy member %d (%s): %w", i, c.heavyLabels[i], err)
 		}
 	}
-	if err := c.conf.UnmarshalBinary(snap.Conformal); err != nil {
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("cascade: decode snapshot: %w", err)
+	}
+	if err := c.conf.UnmarshalBinary(conf); err != nil {
 		return fmt.Errorf("cascade: %w", err)
 	}
-	copy(c.heavyReady, snap.HeavyReady)
-	c.allHeavyReady = snap.AllReady
-	c.steps = snap.Steps
-	c.screened = snap.Screened
-	c.admitted = snap.Admitted
-	c.forwarded = snap.Forwarded
-	c.fineTunes = snap.FineTunes
-	c.lastP = snap.LastP
+	copy(c.heavyReady, heavyReady)
+	c.allHeavyReady = allReady
+	c.steps, c.screened, c.admitted, c.forwarded, c.fineTunes = steps, screened, admitted, forwarded, fineTunes
+	c.lastP = lastP
 	return nil
 }

@@ -17,7 +17,7 @@ const ForwardedHeader = "X-Streamad-Forwarded"
 type MigrateRequest struct {
 	// Node is the sending node's advertised URL (diagnostics only).
 	Node string `json:"node"`
-	// Snapshot is a persist snapshot file (magic, version, CRC, gob) —
+	// Snapshot is a persist snapshot file (magic, version, CRC, body) —
 	// base64 in JSON, verified by persist.DecodeSnapshotFile on receipt.
 	Snapshot []byte `json:"snapshot"`
 	// WAL is the record tail with seq >= the snapshot's boundary.

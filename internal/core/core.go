@@ -190,12 +190,13 @@ type Detector struct {
 	steps      int
 	fineTunes  int
 	lastGood   []float64 // per-channel last finite value (Sanitize)
-	sanBuf     []float64
+	sanBuf     []float64 //streamad:transient per-step repair scratch, preallocated by NewDetector and overwritten each Step
 	sanitized  int
 	attrBuf    []float64 //streamad:transient per-step attribution scratch, preallocated by NewDetector and derived each Step
 	asyncFT    bool      // serve/train split active
 	poolFT     bool      // fine-tunes routed through the shared trainer pool
 	paged      bool      // window state released to the snapshot store (warm tier)
+	blobSize   int       // length of the last window-state blob marshalled or restored, the next one's capacity
 	trainMu    sync.Mutex
 	train      *trainer
 }

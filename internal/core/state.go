@@ -1,15 +1,15 @@
 package core
 
 import (
-	"bytes"
 	"encoding"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler for the representer:
-// the snapshot is the underlying vector ring (the last w stream vectors).
-func (r *Representer) MarshalBinary() ([]byte, error) { return r.win.MarshalBinary() }
+// AppendBinary implements wire.Appender for the representer: the snapshot
+// is the underlying vector ring (the last w stream vectors).
+func (r *Representer) AppendBinary(dst []byte) ([]byte, error) { return r.win.AppendBinary(dst) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for the
 // representer; the receiver's geometry must match the snapshot. The flat
@@ -22,38 +22,21 @@ func (r *Representer) UnmarshalBinary(data []byte) error {
 	return r.win.UnmarshalBinary(data)
 }
 
-// detectorState is the serializable form of the framework loop: the
-// warmup/step counters plus a nested snapshot of every stateful component
-// except the model, which the caller snapshots separately (it already has
-// its own public SaveModel/LoadModel surface).
-type detectorState struct {
-	WarmupLeft int
-	WarmedUp   bool
-	Steps      int
-	FineTunes  int
-	Sanitized  int
-	LastGood   []float64
-	Window     []byte
-	Train      []byte
-	Drift      []byte
-	Scorer     []byte
-}
-
-// marshalComponent snapshots one framework component, requiring it to
-// support binary checkpointing.
-func marshalComponent(name string, v interface{}) ([]byte, error) {
-	m, ok := v.(encoding.BinaryMarshaler)
+// appendComponent appends one framework component as a section, requiring
+// it to support binary checkpointing.
+func appendComponent(dst []byte, name string, v interface{}) ([]byte, error) {
+	a, ok := v.(wire.Appender)
 	if !ok {
 		return nil, fmt.Errorf("core: %s component %T does not support checkpointing", name, v)
 	}
-	b, err := m.MarshalBinary()
+	dst, err := wire.AppendSection(dst, a)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot %s: %w", name, err)
 	}
-	return b, nil
+	return dst, nil
 }
 
-// unmarshalComponent restores one framework component snapshot.
+// unmarshalComponent restores one framework component section.
 func unmarshalComponent(name string, v interface{}, data []byte) error {
 	u, ok := v.(encoding.BinaryUnmarshaler)
 	if !ok {
@@ -65,79 +48,63 @@ func unmarshalComponent(name string, v interface{}, data []byte) error {
 	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler: a full snapshot of
-// the detector's streaming state (window, training set, drift reference,
-// scorer windows, counters). The model is intentionally not included.
-func (d *Detector) MarshalBinary() ([]byte, error) {
-	st := detectorState{
-		WarmupLeft: d.warmupLeft,
-		WarmedUp:   d.warmedUp,
-		Steps:      d.steps,
-		FineTunes:  d.fineTunes,
-		Sanitized:  d.sanitized,
-		LastGood:   append([]float64(nil), d.lastGood...),
-	}
-	var err error
-	if st.Window, err = marshalComponent("representation", d.cfg.Representer); err != nil {
+// AppendBinary implements wire.Appender: a full snapshot of the
+// detector's streaming state — the warmup/step counters plus one section
+// per stateful component (window, training set, drift reference, scorer
+// windows). The model is intentionally not included; the caller
+// snapshots it separately (it has its own SaveModel/LoadModel surface).
+func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, d.warmupLeft)
+	dst = wire.AppendBool(dst, d.warmedUp)
+	dst = wire.AppendInt(dst, d.steps)
+	dst = wire.AppendInt(dst, d.fineTunes)
+	dst = wire.AppendInt(dst, d.sanitized)
+	dst = wire.AppendFloat64s(dst, d.lastGood)
+	dst, err := appendComponent(dst, "representation", d.cfg.Representer)
+	if err != nil {
 		return nil, err
 	}
-	if st.Train, err = marshalComponent("training-set", d.cfg.TrainingSet); err != nil {
+	if dst, err = appendComponent(dst, "training-set", d.cfg.TrainingSet); err != nil {
 		return nil, err
 	}
-	if st.Drift, err = marshalComponent("drift", d.cfg.Drift); err != nil {
+	if dst, err = appendComponent(dst, "drift", d.cfg.Drift); err != nil {
 		return nil, err
 	}
-	if st.Scorer, err = marshalComponent("scorer", d.cfg.Scorer); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encode detector: %w", err)
-	}
-	return buf.Bytes(), nil
+	return appendComponent(dst, "scorer", d.cfg.Scorer)
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler, presized from the
+// previous blob marshalled or restored: a page-out is one allocation.
+func (d *Detector) MarshalBinary() ([]byte, error) { return wire.Marshal(d, &d.blobSize) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler: it restores a
 // snapshot into a detector assembled with an identically configured set of
 // components. Component-level geometry checks reject mismatched shapes.
 func (d *Detector) UnmarshalBinary(data []byte) error {
-	var st detectorState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("core: decode detector: %w", err)
+	rd := wire.NewReader(data)
+	warmupLeft, warmedUp := rd.Int(), rd.Bool()
+	steps, fineTunes, sanitized := rd.Int(), rd.Int(), rd.Int()
+	rd.Float64s(d.lastGood) // one value per channel under Sanitize, else empty
+	if err := unmarshalComponent("representation", d.cfg.Representer, rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := unmarshalComponent("representation", d.cfg.Representer, st.Window); err != nil {
+	if err := unmarshalComponent("training-set", d.cfg.TrainingSet, rd.Section()); err != nil {
+		return rd.Fail(err)
+	}
+	if err := unmarshalComponent("drift", d.cfg.Drift, rd.Section()); err != nil {
+		return rd.Fail(err)
+	}
+	if err := unmarshalComponent("scorer", d.cfg.Scorer, rd.Section()); err != nil {
+		return rd.Fail(err)
+	}
+	if err := rd.Done(); err != nil {
 		return err
 	}
-	if err := unmarshalComponent("training-set", d.cfg.TrainingSet, st.Train); err != nil {
-		return err
-	}
-	if err := unmarshalComponent("drift", d.cfg.Drift, st.Drift); err != nil {
-		return err
-	}
-	if err := unmarshalComponent("scorer", d.cfg.Scorer, st.Scorer); err != nil {
-		return err
-	}
-	d.warmupLeft = st.WarmupLeft
-	d.warmedUp = st.WarmedUp
-	d.steps = st.Steps
-	d.fineTunes = st.FineTunes
-	d.sanitized = st.Sanitized
-	switch {
-	case len(st.LastGood) > 0:
-		d.lastGood = append([]float64(nil), st.LastGood...)
-		d.sanBuf = make([]float64, len(st.LastGood))
-	case d.cfg.Sanitize:
-		// Older snapshot with no repair history: keep the buffers the
-		// constructor allocated (zeroed), so sanitize stays alloc-free.
-		for i := range d.lastGood {
-			d.lastGood[i] = 0
-		}
-	default:
-		d.lastGood = nil
-		d.sanBuf = nil
-	}
+	d.warmupLeft, d.warmedUp = warmupLeft, warmedUp
+	d.steps, d.fineTunes, d.sanitized = steps, fineTunes, sanitized
 	// A full restore reallocates every component's backing storage, so a
 	// paged-out detector loaded from snapshot is resident again.
 	d.paged = false
+	d.blobSize = len(data)
 	return nil
 }

@@ -1,203 +1,151 @@
 package drift
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
+
+	"streamad/internal/wire"
 )
 
-// regularState is the serializable form of the Regular detector.
-type regularState struct {
-	Interval int
-	Steps    int
-	Ops      OpCounts
+func appendOps(dst []byte, o OpCounts) []byte {
+	dst = wire.AppendInt64(dst, o.Adds)
+	dst = wire.AppendInt64(dst, o.Mults)
+	return wire.AppendInt64(dst, o.Cmps)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r *Regular) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(regularState{Interval: r.Interval, Steps: r.steps, Ops: r.ops})
-	if err != nil {
-		return nil, fmt.Errorf("drift: encode regular: %w", err)
-	}
-	return buf.Bytes(), nil
+func readOps(rd *wire.Reader) OpCounts {
+	return OpCounts{Adds: rd.Int64(), Mults: rd.Int64(), Cmps: rd.Int64()}
+}
+
+// AppendBinary implements wire.Appender.
+func (r *Regular) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, r.Interval)
+	dst = wire.AppendInt(dst, r.steps)
+	return appendOps(dst, r.ops), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // interval must match the snapshot.
 func (r *Regular) UnmarshalBinary(data []byte) error {
-	var st regularState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("drift: decode regular: %w", err)
+	rd := wire.NewReader(data)
+	interval, steps, ops := rd.Int(), rd.Int(), readOps(&rd)
+	if err := rd.Done(); err != nil {
+		return err
 	}
-	if st.Interval != r.Interval {
-		return fmt.Errorf("drift: regular snapshot interval %d != %d", st.Interval, r.Interval)
+	if interval != r.Interval {
+		return fmt.Errorf("drift: regular snapshot interval %d != %d", interval, r.Interval)
 	}
-	r.steps = st.Steps
-	r.ops = st.Ops
+	r.steps, r.ops = steps, ops
 	return nil
 }
 
-// muSigmaState is the serializable form of the μ/σ-Change detector,
-// including the Welford accumulator over all training-set elements.
-type muSigmaState struct {
-	Dim      int
-	Mean     []float64
-	RefMean  []float64
-	RefStd   float64
-	HasRef   bool
-	ElemN    int
-	ElemMean float64
-	ElemM2   float64
-	Ops      OpCounts
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (d *MuSigmaChange) MarshalBinary() ([]byte, error) {
+// AppendBinary implements wire.Appender, including the Welford
+// accumulator over all training-set elements.
+func (d *MuSigmaChange) AppendBinary(dst []byte) ([]byte, error) {
 	n, mean, m2 := d.elems.State()
-	st := muSigmaState{
-		Dim:      d.dim,
-		Mean:     append([]float64(nil), d.mean...),
-		RefMean:  append([]float64(nil), d.refMean...),
-		RefStd:   d.refStd,
-		HasRef:   d.hasRef,
-		ElemN:    n,
-		ElemMean: mean,
-		ElemM2:   m2,
-		Ops:      d.ops,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("drift: encode musigma: %w", err)
-	}
-	return buf.Bytes(), nil
+	dst = wire.AppendFloat64s(dst, d.mean)
+	dst = wire.AppendFloat64s(dst, d.refMean)
+	dst = wire.AppendFloat64(dst, d.refStd)
+	dst = wire.AppendBool(dst, d.hasRef)
+	dst = wire.AppendInt(dst, n)
+	dst = wire.AppendFloat64(dst, mean)
+	dst = wire.AppendFloat64(dst, m2)
+	return appendOps(dst, d.ops), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // dimension must match the snapshot.
 func (d *MuSigmaChange) UnmarshalBinary(data []byte) error {
-	var st muSigmaState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("drift: decode musigma: %w", err)
+	rd := wire.NewReader(data)
+	rd.Float64s(d.mean)
+	rd.Float64s(d.refMean)
+	d.refStd = rd.Float64()
+	d.hasRef = rd.Bool()
+	d.elems.SetState(rd.Int(), rd.Float64(), rd.Float64())
+	d.ops = readOps(&rd)
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("drift: musigma snapshot (receiver dim %d): %w", d.dim, err)
 	}
-	if st.Dim != d.dim || len(st.Mean) != d.dim || len(st.RefMean) != d.dim {
-		return fmt.Errorf("drift: musigma snapshot dim %d != %d", st.Dim, d.dim)
-	}
-	copy(d.mean, st.Mean)
-	copy(d.refMean, st.RefMean)
-	d.refStd = st.RefStd
-	d.hasRef = st.HasRef
-	d.elems.SetState(st.ElemN, st.ElemMean, st.ElemM2)
-	d.ops = st.Ops
 	return nil
 }
 
-// kswinState is the serializable form of the KSWIN detector: the sorted
-// per-channel reference samples plus the test throttle position.
-type kswinState struct {
-	Channels   int
-	RepWin     int
-	Alpha      float64
-	CheckEvery int
-	Steps      int
-	Correct    bool
-	HasRef     bool
-	PerChannel int
-	RefFlat    []float64
-	Ops        OpCounts
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (k *KSWIN) MarshalBinary() ([]byte, error) {
-	st := kswinState{
-		Channels: k.channels, RepWin: k.repWin, Alpha: k.alpha,
-		CheckEvery: k.CheckEvery, Steps: k.steps, Correct: k.correct,
-		HasRef: k.hasRef, Ops: k.ops,
-	}
-	if k.hasRef && len(k.ref) > 0 {
-		st.PerChannel = len(k.ref[0])
+// AppendBinary implements wire.Appender: the sorted per-channel reference
+// samples plus the test throttle position.
+func (k *KSWIN) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, k.channels)
+	dst = wire.AppendInt(dst, k.repWin)
+	dst = wire.AppendFloat64(dst, k.alpha)
+	dst = wire.AppendInt(dst, k.CheckEvery)
+	dst = wire.AppendInt(dst, k.steps)
+	dst = wire.AppendBool(dst, k.correct)
+	dst = appendOps(dst, k.ops)
+	dst = wire.AppendBool(dst, k.hasRef)
+	if k.hasRef {
+		dst = wire.AppendInt(dst, len(k.ref[0]))
 		for _, ch := range k.ref {
-			st.RefFlat = append(st.RefFlat, ch...)
+			dst = wire.AppendRawFloat64s(dst, ch)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("drift: encode kswin: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // geometry (channels, window) must match the snapshot.
 func (k *KSWIN) UnmarshalBinary(data []byte) error {
-	var st kswinState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("drift: decode kswin: %w", err)
+	rd := wire.NewReader(data)
+	if c, w := rd.Int(), rd.Int(); rd.Err() == nil && (c != k.channels || w != k.repWin) {
+		return fmt.Errorf("drift: kswin snapshot (N=%d w=%d) != receiver (N=%d w=%d)", c, w, k.channels, k.repWin)
 	}
-	if st.Channels != k.channels || st.RepWin != k.repWin {
-		return fmt.Errorf("drift: kswin snapshot (N=%d w=%d) != receiver (N=%d w=%d)",
-			st.Channels, st.RepWin, k.channels, k.repWin)
-	}
-	if st.HasRef {
-		if st.PerChannel <= 0 || len(st.RefFlat) != st.Channels*st.PerChannel {
-			return fmt.Errorf("drift: kswin snapshot reference length %d != %d×%d",
-				len(st.RefFlat), st.Channels, st.PerChannel)
-		}
-		ref := make([][]float64, st.Channels)
-		for c := range ref {
-			ref[c] = append([]float64(nil), st.RefFlat[c*st.PerChannel:(c+1)*st.PerChannel]...)
-		}
-		k.ref = ref
-	} else {
+	k.alpha = rd.Float64()
+	k.CheckEvery = rd.Int()
+	k.steps = rd.Int()
+	k.correct = rd.Bool()
+	k.ops = readOps(&rd)
+	k.hasRef = rd.Bool()
+	if !k.hasRef {
 		k.ref = nil
+		return rd.Done()
 	}
-	k.alpha = st.Alpha
-	k.CheckEvery = st.CheckEvery
-	k.steps = st.Steps
-	k.correct = st.Correct
-	k.hasRef = st.HasRef
-	k.ops = st.Ops
-	return nil
+	per := rd.Count(math.MaxInt / k.channels)
+	if len(k.ref) != k.channels || len(k.ref[0]) != per {
+		if rd.Err() != nil {
+			return rd.Err()
+		}
+		slab := make([]float64, k.channels*per)
+		k.ref = make([][]float64, k.channels)
+		for c := range k.ref {
+			k.ref[c] = slab[c*per : (c+1)*per : (c+1)*per]
+		}
+	}
+	for _, ch := range k.ref {
+		rd.RawFloat64s(ch)
+	}
+	return rd.Done()
 }
 
-// adwinState is the serializable form of the ADWIN detector.
-type adwinState struct {
-	Delta     float64
-	MaxWindow int
-	MinSplit  int
-	Window    []float64
-	Ops       OpCounts
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (a *ADWIN) MarshalBinary() ([]byte, error) {
-	st := adwinState{
-		Delta: a.Delta, MaxWindow: a.MaxWindow, MinSplit: a.MinSplit,
-		Window: append([]float64(nil), a.window...), Ops: a.ops,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("drift: encode adwin: %w", err)
-	}
-	return buf.Bytes(), nil
+// AppendBinary implements wire.Appender.
+func (a *ADWIN) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendFloat64(dst, a.Delta)
+	dst = wire.AppendInt(dst, a.MaxWindow)
+	dst = wire.AppendInt(dst, a.MinSplit)
+	dst = appendOps(dst, a.ops)
+	return wire.AppendFloat64s(dst, a.window), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // confidence parameter must match the snapshot.
 func (a *ADWIN) UnmarshalBinary(data []byte) error {
-	var st adwinState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("drift: decode adwin: %w", err)
+	rd := wire.NewReader(data)
+	if delta := rd.Float64(); rd.Err() == nil && delta != a.Delta {
+		return fmt.Errorf("drift: adwin snapshot delta %v != %v", delta, a.Delta)
 	}
-	if st.Delta != a.Delta {
-		return fmt.Errorf("drift: adwin snapshot delta %v != %v", st.Delta, a.Delta)
+	maxWindow, minSplit, ops := rd.Int(), rd.Int(), readOps(&rd)
+	n := rd.Count(max(maxWindow, 0))
+	if cap(a.window) < n {
+		a.window = make([]float64, n)
 	}
-	if len(st.Window) > st.MaxWindow {
-		return fmt.Errorf("drift: adwin snapshot window %d exceeds max %d", len(st.Window), st.MaxWindow)
-	}
-	a.MaxWindow = st.MaxWindow
-	a.MinSplit = st.MinSplit
-	a.window = append([]float64(nil), st.Window...)
-	a.ops = st.Ops
-	return nil
+	a.window = a.window[:n]
+	rd.RawFloat64s(a.window)
+	a.MaxWindow, a.MinSplit, a.ops = maxWindow, minSplit, ops
+	return rd.Done()
 }

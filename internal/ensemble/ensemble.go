@@ -34,6 +34,7 @@ import (
 
 	"streamad/internal/core"
 	"streamad/internal/pool"
+	"streamad/internal/wire"
 )
 
 // Member is one pipeline of the ensemble. streamad.Detector satisfies it;
@@ -139,6 +140,7 @@ type Ensemble struct {
 	scratch []float64 //streamad:transient combine() working buffer
 
 	closeOnce sync.Once //streamad:transient process-local close latch, not stream state
+	blobSize  int       // length of the last blob saved or loaded, the next Save's capacity
 }
 
 // New validates the configuration and returns the Ensemble. Members own
@@ -483,26 +485,23 @@ func (e *Ensemble) PageOut() ([]byte, error) {
 		}
 		blobs[i] = b
 	}
-	return encodePageSet(blobs)
+	return appendPageSet(blobs), nil
 }
 
 // PageIn implements core.Pager, restoring a PageOut blob member-wise.
 func (e *Ensemble) PageIn(data []byte) error {
-	blobs, err := decodePageSet(data)
-	if err != nil {
-		return err
-	}
-	if len(blobs) != len(e.members) {
-		return fmt.Errorf("ensemble: page set holds %d members, ensemble has %d", len(blobs), len(e.members))
-	}
+	rd := wire.NewReader(data)
 	for i, m := range e.members {
 		p, ok := m.det.(core.Pager)
 		if !ok {
 			return fmt.Errorf("ensemble: member %d (%T) is not pageable", i, m.det)
 		}
-		if err := p.PageIn(blobs[i]); err != nil {
+		if err := p.PageIn(rd.Section()); err != nil {
 			return fmt.Errorf("ensemble: page in member %d: %w", i, err)
 		}
+	}
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("ensemble: page set for %d members: %w", len(e.members), err)
 	}
 	return nil
 }

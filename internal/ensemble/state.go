@@ -1,96 +1,55 @@
 package ensemble
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
 // snapshotVersion identifies the Ensemble.Save envelope layout.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-// snapshot is the serializable envelope of an ensemble checkpoint: the
-// configuration fingerprint, each member's own full checkpoint, and the
-// ensemble-level counters (agreement, pruning, step totals) that the
-// member blobs don't know about.
-type snapshot struct {
-	Version    int
-	Agg        int
-	Verdict    float64
-	CounterCap int
-	PruneOn    bool
-	PruneBelow int
-	Steps      int
-	ReadySteps int
-	Members    [][]byte
-	PC         []int
-	Disabled   []bool
-	Ready      []int
-	FineTunes  []int
-	LastScore  []float64
+// pruneThreshold is the pruning threshold as checkpoints fingerprint it:
+// zero while pruning is off, when the configured value has no effect.
+func (e *Ensemble) pruneThreshold() int {
+	if !e.pruneOn {
+		return 0
+	}
+	return e.pruneBelow
 }
 
-// encodePageSet serializes the per-member PageOut blobs of an ensemble.
-func encodePageSet(blobs [][]byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(blobs); err != nil {
-		return nil, fmt.Errorf("ensemble: encode page set: %w", err)
+// AppendBinary implements wire.Appender: the configuration fingerprint
+// and ensemble-level step totals, then per member its agreement and
+// pruning counters followed by its own full checkpoint.
+func (e *Ensemble) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, snapshotVersion)
+	dst = wire.AppendInt(dst, len(e.members))
+	dst = wire.AppendInt(dst, int(e.agg))
+	dst = wire.AppendFloat64(dst, e.verdict)
+	dst = wire.AppendInt(dst, e.counterCap)
+	dst = wire.AppendBool(dst, e.pruneOn)
+	dst = wire.AppendInt(dst, e.pruneThreshold())
+	dst = wire.AppendInt(dst, e.steps)
+	dst = wire.AppendInt(dst, e.readySteps)
+	for i, m := range e.members {
+		dst = wire.AppendInt(dst, m.pc)
+		dst = wire.AppendBool(dst, m.disabled)
+		dst = wire.AppendInt(dst, m.ready)
+		dst = wire.AppendInt(dst, m.fineTunes)
+		dst = wire.AppendFloat64(dst, m.lastScore)
+		var err error
+		if dst, err = wire.AppendCheckpoint(dst, m.det); err != nil {
+			return nil, fmt.Errorf("ensemble: member %d (%s): %w", i, m.label, err)
+		}
 	}
-	return buf.Bytes(), nil
-}
-
-// decodePageSet reverses encodePageSet.
-func decodePageSet(data []byte) ([][]byte, error) {
-	var blobs [][]byte
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blobs); err != nil {
-		return nil, fmt.Errorf("ensemble: decode page set: %w", err)
-	}
-	return blobs, nil
+	return dst, nil
 }
 
 // Save returns a binary checkpoint composing every member's full
 // checkpoint (each member must implement Checkpointer) with the
 // ensemble's own counters. An ensemble restored with Load scores
 // bit-identically to an uninterrupted run from the next vector on.
-func (e *Ensemble) Save() ([]byte, error) {
-	snap := snapshot{
-		Version:    snapshotVersion,
-		Agg:        int(e.agg),
-		Verdict:    e.verdict,
-		CounterCap: e.counterCap,
-		PruneOn:    e.pruneOn,
-		PruneBelow: e.pruneBelow,
-		Steps:      e.steps,
-		ReadySteps: e.readySteps,
-		Members:    make([][]byte, len(e.members)),
-		PC:         make([]int, len(e.members)),
-		Disabled:   make([]bool, len(e.members)),
-		Ready:      make([]int, len(e.members)),
-		FineTunes:  make([]int, len(e.members)),
-		LastScore:  make([]float64, len(e.members)),
-	}
-	for i, m := range e.members {
-		ck, ok := m.det.(Checkpointer)
-		if !ok {
-			return nil, fmt.Errorf("ensemble: member %d (%s) does not support checkpointing", i, m.label)
-		}
-		blob, err := ck.Save()
-		if err != nil {
-			return nil, fmt.Errorf("ensemble: member %d (%s): %w", i, m.label, err)
-		}
-		snap.Members[i] = blob
-		snap.PC[i] = m.pc
-		snap.Disabled[i] = m.disabled
-		snap.Ready[i] = m.ready
-		snap.FineTunes[i] = m.fineTunes
-		snap.LastScore[i] = m.lastScore
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("ensemble: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+func (e *Ensemble) Save() ([]byte, error) { return wire.Marshal(e, &e.blobSize) }
 
 // Load restores a checkpoint produced by Save into this ensemble. The
 // ensemble must have been built with the same configuration (member
@@ -99,46 +58,58 @@ func (e *Ensemble) Save() ([]byte, error) {
 // pipeline fingerprint, so member order and configuration mismatches are
 // rejected too.
 func (e *Ensemble) Load(data []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("ensemble: decode snapshot: %w", err)
+	rd := wire.NewReader(data)
+	if v := rd.Int(); rd.Err() != nil || v != snapshotVersion {
+		return fmt.Errorf("ensemble: snapshot version %d, this build reads %d", v, snapshotVersion)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("ensemble: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
-	}
+	members, agg, verdict := rd.Int(), rd.Int(), rd.Float64()
+	counterCap, pruneOn, pruneBelow := rd.Int(), rd.Bool(), rd.Int()
+	steps, readySteps := rd.Int(), rd.Int()
 	switch {
-	case len(snap.Members) != len(e.members):
-		return fmt.Errorf("ensemble: snapshot has %d members, ensemble has %d", len(snap.Members), len(e.members))
-	case snap.Agg != int(e.agg):
-		return fmt.Errorf("ensemble: snapshot combiner %v does not match ensemble %v", Agg(snap.Agg), e.agg)
-	case snap.Verdict != e.verdict:
-		return fmt.Errorf("ensemble: snapshot verdict %v does not match ensemble %v", snap.Verdict, e.verdict)
-	case snap.CounterCap != e.counterCap:
-		return fmt.Errorf("ensemble: snapshot counter cap %d does not match ensemble %d", snap.CounterCap, e.counterCap)
-	case snap.PruneOn != e.pruneOn || (e.pruneOn && snap.PruneBelow != e.pruneBelow):
+	case rd.Err() != nil:
+		return fmt.Errorf("ensemble: decode snapshot: %w", rd.Err())
+	case members != len(e.members):
+		return fmt.Errorf("ensemble: snapshot has %d members, ensemble has %d", members, len(e.members))
+	case agg != int(e.agg):
+		return fmt.Errorf("ensemble: snapshot combiner %v does not match ensemble %v", Agg(agg), e.agg)
+	case verdict != e.verdict:
+		return fmt.Errorf("ensemble: snapshot verdict %v does not match ensemble %v", verdict, e.verdict)
+	case counterCap != e.counterCap:
+		return fmt.Errorf("ensemble: snapshot counter cap %d does not match ensemble %d", counterCap, e.counterCap)
+	case pruneOn != e.pruneOn || pruneBelow != e.pruneThreshold():
 		return fmt.Errorf("ensemble: snapshot pruning policy (%v, %d) does not match ensemble (%v, %d)",
-			snap.PruneOn, snap.PruneBelow, e.pruneOn, e.pruneBelow)
+			pruneOn, pruneBelow, e.pruneOn, e.pruneThreshold())
 	}
-	// Restore members first: each member validates its blob against its
-	// own configuration, so a mismatched snapshot fails before any
-	// ensemble-level counter is touched.
+	// Each member validates its blob against its own configuration, so a
+	// snapshot of differently configured pipelines fails at that member.
 	for i, m := range e.members {
+		pc, disabled, ready, fineTunes, lastScore := rd.Int(), rd.Bool(), rd.Int(), rd.Int(), rd.Float64()
 		ck, ok := m.det.(Checkpointer)
 		if !ok {
 			return fmt.Errorf("ensemble: member %d (%s) does not support checkpointing", i, m.label)
 		}
-		if err := ck.Load(snap.Members[i]); err != nil {
+		if err := ck.Load(rd.Section()); err != nil {
 			return fmt.Errorf("ensemble: member %d (%s): %w", i, m.label, err)
 		}
+		m.pc, m.disabled, m.ready, m.fineTunes, m.lastScore = pc, disabled, ready, fineTunes, lastScore
 	}
-	e.steps = snap.Steps
-	e.readySteps = snap.ReadySteps
-	for i, m := range e.members {
-		m.pc = snap.PC[i]
-		m.disabled = snap.Disabled[i]
-		m.ready = snap.Ready[i]
-		m.fineTunes = snap.FineTunes[i]
-		m.lastScore = snap.LastScore[i]
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("ensemble: decode snapshot: %w", err)
 	}
+	e.steps, e.readySteps = steps, readySteps
+	e.blobSize = len(data)
 	return nil
+}
+
+// appendPageSet serializes the per-member PageOut blobs of an ensemble.
+func appendPageSet(blobs [][]byte) []byte {
+	size := 0
+	for _, b := range blobs {
+		size += 8 + len(b)
+	}
+	dst := make([]byte, 0, size)
+	for _, b := range blobs {
+		dst = wire.AppendBytes(dst, b)
+	}
+	return dst
 }

@@ -1,54 +1,46 @@
 package knn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
-// state is the serializable form of the kNN model: the flattened
-// reference group and its normalization scale.
-type state struct {
-	K     int
-	Dim   int
-	Scale float64
-	Flat  []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	flat := make([]float64, 0, len(m.ref)*m.dim)
+// AppendBinary implements wire.Appender: the reference group, row by row,
+// and its normalization scale.
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, m.k)
+	dst = wire.AppendInt(dst, m.dim)
+	dst = wire.AppendFloat64(dst, m.scale)
+	dst = wire.AppendInt(dst, len(m.ref))
 	for _, r := range m.ref {
-		flat = append(flat, r...)
+		dst = wire.AppendRawFloat64s(dst, r)
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(state{K: m.k, Dim: m.dim, Scale: m.scale, Flat: flat})
-	if err != nil {
-		return nil, fmt.Errorf("knn: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's K
-// and Dim must match the snapshot.
+// and Dim must match the snapshot. The reference group is replaced, never
+// written in place: clones made for asynchronous fine-tuning share it.
 func (m *Model) UnmarshalBinary(data []byte) error {
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("knn: decode: %w", err)
+	rd := wire.NewReader(data)
+	if k, dim := rd.Int(), rd.Int(); rd.Err() == nil && (k != m.k || dim != m.dim) {
+		return fmt.Errorf("knn: snapshot (k=%d dim=%d) does not match model (k=%d dim=%d)", k, dim, m.k, m.dim)
 	}
-	if st.K != m.k || st.Dim != m.dim {
-		return fmt.Errorf("knn: snapshot (k=%d dim=%d) does not match model (k=%d dim=%d)",
-			st.K, st.Dim, m.k, m.dim)
+	scale := rd.Float64()
+	n := rd.Count(len(data) / (8 * m.dim))
+	slab := make([]float64, n*m.dim)
+	rd.RawFloat64s(slab)
+	if err := rd.Done(); err != nil {
+		return err
 	}
-	if len(st.Flat)%st.Dim != 0 {
-		return fmt.Errorf("knn: snapshot reference length %d not a multiple of dim %d", len(st.Flat), st.Dim)
+	var ref [][]float64
+	if n > 0 {
+		ref = make([][]float64, n)
+		for i := range ref {
+			ref[i] = slab[i*m.dim : (i+1)*m.dim : (i+1)*m.dim]
+		}
 	}
-	n := len(st.Flat) / st.Dim
-	ref := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		ref[i] = st.Flat[i*st.Dim : (i+1)*st.Dim]
-	}
-	m.ref = ref
-	m.scale = st.Scale
+	m.ref, m.scale = ref, scale
 	return nil
 }

@@ -15,9 +15,9 @@ import (
 // needed a hand-written runtime bit-identity test to catch that.
 //
 // For every named struct type that participates in checkpointing — it
-// declares both a save-side method (Save, MarshalBinary, PageOut) and a
-// load-side one (Load, UnmarshalBinary, PageIn) — every field must be
-// either:
+// declares both a save-side method (Save, AppendBinary, MarshalBinary,
+// PageOut) and a load-side one (Load, UnmarshalBinary, PageIn) — every
+// field must be either:
 //
 //   - referenced somewhere in those methods (or in methods of the same
 //     type they call, transitively within the package), i.e. it visibly
@@ -27,11 +27,6 @@ import (
 //
 // A transient annotation on a field that IS referenced by the state
 // methods is also flagged, so annotations cannot rot into lies.
-//
-// Separately, any struct type gob-encoded in this package must not
-// carry unexported fields without a transient annotation: gob silently
-// drops them, which is exactly how an RNG position goes missing from a
-// snapshot without any error surfacing.
 var StateSync = &Analyzer{
 	Name: "statesync",
 	Doc:  "flags checkpoint-type fields neither serialized by Save/Load nor annotated //streamad:transient",
@@ -40,14 +35,13 @@ var StateSync = &Analyzer{
 
 // saveSideNames / loadSideNames classify the method names that make a
 // type a checkpoint participant.
-var saveSideNames = map[string]bool{"Save": true, "MarshalBinary": true, "PageOut": true}
+var saveSideNames = map[string]bool{"Save": true, "AppendBinary": true, "MarshalBinary": true, "PageOut": true}
 var loadSideNames = map[string]bool{"Load": true, "UnmarshalBinary": true, "PageIn": true}
 
 func runStateSync(p *Pass) error {
 	for _, ct := range collectCheckpointTypes(p) {
 		checkFieldParity(p, ct)
 	}
-	checkGobStructs(p)
 	return nil
 }
 
@@ -252,94 +246,4 @@ func transientAnnotation(field *ast.Field) (present, reasonOK bool) {
 		}
 	}
 	return present, reasonOK
-}
-
-// checkGobStructs flags unexported, unannotated fields of struct types
-// that flow into gob encoders or decoders in this package.
-func checkGobStructs(p *Pass) {
-	// Map named types declared here to their struct syntax for
-	// annotation lookup.
-	declOf := make(map[*types.TypeName]*ast.StructType)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				if tn, ok := p.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-					declOf[tn] = st
-				}
-			}
-		}
-	}
-
-	reported := make(map[*types.Var]bool)
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			se, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (se.Sel.Name != "Encode" && se.Sel.Name != "Decode") {
-				return true
-			}
-			fn, ok := p.TypesInfo.Uses[se.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/gob" {
-				return true
-			}
-			argType := p.TypesInfo.Types[call.Args[0]].Type
-			if argType == nil {
-				return true
-			}
-			for {
-				if ptr, ok := argType.Underlying().(*types.Pointer); ok {
-					argType = ptr.Elem()
-					continue
-				}
-				break
-			}
-			named, ok := argType.(*types.Named)
-			if !ok {
-				return true
-			}
-			structType, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				return true
-			}
-			st, local := declOf[named.Obj()]
-			if !local {
-				return true // declared elsewhere; checked in its own package
-			}
-			fieldIdx := 0
-			for _, fieldDecl := range st.Fields.List {
-				names := len(fieldDecl.Names)
-				if names == 0 {
-					names = 1
-				}
-				for i := 0; i < names; i++ {
-					field := structType.Field(fieldIdx)
-					fieldIdx++
-					if field.Exported() || reported[field] {
-						continue
-					}
-					if present, reasonOK := transientAnnotation(fieldDecl); present && reasonOK {
-						continue
-					}
-					reported[field] = true
-					p.Reportf(field.Pos(), "unexported field %s.%s is silently dropped by gob; export it or annotate //streamad:transient <reason>", named.Obj().Name(), field.Name())
-				}
-			}
-			return true
-		})
-	}
 }

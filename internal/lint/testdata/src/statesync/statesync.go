@@ -1,8 +1,7 @@
 // Package statesync is the fixture for the statesync analyzer: types
 // that participate in checkpointing must account for every field —
 // referenced in the Save/Load path, or annotated transient with a
-// reason — and gob-encoded structs must not silently drop unexported
-// fields.
+// reason.
 package statesync
 
 import (
@@ -100,17 +99,24 @@ func (m *moments) UnmarshalBinary(data []byte) error {
 	return dec.Decode(&m.m2)
 }
 
-// snapshot is gob-encoded wholesale: unexported fields vanish without
-// an error unless they are declared transient.
-type snapshot struct {
-	Steps int
-	seed  int64 // want `unexported field snapshot.seed is silently dropped by gob`
-	//streamad:transient derived cache, rebuilt by the loader
-	cache []float64
+// window checkpoints through the appender pair the flat codec uses:
+// AppendBinary is a save-side root like Save and MarshalBinary.
+type window struct {
+	vals []float64
+	head int // want `field window.head is neither referenced in window's Save/Load path nor annotated`
 }
 
-func flush(w io.Writer, s *snapshot) error {
-	return gob.NewEncoder(w).Encode(s)
+func (w *window) AppendBinary(dst []byte) ([]byte, error) {
+	for _, v := range w.vals {
+		dst = append(dst, byte(v))
+	}
+	return dst, nil
 }
 
-var _ = flush
+func (w *window) UnmarshalBinary(data []byte) error {
+	w.vals = w.vals[:0]
+	for _, b := range data {
+		w.vals = append(w.vals, float64(b))
+	}
+	return nil
+}

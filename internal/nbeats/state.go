@@ -1,133 +1,75 @@
 package nbeats
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"streamad/internal/nn"
+	"streamad/internal/wire"
 )
 
-// linearState snapshots one standalone Linear layer.
-type linearState struct {
-	W []float64
-	B []float64
-}
-
-func saveLinear(l *nn.Linear) linearState {
-	return linearState{
-		W: append([]float64(nil), l.Weight.W...),
-		B: append([]float64(nil), l.Bias.W...),
+// learnedLayers lists a block's standalone Linear layers in checkpoint
+// order; fixed bases are regenerated from the configuration.
+func (b *block) learnedLayers() []*nn.Linear {
+	if b.kind == GenericBasis {
+		return []*nn.Linear{b.thetaB, b.thetaF, b.basisB, b.basisF}
 	}
+	return []*nn.Linear{b.thetaB, b.thetaF}
 }
 
-func restoreLinear(l *nn.Linear, st linearState) error {
-	if len(st.W) != len(l.Weight.W) || len(st.B) != len(l.Bias.W) {
-		return fmt.Errorf("nbeats: linear shape mismatch")
-	}
-	copy(l.Weight.W, st.W)
-	copy(l.Bias.W, st.B)
-	return nil
-}
-
-// blockState snapshots one block's learned parameters; fixed bases are
-// regenerated from the configuration.
-type blockState struct {
-	Kind   int
-	Stack  []byte
-	ThetaB linearState
-	ThetaF linearState
-	BasisB linearState // generic basis only
-	BasisF linearState
-}
-
-// state is the serializable form of the N-BEATS model, including the Adam
-// moment estimates so resumed fine-tuning continues the exact optimizer
+// AppendBinary implements wire.Appender, including the Adam moment
+// estimates so resumed fine-tuning continues the exact optimizer
 // trajectory.
-type state struct {
-	Channels int
-	BackLen  int
-	Blocks   []blockState
-	Scaler   []byte
-	Opt      []byte
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	st := state{Channels: m.channels, BackLen: m.backLen}
-	sc, err := m.scaler.MarshalBinary()
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, m.channels)
+	dst = wire.AppendInt(dst, m.backLen)
+	dst = wire.AppendInt(dst, len(m.blocks))
+	dst, err := wire.AppendSection(dst, m.scaler)
 	if err != nil {
 		return nil, err
 	}
-	st.Scaler = sc
-	opt, err := nn.SaveOptimizer(m.opt, m.params())
-	if err != nil {
-		return nil, err
-	}
-	st.Opt = opt
 	for _, b := range m.blocks {
-		stack, err := b.stack.MarshalBinary()
-		if err != nil {
+		dst = wire.AppendInt(dst, int(b.kind))
+		if dst, err = wire.AppendSection(dst, b.stack); err != nil {
 			return nil, err
 		}
-		bs := blockState{
-			Kind:   int(b.kind),
-			Stack:  stack,
-			ThetaB: saveLinear(b.thetaB),
-			ThetaF: saveLinear(b.thetaF),
+		for _, l := range b.learnedLayers() {
+			dst = wire.AppendFloat64s(dst, l.Weight.W)
+			dst = wire.AppendFloat64s(dst, l.Bias.W)
 		}
-		if b.kind == GenericBasis {
-			bs.BasisB = saveLinear(b.basisB)
-			bs.BasisF = saveLinear(b.basisF)
-		}
-		st.Blocks = append(st.Blocks, bs)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("nbeats: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return nn.AppendOptimizer(dst, m.opt, m.params()), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver must
 // have been constructed with the same configuration (blocks, sizes,
 // bases).
 func (m *Model) UnmarshalBinary(data []byte) error {
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("nbeats: decode: %w", err)
-	}
-	if st.Channels != m.channels || st.BackLen != m.backLen || len(st.Blocks) != len(m.blocks) {
+	rd := wire.NewReader(data)
+	if n, rows, blocks := rd.Int(), rd.Int(), rd.Int(); rd.Err() == nil &&
+		(n != m.channels || rows != m.backLen || blocks != len(m.blocks)) {
 		return fmt.Errorf("nbeats: snapshot shape (N=%d rows=%d blocks=%d) does not match model (N=%d rows=%d blocks=%d)",
-			st.Channels, st.BackLen, len(st.Blocks), m.channels, m.backLen, len(m.blocks))
+			n, rows, blocks, m.channels, m.backLen, len(m.blocks))
 	}
-	for i, bs := range st.Blocks {
-		if BasisKind(bs.Kind) != m.blocks[i].kind {
-			return fmt.Errorf("nbeats: block %d basis %v != %v", i, BasisKind(bs.Kind), m.blocks[i].kind)
-		}
+	if err := m.scaler.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := m.scaler.UnmarshalBinary(st.Scaler); err != nil {
-		return err
-	}
-	for i, bs := range st.Blocks {
-		b := m.blocks[i]
-		if err := b.stack.UnmarshalBinary(bs.Stack); err != nil {
-			return err
+	for i, b := range m.blocks {
+		if kind := BasisKind(rd.Int()); rd.Err() == nil && kind != b.kind {
+			return fmt.Errorf("nbeats: block %d basis %v != %v", i, kind, b.kind)
 		}
-		if err := restoreLinear(b.thetaB, bs.ThetaB); err != nil {
-			return err
+		if err := b.stack.UnmarshalBinary(rd.Section()); err != nil {
+			return rd.Fail(err)
 		}
-		if err := restoreLinear(b.thetaF, bs.ThetaF); err != nil {
-			return err
+		for _, l := range b.learnedLayers() {
+			rd.Float64s(l.Weight.W)
+			rd.Float64s(l.Bias.W)
 		}
-		if b.kind == GenericBasis {
-			if err := restoreLinear(b.basisB, bs.BasisB); err != nil {
-				return err
-			}
-			if err := restoreLinear(b.basisF, bs.BasisF); err != nil {
-				return err
-			}
+		if rd.Err() != nil {
+			return fmt.Errorf("nbeats: block %d: %w", i, rd.Err())
 		}
 	}
-	return nn.LoadOptimizer(m.opt, m.params(), st.Opt)
+	if err := nn.LoadOptimizer(m.opt, m.params(), rd.Section()); err != nil {
+		return rd.Fail(err)
+	}
+	return rd.Done()
 }

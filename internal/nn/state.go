@@ -1,171 +1,124 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
-// mlpState is the serializable form of an MLP: per-layer weights and
-// biases plus activation names (validated on restore).
-type mlpState struct {
-	Sizes   []int
-	Acts    []string
-	Weights [][]float64
-	Biases  [][]float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler: a gob snapshot of
-// the MLP's weights (optimizer state is not persisted; resumed training
-// restarts its moment estimates).
-func (m *MLP) MarshalBinary() ([]byte, error) {
-	st := mlpState{}
+// AppendBinary implements wire.Appender: per layer the activation name
+// (validated on restore), weights and biases. Optimizer state is
+// checkpointed separately (AppendOptimizer).
+func (m *MLP) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, len(m.Layers))
 	for i, l := range m.Layers {
-		if i == 0 {
-			st.Sizes = append(st.Sizes, l.In)
-		}
-		st.Sizes = append(st.Sizes, l.Out)
-		w := make([]float64, len(l.Weight.W))
-		copy(w, l.Weight.W)
-		b := make([]float64, len(l.Bias.W))
-		copy(b, l.Bias.W)
-		st.Weights = append(st.Weights, w)
-		st.Biases = append(st.Biases, b)
+		dst = wire.AppendString(dst, m.Acts[i].Name())
+		dst = wire.AppendFloat64s(dst, l.Weight.W)
+		dst = wire.AppendFloat64s(dst, l.Bias.W)
 	}
-	for _, a := range m.Acts {
-		st.Acts = append(st.Acts, a.Name())
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("nn: encode MLP: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver's
 // architecture (layer sizes and activations) must match the snapshot.
 func (m *MLP) UnmarshalBinary(data []byte) error {
-	var st mlpState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decode MLP: %w", err)
-	}
-	if len(st.Weights) != len(m.Layers) {
-		return fmt.Errorf("nn: snapshot has %d layers, model has %d", len(st.Weights), len(m.Layers))
+	rd := wire.NewReader(data)
+	if n := rd.Int(); rd.Err() == nil && n != len(m.Layers) {
+		return fmt.Errorf("nn: snapshot has %d layers, model has %d", n, len(m.Layers))
 	}
 	for i, l := range m.Layers {
-		if len(st.Weights[i]) != len(l.Weight.W) || len(st.Biases[i]) != len(l.Bias.W) {
-			return fmt.Errorf("nn: layer %d shape mismatch", i)
+		if act := rd.String(); rd.Err() == nil && act != m.Acts[i].Name() {
+			return fmt.Errorf("nn: layer %d activation %q != %q", i, act, m.Acts[i].Name())
 		}
-		if st.Acts[i] != m.Acts[i].Name() {
-			return fmt.Errorf("nn: layer %d activation %q != %q", i, st.Acts[i], m.Acts[i].Name())
+		rd.Float64s(l.Weight.W)
+		rd.Float64s(l.Bias.W)
+		if rd.Err() != nil {
+			return fmt.Errorf("nn: layer %d: %w", i, rd.Err())
 		}
-	}
-	for i, l := range m.Layers {
-		copy(l.Weight.W, st.Weights[i])
-		copy(l.Bias.W, st.Biases[i])
 		l.Weight.ZeroGrad()
 		l.Bias.ZeroGrad()
 	}
-	return nil
+	return rd.Done()
 }
 
-// scalerState serializes both scaler kinds.
-type scalerState struct {
-	A []float64 // mean / lo
-	B []float64 // std / scale
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler for Scaler.
-func (s *Scaler) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(scalerState{A: s.mean, B: s.std}); err != nil {
-		return nil, fmt.Errorf("nn: encode scaler: %w", err)
-	}
-	return buf.Bytes(), nil
+// AppendBinary implements wire.Appender for Scaler.
+func (s *Scaler) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendFloat64s(wire.AppendFloat64s(dst, s.mean), s.std), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for Scaler.
 func (s *Scaler) UnmarshalBinary(data []byte) error {
-	var st scalerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decode scaler: %w", err)
-	}
-	if len(st.A) != len(s.mean) {
-		return fmt.Errorf("nn: scaler dim %d != %d", len(st.A), len(s.mean))
-	}
-	copy(s.mean, st.A)
-	copy(s.std, st.B)
-	return nil
+	rd := wire.NewReader(data)
+	rd.Float64s(s.mean)
+	rd.Float64s(s.std)
+	return rd.Done()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler for MinMaxScaler.
-func (s *MinMaxScaler) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(scalerState{A: s.lo, B: s.scale}); err != nil {
-		return nil, fmt.Errorf("nn: encode minmax scaler: %w", err)
-	}
-	return buf.Bytes(), nil
+// AppendBinary implements wire.Appender for MinMaxScaler.
+func (s *MinMaxScaler) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendFloat64s(wire.AppendFloat64s(dst, s.lo), s.scale), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for MinMaxScaler.
 func (s *MinMaxScaler) UnmarshalBinary(data []byte) error {
-	var st scalerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decode minmax scaler: %w", err)
-	}
-	if len(st.A) != len(s.lo) {
-		return fmt.Errorf("nn: scaler dim %d != %d", len(st.A), len(s.lo))
-	}
-	copy(s.lo, st.A)
-	copy(s.scale, st.B)
-	return nil
+	rd := wire.NewReader(data)
+	rd.Float64s(s.lo)
+	rd.Float64s(s.scale)
+	return rd.Done()
 }
 
-// adamState is the serializable form of an Adam optimizer's training
-// position: the step counter and the first/second moment estimates in the
-// caller's parameter order.
-type adamState struct {
-	T int
-	M [][]float64
-	V [][]float64
+// appendMoment appends one Adam moment vector for a parameter of n
+// weights; a parameter Adam has not stepped yet has all-zero moments.
+func appendMoment(dst []byte, m []float64, n int) []byte {
+	if m == nil {
+		return append(wire.AppendInt(dst, n), make([]byte, 8*n)...)
+	}
+	return wire.AppendFloat64s(dst, m)
 }
 
-// MarshalState snapshots the Adam step counter and moment estimates for
-// params (in order), so a restored model's next fine-tune continues the
-// exact optimizer trajectory instead of restarting the moments at zero.
-func (a *Adam) MarshalState(params []*Param) ([]byte, error) {
-	st := adamState{T: a.t}
-	for _, p := range params {
-		m := make([]float64, len(p.W))
-		copy(m, a.m[p])
-		v := make([]float64, len(p.W))
-		copy(v, a.v[p])
-		st.M = append(st.M, m)
-		st.V = append(st.V, v)
+// readMoment restores one moment vector, reusing m when it fits.
+func readMoment(rd *wire.Reader, m []float64, n int) []float64 {
+	if len(m) != n {
+		m = make([]float64, n)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("nn: encode adam: %w", err)
-	}
-	return buf.Bytes(), nil
+	rd.Float64s(m)
+	return m
 }
 
-// UnmarshalState restores a snapshot produced by MarshalState against the
-// same parameter list (same order, same shapes).
-func (a *Adam) UnmarshalState(params []*Param, data []byte) error {
-	var st adamState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decode adam: %w", err)
-	}
-	if len(st.M) != len(params) || len(st.V) != len(params) {
-		return fmt.Errorf("nn: adam snapshot covers %d params, model has %d", len(st.M), len(params))
-	}
-	for i, p := range params {
-		if len(st.M[i]) != len(p.W) || len(st.V[i]) != len(p.W) {
-			return fmt.Errorf("nn: adam snapshot param %d length mismatch", i)
+// AppendOptimizer appends opt's training position over params (in order)
+// as one section: Adam's step counter and first/second moment estimates,
+// so a restored model's next fine-tune continues the exact optimizer
+// trajectory instead of restarting the moments at zero. Stateless
+// optimizers append an empty section.
+func AppendOptimizer(dst []byte, opt Optimizer, params []*Param) []byte {
+	dst, mark := wire.BeginSection(dst)
+	if a, ok := opt.(*Adam); ok {
+		dst = wire.AppendInt(dst, a.t)
+		dst = wire.AppendInt(dst, len(params))
+		for _, p := range params {
+			dst = appendMoment(dst, a.m[p], len(p.W))
+			dst = appendMoment(dst, a.v[p], len(p.W))
 		}
 	}
-	a.t = st.T
+	return wire.EndSection(dst, mark)
+}
+
+// LoadOptimizer restores an AppendOptimizer section into opt against the
+// same parameter list (same order, same shapes). An empty section leaves
+// the optimizer untouched (fresh state).
+func LoadOptimizer(opt Optimizer, params []*Param, data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
+	a, ok := opt.(*Adam)
+	if !ok {
+		return fmt.Errorf("nn: optimizer snapshot for a stateless optimizer")
+	}
+	rd := wire.NewReader(data)
+	t := rd.Int()
+	if n := rd.Int(); rd.Err() == nil && n != len(params) {
+		return fmt.Errorf("nn: adam snapshot covers %d params, model has %d", n, len(params))
+	}
 	if a.m == nil {
 		a.m = make(map[*Param][]float64)
 	}
@@ -173,29 +126,12 @@ func (a *Adam) UnmarshalState(params []*Param, data []byte) error {
 		a.v = make(map[*Param][]float64)
 	}
 	for i, p := range params {
-		a.m[p] = append([]float64(nil), st.M[i]...)
-		a.v[p] = append([]float64(nil), st.V[i]...)
+		a.m[p] = readMoment(&rd, a.m[p], len(p.W))
+		a.v[p] = readMoment(&rd, a.v[p], len(p.W))
+		if rd.Err() != nil {
+			return fmt.Errorf("nn: adam snapshot param %d: %w", i, rd.Err())
+		}
 	}
-	return nil
-}
-
-// SaveOptimizer snapshots opt's state over params when the optimizer kind
-// carries state (Adam); stateless optimizers return an empty snapshot.
-func SaveOptimizer(opt Optimizer, params []*Param) ([]byte, error) {
-	if a, ok := opt.(*Adam); ok {
-		return a.MarshalState(params)
-	}
-	return []byte{}, nil
-}
-
-// LoadOptimizer restores a SaveOptimizer snapshot into opt. An empty
-// snapshot leaves the optimizer untouched (fresh state).
-func LoadOptimizer(opt Optimizer, params []*Param, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	if a, ok := opt.(*Adam); ok {
-		return a.UnmarshalState(params, data)
-	}
-	return fmt.Errorf("nn: optimizer snapshot for a stateless optimizer")
+	a.t = t
+	return rd.Done()
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -28,32 +27,10 @@ func (s *Store) pagePath(id string) string { return filepath.Join(s.dir, escapeI
 // WritePage atomically persists a stream's paged-out window state
 // (temp file + rename; no fsync — page files are reconstructible).
 func (s *Store) WritePage(id string, blob []byte) error {
-	final := s.pagePath(id)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: create page temp: %w", err)
-	}
-	var hdr [len(pageMagic) + 16]byte
-	copy(hdr[:], pageMagic)
-	binary.LittleEndian.PutUint32(hdr[len(pageMagic):], Version)
-	binary.LittleEndian.PutUint64(hdr[len(pageMagic)+4:], uint64(len(blob)))
-	binary.LittleEndian.PutUint32(hdr[len(pageMagic)+12:], crc32.Checksum(blob, castagnoli))
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(blob)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: write page: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: close page: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: publish page: %w", err)
+	var hdr [envelopeSize]byte
+	putEnvelope(hdr[:], pageMagic, len(blob), crc32.Checksum(blob, castagnoli))
+	if err := writeFileAtomic(s.pagePath(id), false, hdr[:], blob); err != nil {
+		return fmt.Errorf("persist: page %q: %w", id, err)
 	}
 	return nil
 }
@@ -65,25 +42,9 @@ func (s *Store) ReadPage(id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(pageMagic)+16 {
-		return nil, fmt.Errorf("persist: page %q truncated (%d bytes)", id, len(raw))
-	}
-	if string(raw[:len(pageMagic)]) != pageMagic {
-		return nil, fmt.Errorf("persist: page %q has wrong magic", id)
-	}
-	hdr := raw[len(pageMagic):]
-	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != Version {
-		return nil, fmt.Errorf("persist: page %q version %d, this build reads %d", id, v, Version)
-	}
-	size := binary.LittleEndian.Uint64(hdr[4:12])
-	sum := binary.LittleEndian.Uint32(hdr[12:16])
-	body := hdr[16:]
-	if uint64(len(body)) != size {
-		return nil, fmt.Errorf("persist: page %q truncated: header says %d payload bytes, file has %d",
-			id, size, len(body))
-	}
-	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("persist: page %q failed CRC check", id)
+	body, err := checkEnvelope(raw, pageMagic)
+	if err != nil {
+		return nil, fmt.Errorf("persist: page %q: %w", id, err)
 	}
 	return body, nil
 }

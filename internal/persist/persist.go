@@ -20,9 +20,7 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -32,16 +30,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"streamad/internal/wire"
 )
 
 const (
 	snapMagic = "SADSNAP1"
 	walMagic  = "SADWAL01"
-	// Version identifies the on-disk layout of both file kinds.
-	Version uint32 = 1
+	// Version identifies the on-disk layout of all three file kinds.
+	// Version 2 replaced the gob snapshot payload with the flat wire
+	// layout; there is no migration, a v1 state dir is refused.
+	Version uint32 = 2
 
 	snapSuffix = ".snap"
 	walSuffix  = ".wal"
+	tmpSuffix  = ".tmp"
 )
 
 // castagnoli is the CRC-32C table used for all integrity checks.
@@ -50,6 +53,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrTornWAL reports a WAL whose final record was cut short — the expected
 // shape of a crash mid-append. The records before the tear are valid.
 var ErrTornWAL = errors.New("persist: torn final WAL record")
+
+// ErrFormatVersion reports a file written under a different on-disk
+// format version than this build reads. It is not damage: the operator
+// upgraded (or downgraded) across a format change and must start on an
+// empty state dir.
+type ErrFormatVersion struct {
+	File  uint32 // version found in the file header
+	Build uint32 // version this build reads and writes
+}
+
+func (e ErrFormatVersion) Error() string {
+	return fmt.Sprintf("written by format v%d, this build reads v%d", e.File, e.Build)
+}
 
 // StreamSnapshot is one stream's checkpoint: the opaque detector blob
 // (streamad.Detector.Save), the thresholder state and the serving
@@ -81,15 +97,30 @@ type Store struct {
 
 	mu   sync.Mutex
 	wals map[string]*os.File
+	rec  []byte // Append's record scratch, guarded by mu
 }
 
-// Open creates (if needed) and opens a state directory.
+// Open creates (if needed) and opens a state directory. Temp files a
+// crash left between create and rename are removed: they were never
+// published, and nothing else would reclaim them until their stream
+// happened to checkpoint again.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("persist: empty state directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: create state dir: %w", err)
+	}
+	for _, pattern := range []string{"*" + snapSuffix + tmpSuffix, "*" + pageSuffix + tmpSuffix} {
+		orphans, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			return nil, fmt.Errorf("persist: scan state dir: %w", err)
+		}
+		for _, p := range orphans {
+			if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("persist: remove orphaned temp file: %w", err)
+			}
+		}
 	}
 	return &Store{dir: dir, wals: make(map[string]*os.File)}, nil
 }
@@ -188,39 +219,46 @@ func (s *Store) IDs() ([]string, error) {
 // WriteSnapshot atomically persists a stream snapshot (temp file + fsync +
 // rename) and then rotates the stream's WAL. The caller must guarantee no
 // concurrent appends for the same stream (the server holds the stream lock).
+// The detector blob is written from the caller's buffer: only the short
+// head in front of it is assembled here.
 func (s *Store) WriteSnapshot(snap *StreamSnapshot) error {
-	file, err := EncodeSnapshotFile(snap)
-	if err != nil {
-		return err
-	}
-	final := s.snapPath(snap.ID)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: create snapshot temp: %w", err)
-	}
-	if _, err := f.Write(file); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: publish snapshot: %w", err)
+	head := appendSnapshotHead(make([]byte, 0, snapshotHeadSize(snap)), snap)
+	if err := writeFileAtomic(s.snapPath(snap.ID), true, head, snap.Detector); err != nil {
+		return fmt.Errorf("persist: snapshot %q: %w", snap.ID, err)
 	}
 	// The snapshot now covers every logged vector below Seq; drop the WAL.
 	// A crash before this truncate is harmless — recovery filters replay by
 	// sequence number.
 	return s.rotateWAL(snap.ID)
+}
+
+// writeFileAtomic publishes parts, concatenated, at path via a temp file
+// and rename; durable additionally fsyncs before the rename.
+func writeFileAtomic(path string, durable bool, parts ...[]byte) error {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("create temp: %w", err)
+	}
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("write: %w", err)
+	}
+	return nil
 }
 
 // ReadSnapshot loads and verifies a stream's snapshot. A missing file
@@ -237,21 +275,73 @@ func (s *Store) ReadSnapshot(id string) (*StreamSnapshot, error) {
 	return snap, nil
 }
 
-// DecodeSnapshotFile verifies and decodes a snapshot in the on-disk file
-// format — the inverse of EncodeSnapshotFile. Cluster migration ships
-// these bytes over the wire; the magic, version and CRC checks run on
-// the receiving node exactly as they would on a restart.
-func DecodeSnapshotFile(raw []byte) (*StreamSnapshot, error) {
-	if len(raw) < len(snapMagic)+16 {
+// Snapshot file layout (all integers little-endian):
+//
+//	magic     8 bytes  "SADSNAP1"
+//	version   uint32   Version
+//	size      uint64   body length
+//	crc32c    uint32   over the body
+//	body      seq uint64 · ready int64 · alerts int64 ·
+//	          id, threshold, detector — each a uint64 length and its bytes
+//
+// The detector blob comes last so a writer can stream it from the
+// caller's buffer behind a short head.
+// envelopeSize is the length of the header snapshot and page files share:
+// an 8-byte magic, the version, the body length and the body's CRC-32C.
+const envelopeSize = 8 + 4 + 8 + 4
+
+// putEnvelope fills hdr[:envelopeSize]; checkEnvelope is its reader.
+func putEnvelope(hdr []byte, magic string, size int, sum uint32) {
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(size))
+	binary.LittleEndian.PutUint32(hdr[20:], sum)
+}
+
+// snapshotHeadSize is the length of everything in front of the detector
+// blob's bytes.
+func snapshotHeadSize(snap *StreamSnapshot) int {
+	return envelopeSize + 3*8 + 3*8 + len(snap.ID) + len(snap.Threshold)
+}
+
+// appendSnapshotHead appends the file header and the body up to (and
+// including) the detector blob's length; the CRC covers the detector
+// bytes too, folded in incrementally.
+func appendSnapshotHead(dst []byte, snap *StreamSnapshot) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, envelopeSize)...) // filled once the body is known
+	body := len(dst)
+	dst = wire.AppendUint64(dst, snap.Seq)
+	dst = wire.AppendInt(dst, snap.Ready)
+	dst = wire.AppendInt(dst, snap.Alerts)
+	dst = wire.AppendString(dst, snap.ID)
+	dst = wire.AppendBytes(dst, snap.Threshold)
+	dst = wire.AppendInt(dst, len(snap.Detector))
+	sum := crc32.Update(crc32.Checksum(dst[body:], castagnoli), castagnoli, snap.Detector)
+	putEnvelope(dst[start:], snapMagic, len(dst)-body+len(snap.Detector), sum)
+	return dst
+}
+
+// EncodeSnapshotFile renders a snapshot in the exact on-disk file format
+// (magic, version, CRC, payload) without writing it, for ops endpoints
+// that stream checkpoints to backups and for cluster migration.
+func EncodeSnapshotFile(snap *StreamSnapshot) ([]byte, error) {
+	file := make([]byte, 0, snapshotHeadSize(snap)+len(snap.Detector))
+	return append(appendSnapshotHead(file, snap), snap.Detector...), nil
+}
+
+// checkEnvelope verifies a file's magic, version, size and CRC and
+// returns its body, a sub-slice of raw.
+func checkEnvelope(raw []byte, magic string) ([]byte, error) {
+	if len(raw) < envelopeSize {
 		return nil, fmt.Errorf("truncated (%d bytes)", len(raw))
 	}
-	if string(raw[:len(snapMagic)]) != snapMagic {
+	if string(raw[:len(magic)]) != magic {
 		return nil, fmt.Errorf("wrong magic")
 	}
-	hdr := raw[len(snapMagic):]
-	version := binary.LittleEndian.Uint32(hdr[0:4])
-	if version != Version {
-		return nil, fmt.Errorf("version %d, this build reads %d", version, Version)
+	hdr := raw[len(magic):]
+	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != Version {
+		return nil, ErrFormatVersion{File: v, Build: Version}
 	}
 	size := binary.LittleEndian.Uint64(hdr[4:12])
 	sum := binary.LittleEndian.Uint32(hdr[12:16])
@@ -262,11 +352,26 @@ func DecodeSnapshotFile(raw []byte) (*StreamSnapshot, error) {
 	if crc32.Checksum(body, castagnoli) != sum {
 		return nil, fmt.Errorf("failed CRC check")
 	}
-	var snap StreamSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
+	return body, nil
+}
+
+// DecodeSnapshotFile verifies and decodes a snapshot in the on-disk file
+// format — the inverse of EncodeSnapshotFile. Cluster migration ships
+// these bytes over the wire; the magic, version and CRC checks run on
+// the receiving node exactly as they would on a restart. The returned
+// snapshot's Detector and Threshold alias raw.
+func DecodeSnapshotFile(raw []byte) (*StreamSnapshot, error) {
+	body, err := checkEnvelope(raw, snapMagic)
+	if err != nil {
+		return nil, err
+	}
+	rd := wire.NewReader(body)
+	snap := &StreamSnapshot{Seq: rd.Uint64(), Ready: rd.Int(), Alerts: rd.Int(), ID: rd.String()}
+	snap.Threshold, snap.Detector = rd.Section(), rd.Section()
+	if err := rd.Done(); err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
-	return &snap, nil
+	return snap, nil
 }
 
 // walHandle returns (opening if needed) the stream's append handle.
@@ -306,8 +411,8 @@ func (s *Store) Append(id string, seq uint64, vector []float64) error {
 	if err != nil {
 		return err
 	}
-	rec := encodeRecord(seq, vector)
-	if _, err := f.Write(rec); err != nil {
+	s.rec = appendRecord(s.rec[:0], seq, vector)
+	if _, err := f.Write(s.rec); err != nil {
 		return fmt.Errorf("persist: append WAL: %w", err)
 	}
 	if s.SyncWAL {
@@ -318,22 +423,19 @@ func (s *Store) Append(id string, seq uint64, vector []float64) error {
 	return nil
 }
 
-// encodeRecord lays out one WAL record:
+// appendRecord appends one WAL record:
 //
 //	crc32c  uint32   over the remaining fields
 //	count   uint32   vector length
 //	seq     uint64
 //	vector  count × float64 bits
-func encodeRecord(seq uint64, vector []float64) []byte {
-	n := len(vector)
-	rec := make([]byte, 16+8*n)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(n))
-	binary.LittleEndian.PutUint64(rec[8:16], seq)
-	for i, v := range vector {
-		binary.LittleEndian.PutUint64(rec[16+8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint32(rec[0:4], crc32.Checksum(rec[4:], castagnoli))
-	return rec
+func appendRecord(dst []byte, seq uint64, vector []float64) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vector)))
+	dst = wire.AppendRawFloat64s(wire.AppendUint64(dst, seq), vector)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.Checksum(dst[start+4:], castagnoli))
+	return dst
 }
 
 // rotateWAL closes and truncates a stream's WAL after a snapshot.
@@ -363,6 +465,11 @@ func (s *Store) ReadWAL(id string) ([]WALRecord, error) {
 		}
 		return nil, fmt.Errorf("persist: read WAL: %w", err)
 	}
+	return decodeWAL(id, raw)
+}
+
+// decodeWAL parses a WAL file's bytes; id only labels errors.
+func decodeWAL(id string, raw []byte) ([]WALRecord, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
@@ -373,7 +480,7 @@ func (s *Store) ReadWAL(id string) ([]WALRecord, error) {
 		return nil, fmt.Errorf("persist: WAL %q has wrong magic", id)
 	}
 	if v := binary.LittleEndian.Uint32(raw[8:12]); v != Version {
-		return nil, fmt.Errorf("persist: WAL %q version %d, this build reads %d", id, v, Version)
+		return nil, fmt.Errorf("persist: WAL %q: %w", id, ErrFormatVersion{File: v, Build: Version})
 	}
 	var recs []WALRecord
 	off := 12
@@ -426,24 +533,4 @@ func (s *Store) Remove(id string) error {
 		}
 	}
 	return first
-}
-
-// EncodeSnapshotFile renders a snapshot in the exact on-disk file format
-// (magic, version, CRC, payload) without writing it, for ops endpoints
-// that stream checkpoints to backups.
-func EncodeSnapshotFile(snap *StreamSnapshot) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return nil, fmt.Errorf("persist: encode snapshot %q: %w", snap.ID, err)
-	}
-	body := payload.Bytes()
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], Version)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(body)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, castagnoli))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	return buf.Bytes(), nil
 }

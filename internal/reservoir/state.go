@@ -1,160 +1,121 @@
 package reservoir
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
 // The strategies' random draws are not part of these snapshots: the RNG is
 // owned and seeded by the caller that built the reservoir, which records
 // the number of draws consumed and replays them on restore.
 
-// slidingState is the serializable form of a SlidingWindow: the stored
-// vectors, oldest first, so the head index normalizes to zero on restore.
-type slidingState struct {
-	M    int
-	Dim  int
-	Flat []float64
+// checkGeometry reads the (m, dim) fingerprint every strategy leads with.
+func checkGeometry(rd *wire.Reader, kind string, m, dim int) error {
+	if sm, sd := rd.Int(), rd.Int(); rd.Err() == nil && (sm != m || sd != dim) {
+		return rd.Fail(fmt.Errorf("reservoir: %s snapshot (m=%d dim=%d) != receiver (m=%d dim=%d)",
+			kind, sm, sd, m, dim))
+	}
+	return rd.Err()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *SlidingWindow) MarshalBinary() ([]byte, error) {
-	flat := make([]float64, 0, s.count*s.dim)
+// AppendBinary implements wire.Appender: the stored vectors oldest first,
+// so the head index normalizes to zero on restore.
+func (s *SlidingWindow) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, s.m)
+	dst = wire.AppendInt(dst, s.dim)
+	dst = wire.AppendInt(dst, s.count)
 	for i := 0; i < s.count; i++ {
-		flat = append(flat, s.items[(s.head+i)%s.m]...)
+		dst = wire.AppendRawFloat64s(dst, s.items[(s.head+i)%s.m])
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(slidingState{M: s.m, Dim: s.dim, Flat: flat}); err != nil {
-		return nil, fmt.Errorf("reservoir: encode sliding window: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // capacity and dimension must match the snapshot.
 func (s *SlidingWindow) UnmarshalBinary(data []byte) error {
-	var st slidingState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("reservoir: decode sliding window: %w", err)
+	rd := wire.NewReader(data)
+	if err := checkGeometry(&rd, "sliding-window", s.m, s.dim); err != nil {
+		return err
 	}
-	if st.M != s.m || st.Dim != s.dim {
-		return fmt.Errorf("reservoir: sliding-window snapshot (m=%d dim=%d) != receiver (m=%d dim=%d)",
-			st.M, st.Dim, s.m, s.dim)
-	}
-	if st.Dim <= 0 || len(st.Flat)%st.Dim != 0 || len(st.Flat) > st.M*st.Dim {
-		return fmt.Errorf("reservoir: sliding-window snapshot length %d inconsistent with m=%d dim=%d",
-			len(st.Flat), st.M, st.Dim)
-	}
+	n := rd.Count(s.m)
 	if s.items == nil {
 		s.alloc() // paged out by Release; restore reallocates
 	}
-	n := len(st.Flat) / st.Dim
-	s.head = 0
-	s.count = n
 	for i := 0; i < n; i++ {
-		copy(s.items[i], st.Flat[i*st.Dim:(i+1)*st.Dim])
+		rd.RawFloat64s(s.items[i])
 	}
-	return nil
+	s.head, s.count = 0, n
+	return rd.Done()
 }
 
-// uniformState is the serializable form of a UniformReservoir. T is the
-// total observation count driving the m/t keep probability.
-type uniformState struct {
-	M    int
-	Dim  int
-	T    int
-	Flat []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (u *UniformReservoir) MarshalBinary() ([]byte, error) {
-	flat := make([]float64, 0, u.count*u.dim)
-	for i := 0; i < u.count; i++ {
-		flat = append(flat, u.items[i]...)
+// AppendBinary implements wire.Appender. t is the total observation count
+// driving the m/t keep probability.
+func (u *UniformReservoir) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, u.m)
+	dst = wire.AppendInt(dst, u.dim)
+	dst = wire.AppendInt(dst, u.t)
+	dst = wire.AppendInt(dst, u.count)
+	for _, v := range u.items[:u.count] {
+		dst = wire.AppendRawFloat64s(dst, v)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(uniformState{M: u.m, Dim: u.dim, T: u.t, Flat: flat}); err != nil {
-		return nil, fmt.Errorf("reservoir: encode uniform reservoir: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // capacity and dimension must match the snapshot.
 func (u *UniformReservoir) UnmarshalBinary(data []byte) error {
-	var st uniformState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("reservoir: decode uniform reservoir: %w", err)
+	rd := wire.NewReader(data)
+	if err := checkGeometry(&rd, "uniform", u.m, u.dim); err != nil {
+		return err
 	}
-	if st.M != u.m || st.Dim != u.dim {
-		return fmt.Errorf("reservoir: uniform snapshot (m=%d dim=%d) != receiver (m=%d dim=%d)",
-			st.M, st.Dim, u.m, u.dim)
-	}
-	if st.Dim <= 0 || len(st.Flat)%st.Dim != 0 || len(st.Flat) > st.M*st.Dim {
-		return fmt.Errorf("reservoir: uniform snapshot length %d inconsistent with m=%d dim=%d",
-			len(st.Flat), st.M, st.Dim)
-	}
+	t := rd.Int()
+	n := rd.Count(u.m)
 	if u.items == nil {
 		u.alloc() // paged out by Release; restore reallocates
 	}
-	n := len(st.Flat) / st.Dim
-	u.count = n
-	u.t = st.T
 	for i := 0; i < n; i++ {
-		copy(u.items[i], st.Flat[i*st.Dim:(i+1)*st.Dim])
+		rd.RawFloat64s(u.items[i])
 	}
-	return nil
+	u.t, u.count = t, n
+	return rd.Done()
 }
 
-// aresState is the serializable form of an AnomalyAwareReservoir: the heap
-// entries in their exact array order, so the restored heap evolves
-// identically to the saved one.
-type aresState struct {
-	M          int
-	Dim        int
-	Priorities []float64
-	Flat       []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (a *AnomalyAwareReservoir) MarshalBinary() ([]byte, error) {
-	st := aresState{M: a.m, Dim: a.dim}
+// AppendBinary implements wire.Appender: the heap entries in their exact
+// array order, so the restored heap evolves identically to the saved one.
+func (a *AnomalyAwareReservoir) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, a.m)
+	dst = wire.AppendInt(dst, a.dim)
+	dst = wire.AppendInt(dst, len(a.h.entries))
 	for _, e := range a.h.entries {
-		st.Priorities = append(st.Priorities, e.p)
-		st.Flat = append(st.Flat, e.vec...)
+		dst = wire.AppendFloat64(dst, e.p)
+		dst = wire.AppendRawFloat64s(dst, e.vec)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("reservoir: encode anomaly-aware reservoir: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
-// capacity and dimension must match the snapshot.
+// capacity and dimension must match the snapshot. Entry storage released
+// by paging (or never filled) comes back as one slab.
 func (a *AnomalyAwareReservoir) UnmarshalBinary(data []byte) error {
-	var st aresState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("reservoir: decode anomaly-aware reservoir: %w", err)
+	rd := wire.NewReader(data)
+	if err := checkGeometry(&rd, "ares", a.m, a.dim); err != nil {
+		return err
 	}
-	if st.M != a.m || st.Dim != a.dim {
-		return fmt.Errorf("reservoir: ares snapshot (m=%d dim=%d) != receiver (m=%d dim=%d)",
-			st.M, st.Dim, a.m, a.dim)
+	n := rd.Count(a.m)
+	if len(a.h.entries) != n {
+		slab := make([]float64, n*a.dim)
+		a.h.entries = make([]priorityEntry, n, a.m)
+		for i := range a.h.entries {
+			a.h.entries[i].vec = slab[i*a.dim : (i+1)*a.dim : (i+1)*a.dim]
+		}
 	}
-	if st.Dim <= 0 || len(st.Flat) != len(st.Priorities)*st.Dim || len(st.Priorities) > st.M {
-		return fmt.Errorf("reservoir: ares snapshot holds %d priorities and %d values (m=%d dim=%d)",
-			len(st.Priorities), len(st.Flat), st.M, st.Dim)
+	for i := range a.h.entries {
+		a.h.entries[i].p = rd.Float64()
+		rd.RawFloat64s(a.h.entries[i].vec)
 	}
-	entries := make([]priorityEntry, len(st.Priorities))
-	for i := range entries {
-		v := make([]float64, st.Dim)
-		copy(v, st.Flat[i*st.Dim:(i+1)*st.Dim])
-		entries[i] = priorityEntry{p: st.Priorities[i], vec: v}
-	}
-	a.h.entries = entries
 	if a.evict == nil {
 		a.evict = make([]float64, a.dim) // paged out by Release
 	}
-	return nil
+	return rd.Done()
 }

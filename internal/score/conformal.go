@@ -1,12 +1,11 @@
 package score
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
 	"streamad/internal/window"
+	"streamad/internal/wire"
 )
 
 // Conformal turns anomaly scores into conformal p-values against a
@@ -149,39 +148,28 @@ func searchAscending(a []float64, x float64) int {
 // Name implements Thresholder.
 func (c *Conformal) Name() string { return "conformal" }
 
-// conformalState is the serializable form of a Conformal rule. Dropped
-// rides along so the diagnostic counter survives a restore; snapshots
-// written before it existed decode with Dropped zero.
-type conformalState struct {
-	Eps     float64
-	Ring    []byte
-	Dropped int
+// AppendBinary implements wire.Appender. The dropped counter rides along
+// so the diagnostic survives a restore.
+func (c *Conformal) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendFloat64(dst, c.eps)
+	dst = wire.AppendInt(dst, c.dropped)
+	return wire.AppendSection(dst, c.ring)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler, so the ingest
 // layer persists the calibration window with the stream snapshot.
-func (c *Conformal) MarshalBinary() ([]byte, error) {
-	ring, err := c.ring.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(conformalState{Eps: c.eps, Ring: ring, Dropped: c.dropped}); err != nil {
-		return nil, fmt.Errorf("score: encode conformal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+func (c *Conformal) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // epsilon and window capacity must match the snapshot.
 func (c *Conformal) UnmarshalBinary(data []byte) error {
-	var st conformalState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("score: decode conformal: %w", err)
+	rd := wire.NewReader(data)
+	if eps := rd.Float64(); rd.Err() == nil && eps != c.eps {
+		return fmt.Errorf("score: conformal snapshot eps=%v != receiver eps=%v", eps, c.eps)
 	}
-	if st.Eps != c.eps {
-		return fmt.Errorf("score: conformal snapshot eps=%v != receiver eps=%v", st.Eps, c.eps)
+	c.dropped = rd.Int()
+	if err := c.ring.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	c.dropped = st.Dropped
-	return c.ring.UnmarshalBinary(st.Ring)
+	return rd.Done()
 }

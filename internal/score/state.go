@@ -1,162 +1,108 @@
 package score
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler; Raw has no state.
-func (Raw) MarshalBinary() ([]byte, error) { return []byte{}, nil }
+// AppendBinary implements wire.Appender; Raw has no state.
+func (Raw) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for Raw.
-func (Raw) UnmarshalBinary([]byte) error { return nil }
-
-// averageState is the serializable form of the Average scorer.
-type averageState struct {
-	Ring []byte
-	Sum  float64
+func (Raw) UnmarshalBinary(data []byte) error {
+	rd := wire.NewReader(data)
+	return rd.Done()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Average) MarshalBinary() ([]byte, error) {
-	ring, err := s.ring.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(averageState{Ring: ring, Sum: s.sum}); err != nil {
-		return nil, fmt.Errorf("score: encode average: %w", err)
-	}
-	return buf.Bytes(), nil
+// AppendBinary implements wire.Appender.
+func (s *Average) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendFloat64(dst, s.sum)
+	return wire.AppendSection(dst, s.ring)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // window size must match the snapshot.
 func (s *Average) UnmarshalBinary(data []byte) error {
-	var st averageState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("score: decode average: %w", err)
+	rd := wire.NewReader(data)
+	s.sum = rd.Float64()
+	if err := s.ring.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := s.ring.UnmarshalBinary(st.Ring); err != nil {
-		return err
-	}
-	s.sum = st.Sum
-	return nil
+	return rd.Done()
 }
 
-// likelihoodState is the serializable form of the AnomalyLikelihood scorer.
-type likelihoodState struct {
-	Long   []byte
-	Short  []byte
-	SumL   float64
-	SumSqL float64
-	SumS   float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *AnomalyLikelihood) MarshalBinary() ([]byte, error) {
-	long, err := s.long.MarshalBinary()
+// AppendBinary implements wire.Appender.
+func (s *AnomalyLikelihood) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendFloat64(dst, s.sumL)
+	dst = wire.AppendFloat64(dst, s.sumSqL)
+	dst = wire.AppendFloat64(dst, s.sumS)
+	dst, err := wire.AppendSection(dst, s.long)
 	if err != nil {
 		return nil, err
 	}
-	short, err := s.short.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(likelihoodState{
-		Long: long, Short: short, SumL: s.sumL, SumSqL: s.sumSqL, SumS: s.sumS,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("score: encode likelihood: %w", err)
-	}
-	return buf.Bytes(), nil
+	return wire.AppendSection(dst, s.short)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // window sizes must match the snapshot.
 func (s *AnomalyLikelihood) UnmarshalBinary(data []byte) error {
-	var st likelihoodState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("score: decode likelihood: %w", err)
+	rd := wire.NewReader(data)
+	s.sumL, s.sumSqL, s.sumS = rd.Float64(), rd.Float64(), rd.Float64()
+	if err := s.long.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := s.long.UnmarshalBinary(st.Long); err != nil {
-		return err
+	if err := s.short.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := s.short.UnmarshalBinary(st.Short); err != nil {
-		return err
-	}
-	s.sumL, s.sumSqL, s.sumS = st.SumL, st.SumSqL, st.SumS
-	return nil
-}
-
-// staticState is the serializable form of a StaticThresholder.
-type staticState struct {
-	T float64
+	return rd.Done()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *StaticThresholder) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(staticState{T: s.T}); err != nil {
-		return nil, fmt.Errorf("score: encode static threshold: %w", err)
-	}
-	return buf.Bytes(), nil
+	return wire.AppendFloat64(nil, s.T), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *StaticThresholder) UnmarshalBinary(data []byte) error {
-	var st staticState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("score: decode static threshold: %w", err)
+	rd := wire.NewReader(data)
+	t := rd.Float64()
+	if err := rd.Done(); err != nil {
+		return err
 	}
-	s.T = st.T
+	s.T = t
 	return nil
 }
 
-// quantileState is the serializable form of a P² quantile thresholder:
-// the five marker positions, desired positions and heights.
-type quantileState struct {
-	Q       float64
-	N       [5]float64
-	NP      [5]float64
-	DN      [5]float64
-	Heights [5]float64
-	Count   int
-	Dropped int
-	Init    []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler: the five P² marker
+// positions, desired positions, increments and heights, plus the counters
+// and the pre-initialization buffer.
 func (p *QuantileThresholder) MarshalBinary() ([]byte, error) {
-	st := quantileState{
-		Q: p.q, N: p.n, NP: p.np, DN: p.dn, Heights: p.heights,
-		Count: p.count, Dropped: p.dropped, Init: append([]float64(nil), p.init...),
+	dst := make([]byte, 0, 8*(1+4*5+3+len(p.init)))
+	dst = wire.AppendFloat64(dst, p.q)
+	for _, a := range [...]*[5]float64{&p.n, &p.np, &p.dn, &p.heights} {
+		dst = wire.AppendRawFloat64s(dst, a[:])
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("score: encode quantile threshold: %w", err)
-	}
-	return buf.Bytes(), nil
+	dst = wire.AppendInt(dst, p.count)
+	dst = wire.AppendInt(dst, p.dropped)
+	return wire.AppendFloat64s(dst, p.init), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // quantile must match the snapshot.
 func (p *QuantileThresholder) UnmarshalBinary(data []byte) error {
-	var st quantileState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("score: decode quantile threshold: %w", err)
+	rd := wire.NewReader(data)
+	if q := rd.Float64(); rd.Err() == nil && q != p.q {
+		return fmt.Errorf("score: quantile snapshot q=%v != receiver q=%v", q, p.q)
 	}
-	if st.Q != p.q {
-		return fmt.Errorf("score: quantile snapshot q=%v != receiver q=%v", st.Q, p.q)
+	for _, a := range [...]*[5]float64{&p.n, &p.np, &p.dn, &p.heights} {
+		rd.RawFloat64s(a[:])
 	}
-	if len(st.Init) > 5 {
-		return fmt.Errorf("score: quantile snapshot has %d init values", len(st.Init))
+	p.count = rd.Int()
+	p.dropped = rd.Int()
+	p.init = p.init[:0]
+	for n := rd.Count(5); n > 0; n-- {
+		p.init = append(p.init, rd.Float64())
 	}
-	p.n, p.np, p.dn, p.heights = st.N, st.NP, st.DN, st.Heights
-	p.count = st.Count
-	p.dropped = st.Dropped
-	p.init = append(p.init[:0], st.Init...)
-	return nil
+	return rd.Done()
 }

@@ -1,181 +1,142 @@
 package tier0
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/window"
+	"streamad/internal/wire"
 )
 
-// Each detector's checkpoint is a gob envelope carrying a version, the
-// configuration fingerprint and the full mutable state. Load validates
-// the fingerprint against the receiver before touching any state, so a
+// Each detector's checkpoint leads with a version and the configuration
+// fingerprint, then carries the full mutable state. Load validates the
+// fingerprint against the receiver before touching any state, so a
 // snapshot from a differently-configured detector is rejected cleanly —
 // the same contract as the heavy pipelines' Save/Load.
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-type ewmaState struct {
-	Version  int
-	Channels int
-	Alpha    float64
-	Warmup   int
-	Mean     []float64
-	Vari     []float64
-	Cnt      []int
-	Steps    int
+// appendHeader starts a checkpoint with the version and integer
+// fingerprint shared by every tier-0 detector.
+func appendHeader(dst []byte, fingerprint ...int) []byte {
+	dst = wire.AppendInt(dst, snapshotVersion)
+	for _, v := range fingerprint {
+		dst = wire.AppendInt(dst, v)
+	}
+	return dst
+}
+
+// checkHeader verifies the version and integer fingerprint written by
+// appendHeader against the receiver's.
+func checkHeader(rd *wire.Reader, kind string, want ...int) error {
+	if v := rd.Int(); rd.Err() == nil && v != snapshotVersion {
+		return rd.Fail(fmt.Errorf("tier0: %s snapshot version %d, this build reads %d", kind, v, snapshotVersion))
+	}
+	for _, w := range want {
+		if got := rd.Int(); rd.Err() == nil && got != w {
+			return rd.Fail(fmt.Errorf("tier0: %s snapshot configuration value %d does not match receiver's %d (fingerprint %v)", kind, got, w, want))
+		}
+	}
+	return rd.Err()
+}
+
+// appendRings appends every per-channel ring as its own section.
+func appendRings(dst []byte, rings []*window.Ring) ([]byte, error) {
+	var err error
+	for _, r := range rings {
+		if dst, err = wire.AppendSection(dst, r); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// AppendBinary implements wire.Appender.
+func (d *EWMA) AppendBinary(dst []byte) ([]byte, error) {
+	dst = appendHeader(dst, len(d.mean), d.warmup)
+	dst = wire.AppendFloat64(dst, d.alpha)
+	dst = wire.AppendInt(dst, d.steps)
+	dst = wire.AppendFloat64s(dst, d.mean)
+	dst = wire.AppendFloat64s(dst, d.vari)
+	for _, c := range d.cnt {
+		dst = wire.AppendInt(dst, c)
+	}
+	return dst, nil
 }
 
 // Save returns a full checkpoint of the detector.
-func (d *EWMA) Save() ([]byte, error) {
-	st := ewmaState{
-		Version: snapshotVersion, Channels: len(d.mean), Alpha: d.alpha, Warmup: d.warmup,
-		Mean:  append([]float64(nil), d.mean...),
-		Vari:  append([]float64(nil), d.vari...),
-		Cnt:   append([]int(nil), d.cnt...),
-		Steps: d.steps,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("tier0: encode ewma: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+func (d *EWMA) Save() ([]byte, error) { return d.AppendBinary(nil) }
 
 // Load restores a checkpoint produced by Save; the receiver's
 // configuration must match the snapshot.
 func (d *EWMA) Load(data []byte) error {
-	var st ewmaState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("tier0: decode ewma: %w", err)
+	rd := wire.NewReader(data)
+	if err := checkHeader(&rd, "ewma", len(d.mean), d.warmup); err != nil {
+		return err
 	}
-	if st.Version != snapshotVersion {
-		return fmt.Errorf("tier0: ewma snapshot version %d, this build reads %d", st.Version, snapshotVersion)
+	if alpha := rd.Float64(); rd.Err() == nil && alpha != d.alpha {
+		return fmt.Errorf("tier0: ewma snapshot alpha=%g does not match receiver alpha=%g", alpha, d.alpha)
 	}
-	if st.Channels != len(d.mean) || st.Alpha != d.alpha || st.Warmup != d.warmup {
-		return fmt.Errorf("tier0: ewma snapshot (channels=%d alpha=%g warmup=%d) does not match receiver (channels=%d alpha=%g warmup=%d)",
-			st.Channels, st.Alpha, st.Warmup, len(d.mean), d.alpha, d.warmup)
+	d.steps = rd.Int()
+	rd.Float64s(d.mean)
+	rd.Float64s(d.vari)
+	for i := range d.cnt {
+		d.cnt[i] = rd.Int()
 	}
-	if len(st.Mean) != st.Channels || len(st.Vari) != st.Channels || len(st.Cnt) != st.Channels {
-		return fmt.Errorf("tier0: ewma snapshot state length mismatch")
-	}
-	copy(d.mean, st.Mean)
-	copy(d.vari, st.Vari)
-	copy(d.cnt, st.Cnt)
-	d.steps = st.Steps
-	return nil
+	return rd.Done()
 }
 
-type zscoreState struct {
-	Version  int
-	Channels int
-	Window   int
-	Rings    [][]byte
-	Sum      []float64
-	SumSq    []float64
-	Steps    int
+// AppendBinary implements wire.Appender.
+func (d *ZScore) AppendBinary(dst []byte) ([]byte, error) {
+	dst = appendHeader(dst, len(d.rings), d.w)
+	dst = wire.AppendInt(dst, d.steps)
+	dst = wire.AppendFloat64s(dst, d.sum)
+	dst = wire.AppendFloat64s(dst, d.sumsq)
+	return appendRings(dst, d.rings)
 }
 
 // Save returns a full checkpoint of the detector.
-func (d *ZScore) Save() ([]byte, error) {
-	st := zscoreState{
-		Version: snapshotVersion, Channels: len(d.rings), Window: d.w,
-		Rings: make([][]byte, len(d.rings)),
-		Sum:   append([]float64(nil), d.sum...),
-		SumSq: append([]float64(nil), d.sumsq...),
-		Steps: d.steps,
-	}
-	for i, r := range d.rings {
-		blob, err := r.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		st.Rings[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("tier0: encode zscore: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+func (d *ZScore) Save() ([]byte, error) { return d.AppendBinary(nil) }
 
 // Load restores a checkpoint produced by Save; the receiver's
 // configuration must match the snapshot.
 func (d *ZScore) Load(data []byte) error {
-	var st zscoreState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("tier0: decode zscore: %w", err)
+	rd := wire.NewReader(data)
+	if err := checkHeader(&rd, "zscore", len(d.rings), d.w); err != nil {
+		return err
 	}
-	if st.Version != snapshotVersion {
-		return fmt.Errorf("tier0: zscore snapshot version %d, this build reads %d", st.Version, snapshotVersion)
-	}
-	if st.Channels != len(d.rings) || st.Window != d.w {
-		return fmt.Errorf("tier0: zscore snapshot (channels=%d window=%d) does not match receiver (channels=%d window=%d)",
-			st.Channels, st.Window, len(d.rings), d.w)
-	}
-	if len(st.Rings) != st.Channels || len(st.Sum) != st.Channels || len(st.SumSq) != st.Channels {
-		return fmt.Errorf("tier0: zscore snapshot state length mismatch")
-	}
-	for i, r := range d.rings {
-		if err := r.UnmarshalBinary(st.Rings[i]); err != nil {
-			return err
+	d.steps = rd.Int()
+	rd.Float64s(d.sum)
+	rd.Float64s(d.sumsq)
+	for _, r := range d.rings {
+		if err := r.UnmarshalBinary(rd.Section()); err != nil {
+			return rd.Fail(err)
 		}
 	}
-	copy(d.sum, st.Sum)
-	copy(d.sumsq, st.SumSq)
-	d.steps = st.Steps
-	return nil
+	return rd.Done()
 }
 
-type hampelState struct {
-	Version  int
-	Channels int
-	Window   int
-	Rings    [][]byte
-	Steps    int
+// AppendBinary implements wire.Appender. The sorted views are derived
+// state and rebuilt on Load.
+func (d *Hampel) AppendBinary(dst []byte) ([]byte, error) {
+	dst = appendHeader(dst, len(d.rings), d.w)
+	dst = wire.AppendInt(dst, d.steps)
+	return appendRings(dst, d.rings)
 }
 
-// Save returns a full checkpoint of the detector. The sorted views are
-// derived state and rebuilt on Load.
-func (d *Hampel) Save() ([]byte, error) {
-	st := hampelState{
-		Version: snapshotVersion, Channels: len(d.rings), Window: d.w,
-		Rings: make([][]byte, len(d.rings)),
-		Steps: d.steps,
-	}
-	for i, r := range d.rings {
-		blob, err := r.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		st.Rings[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("tier0: encode hampel: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// Save returns a full checkpoint of the detector.
+func (d *Hampel) Save() ([]byte, error) { return d.AppendBinary(nil) }
 
 // Load restores a checkpoint produced by Save; the receiver's
 // configuration must match the snapshot.
 func (d *Hampel) Load(data []byte) error {
-	var st hampelState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("tier0: decode hampel: %w", err)
+	rd := wire.NewReader(data)
+	if err := checkHeader(&rd, "hampel", len(d.rings), d.w); err != nil {
+		return err
 	}
-	if st.Version != snapshotVersion {
-		return fmt.Errorf("tier0: hampel snapshot version %d, this build reads %d", st.Version, snapshotVersion)
-	}
-	if st.Channels != len(d.rings) || st.Window != d.w {
-		return fmt.Errorf("tier0: hampel snapshot (channels=%d window=%d) does not match receiver (channels=%d window=%d)",
-			st.Channels, st.Window, len(d.rings), d.w)
-	}
-	if len(st.Rings) != st.Channels {
-		return fmt.Errorf("tier0: hampel snapshot state length mismatch")
-	}
+	d.steps = rd.Int()
 	for i, r := range d.rings {
-		if err := r.UnmarshalBinary(st.Rings[i]); err != nil {
-			return err
+		if err := r.UnmarshalBinary(rd.Section()); err != nil {
+			return rd.Fail(err)
 		}
 		// Rebuild the sorted view from the restored ring.
 		n := r.Len()
@@ -188,63 +149,43 @@ func (d *Hampel) Load(data []byte) error {
 		}
 		d.ns[i] = n
 	}
-	d.steps = st.Steps
-	return nil
+	return rd.Done()
 }
 
-type densityState struct {
-	Version int
-	Window  int
-	Dim     int
-	Sample  int
-	Alpha   float64
-	Win     []byte
-	Scale   float64
-	Seed    int64
-	Draws   uint64
-	Steps   int
+// AppendBinary implements wire.Appender, including the RNG position so
+// restored sampling continues the exact draw sequence.
+func (d *Density) AppendBinary(dst []byte) ([]byte, error) {
+	dst = appendHeader(dst, d.win.Cap(), d.win.Dim(), d.k)
+	dst = wire.AppendFloat64(dst, d.alpha)
+	dst = wire.AppendFloat64(dst, d.scale)
+	dst = wire.AppendInt(dst, d.steps)
+	dst = wire.AppendInt64(dst, d.src.SeedValue())
+	dst = wire.AppendUint64(dst, d.src.Draws())
+	return wire.AppendSection(dst, d.win)
 }
 
-// Save returns a full checkpoint of the detector, including the RNG
-// position so restored sampling continues the exact draw sequence.
-func (d *Density) Save() ([]byte, error) {
-	win, err := d.win.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	st := densityState{
-		Version: snapshotVersion, Window: d.win.Cap(), Dim: d.win.Dim(),
-		Sample: d.k, Alpha: d.alpha,
-		Win: win, Scale: d.scale,
-		Seed: d.src.SeedValue(), Draws: d.src.Draws(),
-		Steps: d.steps,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("tier0: encode density: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// Save returns a full checkpoint of the detector.
+func (d *Density) Save() ([]byte, error) { return d.AppendBinary(nil) }
 
 // Load restores a checkpoint produced by Save; the receiver's
 // configuration must match the snapshot.
 func (d *Density) Load(data []byte) error {
-	var st densityState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("tier0: decode density: %w", err)
-	}
-	if st.Version != snapshotVersion {
-		return fmt.Errorf("tier0: density snapshot version %d, this build reads %d", st.Version, snapshotVersion)
-	}
-	if st.Window != d.win.Cap() || st.Dim != d.win.Dim() || st.Sample != d.k || st.Alpha != d.alpha {
-		return fmt.Errorf("tier0: density snapshot (window=%d dim=%d sample=%d alpha=%g) does not match receiver (window=%d dim=%d sample=%d alpha=%g)",
-			st.Window, st.Dim, st.Sample, st.Alpha, d.win.Cap(), d.win.Dim(), d.k, d.alpha)
-	}
-	if err := d.win.UnmarshalBinary(st.Win); err != nil {
+	rd := wire.NewReader(data)
+	if err := checkHeader(&rd, "density", d.win.Cap(), d.win.Dim(), d.k); err != nil {
 		return err
 	}
-	d.scale = st.Scale
-	d.src.Restore(st.Seed, st.Draws)
-	d.steps = st.Steps
+	if alpha := rd.Float64(); rd.Err() == nil && alpha != d.alpha {
+		return fmt.Errorf("tier0: density snapshot alpha=%g does not match receiver alpha=%g", alpha, d.alpha)
+	}
+	scale, steps := rd.Float64(), rd.Int()
+	seed, draws := rd.Int64(), rd.Uint64()
+	if err := d.win.UnmarshalBinary(rd.Section()); err != nil {
+		return rd.Fail(err)
+	}
+	if err := rd.Done(); err != nil {
+		return err
+	}
+	d.scale, d.steps = scale, steps
+	d.src.Restore(seed, draws)
 	return nil
 }

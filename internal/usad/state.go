@@ -1,99 +1,48 @@
 package usad
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"streamad/internal/nn"
+	"streamad/internal/wire"
 )
 
-// state is the serializable form of USAD: the three networks, the input
+// AppendBinary implements wire.Appender: the three networks, the input
 // normalization, the adversarial schedule position and both optimizers'
 // Adam moments, so resumed fine-tuning continues the exact trajectory.
-type state struct {
-	Dim    int
-	Latent int
-	Epoch  int
-	Enc    []byte
-	Dec1   []byte
-	Dec2   []byte
-	Scaler []byte
-	Opt1   []byte
-	Opt2   []byte
-}
-
-// opt1Params and opt2Params return the parameter lists the two objectives
-// step, in the exact order Fit uses them.
-func (m *Model) opt1Params() []*nn.Param { return append(m.enc.Params(), m.dec1.Params()...) }
-func (m *Model) opt2Params() []*nn.Param { return append(m.enc.Params(), m.dec2.Params()...) }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	enc, err := m.enc.MarshalBinary()
-	if err != nil {
-		return nil, err
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, m.dim)
+	dst = wire.AppendInt(dst, m.latent)
+	dst = wire.AppendInt(dst, m.epoch)
+	var err error
+	for _, part := range []wire.Appender{m.enc, m.dec1, m.dec2, m.scaler} {
+		if dst, err = wire.AppendSection(dst, part); err != nil {
+			return nil, err
+		}
 	}
-	d1, err := m.dec1.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	d2, err := m.dec2.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := m.scaler.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	o1, err := nn.SaveOptimizer(m.opt1, m.opt1Params())
-	if err != nil {
-		return nil, err
-	}
-	o2, err := nn.SaveOptimizer(m.opt2, m.opt2Params())
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(state{
-		Dim: m.dim, Latent: m.latent, Epoch: m.epoch,
-		Enc: enc, Dec1: d1, Dec2: d2, Scaler: sc, Opt1: o1, Opt2: o2,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("usad: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	dst = nn.AppendOptimizer(dst, m.opt1, m.params1)
+	return nn.AppendOptimizer(dst, m.opt2, m.params2), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver must
 // have been constructed with the same Config dimensions.
 func (m *Model) UnmarshalBinary(data []byte) error {
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("usad: decode: %w", err)
+	rd := wire.NewReader(data)
+	if dim, z := rd.Int(), rd.Int(); rd.Err() == nil && (dim != m.dim || z != m.latent) {
+		return fmt.Errorf("usad: snapshot (dim=%d z=%d) does not match model (dim=%d z=%d)", dim, z, m.dim, m.latent)
 	}
-	if st.Dim != m.dim || st.Latent != m.latent {
-		return fmt.Errorf("usad: snapshot (dim=%d z=%d) does not match model (dim=%d z=%d)",
-			st.Dim, st.Latent, m.dim, m.latent)
+	epoch := rd.Int()
+	for _, part := range []interface{ UnmarshalBinary([]byte) error }{m.enc, m.dec1, m.dec2, m.scaler} {
+		if err := part.UnmarshalBinary(rd.Section()); err != nil {
+			return rd.Fail(err)
+		}
 	}
-	if err := m.enc.UnmarshalBinary(st.Enc); err != nil {
-		return err
+	if err := nn.LoadOptimizer(m.opt1, m.params1, rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := m.dec1.UnmarshalBinary(st.Dec1); err != nil {
-		return err
+	if err := nn.LoadOptimizer(m.opt2, m.params2, rd.Section()); err != nil {
+		return rd.Fail(err)
 	}
-	if err := m.dec2.UnmarshalBinary(st.Dec2); err != nil {
-		return err
-	}
-	if err := m.scaler.UnmarshalBinary(st.Scaler); err != nil {
-		return err
-	}
-	if err := nn.LoadOptimizer(m.opt1, m.opt1Params(), st.Opt1); err != nil {
-		return err
-	}
-	if err := nn.LoadOptimizer(m.opt2, m.opt2Params(), st.Opt2); err != nil {
-		return err
-	}
-	m.epoch = st.Epoch
-	return nil
+	m.epoch = epoch
+	return rd.Done()
 }

@@ -54,7 +54,7 @@ type Model struct {
 	dec2CtxA, dec2CtxB *nn.MLPContext //streamad:transient training scratch, built by initScratch at construction
 	g1, g2, g3         []float64      //streamad:transient loss-gradient scratch, built by initScratch at construction
 	outBuf             []float64      //streamad:transient forward-pass scratch, built by initScratch at construction
-	params1, params2   []*nn.Param    //streamad:transient cached parameter lists, built by initScratch; Load copies weights in place so the pointers stay valid
+	params1, params2   []*nn.Param    // parameter lists the two objectives step, built by initScratch; Load copies weights in place so the pointers stay valid, and the Adam moments checkpoint in this order
 }
 
 // initScratch builds the reusable training/inference buffers; it must run

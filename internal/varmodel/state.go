@@ -1,58 +1,49 @@
 package varmodel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"streamad/internal/mat"
+	"streamad/internal/wire"
 )
 
-// state is the serializable form of the VAR model.
-type state struct {
-	P        int
-	Channels int
-	Fitted   bool
-	Rows     int
-	Cols     int
-	Coef     []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	st := state{P: m.p, Channels: m.channels, Fitted: m.fitted}
+// AppendBinary implements wire.Appender; the coefficient matrix follows
+// only once the model is fitted.
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, m.p)
+	dst = wire.AppendInt(dst, m.channels)
+	dst = wire.AppendBool(dst, m.fitted)
 	if m.fitted {
-		st.Rows = m.coef.Rows()
-		st.Cols = m.coef.Cols()
-		st.Coef = append([]float64(nil), m.coef.Data()...)
+		dst = wire.AppendInt(dst, m.coef.Rows())
+		dst = wire.AppendInt(dst, m.coef.Cols())
+		dst = wire.AppendRawFloat64s(dst, m.coef.Data())
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("varmodel: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // order and channel count must match the snapshot.
 func (m *Model) UnmarshalBinary(data []byte) error {
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("varmodel: decode: %w", err)
+	rd := wire.NewReader(data)
+	if p, n := rd.Int(), rd.Int(); rd.Err() == nil && (p != m.p || n != m.channels) {
+		return fmt.Errorf("varmodel: snapshot (p=%d N=%d) does not match model (p=%d N=%d)", p, n, m.p, m.channels)
 	}
-	if st.P != m.p || st.Channels != m.channels {
-		return fmt.Errorf("varmodel: snapshot (p=%d N=%d) does not match model (p=%d N=%d)",
-			st.P, st.Channels, m.p, m.channels)
-	}
-	if !st.Fitted {
-		m.fitted = false
-		m.coef = nil
+	if !rd.Bool() {
+		if err := rd.Done(); err != nil {
+			return err
+		}
+		m.fitted, m.coef = false, nil
 		return nil
 	}
-	if len(st.Coef) != st.Rows*st.Cols {
-		return fmt.Errorf("varmodel: snapshot coefficient shape mismatch")
+	rows, cols := rd.Count(len(data)), rd.Count(len(data))
+	if rd.Err() == nil && rows*cols > len(data)/8 {
+		return fmt.Errorf("varmodel: snapshot coefficient shape %d×%d exceeds its %d bytes", rows, cols, len(data))
 	}
-	m.coef = mat.NewDenseData(st.Rows, st.Cols, append([]float64(nil), st.Coef...))
-	m.fitted = true
+	coef := make([]float64, rows*cols)
+	rd.RawFloat64s(coef)
+	if err := rd.Done(); err != nil {
+		return err
+	}
+	m.coef, m.fitted = mat.NewDenseData(rows, cols, coef), true
 	return nil
 }

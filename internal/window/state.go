@@ -1,86 +1,61 @@
 package window
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"streamad/internal/wire"
 )
 
-// ringState is the serializable form of a Ring: contents oldest-first, so
-// the head index normalizes to zero on restore.
-type ringState struct {
-	Cap  int
-	Vals []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r *Ring) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ringState{Cap: r.Cap(), Vals: r.Slice()}); err != nil {
-		return nil, fmt.Errorf("window: encode ring: %w", err)
-	}
-	return buf.Bytes(), nil
+// AppendBinary implements wire.Appender: the capacity, then the contents
+// oldest first, so the head index normalizes to zero on restore.
+func (r *Ring) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, len(r.buf))
+	dst = wire.AppendInt(dst, r.count)
+	tail := r.buf[r.head:min(r.head+r.count, len(r.buf))]
+	dst = wire.AppendRawFloat64s(dst, tail)
+	return wire.AppendRawFloat64s(dst, r.buf[:r.count-len(tail)]), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // capacity must match the snapshot.
 func (r *Ring) UnmarshalBinary(data []byte) error {
-	var st ringState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("window: decode ring: %w", err)
+	rd := wire.NewReader(data)
+	if c := rd.Int(); rd.Err() == nil && c != len(r.buf) {
+		return fmt.Errorf("window: ring snapshot capacity %d != %d", c, len(r.buf))
 	}
-	if st.Cap != r.Cap() {
-		return fmt.Errorf("window: ring snapshot capacity %d != %d", st.Cap, r.Cap())
-	}
-	if len(st.Vals) > st.Cap {
-		return fmt.Errorf("window: ring snapshot holds %d values, capacity %d", len(st.Vals), st.Cap)
-	}
-	r.Reset()
-	for _, v := range st.Vals {
-		r.Push(v)
-	}
-	return nil
+	n := rd.Count(len(r.buf))
+	rd.RawFloat64s(r.buf[:n])
+	r.head, r.count = 0, n
+	return rd.Done()
 }
 
-// vecRingState is the serializable form of a VecRing: the stored vectors,
-// oldest first, flattened row-major.
-type vecRingState struct {
-	Cap  int
-	Dim  int
-	Flat []float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r *VecRing) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(vecRingState{Cap: r.Cap(), Dim: r.dim, Flat: r.Flatten()})
-	if err != nil {
-		return nil, fmt.Errorf("window: encode vec ring: %w", err)
+// AppendBinary implements wire.Appender: the geometry, then the stored
+// vectors oldest first, row-major.
+func (r *VecRing) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendInt(dst, r.capacity)
+	dst = wire.AppendInt(dst, r.dim)
+	dst = wire.AppendInt(dst, r.count)
+	for i := 0; i < r.count; i++ {
+		dst = wire.AppendRawFloat64s(dst, r.At(i))
 	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
 // capacity and vector dimension must match the snapshot.
 func (r *VecRing) UnmarshalBinary(data []byte) error {
-	var st vecRingState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("window: decode vec ring: %w", err)
-	}
-	if st.Cap != r.Cap() || st.Dim != r.dim {
+	rd := wire.NewReader(data)
+	if c, d := rd.Int(), rd.Int(); rd.Err() == nil && (c != r.capacity || d != r.dim) {
 		return fmt.Errorf("window: vec ring snapshot (cap=%d dim=%d) != receiver (cap=%d dim=%d)",
-			st.Cap, st.Dim, r.Cap(), r.dim)
+			c, d, r.capacity, r.dim)
 	}
-	if st.Dim <= 0 || len(st.Flat)%st.Dim != 0 || len(st.Flat) > st.Cap*st.Dim {
-		return fmt.Errorf("window: vec ring snapshot length %d inconsistent with cap=%d dim=%d",
-			len(st.Flat), st.Cap, st.Dim)
-	}
+	n := rd.Count(r.capacity)
 	if r.buf == nil {
 		r.alloc() // paged out by Release; restore reallocates
 	}
-	r.Reset()
-	for i := 0; i < len(st.Flat)/st.Dim; i++ {
-		r.Push(st.Flat[i*st.Dim : (i+1)*st.Dim])
+	for i := 0; i < n; i++ {
+		rd.RawFloat64s(r.buf[i])
 	}
-	return nil
+	r.head, r.count = 0, n
+	return rd.Done()
 }

@@ -97,7 +97,7 @@ type VecRing struct {
 	buf      [][]float64
 	head     int
 	count    int
-	evict    []float64 // reusable eviction-copy scratch
+	evict    []float64 //streamad:transient reusable eviction-copy scratch, overwritten per push
 }
 
 // NewVecRing returns a ring holding up to capacity vectors of length dim.

@@ -41,6 +41,7 @@ import (
 	"streamad/internal/score"
 	"streamad/internal/usad"
 	"streamad/internal/varmodel"
+	"streamad/internal/wire"
 )
 
 // ModelKind selects the machine learning model.
@@ -343,6 +344,9 @@ type Detector struct {
 	// src drives the Task 1 strategies' random draws; counting them makes
 	// the RNG position part of the Save/Load checkpoint.
 	src *randstate.CountedSource
+	// blobSize is the length of the last blob saved or loaded, the next
+	// Save's capacity.
+	blobSize int
 }
 
 // Result re-exports the per-step output of the framework.
@@ -551,11 +555,11 @@ func (d *Detector) Config() Config { return d.cfg }
 // always holds the newest adopted parameters.
 func (d *Detector) SaveModel() ([]byte, error) {
 	d.inner.WaitFineTune()
-	m, ok := d.inner.Model().(encoding.BinaryMarshaler)
+	m, ok := d.inner.Model().(wire.Appender)
 	if !ok {
 		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
 	}
-	return m.MarshalBinary()
+	return m.AppendBinary(nil)
 }
 
 // LoadModel restores a snapshot produced by SaveModel into this
