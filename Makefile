@@ -77,16 +77,22 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-hotpath regenerates the numbers recorded in BENCH_hotpath.json:
-# per-model Step cost, Fit cost, and serving latency while a fine-tune is
-# in flight (sync vs async).
+# per-model Step cost, Fit cost, serving latency while a fine-tune is in
+# flight (sync vs async), the ensemble Step on an idle and on a saturated
+# scoring pool, and the two nn kernels (Linear.ForwardInto on the eleven
+# layer shapes of the repo benchmark's model-heavy workload, Adam.Step).
+HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep
+KERNEL_BENCH = BenchmarkLinearForward|BenchmarkAdamStep
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit' -benchmem -benchtime 300x .
+	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime 300x .
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -benchtime 20000x ./internal/nn
 
 # bench-smoke is the CI gate: a handful of iterations of every hot-path
 # benchmark, enough to catch a benchmark that no longer compiles or a
 # kernel that panics, without the cost of stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit' -benchmem -benchtime 5x .
+	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime 5x .
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -benchtime 5x ./internal/nn
 
 # bench-soak regenerates BENCH_soak.json: scripts/soak.sh boots a real
 # streamadd (knn, 4 channels, block policy) on a loopback port and

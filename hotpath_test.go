@@ -2,6 +2,7 @@ package streamad
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -62,8 +63,8 @@ func stepAllocs(t *testing.T, model ModelKind) float64 {
 
 // The scoring hot path must not touch the heap: the zero-allocation
 // kernels are the contract the serve/train split's latency target rests
-// on. Guarded for one neural pipeline (autoencoder) and one linear one
-// (online ARIMA), per the spectrum's two ends.
+// on. Guarded for the three neural pipelines and one linear one (online
+// ARIMA).
 func TestStepZeroAllocAutoencoder(t *testing.T) {
 	if allocs := stepAllocs(t, ModelAE); allocs != 0 {
 		t.Fatalf("autoencoder Step allocates %.1f objects per call, want 0", allocs)
@@ -73,6 +74,57 @@ func TestStepZeroAllocAutoencoder(t *testing.T) {
 func TestStepZeroAllocARIMA(t *testing.T) {
 	if allocs := stepAllocs(t, ModelARIMA); allocs != 0 {
 		t.Fatalf("ARIMA Step allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+func TestStepZeroAllocUSAD(t *testing.T) {
+	if allocs := stepAllocs(t, ModelUSAD); allocs != 0 {
+		t.Fatalf("USAD Step allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+func TestStepZeroAllocNBEATS(t *testing.T) {
+	if allocs := stepAllocs(t, ModelNBEATS); allocs != 0 {
+		t.Fatalf("N-BEATS Step allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestStepZeroAllocEnsembleSaturatedPool: with every scoring worker busy
+// (the serving state under load: each worker is draining some stream's
+// batch) an ensemble's fork-join runs its members on the caller and the
+// whole Step stays off the heap.
+func TestStepZeroAllocEnsembleSaturatedPool(t *testing.T) {
+	sp := NewScoringPool(1)
+	defer sp.Close()
+	e, err := NewEnsemble(Config{
+		RegularInterval: 1 << 30, ScorePool: sp,
+		Channels: 3, Window: 8, TrainSize: 32, WarmupVectors: 40, Seed: 3,
+	}, EnsembleSpec{Members: []PipelineSpec{
+		{Model: ModelUSAD, Task1: TaskSlidingWindow, Task2: TaskRegular, Score: ScoreLikelihood},
+		{Model: ModelNBEATS, Task1: TaskSlidingWindow, Task2: TaskRegular, Score: ScoreLikelihood},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, 3)
+	step := 0
+	for ; step < 200; step++ {
+		e.Step(syntheticVec(buf, step))
+	}
+	gate := make(chan struct{})
+	sp.Submit(func() { <-gate })
+	defer close(gate)
+	for sp.Stats().Running < 1 {
+		runtime.Gosched()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := e.Step(syntheticVec(buf, step)); !ok {
+			t.Fatal("warm ensemble returned not-ready")
+		}
+		step++
+	})
+	if allocs != 0 {
+		t.Fatalf("ensemble Step on a saturated pool allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

@@ -8,15 +8,16 @@
 // their verdicts.
 //
 // Members are passive tasks, not goroutine owners: with a shared scoring
-// pool configured, Step fans the vector out as claimable pool tasks (the
-// caller helps run unclaimed ones, so latency is the slowest member's,
-// not the sum, and a Step issued from inside a pool worker cannot
-// deadlock); without a pool, members step serially inline. Either way
-// per-stream ordering is fully preserved — Step(t) returns only after
-// every member has consumed vector t, and no member sees vector t+1
-// before that — and the combined scores are bit-identical across modes,
-// because members are independent and float aggregation happens in fixed
-// member order after the join.
+// pool configured and a worker idle, Step fans the vector out as
+// claimable pool tasks (the caller helps run unclaimed ones, so latency
+// is the slowest member's, not the sum, and a Step issued from inside a
+// pool worker cannot deadlock); with every worker busy, or without a
+// pool, members step serially on the caller. Either way per-stream
+// ordering is fully preserved — Step(t) returns only after every member
+// has consumed vector t, and no member sees vector t+1 before that — and
+// the combined scores are bit-identical across modes, because members
+// are independent and float aggregation happens in fixed member order
+// after the join.
 //
 // Performance weighting generalizes PCB-iForest's per-tree performance
 // counters (Heigl et al.) from trees to whole pipelines: each member

@@ -35,14 +35,37 @@ func (l *Linear) Forward(x []float64) (y, ctx []float64) {
 // Out). Unlike Forward it keeps no context: the caller must preserve x
 // itself until the matching BackwardInto. y must not alias x.
 //
+// One accumulator per row is bound by the 4-cycle latency of its add
+// chain, so four rows share each pass over x: four independent chains
+// keep the adder issuing every cycle (eight spill registers and run
+// slower). Each row still sums left to right into its own accumulator —
+// blocking across rows changes no bit of any output; splitting a row's
+// accumulator would.
+//
 //streamad:hotpath
 func (l *Linear) ForwardInto(x, y []float64) {
 	if len(x) != l.In || len(y) != l.Out {
 		panic("nn: Linear input dimension mismatch")
 	}
-	for o := 0; o < l.Out; o++ {
-		row := l.Weight.W[o*l.In : (o+1)*l.In]
-		s := l.Bias.W[o]
+	n := len(x)
+	// w, b and y advance together, re-sliced rather than indexed by row:
+	// fewer live values, so the inner loop's index stays in a register.
+	w, b := l.Weight.W[:n*len(y)], l.Bias.W[:len(y)]
+	for len(y) >= 4 {
+		r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+		s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
+		for i, v := range x {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		y[0], y[1], y[2], y[3] = s0, s1, s2, s3
+		w, b, y = w[4*n:], b[4:], y[4:]
+	}
+	for o := range y {
+		row := w[o*n:][:n]
+		s := b[o]
 		for i, v := range x {
 			s += row[i] * v
 		}

@@ -73,6 +73,8 @@ func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	c1, c2 := 1-b1, 1-b2
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
@@ -86,14 +88,20 @@ func (a *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.W))
 			a.v[p] = v
 		}
-		for i := range p.W {
-			g := p.G[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			p.W[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-			p.G[i] = 0
+		// Equal lengths let the compiler drop the bounds checks. The loop
+		// is bound by its three divisions and the square root; each stays
+		// where it is — a hoisted reciprocal would round differently.
+		w := p.W
+		grad, m, v := p.G[:len(w)], m[:len(w)], v[:len(w)]
+		for i := range w {
+			g := grad[i]
+			mi := b1*m[i] + c1*g
+			vi := b2*v[i] + c2*g*g
+			m[i], v[i] = mi, vi
+			mhat := mi / bc1
+			vhat := vi / bc2
+			w[i] -= lr * mhat / (math.Sqrt(vhat) + eps)
+			grad[i] = 0
 		}
 	}
 }

@@ -15,7 +15,9 @@
 //     fork-join for intra-task parallelism (ensemble members): the
 //     caller enqueues claimable tasks and then claims unclaimed ones
 //     itself, so a Run issued from inside a pool worker can never
-//     deadlock — in the worst case the caller runs everything inline.
+//     deadlock — in the worst case the caller runs everything inline,
+//     and when every worker is already busy it does so without
+//     publishing anything.
 //
 //   - Trainer is the fine-tune pool: K slots drained from a priority
 //     queue ordered by least-recently-served stream, so one drift-storm
@@ -35,7 +37,7 @@ import (
 type Pool struct {
 	mu      sync.Mutex
 	cond    sync.Cond
-	queue   []func()
+	queue   []entry
 	closed  bool
 	workers int
 	wg      sync.WaitGroup
@@ -43,6 +45,13 @@ type Pool struct {
 	queued    atomic.Int64 // tasks waiting in the FIFO
 	running   atomic.Int64 // tasks being executed by workers
 	completed atomic.Uint64
+}
+
+// entry is one FIFO slot: a Submit closure, or one claimable task of a
+// Run (fn nil).
+type entry struct {
+	fn   func()
+	task *runTask
 }
 
 // NewScoring starts a scoring pool with the given worker count
@@ -77,14 +86,27 @@ func (p *Pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		fn := p.queue[0]
+		e := p.queue[0]
+		// The backing array outlives the pop: a slot left set would keep
+		// a finished Run's tasks, and their ensemble, reachable.
+		p.queue[0] = entry{}
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
 		p.queued.Add(-1)
+		fn := e.fn
+		if e.task != nil {
+			if !e.task.claim() {
+				continue // the Run's caller ran it: bookkeeping, not a task
+			}
+			fn = e.task.fn
+		}
 		p.running.Add(1)
 		fn()
 		p.running.Add(-1)
 		p.completed.Add(1)
+		if e.task != nil {
+			close(e.task.done)
+		}
 	}
 }
 
@@ -99,7 +121,7 @@ func (p *Pool) Submit(fn func()) {
 		fn()
 		return
 	}
-	p.queue = append(p.queue, fn)
+	p.queue = append(p.queue, entry{fn: fn})
 	p.queued.Add(1)
 	p.mu.Unlock()
 	p.cond.Signal()
@@ -113,8 +135,8 @@ type runTask struct {
 	done  chan struct{}
 }
 
-// claim attempts to take ownership; the winner must run fn and close
-// done.
+// claim attempts to take ownership; the winner must run fn, and a
+// worker that wins closes done for the joining caller.
 func (t *runTask) claim() bool { return t.state.CompareAndSwap(0, 1) }
 
 // Run executes every task and returns when all have finished. It is the
@@ -124,12 +146,16 @@ func (t *runTask) claim() bool { return t.state.CompareAndSwap(0, 1) }
 // worker actually claimed. Because the caller always makes progress on
 // unclaimed work, Run is deadlock-free even when invoked from inside a
 // pool worker with every other worker busy.
+//
+// When no worker is idle, publishing cannot help: the tasks would wait
+// behind the workers' own work while the caller runs them anyway, or be
+// stolen by a worker whose own queue then waits. Run then executes the
+// tasks on the caller, in order, allocating and enqueueing nothing.
 func (p *Pool) Run(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 {
-		fns[0]()
+	if len(fns) < 2 || p.running.Load() >= int64(p.workers) {
+		for _, fn := range fns {
+			fn()
+		}
 		return
 	}
 	tasks := make([]*runTask, len(fns))
@@ -145,20 +171,14 @@ func (p *Pool) Run(fns ...func()) {
 		return
 	}
 	for _, t := range tasks {
-		t := t
-		p.queue = append(p.queue, func() {
-			if t.claim() {
-				t.fn()
-			}
-			close(t.done)
-		})
+		p.queue = append(p.queue, entry{task: t})
 	}
 	p.queued.Add(int64(len(tasks)))
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	// Help: claim from the back (workers drain from the front). A task
-	// the caller wins is run inline and needs no join; its queued wrapper
-	// later loses the claim and degenerates to a no-op.
+	// the caller wins is run inline and needs no join; the worker that
+	// later pops its entry loses the claim and drops it.
 	mine := make([]bool, len(tasks))
 	for i := len(tasks) - 1; i >= 0; i-- {
 		if tasks[i].claim() {
@@ -166,8 +186,8 @@ func (p *Pool) Run(fns ...func()) {
 			tasks[i].fn()
 		}
 	}
-	// Join only the tasks a worker claimed: their wrappers close done
-	// right after running them.
+	// Join only the tasks a worker claimed: it closes done right after
+	// running them.
 	for i, t := range tasks {
 		if !mine[i] {
 			<-t.done

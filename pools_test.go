@@ -141,8 +141,9 @@ func TestEnsemblePoolMatchesSerial(t *testing.T) {
 				step, rs.Score, oks, rp.Score, okp)
 		}
 	}
-	// Close drains the wrapper queue, so afterwards Completed counts every
-	// fork-join wrapper the members fanned out — caller-claimed or not.
+	// Completed counts the member steps a worker claimed before the
+	// caller did. The caller claims from the back and the last member,
+	// USAD, is by far the slowest, so the idle workers get the other two.
 	sp.Close()
 	if st := sp.Stats(); st.Completed == 0 {
 		t.Fatalf("ensemble never fanned out to the scoring pool: %+v", st)

@@ -246,8 +246,9 @@ type Config struct {
 	TrainerPool *TrainerPool
 	TrainerKey  string
 	// ScorePool steps ensemble members as tasks on a shared bounded
-	// worker pool instead of sequentially in the caller. Only ensembles
-	// use it (see NewEnsemble); single-pipeline detectors ignore it.
+	// worker pool instead of sequentially in the caller, whenever one of
+	// its workers is idle. Only ensembles use it (see NewEnsemble);
+	// single-pipeline detectors ignore it.
 	ScorePool *ScorePool
 	// Seed drives every random component (default 1).
 	Seed int64
