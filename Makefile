@@ -79,13 +79,17 @@ bench:
 # bench-hotpath regenerates the numbers recorded in BENCH_hotpath.json:
 # per-model Step cost, Fit cost, serving latency while a fine-tune is in
 # flight (sync vs async), the ensemble Step on an idle and on a saturated
-# scoring pool, and the two nn kernels (Linear.ForwardInto on the eleven
-# layer shapes of the repo benchmark's model-heavy workload, Adam.Step).
+# scoring pool, the two nn kernels (Linear.ForwardInto on the eleven
+# layer shapes of the repo benchmark's model-heavy workload, Adam.Step),
+# and one trip of a pcb stream around the residency ladder on a real
+# directory (hot→warm→hot, and hot→warm→cold→hot).
 HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep
 KERNEL_BENCH = BenchmarkLinearForward|BenchmarkAdamStep
+TIER_BENCH = BenchmarkTierCycle
 bench-hotpath:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime 300x .
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -benchtime 20000x ./internal/nn
+	$(GO) test -run '^$$' -bench '$(TIER_BENCH)' -benchmem -benchtime 300x ./internal/ingest
 
 # bench-smoke is the CI gate: a handful of iterations of every hot-path
 # benchmark, enough to catch a benchmark that no longer compiles or a
@@ -93,6 +97,7 @@ bench-hotpath:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -benchtime 5x .
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -benchtime 5x ./internal/nn
+	$(GO) test -run '^$$' -bench '$(TIER_BENCH)' -benchmem -benchtime 5x ./internal/ingest
 
 # bench-soak regenerates BENCH_soak.json: scripts/soak.sh boots a real
 # streamadd (knn, 4 channels, block policy) on a loopback port and

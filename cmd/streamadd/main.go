@@ -74,7 +74,7 @@ func main() {
 		streamTTL  = flag.Duration("stream-ttl", 0, "checkpoint and unload streams idle this long (0 = keep forever)")
 		maxStreams = flag.Int("max-streams", 0, "maximum live (hot+warm) streams (0 = 1024)")
 		metricsCap = flag.Int("metrics-stream-cap", 0, "streams with per-stream /metrics series, first N by id; the rest are only counted, in the streams-omitted gauge (0 = 500, negative = unlimited)")
-		warmAfter  = flag.Duration("tier-warm-after", 0, "demote streams idle this long to the warm tier: model stays resident, window state pages to -state-dir until the next observe (0 = never; requires -state-dir)")
+		warmAfter  = flag.Duration("tier-warm-after", 0, "demote streams idle this long to the warm tier: model stays resident, window state moves to a slot of <state-dir>/pages.swap until the next observe; no checkpoint is forced, the stream stays as durable as a hot one (0 = never; requires -state-dir)")
 
 		clusterPeers   = flag.String("cluster-peers", "", "comma-separated base URLs of every cluster node, self included (empty = single node)")
 		clusterSelf    = flag.String("cluster-self", "", "this node's base URL as it appears in -cluster-peers (required with -cluster-peers)")

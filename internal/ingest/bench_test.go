@@ -5,9 +5,12 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"streamad"
 	"streamad/internal/core"
 	"streamad/internal/ingest"
+	"streamad/internal/persist"
 	"streamad/internal/score"
 )
 
@@ -103,6 +106,57 @@ func BenchmarkObserveBatched(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkTierCycle is one trip around the residency ladder for a pcb
+// stream shaped like the repo benchmark's tier-churn fleet (w=16, m=100,
+// 4 channels) on a real directory. warm: demote, then an observe that
+// pages back in. cold: demote, evict (which writes the checkpoint the
+// demotion deferred), then an observe that restores.
+func BenchmarkTierCycle(b *testing.B) {
+	for _, tier := range []string{"warm", "cold"} {
+		b.Run(tier, func(b *testing.B) {
+			store, err := persist.Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			r, err := ingest.New(ingest.Config{
+				NewDetector: func(string) (ingest.Stepper, error) {
+					return streamad.NewFromSpec("pcb+sw+musigma", streamad.Config{Channels: 4, Window: 16, TrainSize: 100, Seed: 1})
+				},
+				Store:     store,
+				WarmAfter: time.Hour, // the loop below drives the ladder
+				StreamTTL: 2 * time.Hour,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			v := []float64{0.3, -0.2, 0.7, 0.1}
+			observe := func() {
+				v[0] += 0.01
+				if res, err := r.Observe("s", v); err != nil || res.Err != nil {
+					b.Fatal(err, res.Err)
+				}
+			}
+			for i := 0; i < 200; i++ { // past w+m: the window state is at full size
+				observe()
+			}
+			far := time.Now().Add(24 * time.Hour)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r.PageIdle(far) != 1 {
+					b.Fatal("not demoted")
+				}
+				if tier == "cold" && r.EvictIdle(far) != 1 {
+					b.Fatal("not evicted")
+				}
+				observe()
+			}
 		})
 	}
 }

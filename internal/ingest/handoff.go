@@ -108,7 +108,7 @@ func (r *Registry) Handoff(id string) (*HandoffState, error) {
 	st.procMu.Lock()
 	hs, err := func() (*HandoffState, error) {
 		// A warm stream's fingerprint needs its window state resident.
-		if err := r.ensureResident(st); err != nil {
+		if _, err := r.ensureResident(st, true); err != nil {
 			return nil, err
 		}
 		return r.capture(id, st)
@@ -157,7 +157,7 @@ func (r *Registry) capture(id string, st *stream) (*HandoffState, error) {
 			return nil, err
 		}
 	}
-	snap, err := buildSnapshot(id, st)
+	snap, err := buildSnapshot(id, st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +180,7 @@ func (r *Registry) Adopt(id string, snap *persist.StreamSnapshot, tail []persist
 		return 0, err
 	}
 	replayRecords(st, tail)
+	st.seq = st.seqDone
 	fp, err := fingerprint(st)
 	if err != nil {
 		return 0, err
@@ -243,9 +244,7 @@ func (r *Registry) install(st *stream) error {
 		// object; drain its in-flight fine-tunes so no trainer-pool task
 		// outlives the replacement holding stale state.
 		old.procMu.Lock()
-		if c, ok := old.det.(interface{ Close() }); ok {
-			c.Close()
-		}
+		closeDetector(old.det)
 		old.procMu.Unlock()
 	}
 	if r.cfg.Store == nil {

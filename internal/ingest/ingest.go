@@ -179,6 +179,8 @@ type Registry struct {
 	history atomic.Int64 // streams ever created (diagnostics)
 	pool    *pool.Pool   // scoring pool dispatchers run on
 	ownPool bool         // the registry created pool and must close it
+	bufMu   sync.Mutex
+	bufs    [][]byte // free scratch buffers; see borrow
 
 	snapStop  chan struct{}
 	snapDone  chan struct{}
@@ -516,7 +518,7 @@ func (r *Registry) dispatch(st *stream) {
 		st.qmu.Unlock()
 		r.met.batchSize.Observe(int64(len(batch)))
 		st.procMu.Lock()
-		if err := r.ensureResident(st); err != nil {
+		if _, err := r.ensureResident(st, true); err != nil {
 			// The stream cannot score without its paged window state; fail
 			// the batch rather than step a hollow detector.
 			for _, it := range batch {
@@ -620,13 +622,20 @@ func (r *Registry) evictor(interval time.Duration) {
 
 // EvictIdle checkpoints and unloads every stream whose last observe is
 // older than StreamTTL as of now, and returns how many it evicted.
-// Streams with queued or in-flight work are skipped. The checkpoint is
-// written while the shard lock is held, so a concurrent observe of the
-// same id cannot recreate the stream until its state is safely on disk;
-// the recreation then restores from exactly that checkpoint.
+// Streams with queued or in-flight work are skipped. Checkpoints are
+// written in a pre-pass outside the shard lock, so the unloading pass
+// finds the streams clean; one dirtied in between has been touched and
+// is skipped, or else is checkpointed under the shard lock, where an
+// observe of the same id cannot recreate it before its state is on disk.
 func (r *Registry) EvictIdle(now time.Time) int {
 	if r.cfg.StreamTTL <= 0 {
 		return 0
+	}
+	if r.cfg.Store != nil {
+		r.forIdle(now.Add(-r.cfg.StreamTTL), func(st *stream) {
+			// A failure is retried, and reported, by the pass below.
+			_ = r.snapshotStream(st.id, st, 1)
+		})
 	}
 	cutoff := now.Add(-r.cfg.StreamTTL).UnixNano()
 	evicted := 0
@@ -647,15 +656,14 @@ func (r *Registry) EvictIdle(now time.Time) int {
 				continue
 			}
 			if r.cfg.Store != nil {
-				if err := r.finalCheckpoint(id, st); err != nil {
+				if err := r.snapshotStream(id, st, 1); err != nil {
 					r.cfg.Logf("streamad: evict %q: checkpoint failed, stream kept: %v", id, err)
 					st.qmu.Lock()
 					st.closed = false
 					st.qmu.Unlock()
 					continue
 				}
-				// The page file (if any) duplicates the snapshot; the restore
-				// path rebuilds from snapshot + WAL.
+				// The restore path never reads the page (if any).
 				if err := r.cfg.Store.RemovePage(id); err != nil {
 					r.cfg.Logf("streamad: evict %q: %v", id, err)
 				}
@@ -663,9 +671,7 @@ func (r *Registry) EvictIdle(now time.Time) int {
 			// Settle background training before the detector is dropped so
 			// eviction cannot leak an in-flight trainer or queued pool job.
 			st.procMu.Lock()
-			if c, ok := st.det.(interface{ Close() }); ok {
-				c.Close()
-			}
+			closeDetector(st.det)
 			st.procMu.Unlock()
 			if Tier(st.tier.Load()) == TierWarm {
 				r.met.warmToCold.Add(1)
@@ -682,10 +688,11 @@ func (r *Registry) EvictIdle(now time.Time) int {
 	return evicted
 }
 
-// finalCheckpoint snapshots a stream about to be unloaded, skipping the
-// write when the on-disk snapshot is already current.
-func (r *Registry) finalCheckpoint(id string, st *stream) error {
-	return r.snapshotStream(id, st, 1)
+// closeDetector settles a detector's background training, if it has any.
+func closeDetector(det Stepper) {
+	if c, ok := det.(interface{ Close() }); ok {
+		c.Close()
+	}
 }
 
 // StreamInfo is an instantaneous snapshot of one stream's observable
@@ -723,18 +730,8 @@ type FineTuneStatser interface {
 // are held only to collect the stream pointers; counters are then read
 // under each stream's locks, and the caller encodes entirely lock-free.
 func (r *Registry) Streams() []StreamInfo {
-	var all []*stream
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, st := range sh.streams {
-			all = append(all, st)
-		}
-		sh.mu.Unlock()
-	}
-	out := make([]StreamInfo, 0, len(all))
-	for _, st := range all {
-		out = append(out, r.streamInfo(st))
-	}
+	out := make([]StreamInfo, 0, r.nlive.Load())
+	r.forEach(func(st *stream) { out = append(out, r.streamInfo(st)) })
 	return out
 }
 

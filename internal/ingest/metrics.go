@@ -58,6 +58,8 @@ type Stats struct {
 	WarmStreams int
 	ColdStreams int
 
+	SwapBytes int64 // size of the swap file holding the warm streams' pages
+
 	// Tier transition totals since start.
 	HotToWarm  uint64
 	WarmToHot  uint64
@@ -100,29 +102,24 @@ func (r *Registry) Stats() Stats {
 		BatchSize:    r.met.batchSize.Snapshot(),
 		PerShard:     make([]ShardStat, len(r.shards)),
 	}
-	for i, sh := range r.shards {
-		sh.mu.Lock()
-		streams := make([]*stream, 0, len(sh.streams))
-		for _, st := range sh.streams {
-			streams = append(streams, st)
+	r.forEach(func(st *stream) {
+		ss := &s.PerShard[r.shardIndex(st.id)]
+		ss.Streams++
+		st.qmu.Lock()
+		ss.QueueDepth += len(st.queue)
+		st.qmu.Unlock()
+		if Tier(st.tier.Load()) == TierWarm {
+			s.WarmStreams++
+		} else {
+			s.HotStreams++
 		}
-		sh.mu.Unlock()
-		ss := ShardStat{Streams: len(streams)}
-		for _, st := range streams {
-			st.qmu.Lock()
-			ss.QueueDepth += len(st.queue)
-			st.qmu.Unlock()
-			if Tier(st.tier.Load()) == TierWarm {
-				s.WarmStreams++
-			} else {
-				s.HotStreams++
-			}
-		}
-		s.PerShard[i] = ss
+	})
+	for _, ss := range s.PerShard {
 		s.Streams += ss.Streams
 		s.QueuedVectors += ss.QueueDepth
 	}
 	if r.cfg.Store != nil {
+		s.SwapBytes = r.cfg.Store.SwapBytes()
 		// Cold = checkpointed in the store but not resident. A readdir per
 		// scrape; best-effort (a listing error just reports zero).
 		if ids, err := r.cfg.Store.IDs(); err == nil {

@@ -25,7 +25,32 @@ import (
 	"streamad/internal/core"
 	"streamad/internal/persist"
 	"streamad/internal/score"
+	"streamad/internal/wire"
 )
+
+// borrow takes a scratch buffer, emptied, off the registry's free list
+// (r.bufs, at most four) for a path that encodes or reads a stream's
+// whole state (~100 KB) just to pass it on: checkpoint, restore, page-in.
+// Nil (none free) means "allocate". Not a sync.Pool: that is emptied
+// every GC cycle, and regrowing such buffers by append-doubling after
+// each collection costs more than pooling them saves.
+func (r *Registry) borrow() (b []byte) {
+	r.bufMu.Lock()
+	defer r.bufMu.Unlock()
+	if n := len(r.bufs); n > 0 {
+		b, r.bufs = r.bufs[n-1][:0], r.bufs[:n-1]
+	}
+	return b
+}
+
+// giveBack returns (or donates) a buffer nothing aliases any more.
+func (r *Registry) giveBack(b []byte) {
+	r.bufMu.Lock()
+	defer r.bufMu.Unlock()
+	if cap(b) > 0 && len(r.bufs) < 4 {
+		r.bufs = append(r.bufs, b)
+	}
+}
 
 // RestoreStreams rebuilds every stream persisted in the configured
 // store. It must be called before the registry takes traffic. The
@@ -78,26 +103,42 @@ func (r *Registry) buildStream(id string) (*stream, []string, error) {
 	if r.cfg.Store == nil {
 		return st, nil, nil
 	}
-	var warnings []string
-	hadState := true
-	snap, err := r.cfg.Store.ReadSnapshot(id)
+	hadState, warnings, err := r.restoreLocked(st)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.seq = st.seqDone
+	if hadState {
+		r.met.coldToHot.Add(1)
+	}
+	return st, warnings, nil
+}
+
+// restoreLocked brings a stream whose detector and thresholder are in
+// their initial state to what the store holds: the snapshot, then every
+// WAL record at or past it. Unshared or procMu-held; st.seq is not set.
+func (r *Registry) restoreLocked(st *stream) (hadState bool, warnings []string, err error) {
+	hadState = true
+	snap, buf, err := r.cfg.Store.ReadSnapshotInto(st.id, r.borrow())
 	if errors.Is(err, os.ErrNotExist) {
 		// No snapshot yet: replay whatever WAL exists from scratch.
 		hadState = false
-		snap = &persist.StreamSnapshot{ID: id}
-	} else if err != nil {
-		return nil, nil, err
+		snap, err = &persist.StreamSnapshot{ID: st.id}, nil
 	}
-	if err := loadSnapshotInto(st, snap); err != nil {
-		return nil, nil, err
+	if err == nil {
+		err = loadSnapshotInto(st, snap)
+	}
+	r.giveBack(buf) // Load and UnmarshalBinary copy out of their input
+	if err != nil {
+		return false, nil, err
 	}
 
-	recs, walErr := r.cfg.Store.ReadWAL(id)
+	recs, walErr := r.cfg.Store.ReadWAL(st.id)
 	if walErr != nil {
 		if !errors.Is(walErr, persist.ErrTornWAL) {
-			return nil, nil, walErr
+			return false, nil, walErr
 		}
-		warnings = append(warnings, fmt.Sprintf("stream %q: %v (replaying the intact prefix)", id, walErr))
+		warnings = append(warnings, fmt.Sprintf("stream %q: %v (replaying the intact prefix)", st.id, walErr))
 	}
 	if len(recs) > 0 {
 		hadState = true
@@ -105,12 +146,9 @@ func (r *Registry) buildStream(id string) (*stream, []string, error) {
 	rejected := replayRecords(st, recs)
 	if rejected > 0 {
 		warnings = append(warnings, fmt.Sprintf(
-			"stream %q: skipped %d WAL record(s) the detector rejected when first observed", id, rejected))
+			"stream %q: skipped %d WAL record(s) the detector rejected when first observed", st.id, rejected))
 	}
-	if hadState {
-		r.met.coldToHot.Add(1)
-	}
-	return st, warnings, nil
+	return hadState, warnings, nil
 }
 
 // LoadSnapshotState loads a snapshot's detector and thresholder blobs
@@ -155,15 +193,15 @@ func ReplayVector(det Stepper, th score.Thresholder, vec []float64) (ready, aler
 	return true, th.Alert(res.Score), false
 }
 
-// loadSnapshotInto applies a snapshot to an unshared stream: blobs,
-// sequence boundary and serving counters.
+// loadSnapshotInto applies a snapshot to an unshared (or procMu-held)
+// stream: blobs, processed boundary and serving counters, not st.seq.
 func loadSnapshotInto(st *stream, snap *persist.StreamSnapshot) error {
 	if err := LoadSnapshotState(st.det, st.th, snap); err != nil {
 		return err
 	}
-	st.seq = snap.Seq
 	st.seqDone = snap.Seq
 	st.snapSeq = snap.Seq
+	st.walSince = 0
 	st.steps.Store(int64(snap.Seq))
 	st.ready.Store(int64(snap.Ready))
 	st.alerts.Store(int64(snap.Alerts))
@@ -181,7 +219,6 @@ func replayRecords(st *stream, recs []persist.WALRecord) (rejected int) {
 		if rec.Seq < st.seqDone {
 			continue // already folded into the snapshot
 		}
-		st.seq = rec.Seq + 1
 		st.seqDone = rec.Seq + 1
 		st.steps.Store(int64(rec.Seq) + 1)
 		st.walSince++
@@ -241,27 +278,15 @@ func (r *Registry) SnapshotAll() error {
 	if r.cfg.Store == nil {
 		return nil
 	}
-	type entry struct {
-		id string
-		st *stream
-	}
-	var all []entry
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for id, st := range sh.streams {
-			all = append(all, entry{id, st})
-		}
-		sh.mu.Unlock()
-	}
 	var first error
-	for _, e := range all {
-		if err := r.snapshotStream(e.id, e.st, 1); err != nil {
-			r.cfg.Logf("streamad: snapshot %q: %v", e.id, err)
+	r.forEach(func(st *stream) {
+		if err := r.snapshotStream(st.id, st, 1); err != nil {
+			r.cfg.Logf("streamad: snapshot %q: %v", st.id, err)
 			if first == nil {
 				first = err
 			}
 		}
-	}
+	})
 	return first
 }
 
@@ -278,37 +303,53 @@ func (r *Registry) snapshotStream(id string, st *stream, minWAL int) error {
 	if st.walSince < minWAL {
 		return nil
 	}
-	return r.snapshotLocked(id, st)
+	snap, err := r.checkpointLocked(st, r.borrow())
+	if err == nil {
+		r.giveBack(snap.Detector) // written out; nobody keeps it
+	}
+	return err
 }
 
-// snapshotLocked is snapshotStream's body for callers (the page-out
-// path) that already hold st.procMu.
-func (r *Registry) snapshotLocked(id string, st *stream) error {
-	if p, ok := st.det.(core.Pager); ok && p.Paged() {
-		return nil // demotion already snapshotted; the WAL is empty
-	}
-	snap, err := buildSnapshot(id, st)
+// checkpointLocked captures a stream and, with a store, persists the
+// snapshot and rotates the WAL; the caller holds st.procMu. A warm
+// stream is paged in and out again: no tier change, no transition
+// counted, slot untouched (the second PageOut's blob equals its bytes).
+func (r *Registry) checkpointLocked(st *stream, scratch []byte) (*persist.StreamSnapshot, error) {
+	warm, err := r.ensureResident(st, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := r.cfg.Store.WriteSnapshot(snap); err != nil {
-		return err
+	snap, err := buildSnapshot(st.id, st, scratch)
+	if err == nil && r.cfg.Store != nil {
+		if err = r.cfg.Store.WriteSnapshot(snap); err == nil {
+			st.walSince, st.snapSeq = 0, snap.Seq
+		}
 	}
-	st.walSince = 0
-	st.snapSeq = snap.Seq
-	return nil
+	if warm {
+		if _, perr := st.det.(core.Pager).PageOut(); perr != nil {
+			// Resident but still counted warm: the next observe promotes it.
+			r.cfg.Logf("streamad: page out %q after its checkpoint: %v", st.id, perr)
+		}
+	}
+	return snap, err
 }
 
 // buildSnapshot captures a stream's current state; the caller holds
 // st.procMu. The snapshot's Seq is the processed-prefix boundary: queued
 // vectors with higher sequence numbers have not been WAL-appended yet,
-// so rotating the WAL under procMu cannot lose them.
-func buildSnapshot(id string, st *stream) (*persist.StreamSnapshot, error) {
-	ck, ok := st.det.(Checkpointer)
-	if !ok {
-		return nil, fmt.Errorf("ingest: detector %T does not support checkpointing", st.det)
+// so rotating the WAL under procMu cannot lose them. A wire.Appender
+// detector is encoded into scratch, if given, and the snapshot is good
+// until that is reused; otherwise Save returns a blob of its own.
+func buildSnapshot(id string, st *stream, scratch []byte) (*persist.StreamSnapshot, error) {
+	var detBlob []byte
+	var err error
+	if a, ok := st.det.(wire.Appender); ok && scratch != nil {
+		detBlob, err = a.AppendBinary(scratch)
+	} else if ck, ok := st.det.(Checkpointer); ok {
+		detBlob, err = ck.Save()
+	} else {
+		err = fmt.Errorf("ingest: detector %T does not support checkpointing", st.det)
 	}
-	detBlob, err := ck.Save()
 	if err != nil {
 		return nil, err
 	}
@@ -351,19 +392,5 @@ func (r *Registry) Snapshot(id string) (*persist.StreamSnapshot, error) {
 	}
 	st.procMu.Lock()
 	defer st.procMu.Unlock()
-	if err := r.ensureResident(st); err != nil {
-		return nil, err
-	}
-	snap, err := buildSnapshot(id, st)
-	if err != nil {
-		return nil, err
-	}
-	if r.cfg.Store != nil {
-		if err := r.cfg.Store.WriteSnapshot(snap); err != nil {
-			return nil, err
-		}
-		st.walSince = 0
-		st.snapSeq = snap.Seq
-	}
-	return snap, nil
+	return r.checkpointLocked(st, nil)
 }

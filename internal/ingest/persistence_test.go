@@ -36,6 +36,13 @@ func (d *savingDetector) Save() ([]byte, error) {
 	return d.Detector.Save()
 }
 
+// AppendBinary is the path background checkpoints take (into a borrowed
+// buffer); it is a save like any other.
+func (d *savingDetector) AppendBinary(dst []byte) ([]byte, error) {
+	d.saves.Add(1)
+	return d.Detector.AppendBinary(dst)
+}
+
 // TestSnapshotKicksCoalesce: a burst that crosses SnapshotEvery inside
 // one dispatcher pass queues a kick per vector past the threshold, and
 // the snapshotter cannot run until the pass ends. The whole crossing must

@@ -1,6 +1,8 @@
 package ingest_test
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"streamad"
 	"streamad/internal/ingest"
 	"streamad/internal/persist"
+	"streamad/internal/score"
 )
 
 // newPagerRegistry builds a registry whose streams run real (small)
@@ -81,52 +84,91 @@ func TestWarmPageOutBitIdentical(t *testing.T) {
 		t.Fatalf("after demotion: hot=%d warm=%d hot→warm=%d", st.HotStreams, st.WarmStreams, st.HotToWarm)
 	}
 	if _, err := store.ReadPage("s"); err != nil {
-		t.Fatalf("no page file after demotion: %v", err)
+		t.Fatalf("no page after demotion: %v", err)
+	}
+	if st.SwapBytes == 0 || st.SwapBytes%4096 != 0 {
+		t.Fatalf("swap file holds %d bytes with one stream warm", st.SwapBytes)
+	}
+	// The demotion moved the window and nothing else: no checkpoint was
+	// written, the WAL still holds every vector.
+	if _, err := store.ReadSnapshot("s"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("demotion wrote a snapshot (err %v)", err)
+	}
+	if n, err := store.WALEntries("s"); err != nil || n != 40 {
+		t.Fatalf("WAL holds %d records after demotion (err %v), want 40", n, err)
 	}
 	for i := 40; i < 80; i++ {
 		step(i)
 	}
 	st = r.Stats()
-	if st.WarmStreams != 0 || st.HotStreams != 1 || st.WarmToHot != 1 {
-		t.Fatalf("after promotion: hot=%d warm=%d warm→hot=%d", st.HotStreams, st.WarmStreams, st.WarmToHot)
+	if st.WarmStreams != 0 || st.HotStreams != 1 || st.WarmToHot != 1 || st.SwapBytes != 0 {
+		t.Fatalf("after promotion: hot=%d warm=%d warm→hot=%d swap=%d", st.HotStreams, st.WarmStreams, st.WarmToHot, st.SwapBytes)
 	}
 	if _, ok := r.StreamStats("s"); !ok {
 		t.Fatal("stream vanished")
 	}
 }
 
-// TestWarmPageInFallsBackToSnapshot: a damaged page file must not lose
-// the stream — the demotion wrote a snapshot, so page-in rebuilds from it
-// with identical scores.
+// TestWarmPageInFallsBackToSnapshot: a damaged page must not lose the
+// stream, nor one vector of it. A demotion checkpoints nothing, so the
+// stream behind the page has a dirty WAL: the fallback is snapshot + WAL
+// replay — or, for a stream never checkpointed, a fresh detector and the
+// whole WAL — and every later score, seq and alert count must match an
+// uninterrupted run.
 func TestWarmPageInFallsBackToSnapshot(t *testing.T) {
-	r, store := newPagerRegistry(t, ingest.Config{Logf: t.Logf})
-	ref, err := streamad.New(pagerDetCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		v := vec(4, i)
-		if _, err := r.Observe("s", v); err != nil {
-			t.Fatal(err)
-		}
-		ref.Step(v)
-	}
-	if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
-		t.Fatalf("PageIdle demoted %d streams, want 1", n)
-	}
-	// Corrupt the page; the snapshot fallback must reproduce the state.
-	if err := store.RemovePage("s"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 40; i < 60; i++ {
-		v := vec(4, i)
-		got, err := r.Observe("s", v)
+	for _, snapAt := range []int{25, -1} { // vectors before the one checkpoint; -1 = never
+		r, store := newPagerRegistry(t, ingest.Config{Logf: t.Logf})
+		ref, err := streamad.New(pagerDetCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantOK := ref.Step(v)
-		if got.Ready != wantOK || (wantOK && got.Score != want.Score) {
-			t.Fatalf("step %d after snapshot rebuild: got %+v, want %v/%v", i, got, want.Score, wantOK)
+		refTh, refAlerts := score.NewQuantileThresholder(0.99), 0
+		step := func(i int) {
+			v := vec(4, i)
+			got, err := r.Observe("s", v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK := ref.Step(v)
+			if wantOK && refTh.Alert(want.Score) {
+				refAlerts++
+			}
+			if got.Seq != uint64(i) || got.Ready != wantOK || (wantOK && got.Score != want.Score) {
+				t.Fatalf("snapshot at %d, step %d: got %+v, want seq %d %v/%v", snapAt, i, got, i, want.Score, wantOK)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			if i == snapAt {
+				if _, err := r.Snapshot("s"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step(i)
+		}
+		if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
+			t.Fatalf("PageIdle demoted %d streams, want 1", n)
+		}
+		if n, _ := store.WALEntries("s"); n == 0 {
+			t.Fatal("the demoted stream's WAL is clean: the fallback has nothing to replay")
+		}
+		// Damage the slot in place: zero the swap file under the index.
+		swap := filepath.Join(store.Dir(), "pages.swap")
+		info, err := os.Stat(swap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(swap, make([]byte, info.Size()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := 40; i < 60; i++ {
+			step(i)
+		}
+		st := r.Stats()
+		if st.WarmToHot != 1 || st.ColdToHot != 0 || st.SwapBytes != 0 {
+			t.Fatalf("after the rebuild: warm→hot=%d cold→hot=%d swap=%d", st.WarmToHot, st.ColdToHot, st.SwapBytes)
+		}
+		if info, _ := r.StreamStats("s"); info.Steps != 60 || info.Alerts != refAlerts {
+			t.Fatalf("after the rebuild: steps=%d alerts=%d, want 60/%d", info.Steps, info.Alerts, refAlerts)
 		}
 	}
 }
@@ -240,7 +282,9 @@ func TestEvictRestoreGoroutineStable(t *testing.T) {
 }
 
 // TestWarmStreamColdEviction: a warm stream idle past the TTL falls off
-// the ladder entirely, and the next observe restores it from snapshot.
+// the ladder entirely — its deferred checkpoint written on the way, by
+// the eviction pre-pass, without the ladder counting a visit to hot —
+// and the next observe restores it from that snapshot.
 func TestWarmStreamColdEviction(t *testing.T) {
 	r, store := newPagerRegistry(t, ingest.Config{StreamTTL: time.Hour})
 	ref, err := streamad.New(pagerDetCfg())
@@ -264,8 +308,18 @@ func TestWarmStreamColdEviction(t *testing.T) {
 	if st.Streams != 0 || st.WarmToCold != 1 || st.ColdStreams != 1 {
 		t.Fatalf("after cold eviction: streams=%d warm→cold=%d cold=%d", st.Streams, st.WarmToCold, st.ColdStreams)
 	}
-	if _, err := store.ReadPage("s"); err == nil {
-		t.Fatal("page file survived cold eviction")
+	if st.WarmToHot != 0 || st.HotToCold != 0 || st.HotToWarm != 1 {
+		t.Fatalf("the eviction-time checkpoint showed on the ladder: warm→hot=%d hot→cold=%d hot→warm=%d",
+			st.WarmToHot, st.HotToCold, st.HotToWarm)
+	}
+	if _, err := store.ReadPage("s"); err == nil || st.SwapBytes != 0 {
+		t.Fatalf("page survived cold eviction (swap %d bytes)", st.SwapBytes)
+	}
+	if snap, err := store.ReadSnapshot("s"); err != nil || snap.Seq != 40 {
+		t.Fatalf("eviction left snapshot %+v, %v; want one at seq 40", snap, err)
+	}
+	if n, err := store.WALEntries("s"); err != nil || n != 0 {
+		t.Fatalf("WAL holds %d records after the eviction checkpoint (err %v)", n, err)
 	}
 	for i := 40; i < 60; i++ {
 		v := vec(7, i)

@@ -14,8 +14,9 @@ import (
 
 // TestFormatVersionIsTyped pins the upgrade failure: a file whose header
 // carries another format version is refused with ErrFormatVersion naming
-// both versions — not with the generic damage errors — for all three
-// file kinds, so streamadd can tell an upgrade from corruption.
+// both versions — not with the generic damage errors — for both
+// versioned file kinds, so streamadd can tell an upgrade from corruption.
+// (Pages are not one: the swap file never outlives its process.)
 func TestFormatVersionIsTyped(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -26,14 +27,11 @@ func TestFormatVersionIsTyped(t *testing.T) {
 	if err := s.Append("a", 0, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WritePage("a", []byte("page")); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.WriteSnapshot(&StreamSnapshot{ID: "b", Seq: 3, Detector: []byte("det")}); err != nil {
 		t.Fatal(err)
 	}
 	// Every kind keeps its version right behind its 8-byte magic.
-	for _, name := range []string{"a.wal", "a.page", "b.snap"} {
+	for _, name := range []string{"a.wal", "b.snap"} {
 		path := filepath.Join(dir, name)
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -45,9 +43,8 @@ func TestFormatVersionIsTyped(t *testing.T) {
 		}
 	}
 	_, walErr := s.ReadWAL("a")
-	_, pageErr := s.ReadPage("a")
 	_, snapErr := s.ReadSnapshot("b")
-	for kind, err := range map[string]error{"WAL": walErr, "page": pageErr, "snapshot": snapErr} {
+	for kind, err := range map[string]error{"WAL": walErr, "snapshot": snapErr} {
 		var fv ErrFormatVersion
 		if !errors.As(err, &fv) {
 			t.Errorf("%s: want ErrFormatVersion, got %v", kind, err)
@@ -60,8 +57,10 @@ func TestFormatVersionIsTyped(t *testing.T) {
 }
 
 // TestOpenRemovesOrphanedTempFiles simulates a crash between a temp
-// file's create and its rename: the next Open reclaims the orphans and
-// leaves published files and foreign files alone.
+// file's create and its rename, and one with pages out: the next Open
+// reclaims the orphans, the dead process's swap file and the page files
+// of the one-file-per-page layout, and leaves published files and
+// foreign files alone.
 func TestOpenRemovesOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -72,7 +71,7 @@ func TestOpenRemovesOrphanedTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	orphans := []string{"kept.snap.tmp", "gone.snap.tmp", "gone.page.tmp"}
+	orphans := []string{"kept.snap.tmp", "gone.snap.tmp", "gone.page.tmp", "kept.page", "pages.swap"}
 	keep := []string{"kept.snap", "notes.tmp", "other.txt"}
 	for _, name := range append(orphans, keep[1:]...) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {

@@ -9,6 +9,8 @@
 //	<escaped-id>.snap   — versioned, CRC-checked snapshot (atomic rename)
 //	<escaped-id>.wal    — append-only log of raw stream vectors
 //
+// (and pages.swap, the warm tier's page cache: never part of recovery).
+//
 // Recovery contract: load the snapshot, then re-step every WAL record
 // whose sequence number is at or past the snapshot's — records below it
 // are already folded into the snapshot (a crash between snapshot rename
@@ -24,9 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,7 +41,7 @@ import (
 const (
 	snapMagic = "SADSNAP1"
 	walMagic  = "SADWAL01"
-	// Version identifies the on-disk layout of all three file kinds.
+	// Version identifies the on-disk layout of snapshot and WAL files.
 	// Version 2 replaced the gob snapshot payload with the flat wire
 	// layout; there is no migration, a v1 state dir is refused.
 	Version uint32 = 2
@@ -97,13 +101,15 @@ type Store struct {
 
 	mu   sync.Mutex
 	wals map[string]*os.File
-	rec  []byte // Append's record scratch, guarded by mu
+	rec  []byte   // Append's record scratch, guarded by mu
+	swap swapFile // has its own lock; page I/O never takes mu
 }
 
 // Open creates (if needed) and opens a state directory. Temp files a
 // crash left between create and rename are removed: they were never
 // published, and nothing else would reclaim them until their stream
-// happened to checkpoint again.
+// happened to checkpoint again. So are the previous process's pages
+// (its swap file, or one file per page from older builds).
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("persist: empty state directory")
@@ -111,14 +117,14 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: create state dir: %w", err)
 	}
-	for _, pattern := range []string{"*" + snapSuffix + tmpSuffix, "*" + pageSuffix + tmpSuffix} {
+	for _, pattern := range []string{"*" + snapSuffix + tmpSuffix, swapName, "*" + pageSuffix, "*" + pageSuffix + tmpSuffix} {
 		orphans, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			return nil, fmt.Errorf("persist: scan state dir: %w", err)
 		}
 		for _, p := range orphans {
 			if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("persist: remove orphaned temp file: %w", err)
+				return nil, fmt.Errorf("persist: remove leftover file: %w", err)
 			}
 		}
 	}
@@ -128,7 +134,7 @@ func Open(dir string) (*Store, error) {
 // Dir returns the state directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases all open WAL handles.
+// Close releases all open WAL handles and deletes the swap file.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,6 +144,10 @@ func (s *Store) Close() error {
 			first = err
 		}
 		delete(s.wals, id)
+	}
+	if f := s.swap.f; f != nil {
+		f.Close()
+		os.Remove(f.Name())
 	}
 	return first
 }
@@ -223,7 +233,7 @@ func (s *Store) IDs() ([]string, error) {
 // head in front of it is assembled here.
 func (s *Store) WriteSnapshot(snap *StreamSnapshot) error {
 	head := appendSnapshotHead(make([]byte, 0, snapshotHeadSize(snap)), snap)
-	if err := writeFileAtomic(s.snapPath(snap.ID), true, head, snap.Detector); err != nil {
+	if err := writeFileAtomic(s.snapPath(snap.ID), head, snap.Detector); err != nil {
 		return fmt.Errorf("persist: snapshot %q: %w", snap.ID, err)
 	}
 	// The snapshot now covers every logged vector below Seq; drop the WAL.
@@ -232,9 +242,9 @@ func (s *Store) WriteSnapshot(snap *StreamSnapshot) error {
 	return s.rotateWAL(snap.ID)
 }
 
-// writeFileAtomic publishes parts, concatenated, at path via a temp file
-// and rename; durable additionally fsyncs before the rename.
-func writeFileAtomic(path string, durable bool, parts ...[]byte) error {
+// writeFileAtomic publishes parts, concatenated, at path via a temp
+// file, fsync and rename.
+func writeFileAtomic(path string, parts ...[]byte) error {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -245,7 +255,7 @@ func writeFileAtomic(path string, durable bool, parts ...[]byte) error {
 			break
 		}
 	}
-	if err == nil && durable {
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -264,15 +274,31 @@ func writeFileAtomic(path string, durable bool, parts ...[]byte) error {
 // ReadSnapshot loads and verifies a stream's snapshot. A missing file
 // returns os.ErrNotExist.
 func (s *Store) ReadSnapshot(id string) (*StreamSnapshot, error) {
-	raw, err := os.ReadFile(s.snapPath(id))
+	snap, _, err := s.ReadSnapshotInto(id, nil)
+	return snap, err
+}
+
+// ReadSnapshotInto is ReadSnapshot through a caller-owned buffer: the
+// file is read into buf[:0], grown when too small, and the snapshot's
+// blobs alias it. The buffer comes back on failure too.
+func (s *Store) ReadSnapshotInto(id string, buf []byte) (*StreamSnapshot, []byte, error) {
+	f, err := os.Open(s.snapPath(id))
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
-	snap, err := DecodeSnapshotFile(raw)
+	defer f.Close()
+	var snap *StreamSnapshot
+	info, err := f.Stat()
+	if err == nil {
+		buf = slices.Grow(buf[:0], int(info.Size()))[:info.Size()]
+		if _, err = io.ReadFull(f, buf); err == nil {
+			snap, err = DecodeSnapshotFile(buf)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("persist: snapshot %q: %w", id, err)
+		return nil, buf, fmt.Errorf("persist: snapshot %q: %w", id, err)
 	}
-	return snap, nil
+	return snap, buf, nil
 }
 
 // Snapshot file layout (all integers little-endian):
@@ -286,8 +312,8 @@ func (s *Store) ReadSnapshot(id string) (*StreamSnapshot, error) {
 //
 // The detector blob comes last so a writer can stream it from the
 // caller's buffer behind a short head.
-// envelopeSize is the length of the header snapshot and page files share:
-// an 8-byte magic, the version, the body length and the body's CRC-32C.
+// envelopeSize is the length of the snapshot file header: an 8-byte
+// magic, the version, the body length and the body's CRC-32C.
 const envelopeSize = 8 + 4 + 8 + 4
 
 // putEnvelope fills hdr[:envelopeSize]; checkEnvelope is its reader.
@@ -438,14 +464,20 @@ func appendRecord(dst []byte, seq uint64, vector []float64) []byte {
 	return dst
 }
 
-// rotateWAL closes and truncates a stream's WAL after a snapshot.
-func (s *Store) rotateWAL(id string) error {
+// ReleaseWAL closes a stream's append handle, if open, so that a stream
+// nobody appends to holds no descriptor; the next Append reopens it.
+func (s *Store) ReleaseWAL(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.wals[id]; ok {
 		f.Close()
 		delete(s.wals, id)
 	}
+}
+
+// rotateWAL closes and truncates a stream's WAL after a snapshot.
+func (s *Store) rotateWAL(id string) error {
+	s.ReleaseWAL(id)
 	if err := os.Remove(s.walPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("persist: rotate WAL: %w", err)
 	}
@@ -520,14 +552,9 @@ func (s *Store) WALEntries(id string) (int, error) {
 
 // Remove deletes all persisted state of one stream.
 func (s *Store) Remove(id string) error {
-	s.mu.Lock()
-	if f, ok := s.wals[id]; ok {
-		f.Close()
-		delete(s.wals, id)
-	}
-	s.mu.Unlock()
-	var first error
-	for _, p := range []string{s.snapPath(id), s.walPath(id), s.pagePath(id)} {
+	s.ReleaseWAL(id)
+	first := s.RemovePage(id)
+	for _, p := range []string{s.snapPath(id), s.walPath(id)} {
 		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) && first == nil {
 			first = err
 		}

@@ -370,6 +370,8 @@ func metricFamilies() []family {
 				e.put(count(sc.ingest.WarmStreams), "warm")
 				e.put(count(sc.ingest.ColdStreams), "cold")
 			}},
+		{name: "streamad_tier_swap_bytes", kind: gauge, help: "Size of the swap file holding the warm streams' paged-out window state.",
+			collect: func(sc *scrapeInput, e *emitter) { e.put(count(sc.ingest.SwapBytes)) }},
 		{name: "streamad_tier_transitions_total", kind: counter, help: "Stream moves along the residency ladder.", labels: []string{"from", "to"},
 			collect: func(sc *scrapeInput, e *emitter) {
 				e.put(count(sc.ingest.HotToWarm), "hot", "warm")
