@@ -10,11 +10,15 @@ import (
 // fuzzSpecs are the detector blueprints FuzzDetectorLoad decodes into,
 // indexed by its first argument: a self-scoring model with its own RNG
 // and pointer-linked trees, a forecaster over a sampled training set,
-// and an ensemble composing two pipelines into one buffer.
+// an ensemble composing two pipelines into one buffer, a tier-0 leaf,
+// and a cascade composing a tier-0 gate, a conformal window and a
+// pipeline. New blueprints are appended: a seed's kind byte is its index.
 var fuzzSpecs = []string{
 	"pcb+sw+musigma",
 	"arima+ures+kswin",
 	"ensemble(arima+sw+musigma, knn+ares+regular; agg=perf, prune=-8)",
+	"zscore",
+	"cascade(zscore, knn+sw+musigma; admit=0.1, calib=32, gatewin=8)",
 }
 
 // fuzzDetector builds blueprint kind at a geometry small enough that a
@@ -34,7 +38,7 @@ func fuzzDetector(t testing.TB, kind byte) StreamDetector {
 // one warmed-up, fine-tuned checkpoint per blueprint.
 func TestFuzzSeedCorpus(t *testing.T) {
 	stream := gridStream(60, 2)
-	for kind, name := range []string{"pcb", "arima", "ensemble"} {
+	for kind, name := range []string{"pcb", "arima", "ensemble", "zscore", "cascade"} {
 		det := fuzzDetector(t, byte(kind))
 		for _, v := range stream {
 			det.Step(v)
