@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race fuzz-smoke bench bench-hotpath bench-smoke bench-soak bench-cascade bench-scale soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
+.PHONY: ci build vet test race loc fuzz-smoke bench bench-hotpath bench-smoke bench-soak bench-cascade bench-scale soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
 
 # ci is the fast gate; the race detector runs as its own CI job (make
 # race) so the concurrency suites don't slow the edit loop. The smoke
@@ -62,6 +62,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the number ROADMAP aim 2 ("least code") is about: non-test
+# Go lines outside the frozen benchmark/. 25,998 before the detector-tree
+# refactor (PR 22).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # fuzz-smoke gives each native fuzz target five seconds on top of its
 # committed seed corpus (testdata/fuzz): the snapshot-file and WAL

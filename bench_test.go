@@ -502,7 +502,7 @@ func BenchmarkAblationNBEATSBasis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			scores, valid := det.Run(s.Data)
+			scores, valid := core.Run(det, s.Data)
 			th := metrics.QuantileThreshold(scores, valid, p.CalibQ)
 			auc = metrics.Evaluate(scores, s.Labels, valid, th).AUC
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"streamad/internal/cascade"
+	"streamad/internal/core"
 	"streamad/internal/tier0"
 )
 
@@ -29,18 +30,6 @@ func (t Tier0Kind) String() string { return specTier0Name(t) }
 
 // CascadeStats re-exports the cascade's per-tier counters.
 type CascadeStats = cascade.Stats
-
-var (
-	_ StreamDetector = (*Cascade)(nil)
-
-	// The tier-0 detectors are first-class StreamDetectors: usable
-	// standalone via NewFromSpec("zscore", …), as cascade gates, and
-	// through the whole serving stack.
-	_ StreamDetector = (*tier0.EWMA)(nil)
-	_ StreamDetector = (*tier0.ZScore)(nil)
-	_ StreamDetector = (*tier0.Hampel)(nil)
-	_ StreamDetector = (*tier0.Density)(nil)
-)
 
 // CascadeSpec describes a screening cascade: the tier-0 gate, the heavy
 // member specs (pipeline or ensemble grammar, canonicalized), and the
@@ -78,9 +67,12 @@ func (c CascadeSpec) String() string {
 	return s + ")"
 }
 
-// NewTier0 builds a standalone tier-0 detector. base supplies the stream
-// geometry (Channels is required; Seed drives Density's sampling); win
-// is the detector's ring length (0 = 64).
+// NewTier0 builds a standalone tier-0 detector. The four kinds are
+// first-class StreamDetectors: usable on their own via
+// NewFromSpec("zscore", …), as cascade gates, and through the whole
+// serving stack. base supplies the stream geometry (Channels is required;
+// Seed drives Density's sampling); win is the detector's ring length
+// (0 = 64).
 func NewTier0(base Config, kind Tier0Kind, win int) (StreamDetector, error) {
 	if base.Channels <= 0 {
 		return nil, fmt.Errorf("streamad: Channels must be positive, got %d", base.Channels)
@@ -106,12 +98,17 @@ func NewTier0(base Config, kind Tier0Kind, win int) (StreamDetector, error) {
 
 // Cascade is the two-tier screening detector: the tier-0 gate scores
 // every vector and the heavy members only score vectors whose gate score
-// crosses the conformal admission threshold; see internal/cascade for
-// the semantics. Build one with NewCascade or NewFromSpec. Like Detector
-// and Ensemble, a Cascade is not safe for concurrent use.
+// crosses the conformal admission threshold. The embedded
+// internal/cascade type has the semantics and supplies the whole
+// detector surface: Step (whose Result.Source names the tier that
+// produced the score — "tier0:zscore" for screened-out vectors,
+// "heavy:…" for admitted ones), CascadeStats, Save/Load, Close, and
+// warm-tier paging of the heavy members. Build one with NewCascade or
+// NewFromSpec. Like Detector and Ensemble, a Cascade is not safe for
+// concurrent use.
 type Cascade struct {
-	inner *cascade.Cascade
-	spec  CascadeSpec //streamad:transient construction blueprint kept for Spec(); Save/Load round-trips the inner cascade's state
+	*cascade.Cascade
+	spec CascadeSpec // construction blueprint, kept for Spec()
 }
 
 // NewCascade builds a screening cascade. base supplies the stream
@@ -132,7 +129,7 @@ func NewCascade(base Config, spec CascadeSpec) (*Cascade, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamad: cascade gate (%s): %w", spec.Gate, err)
 	}
-	heavy := make([]cascade.Member, len(spec.Heavy))
+	heavy := make([]core.Node, len(spec.Heavy))
 	labels := make([]string, len(spec.Heavy))
 	for i, hs := range spec.Heavy {
 		if IsCascadeSpec(hs) {
@@ -158,55 +155,8 @@ func NewCascade(base Config, spec CascadeSpec) (*Cascade, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamad: %w", err)
 	}
-	return &Cascade{inner: inner, spec: spec}, nil
+	return &Cascade{Cascade: inner, spec: spec}, nil
 }
-
-// Step consumes the next stream vector; the Result's Source field names
-// the tier that produced the score ("tier0:zscore" for screened-out
-// vectors, "heavy:…" for admitted ones).
-func (c *Cascade) Step(s []float64) (Result, bool) { return c.inner.Step(s) }
-
-// Run scores an entire series with a validity mask.
-func (c *Cascade) Run(series [][]float64) (scores []float64, valid []bool) {
-	return c.inner.Run(series)
-}
-
-// Steps returns the number of stream vectors consumed.
-func (c *Cascade) Steps() int { return c.inner.Steps() }
-
-// FineTunes returns the steps on which a heavy member fine-tuned.
-func (c *Cascade) FineTunes() int { return c.inner.FineTunes() }
-
-// Stats returns the per-tier counters: screened/admitted/forwarded
-// totals, the admission rate and the calibration fill.
-func (c *Cascade) Stats() CascadeStats { return c.inner.Stats() }
-
-// CascadeStats is Stats under the name the ingestion layer's
-// CascadeStatser capability probes for, so cascade-backed streams get
-// their per-tier counters in stream stats and /metrics.
-func (c *Cascade) CascadeStats() CascadeStats { return c.inner.Stats() }
 
 // Spec returns the cascade's specification.
 func (c *Cascade) Spec() CascadeSpec { return c.spec }
-
-// FineTuneStats aggregates the heavy members' serve/train statistics.
-// Safe from any goroutine.
-func (c *Cascade) FineTuneStats() FineTuneStats { return c.inner.FineTuneStats() }
-
-// WaitFineTune drains every heavy member's in-flight asynchronous
-// fine-tune. Serialize with Step.
-func (c *Cascade) WaitFineTune() { c.inner.WaitFineTune() }
-
-// Save returns a binary checkpoint composing the gate's and every heavy
-// member's full checkpoint with the conformal calibration window and the
-// per-tier counters; a cascade restored with Load screens and scores
-// bit-identically to an uninterrupted run.
-func (c *Cascade) Save() ([]byte, error) { return c.inner.Save() }
-
-// Load restores a checkpoint produced by Save. The cascade must have
-// been built with the same specification and base configuration.
-func (c *Cascade) Load(data []byte) error { return c.inner.Load(data) }
-
-// Close stops any goroutines owned by ensemble heavy members. Optional
-// and idempotent.
-func (c *Cascade) Close() { c.inner.Close() }

@@ -152,7 +152,7 @@ func TestCascadeScreening(t *testing.T) {
 			t.Fatalf("step %d: unexpected Source %q", i, res.Source)
 		}
 	}
-	st := casc.Stats()
+	st := casc.CascadeStats()
 	if !st.Screening {
 		t.Fatalf("screening never activated: %+v", st)
 	}
@@ -194,7 +194,7 @@ func TestCascadeSpikeAdmitted(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		casc.Step(noisyVec(buf, i, rng))
 	}
-	if !casc.Stats().Screening {
+	if !casc.CascadeStats().Screening {
 		t.Fatal("screening not active after 600 steps")
 	}
 	noisyVec(buf, 600, rng)
@@ -250,7 +250,7 @@ func TestCascadeSaveLoadBitIdentity(t *testing.T) {
 			t.Fatalf("step %d diverged: orig (%+v,%v) twin (%+v,%v)", i, r1, ok1, r2, ok2)
 		}
 	}
-	s1, s2 := orig.(*Cascade).Stats(), twin.(*Cascade).Stats()
+	s1, s2 := orig.(*Cascade).CascadeStats(), twin.(*Cascade).CascadeStats()
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats diverged:\n orig %+v\n twin %+v", s1, s2)
 	}

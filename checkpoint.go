@@ -56,12 +56,14 @@ func (d *Detector) Save() ([]byte, error) { return wire.Marshal(d, &d.blobSize) 
 
 // AppendBinary appends the Save snapshot to dst: the envelope version,
 // the configuration fingerprint, the Task 1 RNG position, then the model
-// and the framework-loop state as two sections of the same buffer.
+// and the framework-loop state as two sections of the same buffer. It
+// shadows the embedded loop's AppendBinary, which writes the last section
+// alone.
 func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 	// Drain any in-flight asynchronous fine-tune before snapshotting, so
 	// the core counters and the model section describe the same moment.
-	d.inner.WaitFineTune()
-	model, ok := d.inner.Model().(wire.Appender)
+	d.WaitFineTune()
+	model, ok := d.Model().(wire.Appender)
 	if !ok {
 		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
 	}
@@ -75,7 +77,7 @@ func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.AppendSection(dst, d.inner)
+	return wire.AppendSection(dst, d.Detector)
 }
 
 // Load restores a snapshot produced by Save into this detector. The
@@ -108,13 +110,10 @@ func (d *Detector) Load(data []byte) error {
 	if err := d.LoadModel(model); err != nil {
 		return err
 	}
-	if err := d.inner.UnmarshalBinary(inner); err != nil {
+	if err := d.PageIn(inner); err != nil {
 		return err
 	}
 	d.src.Restore(rngSeed, rngDraws)
 	d.blobSize = len(data)
 	return nil
 }
-
-// Steps returns the number of stream vectors consumed, including warmup.
-func (d *Detector) Steps() int { return d.inner.Steps() }

@@ -1,6 +1,7 @@
 package streamad
 
 import (
+	"encoding"
 	"testing"
 
 	"streamad/internal/dataset"
@@ -118,6 +119,17 @@ func TestLoadModelRejectsMismatchedShape(t *testing.T) {
 // though fine-tunes keep firing (small Regular interval) and the ARES
 // training set keeps drawing from the checkpointed RNG.
 func TestDetectorSaveLoadRoundTrip(t *testing.T) {
+	// Save/Load is the only full-state pair: the embedded framework loop's
+	// window-only codec must not surface on the leaf under the standard
+	// library's names, where a generic encoder would pick it up and
+	// silently drop the model, the fingerprint and the RNG position.
+	var leaf any = (*Detector)(nil)
+	if _, ok := leaf.(encoding.BinaryMarshaler); ok {
+		t.Error("*Detector satisfies encoding.BinaryMarshaler: the loop's partial codec was promoted")
+	}
+	if _, ok := leaf.(encoding.BinaryUnmarshaler); ok {
+		t.Error("*Detector satisfies encoding.BinaryUnmarshaler: the loop's partial codec was promoted")
+	}
 	corpus := dataset.Daphnet(dataset.Config{Length: 700, SeriesCount: 1, Seed: 13})
 	s := corpus.Series[0]
 	kinds := []ModelKind{ModelARIMA, ModelARIMAONS, ModelPCBIForest, ModelAE, ModelUSAD, ModelNBEATS, ModelVAR, ModelKNN}

@@ -200,7 +200,7 @@ func bench(spec string, seed int64, vectors, warmup int, heavy, gate string,
 	defer cas.Close()
 	var adm admitTrack
 	rep.Cascade.RunStats = evalRun(cas, casSpec.String(), series, labels, warmup, quant, &adm)
-	st := cas.Stats()
+	st := cas.CascadeStats()
 	rep.Cascade.AdmitTarget = finite(st.AdmitTarget)
 	rep.Cascade.Screened = st.Screened
 	rep.Cascade.Admitted = st.Admitted
@@ -246,7 +246,7 @@ func evalRun(det streamad.StreamDetector, spec string, series [][]float64, label
 			timed++
 		}
 		if adm != nil && cas != nil {
-			st := cas.Stats()
+			st := cas.CascadeStats()
 			screened := st.Screened > adm.prevScreened
 			admitted := st.Admitted > adm.prevAdmitted
 			adm.prevScreened, adm.prevAdmitted = st.Screened, st.Admitted

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"streamad"
+	"streamad/internal/core"
 	"streamad/internal/dataset"
 	"streamad/internal/metrics"
 )
@@ -125,10 +126,10 @@ func run(path, spec, model, task1, task2, score string, window, train, warmup in
 	if err != nil {
 		return err
 	}
-	if c, ok := det.(interface{ Close() }); ok {
+	if c, ok := det.(core.Closer); ok {
 		defer c.Close()
 	}
-	scores, valid := det.Run(series.Data)
+	scores, valid := streamad.Run(det, series.Data)
 	if threshold == 0 {
 		threshold = metrics.CalibrateThreshold(scores, valid, 0.3, 0.99)
 		fmt.Fprintf(os.Stderr, "calibrated threshold: %.5f\n", threshold)

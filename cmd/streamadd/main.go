@@ -36,6 +36,7 @@ import (
 
 	"streamad"
 	"streamad/internal/cluster"
+	"streamad/internal/core"
 	"streamad/internal/ingest"
 	"streamad/internal/persist"
 	"streamad/internal/score"
@@ -117,7 +118,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if c, ok := probe.(interface{ Close() }); ok {
+		if c, ok := probe.(core.Closer); ok {
 			c.Close()
 		}
 		newDetector = func(id string) (server.Stepper, error) {

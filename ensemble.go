@@ -27,41 +27,34 @@ const (
 // MemberStat re-exports one ensemble member's observable state.
 type MemberStat = ensemble.MemberStat
 
-// StreamDetector is the behavioral contract shared by single-pipeline
-// detectors (*Detector) and ensembles (*Ensemble): streaming scoring plus
-// full-state checkpointing. The serving stack — the sharded ingestion
-// registry (internal/ingest) and the HTTP server on top of it — and the
-// CLIs program against it, so an ensemble drops in anywhere one pipeline
-// did.
-type StreamDetector interface {
-	// Step consumes the next stream vector; ok is false during window
-	// fill and warmup.
-	Step(s []float64) (Result, bool)
-	// Run scores an entire series with a validity mask.
-	Run(series [][]float64) (scores []float64, valid []bool)
-	// Steps returns the number of stream vectors consumed.
-	Steps() int
-	// FineTunes returns the drift-triggered fine-tuning sessions so far.
-	FineTunes() int
-	// Save returns a full checkpoint; Load restores one bit-identically.
-	Save() ([]byte, error)
-	Load(data []byte) error
-}
+// StreamDetector is the one detector contract (core.Node), shared by
+// single-pipeline detectors (*Detector), ensembles (*Ensemble), cascades
+// (*Cascade) and the tier-0 detectors: streaming scoring, full-state
+// checkpointing (Save/Load bit-identically; AppendBinary into a parent's
+// buffer) and Children, so any of them composes into a tree. The serving
+// stack — the sharded ingestion registry (internal/ingest) and the HTTP
+// server on top of it — and the CLIs program against it, so an ensemble
+// or cascade drops in anywhere one pipeline did. Run scores a whole
+// series with any of them.
+type StreamDetector = core.Node
 
 var (
-	_ StreamDetector = (*Detector)(nil)
-	_ StreamDetector = (*Ensemble)(nil)
-
 	// Every StreamDetector is admissible to the ingestion layer: it can
 	// be stepped by the batching dispatcher and checkpointed by the
 	// snapshotter/evictor. Breaking either facet breaks the daemon.
 	_ ingest.Stepper      = (StreamDetector)(nil)
 	_ ingest.Checkpointer = (StreamDetector)(nil)
 
-	// Detectors and ensembles support warm-tier paging (core.Pager), so
-	// the registry's tiering policy can demote their window state.
-	_ core.Pager = (*Detector)(nil)
-	_ core.Pager = (*Ensemble)(nil)
+	// Everything with a model — pipelines, and the ensembles and cascades
+	// over them — supports warm-tier paging (core.Pager), so the
+	// registry's tiering policy can demote its window state, and settles
+	// background training on Close (core.Trainer).
+	_ core.Pager   = (*Detector)(nil)
+	_ core.Pager   = (*Ensemble)(nil)
+	_ core.Pager   = (*Cascade)(nil)
+	_ core.Trainer = (*Detector)(nil)
+	_ core.Trainer = (*Ensemble)(nil)
+	_ core.Trainer = (*Cascade)(nil)
 )
 
 // PipelineSpec names one detector pipeline: the (model × Task 1 × Task 2
@@ -141,13 +134,14 @@ func (e EnsembleSpec) String() string {
 const memberSeedStride int64 = 1_000_003
 
 // Ensemble runs several complete detector pipelines concurrently over one
-// stream and combines their per-step scores; see internal/ensemble for
-// the aggregation and performance-weighting machinery. Build one with
-// NewEnsemble or NewFromSpec. Like Detector, an Ensemble is not safe for
-// concurrent use.
+// stream and combines their per-step scores; the embedded
+// internal/ensemble type is the aggregation and performance-weighting
+// machinery and supplies the whole detector surface (Step, MemberStats,
+// Save/Load, paging, Close). Build one with NewEnsemble or NewFromSpec.
+// Like Detector, an Ensemble is not safe for concurrent use.
 type Ensemble struct {
-	inner *ensemble.Ensemble
-	spec  EnsembleSpec //streamad:transient construction blueprint kept for Spec(); Save/Load round-trips the inner ensemble's state
+	*ensemble.Ensemble
+	spec EnsembleSpec // construction blueprint, kept for Spec()
 }
 
 // NewEnsemble builds an ensemble detector. base supplies the stream
@@ -165,7 +159,7 @@ func NewEnsemble(base Config, spec EnsembleSpec) (*Ensemble, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	members := make([]ensemble.Member, len(spec.Members))
+	members := make([]core.Node, len(spec.Members))
 	labels := make([]string, len(spec.Members))
 	for i, ms := range spec.Members {
 		cfg := base
@@ -192,7 +186,7 @@ func NewEnsemble(base Config, spec EnsembleSpec) (*Ensemble, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamad: %w", err)
 	}
-	return &Ensemble{inner: inner, spec: spec}, nil
+	return &Ensemble{Ensemble: inner, spec: spec}, nil
 }
 
 // NewFromSpec builds a detector from a spec string: a single pipeline
@@ -234,72 +228,5 @@ func NewFromSpec(spec string, base Config) (StreamDetector, error) {
 	return New(cfg)
 }
 
-// Step consumes the next stream vector, stepping every member
-// concurrently; ok becomes true once at least one member scores.
-func (e *Ensemble) Step(s []float64) (Result, bool) { return e.inner.Step(s) }
-
-// Run scores an entire series, returning per-step combined scores and a
-// validity mask.
-func (e *Ensemble) Run(series [][]float64) (scores []float64, valid []bool) {
-	scores = make([]float64, len(series))
-	valid = make([]bool, len(series))
-	for i, s := range series {
-		if res, ok := e.Step(s); ok {
-			scores[i] = res.Score
-			valid[i] = true
-		}
-	}
-	return scores, valid
-}
-
-// Steps returns the number of stream vectors consumed, including warmup.
-func (e *Ensemble) Steps() int { return e.inner.Steps() }
-
-// FineTunes returns the total drift-triggered fine-tuning sessions across
-// all members.
-func (e *Ensemble) FineTunes() int { return e.inner.FineTunes() }
-
-// FineTuneStats aggregates the members' serve/train split statistics.
-// Safe from any goroutine.
-func (e *Ensemble) FineTuneStats() FineTuneStats { return e.inner.FineTuneStats() }
-
-// WaitFineTune drains every member's in-flight asynchronous fine-tune.
-// Serialize with Step, like the single-pipeline variant.
-func (e *Ensemble) WaitFineTune() { e.inner.WaitFineTune() }
-
-// MemberStats returns each member's counters, weight and last score.
-func (e *Ensemble) MemberStats() []MemberStat { return e.inner.MemberStats() }
-
 // Spec returns the ensemble's member and policy specification.
 func (e *Ensemble) Spec() EnsembleSpec { return e.spec }
-
-// Save returns a binary checkpoint composing every member's full
-// checkpoint (model, optimizer, window, training set, RNG positions)
-// with the ensemble's agreement counters and pruning state. An ensemble
-// restored with Load scores bit-identically to an uninterrupted run.
-func (e *Ensemble) Save() ([]byte, error) { return e.inner.Save() }
-
-// AppendBinary appends the Save checkpoint to dst, so a cascade composing
-// this ensemble writes it into its own buffer instead of copying a blob.
-func (e *Ensemble) AppendBinary(dst []byte) ([]byte, error) { return e.inner.AppendBinary(dst) }
-
-// Load restores a checkpoint produced by Save. The ensemble must have
-// been built with the same specification and base configuration; member
-// and policy mismatches are rejected.
-func (e *Ensemble) Load(data []byte) error { return e.inner.Load(data) }
-
-// PageOut demotes every member to the warm tier (drain fine-tunes,
-// serialize window state, release backing storage) and returns the
-// combined blob; models stay resident. Step panics until PageIn.
-func (e *Ensemble) PageOut() ([]byte, error) { return e.inner.PageOut() }
-
-// PageIn restores state paged out by PageOut, bit-identically.
-func (e *Ensemble) PageIn(blob []byte) error { return e.inner.PageIn(blob) }
-
-// Paged reports whether the members' window state is paged out.
-func (e *Ensemble) Paged() bool { return e.inner.Paged() }
-
-// Close drains every member's in-flight fine-tune so no trainer-pool
-// task outlives the ensemble. The ensemble remains usable; optional for
-// process-lifetime ensembles.
-func (e *Ensemble) Close() { e.inner.Close() }

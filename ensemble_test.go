@@ -68,7 +68,7 @@ func TestEnsembleDistinctMemberSeeds(t *testing.T) {
 	defer e.Close()
 	// The seeds are visible through the members' configurations.
 	seeds := map[int64]bool{}
-	for i, m := range e.inner.Members() {
+	for i, m := range e.Children() {
 		det, ok := m.(*Detector)
 		if !ok {
 			t.Fatalf("member %d is %T, want *Detector", i, m)
@@ -93,7 +93,7 @@ func TestEnsembleRunEndToEnd(t *testing.T) {
 	}
 	defer e.Close()
 	series := ensembleStream(200)
-	scores, valid := e.Run(series)
+	scores, valid := Run(e, series)
 	nValid := 0
 	for i := range scores {
 		if valid[i] {

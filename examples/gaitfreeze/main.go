@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		scores, valid := det.Run(series.Data)
+		scores, valid := streamad.Run(det, series.Data)
 		th := metrics.QuantileThreshold(scores, valid, 0.99)
 		pred := metrics.Binarize(scores, valid, th)
 		intervals := metrics.Ranges(pred)

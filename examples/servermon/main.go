@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		scores, valid := det.Run(series.Data)
+		scores, valid := streamad.Run(det, series.Data)
 		th := metrics.QuantileThreshold(scores, valid, 0.98)
 		sum := metrics.Evaluate(scores, series.Labels, valid, th)
 		fmt.Printf("%-5s precision=%.2f recall=%.2f pr-auc=%.3f vus=%.3f nab=%7.2f fine-tunes=%d\n",

@@ -107,7 +107,7 @@ func RunSeries(combo streamad.Combo, sk streamad.ScoreKind, p Profile, s *datase
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	scores, valid := det.Run(s.Data)
+	scores, valid := streamad.Run(det, s.Data)
 	th := metrics.QuantileThreshold(scores, valid, p.CalibQ)
 	return metrics.Evaluate(scores, s.Labels, valid, th), nil
 }

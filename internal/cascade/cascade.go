@@ -3,8 +3,8 @@
 // heavy members — full ML pipelines or ensembles — only see vectors
 // whose gate score is anomalous under a conformal admission test
 // (internal/score.Conformal). Screened-out vectors pass the gate's own
-// score and verdict through, so the cascade is a complete StreamDetector
-// with the cost profile of the gate on >90% of traffic.
+// score and verdict through, so the cascade is a complete detector node
+// (core.Node) with the cost profile of the gate on >90% of traffic.
 //
 // Admission is calibrated, not a raw percentile: the gate score's
 // conformal p-value against a sliding calibration window of recent gate
@@ -31,28 +31,15 @@ import (
 	"streamad/internal/score"
 )
 
-// Member is one detector of the cascade (the gate or a heavy member).
-// streamad.Detector, Ensemble and the tier-0 detectors all satisfy it.
-type Member interface {
-	Step(s []float64) (core.Result, bool)
-}
-
-// Checkpointer is the additional contract members must satisfy for the
-// cascade's Save/Load to compose them into a checkpoint.
-type Checkpointer interface {
-	Save() ([]byte, error)
-	Load([]byte) error
-}
-
 // Config assembles a Cascade.
 type Config struct {
 	// Gate is the tier-0 screening detector (required).
-	Gate Member
+	Gate core.Node
 	// GateLabel names the gate for stats and Result.Source (default
 	// "gate").
 	GateLabel string
 	// Heavy are the admitted-traffic detectors (required, at least one).
-	Heavy []Member
+	Heavy []core.Node
 	// HeavyLabels name the heavy members (optional; default "heavy-i").
 	HeavyLabels []string
 	// Admit is the target false-admission rate ε (default 0.1).
@@ -68,12 +55,14 @@ type Config struct {
 
 // Cascade steps the gate on every vector and the heavy members on
 // admitted ones. Like core.Detector it is not safe for concurrent use;
-// callers serialize Step.
+// callers serialize Step. The embedded Composite holds the gate (child 0)
+// and the heavy members (the rest) and supplies the fine-tune, close and
+// warm-tier paging walks: heavy members page; the gate's O(window·N) ring
+// and the conformal window stay resident, as a model does.
 type Cascade struct {
-	gate        Member
+	core.Composite
 	gateLabel   string
 	gateSource  string //streamad:transient result-source label derived from the gate spec at construction
-	heavy       []Member
 	heavyLabels []string
 	heavySource string //streamad:transient result-source label derived from the heavy specs at construction
 	admit       float64
@@ -146,10 +135,9 @@ func New(cfg Config) (*Cascade, error) {
 		heavySource = "heavy:" + labels[0]
 	}
 	return &Cascade{
-		gate:        cfg.Gate,
+		Composite:   core.Composite{Nodes: append([]core.Node{cfg.Gate}, cfg.Heavy...)},
 		gateLabel:   gateLabel,
 		gateSource:  "tier0:" + gateLabel,
-		heavy:       cfg.Heavy,
 		heavyLabels: labels,
 		heavySource: heavySource,
 		admit:       cfg.Admit,
@@ -169,7 +157,8 @@ func New(cfg Config) (*Cascade, error) {
 //streamad:hotpath
 func (c *Cascade) Step(s []float64) (core.Result, bool) {
 	c.steps++
-	gRes, gOK := c.gate.Step(s)
+	gate, heavy := c.Nodes[0], c.Nodes[1:]
+	gRes, gOK := gate.Step(s)
 	if gOK {
 		c.lastP = c.conf.PValue(gRes.Score)
 		c.conf.Observe(gRes.Score)
@@ -197,7 +186,7 @@ func (c *Cascade) Step(s []float64) (core.Result, bool) {
 	var sumF, sumA float64
 	nReady := 0
 	fineTuned := false
-	for i, m := range c.heavy {
+	for i, m := range heavy {
 		res, ok := m.Step(s)
 		if !ok {
 			continue
@@ -213,7 +202,7 @@ func (c *Cascade) Step(s []float64) (core.Result, bool) {
 	if fineTuned {
 		c.fineTunes++
 	}
-	if !c.allHeavyReady && nReady == len(c.heavy) {
+	if !c.allHeavyReady && nReady == len(heavy) {
 		all := true
 		for _, r := range c.heavyReady {
 			all = all && r
@@ -235,19 +224,6 @@ func (c *Cascade) Step(s []float64) (core.Result, bool) {
 		return gRes, true
 	}
 	return core.Result{}, false
-}
-
-// Run scores an entire series with a validity mask.
-func (c *Cascade) Run(series [][]float64) (scores []float64, valid []bool) {
-	scores = make([]float64, len(series))
-	valid = make([]bool, len(series))
-	for i, s := range series {
-		if res, ok := c.Step(s); ok {
-			scores[i] = res.Score
-			valid[i] = true
-		}
-	}
-	return scores, valid
 }
 
 // Steps returns the number of stream vectors consumed.
@@ -292,9 +268,10 @@ type Stats struct {
 	LastPValue float64
 }
 
-// Stats returns a snapshot of the cascade's counters. Callers must
-// serialize it with Step.
-func (c *Cascade) Stats() Stats {
+// CascadeStats returns a snapshot of the cascade's counters, under the
+// name the ingestion layer's CascadeStatser capability probes for.
+// Callers must serialize it with Step.
+func (c *Cascade) CascadeStats() Stats {
 	st := Stats{
 		GateLabel:   c.gateLabel,
 		HeavyLabels: append([]string(nil), c.heavyLabels...),
@@ -315,60 +292,4 @@ func (c *Cascade) Stats() Stats {
 		st.HeavyRate = float64(c.admitted+c.forwarded) / float64(c.steps)
 	}
 	return st
-}
-
-// Gate returns the tier-0 gate detector.
-func (c *Cascade) Gate() Member { return c.gate }
-
-// Heavy returns the heavy members in cascade order.
-func (c *Cascade) Heavy() []Member {
-	out := make([]Member, len(c.heavy))
-	copy(out, c.heavy)
-	return out
-}
-
-// FineTuneStats aggregates the heavy members' serve/train statistics,
-// mirroring Ensemble.FineTuneStats. Safe from any goroutine.
-func (c *Cascade) FineTuneStats() core.FineTuneStats {
-	agg := core.FineTuneStats{Buckets: make([]uint64, len(core.FineTuneBuckets)+1)}
-	for _, m := range c.heavy {
-		fs, ok := m.(interface{ FineTuneStats() core.FineTuneStats })
-		if !ok {
-			continue
-		}
-		st := fs.FineTuneStats()
-		agg.Async = agg.Async || st.Async
-		agg.InFlight = agg.InFlight || st.InFlight
-		agg.Launched += st.Launched
-		agg.Skipped += st.Skipped
-		agg.Completed += st.Completed
-		if st.LastSeconds > agg.LastSeconds {
-			agg.LastSeconds = st.LastSeconds
-		}
-		agg.TotalSeconds += st.TotalSeconds
-		for i := range st.Buckets {
-			agg.Buckets[i] += st.Buckets[i]
-		}
-	}
-	return agg
-}
-
-// WaitFineTune drains every heavy member's in-flight asynchronous
-// fine-tune. Serialize with Step, like the members themselves.
-func (c *Cascade) WaitFineTune() {
-	for _, m := range c.heavy {
-		if w, ok := m.(interface{ WaitFineTune() }); ok {
-			w.WaitFineTune()
-		}
-	}
-}
-
-// Close stops any member-owned goroutines (ensemble heavy members).
-// Optional and idempotent, like Ensemble.Close.
-func (c *Cascade) Close() {
-	for _, m := range c.heavy {
-		if cl, ok := m.(interface{ Close() }); ok {
-			cl.Close()
-		}
-	}
 }

@@ -18,7 +18,7 @@ func (c *Cascade) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendInt(dst, c.calib)
 	dst = wire.AppendInt(dst, c.minCalib)
 	dst = wire.AppendString(dst, c.gateLabel)
-	dst = wire.AppendInt(dst, len(c.heavy))
+	dst = wire.AppendInt(dst, len(c.heavyLabels))
 	for _, l := range c.heavyLabels {
 		dst = wire.AppendString(dst, l)
 	}
@@ -36,12 +36,9 @@ func (c *Cascade) AppendBinary(dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cascade: %w", err)
 	}
-	if dst, err = wire.AppendCheckpoint(dst, c.gate); err != nil {
-		return nil, fmt.Errorf("cascade: gate (%s): %w", c.gateLabel, err)
-	}
-	for i, m := range c.heavy {
-		if dst, err = wire.AppendCheckpoint(dst, m); err != nil {
-			return nil, fmt.Errorf("cascade: heavy member %d (%s): %w", i, c.heavyLabels[i], err)
+	for i, n := range c.Nodes {
+		if dst, err = wire.AppendSection(dst, n); err != nil {
+			return nil, fmt.Errorf("cascade: %s: %w", c.childName(i), err)
 		}
 	}
 	return dst, nil
@@ -53,13 +50,12 @@ func (c *Cascade) AppendBinary(dst []byte) ([]byte, error) {
 // bit-identically to an uninterrupted run.
 func (c *Cascade) Save() ([]byte, error) { return c.AppendBinary(nil) }
 
-// loadMember restores one member's section through its Load.
-func loadMember(m Member, data []byte) error {
-	ck, ok := m.(Checkpointer)
-	if !ok {
-		return fmt.Errorf("%T does not support checkpointing", m)
+// childName names child i — the gate, then the heavy members — in errors.
+func (c *Cascade) childName(i int) string {
+	if i == 0 {
+		return fmt.Sprintf("gate (%s)", c.gateLabel)
 	}
-	return ck.Load(data)
+	return fmt.Sprintf("heavy member %d (%s)", i-1, c.heavyLabels[i-1])
 }
 
 // Load restores a checkpoint produced by Save. The cascade must have
@@ -83,31 +79,28 @@ func (c *Cascade) Load(data []byte) error {
 			minCalib, calib, c.minCalib, c.calib)
 	case gateLabel != c.gateLabel:
 		return fmt.Errorf("cascade: snapshot gate %q does not match cascade gate %q", gateLabel, c.gateLabel)
-	case heavy != len(c.heavy):
-		return fmt.Errorf("cascade: snapshot has %d heavy members, cascade has %d", heavy, len(c.heavy))
+	case heavy != len(c.heavyLabels):
+		return fmt.Errorf("cascade: snapshot has %d heavy members, cascade has %d", heavy, len(c.heavyLabels))
 	}
 	for i, want := range c.heavyLabels {
 		if l := rd.String(); rd.Err() == nil && l != want {
 			return fmt.Errorf("cascade: snapshot heavy member %d is %q, cascade has %q", i, l, want)
 		}
 	}
-	heavyReady := make([]bool, len(c.heavy))
+	heavyReady := make([]bool, len(c.heavyReady))
 	for i := range heavyReady {
 		heavyReady[i] = rd.Bool()
 	}
 	allReady := rd.Bool()
 	steps, screened, admitted, forwarded, fineTunes := rd.Int(), rd.Int(), rd.Int(), rd.Int(), rd.Int()
 	lastP := rd.Float64()
-	conf, gate := rd.Section(), rd.Section()
+	conf := rd.Section()
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("cascade: decode snapshot: %w", err)
 	}
-	if err := loadMember(c.gate, gate); err != nil {
-		return fmt.Errorf("cascade: gate (%s): %w", c.gateLabel, err)
-	}
-	for i, m := range c.heavy {
-		if err := loadMember(m, rd.Section()); err != nil {
-			return fmt.Errorf("cascade: heavy member %d (%s): %w", i, c.heavyLabels[i], err)
+	for i, n := range c.Nodes {
+		if err := n.Load(rd.Section()); err != nil {
+			return fmt.Errorf("cascade: %s: %w", c.childName(i), err)
 		}
 	}
 	if err := rd.Done(); err != nil {

@@ -178,9 +178,10 @@ type Result struct {
 	Source string
 }
 
-// Detector runs the streaming anomaly detection loop. Step, Run,
-// WaitFineTune and the state snapshot methods must all be called from a
-// single goroutine; FineTuneStats is safe from any goroutine.
+// Detector runs the streaming anomaly detection loop. Step, WaitFineTune
+// and the state snapshot methods must all be called from a single
+// goroutine; FineTuneStats is safe from any goroutine. Together with its
+// model's checkpoint (streamad.Detector adds it) it is the leaf Node.
 type Detector struct {
 	cfg        Config
 	predictor  Predictor
@@ -191,7 +192,7 @@ type Detector struct {
 	fineTunes  int
 	lastGood   []float64 // per-channel last finite value (Sanitize)
 	sanBuf     []float64 //streamad:transient per-step repair scratch, preallocated by NewDetector and overwritten each Step
-	sanitized  int
+	sanitized  int       // steps on which a non-finite input was repaired
 	attrBuf    []float64 //streamad:transient per-step attribution scratch, preallocated by NewDetector and derived each Step
 	asyncFT    bool      // serve/train split active
 	poolFT     bool      // fine-tunes routed through the shared trainer pool
@@ -273,10 +274,6 @@ func (d *Detector) sanitize(s []float64) []float64 {
 	d.sanitized++
 	return d.sanBuf
 }
-
-// Sanitized returns the number of steps on which at least one non-finite
-// input value was repaired (always 0 unless Config.Sanitize is set).
-func (d *Detector) Sanitized() int { return d.sanitized }
 
 // Step consumes the next stream vector s_t. ok is false while the detector
 // is still filling its representation window or warming up; once true, the
@@ -394,18 +391,5 @@ func (d *Detector) WarmedUp() bool { return d.warmedUp }
 // DriftOps exposes the Task 2 detector's cumulative operation counts.
 func (d *Detector) DriftOps() drift.OpCounts { return d.cfg.Drift.Ops() }
 
-// Run feeds an entire series (rows × N, row-major) through the detector
-// and returns one anomaly score per time step; steps before readiness get
-// score NaN-free 0 and a parallel validity mask.
-func (d *Detector) Run(series [][]float64) (scores []float64, valid []bool) {
-	scores = make([]float64, len(series))
-	valid = make([]bool, len(series))
-	for i, s := range series {
-		res, ok := d.Step(s)
-		if ok {
-			scores[i] = res.Score
-			valid[i] = true
-		}
-	}
-	return scores, valid
-}
+// Children implements Node: a pipeline is a leaf.
+func (d *Detector) Children() []Node { return nil }

@@ -227,7 +227,7 @@ func TestRunProducesAlignedOutputs(t *testing.T) {
 	for i := range series {
 		series[i] = []float64{float64(i), float64(-i)}
 	}
-	scores, valid := det.Run(series)
+	scores, valid := Run(det, series)
 	if len(scores) != 30 || len(valid) != 30 {
 		t.Fatal("output lengths")
 	}
@@ -295,11 +295,11 @@ func TestScratchPreallocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := clean.MarshalBinary()
+	blob, err := clean.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UnmarshalBinary(blob); err != nil {
+	if err := d.PageIn(blob); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.lastGood) != 3 || len(d.sanBuf) != 3 {

@@ -1,12 +1,16 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"streamad/internal/wire"
+)
 
 // Pager is the warm-tier capability: a detector whose sliding-window
 // state (representation ring, training set, drift reference, scorer
 // windows) can be serialized out and its backing storage freed while the
 // model stays resident, then restored bit-identically before the next
-// Step. Implemented by *Detector and composed member-wise by ensembles.
+// Step. Implemented by *Detector and composed child-wise by Composite.
 type Pager interface {
 	// PageOut drains any in-flight fine-tune, snapshots the window state
 	// and releases its backing storage. The returned blob restores the
@@ -44,7 +48,8 @@ func (d *Detector) PageOut() ([]byte, error) {
 		return nil, fmt.Errorf("core: detector already paged out")
 	}
 	d.WaitFineTune()
-	blob, err := d.MarshalBinary()
+	// Presized from the previous blob written or restored: one allocation.
+	blob, err := wire.Marshal(d, &d.blobSize)
 	if err != nil {
 		return nil, err
 	}
@@ -54,16 +59,6 @@ func (d *Detector) PageOut() ([]byte, error) {
 	}
 	d.paged = true
 	return blob, nil
-}
-
-// PageIn implements Pager: it restores a PageOut blob, reallocating the
-// released storage, and re-enables Step.
-func (d *Detector) PageIn(data []byte) error {
-	if err := d.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	d.paged = false
-	return nil
 }
 
 // Paged implements Pager.

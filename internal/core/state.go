@@ -51,8 +51,9 @@ func unmarshalComponent(name string, v interface{}, data []byte) error {
 // AppendBinary implements wire.Appender: a full snapshot of the
 // detector's streaming state — the warmup/step counters plus one section
 // per stateful component (window, training set, drift reference, scorer
-// windows). The model is intentionally not included; the caller
-// snapshots it separately (it has its own SaveModel/LoadModel surface).
+// windows). The model is intentionally not included: the leaf Node that
+// embeds this detector (streamad.Detector) shadows AppendBinary with the
+// full checkpoint — fingerprint, RNG position, model, then this section.
 func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendInt(dst, d.warmupLeft)
 	dst = wire.AppendBool(dst, d.warmedUp)
@@ -73,14 +74,14 @@ func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 	return appendComponent(dst, "scorer", d.cfg.Scorer)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler, presized from the
-// previous blob marshalled or restored: a page-out is one allocation.
-func (d *Detector) MarshalBinary() ([]byte, error) { return wire.Marshal(d, &d.blobSize) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler: it restores a
-// snapshot into a detector assembled with an identically configured set of
-// components. Component-level geometry checks reject mismatched shapes.
-func (d *Detector) UnmarshalBinary(data []byte) error {
+// PageIn implements Pager and is AppendBinary's inverse: it restores the
+// streaming state — a PageOut blob or the loop section of a full
+// checkpoint — into a detector assembled with an identically configured
+// set of components, reallocating whatever PageOut released, and
+// re-enables Step. Component-level geometry checks reject mismatched
+// shapes. Deliberately not named UnmarshalBinary: promoted onto the leaf
+// Node it would pass for a full-state decoder and silently skip the model.
+func (d *Detector) PageIn(data []byte) error {
 	rd := wire.NewReader(data)
 	warmupLeft, warmedUp := rd.Int(), rd.Bool()
 	steps, fineTunes, sanitized := rd.Int(), rd.Int(), rd.Int()

@@ -31,30 +31,16 @@ package ensemble
 
 import (
 	"fmt"
-	"sync"
 
 	"streamad/internal/core"
 	"streamad/internal/pool"
-	"streamad/internal/wire"
 )
-
-// Member is one pipeline of the ensemble. streamad.Detector satisfies it;
-// so does anything else that speaks the framework's step contract.
-type Member interface {
-	Step(s []float64) (core.Result, bool)
-}
-
-// Checkpointer is the additional contract a member must satisfy for the
-// ensemble's Save/Load to compose it into a checkpoint.
-type Checkpointer interface {
-	Save() ([]byte, error)
-	Load([]byte) error
-}
 
 // Config assembles an Ensemble.
 type Config struct {
-	// Members are the pipelines (required, at least two).
-	Members []Member
+	// Members are the pipelines (required, at least two); they become the
+	// ensemble's Children.
+	Members []core.Node
 	// Labels name the members for stats and metrics (optional; default
 	// "member-i"). When set, one label per member.
 	Labels []string
@@ -83,9 +69,9 @@ type Config struct {
 	Pool *pool.Pool
 }
 
-// member is the runtime state of one pipeline.
+// member is the ensemble's bookkeeping for one pipeline; the pipeline
+// itself is the child node at the same index.
 type member struct {
-	det   Member
 	label string
 
 	// The fields below are owned by the Step caller (written only after
@@ -105,23 +91,27 @@ type stepOut struct {
 	panicked interface{}
 }
 
-// step applies one vector, converting panics into values so a bad vector
-// surfaces in the calling goroutine instead of crashing a pool worker.
-func (m *member) step(v []float64) (out stepOut) {
+// step applies one vector to a member, converting panics into values so
+// a bad vector surfaces in the calling goroutine instead of crashing a
+// pool worker.
+func step(det core.Node, v []float64) (out stepOut) {
 	defer func() {
 		if p := recover(); p != nil {
 			out = stepOut{panicked: p}
 		}
 	}()
-	r, ok := m.det.Step(v)
+	r, ok := det.Step(v)
 	return stepOut{res: r, ok: ok}
 }
 
 // Ensemble steps N member pipelines concurrently and combines their
 // scores. Like core.Detector, an Ensemble is not safe for concurrent use;
 // callers serialize Step (the HTTP server holds one lock per stream).
+// The embedded Composite holds the member pipelines and supplies the
+// fine-tune, close and warm-tier paging walks over them.
 type Ensemble struct {
-	members    []*member
+	core.Composite
+	members    []*member  // per-pipeline counters, parallel to Nodes
 	pool       *pool.Pool //streamad:transient shared scoring pool, an external resource wired at construction
 	agg        Agg
 	verdict    float64
@@ -140,8 +130,7 @@ type Ensemble struct {
 	weights []float64 //streamad:transient per-step performance weights, recomputed by collect from member counters
 	scratch []float64 //streamad:transient combine() working buffer
 
-	closeOnce sync.Once //streamad:transient process-local close latch, not stream state
-	blobSize  int       // length of the last blob saved or loaded, the next Save's capacity
+	blobSize int // length of the last blob saved or loaded, the next Save's capacity
 }
 
 // New validates the configuration and returns the Ensemble. Members own
@@ -179,6 +168,7 @@ func New(cfg Config) (*Ensemble, error) {
 	}
 	n := len(cfg.Members)
 	e := &Ensemble{
+		Composite:  core.Composite{Nodes: cfg.Members},
 		members:    make([]*member, n),
 		pool:       cfg.Pool,
 		agg:        cfg.Agg,
@@ -201,10 +191,8 @@ func New(cfg Config) (*Ensemble, error) {
 		if len(cfg.Labels) > 0 && cfg.Labels[i] != "" {
 			label = cfg.Labels[i]
 		}
-		m := &member{det: det, label: label}
-		e.members[i] = m
-		i := i
-		e.tasks[i] = func() { e.outs[i] = m.step(e.stepVec) }
+		e.members[i] = &member{label: label}
+		e.tasks[i] = func() { e.outs[i] = step(det, e.stepVec) }
 	}
 	return e, nil
 }
@@ -222,8 +210,8 @@ func (e *Ensemble) Step(s []float64) (core.Result, bool) {
 		e.pool.Run(e.tasks...)
 		e.stepVec = nil
 	} else {
-		for i, m := range e.members {
-			e.outs[i] = m.step(s)
+		for i, det := range e.Nodes {
+			e.outs[i] = step(det, s)
 		}
 	}
 	var panicked interface{}
@@ -374,21 +362,6 @@ func (e *Ensemble) MemberStats() []MemberStat {
 	return out
 }
 
-// Size returns the number of members.
-func (e *Ensemble) Size() int { return len(e.members) }
-
-// Members returns the member pipelines in ensemble order.
-func (e *Ensemble) Members() []Member {
-	out := make([]Member, len(e.members))
-	for i, m := range e.members {
-		out[i] = m.det
-	}
-	return out
-}
-
-// Agg returns the configured combiner.
-func (e *Ensemble) Agg() Agg { return e.agg }
-
 // Steps returns the number of stream vectors consumed, including warmup.
 func (e *Ensemble) Steps() int { return e.steps }
 
@@ -403,116 +376,4 @@ func (e *Ensemble) FineTunes() int {
 		total += m.fineTunes
 	}
 	return total
-}
-
-// FineTuneStats aggregates the members' serve/train split statistics:
-// counters, durations and histogram buckets sum across members, the
-// Async/InFlight flags OR together, and LastSeconds is the maximum over
-// members (cross-member recency is unknowable from atomics alone).
-// Members not exposing stats are skipped. Safe from any goroutine.
-func (e *Ensemble) FineTuneStats() core.FineTuneStats {
-	agg := core.FineTuneStats{Buckets: make([]uint64, len(core.FineTuneBuckets)+1)}
-	for _, m := range e.members {
-		fs, ok := m.det.(interface{ FineTuneStats() core.FineTuneStats })
-		if !ok {
-			continue
-		}
-		st := fs.FineTuneStats()
-		agg.Async = agg.Async || st.Async
-		agg.InFlight = agg.InFlight || st.InFlight
-		agg.Launched += st.Launched
-		agg.Skipped += st.Skipped
-		agg.Completed += st.Completed
-		if st.LastSeconds > agg.LastSeconds {
-			agg.LastSeconds = st.LastSeconds
-		}
-		agg.TotalSeconds += st.TotalSeconds
-		for i := range st.Buckets {
-			agg.Buckets[i] += st.Buckets[i]
-		}
-	}
-	return agg
-}
-
-// WaitFineTune drains every member's in-flight asynchronous fine-tune.
-// Like Step it must be serialized with other Step/Wait calls by the
-// caller; the member workers are idle between Steps, so adopting models
-// here cannot race with scoring.
-func (e *Ensemble) WaitFineTune() {
-	for _, m := range e.members {
-		if w, ok := m.det.(interface{ WaitFineTune() }); ok {
-			w.WaitFineTune()
-		}
-	}
-}
-
-// Close settles every member's outstanding asynchronous training (the
-// ensemble itself owns no goroutines). Eviction paths must call it so a
-// TTL-evicted stream cannot leak in-flight trainers; safe to call twice,
-// and the ensemble remains steppable after.
-func (e *Ensemble) Close() {
-	e.closeOnce.Do(func() {
-		for _, m := range e.members {
-			if c, ok := m.det.(interface{ Close() }); ok {
-				c.Close()
-			}
-		}
-	})
-}
-
-// PageOut implements core.Pager member-wise: it requires every member to
-// be a Pager (all-or-nothing — no member is paged if any cannot be) and
-// concatenates their blobs. Aggregation counters stay resident; they are
-// snapshot state handled by Save/Load, not window state.
-func (e *Ensemble) PageOut() ([]byte, error) {
-	pagers := make([]core.Pager, len(e.members))
-	for i, m := range e.members {
-		p, ok := m.det.(core.Pager)
-		if !ok {
-			return nil, fmt.Errorf("ensemble: member %d (%T) is not pageable", i, m.det)
-		}
-		pagers[i] = p
-	}
-	blobs := make([][]byte, len(pagers))
-	for i, p := range pagers {
-		b, err := p.PageOut()
-		if err != nil {
-			// Roll the already-paged members back in so the ensemble stays
-			// consistent (either fully resident or fully paged).
-			for j := 0; j < i; j++ {
-				_ = pagers[j].PageIn(blobs[j])
-			}
-			return nil, fmt.Errorf("ensemble: page out member %d: %w", i, err)
-		}
-		blobs[i] = b
-	}
-	return appendPageSet(blobs), nil
-}
-
-// PageIn implements core.Pager, restoring a PageOut blob member-wise.
-func (e *Ensemble) PageIn(data []byte) error {
-	rd := wire.NewReader(data)
-	for i, m := range e.members {
-		p, ok := m.det.(core.Pager)
-		if !ok {
-			return fmt.Errorf("ensemble: member %d (%T) is not pageable", i, m.det)
-		}
-		if err := p.PageIn(rd.Section()); err != nil {
-			return fmt.Errorf("ensemble: page in member %d: %w", i, err)
-		}
-	}
-	if err := rd.Done(); err != nil {
-		return fmt.Errorf("ensemble: page set for %d members: %w", len(e.members), err)
-	}
-	return nil
-}
-
-// Paged implements core.Pager: true when the members are paged out.
-func (e *Ensemble) Paged() bool {
-	for _, m := range e.members {
-		if p, ok := m.det.(core.Pager); ok {
-			return p.Paged()
-		}
-	}
-	return false
 }

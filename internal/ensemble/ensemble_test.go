@@ -1,12 +1,11 @@
 package ensemble
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
 	"streamad/internal/core"
+	"streamad/internal/wire"
 )
 
 // scriptMember is a deterministic stub pipeline: not ready for warm steps,
@@ -31,18 +30,27 @@ func (m *scriptMember) Step(s []float64) (core.Result, bool) {
 	return core.Result{Score: v, Nonconformity: v}, true
 }
 
-func (m *scriptMember) Save() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(m.steps)
-	return buf.Bytes(), err
+func (m *scriptMember) Steps() int            { return m.steps }
+func (m *scriptMember) FineTunes() int        { return 0 }
+func (m *scriptMember) Children() []core.Node { return nil }
+func (m *scriptMember) Save() ([]byte, error) { return m.AppendBinary(nil) }
+
+func (m *scriptMember) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendInt(dst, m.steps), nil
 }
 
 func (m *scriptMember) Load(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(&m.steps)
+	rd := wire.NewReader(data)
+	steps := rd.Int()
+	if err := rd.Done(); err != nil {
+		return err
+	}
+	m.steps = steps
+	return nil
 }
 
-func members(ms ...*scriptMember) []Member {
-	out := make([]Member, len(ms))
+func members(ms ...*scriptMember) []core.Node {
+	out := make([]core.Node, len(ms))
 	for i, m := range ms {
 		out[i] = m
 	}

@@ -38,7 +38,7 @@ func (e *Ensemble) AppendBinary(dst []byte) ([]byte, error) {
 		dst = wire.AppendInt(dst, m.fineTunes)
 		dst = wire.AppendFloat64(dst, m.lastScore)
 		var err error
-		if dst, err = wire.AppendCheckpoint(dst, m.det); err != nil {
+		if dst, err = wire.AppendSection(dst, e.Nodes[i]); err != nil {
 			return nil, fmt.Errorf("ensemble: member %d (%s): %w", i, m.label, err)
 		}
 	}
@@ -46,9 +46,9 @@ func (e *Ensemble) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // Save returns a binary checkpoint composing every member's full
-// checkpoint (each member must implement Checkpointer) with the
-// ensemble's own counters. An ensemble restored with Load scores
-// bit-identically to an uninterrupted run from the next vector on.
+// checkpoint with the ensemble's own counters. An ensemble restored with
+// Load scores bit-identically to an uninterrupted run from the next
+// vector on.
 func (e *Ensemble) Save() ([]byte, error) { return wire.Marshal(e, &e.blobSize) }
 
 // Load restores a checkpoint produced by Save into this ensemble. The
@@ -84,11 +84,7 @@ func (e *Ensemble) Load(data []byte) error {
 	// snapshot of differently configured pipelines fails at that member.
 	for i, m := range e.members {
 		pc, disabled, ready, fineTunes, lastScore := rd.Int(), rd.Bool(), rd.Int(), rd.Int(), rd.Float64()
-		ck, ok := m.det.(Checkpointer)
-		if !ok {
-			return fmt.Errorf("ensemble: member %d (%s) does not support checkpointing", i, m.label)
-		}
-		if err := ck.Load(rd.Section()); err != nil {
+		if err := e.Nodes[i].Load(rd.Section()); err != nil {
 			return fmt.Errorf("ensemble: member %d (%s): %w", i, m.label, err)
 		}
 		m.pc, m.disabled, m.ready, m.fineTunes, m.lastScore = pc, disabled, ready, fineTunes, lastScore
@@ -99,17 +95,4 @@ func (e *Ensemble) Load(data []byte) error {
 	e.steps, e.readySteps = steps, readySteps
 	e.blobSize = len(data)
 	return nil
-}
-
-// appendPageSet serializes the per-member PageOut blobs of an ensemble.
-func appendPageSet(blobs [][]byte) []byte {
-	size := 0
-	for _, b := range blobs {
-		size += 8 + len(b)
-	}
-	dst := make([]byte, 0, size)
-	for _, b := range blobs {
-		dst = wire.AppendBytes(dst, b)
-	}
-	return dst
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"streamad"
+	"streamad/internal/core"
 	"streamad/internal/ingest"
 	"streamad/internal/persist"
 	"streamad/internal/score"
@@ -31,6 +32,7 @@ var durabilitySpecs = map[string]string{
 	"arima": "arima+sw+musigma",
 	"knn":   "knn+sw+musigma",
 	"ens":   "ensemble(usad+sw+musigma, nbeats+sw+musigma; agg=mean)",
+	"cas":   "cascade(zscore, arima+sw+musigma+raw; admit=0.2, calib=16, gatewin=8)",
 }
 
 var durabilityBase = streamad.Config{Channels: 2, Window: 8, TrainSize: 16, Seed: 1}
@@ -74,9 +76,10 @@ func ladderRegistry(t *testing.T, store *persist.Store) *ingest.Registry {
 	return r
 }
 
-// TestCrashAtEveryTierBoundary scripts two streams around the whole
-// ladder and kills the process — copies the state dir's files as they
-// are, page cache and all — after every step. Each copy must restore to
+// TestCrashAtEveryTierBoundary scripts three streams (a pipeline, an
+// ensemble and a screening cascade) around the whole ladder and kills the
+// process — copies the state dir's files as they are, page cache and
+// all — after every step. Each copy must restore to
 // exactly the acknowledged prefix and score the rest of the input
 // bit-identically to an uninterrupted run, whatever the ladder had
 // deferred at that instant: a warm stream with a dirty WAL, a checkpoint
@@ -85,7 +88,7 @@ func ladderRegistry(t *testing.T, store *persist.Store) *ingest.Registry {
 // layout behind, which Open must delete and nobody may read.
 func TestCrashAtEveryTierBoundary(t *testing.T) {
 	const total = 120
-	ids := []string{"pcb", "ens"}
+	ids := []string{"pcb", "ens", "cas"}
 	ref := map[string][]verdict{}
 	for k, id := range ids {
 		ref[id] = libraryRun(t, id, k, total)
@@ -241,10 +244,7 @@ func TestLoadersCopyOutOfTheirInput(t *testing.T) {
 		det, th := specDetector(t, id), score.NewQuantileThresholder(0.95)
 		scribbled(state, det.(ingest.Checkpointer).Load)
 		scribbled(thState, th.UnmarshalBinary)
-		pager := det.(interface {
-			PageOut() ([]byte, error)
-			PageIn([]byte) error
-		})
+		pager := det.(core.Pager)
 		page, err := pager.PageOut()
 		if err != nil {
 			t.Fatal(err)

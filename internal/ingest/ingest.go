@@ -48,15 +48,16 @@ import (
 	"streamad/internal/stats"
 )
 
-// Stepper is the per-stream detector contract (streamad.StreamDetector
-// satisfies it).
-type Stepper interface {
-	Step(s []float64) (core.Result, bool)
-}
+// Stepper is the per-stream detector contract: the scoring facet of
+// core.Node. Everything this repo builds is a full Node; the registry
+// still asks a detector only for what it is about to use — Checkpointer
+// to persist, core.Pager to demote, core.FineTuneStatser to report and
+// core.Closer to settle background training — because a foreign Stepper
+// (a test stub, a tracing wrapper) may offer less.
+type Stepper = core.Stepper
 
 // Checkpointer is the contract a detector must add to Stepper for the
-// registry to persist it (streamad.Detector and streamad.Ensemble
-// satisfy it).
+// registry to persist it (every core.Node satisfies it).
 type Checkpointer interface {
 	Save() ([]byte, error)
 	Load([]byte) error
@@ -144,7 +145,8 @@ type Config struct {
 	// state is paged to the snapshot store while the model stays resident.
 	// The next observe transparently pages it back in. Combined with
 	// StreamTTL > WarmAfter this yields the hot/warm/cold residency
-	// ladder; detectors that don't implement core.Pager stay hot until
+	// ladder; detectors that don't implement core.Pager (the standalone
+	// tier-0 detectors, which have no window worth paging) stay hot until
 	// cold eviction.
 	WarmAfter time.Duration
 }
@@ -690,7 +692,7 @@ func (r *Registry) EvictIdle(now time.Time) int {
 
 // closeDetector settles a detector's background training, if it has any.
 func closeDetector(det Stepper) {
-	if c, ok := det.(interface{ Close() }); ok {
+	if c, ok := det.(core.Closer); ok {
 		c.Close()
 	}
 }
@@ -717,13 +719,6 @@ type StreamInfo struct {
 	// it exposes them (nil otherwise). Read from lock-free atomics, so
 	// the scrape never waits on an in-flight processing pass.
 	FineTune *core.FineTuneStats
-}
-
-// FineTuneStatser is the optional detector capability surfacing
-// fine-tuning statistics (streamad.Detector and streamad.Ensemble both
-// implement it).
-type FineTuneStatser interface {
-	FineTuneStats() core.FineTuneStats
 }
 
 // Streams snapshots every live stream's counters. The per-shard locks
@@ -769,7 +764,7 @@ func (r *Registry) streamInfo(st *stream) StreamInfo {
 		info.Cascade = &stats
 		st.procMu.Unlock()
 	}
-	if fs, ok := st.det.(FineTuneStatser); ok {
+	if fs, ok := st.det.(core.FineTuneStatser); ok {
 		ft := fs.FineTuneStats()
 		info.FineTune = &ft
 	}

@@ -62,7 +62,7 @@ func (r *Registry) PageIdle(now time.Time) int {
 	r.forIdle(now.Add(-r.cfg.WarmAfter), func(st *stream) {
 		pager, ok := st.det.(core.Pager)
 		if !ok || Tier(st.tier.Load()) != TierHot {
-			return // warm already, or not pageable (e.g. cascade): hot until cold eviction
+			return // warm already, or nothing to page (a standalone tier-0 detector): hot until cold eviction
 		}
 		if err := r.pageOut(st, pager); err != nil {
 			r.cfg.Logf("streamad: page out %q: stream stays hot: %v", st.id, err)

@@ -50,11 +50,34 @@ func pagerDetCfg() streamad.Config {
 	}
 }
 
+// ladderDetectors are the detector shapes the ladder tests demote and
+// evict: the pagerDetCfg pipeline alone, and the same pipeline as the
+// heavy member of a cascade that is screening well before the 40th
+// vector — so its page is the heavy member's while the gate ring and the
+// calibration window stay resident.
+var ladderDetectors = []struct {
+	name  string
+	build func() (streamad.StreamDetector, error)
+}{
+	{"arima", func() (streamad.StreamDetector, error) { return streamad.New(pagerDetCfg()) }},
+	{"cascade", func() (streamad.StreamDetector, error) {
+		return streamad.NewFromSpec("cascade(zscore, arima+sw+musigma+raw; admit=0.2, calib=16, gatewin=8)", pagerDetCfg())
+	}},
+}
+
 // TestWarmPageOutBitIdentical: observe, force a warm demotion, observe
 // more; every score must equal the serial reference detector's.
 func TestWarmPageOutBitIdentical(t *testing.T) {
-	r, store := newPagerRegistry(t, ingest.Config{})
-	ref, err := streamad.New(pagerDetCfg())
+	for _, ld := range ladderDetectors {
+		t.Run(ld.name, func(t *testing.T) { testWarmPageOutBitIdentical(t, ld.build) })
+	}
+}
+
+func testWarmPageOutBitIdentical(t *testing.T, build func() (streamad.StreamDetector, error)) {
+	r, store := newPagerRegistry(t, ingest.Config{
+		NewDetector: func(string) (ingest.Stepper, error) { return build() },
+	})
+	ref, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +309,17 @@ func TestEvictRestoreGoroutineStable(t *testing.T) {
 // the eviction pre-pass, without the ladder counting a visit to hot —
 // and the next observe restores it from that snapshot.
 func TestWarmStreamColdEviction(t *testing.T) {
-	r, store := newPagerRegistry(t, ingest.Config{StreamTTL: time.Hour})
-	ref, err := streamad.New(pagerDetCfg())
+	for _, ld := range ladderDetectors {
+		t.Run(ld.name, func(t *testing.T) { testWarmStreamColdEviction(t, ld.build) })
+	}
+}
+
+func testWarmStreamColdEviction(t *testing.T, build func() (streamad.StreamDetector, error)) {
+	r, store := newPagerRegistry(t, ingest.Config{
+		StreamTTL:   time.Hour,
+		NewDetector: func(string) (ingest.Stepper, error) { return build() },
+	})
+	ref, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,6 @@ import (
 	"streamad/internal/persist"
 )
 
-// Checkpointer is the contract a detector must add to Stepper for the
-// server to persist it (streamad.Detector satisfies it).
-type Checkpointer = ingest.Checkpointer
-
 // RestoreStreams rebuilds every stream persisted in the configured store.
 // It must be called before the server starts handling traffic. The
 // returned warnings describe tolerated damage (a torn WAL tail from a

@@ -4,9 +4,10 @@
 // al.'s no-free-lunch result argues for fleets of cheap specialized
 // detectors over one heavy model; this package supplies the cheap end —
 // EWMA residual, moving z-score, streaming Hampel (median/MAD over a
-// ring) and sliding-window density — as first-class StreamDetectors with
-// full Save/Load state, so a cascade(...) spec can screen every vector
-// and reserve the heavy members for the few that look suspicious.
+// ring) and sliding-window density — as first-class detector nodes
+// (core.Node) with full Save/Load state, so a cascade(...) spec can
+// screen every vector and reserve the heavy members for the few that
+// look suspicious.
 //
 // All four detectors share the same output convention: Nonconformity is
 // the raw deviation statistic (a robust z-score, or a raw distance for
@@ -101,34 +102,31 @@ func zMap(z float64) float64 { return z / (z + zHalf) }
 //streamad:hotpath
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// stepper is the Step facet shared by the four detectors.
-type stepper interface {
-	Step(s []float64) (core.Result, bool)
+// leaf is the part of the core.Node contract no tier-0 detector varies:
+// a step counter, no model to fine-tune, no children.
+type leaf struct {
+	steps int
 }
 
-// runSeries implements the StreamDetector Run contract on top of Step.
-func runSeries(d stepper, series [][]float64) (scores []float64, valid []bool) {
-	scores = make([]float64, len(series))
-	valid = make([]bool, len(series))
-	for i, s := range series {
-		if res, ok := d.Step(s); ok {
-			scores[i] = res.Score
-			valid[i] = true
-		}
-	}
-	return scores, valid
-}
+// Steps returns the number of stream vectors consumed.
+func (l *leaf) Steps() int { return l.steps }
+
+// FineTunes implements core.Node; tier-0 detectors never fine-tune.
+func (l *leaf) FineTunes() int { return 0 }
+
+// Children implements core.Node.
+func (l *leaf) Children() []core.Node { return nil }
 
 // EWMA scores each vector by the largest per-channel residual against an
 // exponentially weighted running mean, normalized by an EWMA of the
 // squared residual — the classic control-chart detector.
 type EWMA struct {
+	leaf
 	alpha  float64
 	warmup int
 	mean   []float64
 	vari   []float64
 	cnt    []int // finite samples seen per channel
-	steps  int
 }
 
 // NewEWMA returns an EWMA residual detector.
@@ -183,26 +181,16 @@ func (d *EWMA) Step(s []float64) (core.Result, bool) {
 	return core.Result{Nonconformity: maxz, Score: zMap(maxz)}, true
 }
 
-// Run scores an entire series with a validity mask.
-func (d *EWMA) Run(series [][]float64) ([]float64, []bool) { return runSeries(d, series) }
-
-// Steps returns the number of stream vectors consumed.
-func (d *EWMA) Steps() int { return d.steps }
-
-// FineTunes implements the StreamDetector contract; tier-0 detectors
-// never fine-tune.
-func (d *EWMA) FineTunes() int { return 0 }
-
 // ZScore scores each vector by the largest per-channel z-score against
 // the mean and variance of that channel's previous Window samples
 // (maintained as rolling sums over a ring; the current sample is scored
 // before it enters the window).
 type ZScore struct {
+	leaf
 	w     int
 	rings []*window.Ring
 	sum   []float64
 	sumsq []float64
-	steps int
 }
 
 // NewZScore returns a moving z-score detector.
@@ -265,15 +253,6 @@ func (d *ZScore) Step(s []float64) (core.Result, bool) {
 	return core.Result{Nonconformity: maxz, Score: zMap(maxz)}, true
 }
 
-// Run scores an entire series with a validity mask.
-func (d *ZScore) Run(series [][]float64) ([]float64, []bool) { return runSeries(d, series) }
-
-// Steps returns the number of stream vectors consumed.
-func (d *ZScore) Steps() int { return d.steps }
-
-// FineTunes implements the StreamDetector contract.
-func (d *ZScore) FineTunes() int { return 0 }
-
 // Hampel scores each vector by the largest per-channel robust z-score
 // |x−median| / (1.4826·MAD) over the channel's previous Window samples —
 // the streaming Hampel filter. Median and MAD are exact: each channel
@@ -282,11 +261,11 @@ func (d *ZScore) FineTunes() int { return 0 }
 // walk outward from the median, so a step costs O(Window) with no
 // per-step sort.
 type Hampel struct {
+	leaf
 	w      int
 	rings  []*window.Ring
 	sorted [][]float64 // per channel: the ring's values in ascending order
 	ns     []int       // per channel: len(sorted[i])
-	steps  int
 }
 
 // NewHampel returns a streaming Hampel detector; an even Window is
@@ -393,15 +372,6 @@ func (d *Hampel) Step(s []float64) (core.Result, bool) {
 	return core.Result{Nonconformity: maxz, Score: zMap(maxz)}, true
 }
 
-// Run scores an entire series with a validity mask.
-func (d *Hampel) Run(series [][]float64) ([]float64, []bool) { return runSeries(d, series) }
-
-// Steps returns the number of stream vectors consumed.
-func (d *Hampel) Steps() int { return d.steps }
-
-// FineTunes implements the StreamDetector contract.
-func (d *Hampel) FineTunes() int { return 0 }
-
 // Density scores each vector by its mean Euclidean distance to Sample
 // rows drawn from a ring of the last Window vectors, normalized by an
 // EWMA of that distance — a sliding-window density estimate in the
@@ -409,13 +379,13 @@ func (d *Hampel) FineTunes() int { return 0 }
 // draws from a counted source, so the RNG position checkpoints with the
 // detector.
 type Density struct {
+	leaf
 	win   *window.VecRing
 	k     int
 	alpha float64
 	scale float64
 	src   *randstate.CountedSource
 	rng   *rand.Rand //streamad:transient stateless wrapper over src, whose position Save/Load round-trips
-	steps int
 }
 
 // NewDensity returns a sliding-window density detector.
@@ -489,12 +459,3 @@ func (d *Density) Step(s []float64) (core.Result, bool) {
 	d.win.Push(s)
 	return core.Result{Nonconformity: dm, Score: score}, true
 }
-
-// Run scores an entire series with a validity mask.
-func (d *Density) Run(series [][]float64) ([]float64, []bool) { return runSeries(d, series) }
-
-// Steps returns the number of stream vectors consumed.
-func (d *Density) Steps() int { return d.steps }
-
-// FineTunes implements the StreamDetector contract.
-func (d *Density) FineTunes() int { return 0 }

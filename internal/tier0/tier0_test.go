@@ -10,14 +10,7 @@ import (
 )
 
 // detector is the full tier-0 contract under test.
-type detector interface {
-	Step(s []float64) (core.Result, bool)
-	Run(series [][]float64) ([]float64, []bool)
-	Steps() int
-	FineTunes() int
-	Save() ([]byte, error)
-	Load([]byte) error
-}
+type detector = core.Node
 
 // builders constructs every tier-0 detector from one config.
 var builders = []struct {
@@ -279,7 +272,7 @@ func TestDensityFullScan(t *testing.T) {
 	}
 }
 
-// TestRunMatchesStep checks the Run facade agrees with stepping.
+// TestRunMatchesStep checks core.Run over a tier-0 node agrees with stepping.
 func TestRunMatchesStep(t *testing.T) {
 	const channels = 2
 	rng := rand.New(rand.NewSource(47))
@@ -291,7 +284,7 @@ func TestRunMatchesStep(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			d1, _ := b.build(Config{Channels: channels, Window: 16, Seed: 5})
 			d2, _ := b.build(Config{Channels: channels, Window: 16, Seed: 5})
-			scores, valid := d1.Run(series)
+			scores, valid := core.Run(d1, series)
 			for i, s := range series {
 				res, ok := d2.Step(s)
 				if ok != valid[i] {

@@ -105,23 +105,6 @@ func Marshal(a Appender, size *int) ([]byte, error) {
 	return blob, err
 }
 
-// AppendCheckpoint appends a detector's full checkpoint as one section:
-// an Appender (every pipeline this repo builds) writes straight into dst;
-// anything else offering Save() is copied in.
-func AppendCheckpoint(dst []byte, det any) ([]byte, error) {
-	switch d := det.(type) {
-	case Appender:
-		return AppendSection(dst, d)
-	case interface{ Save() ([]byte, error) }:
-		blob, err := d.Save()
-		if err != nil {
-			return nil, err
-		}
-		return AppendBytes(dst, blob), nil
-	}
-	return nil, fmt.Errorf("%T does not support checkpointing", det)
-}
-
 // Reader decodes a buffer written with the Append helpers. The first
 // failure sticks: later reads return zero values and Err reports it, so
 // a decoder reads a whole header and checks once. Slices returned by

@@ -126,17 +126,3 @@ func TestReaderRefusesBadInput(t *testing.T) {
 		t.Error("negative section length accepted")
 	}
 }
-
-type nothing struct{}
-
-// TestAppendCheckpointRefusesPlainValues pins the fallback order.
-func TestAppendCheckpointRefusesPlainValues(t *testing.T) {
-	if _, err := AppendCheckpoint(nil, nothing{}); err == nil {
-		t.Error("a value with neither AppendBinary nor Save was accepted")
-	}
-	got, err := AppendCheckpoint(nil, pair{1, 2})
-	want, _ := AppendSection(nil, pair{1, 2})
-	if err != nil || !bytes.Equal(got, want) {
-		t.Errorf("Appender not written as a section: %v", err)
-	}
-}

@@ -2,6 +2,8 @@ package streamad
 
 import (
 	"testing"
+
+	"streamad/internal/core"
 )
 
 // TestTrainerPoolMatchesSyncWhenDrained: routing fine-tunes through the
@@ -206,43 +208,55 @@ func TestDetectorPageRoundTrip(t *testing.T) {
 }
 
 // TestEnsemblePageRoundTrip: the composed page set must restore every
-// member bit-identically.
+// member bit-identically — for an ensemble, and for a cascade whose heavy
+// member is that ensemble, where the walk goes down two levels of
+// Children() past a gate that stays resident.
 func TestEnsemblePageRoundTrip(t *testing.T) {
-	spec := EnsembleSpec{
-		Members: []PipelineSpec{
-			{Model: ModelARIMA, Task1: TaskSlidingWindow, Task2: TaskMuSigma, Score: ScoreRaw},
-			{Model: ModelAE, Task1: TaskSlidingWindow, Task2: TaskRegular, Score: ScoreLikelihood},
-		},
-		Agg: AggMean,
-	}
-	base := Config{Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 13}
-	ref, err := NewEnsemble(base, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged, err := NewEnsemble(base, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, 2)
-	buf2 := make([]float64, 2)
-	for step := 0; step < 150; step++ {
-		if step == 80 {
-			blob, err := paged.PageOut()
+	const members = "arima+sw+musigma+raw, ae+sw+regular+al; agg=mean"
+	for _, spec := range []string{
+		"ensemble(" + members + ")",
+		"cascade(zscore, ensemble(" + members + "); admit=0.2, calib=16, gatewin=8)",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			base := Config{Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 13}
+			ref, err := NewFromSpec(spec, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !paged.Paged() {
-				t.Fatal("ensemble not paged after PageOut")
-			}
-			if err := paged.PageIn(blob); err != nil {
+			paged, err := NewFromSpec(spec, base)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		rr, okr := ref.Step(syntheticVec(buf, step))
-		rp, okp := paged.Step(syntheticVec(buf2, step))
-		if okr != okp || rr.Score != rp.Score {
-			t.Fatalf("step %d: ensemble paging changed the scores", step)
-		}
+			// requirePaged checks every pageable node of the tree.
+			var requirePaged func(n StreamDetector, want bool)
+			requirePaged = func(n StreamDetector, want bool) {
+				if p, ok := n.(core.Pager); ok && p.Paged() != want {
+					t.Fatalf("%T: Paged() = %v, want %v", n, p.Paged(), want)
+				}
+				for _, child := range n.Children() {
+					requirePaged(child, want)
+				}
+			}
+			buf := make([]float64, 2)
+			buf2 := make([]float64, 2)
+			for step := 0; step < 150; step++ {
+				if step == 80 {
+					blob, err := paged.(core.Pager).PageOut()
+					if err != nil {
+						t.Fatal(err)
+					}
+					requirePaged(paged, true)
+					if err := paged.(core.Pager).PageIn(blob); err != nil {
+						t.Fatal(err)
+					}
+					requirePaged(paged, false)
+				}
+				rr, okr := ref.Step(syntheticVec(buf, step))
+				rp, okp := paged.Step(syntheticVec(buf2, step))
+				if okr != okp || rr.Score != rp.Score || rr.Source != rp.Source {
+					t.Fatalf("step %d: paging changed the scores", step)
+				}
+			}
+		})
 	}
 }

@@ -39,7 +39,7 @@ func TestSanitizeSurvivesNaNInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, valid := det.Run(data)
+	scores, valid := Run(det, data)
 	nValid := 0
 	for i, ok := range valid {
 		if !ok {
@@ -77,7 +77,7 @@ func TestWithoutSanitizeNaNPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, valid := det.Run(data)
+	scores, valid := Run(det, data)
 	sawNaN := false
 	for i := 300; i < 312 && i < len(scores); i++ {
 		if valid[i] && math.IsNaN(scores[i]) {

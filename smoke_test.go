@@ -28,7 +28,7 @@ func TestSmokeAllModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			scores, valid := det.Run(series.Data)
+			scores, valid := Run(det, series.Data)
 			nValid := 0
 			for i, ok := range valid {
 				if !ok {

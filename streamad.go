@@ -20,6 +20,8 @@
 //		}
 //	}
 //
+// Ensembles, screening cascades and the tier-0 detectors are built from a
+// spec string (NewFromSpec) and share the one StreamDetector contract.
 // Combos enumerates the paper's 26 evaluated algorithm combinations.
 package streamad
 
@@ -338,10 +340,16 @@ func NewScoringPool(workers int) *ScorePool { return pool.NewScoring(workers) }
 // concurrent training slots; slots <= 0 selects 2.
 func NewTrainerPool(slots int) *TrainerPool { return pool.NewTrainer(slots) }
 
-// Detector is a fully assembled streaming anomaly detector.
+// Detector is a fully assembled streaming anomaly detector: the leaf of
+// the detector tree. The embedded framework loop supplies Step, Steps,
+// FineTunes, FineTuneStats, WaitFineTune, Close, WarmedUp, DriftOps and
+// warm-tier paging (PageOut/PageIn/Paged, which move the window state
+// only — the model stays resident); this type adds what the loop does
+// not own: the configuration, the Task 1 RNG and the model's place in the
+// checkpoint (Save/Load in checkpoint.go, SaveModel/LoadModel here).
 type Detector struct {
-	inner *core.Detector
-	cfg   Config
+	*core.Detector
+	cfg Config
 	// src drives the Task 1 strategies' random draws; counting them makes
 	// the RNG position part of the Save/Load checkpoint.
 	src *randstate.CountedSource
@@ -445,7 +453,7 @@ func New(cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{inner: inner, cfg: cfg, src: src}, nil
+	return &Detector{Detector: inner, cfg: cfg, src: src}, nil
 }
 
 func buildModel(cfg Config) (core.Model, error) {
@@ -497,53 +505,11 @@ func buildModel(cfg Config) (core.Model, error) {
 	}
 }
 
-// Step consumes the next stream vector; ok becomes true once the window is
-// full and warmup training has completed.
-func (d *Detector) Step(s []float64) (Result, bool) { return d.inner.Step(s) }
-
-// Run scores an entire series, returning per-step anomaly scores and a
-// validity mask covering the post-warmup region.
-func (d *Detector) Run(series [][]float64) (scores []float64, valid []bool) {
-	return d.inner.Run(series)
+// Run scores an entire series with det, returning per-step anomaly scores
+// and a validity mask covering the post-warmup region.
+func Run(det StreamDetector, series [][]float64) (scores []float64, valid []bool) {
+	return core.Run(det, series)
 }
-
-// FineTunes returns the number of drift-triggered fine-tuning sessions.
-func (d *Detector) FineTunes() int { return d.inner.FineTunes() }
-
-// FineTuneStats returns a snapshot of fine-tuning activity — mode,
-// in-flight state, counters and the duration histogram. Safe to call from
-// any goroutine.
-func (d *Detector) FineTuneStats() core.FineTuneStats { return d.inner.FineTuneStats() }
-
-// WaitFineTune blocks until any in-flight asynchronous fine-tune has
-// finished and its model has been adopted. Call it from the stepping
-// goroutine before SaveModel, or in tests that compare async to sync
-// scores. A no-op in synchronous mode.
-func (d *Detector) WaitFineTune() { d.inner.WaitFineTune() }
-
-// WarmedUp reports whether the initial training completed.
-func (d *Detector) WarmedUp() bool { return d.inner.WarmedUp() }
-
-// PageOut demotes the detector to the warm tier: any in-flight
-// fine-tune is drained, the window/training-set/drift/scorer state is
-// serialized into the returned blob and its backing storage released.
-// The model stays resident. Step panics until PageIn restores the blob.
-func (d *Detector) PageOut() ([]byte, error) { return d.inner.PageOut() }
-
-// PageIn restores state paged out by PageOut, bit-identically.
-func (d *Detector) PageIn(blob []byte) error { return d.inner.PageIn(blob) }
-
-// Paged reports whether the detector's window state is paged out.
-func (d *Detector) Paged() bool { return d.inner.Paged() }
-
-// Close drains or cancels any in-flight asynchronous fine-tune so no
-// trainer-pool task outlives the detector. The detector remains usable;
-// Close is optional for process-lifetime detectors.
-func (d *Detector) Close() { d.inner.Close() }
-
-// DriftOps exposes the Task 2 strategy's cumulative operation counts
-// (Table II instrumentation).
-func (d *Detector) DriftOps() drift.OpCounts { return d.inner.DriftOps() }
 
 // Config returns the (default-filled) configuration the detector runs.
 func (d *Detector) Config() Config { return d.cfg }
@@ -555,8 +521,8 @@ func (d *Detector) Config() Config { return d.cfg }
 // Any in-flight asynchronous fine-tune is drained first, so the snapshot
 // always holds the newest adopted parameters.
 func (d *Detector) SaveModel() ([]byte, error) {
-	d.inner.WaitFineTune()
-	m, ok := d.inner.Model().(wire.Appender)
+	d.WaitFineTune()
+	m, ok := d.Model().(wire.Appender)
 	if !ok {
 		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
 	}
@@ -567,8 +533,8 @@ func (d *Detector) SaveModel() ([]byte, error) {
 // detector's model. The detector must have been built with an identical
 // model configuration (kind, Window, Channels).
 func (d *Detector) LoadModel(data []byte) error {
-	d.inner.WaitFineTune()
-	m, ok := d.inner.Model().(encoding.BinaryUnmarshaler)
+	d.WaitFineTune()
+	m, ok := d.Model().(encoding.BinaryUnmarshaler)
 	if !ok {
 		return fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
 	}

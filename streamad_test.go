@@ -122,7 +122,7 @@ func TestDetectorDeterministicWithSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, _ := det.Run(s.Data)
+		scores, _ := Run(det, s.Data)
 		return scores
 	}
 	a, b := run(), run()
@@ -146,7 +146,7 @@ func TestAllTask2StrategiesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", t2, err)
 		}
-		_, valid := det.Run(s.Data)
+		_, valid := Run(det, s.Data)
 		any := false
 		for _, ok := range valid {
 			any = any || ok
@@ -161,7 +161,7 @@ func TestAllTask2StrategiesRun(t *testing.T) {
 		Score: ScoreAverage, Channels: s.Channels(),
 		Window: 8, TrainSize: 30, WarmupVectors: 40, RegularInterval: 50, Seed: 2,
 	})
-	det.Run(s.Data)
+	Run(det, s.Data)
 	if det.FineTunes() == 0 {
 		t.Fatal("Regular strategy never fine-tuned")
 	}
@@ -178,7 +178,7 @@ func TestVARWithSlidingWindowWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, valid := det.Run(s.Data)
+	scores, valid := Run(det, s.Data)
 	for i, ok := range valid {
 		if ok && (scores[i] < 0 || scores[i] > 1) {
 			t.Fatalf("score out of range at %d: %v", i, scores[i])
