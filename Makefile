@@ -65,7 +65,7 @@ race:
 
 # loc prints the number ROADMAP aim 2 ("least code") is about: non-test
 # Go lines outside the frozen benchmark/. 25,998 before the detector-tree
-# refactor (PR 22).
+# refactor (PR 22), 25,707 before the spec-tree one (PR 23).
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
@@ -73,11 +73,16 @@ loc:
 # committed seed corpus (testdata/fuzz): the snapshot-file and WAL
 # decoders and the detector checkpoint decoder must never panic, never
 # accept a CRC-bad file, and re-encode whatever they accept
-# byte-identically. go test -fuzz takes one target per invocation.
+# byte-identically; the two spec grammars must never panic, a detector
+# spec's canonical form must be a fixed point, and an accepted scenario
+# must replay bit-identically. go test -fuzz takes one target per
+# invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshotFile$$' -fuzztime=5s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAL$$' -fuzztime=5s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorLoad$$' -fuzztime=5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime=5s ./internal/scenario
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

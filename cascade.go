@@ -2,10 +2,10 @@ package streamad
 
 import (
 	"fmt"
-	"strings"
 
 	"streamad/internal/cascade"
 	"streamad/internal/core"
+	"streamad/internal/spec"
 	"streamad/internal/tier0"
 )
 
@@ -25,39 +25,56 @@ const (
 	Tier0Density
 )
 
-// String returns the spec-grammar name.
-func (t Tier0Kind) String() string { return specTier0Name(t) }
+var tier0Names = spec.Enum[Tier0Kind]{What: "tier-0 detector", Rows: []spec.Names{
+	Tier0EWMA:    {Spec: "ewma"},
+	Tier0ZScore:  {Spec: "zscore", Aliases: []string{"z-score", "z"}},
+	Tier0Hampel:  {Spec: "hampel"},
+	Tier0Density: {Spec: "density"},
+}}
 
-// CascadeStats re-exports the cascade's per-tier counters.
-type CascadeStats = cascade.Stats
+// String returns the spec-grammar name.
+func (t Tier0Kind) String() string { return tier0Names.Spec(t) }
+
+// ParseTier0Kind converts a tier-0 detector name into a Tier0Kind.
+func ParseTier0Kind(s string) (Tier0Kind, error) { return tier0Names.Parse(s) }
+
+func (Tier0Kind) kind() specKind { return kindTier0 }
+
+// Build implements Spec: a standalone tier-0 detector at the default
+// window.
+func (t Tier0Kind) Build(base Config) (StreamDetector, error) { return NewTier0(base, t, 0) }
 
 // CascadeSpec describes a screening cascade: the tier-0 gate, the heavy
-// member specs (pipeline or ensemble grammar, canonicalized), and the
-// admission calibration. Zero values select the defaults (admit 0.1,
-// calib 128, gate window 64).
+// member specs and the admission calibration. Zero values select the
+// defaults (admit 0.1, calib 128, gate window 64).
 type CascadeSpec struct {
 	// Gate is the tier-0 screening detector.
 	Gate Tier0Kind
-	// Heavy are the admitted-traffic member specs (at least one), each a
-	// pipeline spec ("knn+sw+musigma+al") or an ensemble(...) spec.
-	Heavy []string
-	// Admit is the target false-admission rate ε (0 = 0.1).
+	// Heavy are the admitted-traffic members (at least one), each a
+	// PipelineSpec or an EnsembleSpec.
+	Heavy []Spec
+	// Admit is the target false-admission rate ε of the conformal gate
+	// (option admit=, in (0,1); 0 = 0.1).
 	Admit float64
-	// Calib is the conformal calibration-window capacity (0 = 128).
+	// Calib is the conformal calibration-window capacity (option calib=,
+	// at least 8; 0 = 128).
 	Calib int
-	// GateWindow is the tier-0 gate's ring length (0 = 64).
+	// GateWindow is the tier-0 gate's ring length (option gatewin=, at
+	// least 4; 0 = 64).
 	GateWindow int
 }
 
-// String renders the spec in the grammar form accepted by
-// ParseCascadeSpec.
+// String renders the spec in canonical form.
 func (c CascadeSpec) String() string {
 	admit := c.Admit
 	if admit == 0 {
 		admit = 0.1
 	}
-	s := "cascade(" + specTier0Name(c.Gate) + ", " + strings.Join(c.Heavy, ", ") +
-		fmt.Sprintf("; admit=%g", admit)
+	s := kindCascade.String() + "(" + c.Gate.String()
+	for _, h := range c.Heavy {
+		s += ", " + h.String()
+	}
+	s += fmt.Sprintf("; admit=%g", admit)
 	if c.Calib != 0 && c.Calib != 128 {
 		s += fmt.Sprintf(", calib=%d", c.Calib)
 	}
@@ -65,6 +82,13 @@ func (c CascadeSpec) String() string {
 		s += fmt.Sprintf(", gatewin=%d", c.GateWindow)
 	}
 	return s + ")"
+}
+
+func (CascadeSpec) kind() specKind { return kindCascade }
+
+// Build implements Spec; it is NewCascade.
+func (c CascadeSpec) Build(base Config) (StreamDetector, error) {
+	return asNode(NewCascade(base, c))
 }
 
 // NewTier0 builds a standalone tier-0 detector. The four kinds are
@@ -102,7 +126,7 @@ func NewTier0(base Config, kind Tier0Kind, win int) (StreamDetector, error) {
 // internal/cascade type has the semantics and supplies the whole
 // detector surface: Step (whose Result.Source names the tier that
 // produced the score — "tier0:zscore" for screened-out vectors,
-// "heavy:…" for admitted ones), CascadeStats, Save/Load, Close, and
+// "heavy:…" for admitted ones), Stats, Save/Load, Close, and
 // warm-tier paging of the heavy members. Build one with NewCascade or
 // NewFromSpec. Like Detector and Ensemble, a Cascade is not safe for
 // concurrent use.
@@ -132,21 +156,21 @@ func NewCascade(base Config, spec CascadeSpec) (*Cascade, error) {
 	heavy := make([]core.Node, len(spec.Heavy))
 	labels := make([]string, len(spec.Heavy))
 	for i, hs := range spec.Heavy {
-		if IsCascadeSpec(hs) {
-			return nil, fmt.Errorf("streamad: cascades do not nest (heavy member %q)", hs)
+		if hs.kind()&atHeavy == 0 {
+			return nil, fmt.Errorf("streamad: cascade heavy member %d (%s) is a %v, want a %v", i, hs, hs.kind(), atHeavy&^kindModel)
 		}
 		cfg := base
 		cfg.Seed = seed + int64(i+1)*memberSeedStride
-		det, err := NewFromSpec(hs, cfg)
+		det, err := hs.Build(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("streamad: cascade heavy member %d (%s): %w", i, hs, err)
 		}
 		heavy[i] = det
-		labels[i] = hs
+		labels[i] = hs.String()
 	}
 	inner, err := cascade.New(cascade.Config{
 		Gate:        gate,
-		GateLabel:   specTier0Name(spec.Gate),
+		GateLabel:   spec.Gate.String(),
 		Heavy:       heavy,
 		HeavyLabels: labels,
 		Admit:       spec.Admit,

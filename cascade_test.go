@@ -18,6 +18,19 @@ func noisyVec(dst []float64, t int, rng *rand.Rand) []float64 {
 }
 
 func TestParseCascadeSpec(t *testing.T) {
+	// heavy parses each canonical member spec on its own: a heavy member
+	// is the same tree nested as standing alone.
+	heavy := func(members ...string) []Spec {
+		out := make([]Spec, len(members))
+		for i, m := range members {
+			sp, err := ParseSpec(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = sp
+		}
+		return out
+	}
 	cases := []struct {
 		in   string
 		want CascadeSpec
@@ -25,13 +38,13 @@ func TestParseCascadeSpec(t *testing.T) {
 	}{
 		{
 			in:   "cascade(zscore, knn)",
-			want: CascadeSpec{Gate: Tier0ZScore, Heavy: []string{"knn+sw+musigma+al"}},
+			want: CascadeSpec{Gate: Tier0ZScore, Heavy: heavy("knn+sw+musigma+al")},
 			str:  "cascade(zscore, knn+sw+musigma+al; admit=0.1)",
 		},
 		{
 			in: "cascade(hampel, usad+sw+musigma+al; admit=0.05, calib=256, gatewin=32)",
 			want: CascadeSpec{
-				Gate: Tier0Hampel, Heavy: []string{"usad+sw+musigma+al"},
+				Gate: Tier0Hampel, Heavy: heavy("usad+sw+musigma+al"),
 				Admit: 0.05, Calib: 256, GateWindow: 32,
 			},
 			str: "cascade(hampel, usad+sw+musigma+al; admit=0.05, calib=256, gatewin=32)",
@@ -40,7 +53,7 @@ func TestParseCascadeSpec(t *testing.T) {
 			in: "cascade(ewma, ensemble(arima+sw+kswin, usad+ares+regular; agg=median); admit=0.02)",
 			want: CascadeSpec{
 				Gate:  Tier0EWMA,
-				Heavy: []string{"ensemble(arima+sw+kswin+al, usad+ares+regular+al; agg=median)"},
+				Heavy: heavy("ensemble(arima+sw+kswin+al, usad+ares+regular+al; agg=median)"),
 				Admit: 0.02,
 			},
 			str: "cascade(ewma, ensemble(arima+sw+kswin+al, usad+ares+regular+al; agg=median); admit=0.02)",
@@ -49,26 +62,26 @@ func TestParseCascadeSpec(t *testing.T) {
 			in: "cascade(density, knn+sw+musigma+raw, arima+sw+kswin)",
 			want: CascadeSpec{
 				Gate:  Tier0Density,
-				Heavy: []string{"knn+sw+musigma+raw", "arima+sw+kswin+al"},
+				Heavy: heavy("knn+sw+musigma+raw", "arima+sw+kswin+al"),
 			},
 			str: "cascade(density, knn+sw+musigma+raw, arima+sw+kswin+al; admit=0.1)",
 		},
 	}
 	for _, tc := range cases {
-		got, err := ParseCascadeSpec(tc.in)
+		got, err := parseAs[CascadeSpec](tc.in)
 		if err != nil {
-			t.Errorf("ParseCascadeSpec(%q): %v", tc.in, err)
+			t.Errorf("ParseSpec(%q): %v", tc.in, err)
 			continue
 		}
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("ParseCascadeSpec(%q) = %+v, want %+v", tc.in, got, tc.want)
+			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 		if got.String() != tc.str {
 			t.Errorf("String() = %q, want %q", got.String(), tc.str)
 		}
 		// The canonical form is a fixed point of parse∘String (defaults
 		// become explicit on the first rendering, so compare renderings).
-		again, err := ParseCascadeSpec(got.String())
+		again, err := parseAs[CascadeSpec](got.String())
 		if err != nil {
 			t.Errorf("re-parse %q: %v", got.String(), err)
 		} else if again.String() != got.String() {
@@ -92,8 +105,8 @@ func TestParseCascadeSpecErrors(t *testing.T) {
 		"cascade(zscore, knn",                  // unterminated
 	}
 	for _, s := range bad {
-		if _, err := ParseCascadeSpec(s); err == nil {
-			t.Errorf("ParseCascadeSpec(%q) accepted an invalid spec", s)
+		if _, err := parseAs[CascadeSpec](s); err == nil {
+			t.Errorf("ParseSpec(%q) accepted an invalid spec", s)
 		}
 	}
 }
@@ -152,7 +165,7 @@ func TestCascadeScreening(t *testing.T) {
 			t.Fatalf("step %d: unexpected Source %q", i, res.Source)
 		}
 	}
-	st := casc.CascadeStats()
+	st := *casc.Stats().Cascade
 	if !st.Screening {
 		t.Fatalf("screening never activated: %+v", st)
 	}
@@ -194,7 +207,7 @@ func TestCascadeSpikeAdmitted(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		casc.Step(noisyVec(buf, i, rng))
 	}
-	if !casc.CascadeStats().Screening {
+	if !casc.Stats().Cascade.Screening {
 		t.Fatal("screening not active after 600 steps")
 	}
 	noisyVec(buf, 600, rng)
@@ -250,7 +263,7 @@ func TestCascadeSaveLoadBitIdentity(t *testing.T) {
 			t.Fatalf("step %d diverged: orig (%+v,%v) twin (%+v,%v)", i, r1, ok1, r2, ok2)
 		}
 	}
-	s1, s2 := orig.(*Cascade).CascadeStats(), twin.(*Cascade).CascadeStats()
+	s1, s2 := *orig.(*Cascade).Stats().Cascade, *twin.(*Cascade).Stats().Cascade
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats diverged:\n orig %+v\n twin %+v", s1, s2)
 	}

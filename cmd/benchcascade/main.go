@@ -96,8 +96,8 @@ func main() {
 		vectors = flag.Int("vectors", 16000, "vectors to stream")
 		warmup  = flag.Int("warmup", 512, "leading vectors excluded from cost and detection metrics")
 		seed    = flag.Int64("seed", 1, "scenario and detector seed")
-		heavy   = flag.String("heavy", "knn", "heavy member spec (pipeline or ensemble grammar)")
-		gate    = flag.String("gate", "zscore", "tier-0 gate: ewma|zscore|hampel|density")
+		heavy   = flag.String("heavy", streamad.PipelineSpec{Model: streamad.ModelKNN, Score: streamad.ScoreLikelihood}.String(), "heavy member spec (pipeline or ensemble grammar)")
+		gate    = flag.String("gate", streamad.Tier0ZScore.String(), "tier-0 gate detector name")
 		admit   = flag.Float64("admit", 0.1, "target false-admission rate of the conformal gate")
 		calib   = flag.Int("calib", 128, "conformal calibration-window capacity")
 		gatewin = flag.Int("gatewin", 64, "tier-0 gate ring length")
@@ -175,11 +175,12 @@ func bench(spec string, seed int64, vectors, warmup int, heavy, gate string,
 	// The cascade spec is parsed from the same grammar the server
 	// accepts, so the heavy member label in the report is the canonical
 	// form and the plain run is built from exactly that spec.
-	casSpec, err := streamad.ParseCascadeSpec(fmt.Sprintf("cascade(%s, %s; admit=%g, calib=%d, gatewin=%d)",
+	tree, err := streamad.ParseSpec(fmt.Sprintf("cascade(%s, %s; admit=%g, calib=%d, gatewin=%d)",
 		gate, heavy, admit, calib, gatewin))
 	if err != nil {
 		return nil, err
 	}
+	casSpec := tree.(streamad.CascadeSpec)
 	base := streamad.Config{Channels: gen.Channels(), Window: window, TrainSize: train, Seed: seed}
 
 	rep := &Report{
@@ -187,11 +188,11 @@ func bench(spec string, seed int64, vectors, warmup int, heavy, gate string,
 		AlertQuantile: quant,
 	}
 
-	plainDet, err := streamad.NewFromSpec(casSpec.Heavy[0], base)
+	plainDet, err := casSpec.Heavy[0].Build(base)
 	if err != nil {
 		return nil, err
 	}
-	rep.Plain = evalRun(plainDet, casSpec.Heavy[0], series, labels, warmup, quant, nil)
+	rep.Plain = evalRun(plainDet, casSpec.Heavy[0].String(), series, labels, warmup, quant, nil)
 
 	cas, err := streamad.NewCascade(base, casSpec)
 	if err != nil {
@@ -200,7 +201,7 @@ func bench(spec string, seed int64, vectors, warmup int, heavy, gate string,
 	defer cas.Close()
 	var adm admitTrack
 	rep.Cascade.RunStats = evalRun(cas, casSpec.String(), series, labels, warmup, quant, &adm)
-	st := cas.CascadeStats()
+	st := cas.Stats().Cascade
 	rep.Cascade.AdmitTarget = finite(st.AdmitTarget)
 	rep.Cascade.Screened = st.Screened
 	rep.Cascade.Admitted = st.Admitted
@@ -246,7 +247,7 @@ func evalRun(det streamad.StreamDetector, spec string, series [][]float64, label
 			timed++
 		}
 		if adm != nil && cas != nil {
-			st := cas.CascadeStats()
+			st := cas.Stats().Cascade
 			screened := st.Screened > adm.prevScreened
 			admitted := st.Admitted > adm.prevAdmitted
 			adm.prevScreened, adm.prevAdmitted = st.Screened, st.Admitted

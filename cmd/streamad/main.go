@@ -23,11 +23,7 @@ import (
 
 func main() {
 	var (
-		spec      = flag.String("spec", "", `pipeline or ensemble spec, e.g. "arima+sw+kswin" or "ensemble(arima+sw+kswin, usad+ares+regular; agg=median)"; overrides -model/-task1/-task2/-score`)
-		modelName = flag.String("model", "usad", "model: arima|pcb|ae|usad|nbeats|var")
-		task1Name = flag.String("task1", "sw", "training-set strategy: sw|ures|ares")
-		task2Name = flag.String("task2", "musigma", "drift strategy: musigma|kswin|regular")
-		scoreName = flag.String("score", "likelihood", "anomaly score: avg|likelihood|raw")
+		spec      = streamad.SpecFlags(flag.CommandLine)
 		window    = flag.Int("w", 32, "data representation length")
 		train     = flag.Int("m", 200, "training set size")
 		warmup    = flag.Int("warmup", 0, "warmup feature vectors (default m)")
@@ -52,8 +48,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *spec, *modelName, *task1Name, *task2Name, *scoreName,
-		*window, *train, *warmup, *seed, *threshold, *quiet); err != nil {
+	if err := run(flag.Arg(0), spec(), *window, *train, *warmup, *seed, *threshold, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -85,7 +80,7 @@ func generate(corpus, out string) error {
 	return dataset.WriteCSV(w, c.Series[0])
 }
 
-func run(path, spec, model, task1, task2, score string, window, train, warmup int, seed int64, threshold float64, quiet bool) error {
+func run(path, spec string, window, train, warmup int, seed int64, threshold float64, quiet bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -95,34 +90,10 @@ func run(path, spec, model, task1, task2, score string, window, train, warmup in
 	if err != nil {
 		return err
 	}
-	base := streamad.Config{
+	det, err := streamad.NewFromSpec(spec, streamad.Config{
 		Channels: series.Channels(), Window: window, TrainSize: train,
 		WarmupVectors: warmup, Seed: seed,
-	}
-	var det streamad.StreamDetector
-	if spec != "" {
-		det, err = streamad.NewFromSpec(spec, base)
-	} else {
-		mk, perr := streamad.ParseModelKind(model)
-		if perr != nil {
-			return perr
-		}
-		t1, perr := streamad.ParseTask1(task1)
-		if perr != nil {
-			return perr
-		}
-		t2, perr := streamad.ParseTask2(task2)
-		if perr != nil {
-			return perr
-		}
-		sk, perr := streamad.ParseScoreKind(score)
-		if perr != nil {
-			return perr
-		}
-		cfg := base
-		cfg.Model, cfg.Task1, cfg.Task2, cfg.Score = mk, t1, t2, sk
-		det, err = streamad.New(cfg)
-	}
+	})
 	if err != nil {
 		return err
 	}

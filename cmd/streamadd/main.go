@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -47,11 +46,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		spec        = flag.String("spec", "", `pipeline or ensemble spec, e.g. "arima+sw+kswin" or "ensemble(arima+sw+kswin, usad+ares+regular; agg=median)"; overrides -model/-task1/-task2/-score`)
-		modelName   = flag.String("model", "usad", "model: arima|arima-ons|pcb|ae|usad|nbeats|var|knn")
-		task1Name   = flag.String("task1", "sw", "training-set strategy: sw|ures|ares")
-		task2Name   = flag.String("task2", "musigma", "drift strategy: musigma|kswin|regular|adwin")
-		scoreName   = flag.String("score", "likelihood", "anomaly score: avg|likelihood|raw")
+		spec        = streamad.SpecFlags(flag.CommandLine)
 		channels    = flag.Int("channels", 0, "stream dimensionality N (required)")
 		window      = flag.Int("w", 32, "data representation length")
 		train       = flag.Int("m", 200, "training set size")
@@ -106,52 +101,23 @@ func main() {
 		ScorePool:     scorePool,
 		TrainerPool:   trainerPool,
 	}
-	var (
-		newDetector func(string) (server.Stepper, error)
-		pipeline    string
-	)
-	if *spec != "" {
-		// Build one throwaway detector now so a bad spec — including member
-		// pipelines the model layer rejects — fails at startup, not on the
-		// first observe.
-		probe, err := streamad.NewFromSpec(*spec, base)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if c, ok := probe.(core.Closer); ok {
-			c.Close()
-		}
-		newDetector = func(id string) (server.Stepper, error) {
-			b := base
-			b.TrainerKey = id // the stream is the trainer pool's fairness principal
-			return streamad.NewFromSpec(*spec, b)
-		}
-		pipeline = "spec=" + *spec
-	} else {
-		mk, err := streamad.ParseModelKind(*modelName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t1, err := streamad.ParseTask1(*task1Name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t2, err := streamad.ParseTask2(*task2Name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sk, err := streamad.ParseScoreKind(*scoreName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := base
-		cfg.Model, cfg.Task1, cfg.Task2, cfg.Score = mk, t1, t2, sk
-		newDetector = func(id string) (server.Stepper, error) {
-			c := cfg
-			c.TrainerKey = id
-			return streamad.New(c)
-		}
-		pipeline = fmt.Sprintf("model=%v task1=%v task2=%v score=%v", mk, t1, t2, sk)
+	// Parse once; building one throwaway detector now makes a spec the
+	// model layer rejects fail at startup, not on the first observe.
+	tree, err := streamad.ParseSpec(spec())
+	if err != nil {
+		log.Fatal(err)
+	}
+	probe, err := tree.Build(base)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if c, ok := probe.(core.Closer); ok {
+		c.Close()
+	}
+	newDetector := func(id string) (server.Stepper, error) {
+		b := base
+		b.TrainerKey = id // the stream is the trainer pool's fairness principal
+		return tree.Build(b)
 	}
 
 	var store *persist.Store
@@ -251,8 +217,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpServer.ListenAndServe() }()
-	log.Printf("streamadd listening on %s (%s N=%d, %d shards, queue %d, overload=%s)",
-		*addr, pipeline, *channels, *shards, *queueDepth, policy)
+	log.Printf("streamadd listening on %s (spec=%s N=%d, %d shards, queue %d, overload=%s)",
+		*addr, tree, *channels, *shards, *queueDepth, policy)
 	if clusterCfg != nil {
 		// After the listener is up, so peers' health probes of this node
 		// succeed from the first tick.

@@ -5,7 +5,10 @@
 //
 // The default -profile=fast runs a scaled-down configuration in minutes;
 // -profile=paper approximates the paper's scale (w=100, 5000-step warmup,
-// per-step KSWIN) and takes much longer.
+// per-step KSWIN) and takes much longer. -corpus and -rows cut the grid
+// down for incremental reruns, e.g. the heavy SMD cells:
+//
+//	table3 -corpus smd -rows 'PCB|N-BEATS|USAD/(SW/KS|URES|ARES)'
 package main
 
 import (
@@ -13,7 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
+	"slices"
 
+	"streamad"
 	"streamad/internal/bench"
 	"streamad/internal/dataset"
 )
@@ -23,8 +29,15 @@ func main() {
 		profile = flag.String("profile", "fast", "run scale: fast or paper")
 		seed    = flag.Int64("seed", 11, "corpus seed")
 		verbose = flag.Bool("v", false, "print per-combination progress")
+		corpus  = flag.String("corpus", "", "run only this corpus: daphnet, exathlon or smd (default all three)")
+		rows    = flag.String("rows", "", `run only the rows whose "Model/T1/T2" label matches this regexp (the per-score rows then aggregate over those)`)
 	)
 	flag.Parse()
+	rowFilter, err := regexp.Compile(*rows)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -rows: %v\n", err)
+		os.Exit(2)
+	}
 	var p bench.Profile
 	switch *profile {
 	case "fast":
@@ -40,8 +53,17 @@ func main() {
 	if *verbose {
 		progress = os.Stderr
 	}
-	corpora := dataset.All(p.Data)
-	res, err := bench.RunGrid(p, corpora, progress)
+	corpora := slices.DeleteFunc(dataset.All(p.Data), func(c *dataset.Corpus) bool {
+		return *corpus != "" && *corpus != c.Name
+	})
+	combos := slices.DeleteFunc(streamad.Combos(), func(c streamad.Combo) bool {
+		return !rowFilter.MatchString(c.String())
+	})
+	if len(corpora) == 0 || len(combos) == 0 {
+		fmt.Fprintf(os.Stderr, "-corpus %q -rows %q select nothing\n", *corpus, *rows)
+		os.Exit(2)
+	}
+	res, err := bench.RunGrid(p, corpora, combos, progress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

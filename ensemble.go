@@ -24,8 +24,8 @@ const (
 	AggPerfWeighted = ensemble.AggPerfWeighted
 )
 
-// MemberStat re-exports one ensemble member's observable state.
-type MemberStat = ensemble.MemberStat
+// ParseAggKind converts an ensemble-combiner name into an AggKind.
+func ParseAggKind(s string) (AggKind, error) { return ensemble.AggNames.Parse(s) }
 
 // StreamDetector is the one detector contract (core.Node), shared by
 // single-pipeline detectors (*Detector), ensembles (*Ensemble), cascades
@@ -69,16 +69,26 @@ type PipelineSpec struct {
 	Async bool
 }
 
-// String renders the spec in the compact grammar form accepted by
-// ParsePipelineSpec, e.g. "arima+sw+kswin+al" or
+// String renders the spec in canonical form, e.g. "arima+sw+kswin+al" or
 // "usad+sw+musigma+al+async".
 func (p PipelineSpec) String() string {
-	s := specModelName(p.Model) + "+" + specTask1Name(p.Task1) + "+" +
-		specTask2Name(p.Task2) + "+" + specScoreName(p.Score)
+	s := modelNames.Spec(p.Model) + "+" + task1Names.Spec(p.Task1) + "+" +
+		task2Names.Spec(p.Task2) + "+" + scoreNames.Spec(p.Score)
 	if p.Async {
-		s += "+async"
+		s += "+" + asyncToken
 	}
 	return s
+}
+
+func (PipelineSpec) kind() specKind { return kindPipeline }
+
+// Build implements Spec: New with the pipeline's four choices (and its
+// async token) laid over base.
+func (p PipelineSpec) Build(base Config) (StreamDetector, error) {
+	cfg := base
+	cfg.Model, cfg.Task1, cfg.Task2, cfg.Score = p.Model, p.Task1, p.Task2, p.Score
+	cfg.AsyncFineTune = base.AsyncFineTune || p.Async
+	return asNode(New(cfg))
 }
 
 // EnsembleSpec describes an ensemble: its member pipelines and the
@@ -87,30 +97,30 @@ func (p PipelineSpec) String() string {
 type EnsembleSpec struct {
 	// Members are the pipelines (at least two).
 	Members []PipelineSpec
-	// Agg is the score combiner.
+	// Agg is the score combiner (option agg=mean|max|median|trimmed|perf).
 	Agg AggKind
 	// Verdict is the binary-verdict boundary for the agreement counters
-	// (0 = 0.5).
+	// (option verdict=; 0 = 0.5).
 	Verdict float64
-	// CounterCap bounds the rolling agreement counters (0 = 64).
+	// CounterCap bounds the rolling agreement counters (option cap=, at
+	// least 1; 0 = 64).
 	CounterCap int
 	// PruneEnabled activates the pruning policy: members whose counter
 	// reaches PruneBelow are excluded from aggregation until it recovers
-	// to zero.
+	// to zero. The prune= option sets both.
 	PruneEnabled bool
 	// PruneBelow is the (negative) disable threshold (0 = -16 when
 	// pruning is enabled).
 	PruneBelow int
 }
 
-// String renders the spec in the grammar form accepted by
-// ParseEnsembleSpec.
+// String renders the spec in canonical form.
 func (e EnsembleSpec) String() string {
 	parts := make([]string, len(e.Members))
 	for i, m := range e.Members {
 		parts[i] = m.String()
 	}
-	s := "ensemble(" + strings.Join(parts, ", ") + "; agg=" + e.Agg.String()
+	s := kindEnsemble.String() + "(" + strings.Join(parts, ", ") + "; agg=" + e.Agg.String()
 	if e.Verdict != 0 && e.Verdict != 0.5 {
 		s += fmt.Sprintf(", verdict=%g", e.Verdict)
 	}
@@ -127,6 +137,13 @@ func (e EnsembleSpec) String() string {
 	return s + ")"
 }
 
+func (EnsembleSpec) kind() specKind { return kindEnsemble }
+
+// Build implements Spec; it is NewEnsemble.
+func (e EnsembleSpec) Build(base Config) (StreamDetector, error) {
+	return asNode(NewEnsemble(base, e))
+}
+
 // memberSeedStride separates the member RNG seed lanes: member i runs
 // with Seed + i·stride, so two members with identical pipeline specs
 // still draw independent reservoir samples, forest shapes and weight
@@ -136,7 +153,7 @@ const memberSeedStride int64 = 1_000_003
 // Ensemble runs several complete detector pipelines concurrently over one
 // stream and combines their per-step scores; the embedded
 // internal/ensemble type is the aggregation and performance-weighting
-// machinery and supplies the whole detector surface (Step, MemberStats,
+// machinery and supplies the whole detector surface (Step, Stats,
 // Save/Load, paging, Close). Build one with NewEnsemble or NewFromSpec.
 // Like Detector, an Ensemble is not safe for concurrent use.
 type Ensemble struct {
@@ -163,10 +180,8 @@ func NewEnsemble(base Config, spec EnsembleSpec) (*Ensemble, error) {
 	labels := make([]string, len(spec.Members))
 	for i, ms := range spec.Members {
 		cfg := base
-		cfg.Model, cfg.Task1, cfg.Task2, cfg.Score = ms.Model, ms.Task1, ms.Task2, ms.Score
-		cfg.AsyncFineTune = base.AsyncFineTune || ms.Async
 		cfg.Seed = seed + int64(i)*memberSeedStride
-		det, err := New(cfg)
+		det, err := ms.Build(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("streamad: ensemble member %d (%s): %w", i, ms, err)
 		}
@@ -187,45 +202,6 @@ func NewEnsemble(base Config, spec EnsembleSpec) (*Ensemble, error) {
 		return nil, fmt.Errorf("streamad: %w", err)
 	}
 	return &Ensemble{Ensemble: inner, spec: spec}, nil
-}
-
-// NewFromSpec builds a detector from a spec string: a single pipeline
-// ("usad+sw+musigma+al"), an ensemble
-// ("ensemble(arima+sw+kswin, usad+ares+regular; agg=median)"), a
-// screening cascade ("cascade(zscore, knn; admit=0.05)") or a standalone
-// tier-0 detector ("hampel"). base supplies everything the spec doesn't
-// (Channels, Window, Seed, …); its Model/Task1/Task2/Score are
-// overridden by the spec.
-func NewFromSpec(spec string, base Config) (StreamDetector, error) {
-	if IsCascadeSpec(spec) {
-		cs, err := ParseCascadeSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		return NewCascade(base, cs)
-	}
-	if IsEnsembleSpec(spec) {
-		es, err := ParseEnsembleSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		return NewEnsemble(base, es)
-	}
-	if IsTier0Spec(spec) {
-		kind, err := ParseTier0Kind(strings.TrimSpace(spec))
-		if err != nil {
-			return nil, err
-		}
-		return NewTier0(base, kind, 0)
-	}
-	ps, err := ParsePipelineSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg := base
-	cfg.Model, cfg.Task1, cfg.Task2, cfg.Score = ps.Model, ps.Task1, ps.Task2, ps.Score
-	cfg.AsyncFineTune = base.AsyncFineTune || ps.Async
-	return New(cfg)
 }
 
 // Spec returns the ensemble's member and policy specification.

@@ -112,7 +112,7 @@ func TestEnsembleRunEndToEnd(t *testing.T) {
 	if e.FineTunes() == 0 {
 		t.Fatal("expected drift-triggered fine-tunes with the regular strategy")
 	}
-	stats := e.MemberStats()
+	stats := e.Stats().Members
 	if len(stats) != 3 {
 		t.Fatalf("got %d member stats, want 3", len(stats))
 	}

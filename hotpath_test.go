@@ -214,7 +214,7 @@ func TestAsyncFineTuneConcurrent(t *testing.T) {
 
 // TestAsyncSpecToken covers the grammar surface of the split.
 func TestAsyncSpecToken(t *testing.T) {
-	ps, err := ParsePipelineSpec("ae+sw+regular+al+async")
+	ps, err := parseAs[PipelineSpec]("ae+sw+regular+al+async")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +224,14 @@ func TestAsyncSpecToken(t *testing.T) {
 	if got := ps.String(); got != "ae+sw+regular+al+async" {
 		t.Fatalf("round-trip = %q", got)
 	}
-	ps, err = ParsePipelineSpec("arima+sw+kswin+async")
+	ps, err = parseAs[PipelineSpec]("arima+sw+kswin+async")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ps.Async || ps.Score != ScoreLikelihood {
 		t.Fatalf("parsed %+v", ps)
 	}
-	if _, err := ParsePipelineSpec("arima+sw+async"); err == nil {
+	if _, err := parseAs[PipelineSpec]("arima+sw+async"); err == nil {
 		t.Fatal("3-part spec ending in async must not parse (async is not a task2)")
 	}
 }

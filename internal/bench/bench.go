@@ -140,12 +140,12 @@ type GridResult struct {
 	ScoreRows []ScoreRow
 }
 
-// RunGrid runs every Table I combination over the given corpora with both
-// anomaly scores and also produces the per-score-kind aggregate rows
-// (including the Raw baseline), mirroring Table III. Progress lines go to
+// RunGrid runs the given Table I combinations (streamad.Combos() for the
+// whole grid) over the given corpora with both anomaly scores and also
+// produces the per-score-kind aggregate rows (including the Raw baseline)
+// over the combinations run, mirroring Table III. Progress lines go to
 // progress when non-nil.
-func RunGrid(p Profile, corpora []*dataset.Corpus, progress io.Writer) (*GridResult, error) {
-	combos := streamad.Combos()
+func RunGrid(p Profile, corpora []*dataset.Corpus, combos []streamad.Combo, progress io.Writer) (*GridResult, error) {
 	res := &GridResult{}
 	scoreAgg := map[string][]metrics.Summary{} // "kind|corpus" → summaries
 	for _, corpus := range corpora {

@@ -46,7 +46,7 @@ func TestRunGridSubset(t *testing.T) {
 	p := tinyProfile()
 	corpora := []*dataset.Corpus{dataset.Daphnet(p.Data)}
 	var progress bytes.Buffer
-	res, err := RunGrid(p, corpora, &progress)
+	res, err := RunGrid(p, corpora, streamad.Combos(), &progress)
 	if err != nil {
 		t.Fatal(err)
 	}

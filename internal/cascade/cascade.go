@@ -233,46 +233,10 @@ func (c *Cascade) Steps() int { return c.steps }
 // fine-tuned.
 func (c *Cascade) FineTunes() int { return c.fineTunes }
 
-// Stats is the cascade's observable state, exposed per stream by the
-// HTTP server's stats endpoint and /metrics.
-type Stats struct {
-	// GateLabel names the tier-0 gate.
-	GateLabel string
-	// HeavyLabels name the heavy members.
-	HeavyLabels []string
-	// Steps is the total vectors consumed.
-	Steps int
-	// Screened counts vectors answered by the gate alone.
-	Screened int
-	// Admitted counts vectors the conformal gate sent to the heavy tier
-	// while screening was active.
-	Admitted int
-	// Forwarded counts vectors sent to the heavy tier unconditionally
-	// during ramp-up (gate warmup, calibration fill, heavy warmup).
-	Forwarded int
-	// AdmitTarget is the configured false-admission rate ε.
-	AdmitTarget float64
-	// CalibN and CalibCap are the calibration window's fill and capacity.
-	CalibN   int
-	CalibCap int
-	// Screening reports whether the gate is currently deciding (as
-	// opposed to ramp-up forwarding).
-	Screening bool
-	// AdmissionRate is Admitted/(Admitted+Screened) — the observed
-	// admission fraction among gate decisions (0 before any decision).
-	AdmissionRate float64
-	// HeavyRate is (Admitted+Forwarded)/Steps — the fraction of all
-	// traffic that reached the heavy tier.
-	HeavyRate float64
-	// LastPValue is the most recent gate-score p-value.
-	LastPValue float64
-}
-
-// CascadeStats returns a snapshot of the cascade's counters, under the
-// name the ingestion layer's CascadeStatser capability probes for.
+// Stats implements core.Statser: a snapshot of the cascade's counters.
 // Callers must serialize it with Step.
-func (c *Cascade) CascadeStats() Stats {
-	st := Stats{
+func (c *Cascade) Stats() core.NodeStats {
+	st := core.CascadeStats{
 		GateLabel:   c.gateLabel,
 		HeavyLabels: append([]string(nil), c.heavyLabels...),
 		Steps:       c.steps,
@@ -291,5 +255,5 @@ func (c *Cascade) CascadeStats() Stats {
 	if c.steps > 0 {
 		st.HeavyRate = float64(c.admitted+c.forwarded) / float64(c.steps)
 	}
-	return st
+	return core.NodeStats{Cascade: &st}
 }

@@ -91,9 +91,9 @@ func build(t *testing.T, gate *fakeNode, minCalib int, heavy ...*fakeNode) *Casc
 }
 
 // checkLedger holds the cascade's bookkeeping identity after every step.
-func checkLedger(t *testing.T, c *Cascade) Stats {
+func checkLedger(t *testing.T, c *Cascade) core.CascadeStats {
 	t.Helper()
-	st := c.CascadeStats()
+	st := *c.Stats().Cascade
 	if st.Screened+st.Admitted+st.Forwarded != st.Steps || st.Steps != c.Steps() {
 		t.Fatalf("screened %d + admitted %d + forwarded %d != steps %d", st.Screened, st.Admitted, st.Forwarded, st.Steps)
 	}
@@ -139,10 +139,10 @@ func TestRampUpForwardsUntilReady(t *testing.T) {
 func TestScreenedVectorsStopAtTheGate(t *testing.T) {
 	h0, h1 := &fakeNode{}, &fakeNode{warm: 2}
 	c := build(t, &fakeNode{}, 8, h0, h1)
-	for !c.CascadeStats().Screening {
+	for !c.Stats().Cascade.Screening {
 		c.Step([]float64{0.1})
 	}
-	st0, before := c.CascadeStats(), h0.steps
+	st0, before := *c.Stats().Cascade, h0.steps
 	res, ok := c.Step([]float64{0.1})
 	if !ok || res.Source != "tier0:g" || res.Score != 0.1 || res.Nonconformity != 0.1 {
 		t.Fatalf("screened result %+v (ok %v), want the gate's score 0.1 as score and nonconformity from tier0:g", res, ok)

@@ -1,8 +1,9 @@
 package ensemble
 
 import (
-	"fmt"
 	"sort"
+
+	"streamad/internal/spec"
 )
 
 // Agg selects how member scores are combined into the ensemble score.
@@ -27,23 +28,18 @@ const (
 	AggPerfWeighted
 )
 
+// AggNames is the combiners' name table: what the spec grammar's agg=
+// option accepts and prints.
+var AggNames = spec.Enum[Agg]{What: "combiner", Rows: []spec.Names{
+	AggMean:         {Spec: "mean", Aliases: []string{"avg", "average"}},
+	AggMax:          {Spec: "max"},
+	AggMedian:       {Spec: "median"},
+	AggTrimmedMean:  {Spec: "trimmed", Aliases: []string{"trimmed-mean", "trim"}},
+	AggPerfWeighted: {Spec: "perf", Aliases: []string{"perf-weighted", "weighted", "performance"}},
+}}
+
 // String returns the combiner name as accepted by the spec grammar.
-func (a Agg) String() string {
-	switch a {
-	case AggMean:
-		return "mean"
-	case AggMax:
-		return "max"
-	case AggMedian:
-		return "median"
-	case AggTrimmedMean:
-		return "trimmed"
-	case AggPerfWeighted:
-		return "perf"
-	default:
-		return fmt.Sprintf("Agg(%d)", int(a))
-	}
-}
+func (a Agg) String() string { return AggNames.Spec(a) }
 
 // combine aggregates values (non-empty) under agg. weights runs parallel
 // to values and is consulted only by AggPerfWeighted. scratch is a reused

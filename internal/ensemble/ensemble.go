@@ -310,45 +310,22 @@ func (m *member) perfWeight() float64 {
 	return 1
 }
 
-// MemberStat is one member's observable state, exposed per stream by the
-// HTTP server's stats endpoint and /metrics.
-type MemberStat struct {
-	// Index is the member's position in the ensemble (stable, 0-based).
-	Index int
-	// Label names the member, typically its pipeline spec string.
-	Label string
-	// Ready counts the steps this member has scored.
-	Ready int
-	// FineTunes counts the member's drift-triggered fine-tuning sessions.
-	FineTunes int
-	// Agreement is the rolling consensus-agreement counter pc_i.
-	Agreement int
-	// Weight is the member's current normalized aggregation weight
-	// (0 when disabled; the weights of enabled members sum to 1).
-	Weight float64
-	// Disabled reports whether the pruning policy currently excludes the
-	// member from aggregation.
-	Disabled bool
-	// LastScore is the member's most recent anomaly score.
-	LastScore float64
-}
-
-// MemberStats returns a snapshot of every member's counters and weights,
-// in member order. Callers must serialize it with Step.
-func (e *Ensemble) MemberStats() []MemberStat {
+// Stats implements core.Statser: a snapshot of every member's counters
+// and weights, in member order. Callers must serialize it with Step.
+func (e *Ensemble) Stats() core.NodeStats {
 	var sum float64
 	for _, m := range e.members {
 		if !m.disabled {
 			sum += m.perfWeight()
 		}
 	}
-	out := make([]MemberStat, len(e.members))
+	out := make([]core.MemberStat, len(e.members))
 	for i, m := range e.members {
 		var w float64
 		if !m.disabled && sum > 0 {
 			w = m.perfWeight() / sum
 		}
-		out[i] = MemberStat{
+		out[i] = core.MemberStat{
 			Index:     i,
 			Label:     m.label,
 			Ready:     m.ready,
@@ -359,7 +336,7 @@ func (e *Ensemble) MemberStats() []MemberStat {
 			LastScore: m.lastScore,
 		}
 	}
-	return out
+	return core.NodeStats{Members: out}
 }
 
 // Steps returns the number of stream vectors consumed, including warmup.

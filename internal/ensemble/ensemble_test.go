@@ -131,7 +131,7 @@ func TestStepAggregatesAndWarmup(t *testing.T) {
 	if e.Steps() != 5 || e.ReadySteps() != 5 {
 		t.Fatalf("Steps=%d ReadySteps=%d, want 5/5", e.Steps(), e.ReadySteps())
 	}
-	stats := e.MemberStats()
+	stats := e.Stats().Members
 	if stats[0].Ready != 5 || stats[1].Ready != 3 || stats[2].Ready != 1 {
 		t.Fatalf("member ready counts %d/%d/%d, want 5/3/1", stats[0].Ready, stats[1].Ready, stats[2].Ready)
 	}
@@ -158,7 +158,7 @@ func TestPerformanceCountersAndPruning(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		last, _ = e.Step([]float64{0})
 	}
-	stats := e.MemberStats()
+	stats := e.Stats().Members
 	if !stats[2].Disabled {
 		t.Fatalf("dissenting member not disabled after 6 steps: %+v", stats[2])
 	}
@@ -203,7 +203,7 @@ func TestAllPrunedFallsBack(t *testing.T) {
 	// Consensus was "anomaly" (0.5 ≥ 0.5): the 0.6 member agreed, its
 	// counter rose to ≥ 0, and the policy re-admitted it; the 0.4 member
 	// dissented and stays out.
-	stats := e.MemberStats()
+	stats := e.Stats().Members
 	if stats[1].Disabled {
 		t.Fatalf("agreeing member not re-admitted: %+v", stats[1])
 	}
@@ -281,7 +281,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("restored ensemble diverged at step %d: %+v vs %+v", i, got, want)
 		}
 	}
-	rs, ws := restored.MemberStats(), ref.MemberStats()
+	rs, ws := restored.Stats().Members, ref.Stats().Members
 	for i := range rs {
 		if rs[i] != ws[i] {
 			t.Fatalf("member %d stats diverged: %+v vs %+v", i, rs[i], ws[i])

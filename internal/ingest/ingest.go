@@ -39,9 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamad/internal/cascade"
 	"streamad/internal/core"
-	"streamad/internal/ensemble"
 	"streamad/internal/persist"
 	"streamad/internal/pool"
 	"streamad/internal/score"
@@ -51,9 +49,10 @@ import (
 // Stepper is the per-stream detector contract: the scoring facet of
 // core.Node. Everything this repo builds is a full Node; the registry
 // still asks a detector only for what it is about to use — Checkpointer
-// to persist, core.Pager to demote, core.FineTuneStatser to report and
-// core.Closer to settle background training — because a foreign Stepper
-// (a test stub, a tracing wrapper) may offer less.
+// to persist, core.Pager to demote, core.FineTuneStatser to report,
+// core.Closer to settle background training, and whatever core.TreeStats
+// finds on the way down — because a foreign Stepper (a test stub, a
+// tracing wrapper) may offer less.
 type Stepper = core.Stepper
 
 // Checkpointer is the contract a detector must add to Stepper for the
@@ -61,21 +60,6 @@ type Stepper = core.Stepper
 type Checkpointer interface {
 	Save() ([]byte, error)
 	Load([]byte) error
-}
-
-// MemberStatser is the optional Stepper extension implemented by
-// ensemble-backed detectors: per-member counters, agreement and weights,
-// surfaced in stream stats and /metrics.
-type MemberStatser interface {
-	MemberStats() []ensemble.MemberStat
-}
-
-// CascadeStatser is the optional Stepper extension implemented by
-// cascade-backed detectors (streamad.Cascade): the per-tier
-// screened/admitted/forwarded counters, surfaced in stream stats and the
-// streamad_cascade_* metric families.
-type CascadeStatser interface {
-	CascadeStats() cascade.Stats
 }
 
 // ErrOverload is returned by admission under the Shed policy when the
@@ -350,17 +334,7 @@ func New(cfg Config) (*Registry, error) {
 // RetryAfter is the back-off hint producers should honour after a shed.
 func (r *Registry) RetryAfter() time.Duration { return r.cfg.RetryAfter }
 
-// shardFor hashes a stream id to its shard (FNV-1a).
-func (r *Registry) shardFor(id string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return r.shards[h%uint32(len(r.shards))]
-}
-
-// shardIndex is shardFor's index twin, for stats labelling.
+// shardIndex hashes a stream id to its shard's index (FNV-1a).
 func (r *Registry) shardIndex(id string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
@@ -369,6 +343,9 @@ func (r *Registry) shardIndex(id string) int {
 	}
 	return int(h % uint32(len(r.shards)))
 }
+
+// shardFor returns the shard a stream id hashes to.
+func (r *Registry) shardFor(id string) *shard { return r.shards[r.shardIndex(id)] }
 
 // getOrCreate returns the live stream for id, creating (or restoring
 // from the store, if it holds state for the id) on first use. The shard
@@ -709,12 +686,12 @@ type StreamInfo struct {
 	Alerts    int
 	QueueLen  int
 	Threshold float64
-	Tier      string                // residency tier ("hot" or "warm"; cold streams are not listed)
-	Members   []ensemble.MemberStat // ensemble-backed streams only
-	// Cascade carries the per-tier screening counters for cascade-backed
-	// streams (nil otherwise). Like Members it needs the detector
-	// quiescent, so it is omitted when the stream is mid-pass.
-	Cascade *cascade.Stats
+	Tier      string // residency tier ("hot" or "warm"; cold streams are not listed)
+	// NodeStats is what one core.TreeStats walk over the detector tree
+	// collected: the member rows of every ensemble in it and the cascade
+	// counters, whatever the tree's shape. The walk needs the detector
+	// quiescent, so both are omitted when the stream is mid-pass.
+	core.NodeStats
 	// FineTune carries the detector's serve/train split statistics when
 	// it exposes them (nil otherwise). Read from lock-free atomics, so
 	// the scrape never waits on an in-flight processing pass.
@@ -752,16 +729,11 @@ func (r *Registry) streamInfo(st *stream) StreamInfo {
 	info.Alerts = int(st.alerts.Load())
 	info.Threshold = math.Float64frombits(st.thBits.Load())
 	info.Tier = Tier(st.tier.Load()).String()
-	// Member detail needs the detector quiescent; rather than stall the
+	// Node detail needs the detector quiescent; rather than stall the
 	// scrape behind an in-flight pass, omit it when the stream is busy —
 	// the counters above are still fresh.
-	if ms, ok := st.det.(MemberStatser); ok && st.procMu.TryLock() {
-		info.Members = ms.MemberStats()
-		st.procMu.Unlock()
-	}
-	if cs, ok := st.det.(CascadeStatser); ok && st.procMu.TryLock() {
-		stats := cs.CascadeStats()
-		info.Cascade = &stats
+	if st.procMu.TryLock() {
+		info.NodeStats = core.TreeStats(st.det)
 		st.procMu.Unlock()
 	}
 	if fs, ok := st.det.(core.FineTuneStatser); ok {

@@ -18,12 +18,19 @@ type Pools struct {
 	Anomaly [][]float64
 }
 
+// maxPoolValues bounds the floats a pool may hold: sizes reach these
+// constructors from scenario specs, which are outside input.
+const maxPoolValues = 1 << 22
+
 // CorpusPools generates the named benchmark corpus (daphnet, exathlon or
 // smd — see internal/dataset) at the given length and splits its rows by
 // label. Equal (name, length, seed) triples produce identical pools.
 func CorpusPools(name string, length int, seed int64) (Pools, error) {
 	if length <= 0 {
 		length = 2600 // dataset.FastConfig scale
+	}
+	if length < 2 || length > maxPoolValues/64 { // the generators draw from [0, length/2)
+		return Pools{}, fmt.Errorf("scenario: corpus length %d must be in [2, %d]", length, maxPoolValues/64)
 	}
 	cfg := dataset.Config{Length: length, SeriesCount: 1, Seed: seed}
 	var corpus *dataset.Corpus
@@ -64,6 +71,9 @@ func GaussPools(ch, n int, shift float64, seed int64) (Pools, error) {
 	}
 	if n <= 0 {
 		n = 512
+	}
+	if n > maxPoolValues/ch {
+		return Pools{}, fmt.Errorf("scenario: gauss pool of %d × %d channels exceeds %d values", n, ch, maxPoolValues)
 	}
 	if shift == 0 {
 		shift = 6

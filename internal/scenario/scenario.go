@@ -67,8 +67,8 @@ type Generator struct {
 // seeded-random positions. Source rows are sampled with replacement, so
 // small corpora still feed arbitrarily large pools.
 func NewGenerator(normal, anomaly [][]float64, proportion float64, poolSize int, seed int64) (*Generator, error) {
-	if poolSize <= 0 {
-		return nil, fmt.Errorf("scenario: pool size %d must be positive", poolSize)
+	if poolSize <= 0 || poolSize > maxPoolValues {
+		return nil, fmt.Errorf("scenario: pool size %d must be in [1, %d]", poolSize, maxPoolValues)
 	}
 	if proportion < 0 || proportion >= 1 || math.IsNaN(proportion) {
 		return nil, fmt.Errorf("scenario: contamination proportion %v must be in [0, 1)", proportion)

@@ -19,9 +19,9 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
+
+	"streamad/internal/spec"
 )
 
 // Scenario is a parsed spec: a Stream factory plus the timing faults.
@@ -39,22 +39,21 @@ type Scenario struct {
 type node struct {
 	name   string
 	inner  *node
-	params map[string]string
+	params []*spec.Node
 }
 
 // Parse parses and validates a scenario spec. The returned Scenario is
 // immutable and safe for concurrent NewStream calls.
-func Parse(spec string) (*Scenario, error) {
-	p := &parser{s: spec}
-	root, err := p.parseNode()
+func Parse(s string) (*Scenario, error) {
+	root, err := spec.Parse(s)
+	var chain *node
+	if err == nil {
+		chain, err = toLayer(root)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("scenario: spec %q: %w", spec, err)
+		return nil, fmt.Errorf("scenario: spec %q: %w", s, err)
 	}
-	p.skipSpace()
-	if p.pos != len(p.s) {
-		return nil, fmt.Errorf("scenario: spec %q: trailing input at offset %d", spec, p.pos)
-	}
-	sc := &Scenario{Spec: spec, root: root}
+	sc := &Scenario{Spec: s, root: chain}
 	// Validate the whole chain (and collect timing faults) by building
 	// a throwaway stream now, so a bad spec fails at parse time.
 	if err := sc.hoistTiming(); err != nil {
@@ -64,6 +63,42 @@ func Parse(spec string) (*Scenario, error) {
 		return nil, err
 	}
 	return sc, nil
+}
+
+// toLayer converts one lexed call, inner layers included, checking the
+// grammar's shape: name(inner?, k=v, ...) with no ";" section, where the
+// nested scenario comes first and exactly base(...) has none.
+func toLayer(c *spec.Node) (*node, error) {
+	switch {
+	case !c.IsCall:
+		return nil, fmt.Errorf(`expected "(" after %q`, c.Name)
+	case c.Opts != nil:
+		return nil, fmt.Errorf(`%s: expected "," or ")", found ";"`, c.Name)
+	}
+	n := &node{name: c.Name, params: c.Args}
+	if len(c.Args) > 0 && c.Args[0].IsCall {
+		inner, err := toLayer(c.Args[0])
+		if err != nil {
+			return nil, err
+		}
+		n.inner, n.params = inner, c.Args[1:]
+	}
+	for _, p := range n.params {
+		switch {
+		case !p.IsCall:
+		case n.inner != nil:
+			return nil, fmt.Errorf("%s: more than one nested scenario", n.name)
+		default:
+			return nil, fmt.Errorf("%s: the nested scenario must be the first argument", n.name)
+		}
+	}
+	if n.name == "base" && n.inner != nil {
+		return nil, fmt.Errorf("base(...) cannot nest another scenario")
+	}
+	if n.name != "base" && n.inner == nil {
+		return nil, fmt.Errorf("%s(...) needs a nested scenario as its first argument", n.name)
+	}
+	return n, nil
 }
 
 // hoistTiming walks the chain once, accumulating jitter/late/reorder
@@ -78,17 +113,17 @@ func (sc *Scenario) hoistTiming() error {
 			return fmt.Errorf("scenario: spec %q: duplicate %s(...) layer", sc.Spec, n.name)
 		}
 		seen[n.name] = true
-		args := newArgs(n)
+		args := spec.NewOptions(n.name, n.params)
 		switch n.name {
 		case "jitter":
-			sc.Timing.JitterFrac = args.float("frac", 0.2)
+			sc.Timing.JitterFrac = args.Float("frac", 0.2)
 		case "late":
-			sc.Timing.LateProb = args.float("p", 0.01)
-			sc.Timing.LateDelay = args.duration("delay", 250*time.Millisecond)
+			sc.Timing.LateProb = args.Float("p", 0.01)
+			sc.Timing.LateDelay = args.Duration("delay", 250*time.Millisecond)
 		case "reorder":
-			sc.Timing.ReorderProb = args.float("p", 0.05)
+			sc.Timing.ReorderProb = args.Float("p", 0.05)
 		}
-		if err := args.finish(); err != nil {
+		if err := args.Finish(); err != nil {
 			return fmt.Errorf("scenario: spec %q: %w", sc.Spec, err)
 		}
 	}
@@ -114,9 +149,6 @@ func (sc *Scenario) NewStream(seed int64) (Stream, error) {
 // build constructs the stream for n (inner layers first). depth salts
 // the derived seed so two same-named layers draw differently.
 func (sc *Scenario) build(n *node, seed int64, depth int) (Stream, error) {
-	if n == nil {
-		return nil, fmt.Errorf("missing base(...) layer")
-	}
 	layerSeed := DeriveSeed(seed, fmt.Sprintf("%s/%d", n.name, depth))
 	if n.name == "base" {
 		return buildBase(n, layerSeed)
@@ -137,26 +169,26 @@ func (sc *Scenario) build(n *node, seed int64, depth int) (Stream, error) {
 
 // buildBase interprets base(corpus=..., ...).
 func buildBase(n *node, seed int64) (Stream, error) {
-	args := newArgs(n)
-	corpus := args.str("corpus", "gauss")
-	prop := args.float("p", 0.01)
-	poolSize := args.num("pool", 1024)
+	args := spec.NewOptions(n.name, n.params)
+	corpus := args.Str("corpus", "gauss")
+	prop := args.Float("p", 0.01)
+	poolSize := args.Int("pool", 1024)
 	var (
 		pools Pools
 		err   error
 	)
 	switch corpus {
 	case "gauss":
-		ch := args.num("channels", 4)
-		shift := args.float("shift", 6)
-		if err2 := args.finish(); err2 != nil {
-			return nil, err2
+		ch := args.Int("channels", 4)
+		shift := args.Float("shift", 6)
+		if err := args.Finish(); err != nil {
+			return nil, err
 		}
 		pools, err = GaussPools(ch, poolSize, shift, DeriveSeed(seed, "pool"))
 	default:
-		length := args.num("len", 2600)
-		if err2 := args.finish(); err2 != nil {
-			return nil, err2
+		length := args.Int("len", 2600)
+		if err := args.Finish(); err != nil {
+			return nil, err
 		}
 		pools, err = CorpusPools(corpus, length, DeriveSeed(seed, "pool"))
 	}
@@ -168,263 +200,52 @@ func buildBase(n *node, seed int64) (Stream, error) {
 
 // buildTransform interprets one content-injector layer.
 func buildTransform(n *node, seed int64) (Transform, error) {
-	args := newArgs(n)
+	args := spec.NewOptions(n.name, n.params)
 	var tr Transform
 	switch n.name {
 	case "drift":
-		kind, err := ParseDriftKind(args.str("kind", "abrupt"))
+		kind, err := ParseDriftKind(args.Str("kind", "abrupt"))
 		if err != nil {
 			return nil, err
 		}
 		tr = Drift(DriftConfig{
 			Kind:     kind,
-			At:       args.num("at", 0),
-			Span:     args.num("span", 1),
-			Period:   args.num("period", 0),
-			Shift:    args.float("shift", 3),
-			ScaleMul: args.float("scale", 1),
-			Mix:      args.float("mix", 0),
+			At:       args.Int("at", 0),
+			Span:     args.Int("span", 1),
+			Period:   args.Int("period", 0),
+			Shift:    args.Float("shift", 3),
+			ScaleMul: args.Float("scale", 1),
+			Mix:      args.Float("mix", 0),
 		})
 	case "season":
-		tr = Season(args.num("period", 256), args.float("amp", 1))
+		tr = Season(args.Int("period", 256), args.Float("amp", 1))
 	case "scale":
-		tr = ScaleShift(args.num("at", 0), args.float("mul", 2))
+		tr = ScaleShift(args.Int("at", 0), args.Float("mul", 2))
 	case "dropout":
-		mode, err := ParseDropoutMode(args.str("mode", "stuck"))
+		mode, err := ParseDropoutMode(args.Str("mode", "stuck"))
 		if err != nil {
 			return nil, err
 		}
 		tr = Dropout(DropoutConfig{
-			At:       args.num("at", 0),
-			Span:     args.num("span", 50),
-			Period:   args.num("period", 0),
-			Channels: args.num("channels", 1),
+			At:       args.Int("at", 0),
+			Span:     args.Int("span", 50),
+			Period:   args.Int("period", 0),
+			Channels: args.Int("channels", 1),
 			Mode:     mode,
 			Seed:     seed,
 		})
 	case "burst":
 		tr = Burst(BurstConfig{
-			At:     args.num("at", 0),
-			Span:   args.num("span", 20),
-			Period: args.num("period", 0),
-			Mag:    args.float("mag", 6),
+			At:     args.Int("at", 0),
+			Span:   args.Int("span", 20),
+			Period: args.Int("period", 0),
+			Mag:    args.Float("mag", 6),
 		})
 	default:
 		return nil, fmt.Errorf("unknown injector %q (want drift, season, scale, dropout, burst, jitter, late or reorder)", n.name)
 	}
-	if err := args.finish(); err != nil {
+	if err := args.Finish(); err != nil {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// args is the typed accessor over one node's key=value pairs; finish()
-// reports the first conversion error and any unconsumed (unknown) keys.
-type args struct {
-	name   string
-	params map[string]string
-	used   map[string]bool
-	err    error
-}
-
-func newArgs(n *node) *args {
-	return &args{name: n.name, params: n.params, used: map[string]bool{}}
-}
-
-func (a *args) lookup(key string) (string, bool) {
-	a.used[key] = true
-	v, ok := a.params[key]
-	return v, ok
-}
-
-func (a *args) fail(key, val, want string) {
-	if a.err == nil {
-		a.err = fmt.Errorf("%s: bad %s=%q (want %s)", a.name, key, val, want)
-	}
-}
-
-func (a *args) str(key, def string) string {
-	if v, ok := a.lookup(key); ok {
-		return v
-	}
-	return def
-}
-
-func (a *args) num(key string, def int) int {
-	v, ok := a.lookup(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		a.fail(key, v, "integer")
-		return def
-	}
-	return n
-}
-
-func (a *args) float(key string, def float64) float64 {
-	v, ok := a.lookup(key)
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		a.fail(key, v, "number")
-		return def
-	}
-	return f
-}
-
-func (a *args) duration(key string, def time.Duration) time.Duration {
-	v, ok := a.lookup(key)
-	if !ok {
-		return def
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		a.fail(key, v, `duration like "250ms"`)
-		return def
-	}
-	return d
-}
-
-func (a *args) finish() error {
-	if a.err != nil {
-		return a.err
-	}
-	for k := range a.params {
-		if !a.used[k] {
-			return fmt.Errorf("%s: unknown option %q", a.name, k)
-		}
-	}
-	return nil
-}
-
-// parser is a recursive-descent reader over the spec string.
-type parser struct {
-	s   string
-	pos int
-}
-
-func (p *parser) skipSpace() {
-	for p.pos < len(p.s) && (p.s[p.pos] == ' ' || p.s[p.pos] == '\t' || p.s[p.pos] == '\n') {
-		p.pos++
-	}
-}
-
-// ident reads a [a-z]+ layer or key name.
-func (p *parser) ident() (string, error) {
-	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.s) {
-		c := p.s[p.pos]
-		if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if p.pos == start {
-		return "", fmt.Errorf("expected a name at offset %d", start)
-	}
-	return strings.ToLower(p.s[start:p.pos]), nil
-}
-
-func (p *parser) expect(c byte) error {
-	p.skipSpace()
-	if p.pos >= len(p.s) || p.s[p.pos] != c {
-		return fmt.Errorf("expected %q at offset %d", string(c), p.pos)
-	}
-	p.pos++
-	return nil
-}
-
-func (p *parser) peek() byte {
-	p.skipSpace()
-	if p.pos >= len(p.s) {
-		return 0
-	}
-	return p.s[p.pos]
-}
-
-// parseNode parses name(inner?, k=v, ...). The nested call, if any, must
-// be the first argument; base(...) takes none.
-func (p *parser) parseNode() (*node, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect('('); err != nil {
-		return nil, err
-	}
-	n := &node{name: name, params: map[string]string{}}
-	first := true
-	for {
-		if p.peek() == ')' {
-			p.pos++
-			break
-		}
-		if !first {
-			if err := p.expect(','); err != nil {
-				return nil, err
-			}
-		}
-		first = false
-		// A nested node starts with a name followed by '('; a parameter
-		// is a name followed by '='.
-		save := p.pos
-		key, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		switch p.peek() {
-		case '(':
-			if n.inner != nil {
-				return nil, fmt.Errorf("%s: more than one nested scenario at offset %d", name, save)
-			}
-			if len(n.params) > 0 {
-				return nil, fmt.Errorf("%s: the nested scenario must be the first argument (offset %d)", name, save)
-			}
-			p.pos = save
-			inner, err := p.parseNode()
-			if err != nil {
-				return nil, err
-			}
-			n.inner = inner
-		case '=':
-			p.pos++
-			val, err := p.value()
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := n.params[key]; dup {
-				return nil, fmt.Errorf("%s: duplicate option %q", name, key)
-			}
-			n.params[key] = val
-		default:
-			return nil, fmt.Errorf("%s: expected %q or %q after %q at offset %d", name, "(", "=", key, p.pos)
-		}
-	}
-	if name == "base" && n.inner != nil {
-		return nil, fmt.Errorf("base(...) cannot nest another scenario")
-	}
-	if name != "base" && n.inner == nil {
-		return nil, fmt.Errorf("%s(...) needs a nested scenario as its first argument", name)
-	}
-	return n, nil
-}
-
-// value reads a parameter value: everything up to the next ',' or ')'.
-func (p *parser) value() (string, error) {
-	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.s) && p.s[p.pos] != ',' && p.s[p.pos] != ')' && p.s[p.pos] != '(' {
-		p.pos++
-	}
-	v := strings.TrimSpace(p.s[start:p.pos])
-	if v == "" {
-		return "", fmt.Errorf("empty value at offset %d", start)
-	}
-	return v, nil
 }

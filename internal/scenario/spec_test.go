@@ -93,28 +93,32 @@ func TestParseHoistsTimingFaults(t *testing.T) {
 	}
 }
 
+// parseErrorCases are rejected specs and a fragment of the reason; they
+// also seed FuzzScenarioParse.
+var parseErrorCases = []struct {
+	spec, wantSub string
+}{
+	{"", "expected a name"},
+	{"base", `expected "("`},
+	{"base(corpus=nope)", "unknown corpus"},
+	{"base(corpus=gauss,bogus=1)", "unknown option"},
+	{"drift(base(corpus=gauss),kind=sideways)", "unknown drift kind"},
+	{"drift(base(corpus=gauss),at=xyz)", "bad at"},
+	{"drift(kind=abrupt)", "needs a nested scenario"},
+	{"base(base(corpus=gauss))", "cannot nest"},
+	{"warp(base(corpus=gauss))", "unknown injector"},
+	{"drift(base(corpus=gauss),at=1,at=2)", "duplicate option"},
+	{"jitter(jitter(base(corpus=gauss)))", "duplicate jitter"},
+	{"jitter(base(corpus=gauss),frac=2)", "jitter frac"},
+	{"late(base(corpus=gauss),p=0.5,delay=0s)", "delay > 0"},
+	{"base(corpus=gauss) trailing", "trailing input"},
+	{"drift(base(corpus=gauss),base(corpus=gauss))", "more than one nested scenario"},
+	{"drift(kind=abrupt,base(corpus=gauss))", "must be the first argument"},
+	{"dropout(base(corpus=gauss),mode=explode)", "unknown dropout mode"},
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, tc := range []struct {
-		spec, wantSub string
-	}{
-		{"", "expected a name"},
-		{"base", `expected "("`},
-		{"base(corpus=nope)", "unknown corpus"},
-		{"base(corpus=gauss,bogus=1)", "unknown option"},
-		{"drift(base(corpus=gauss),kind=sideways)", "unknown drift kind"},
-		{"drift(base(corpus=gauss),at=xyz)", "bad at"},
-		{"drift(kind=abrupt)", "needs a nested scenario"},
-		{"base(base(corpus=gauss))", "cannot nest"},
-		{"warp(base(corpus=gauss))", "unknown injector"},
-		{"drift(base(corpus=gauss),at=1,at=2)", "duplicate option"},
-		{"jitter(jitter(base(corpus=gauss)))", "duplicate jitter"},
-		{"jitter(base(corpus=gauss),frac=2)", "jitter frac"},
-		{"late(base(corpus=gauss),p=0.5,delay=0s)", "delay > 0"},
-		{"base(corpus=gauss) trailing", "trailing input"},
-		{"drift(base(corpus=gauss),base(corpus=gauss))", "more than one nested scenario"},
-		{"drift(kind=abrupt,base(corpus=gauss))", "must be the first argument"},
-		{"dropout(base(corpus=gauss),mode=explode)", "unknown dropout mode"},
-	} {
+	for _, tc := range parseErrorCases {
 		_, err := scenario.Parse(tc.spec)
 		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error containing %q", tc.spec, tc.wantSub)

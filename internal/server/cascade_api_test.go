@@ -74,7 +74,7 @@ func TestCascadeAPIExposition(t *testing.T) {
 	if cs == nil {
 		t.Fatal("stats response has no cascade section")
 	}
-	if cs.Gate != "zscore" || len(cs.Heavy) != 1 || cs.Heavy[0] != "knn+sw+musigma+al" {
+	if cs.GateLabel != "zscore" || len(cs.HeavyLabels) != 1 || cs.HeavyLabels[0] != "knn+sw+musigma+al" {
 		t.Fatalf("cascade labels wrong: %+v", cs)
 	}
 	if !cs.Screening || cs.Screened == 0 {

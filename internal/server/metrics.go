@@ -7,10 +7,8 @@ import (
 	"sort"
 	"strconv"
 
-	"streamad/internal/cascade"
 	"streamad/internal/cluster"
 	"streamad/internal/core"
-	"streamad/internal/ensemble"
 	"streamad/internal/ingest"
 	"streamad/internal/pool"
 	"streamad/internal/stats"
@@ -267,14 +265,17 @@ func when[S, T any](get func(*S) *T, emit func(*T, *emitter)) func(*S, *emitter)
 }
 
 func fineTuneOf(r *ingest.StreamInfo) *core.FineTuneStats { return r.FineTune }
-func cascadeOf(r *ingest.StreamInfo) *cascade.Stats       { return r.Cascade }
+func cascadeOf(r *ingest.StreamInfo) *core.CascadeStats   { return r.Cascade }
 func trainerOf(sc *scrapeInput) *pool.TrainerStats        { return sc.trainer }
 func clusterOf(sc *scrapeInput) *cluster.Stats            { return sc.cluster }
 
-func eachMember(value func(m *ensemble.MemberStat) num) func(*ingest.StreamInfo, *emitter) {
+// eachMember emits one sample per member of every ensemble in the
+// stream's detector tree; the member label is the member's child path from
+// the root, which for a root ensemble is its index.
+func eachMember(value func(m *core.MemberStat) num) func(*ingest.StreamInfo, *emitter) {
 	return func(r *ingest.StreamInfo, e *emitter) {
 		for i := range r.Members {
-			e.put(value(&r.Members[i]), strconv.Itoa(r.Members[i].Index), r.Members[i].Label)
+			e.put(value(&r.Members[i]), r.Members[i].Path(), r.Members[i].Label)
 		}
 	}
 }
@@ -321,22 +322,22 @@ func metricFamilies() []family {
 				e.hist(core.FineTuneBuckets, ft.Buckets, float(ft.TotalSeconds))
 			})},
 
-		// Cascade-backed streams: per-tier traffic and the conformal
-		// admission gate's target and observed rates.
+		// Streams with a cascade in their detector tree: per-tier traffic
+		// and the conformal admission gate's target and observed rates.
 		{name: "streamad_cascade_screened_total", kind: counter, help: "Vectors answered by the tier-0 gate alone.", labels: streamGate,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(count(cs.Screened), cs.GateLabel) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(count(cs.Screened), cs.GateLabel) })},
 		{name: "streamad_cascade_admitted_total", kind: counter, help: "Vectors the conformal gate admitted to the heavy tier.", labels: streamGate,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(count(cs.Admitted), cs.GateLabel) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(count(cs.Admitted), cs.GateLabel) })},
 		{name: "streamad_cascade_forwarded_total", kind: counter, help: "Vectors forwarded to the heavy tier unconditionally during ramp-up.", labels: streamGate,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(count(cs.Forwarded), cs.GateLabel) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(count(cs.Forwarded), cs.GateLabel) })},
 		{name: "streamad_cascade_admit_target", kind: gauge, help: "Configured false-admission rate epsilon of the conformal gate.", labels: stream,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(float(cs.AdmitTarget)) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(float(cs.AdmitTarget)) })},
 		{name: "streamad_cascade_admission_rate", kind: gauge, help: "Observed admission fraction among gate decisions.", labels: stream,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(float(cs.AdmissionRate)) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(float(cs.AdmissionRate)) })},
 		{name: "streamad_cascade_heavy_rate", kind: gauge, help: "Fraction of all traffic that reached the heavy tier.", labels: stream,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(float(cs.HeavyRate)) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(float(cs.HeavyRate)) })},
 		{name: "streamad_cascade_screening", kind: gauge, help: "Whether the conformal gate is currently screening (0 = ramp-up forwarding).", labels: stream,
-			perStream: when(cascadeOf, func(cs *cascade.Stats, e *emitter) { e.put(onOff(cs.Screening)) })},
+			perStream: when(cascadeOf, func(cs *core.CascadeStats, e *emitter) { e.put(onOff(cs.Screening)) })},
 
 		// The ingestion layer, from one registry stats snapshot.
 		{name: "streamad_ingest_shed_total", kind: counter, help: "Vectors rejected by the shed overload policy.", labels: policy,
@@ -433,16 +434,16 @@ func metricFamilies() []family {
 		{name: "streamad_cluster_promotions_total", kind: counter, help: "Standby replicas promoted to live streams after owner failure.",
 			collect: when(clusterOf, func(cs *cluster.Stats, e *emitter) { e.put(count(cs.Promotions)) })},
 
-		// One row per member of every ensemble-backed stream.
+		// One row per member of every ensemble in a stream's detector tree.
 		{name: "streamad_ensemble_member_ready_total", kind: counter, help: "Scored steps per ensemble member.", labels: member,
-			perStream: eachMember(func(m *ensemble.MemberStat) num { return count(m.Ready) })},
+			perStream: eachMember(func(m *core.MemberStat) num { return count(m.Ready) })},
 		{name: "streamad_ensemble_member_fine_tunes_total", kind: counter, help: "Drift-triggered fine-tunes per ensemble member.", labels: member,
-			perStream: eachMember(func(m *ensemble.MemberStat) num { return count(m.FineTunes) })},
+			perStream: eachMember(func(m *core.MemberStat) num { return count(m.FineTunes) })},
 		{name: "streamad_ensemble_member_agreement", kind: gauge, help: "Rolling consensus-agreement counter per ensemble member.", labels: member,
-			perStream: eachMember(func(m *ensemble.MemberStat) num { return count(m.Agreement) })},
+			perStream: eachMember(func(m *core.MemberStat) num { return count(m.Agreement) })},
 		{name: "streamad_ensemble_member_weight", kind: gauge, help: "Normalized aggregation weight per ensemble member (0 when pruned).", labels: member,
-			perStream: eachMember(func(m *ensemble.MemberStat) num { return float(m.Weight) })},
+			perStream: eachMember(func(m *core.MemberStat) num { return float(m.Weight) })},
 		{name: "streamad_ensemble_member_disabled", kind: gauge, help: "Whether the pruning policy currently excludes the member (0/1).", labels: member,
-			perStream: eachMember(func(m *ensemble.MemberStat) num { return onOff(m.Disabled) })},
+			perStream: eachMember(func(m *core.MemberStat) num { return onOff(m.Disabled) })},
 	}
 }

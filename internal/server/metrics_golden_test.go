@@ -9,10 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"streamad/internal/cascade"
 	"streamad/internal/cluster"
 	"streamad/internal/core"
-	"streamad/internal/ensemble"
 	"streamad/internal/ingest"
 	"streamad/internal/pool"
 	"streamad/internal/score"
@@ -28,26 +26,27 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_*.golden
 // under the registry's uniform no-samples rule.
 
 // Capability fakes: each wraps the 2-dim stubDetector and reports fixed
-// statistics, so a stream's series depend only on how often it stepped.
+// statistics through the core.Statser facet, so a stream's series depend
+// only on how often it stepped.
 type memberDet struct{ stubDetector }
 
-func (d *memberDet) MemberStats() []ensemble.MemberStat {
-	return []ensemble.MemberStat{
+func (d *memberDet) Stats() core.NodeStats {
+	return core.NodeStats{Members: []core.MemberStat{
 		{Index: 0, Label: "knn+sw+regular+avg", Ready: d.steps, FineTunes: 2, Agreement: -3, Weight: 0.625},
 		{Index: 1, Label: `odd "spec"`, Ready: 1, Agreement: 4, Weight: 0.375},
 		{Index: 2, Label: "arima+sw+regular+avg", Disabled: true},
-	}
+	}}
 }
 
 type cascadeDet struct{ stubDetector }
 
-func (d *cascadeDet) CascadeStats() cascade.Stats {
-	return cascade.Stats{
+func (d *cascadeDet) Stats() core.NodeStats {
+	return core.NodeStats{Cascade: &core.CascadeStats{
 		GateLabel: "zscore", HeavyLabels: []string{"knn+sw+musigma+al"},
 		Steps: d.steps, Screened: 70, Admitted: 10, Forwarded: 20,
 		AdmitTarget: 0.1, AdmissionRate: 0.125, HeavyRate: 0.3,
 		CalibN: 64, CalibCap: 64, Screening: true,
-	}
+	}}
 }
 
 type fineTuneDet struct{ stubDetector }
@@ -61,16 +60,43 @@ func (d *fineTuneDet) FineTuneStats() core.FineTuneStats {
 	}
 }
 
-// compositeDet is every capability at once, as an ensemble of async
-// detectors behind a cascade would report.
+// compositeDet is every capability at once, reported by the root node
+// alone.
 type compositeDet struct {
 	memberDet
 	cascade  cascadeDet
 	fineTune fineTuneDet
 }
 
-func (d *compositeDet) CascadeStats() cascade.Stats       { return d.cascade.CascadeStats() }
+func (d *compositeDet) Stats() core.NodeStats {
+	return core.NodeStats{Members: d.memberDet.Stats().Members, Cascade: d.cascade.Stats().Cascade}
+}
 func (d *compositeDet) FineTuneStats() core.FineTuneStats { return d.fineTune.FineTuneStats() }
+
+// leafNode is a child the stats walk finds nothing on: a core.Node (the
+// nil embedded one is never called — the walk only asks for Stats and
+// Children) without the facet.
+type leafNode struct{ core.Node }
+
+func (leafNode) Children() []core.Node { return nil }
+
+// statsNode is a child that reports fixed statistics.
+type statsNode struct {
+	leafNode
+	stats core.NodeStats
+}
+
+func (n statsNode) Stats() core.NodeStats { return n.stats }
+
+// nestedDet is shaped like cascade(zscore, ensemble(a, b, c)): the root
+// reports the cascade counters, child 0 (the gate) nothing, and child 1
+// the member rows.
+type nestedDet struct{ cascadeDet }
+
+func (d *nestedDet) Children() []core.Node {
+	members := memberDet{stubDetector{steps: d.steps}}
+	return []core.Node{leafNode{}, statsNode{stats: members.Stats()}}
+}
 
 // gatedDet blocks its first Step until released, so vectors enqueued
 // meanwhile coalesce into one known-size follow-up batch.
@@ -101,6 +127,8 @@ func goldenConfig(gate *gatedDet) Config {
 				return &fineTuneDet{stubDetector{dim: 2}}, nil
 			case 'x':
 				return &compositeDet{memberDet: memberDet{stubDetector{dim: 2}}}, nil
+			case 'n':
+				return &nestedDet{cascadeDet{stubDetector{dim: 2}}}, nil
 			case 'g':
 				return gate, nil
 			}
@@ -239,6 +267,16 @@ func TestMetricsGolden(t *testing.T) {
 		s.node.NoteMigrationIn(false)
 		s.node.NoteMigrationIn(false)
 		checkGolden(t, s, "cluster")
+	})
+
+	// A two-level tree beside a root ensemble and a root cascade: the
+	// nested member rows carry their child path in the member label.
+	t.Run("nested", func(t *testing.T) {
+		s := newGoldenServer(t, goldenConfig(nil))
+		for i, id := range []string{"nest-1", "ens-1", "cas-1"} {
+			step(t, s, id, i+2)
+		}
+		checkGolden(t, s, "nested")
 	})
 
 	// Cap 2 over five streams: the three past the cut, composite one

@@ -27,13 +27,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
 	"time"
 
 	"streamad/internal/cluster"
+	"streamad/internal/core"
 	"streamad/internal/ingest"
 	"streamad/internal/persist"
 	"streamad/internal/pool"
@@ -261,60 +261,29 @@ type ObserveResponse struct {
 	Node string `json:"node,omitempty"`
 }
 
-// MemberStatus is one ensemble member's row in StatsResponse.
-type MemberStatus struct {
-	Index     int     `json:"index"`
-	Spec      string  `json:"spec"`
-	Ready     int     `json:"ready_steps"`
-	FineTunes int     `json:"fine_tunes"`
-	Agreement int     `json:"agreement"`
-	Weight    float64 `json:"weight"`
-	Disabled  bool    `json:"disabled,omitempty"`
-	LastScore float64 `json:"last_score"`
-}
-
-// StatsResponse is GET /v1/streams/{id}. Members is present only for
-// ensemble-backed streams; Threshold is omitted while the alert policy
-// still reports a non-finite boundary (see finiteOrZero).
+// StatsResponse is GET /v1/streams/{id}. Members holds one row per member
+// of every ensemble in the stream's detector tree (a nested ensemble's
+// rows carry its "node" path) and Cascade the screening cascade's per-tier
+// traffic split and admission-gate state; both come from one
+// core.TreeStats walk, which has already zeroed non-finite floats.
+// Threshold is omitted while the alert policy still reports a non-finite
+// boundary (see core.FiniteOrZero).
 type StatsResponse struct {
 	ID string `json:"id"`
 	// Node is the cluster node that answered and Owner the ring owner of
 	// the stream; both are empty outside cluster mode. They differ
 	// briefly while a stream is migrating toward its owner.
-	Node      string          `json:"node,omitempty"`
-	Owner     string          `json:"owner,omitempty"`
-	Steps     int             `json:"steps"`
-	Ready     int             `json:"ready_steps"`
-	Alerts    int             `json:"alerts"`
-	Tier      string          `json:"tier,omitempty"`
-	Queued    int             `json:"queued,omitempty"`
-	Threshold float64         `json:"threshold,omitempty"`
-	Members   []MemberStatus  `json:"members,omitempty"`
-	Cascade   *CascadeStatus  `json:"cascade,omitempty"`
-	FineTune  *FineTuneStatus `json:"fine_tune,omitempty"`
-}
-
-// CascadeStatus is the screening-cascade section of StatsResponse,
-// present only for cascade-backed streams: the per-tier traffic split
-// and the conformal admission gate's state.
-type CascadeStatus struct {
-	Gate  string   `json:"gate"`
-	Heavy []string `json:"heavy"`
-	// Screened/Admitted/Forwarded partition the consumed vectors (see
-	// the cascade package for the ramp-up semantics of Forwarded).
-	Screened  int `json:"screened"`
-	Admitted  int `json:"admitted"`
-	Forwarded int `json:"forwarded"`
-	// AdmitTarget is the configured false-admission rate ε;
-	// AdmissionRate is the observed fraction among gate decisions.
-	AdmitTarget   float64 `json:"admit_target"`
-	AdmissionRate float64 `json:"admission_rate"`
-	// HeavyRate is the fraction of all traffic that reached the heavy
-	// tier — the cascade's cost profile.
-	HeavyRate float64 `json:"heavy_rate"`
-	CalibN    int     `json:"calibration_n"`
-	CalibCap  int     `json:"calibration_cap"`
-	Screening bool    `json:"screening"`
+	Node      string             `json:"node,omitempty"`
+	Owner     string             `json:"owner,omitempty"`
+	Steps     int                `json:"steps"`
+	Ready     int                `json:"ready_steps"`
+	Alerts    int                `json:"alerts"`
+	Tier      string             `json:"tier,omitempty"`
+	Queued    int                `json:"queued,omitempty"`
+	Threshold float64            `json:"threshold,omitempty"`
+	Members   []core.MemberStat  `json:"members,omitempty"`
+	Cascade   *core.CascadeStats `json:"cascade,omitempty"`
+	FineTune  *FineTuneStatus    `json:"fine_tune,omitempty"`
 }
 
 // FineTuneStatus is the serve/train split section of StatsResponse:
@@ -327,18 +296,6 @@ type FineTuneStatus struct {
 	Completed    int64   `json:"completed"`
 	LastSeconds  float64 `json:"last_seconds"`
 	TotalSeconds float64 `json:"total_seconds"`
-}
-
-// finiteOrZero zeroes non-finite values before JSON encoding:
-// encoding/json cannot represent NaN/±Inf and would otherwise abort the
-// whole response (the +Inf-threshold bug PR 1 fixed for observe
-// responses). Paired with omitempty, a non-finite value simply drops the
-// field.
-func finiteOrZero(f float64) float64 {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return 0
-	}
-	return f
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -429,14 +386,14 @@ func toObserveResponse(res ingest.Result) ObserveResponse {
 		return out
 	}
 	out.Ready = true
-	out.Score = finiteOrZero(res.Score)
-	out.Nonconformity = finiteOrZero(res.Nonconformity)
+	out.Score = core.FiniteOrZero(res.Score)
+	out.Nonconformity = core.FiniteOrZero(res.Nonconformity)
 	out.FineTuned = res.FineTuned
 	out.Alert = res.Alert
 	out.Source = res.Source
 	// The quantile policy reports +Inf until it has enough scores —
 	// leave the field empty until the threshold is real.
-	out.Threshold = finiteOrZero(res.Threshold)
+	out.Threshold = core.FiniteOrZero(res.Threshold)
 	return out
 }
 
@@ -459,41 +416,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, id string) 
 		ID: id, Steps: info.Steps, Ready: info.Ready, Alerts: info.Alerts,
 		Tier:      info.Tier,
 		Queued:    info.QueueLen,
-		Threshold: finiteOrZero(info.Threshold),
+		Threshold: core.FiniteOrZero(info.Threshold),
+		Members:   info.Members,
+		Cascade:   info.Cascade,
 	}
 	if s.node != nil {
 		resp.Node = s.node.Self()
 		resp.Owner = s.node.Owner(id)
-	}
-	if len(info.Members) > 0 {
-		resp.Members = make([]MemberStatus, len(info.Members))
-		for i, m := range info.Members {
-			resp.Members[i] = MemberStatus{
-				Index:     m.Index,
-				Spec:      m.Label,
-				Ready:     m.Ready,
-				FineTunes: m.FineTunes,
-				Agreement: m.Agreement,
-				Weight:    finiteOrZero(m.Weight),
-				Disabled:  m.Disabled,
-				LastScore: finiteOrZero(m.LastScore),
-			}
-		}
-	}
-	if cs := info.Cascade; cs != nil {
-		resp.Cascade = &CascadeStatus{
-			Gate:          cs.GateLabel,
-			Heavy:         cs.HeavyLabels,
-			Screened:      cs.Screened,
-			Admitted:      cs.Admitted,
-			Forwarded:     cs.Forwarded,
-			AdmitTarget:   cs.AdmitTarget,
-			AdmissionRate: finiteOrZero(cs.AdmissionRate),
-			HeavyRate:     finiteOrZero(cs.HeavyRate),
-			CalibN:        cs.CalibN,
-			CalibCap:      cs.CalibCap,
-			Screening:     cs.Screening,
-		}
 	}
 	if ft := info.FineTune; ft != nil {
 		mode := "sync"
@@ -524,7 +453,7 @@ type batchRecord struct {
 // exactly one of the score fields, Shed, Dropped or Error describes the
 // outcome.
 //
-//streamad:finite-json — toBatchResult passes every float through finiteOrZero.
+//streamad:finite-json — toBatchResult passes every float through core.FiniteOrZero.
 type BatchResult struct {
 	Stream        string  `json:"stream"`
 	Seq           uint64  `json:"seq"`
@@ -724,12 +653,12 @@ func toBatchResult(stream string, res ingest.Result) BatchResult {
 		out.Dropped = true
 	case res.Ready:
 		out.Ready = true
-		out.Score = finiteOrZero(res.Score)
-		out.Nonconformity = finiteOrZero(res.Nonconformity)
+		out.Score = core.FiniteOrZero(res.Score)
+		out.Nonconformity = core.FiniteOrZero(res.Nonconformity)
 		out.Alert = res.Alert
 		out.FineTuned = res.FineTuned
 		out.Source = res.Source
-		out.Threshold = finiteOrZero(res.Threshold)
+		out.Threshold = core.FiniteOrZero(res.Threshold)
 	}
 	return out
 }

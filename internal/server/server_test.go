@@ -17,7 +17,6 @@ import (
 
 	"streamad"
 	"streamad/internal/core"
-	"streamad/internal/ensemble"
 	"streamad/internal/score"
 )
 
@@ -414,10 +413,10 @@ func (infThresholder) Name() string       { return "inf" }
 // nanMemberDet is a Stepper whose member stats carry non-finite floats.
 type nanMemberDet struct{ stubDetector }
 
-func (d *nanMemberDet) MemberStats() []ensemble.MemberStat {
-	return []ensemble.MemberStat{
+func (d *nanMemberDet) Stats() core.NodeStats {
+	return core.NodeStats{Members: []core.MemberStat{
 		{Index: 0, Label: "stub+sw+regular+avg", Ready: d.steps, Weight: math.NaN(), LastScore: math.Inf(-1)},
-	}
+	}}
 }
 
 // TestStatsGuardsNonFiniteValues is the regression test for the
@@ -506,7 +505,7 @@ func TestEnsembleThroughServer(t *testing.T) {
 	}
 	var weightSum float64
 	for i, m := range stats.Members {
-		if m.Index != i || m.Spec == "" || m.Ready == 0 {
+		if m.Index != i || m.Label == "" || m.Ready == 0 {
 			t.Fatalf("member row %d looks dead: %+v", i, m)
 		}
 		weightSum += m.Weight
@@ -529,6 +528,63 @@ func TestEnsembleThroughServer(t *testing.T) {
 			!strings.Contains(text, "# TYPE "+family+" ") ||
 			!strings.Contains(text, family+`{stream="s",member="0",spec="knn+sw+regular+avg"}`) {
 			t.Fatalf("metrics missing member family %s:\n%s", family, text)
+		}
+	}
+}
+
+// TestNestedTreeThroughServer runs a real cascade over an ensemble: the
+// stats walk reports the root's cascade counters and the nested
+// ensemble's member rows together, in the JSON and in /metrics, with the
+// members addressed by their child path (the ensemble is the cascade's
+// child 1, after the gate).
+func TestNestedTreeThroughServer(t *testing.T) {
+	const spec = "cascade(zscore, ensemble(arima+sw+musigma, knn+sw+musigma))"
+	srv, err := New(Config{
+		NewDetector: func(string) (Stepper, error) {
+			return streamad.NewFromSpec(spec, streamad.Config{
+				Channels: 3, Window: 8, TrainSize: 20, WarmupVectors: 25, Seed: 3,
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range testVectors(80) {
+		observeDirect(t, srv, "s", v)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/s", nil))
+	var stats StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	cs := stats.Cascade
+	if cs == nil || cs.Node != "" || cs.GateLabel != "zscore" || cs.Screened+cs.Admitted+cs.Forwarded != stats.Steps {
+		t.Fatalf("cascade section wrong: %+v (steps %d)", cs, stats.Steps)
+	}
+	if len(stats.Members) != 2 {
+		t.Fatalf("stats carry %d member rows, want the nested ensemble's 2: %s", len(stats.Members), rec.Body)
+	}
+	for i, m := range stats.Members {
+		if m.Node != "1" || m.Index != i || m.Ready == 0 {
+			t.Fatalf("member row %d: %+v, want node 1, index %d, scored", i, m, i)
+		}
+	}
+	if stats.Members[0].Label != "arima+sw+musigma+al" || stats.Members[1].Label != "knn+sw+musigma+al" {
+		t.Fatalf("member labels: %+v", stats.Members)
+	}
+
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range []string{
+		`streamad_cascade_admit_target{stream="s"} 0.1`,
+		`streamad_cascade_forwarded_total{stream="s",gate="zscore"} `,
+		`streamad_ensemble_member_weight{stream="s",member="1.0",spec="arima+sw+musigma+al"} `,
+		`streamad_ensemble_member_weight{stream="s",member="1.1",spec="knn+sw+musigma+al"} `,
+	} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Fatalf("metrics missing %q:\n%s", line, rec.Body)
 		}
 	}
 }

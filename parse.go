@@ -1,488 +1,184 @@
 package streamad
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
+
+	"streamad/internal/ensemble"
+	"streamad/internal/spec"
 )
 
-// ParseModelKind converts a string name (as used by the CLI tools) into a
-// ModelKind. Recognized names (case-insensitive): arima, arima-ons, pcb,
-// pcb-iforest, iforest, ae, usad, nbeats, n-beats, var, knn.
-func ParseModelKind(s string) (ModelKind, error) {
-	switch strings.ToLower(s) {
-	case "arima":
-		return ModelARIMA, nil
-	case "arima-ons", "arimaons", "ons":
-		return ModelARIMAONS, nil
-	case "pcb", "pcb-iforest", "iforest":
-		return ModelPCBIForest, nil
-	case "ae", "autoencoder":
-		return ModelAE, nil
-	case "usad":
-		return ModelUSAD, nil
-	case "nbeats", "n-beats":
-		return ModelNBEATS, nil
-	case "var":
-		return ModelVAR, nil
-	case "knn":
-		return ModelKNN, nil
+// asyncToken is the pipeline grammar's trailing serve/train-split marker.
+const asyncToken = "async"
+
+// classify says what a lexed item is by its shape alone: a call is the
+// combinator it names, a word with a "+" a pipeline, and a bare name the
+// tier-0 detector or model it spells (else a pipeline, whose parser will
+// explain what is missing). Zero means it is not a spec at all.
+func classify(n *spec.Node) specKind {
+	switch {
+	case n.IsCall && n.Name == kindEnsemble.String():
+		return kindEnsemble
+	case n.IsCall && n.Name == kindCascade.String():
+		return kindCascade
+	case n.IsCall, n.IsOption:
+		return 0
+	case strings.Contains(n.Name, "+"):
+		return kindPipeline
+	}
+	if _, err := tier0Names.Parse(n.Name); err == nil {
+		return kindTier0
+	}
+	if _, err := modelNames.Parse(n.Name); err == nil {
+		return kindModel
+	}
+	return kindPipeline
+}
+
+// ParseSpec parses a detector spec — every shape NewFromSpec accepts: a
+// pipeline "model+task1+task2[+score][+async]", a tier-0 detector name, an
+// "ensemble(pipeline, pipeline, ...; options)" or a "cascade(tier0, heavy,
+// ...; options)" whose heavy members are pipelines, bare model names or
+// ensembles — into its tree. Names are case-insensitive and whitespace
+// around any token is ignored; EnsembleSpec and CascadeSpec document the
+// options, each of which may be given once. DESIGN.md §7 "The spec tree"
+// has the grammar in EBNF and the position table.
+func ParseSpec(s string) (Spec, error) { return parseAt(s, atRoot) }
+
+func parseAt(s string, admits specKind) (Spec, error) {
+	n, err := spec.Parse(s)
+	if err == nil {
+		var sp Spec
+		if sp, err = parseNode(n, admits); err == nil {
+			return sp, nil
+		}
+	}
+	return nil, fmt.Errorf("streamad: spec %q: %w", s, err)
+}
+
+// ParseEnsembleSpec parses a spec that must be an ensemble(...); the frozen
+// benchmark asks for its Members.
+func ParseEnsembleSpec(s string) (EnsembleSpec, error) {
+	sp, err := parseAt(s, kindEnsemble)
+	es, _ := sp.(EnsembleSpec)
+	return es, err
+}
+
+// IsEnsembleSpec reports whether s is written as an ensemble(...) call
+// (its members may still fail to parse).
+func IsEnsembleSpec(s string) bool {
+	n, err := spec.Parse(s)
+	return err == nil && classify(n) == kindEnsemble
+}
+
+// parseNode turns one lexed item into the spec it denotes, at a position
+// admitting the given kinds.
+func parseNode(n *spec.Node, admits specKind) (Spec, error) {
+	k := classify(n)
+	if k&admits == 0 {
+		return nil, fmt.Errorf("%q: want a %v here", n.Name, admits)
+	}
+	switch k {
+	case kindTier0:
+		return tier0Names.Parse(n.Name)
+	case kindModel:
+		m, err := modelNames.Parse(n.Name)
+		return PipelineSpec{Model: m, Task1: TaskSlidingWindow, Task2: TaskMuSigma, Score: ScoreLikelihood}, err
+	case kindPipeline:
+		return parsePipeline(n.Name)
+	case kindEnsemble:
+		return parseEnsemble(n)
 	default:
-		return 0, fmt.Errorf("streamad: unknown model %q", s)
+		return parseCascade(n)
 	}
 }
 
-// ParseTask1 converts a strategy name into a Task1. Recognized names:
-// sw, ures, ares.
-func ParseTask1(s string) (Task1, error) {
-	switch strings.ToLower(s) {
-	case "sw", "sliding", "sliding-window":
-		return TaskSlidingWindow, nil
-	case "ures", "uniform":
-		return TaskUniformReservoir, nil
-	case "ares", "anomaly-aware":
-		return TaskAnomalyReservoir, nil
-	default:
-		return 0, fmt.Errorf("streamad: unknown task1 strategy %q", s)
-	}
-}
-
-// ParseTask2 converts a drift-strategy name into a Task2. Recognized
-// names: musigma, ms, kswin, ks, regular, adwin.
-func ParseTask2(s string) (Task2, error) {
-	switch strings.ToLower(s) {
-	case "musigma", "mu-sigma", "ms":
-		return TaskMuSigma, nil
-	case "kswin", "ks":
-		return TaskKSWIN, nil
-	case "regular":
-		return TaskRegular, nil
-	case "adwin":
-		return TaskADWIN, nil
-	default:
-		return 0, fmt.Errorf("streamad: unknown task2 strategy %q", s)
-	}
-}
-
-// ParseScoreKind converts an anomaly-score name into a ScoreKind.
-// Recognized names: avg, average, likelihood, al, raw.
-func ParseScoreKind(s string) (ScoreKind, error) {
-	switch strings.ToLower(s) {
-	case "avg", "average":
-		return ScoreAverage, nil
-	case "likelihood", "al", "anomaly-likelihood":
-		return ScoreLikelihood, nil
-	case "raw":
-		return ScoreRaw, nil
-	default:
-		return 0, fmt.Errorf("streamad: unknown score kind %q", s)
-	}
-}
-
-// ParseAggKind converts an ensemble-combiner name into an AggKind.
-// Recognized names: mean, avg, max, median, trimmed, trimmed-mean, perf,
-// perf-weighted, weighted.
-func ParseAggKind(s string) (AggKind, error) {
-	switch strings.ToLower(s) {
-	case "mean", "avg", "average":
-		return AggMean, nil
-	case "max":
-		return AggMax, nil
-	case "median":
-		return AggMedian, nil
-	case "trimmed", "trimmed-mean", "trim":
-		return AggTrimmedMean, nil
-	case "perf", "perf-weighted", "weighted", "performance":
-		return AggPerfWeighted, nil
-	default:
-		return 0, fmt.Errorf("streamad: unknown combiner %q", s)
-	}
-}
-
-// The canonical short names the spec grammar prints (its parsers accept
-// the same aliases as the individual Parse* functions).
-
-func specModelName(m ModelKind) string {
-	switch m {
-	case ModelARIMA:
-		return "arima"
-	case ModelARIMAONS:
-		return "arima-ons"
-	case ModelPCBIForest:
-		return "pcb"
-	case ModelAE:
-		return "ae"
-	case ModelUSAD:
-		return "usad"
-	case ModelNBEATS:
-		return "nbeats"
-	case ModelVAR:
-		return "var"
-	case ModelKNN:
-		return "knn"
-	default:
-		return fmt.Sprintf("model-%d", int(m))
-	}
-}
-
-func specTask1Name(t Task1) string {
-	switch t {
-	case TaskSlidingWindow:
-		return "sw"
-	case TaskUniformReservoir:
-		return "ures"
-	case TaskAnomalyReservoir:
-		return "ares"
-	default:
-		return fmt.Sprintf("task1-%d", int(t))
-	}
-}
-
-func specTask2Name(t Task2) string {
-	switch t {
-	case TaskMuSigma:
-		return "musigma"
-	case TaskKSWIN:
-		return "kswin"
-	case TaskRegular:
-		return "regular"
-	case TaskADWIN:
-		return "adwin"
-	default:
-		return fmt.Sprintf("task2-%d", int(t))
-	}
-}
-
-func specScoreName(s ScoreKind) string {
-	switch s {
-	case ScoreAverage:
-		return "avg"
-	case ScoreLikelihood:
-		return "al"
-	case ScoreRaw:
-		return "raw"
-	default:
-		return fmt.Sprintf("score-%d", int(s))
-	}
-}
-
-// ParseTier0Kind converts a tier-0 detector name into a Tier0Kind.
-// Recognized names (case-insensitive): ewma, zscore, z-score, hampel,
-// density.
-func ParseTier0Kind(s string) (Tier0Kind, error) {
-	switch strings.ToLower(s) {
-	case "ewma":
-		return Tier0EWMA, nil
-	case "zscore", "z-score", "z":
-		return Tier0ZScore, nil
-	case "hampel":
-		return Tier0Hampel, nil
-	case "density":
-		return Tier0Density, nil
-	default:
-		return 0, fmt.Errorf("streamad: unknown tier-0 detector %q", s)
-	}
-}
-
-func specTier0Name(t Tier0Kind) string {
-	switch t {
-	case Tier0EWMA:
-		return "ewma"
-	case Tier0ZScore:
-		return "zscore"
-	case Tier0Hampel:
-		return "hampel"
-	case Tier0Density:
-		return "density"
-	default:
-		return fmt.Sprintf("tier0-%d", int(t))
-	}
-}
-
-// IsTier0Spec reports whether s names a tier-0 detector on its own
-// ("zscore", "hampel", …) rather than a pipeline or combinator.
-func IsTier0Spec(s string) bool {
-	_, err := ParseTier0Kind(strings.TrimSpace(s))
-	return err == nil
-}
-
-// ParsePipelineSpec parses a compact pipeline spec of the form
-// "model+task1+task2[+score][+async]" — e.g. "arima+sw+kswin",
-// "usad+ares+regular+avg" or "ae+sw+kswin+al+async". Each part accepts
-// the same names as the corresponding Parse* function. When the score
-// part is omitted it defaults to the anomaly likelihood, the paper's
-// strongest scoring function; a trailing "async" token enables the
-// serve/train split for this pipeline.
-func ParsePipelineSpec(s string) (PipelineSpec, error) {
-	parts := strings.Split(strings.TrimSpace(s), "+")
+func parsePipeline(word string) (PipelineSpec, error) {
+	parts := strings.Split(word, "+")
 	for i := range parts {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
-	spec := PipelineSpec{Score: ScoreLikelihood}
-	if n := len(parts); n >= 4 && n <= 5 && strings.EqualFold(parts[n-1], "async") {
-		spec.Async = true
+	p := PipelineSpec{Score: ScoreLikelihood}
+	if n := len(parts); n >= 4 && parts[n-1] == asyncToken {
+		p.Async = true
 		parts = parts[:n-1]
 	}
 	if len(parts) < 3 || len(parts) > 4 {
-		return PipelineSpec{}, fmt.Errorf("streamad: pipeline spec %q: want model+task1+task2[+score][+async]", s)
+		return p, fmt.Errorf("pipeline %q: want model+task1+task2[+score][+%s]", word, asyncToken)
 	}
-	var err error
-	if spec.Model, err = ParseModelKind(parts[0]); err != nil {
-		return PipelineSpec{}, fmt.Errorf("streamad: pipeline spec %q: %w", s, err)
-	}
-	if spec.Task1, err = ParseTask1(parts[1]); err != nil {
-		return PipelineSpec{}, fmt.Errorf("streamad: pipeline spec %q: %w", s, err)
-	}
-	if spec.Task2, err = ParseTask2(parts[2]); err != nil {
-		return PipelineSpec{}, fmt.Errorf("streamad: pipeline spec %q: %w", s, err)
-	}
+	var errs [4]error
+	p.Model, errs[0] = modelNames.Parse(parts[0])
+	p.Task1, errs[1] = task1Names.Parse(parts[1])
+	p.Task2, errs[2] = task2Names.Parse(parts[2])
 	if len(parts) == 4 {
-		if spec.Score, err = ParseScoreKind(parts[3]); err != nil {
-			return PipelineSpec{}, fmt.Errorf("streamad: pipeline spec %q: %w", s, err)
-		}
+		p.Score, errs[3] = scoreNames.Parse(parts[3])
 	}
-	return spec, nil
-}
-
-// IsEnsembleSpec reports whether s uses the ensemble(...) grammar rather
-// than naming a single pipeline.
-func IsEnsembleSpec(s string) bool {
-	return strings.HasPrefix(strings.ToLower(strings.TrimSpace(s)), "ensemble(")
-}
-
-// IsCascadeSpec reports whether s uses the cascade(...) grammar.
-func IsCascadeSpec(s string) bool {
-	return strings.HasPrefix(strings.ToLower(strings.TrimSpace(s)), "cascade(")
-}
-
-// splitTop splits s at sep occurrences outside any parentheses, so
-// nested ensemble(...) members survive intact.
-func splitTop(s string, sep byte) []string {
-	var parts []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case sep:
-			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
+	if err := errors.Join(errs[:]...); err != nil {
+		return p, fmt.Errorf("pipeline %q: %w", word, err)
 	}
-	return append(parts, s[start:])
+	return p, nil
 }
 
-// parseHeavySpec parses one cascade heavy-member spec: a full pipeline
-// spec, an ensemble(...) spec, or — as a convenience — a bare model name
-// ("knn"), which gets the default sliding-window/μσ/likelihood pipeline.
-func parseHeavySpec(s string) (canonical string, err error) {
-	s = strings.TrimSpace(s)
-	switch {
-	case IsCascadeSpec(s):
-		return "", fmt.Errorf("streamad: cascades do not nest (heavy member %q)", s)
-	case IsEnsembleSpec(s):
-		es, err := ParseEnsembleSpec(s)
+func parseEnsemble(n *spec.Node) (EnsembleSpec, error) {
+	var es EnsembleSpec
+	for _, a := range n.Args {
+		m, err := parseNode(a, atMember)
 		if err != nil {
-			return "", err
+			return es, fmt.Errorf("ensemble member: %w", err)
 		}
-		return es.String(), nil
-	case !strings.Contains(s, "+"):
-		m, err := ParseModelKind(s)
-		if err != nil {
-			return "", err
-		}
-		return PipelineSpec{Model: m, Task1: TaskSlidingWindow, Task2: TaskMuSigma, Score: ScoreLikelihood}.String(), nil
-	default:
-		ps, err := ParsePipelineSpec(s)
-		if err != nil {
-			return "", err
-		}
-		return ps.String(), nil
+		es.Members = append(es.Members, m.(PipelineSpec))
 	}
+	if len(es.Members) < 2 {
+		return es, fmt.Errorf("ensemble: need at least 2 members, got %d", len(es.Members))
+	}
+	o := spec.NewOptions(n.Name, n.Opts)
+	if o.Has("agg") {
+		var err error
+		if es.Agg, err = ensemble.AggNames.Parse(o.Str("agg", "")); err != nil {
+			return es, err
+		}
+	}
+	if es.Verdict = o.Float("verdict", 0); math.IsNaN(es.Verdict) || math.IsInf(es.Verdict, 0) {
+		o.Bad("verdict", "a finite number")
+	}
+	if es.CounterCap = o.Int("cap", 0); o.Has("cap") && es.CounterCap < 1 {
+		o.Bad("cap", "an integer ≥ 1")
+	}
+	es.PruneEnabled = o.Has("prune")
+	if es.PruneBelow = o.Int("prune", 0); es.PruneEnabled && es.PruneBelow >= 0 {
+		o.Bad("prune", "a negative integer")
+	}
+	return es, o.Finish()
 }
 
-// ParseCascadeSpec parses the cascade spec grammar:
-//
-//	cascade(gate, heavy, heavy, ...; option, option, ...)
-//
-// where gate is a tier-0 detector name (ewma, zscore, hampel, density),
-// each heavy member is a pipeline spec, a bare model name or a nested
-// ensemble(...) spec, and the optional options after the semicolon are
-// key=value pairs:
-//
-//	admit=0.1     target false-admission rate ε of the conformal gate
-//	calib=128     conformal calibration-window capacity
-//	gatewin=64    tier-0 gate window length
-//
-// For example:
-//
-//	cascade(zscore, knn)
-//	cascade(hampel, usad+sw+musigma+al; admit=0.05, calib=256)
-//	cascade(ewma, ensemble(arima+sw+kswin, usad+ares+regular; agg=median); admit=0.02)
-func ParseCascadeSpec(s string) (CascadeSpec, error) {
-	trimmed := strings.TrimSpace(s)
-	fail := func(format string, args ...interface{}) (CascadeSpec, error) {
-		return CascadeSpec{}, fmt.Errorf("streamad: cascade spec %q: %s", s, fmt.Sprintf(format, args...))
+func parseCascade(n *spec.Node) (CascadeSpec, error) {
+	var cs CascadeSpec
+	if len(n.Args) < 2 {
+		return cs, fmt.Errorf("cascade: want a tier-0 gate and at least one heavy member")
 	}
-	if !IsCascadeSpec(trimmed) || !strings.HasSuffix(trimmed, ")") {
-		return fail("want cascade(gate, heavy, ...; options)")
+	gate, err := parseNode(n.Args[0], atGate)
+	if err != nil {
+		return cs, fmt.Errorf("cascade gate: %w", err)
 	}
-	body := trimmed[len("cascade(") : len(trimmed)-1]
-	topParts := splitTop(body, ';')
-	if len(topParts) > 2 {
-		return fail("more than one options section")
-	}
-	members := splitTop(topParts[0], ',')
-	if len(members) < 2 {
-		return fail("want a tier-0 gate and at least one heavy member")
-	}
-	var spec CascadeSpec
-	var err error
-	if spec.Gate, err = ParseTier0Kind(strings.TrimSpace(members[0])); err != nil {
-		return CascadeSpec{}, fmt.Errorf("streamad: cascade spec %q: gate: %w", s, err)
-	}
-	for _, ms := range members[1:] {
-		if strings.TrimSpace(ms) == "" {
-			return fail("empty heavy member spec")
-		}
-		canonical, err := parseHeavySpec(ms)
+	cs.Gate = gate.(Tier0Kind)
+	for _, a := range n.Args[1:] {
+		h, err := parseNode(a, atHeavy)
 		if err != nil {
-			return CascadeSpec{}, err
+			return cs, fmt.Errorf("cascade heavy member: %w", err)
 		}
-		spec.Heavy = append(spec.Heavy, canonical)
+		cs.Heavy = append(cs.Heavy, h)
 	}
-	if len(topParts) == 1 {
-		return spec, nil
+	o := spec.NewOptions(n.Name, n.Opts)
+	if cs.Admit = o.Float("admit", 0); o.Has("admit") && !(cs.Admit > 0 && cs.Admit < 1) {
+		o.Bad("admit", "a rate in (0,1)")
 	}
-	for _, opt := range splitTop(topParts[1], ',') {
-		opt = strings.TrimSpace(opt)
-		if opt == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(opt, "=")
-		if !ok {
-			return fail("option %q is not key=value", opt)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		switch key {
-		case "admit":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(v) || v <= 0 || v >= 1 {
-				return fail("bad admit rate %q (must be in (0,1))", val)
-			}
-			spec.Admit = v
-		case "calib":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 8 {
-				return fail("bad calibration window %q (must be an integer ≥ 8)", val)
-			}
-			spec.Calib = n
-		case "gatewin":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 4 {
-				return fail("bad gate window %q (must be an integer ≥ 4)", val)
-			}
-			spec.GateWindow = n
-		default:
-			return fail("unknown option %q", key)
-		}
+	if cs.Calib = o.Int("calib", 0); o.Has("calib") && cs.Calib < 8 {
+		o.Bad("calib", "an integer ≥ 8")
 	}
-	return spec, nil
-}
-
-// ParseEnsembleSpec parses the ensemble spec grammar:
-//
-//	ensemble(member, member, ...; option, option, ...)
-//
-// where each member is a pipeline spec ("model+task1+task2[+score]", see
-// ParsePipelineSpec) and the optional options after the semicolon are
-// key=value pairs:
-//
-//	agg=mean|max|median|trimmed|perf   score combiner (default mean)
-//	verdict=0.5                        binary-verdict boundary for the
-//	                                   agreement counters
-//	cap=64                             rolling agreement-counter cap
-//	prune=-16                          enable pruning: disable a member
-//	                                   whose counter reaches this value
-//
-// For example:
-//
-//	ensemble(arima+sw+kswin, usad+ares+regular; agg=median)
-//	ensemble(usad+sw+musigma, pcb+ares+kswin, nbeats+ures+kswin; agg=perf, prune=-16)
-func ParseEnsembleSpec(s string) (EnsembleSpec, error) {
-	trimmed := strings.TrimSpace(s)
-	fail := func(format string, args ...interface{}) (EnsembleSpec, error) {
-		return EnsembleSpec{}, fmt.Errorf("streamad: ensemble spec %q: %s", s, fmt.Sprintf(format, args...))
+	if cs.GateWindow = o.Int("gatewin", 0); o.Has("gatewin") && cs.GateWindow < 4 {
+		o.Bad("gatewin", "an integer ≥ 4")
 	}
-	if !IsEnsembleSpec(trimmed) || !strings.HasSuffix(trimmed, ")") {
-		return fail("want ensemble(member, ...; options)")
-	}
-	body := trimmed[len("ensemble(") : len(trimmed)-1]
-	memberPart, optionPart, hasOptions := strings.Cut(body, ";")
-
-	var spec EnsembleSpec
-	for _, ms := range strings.Split(memberPart, ",") {
-		if strings.TrimSpace(ms) == "" {
-			return fail("empty member spec")
-		}
-		ps, err := ParsePipelineSpec(ms)
-		if err != nil {
-			return EnsembleSpec{}, err
-		}
-		spec.Members = append(spec.Members, ps)
-	}
-	if len(spec.Members) < 2 {
-		return fail("need at least 2 members, got %d", len(spec.Members))
-	}
-	if !hasOptions {
-		return spec, nil
-	}
-	for _, opt := range strings.Split(optionPart, ",") {
-		opt = strings.TrimSpace(opt)
-		if opt == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(opt, "=")
-		if !ok {
-			return fail("option %q is not key=value", opt)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		switch key {
-		case "agg":
-			agg, err := ParseAggKind(val)
-			if err != nil {
-				return EnsembleSpec{}, err
-			}
-			spec.Agg = agg
-		case "verdict":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fail("bad verdict %q", val)
-			}
-			spec.Verdict = v
-		case "cap":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return fail("bad counter cap %q", val)
-			}
-			spec.CounterCap = n
-		case "prune":
-			n, err := strconv.Atoi(val)
-			if err != nil || n >= 0 {
-				return fail("bad prune threshold %q (must be a negative integer)", val)
-			}
-			spec.PruneEnabled = true
-			spec.PruneBelow = n
-		default:
-			return fail("unknown option %q", key)
-		}
-	}
-	return spec, nil
+	return cs, o.Finish()
 }

@@ -1,6 +1,19 @@
 package streamad
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// parseAs parses s with the one parser and requires the tree to be a T.
+func parseAs[T Spec](s string) (T, error) {
+	sp, err := ParseSpec(s)
+	t, ok := sp.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("%q parsed to a %T", s, sp)
+	}
+	return t, err
+}
 
 func TestParseModelKind(t *testing.T) {
 	cases := map[string]ModelKind{
@@ -91,30 +104,30 @@ func TestParseAggKind(t *testing.T) {
 }
 
 func TestParsePipelineSpec(t *testing.T) {
-	got, err := ParsePipelineSpec("arima+sw+kswin")
+	got, err := parseAs[PipelineSpec]("arima+sw+kswin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := PipelineSpec{Model: ModelARIMA, Task1: TaskSlidingWindow, Task2: TaskKSWIN, Score: ScoreLikelihood}
 	if got != want {
-		t.Fatalf("ParsePipelineSpec = %+v, want %+v (omitted score must default to AL)", got, want)
+		t.Fatalf("ParseSpec = %+v, want %+v (omitted score must default to AL)", got, want)
 	}
-	got, err = ParsePipelineSpec(" USAD + ares + regular + avg ")
+	got, err = parseAs[PipelineSpec](" USAD + ares + regular + avg ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = PipelineSpec{Model: ModelUSAD, Task1: TaskAnomalyReservoir, Task2: TaskRegular, Score: ScoreAverage}
 	if got != want {
-		t.Fatalf("ParsePipelineSpec = %+v, want %+v", got, want)
+		t.Fatalf("ParseSpec = %+v, want %+v", got, want)
 	}
 	// Round trip through String.
-	back, err := ParsePipelineSpec(want.String())
+	back, err := parseAs[PipelineSpec](want.String())
 	if err != nil || back != want {
 		t.Fatalf("round trip %q → %+v, %v", want.String(), back, err)
 	}
 	for _, bad := range []string{"", "usad", "usad+sw", "usad+sw+musigma+al+extra", "bogus+sw+kswin", "usad+bogus+kswin", "usad+sw+bogus", "usad+sw+kswin+bogus"} {
-		if _, err := ParsePipelineSpec(bad); err == nil {
-			t.Errorf("ParsePipelineSpec(%q) accepted", bad)
+		if _, err := parseAs[PipelineSpec](bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
 }

@@ -81,7 +81,11 @@ func TestScoreDigestsMatchParent(t *testing.T) {
 	got := make(map[string]string, len(scoreDigestSpecs))
 	for _, spec := range scoreDigestSpecs {
 		d, fineTunes := scoreDigest(t, spec)
-		if fineTunes < 2 && !IsTier0Spec(spec) { // tier-0 detectors have no model to fine-tune
+		sp, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, tier0 := sp.(Tier0Kind); fineTunes < 2 && !tier0 { // tier-0 detectors have no model to fine-tune
 			t.Errorf("%s: %d fine-tunes in %d steps, the digest must cover at least 2", spec, fineTunes, scoreDigestSteps)
 		}
 		t.Logf("%s: %s, %d fine-tunes", spec, d, fineTunes)

@@ -9,19 +9,11 @@ import (
 // canonicalSpec parses s the way NewFromSpec does and renders it back in
 // canonical form, without building a detector.
 func canonicalSpec(s string) (string, error) {
-	switch {
-	case IsCascadeSpec(s):
-		cs, err := ParseCascadeSpec(s)
-		return cs.String(), err
-	case IsEnsembleSpec(s):
-		es, err := ParseEnsembleSpec(s)
-		return es.String(), err
-	case IsTier0Spec(s):
-		k, err := ParseTier0Kind(strings.TrimSpace(s))
-		return k.String(), err
+	sp, err := ParseSpec(s)
+	if err != nil {
+		return "", err
 	}
-	ps, err := ParsePipelineSpec(s)
-	return ps.String(), err
+	return sp.String(), nil
 }
 
 // specLanguage pins the accepted spec language and its canonical
@@ -164,12 +156,12 @@ var specLanguage = []struct{ in, want string }{
 	{"cascade(zscore, ensemble(knn+sw+kswin))", ""}, // malformed heavy ensemble
 	{"cascade(zscore+sw+musigma, knn)", ""},         // gate is a pipeline
 
-	// The two rows the shared lexer changes on purpose: a repeated
-	// option key silently let the last one win in both combinators, and
-	// a space before "(" fell through to the pipeline grammar.
-	{"cascade(zscore, ensemble(arima+sw+kswin, knn+sw+kswin; agg=mean, agg=max); admit=0.05, admit=0.2)",
-		"cascade(zscore, ensemble(arima+sw+kswin+al, knn+sw+kswin+al; agg=max); admit=0.2)"},
-	{"ensemble (arima+sw+kswin, usad+ares+regular)", ""},
+	// The two rows the shared lexer changed on purpose: a repeated option
+	// key used to let the last one win in both combinators (this spec
+	// parsed as "...; agg=max); admit=0.2)"), and a space before "(" fell
+	// through to the pipeline grammar.
+	{"cascade(zscore, ensemble(arima+sw+kswin, knn+sw+kswin; agg=mean, agg=max); admit=0.05, admit=0.2)", ""},
+	{"ensemble (arima+sw+kswin, usad+ares+regular)", "ensemble(arima+sw+kswin+al, usad+ares+regular+al; agg=mean)"},
 }
 
 func TestSpecLanguage(t *testing.T) {
@@ -189,6 +181,20 @@ func TestSpecLanguage(t *testing.T) {
 		// The canonical form is a fixed point.
 		if again, err := canonicalSpec(got); err != nil || again != got {
 			t.Errorf("canonical %q re-parses to %q, %v", got, again, err)
+		}
+	}
+}
+
+// TestSpecDuplicateOption: each combinator rejects a repeated key by
+// itself (the pinned row above nests one inside the other).
+func TestSpecDuplicateOption(t *testing.T) {
+	for _, s := range []string{
+		"ensemble(arima+sw+kswin, knn+sw+kswin; agg=mean, agg=max)",
+		"ensemble(arima+sw+kswin, knn+sw+kswin; cap=8, CAP=8)",
+		"cascade(zscore, knn; admit=0.05, admit=0.2)",
+	} {
+		if sp, err := ParseSpec(s); err == nil || !strings.Contains(err.Error(), "duplicate option") {
+			t.Errorf("ParseSpec(%q) = %v, %v; want a duplicate-option error", s, sp, err)
 		}
 	}
 }
@@ -230,4 +236,27 @@ func TestLeafSeeds(t *testing.T) {
 			t.Errorf("%s at seed %d: leaf seeds %v, want %v", tc.spec, tc.seed, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and the canonical form of a spec
+// it accepts is a fixed point — it re-parses, to the same String. Seeds:
+// the pin table above and testdata/fuzz.
+func FuzzParseSpec(f *testing.F) {
+	for _, tc := range specLanguage {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		canon := sp.String()
+		again, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("%q parses to %q, which does not re-parse: %v", s, canon, err)
+		}
+		if again.String() != canon {
+			t.Fatalf("%q parses to %q, which re-parses to %q", s, canon, again.String())
+		}
+	})
 }

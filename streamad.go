@@ -41,6 +41,7 @@ import (
 	"streamad/internal/randstate"
 	"streamad/internal/reservoir"
 	"streamad/internal/score"
+	"streamad/internal/spec"
 	"streamad/internal/usad"
 	"streamad/internal/varmodel"
 	"streamad/internal/wire"
@@ -74,29 +75,27 @@ const (
 	ModelKNN
 )
 
+var modelNames = spec.Enum[ModelKind]{What: "model", Rows: []spec.Names{
+	ModelARIMA:      {Spec: "arima", Label: "Online ARIMA"},
+	ModelPCBIForest: {Spec: "pcb", Aliases: []string{"pcb-iforest", "iforest"}, Label: "PCB-iForest"},
+	ModelAE:         {Spec: "ae", Aliases: []string{"autoencoder"}, Label: "2-layer AE"},
+	ModelUSAD:       {Spec: "usad", Label: "USAD"},
+	ModelNBEATS:     {Spec: "nbeats", Aliases: []string{"n-beats"}, Label: "N-BEATS"},
+	ModelVAR:        {Spec: "var", Label: "VAR"},
+	ModelARIMAONS:   {Spec: "arima-ons", Aliases: []string{"arimaons", "ons"}, Label: "Online ARIMA (ONS)"},
+	ModelKNN:        {Spec: "knn", Label: "kNN (SAFARI)"},
+}}
+
 // String returns the model name as used in Table III.
-func (m ModelKind) String() string {
-	switch m {
-	case ModelARIMA:
-		return "Online ARIMA"
-	case ModelPCBIForest:
-		return "PCB-iForest"
-	case ModelAE:
-		return "2-layer AE"
-	case ModelUSAD:
-		return "USAD"
-	case ModelNBEATS:
-		return "N-BEATS"
-	case ModelVAR:
-		return "VAR"
-	case ModelARIMAONS:
-		return "Online ARIMA (ONS)"
-	case ModelKNN:
-		return "kNN (SAFARI)"
-	default:
-		return fmt.Sprintf("ModelKind(%d)", int(m))
-	}
-}
+func (m ModelKind) String() string { return modelNames.Label(m) }
+
+// ParseModelKind converts a model name into a ModelKind. Like every
+// Parse* of an enum it is case-insensitive and reads the name table beside
+// the enum's constants, one row per value: the canonical spec-grammar
+// name, the aliases also accepted, and the paper's Table I/III label that
+// String returns. The spec printer and the CLIs' flag help read the same
+// rows.
+func ParseModelKind(s string) (ModelKind, error) { return modelNames.Parse(s) }
 
 // Task1 selects the training-set maintenance strategy.
 type Task1 int
@@ -110,19 +109,17 @@ const (
 	TaskAnomalyReservoir
 )
 
+var task1Names = spec.Enum[Task1]{What: "task1 strategy", Rows: []spec.Names{
+	TaskSlidingWindow:    {Spec: "sw", Aliases: []string{"sliding", "sliding-window"}, Label: "SW"},
+	TaskUniformReservoir: {Spec: "ures", Aliases: []string{"uniform"}, Label: "URES"},
+	TaskAnomalyReservoir: {Spec: "ares", Aliases: []string{"anomaly-aware"}, Label: "ARES"},
+}}
+
 // String returns the Table I abbreviation.
-func (t Task1) String() string {
-	switch t {
-	case TaskSlidingWindow:
-		return "SW"
-	case TaskUniformReservoir:
-		return "URES"
-	case TaskAnomalyReservoir:
-		return "ARES"
-	default:
-		return fmt.Sprintf("Task1(%d)", int(t))
-	}
-}
+func (t Task1) String() string { return task1Names.Label(t) }
+
+// ParseTask1 converts a training-set strategy name into a Task1.
+func ParseTask1(s string) (Task1, error) { return task1Names.Parse(s) }
 
 // Task2 selects the concept-drift / fine-tuning trigger.
 type Task2 int
@@ -141,21 +138,18 @@ const (
 	TaskADWIN
 )
 
+var task2Names = spec.Enum[Task2]{What: "task2 strategy", Rows: []spec.Names{
+	TaskMuSigma: {Spec: "musigma", Aliases: []string{"mu-sigma", "ms"}, Label: "μ/σ"},
+	TaskKSWIN:   {Spec: "kswin", Aliases: []string{"ks"}, Label: "KS"},
+	TaskRegular: {Spec: "regular"},
+	TaskADWIN:   {Spec: "adwin", Label: "ADWIN"},
+}}
+
 // String returns the Table I abbreviation.
-func (t Task2) String() string {
-	switch t {
-	case TaskMuSigma:
-		return "μ/σ"
-	case TaskKSWIN:
-		return "KS"
-	case TaskRegular:
-		return "regular"
-	case TaskADWIN:
-		return "ADWIN"
-	default:
-		return fmt.Sprintf("Task2(%d)", int(t))
-	}
-}
+func (t Task2) String() string { return task2Names.Label(t) }
+
+// ParseTask2 converts a drift-strategy name into a Task2.
+func ParseTask2(s string) (Task2, error) { return task2Names.Parse(s) }
 
 // ScoreKind selects the anomaly scoring function F.
 type ScoreKind int
@@ -169,19 +163,17 @@ const (
 	ScoreRaw
 )
 
+var scoreNames = spec.Enum[ScoreKind]{What: "score kind", Rows: []spec.Names{
+	ScoreAverage:    {Spec: "avg", Aliases: []string{"average"}, Label: "Avg"},
+	ScoreLikelihood: {Spec: "al", Aliases: []string{"likelihood", "anomaly-likelihood"}, Label: "AL"},
+	ScoreRaw:        {Spec: "raw", Label: "Raw"},
+}}
+
 // String returns the Table III abbreviation.
-func (s ScoreKind) String() string {
-	switch s {
-	case ScoreAverage:
-		return "Avg"
-	case ScoreLikelihood:
-		return "AL"
-	case ScoreRaw:
-		return "Raw"
-	default:
-		return fmt.Sprintf("ScoreKind(%d)", int(s))
-	}
-}
+func (s ScoreKind) String() string { return scoreNames.Label(s) }
+
+// ParseScoreKind converts an anomaly-score name into a ScoreKind.
+func ParseScoreKind(s string) (ScoreKind, error) { return scoreNames.Parse(s) }
 
 // Config assembles a detector. Channels is required; everything else has
 // paper-faithful defaults.
