@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race loc fuzz-smoke bench bench-hotpath bench-smoke bench-soak bench-cascade bench-scale soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
+.PHONY: ci build vet test race loc loc-check fuzz-smoke bench bench-hotpath bench-smoke bench-soak soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
 
 # ci is the fast gate; the race detector runs as its own CI job (make
 # race) so the concurrency suites don't slow the edit loop. The smoke
@@ -65,9 +65,20 @@ race:
 
 # loc prints the number ROADMAP aim 2 ("least code") is about: non-test
 # Go lines outside the frozen benchmark/. 25,998 before the detector-tree
-# refactor (PR 22), 25,707 before the spec-tree one (PR 23).
+# refactor (PR 22), 25,707 before the spec-tree one (PR 23), 25,495
+# before the fork-join, the vet-protocol driver and two bench commands
+# were deleted (PR 28).
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
+
+# loc-check fails when loc has grown past the ceiling: a PR that needs
+# more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
+LOC_CEILING = 24247
+loc-check:
+	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
+	if [ "$$n" -gt $(LOC_CEILING) ]; then \
+		echo "make loc is $$n, over the ceiling of $(LOC_CEILING)"; exit 1; \
+	fi
 
 # fuzz-smoke gives each native fuzz target five seconds on top of its
 # committed seed corpus (testdata/fuzz): the snapshot-file and WAL
@@ -89,12 +100,13 @@ bench:
 
 # bench-hotpath regenerates the numbers recorded in BENCH_hotpath.json:
 # per-model Step cost, Fit cost, serving latency while a fine-tune is in
-# flight (sync vs async), the ensemble Step on an idle and on a saturated
-# scoring pool, the two nn kernels (Linear.ForwardInto on the eleven
-# layer shapes of the repo benchmark's model-heavy workload, Adam.Step),
+# flight (sync vs async), the ensemble Step, the heavy pipeline against
+# the cascade screening for it, the two nn kernels (Linear.ForwardInto on
+# the eleven layer shapes of the repo benchmark's model-heavy workload,
+# Adam.Step),
 # and one trip of a pcb stream around the residency ladder on a real
 # directory (hot→warm→hot, and hot→warm→cold→hot).
-HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep
+HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep|BenchmarkCascadeStep
 KERNEL_BENCH = BenchmarkLinearForward|BenchmarkAdamStep
 TIER_BENCH = BenchmarkTierCycle
 bench-hotpath:
@@ -110,18 +122,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -benchtime 5x ./internal/nn
 	$(GO) test -run '^$$' -bench '$(TIER_BENCH)' -benchmem -benchtime 5x ./internal/ingest
 
-# bench-soak regenerates BENCH_soak.json: scripts/soak.sh boots a real
-# streamadd (knn, 4 channels, block policy) on a loopback port and
-# drives 64 streams of the abrupt-drift scenario at 50 vec/s for 30s
-# through cmd/streamload, grading latency, shed/error rates, and online
-# recall against SLOs. Exit 1 means an SLO was violated.
+# bench-soak is the long soak: scripts/soak.sh boots a real streamadd
+# (knn, 4 channels, block policy) on a loopback port and drives 64
+# streams of the abrupt-drift scenario at 50 vec/s for 30s through
+# cmd/streamload, grading latency, shed/error rates, and online recall
+# against SLOs and printing the report. Exit 1 means an SLO was violated.
 bench-soak:
 	scripts/soak.sh full
 
 # soak-smoke is the CI-sized version of the same harness: 64 streams,
 # ~2 seconds of traffic, hard SLOs (zero 5xx, zero shed, zero errors,
-# p99 < 750ms, recall >= 0.25). The report goes to a temp dir so smoke
-# runs never dirty the checked-in benchmark.
+# p99 < 750ms, recall >= 0.25).
 soak-smoke:
 	scripts/soak.sh smoke
 
@@ -161,23 +172,3 @@ scale-smoke:
 # marked down, and the ring shrunk to 2 nodes.
 cluster-smoke:
 	scripts/cluster_smoke.sh
-
-# bench-scale regenerates BENCH_scale.json: an in-process walk of a
-# 10k-stream fleet around the hot/warm/cold residency ladder with the
-# shared scoring and trainer pools — register all, page all warm, drive
-# the 1% hot set, cold-evict the idle rest. Self-grades: goroutines must
-# stay O(workers) not O(streams), steady-state residency must collapse
-# to the working set, every hot stream must take the warm→hot restore
-# path, and steady heap must sit well under the all-resident heap.
-bench-scale:
-	$(GO) run ./cmd/benchscale -out BENCH_scale.json
-
-# bench-cascade regenerates BENCH_cascade.json: one in-process run of
-# the abrupt-drift scenario through the always-on heavy pipeline and
-# through cascade(zscore, knn) on identical vectors, comparing mean
-# per-vector cost, recall under the shared alert policy, and the
-# conformal gate's observed false-admission rate against its target.
-# Exit 1 means a quality gate (>=5x cost cut, <=2pt recall loss,
-# admission within +/-50% of target) was missed.
-bench-cascade:
-	$(GO) run ./cmd/benchcascade -out BENCH_cascade.json

@@ -8,7 +8,6 @@ package streamad_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"streamad"
@@ -187,10 +186,7 @@ func BenchmarkDetectorStep(b *testing.B) {
 }
 
 // BenchmarkEnsembleStep measures one Step of the repo benchmark's
-// model-heavy ensemble (USAD + N-BEATS, w=16, m=100, 8 channels) on a
-// two-worker scoring pool: idle, where the fork-join runs the members in
-// parallel, and saturated (every worker busy, the serving state with two
-// connections), where the members run on the caller with no hand-off.
+// model-heavy ensemble (USAD + N-BEATS, w=16, m=100, 8 channels).
 func BenchmarkEnsembleStep(b *testing.B) {
 	sc, err := scenario.Parse("base(corpus=gauss,channels=8,p=0.02,pool=2048)")
 	if err != nil {
@@ -205,37 +201,17 @@ func BenchmarkEnsembleStep(b *testing.B) {
 		v, _ := stream.Next()
 		vecs[i] = append([]float64(nil), v...)
 	}
-	for _, saturated := range []bool{false, true} {
-		name := "idle"
-		if saturated {
-			name = "saturated"
-		}
-		b.Run(name, func(b *testing.B) {
-			sp := streamad.NewScoringPool(2)
-			defer sp.Close()
-			det, err := streamad.NewFromSpec("ensemble(usad+sw+musigma, nbeats+sw+musigma; agg=mean)",
-				streamad.Config{Channels: 8, Window: 16, TrainSize: 100, Seed: 1, ScorePool: sp})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, v := range vecs {
-				det.Step(v)
-			}
-			if saturated {
-				gate := make(chan struct{})
-				defer close(gate)
-				for i := 0; i < sp.Workers(); i++ {
-					sp.Submit(func() { <-gate })
-				}
-				for sp.Stats().Running < int64(sp.Workers()) {
-					runtime.Gosched()
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det.Step(vecs[i%len(vecs)])
-			}
-		})
+	det, err := streamad.NewFromSpec("ensemble(usad+sw+musigma, nbeats+sw+musigma; agg=mean)",
+		streamad.Config{Channels: 8, Window: 16, TrainSize: 100, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range vecs {
+		det.Step(v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det.Step(vecs[i%len(vecs)])
 	}
 }
 

@@ -1,10 +1,14 @@
 package streamad
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"streamad/internal/scenario"
+	"streamad/internal/score"
 )
 
 // noisyVec fills dst with the synthetic waveform plus seeded Gaussian
@@ -310,6 +314,117 @@ func TestStepZeroAllocTier0(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s Step allocates %.1f per op on the hot path, want 0", kind, allocs)
+			}
+		})
+	}
+}
+
+// screenRun is the run the cascade's cost claim is made on: the soak
+// scenario with the drift pushed out to step 5000, so both detectors see
+// a long stationary stretch first, through the always-on heavy pipeline
+// and through the cascade that screens for it, on identical vectors.
+func screenRun(tb testing.TB, n int) (series [][]float64, labels []bool, plain StreamDetector, cas *Cascade) {
+	tb.Helper()
+	sc, err := scenario.Parse("drift(base(corpus=gauss,channels=4,p=0.02,pool=512),kind=abrupt,at=5000,shift=4)")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := sc.NewStream(scenario.DeriveSeed(1, "bench"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	series, labels = make([][]float64, n), make([]bool, n)
+	for i := range series {
+		v, anom := gen.Next()
+		series[i], labels[i] = append([]float64(nil), v...), anom
+	}
+	spec, err := parseAs[CascadeSpec]("cascade(zscore, knn+sw+musigma+al; admit=0.1)")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := Config{Channels: 4, Window: 16, TrainSize: 256, Seed: 1}
+	if plain, err = spec.Heavy[0].Build(base); err != nil {
+		tb.Fatal(err)
+	}
+	if cas, err = NewCascade(base, spec); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cas.Close() })
+	return series, labels, plain, cas
+}
+
+// TestCascadeScreenHoldsRecall holds the cascade's claim in its
+// deterministic form: the heavy tier scores at most a fifth of the
+// traffic (the ≥ 5× cost cut; 0.109 today), recall under one shared
+// alert policy drops by at most two points against the always-on heavy
+// pipeline, and the conformal gate's false-admission rate on labelled
+// normals lands within ±50 % of its target.
+func TestCascadeScreenHoldsRecall(t *testing.T) {
+	const warmup = 512
+	series, labels, plain, cas := screenRun(t, 16000)
+	recall := func(det StreamDetector, onStep func(i int)) float64 {
+		thr := score.NewQuantileThresholder(0.98)
+		hits, anomalies := 0, 0
+		for i, v := range series {
+			res, ok := det.Step(v)
+			if onStep != nil {
+				onStep(i)
+			}
+			if !ok {
+				continue
+			}
+			alert := thr.Alert(res.Nonconformity)
+			if i >= warmup && labels[i] {
+				anomalies++
+				if alert {
+					hits++
+				}
+			}
+		}
+		return float64(hits) / float64(anomalies)
+	}
+	plainRecall := recall(plain, nil)
+	// Gate decisions on post-warmup normals, recovered from counter deltas.
+	var prev struct{ screened, admitted int }
+	decided, admitted := 0, 0
+	cascadeRecall := recall(cas, func(i int) {
+		st := cas.Stats().Cascade
+		wasScreened, wasAdmitted := st.Screened > prev.screened, st.Admitted > prev.admitted
+		prev.screened, prev.admitted = st.Screened, st.Admitted
+		if (wasScreened || wasAdmitted) && i >= warmup && !labels[i] {
+			decided++
+			if wasAdmitted {
+				admitted++
+			}
+		}
+	})
+	st := cas.Stats().Cascade
+	if st.HeavyRate > 0.2 {
+		t.Errorf("heavy tier scored %.3f of the traffic, want ≤ 0.2", st.HeavyRate)
+	}
+	if loss := (plainRecall - cascadeRecall) * 100; loss > 2 {
+		t.Errorf("recall %.4f plain vs %.4f screened: %.2f pt lost, want ≤ 2", plainRecall, cascadeRecall, loss)
+	}
+	if far := float64(admitted) / float64(decided); math.Abs(far-st.AdmitTarget) > 0.5*st.AdmitTarget {
+		t.Errorf("false-admission rate %.4f is more than 50 %% off its target %.2f", far, st.AdmitTarget)
+	}
+}
+
+// BenchmarkCascadeStep is the wall-clock side of the same claim: one
+// Step of the heavy pipeline alone and of the cascade screening for it.
+func BenchmarkCascadeStep(b *testing.B) {
+	series, _, plain, cas := screenRun(b, 2048)
+	for _, bc := range []struct {
+		name string
+		det  StreamDetector
+	}{{"plain", plain}, {"cascade", cas}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for _, v := range series {
+				bc.det.Step(v)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.det.Step(series[i%len(series)])
 			}
 		})
 	}

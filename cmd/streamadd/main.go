@@ -57,7 +57,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		asyncFT     = flag.Bool("async-finetune", false, "fine-tune on a background goroutine (serve/train split): scoring keeps serving the old model while the new one trains")
 
-		scoreWorkers = flag.Int("score-workers", 0, "shared scoring-pool workers; dispatcher and ensemble-member scoring run here, keeping goroutines O(workers) not O(streams) (0 = GOMAXPROCS)")
+		scoreWorkers = flag.Int("score-workers", 0, "shared scoring-pool workers; every stream's batch drain runs here, keeping goroutines O(workers) not O(streams) (0 = GOMAXPROCS)")
 		trainSlots   = flag.Int("train-slots", 0, "concurrent fine-tune slots in the shared trainer pool with cross-stream fairness (0 = one background goroutine per detector; requires -async-finetune to matter)")
 
 		stateDir     = flag.String("state-dir", "", "directory for snapshots and WALs (empty = no persistence)")
@@ -98,7 +98,6 @@ func main() {
 	base := streamad.Config{
 		Channels: *channels, Window: *window, TrainSize: *train, Seed: *seed,
 		AsyncFineTune: *asyncFT,
-		ScorePool:     scorePool,
 		TrainerPool:   trainerPool,
 	}
 	// Parse once; building one throwaway detector now makes a spec the

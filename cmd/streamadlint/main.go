@@ -1,7 +1,5 @@
 // Command streamadlint runs the repo's custom analyzer suite
-// (internal/lint) in two modes:
-//
-// Standalone, over the whole module:
+// (internal/lint) over the whole module:
 //
 //	streamadlint [-analyzers hotalloc,detrand] [-json] [-timing] [dir]
 //
@@ -12,16 +10,6 @@
 // machine-readable document on stdout that includes suppressed
 // diagnostics with their justifications (the suppression-audit view);
 // -timing appends the per-analyzer cost breakdown.
-//
-// As a vet tool, per compilation unit:
-//
-//	go vet -vettool=$(which streamadlint) ./...
-//
-// In this mode the go command drives streamadlint through the vet
-// protocol: a -V=full version handshake, a -flags capability query, and
-// then one invocation per package with a JSON config file argument
-// naming the sources, the export data of every dependency, and the
-// facts files (vetx) of the direct imports.
 package main
 
 import (
@@ -36,39 +24,24 @@ import (
 	"streamad/internal/lint"
 )
 
-// version participates in the go command's tool-ID handshake (-V=full);
-// bump it when analyzer behaviour changes so cached vet results are
-// invalidated. lint-2: fact layer, statesync, directive, transitive
-// hotalloc. lint-3: metriclint retired (the /metrics registry in
-// internal/server makes its findings unwritable).
+// version is stamped into the -json report; bump it when analyzer
+// behaviour changes. lint-2: fact layer, statesync, directive,
+// transitive hotalloc. lint-3: metriclint retired (the /metrics registry
+// in internal/server makes its findings unwritable).
 const version = "streamad-lint-3"
 
 func main() {
 	progname := filepath.Base(os.Args[0])
-	args := os.Args[1:]
-
-	// The go command probes the tool before using it: -V=full must print
-	// a "name version id" line, -flags a JSON description of the flags
-	// the tool accepts (both documented in cmd/go/internal/vet).
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		fmt.Printf("%s version %s\n", progname, version)
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println(`[{"Name":"analyzers","Bool":false,"Usage":"comma-separated subset of analyzers to run (default: all)"},{"Name":"list","Bool":true,"Usage":"list the analyzer catalogue and exit"}]`)
-		return
-	}
-
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	analyzersFlag := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	listFlag := fs.Bool("list", false, "list the analyzer catalogue and exit")
-	jsonFlag := fs.Bool("json", false, "standalone mode: report as JSON on stdout, suppressed diagnostics included")
-	timingFlag := fs.Bool("timing", false, "standalone mode: report per-analyzer timing")
+	jsonFlag := fs.Bool("json", false, "report as JSON on stdout, suppressed diagnostics included")
+	timingFlag := fs.Bool("timing", false, "report per-analyzer timing")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-analyzers names] [-list] [-json] [-timing] [dir | unit.cfg]\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-analyzers names] [-list] [-json] [-timing] [dir]\n", progname)
 		fs.PrintDefaults()
 	}
-	fs.Parse(args)
+	fs.Parse(os.Args[1:])
 
 	if *listFlag {
 		for _, a := range lint.All() {
@@ -83,15 +56,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(unitCheck(rest[0], selected))
-	}
 	dir := "."
-	if len(rest) > 0 {
-		dir = rest[0]
+	if fs.NArg() > 0 {
+		dir = fs.Arg(0)
 	}
-	os.Exit(standalone(dir, selected, *jsonFlag, *timingFlag))
+	os.Exit(run(dir, selected, *jsonFlag, *timingFlag))
 }
 
 func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
@@ -138,9 +107,9 @@ type jsonReport struct {
 	TimingMs map[string]float64 `json:"timing_ms"`
 }
 
-// standalone checks every package of the module enclosing dir with one
-// shared fact set, in dependency order.
-func standalone(dir string, analyzers []*lint.Analyzer, asJSON, timing bool) int {
+// run checks every package of the module enclosing dir with one shared
+// fact set, in dependency order.
+func run(dir string, analyzers []*lint.Analyzer, asJSON, timing bool) int {
 	root, err := findModuleRoot(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -9,7 +9,7 @@
 //	streamadd -addr :8417 -channels 4 -model arima &
 //	streamload -addr http://127.0.0.1:8417 -streams 64 -rate 50 \
 //	    -scenario 'drift(base(corpus=gauss,channels=4,p=0.02,pool=512),kind=abrupt,at=200,shift=4)' \
-//	    -duration 30s -slo-p99 750ms -slo-shed-rate 0 -slo-5xx 0 -out BENCH_soak.json
+//	    -duration 30s -slo-p99 750ms -slo-shed-rate 0 -slo-5xx 0
 //
 // Because the generator owns the ground truth, the report carries
 // online detection quality (recall, precision, false-alarm rate) next
@@ -17,7 +17,7 @@
 // The run is bounded by an exact per-stream vector count (rate ×
 // duration), so two runs with the same spec and seed send bit-identical
 // vectors in the same per-stream order — against a fixed-seed server,
-// the detection section of BENCH_soak.json is reproducible.
+// the detection section of the report is reproducible.
 //
 // Exit codes: 0 — run complete, all SLOs met; 1 — run complete, at
 // least one SLO violated (violations are listed on stderr and in the
@@ -50,7 +50,7 @@ func main() {
 		warmup   = flag.Int("warmup", 64, "leading vectors per stream excluded from detection metrics")
 		tol      = flag.Int("tolerance", 0, "point-adjust window in vectors: a true anomaly counts as detected if an alert fires within N following vectors, and an alert within N vectors after a true anomaly is not a false alarm (0: exact per-record matching)")
 		seed     = flag.Int64("seed", 1, "base seed; per-stream generator and pacer seeds derive from it")
-		out      = flag.String("out", "BENCH_soak.json", "report path (empty: stdout only)")
+		out      = flag.String("out", "", "also write the report to this path (it always goes to stdout)")
 
 		sloP99    = flag.Duration("slo-p99", 0, "max p99 request latency (0 disables)")
 		sloShed   = flag.Float64("slo-shed-rate", -1, "max shed fraction of sent records (negative disables)")

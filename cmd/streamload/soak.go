@@ -66,7 +66,7 @@ type SLO struct {
 	MinRecall    float64       // min recall over evaluated records
 }
 
-// Report is the BENCH_soak.json document.
+// Report is the JSON document a run prints.
 //
 //streamad:finite-json — every float is routed through finite() or ratio() when the report is assembled.
 type Report struct {

@@ -72,7 +72,7 @@ func soakConfig(addr string) Config {
 
 // TestRunDetectionDeterministic runs the same soak against two fresh
 // servers: the detection and record-accounting sections of the report
-// must be identical — that is the BENCH_soak.json reproducibility
+// must be identical — that is the report's reproducibility
 // contract. Latency differs between runs and is excluded.
 func TestRunDetectionDeterministic(t *testing.T) {
 	var reps [2]*Report

@@ -150,7 +150,7 @@ func (e EnsembleSpec) Build(base Config) (StreamDetector, error) {
 // initializations — the ensemble's bagging diversity.
 const memberSeedStride int64 = 1_000_003
 
-// Ensemble runs several complete detector pipelines concurrently over one
+// Ensemble runs several complete detector pipelines over one
 // stream and combines their per-step scores; the embedded
 // internal/ensemble type is the aggregation and performance-weighting
 // machinery and supplies the whole detector surface (Step, Stats,
@@ -191,7 +191,6 @@ func NewEnsemble(base Config, spec EnsembleSpec) (*Ensemble, error) {
 	inner, err := ensemble.New(ensemble.Config{
 		Members:      members,
 		Labels:       labels,
-		Pool:         base.ScorePool,
 		Agg:          spec.Agg,
 		Verdict:      spec.Verdict,
 		CounterCap:   spec.CounterCap,

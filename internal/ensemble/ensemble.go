@@ -7,17 +7,11 @@
 // handful of diverse pipelines score every vector and a combiner merges
 // their verdicts.
 //
-// Members are passive tasks, not goroutine owners: with a shared scoring
-// pool configured and a worker idle, Step fans the vector out as
-// claimable pool tasks (the caller helps run unclaimed ones, so latency
-// is the slowest member's, not the sum, and a Step issued from inside a
-// pool worker cannot deadlock); with every worker busy, or without a
-// pool, members step serially on the caller. Either way per-stream
-// ordering is fully preserved — Step(t) returns only after every member
-// has consumed vector t, and no member sees vector t+1 before that — and
-// the combined scores are bit-identical across modes, because members
-// are independent and float aggregation happens in fixed member order
-// after the join.
+// Members own no goroutines: Step runs them in member order on the
+// caller, the plain fit_partial → score_partial loop PySAD uses. (A
+// fork-join onto the scoring pool was removed in PR 28: a forked step
+// measured 41–45 µs against 29–41 µs inline, and ten model-heavy pairs
+// without it stayed inside the parent's quartile spread.)
 //
 // Performance weighting generalizes PCB-iForest's per-tree performance
 // counters (Heigl et al.) from trees to whole pipelines: each member
@@ -33,7 +27,6 @@ import (
 	"fmt"
 
 	"streamad/internal/core"
-	"streamad/internal/pool"
 )
 
 // Config assembles an Ensemble.
@@ -63,10 +56,6 @@ type Config struct {
 	// PruneBelow is the disable threshold; must be negative so a fresh
 	// member (counter 0) is never born disabled (default -16).
 	PruneBelow int
-	// Pool, when set, is the shared scoring pool member steps are
-	// scheduled onto; nil steps members serially on the caller. Scores
-	// are bit-identical either way.
-	Pool *pool.Pool
 }
 
 // member is the ensemble's bookkeeping for one pipeline; the pipeline
@@ -74,9 +63,9 @@ type Config struct {
 type member struct {
 	label string
 
-	// The fields below are owned by the Step caller (written only after
-	// the join barrier) and by the stats accessors, which the caller must
-	// serialize with Step — the same contract as core.Detector.
+	// The fields below are owned by the Step caller and by the stats
+	// accessors, which the caller must serialize with Step — the same
+	// contract as core.Detector.
 	pc        int // rolling agreement counter
 	disabled  bool
 	ready     int
@@ -91,9 +80,9 @@ type stepOut struct {
 	panicked interface{}
 }
 
-// step applies one vector to a member, converting panics into values so
-// a bad vector surfaces in the calling goroutine instead of crashing a
-// pool worker.
+// step applies one vector to a member, converting a panic into a value
+// so every member is offered every vector (their step counts never skew)
+// before Step re-raises it.
 func step(det core.Node, v []float64) (out stepOut) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -104,15 +93,14 @@ func step(det core.Node, v []float64) (out stepOut) {
 	return stepOut{res: r, ok: ok}
 }
 
-// Ensemble steps N member pipelines concurrently and combines their
+// Ensemble steps N member pipelines over one stream and combines their
 // scores. Like core.Detector, an Ensemble is not safe for concurrent use;
 // callers serialize Step (the HTTP server holds one lock per stream).
 // The embedded Composite holds the member pipelines and supplies the
 // fine-tune, close and warm-tier paging walks over them.
 type Ensemble struct {
 	core.Composite
-	members    []*member  // per-pipeline counters, parallel to Nodes
-	pool       *pool.Pool //streamad:transient shared scoring pool, an external resource wired at construction
+	members    []*member // per-pipeline counters, parallel to Nodes
 	agg        Agg
 	verdict    float64
 	counterCap int
@@ -122,9 +110,7 @@ type Ensemble struct {
 	steps      int
 	readySteps int
 
-	stepVec []float64 //streamad:transient the vector tasks read, set before each fan-out
-	tasks   []func()  //streamad:transient preallocated per-member pool tasks, rebuilt at construction
-	outs    []stepOut //streamad:transient per-step fan-out scratch
+	outs    []stepOut //streamad:transient per-step member answers
 	scores  []float64 //streamad:transient per-step aggregation scratch, refilled by collect
 	nonconf []float64 //streamad:transient per-step aggregation scratch, refilled by collect
 	weights []float64 //streamad:transient per-step performance weights, recomputed by collect from member counters
@@ -133,8 +119,7 @@ type Ensemble struct {
 	blobSize int // length of the last blob saved or loaded, the next Save's capacity
 }
 
-// New validates the configuration and returns the Ensemble. Members own
-// no goroutines: they run on the shared scoring pool (or inline).
+// New validates the configuration and returns the Ensemble.
 func New(cfg Config) (*Ensemble, error) {
 	if len(cfg.Members) < 2 {
 		return nil, fmt.Errorf("ensemble: need at least 2 members, got %d", len(cfg.Members))
@@ -170,13 +155,11 @@ func New(cfg Config) (*Ensemble, error) {
 	e := &Ensemble{
 		Composite:  core.Composite{Nodes: cfg.Members},
 		members:    make([]*member, n),
-		pool:       cfg.Pool,
 		agg:        cfg.Agg,
 		verdict:    cfg.Verdict,
 		counterCap: cfg.CounterCap,
 		pruneOn:    cfg.PruneEnabled,
 		pruneBelow: cfg.PruneBelow,
-		tasks:      make([]func(), n),
 		outs:       make([]stepOut, n),
 		scores:     make([]float64, 0, n),
 		nonconf:    make([]float64, 0, n),
@@ -192,27 +175,21 @@ func New(cfg Config) (*Ensemble, error) {
 			label = cfg.Labels[i]
 		}
 		e.members[i] = &member{label: label}
-		e.tasks[i] = func() { e.outs[i] = step(det, e.stepVec) }
 	}
 	return e, nil
 }
 
-// Step fans the vector out to every member, joins on all of them, and
-// returns the combined result. ok is false until at least one member has
+// Step applies the vector to every member in order and returns the
+// combined result. ok is false until at least one member has
 // finished its window fill and warmup; members that are still warming are
 // simply absent from the aggregate. If any member rejects the vector with
 // a panic (the detectors' contract for dimension mismatch), Step re-panics
-// in the caller after the join, preserving the single-detector contract.
+// once every member has been offered the vector, preserving the
+// single-detector contract.
 func (e *Ensemble) Step(s []float64) (core.Result, bool) {
 	e.steps++
-	if e.pool != nil {
-		e.stepVec = s
-		e.pool.Run(e.tasks...)
-		e.stepVec = nil
-	} else {
-		for i, det := range e.Nodes {
-			e.outs[i] = step(det, s)
-		}
+	for i, det := range e.Nodes {
+		e.outs[i] = step(det, s)
 	}
 	var panicked interface{}
 	for i := range e.outs {

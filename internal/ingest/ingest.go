@@ -122,7 +122,7 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 	// ScorePool is the shared scoring pool stream dispatchers run on. When
 	// nil the registry creates and owns one sized to GOMAXPROCS; when set
-	// (e.g. so ensembles share the same workers) the caller owns it.
+	// the caller owns it.
 	ScorePool *pool.Pool
 	// WarmAfter, when positive (requires Store), demotes streams with no
 	// observes for the duration from hot to warm: the detector's window

@@ -29,8 +29,9 @@ import (
 )
 
 // borrow takes a scratch buffer, emptied, off the registry's free list
-// (r.bufs, at most four) for a path that encodes or reads a stream's
-// whole state (~100 KB) just to pass it on: checkpoint, restore, page-in.
+// (r.bufs, at most four of at most maxKeptBuf each) for a path that
+// encodes or reads a stream's whole state (~100 KB) just to pass it on:
+// checkpoint, restore, page-in.
 // Nil (none free) means "allocate". Not a sync.Pool: that is emptied
 // every GC cycle, and regrowing such buffers by append-doubling after
 // each collection costs more than pooling them saves.
@@ -43,11 +44,16 @@ func (r *Registry) borrow() (b []byte) {
 	return b
 }
 
+// maxKeptBuf bounds what the free list pins for the life of the process:
+// pipeline checkpoints are 53–133 KB and keep their reuse, a 2 MB
+// ensemble checkpoint goes back to the collector.
+const maxKeptBuf = 256 << 10
+
 // giveBack returns (or donates) a buffer nothing aliases any more.
 func (r *Registry) giveBack(b []byte) {
 	r.bufMu.Lock()
 	defer r.bufMu.Unlock()
-	if cap(b) > 0 && len(r.bufs) < 4 {
+	if cap(b) > 0 && cap(b) <= maxKeptBuf && len(r.bufs) < 4 {
 		r.bufs = append(r.bufs, b)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -363,5 +364,88 @@ func testWarmStreamColdEviction(t *testing.T, build func() (streamad.StreamDetec
 		if got.Ready != wantOK || (wantOK && got.Score != want.Score) {
 			t.Fatalf("step %d after cold restore: got %+v, want %v/%v", i, got, want.Score, wantOK)
 		}
+	}
+}
+
+// TestFleetWalksTheLadder walks a fleet around the residency ladder —
+// register all, page all warm, drive the 1 % hot set, cold-evict the idle
+// rest — and holds the four scale claims: goroutines are O(workers) not
+// O(streams), residency collapses to the working set, every hot stream
+// took the warm→hot path, and retained heap tracks residency rather
+// than registrations. Sweeps use synthetic cutoffs anchored at phase
+// marks, so the censuses do not depend on how long a sweep takes.
+func TestFleetWalksTheLadder(t *testing.T) {
+	const (
+		fleet   = 2000
+		hot     = fleet / 100
+		workers = 2
+		slots   = 2
+		idle    = time.Hour // both horizons: only the anchored sweeps below move a stream
+	)
+	heap := func() float64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	heapBase, goroutinesBase := heap(), runtime.NumGoroutine()
+
+	sp := streamad.NewScoringPool(workers)
+	defer sp.Close()
+	tp := streamad.NewTrainerPool(slots)
+	defer tp.Close()
+	det := pagerDetCfg()
+	det.AsyncFineTune, det.TrainerPool = true, tp
+	r, _ := newPagerRegistry(t, ingest.Config{
+		NewDetector: func(id string) (ingest.Stepper, error) {
+			c := det
+			c.TrainerKey = id
+			return streamad.New(c)
+		},
+		Shards: 64, MaxStreams: fleet, WarmAfter: idle, StreamTTL: idle, ScorePool: sp,
+	})
+	// Registry internals (snapshotter, evictor) and the runtime's own
+	// helpers are the slack; none of it scales with the fleet.
+	checkGoroutines := func(when string) {
+		if extra := runtime.NumGoroutine() - goroutinesBase; extra > workers+slots+8 {
+			t.Errorf("%d goroutines above baseline %s (%d streams), want ≤ %d", extra, when, fleet, workers+slots+8)
+		}
+	}
+	observe := func(i, from, to int) {
+		for k := from; k < to; k++ {
+			if _, err := r.Observe("fleet-"+strconv.Itoa(i), vec(i, k)); err != nil {
+				t.Fatalf("stream %d vector %d: %v", i, k, err)
+			}
+		}
+	}
+
+	for i := 0; i < fleet; i++ {
+		observe(i, 0, 3)
+	}
+	registered := time.Now()
+	heapResident := heap() - heapBase
+	checkGoroutines("with the whole fleet resident")
+	if n := r.PageIdle(registered.Add(idle)); n != fleet {
+		t.Fatalf("PageIdle demoted %d of %d streams", n, fleet)
+	}
+	steadyStart := time.Now()
+	for i := 0; i < hot; i++ {
+		observe(i, 3, 60)
+	}
+	if n := r.EvictIdle(steadyStart.Add(idle)); n != fleet-hot {
+		t.Fatalf("EvictIdle sent %d streams cold, want %d", n, fleet-hot)
+	}
+
+	checkGoroutines("in steady state")
+	st := r.Stats()
+	if st.Streams > 2*hot+64 || st.HotStreams+st.WarmStreams != st.Streams {
+		t.Errorf("steady residency: %d streams (hot %d + warm %d), want ≤ %d and hot + warm == resident",
+			st.Streams, st.HotStreams, st.WarmStreams, 2*hot+64)
+	}
+	if st.WarmToHot < hot {
+		t.Errorf("warm→hot = %d, want every one of the %d hot streams restored from its page", st.WarmToHot, hot)
+	}
+	if frac := (heap() - heapBase) / heapResident; frac > 0.8 {
+		t.Errorf("steady heap is %.2f of the all-resident heap (%.1f MB), want ≤ 0.8", frac, heapResident/(1<<20))
 	}
 }

@@ -35,10 +35,9 @@ import (
 // construct is also excluded from its function's AllocFact, so an
 // audited lazy-init helper does not poison every hotpath caller.
 var HotAlloc = &Analyzer{
-	Name:      "hotalloc",
-	Doc:       "flags allocating constructs inside //streamad:hotpath functions, transitively through static calls",
-	FactTypes: []Fact{(*AllocFact)(nil)},
-	Run:       runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "flags allocating constructs inside //streamad:hotpath functions, transitively through static calls",
+	Run:  runHotAlloc,
 }
 
 // AllocFact marks a function whose body allocates, directly or through

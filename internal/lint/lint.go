@@ -20,8 +20,7 @@
 // The suite mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
 // Pass, Reportf) but is built entirely on the standard library's go/ast
 // and go/types, because this module deliberately has no third-party
-// dependencies. cmd/streamadlint drives it either standalone or as a
-// `go vet -vettool` unitchecker.
+// dependencies. cmd/streamadlint drives it over the whole module.
 //
 // Findings are suppressed with a directive on the offending line or the
 // line above:
@@ -44,10 +43,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer flags.
 	Doc string
-	// FactTypes declares the fact types the analyzer exports and
-	// imports, as pointer-to-struct prototypes (required for the gob
-	// round-trip through vetx files).
-	FactTypes []Fact
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -61,7 +56,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	directives *directiveIndex
-	facts      *factStore
+	facts      *FactSet
 	report     func(Diagnostic)
 }
 
@@ -125,7 +120,7 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, fs *FactSet) ([]Diagno
 			Pkg:        pkg.Types,
 			TypesInfo:  pkg.Info,
 			directives: pkg.directives,
-			facts:      fs.store,
+			facts:      fs,
 			report:     func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {

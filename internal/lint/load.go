@@ -27,22 +27,6 @@ type Package struct {
 	directives *directiveIndex
 }
 
-// NewPackage assembles a Package from already-parsed, already-checked
-// parts. The vet driver uses it: under `go vet -vettool` the toolchain
-// hands us file lists and export data per compilation unit, so parsing
-// and type-checking happen outside the Loader.
-func NewPackage(path, dir string, fset *token.FileSet, files []*ast.File, tpkg *types.Package, info *types.Info) *Package {
-	return &Package{
-		Path:       path,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		directives: buildDirectiveIndex(fset, files),
-	}
-}
-
 // Loader parses and type-checks packages for analysis. It resolves
 // intra-module imports itself (the module layout maps import paths to
 // directories directly) and defers everything else — the standard

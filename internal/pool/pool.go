@@ -11,13 +11,7 @@
 //
 //   - Pool is the scoring pool: an unbounded FIFO of ready-to-run tasks
 //     drained by N workers. Submit is fire-and-forget (the ingest
-//     dispatcher's per-stream batch drains); Run is a help-first
-//     fork-join for intra-task parallelism (ensemble members): the
-//     caller enqueues claimable tasks and then claims unclaimed ones
-//     itself, so a Run issued from inside a pool worker can never
-//     deadlock — in the worst case the caller runs everything inline,
-//     and when every worker is already busy it does so without
-//     publishing anything.
+//     dispatcher's per-stream batch drains).
 //
 //   - Trainer is the fine-tune pool: K slots drained from a priority
 //     queue ordered by least-recently-served stream, so one drift-storm
@@ -37,7 +31,7 @@ import (
 type Pool struct {
 	mu      sync.Mutex
 	cond    sync.Cond
-	queue   []entry
+	queue   []func()
 	closed  bool
 	workers int
 	wg      sync.WaitGroup
@@ -45,13 +39,6 @@ type Pool struct {
 	queued    atomic.Int64 // tasks waiting in the FIFO
 	running   atomic.Int64 // tasks being executed by workers
 	completed atomic.Uint64
-}
-
-// entry is one FIFO slot: a Submit closure, or one claimable task of a
-// Run (fn nil).
-type entry struct {
-	fn   func()
-	task *runTask
 }
 
 // NewScoring starts a scoring pool with the given worker count
@@ -86,27 +73,17 @@ func (p *Pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		e := p.queue[0]
+		fn := p.queue[0]
 		// The backing array outlives the pop: a slot left set would keep
-		// a finished Run's tasks, and their ensemble, reachable.
-		p.queue[0] = entry{}
+		// a finished task, and the stream it captured, reachable.
+		p.queue[0] = nil
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
 		p.queued.Add(-1)
-		fn := e.fn
-		if e.task != nil {
-			if !e.task.claim() {
-				continue // the Run's caller ran it: bookkeeping, not a task
-			}
-			fn = e.task.fn
-		}
 		p.running.Add(1)
 		fn()
 		p.running.Add(-1)
 		p.completed.Add(1)
-		if e.task != nil {
-			close(e.task.done)
-		}
 	}
 }
 
@@ -121,78 +98,10 @@ func (p *Pool) Submit(fn func()) {
 		fn()
 		return
 	}
-	p.queue = append(p.queue, entry{fn: fn})
+	p.queue = append(p.queue, fn)
 	p.queued.Add(1)
 	p.mu.Unlock()
 	p.cond.Signal()
-}
-
-// runTask is one claimable unit of a Run fork-join. state moves
-// 0 (unclaimed) → 1 (claimed); exactly one claimant runs the task.
-type runTask struct {
-	fn    func()
-	state atomic.Int32
-	done  chan struct{}
-}
-
-// claim attempts to take ownership; the winner must run fn, and a
-// worker that wins closes done for the joining caller.
-func (t *runTask) claim() bool { return t.state.CompareAndSwap(0, 1) }
-
-// Run executes every task and returns when all have finished. It is the
-// help-first fork-join: tasks are published to the pool, and the caller
-// then claims still-unclaimed tasks (newest first, the ones least likely
-// to have been picked up) and runs them inline, waiting only for tasks a
-// worker actually claimed. Because the caller always makes progress on
-// unclaimed work, Run is deadlock-free even when invoked from inside a
-// pool worker with every other worker busy.
-//
-// When no worker is idle, publishing cannot help: the tasks would wait
-// behind the workers' own work while the caller runs them anyway, or be
-// stolen by a worker whose own queue then waits. Run then executes the
-// tasks on the caller, in order, allocating and enqueueing nothing.
-func (p *Pool) Run(fns ...func()) {
-	if len(fns) < 2 || p.running.Load() >= int64(p.workers) {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	tasks := make([]*runTask, len(fns))
-	for i, fn := range fns {
-		tasks[i] = &runTask{fn: fn, done: make(chan struct{})}
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for _, t := range tasks {
-			t.fn()
-		}
-		return
-	}
-	for _, t := range tasks {
-		p.queue = append(p.queue, entry{task: t})
-	}
-	p.queued.Add(int64(len(tasks)))
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	// Help: claim from the back (workers drain from the front). A task
-	// the caller wins is run inline and needs no join; the worker that
-	// later pops its entry loses the claim and drops it.
-	mine := make([]bool, len(tasks))
-	for i := len(tasks) - 1; i >= 0; i-- {
-		if tasks[i].claim() {
-			mine[i] = true
-			tasks[i].fn()
-		}
-	}
-	// Join only the tasks a worker claimed: it closes done right after
-	// running them.
-	for i, t := range tasks {
-		if !mine[i] {
-			<-t.done
-		}
-	}
 }
 
 // Stats is a point-in-time snapshot of pool load, for the

@@ -81,9 +81,7 @@ type Config struct {
 	WarmAfter time.Duration
 	// ScorePool, when set, is the shared bounded worker pool dispatcher
 	// hops run on; the registry otherwise creates its own (GOMAXPROCS
-	// workers). Share one pool between the registry and ensemble
-	// detectors to keep goroutine count O(workers) for the whole process.
-	// The caller keeps ownership: close it after the server.
+	// workers). The caller keeps ownership: close it after the server.
 	ScorePool *pool.Pool
 	// TrainerPool, when set, is surfaced in /metrics as the trainer-pool
 	// families. The pool itself is wired into

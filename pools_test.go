@@ -106,52 +106,6 @@ func TestTrainerPoolConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestEnsemblePoolMatchesSerial: an ensemble stepping its members on the
-// shared scoring pool must be bit-identical to the serial ensemble —
-// members are independent and outputs land by index, so scheduling
-// cannot change aggregation.
-func TestEnsemblePoolMatchesSerial(t *testing.T) {
-	spec := EnsembleSpec{
-		Members: []PipelineSpec{
-			{Model: ModelARIMA, Task1: TaskSlidingWindow, Task2: TaskMuSigma, Score: ScoreRaw},
-			{Model: ModelAE, Task1: TaskSlidingWindow, Task2: TaskRegular, Score: ScoreLikelihood},
-			{Model: ModelUSAD, Task1: TaskUniformReservoir, Task2: TaskMuSigma, Score: ScoreAverage},
-		},
-		Agg: AggPerfWeighted,
-	}
-	base := Config{Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 11}
-	serial, err := NewEnsemble(base, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := NewScoringPool(3)
-	defer sp.Close()
-	pbase := base
-	pbase.ScorePool = sp
-	pooled, err := NewEnsemble(pbase, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pooled.Close()
-	buf := make([]float64, 2)
-	buf2 := make([]float64, 2)
-	for step := 0; step < 300; step++ {
-		rs, oks := serial.Step(syntheticVec(buf, step))
-		rp, okp := pooled.Step(syntheticVec(buf2, step))
-		if oks != okp || rs.Score != rp.Score {
-			t.Fatalf("step %d: pooled ensemble diverged: (%v,%v) vs (%v,%v)",
-				step, rs.Score, oks, rp.Score, okp)
-		}
-	}
-	// Completed counts the member steps a worker claimed before the
-	// caller did. The caller claims from the back and the last member,
-	// USAD, is by far the slowest, so the idle workers get the other two.
-	sp.Close()
-	if st := sp.Stats(); st.Completed == 0 {
-		t.Fatalf("ensemble never fanned out to the scoring pool: %+v", st)
-	}
-}
-
 // TestDetectorPageRoundTrip: PageOut/PageIn around continued stepping
 // must be invisible in the scores, and Step on a paged detector must
 // panic loudly rather than scoring garbage.

@@ -4,9 +4,9 @@
 #
 #   scripts/soak.sh smoke   # CI gate: 64 streams, ~2s of traffic, hard
 #                           # SLOs (zero 5xx, zero shed, zero errors,
-#                           # p99 < 750ms); report goes to a temp dir
+#                           # p99 < 750ms)
 #   scripts/soak.sh full    # make bench-soak: 64 streams x 50 vec/s for
-#                           # 30s; writes the checked-in BENCH_soak.json
+#                           # 30s under the same SLOs
 #   scripts/soak.sh cascade # CI gate: the smoke soak against a server
 #                           # running cascade(zscore, knn); recall must
 #                           # hold the plain-knn gate and /metrics must
@@ -23,15 +23,16 @@
 #                           # a non-zero dropped counter
 #
 # The server runs a real streamadd (arima, 4 channels, block overload
-# policy) on a loopback port; it is killed on exit. streamload's exit
-# code propagates: 0 all SLOs met, 1 SLO violation, 2 harness error.
+# policy) on a loopback port; it is killed on exit. Every mode prints
+# its report and keeps nothing: binaries, logs and the report file live
+# in a temp dir that is removed on exit. streamload's exit code
+# propagates: 0 all SLOs met, 1 SLO violation, 2 harness error.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 MODE="${1:-smoke}"
 ADDR="${SOAK_ADDR:-127.0.0.1:18417}"
-OUT="${SOAK_OUT:-BENCH_soak.json}"
 
 command -v curl >/dev/null 2>&1 || { echo "soak.sh: curl is required for the readiness probe" >&2; exit 2; }
 
@@ -105,7 +106,7 @@ full)
         -streams 64 -rate 50 -batch 16 -duration 30s -warmup 64 -seed 1 \
         -slo-p99 750ms -slo-shed-rate 0 -slo-error-rate 0 -slo-5xx 0 \
         -slo-recall 0.25 \
-        -out "$OUT"
+        -out "$BIN/BENCH_soak.json"
     ;;
 cascade)
     "$BIN/streamload" -addr "http://$ADDR" \

@@ -239,10 +239,8 @@ type Config struct {
 	// key trains first. Requires AsyncFineTune; ignored without it.
 	TrainerPool *TrainerPool
 	TrainerKey  string
-	// ScorePool steps ensemble members as tasks on a shared bounded
-	// worker pool instead of sequentially in the caller, whenever one of
-	// its workers is idle. Only ensembles use it (see NewEnsemble);
-	// single-pipeline detectors ignore it.
+	// ScorePool is ignored: ensemble members step in order on the
+	// caller. A compat shim; see the list above the ScorePool type.
 	ScorePool *ScorePool
 	// Seed drives every random component (default 1).
 	Seed int64
@@ -315,9 +313,20 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// ScorePool re-exports the shared bounded worker pool ensembles and the
-// ingestion layer schedule scoring work on. One pool serves any number
-// of detectors; goroutine count stays O(workers), not O(streams).
+// Compat shims. The frozen benchmark/ compiles against these and nothing
+// else in the repo needs them; the next benchmark-lane PR can stop using
+// them and delete all four in one go:
+//
+//   - IsEnsembleSpec and ParseEnsembleSpec (parse.go): ParseSpec plus a
+//     type switch on the returned Spec tree answers both.
+//   - core.Pager's single PageOut() ([]byte, error): tracedDetector
+//     implements exactly this method set, which blocks a page-out that
+//     appends into a borrowed buffer (ROADMAP item 9).
+//   - Config.ScorePool: set by the benchmark, read by nothing.
+
+// ScorePool re-exports the shared bounded worker pool the ingestion
+// layer's stream dispatchers run on. One pool serves any number of
+// streams; goroutine count stays O(workers), not O(streams).
 type ScorePool = pool.Pool
 
 // TrainerPool re-exports the shared K-slot training pool with
@@ -325,7 +334,7 @@ type ScorePool = pool.Pool
 type TrainerPool = pool.Trainer
 
 // NewScoringPool builds a shared scoring pool; workers <= 0 selects
-// GOMAXPROCS. Close it after every detector using it has stopped.
+// GOMAXPROCS. Close it after the registry using it has closed.
 func NewScoringPool(workers int) *ScorePool { return pool.NewScoring(workers) }
 
 // NewTrainerPool builds a shared trainer pool with the given number of
