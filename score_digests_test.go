@@ -13,7 +13,7 @@ import (
 	"streamad/internal/scenario"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/score_digests.json from the current build's scores")
+var updateDigests = flag.Bool("update", false, "rewrite testdata/score_digests.json and testdata/sync_checkpoints from the current build")
 
 const scoreDigestFile = "testdata/score_digests.json"
 
