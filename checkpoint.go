@@ -1,13 +1,22 @@
 package streamad
 
 import (
+	"encoding"
 	"fmt"
 
+	"streamad/internal/core"
 	"streamad/internal/wire"
 )
 
-// snapshotVersion identifies the Detector.Save envelope layout.
-const snapshotVersion = 2
+// snapshotVersion identifies the Detector.Save envelope layout;
+// pendingVersion is the same envelope followed by a pending asynchronous
+// fine-tune — its due step and trained model. Only a checkpoint taken
+// between a trigger and its due step writes it, so every other one keeps
+// the plain layout's bytes, and a truncated pending one is refused.
+const (
+	snapshotVersion = 2
+	pendingVersion  = 3
+)
 
 // fingerprintFields names, in wire order, the configuration values a
 // checkpoint leads with; Load rejects a snapshot whose values differ from
@@ -58,16 +67,20 @@ func (d *Detector) Save() ([]byte, error) { return wire.Marshal(d, &d.blobSize) 
 // the configuration fingerprint, the Task 1 RNG position, then the model
 // and the framework-loop state as two sections of the same buffer. It
 // shadows the embedded loop's AppendBinary, which writes the last section
-// alone.
+// alone. A pending fine-tune is finished — trained here if its pool has
+// not started it — and appended as its due step and a model section; it
+// is still adopted at that step, by this detector or a restored one.
 func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
-	// Drain any in-flight asynchronous fine-tune before snapshotting, so
-	// the core counters and the model section describe the same moment.
-	d.WaitFineTune()
 	model, ok := d.Model().(wire.Appender)
 	if !ok {
 		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
 	}
-	dst = wire.AppendInt(dst, snapshotVersion)
+	due, trained, pending := d.Pending()
+	version := snapshotVersion
+	if pending {
+		version = pendingVersion
+	}
+	dst = wire.AppendInt(dst, version)
 	for _, v := range d.fingerprint() {
 		dst = wire.AppendInt64(dst, v)
 	}
@@ -77,7 +90,10 @@ func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.AppendSection(dst, d.Detector)
+	if dst, err = wire.AppendSection(dst, d.Detector); err != nil || !pending {
+		return dst, err
+	}
+	return wire.AppendSection(wire.AppendInt(dst, due), trained.(wire.Appender))
 }
 
 // Load restores a snapshot produced by Save into this detector. The
@@ -86,8 +102,9 @@ func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
 // mismatch is rejected before any state is touched.
 func (d *Detector) Load(data []byte) error {
 	rd := wire.NewReader(data)
-	if v := rd.Int(); rd.Err() != nil || v != snapshotVersion {
-		return fmt.Errorf("streamad: snapshot version %d, this build reads %d", v, snapshotVersion)
+	v := rd.Int()
+	if rd.Err() != nil || v != snapshotVersion && v != pendingVersion {
+		return fmt.Errorf("streamad: snapshot version %d, this build reads %d and %d", v, snapshotVersion, pendingVersion)
 	}
 	var snap [len(fingerprintFields)]int64
 	for i := range snap {
@@ -95,6 +112,11 @@ func (d *Detector) Load(data []byte) error {
 	}
 	rngSeed, rngDraws := rd.Int64(), rd.Uint64()
 	model, inner := rd.Section(), rd.Section()
+	var due int
+	var trained []byte
+	if v == pendingVersion {
+		due, trained = rd.Int(), rd.Section()
+	}
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("streamad: decode snapshot: %w", err)
 	}
@@ -104,15 +126,27 @@ func (d *Detector) Load(data []byte) error {
 				fingerprintFields[i], fingerprintValue(i, snap[i]), fingerprintFields[i], fingerprintValue(i, want))
 		}
 	}
-	// Restore the model first: its Unmarshal validates shapes against the
-	// receiver, so a corrupt or cross-model blob fails before the framework
-	// loop state is touched.
+	// Decode the models first: their Unmarshal validates shapes against
+	// the receiver, so a corrupt or cross-model blob fails before the
+	// framework loop state is touched.
+	var pending core.Model
+	if v == pendingVersion {
+		c, ok := d.Model().(core.Cloner)
+		if !ok {
+			return fmt.Errorf("streamad: %v cannot fine-tune asynchronously, but the snapshot holds a pending fine-tune", d.cfg.Model)
+		}
+		pending = c.CloneModel().(core.Model)
+		if err := pending.(encoding.BinaryUnmarshaler).UnmarshalBinary(trained); err != nil {
+			return err
+		}
+	}
 	if err := d.LoadModel(model); err != nil {
 		return err
 	}
 	if err := d.PageIn(inner); err != nil {
 		return err
 	}
+	d.SetPending(due, pending)
 	d.src.Restore(rngSeed, rngDraws)
 	d.blobSize = len(data)
 	return nil

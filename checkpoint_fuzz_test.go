@@ -11,14 +11,17 @@ import (
 // indexed by its first argument: a self-scoring model with its own RNG
 // and pointer-linked trees, a forecaster over a sampled training set,
 // an ensemble composing two pipelines into one buffer, a tier-0 leaf,
-// and a cascade composing a tier-0 gate, a conformal window and a
-// pipeline. New blueprints are appended: a seed's kind byte is its index.
+// a cascade composing a tier-0 gate, a conformal window and a pipeline,
+// and an async pipeline whose seed is taken with a fine-tune pending, so
+// the envelope ends in the trained model. New blueprints are appended: a
+// seed's kind byte is its index.
 var fuzzSpecs = []string{
 	"pcb+sw+musigma",
 	"arima+ures+kswin",
 	"ensemble(arima+sw+musigma, knn+ares+regular; agg=perf, prune=-8)",
 	"zscore",
 	"cascade(zscore, knn+sw+musigma; admit=0.1, calib=32, gatewin=8)",
+	"arima+sw+regular+raw+async",
 }
 
 // fuzzDetector builds blueprint kind at a geometry small enough that a
@@ -38,10 +41,13 @@ func fuzzDetector(t testing.TB, kind byte) StreamDetector {
 // one warmed-up, fine-tuned checkpoint per blueprint.
 func TestFuzzSeedCorpus(t *testing.T) {
 	stream := gridStream(60, 2)
-	for kind, name := range []string{"pcb", "arima", "ensemble", "zscore", "cascade"} {
+	for kind, name := range []string{"pcb", "arima", "ensemble", "zscore", "cascade", "async"} {
 		det := fuzzDetector(t, byte(kind))
 		for _, v := range stream {
 			det.Step(v)
+		}
+		if name == "async" && !det.(*Detector).FineTuneStats().InFlight {
+			t.Fatal("the async seed must be taken with a fine-tune pending")
 		}
 		blob, err := det.Save()
 		if err != nil {

@@ -188,6 +188,23 @@ func TestCheckpointRoundTripGrid(t *testing.T) {
 			checkRoundTrip(t, func() (StreamDetector, error) { return NewFromSpec(spec, gridConfig()) }, 7)
 		})
 	}
+	t.Run("async mid-job", func(t *testing.T) {
+		// Checkpointed 90 vectors in, while the fine-tune triggered at 69
+		// is pending (due at 101): the envelope ends in its trained model,
+		// and both detectors adopt it at the same step.
+		mk := func() (StreamDetector, error) { return NewFromSpec("ae+sw+regular+al+async", gridConfig()) }
+		probe, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range gridStream(gridBefore, 2) {
+			probe.Step(v)
+		}
+		if !probe.(*Detector).FineTuneStats().InFlight {
+			t.Fatal("no fine-tune pending at the checkpoint")
+		}
+		checkRoundTrip(t, mk, 7)
+	})
 	t.Run("sanitize", func(t *testing.T) {
 		cfg := gridConfig()
 		cfg.Model, cfg.Sanitize = ModelKNN, true

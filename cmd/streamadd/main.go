@@ -55,10 +55,10 @@ func main() {
 		alertEps    = flag.Float64("alert-epsilon", 0.01, "target false-positive rate of the conformal rule (policy=conformal)")
 		alertCalib  = flag.Int("alert-calib", 256, "conformal calibration-window capacity (policy=conformal)")
 		seed        = flag.Int64("seed", 1, "random seed")
-		asyncFT     = flag.Bool("async-finetune", false, "fine-tune on a background goroutine (serve/train split): scoring keeps serving the old model while the new one trains")
+		asyncFT     = flag.Bool("async-finetune", false, "fine-tune in the background (serve/train split): scoring keeps serving the old model while the new one trains, and the new one takes over exactly 32 vectors after its drift trigger, so scores stay a function of the input")
 
 		scoreWorkers = flag.Int("score-workers", 0, "shared scoring-pool workers; every stream's batch drain runs here, keeping goroutines O(workers) not O(streams) (0 = GOMAXPROCS)")
-		trainSlots   = flag.Int("train-slots", 0, "concurrent fine-tune slots in the shared trainer pool with cross-stream fairness (0 = one background goroutine per detector; requires -async-finetune to matter)")
+		trainSlots   = flag.Int("train-slots", 0, "concurrent fine-tune slots in the shared trainer pool with cross-stream fairness (0 = one background goroutine per fine-tune); a fine-tune still queued when it is due trains on the stream's own goroutine. Requires -async-finetune to matter")
 
 		stateDir     = flag.String("state-dir", "", "directory for snapshots and WALs (empty = no persistence)")
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "background checkpoint period (requires -state-dir)")

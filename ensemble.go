@@ -47,14 +47,14 @@ var (
 
 	// Everything with a model — pipelines, and the ensembles and cascades
 	// over them — supports warm-tier paging (core.Pager), so the
-	// registry's tiering policy can demote its window state, and settles
-	// background training on Close (core.Trainer).
-	_ core.Pager   = (*Detector)(nil)
-	_ core.Pager   = (*Ensemble)(nil)
-	_ core.Pager   = (*Cascade)(nil)
-	_ core.Trainer = (*Detector)(nil)
-	_ core.Trainer = (*Ensemble)(nil)
-	_ core.Trainer = (*Cascade)(nil)
+	// registry's tiering policy can demote its window state, and releases
+	// background training on Close (core.Closer).
+	_ core.Pager  = (*Detector)(nil)
+	_ core.Pager  = (*Ensemble)(nil)
+	_ core.Pager  = (*Cascade)(nil)
+	_ core.Closer = (*Detector)(nil)
+	_ core.Closer = (*Ensemble)(nil)
+	_ core.Closer = (*Cascade)(nil)
 )
 
 // PipelineSpec names one detector pipeline: the (model × Task 1 × Task 2

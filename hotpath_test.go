@@ -1,8 +1,11 @@
 package streamad
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
+	"time"
 )
 
 // syntheticVec fills dst with a deterministic multi-channel waveform.
@@ -117,74 +120,141 @@ func TestStepZeroAllocEnsemble(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSyncWhenDrained is the equivalence guarantee of the
-// serve/train split: draining the trainer after every step removes the
-// only source of divergence (scoring on stale parameters), so async mode
-// must reproduce synchronous scores bit for bit — the clone carries the
-// full optimizer state and trains on an identical training-set snapshot.
-func TestAsyncMatchesSyncWhenDrained(t *testing.T) {
-	cfg := Config{
-		Model: ModelAE, Task1: TaskSlidingWindow, Task2: TaskRegular,
-		Score: ScoreLikelihood, RegularInterval: 25,
-		Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 5,
-	}
-	syncDet, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := cfg
-	acfg.AsyncFineTune = true
-	asyncDet, err := New(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !asyncDet.FineTuneStats().Async {
-		t.Fatal("async detector did not activate the serve/train split")
-	}
-
-	buf := make([]float64, 2)
-	buf2 := make([]float64, 2)
-	for step := 0; step < 400; step++ {
-		rs, oks := syncDet.Step(syntheticVec(buf, step))
-		ra, oka := asyncDet.Step(syntheticVec(buf2, step))
-		asyncDet.WaitFineTune()
-		if oks != oka {
-			t.Fatalf("step %d: readiness diverged (sync %v, async %v)", step, oks, oka)
-		}
-		if rs.Score != ra.Score || rs.Nonconformity != ra.Nonconformity {
-			t.Fatalf("step %d: drained async diverged from sync: score %v vs %v, nonconformity %v vs %v",
-				step, rs.Score, ra.Score, rs.Nonconformity, ra.Nonconformity)
-		}
-		if rs.FineTuned != ra.FineTuned {
-			t.Fatalf("step %d: FineTuned diverged (sync %v, async %v)", step, rs.FineTuned, ra.FineTuned)
-		}
-	}
-	if s, a := syncDet.FineTunes(), asyncDet.FineTunes(); s != a || s == 0 {
-		t.Fatalf("fine-tune counts diverged: sync %d, async %d (want equal and nonzero)", s, a)
-	}
-}
-
-// TestAsyncFineTuneConcurrent exercises the model swap under load without
-// draining, so the background Fit genuinely overlaps scoring — the race
-// job runs this with -race to prove the swap is clean.
-func TestAsyncFineTuneConcurrent(t *testing.T) {
-	d, err := New(Config{
+// asyncConfig is the USAD pipeline the async tests drive: a Regular
+// trigger every 20 vectors, so most triggers land inside the previous
+// fine-tune's adoption window and are skipped.
+func asyncConfig() Config {
+	return Config{
 		Model: ModelUSAD, Task1: TaskSlidingWindow, Task2: TaskRegular,
 		Score: ScoreLikelihood, RegularInterval: 20,
 		Channels: 2, Window: 6, TrainSize: 32, WarmupVectors: 40, Seed: 7,
 		AsyncFineTune: true,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// asyncDigest steps d through n synthetic vectors and folds every
+// result — readiness, score and nonconformity bits, fine-tune flag —
+// into an FNV-64a.
+func asyncDigest(t *testing.T, d *Detector, n int) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	var rec [18]byte
 	buf := make([]float64, 2)
-	for step := 0; step < 600; step++ {
+	for step := 0; step < n; step++ {
 		res, ok := d.Step(syntheticVec(buf, step))
 		if ok && (math.IsNaN(res.Score) || math.IsInf(res.Score, 0)) {
 			t.Fatalf("step %d: non-finite score %v", step, res.Score)
 		}
+		rec[0], rec[1] = 0, 0
+		if ok {
+			rec[0] = 1
+		}
+		if res.FineTuned {
+			rec[1] = 1
+		}
+		binary.LittleEndian.PutUint64(rec[2:], math.Float64bits(res.Score))
+		binary.LittleEndian.PutUint64(rec[10:], math.Float64bits(res.Nonconformity))
+		h.Write(rec[:])
 	}
-	d.WaitFineTune()
+	return h.Sum64()
+}
+
+// TestAsyncIsAPureFunctionOfTheInput: an asynchronous fine-tune is
+// adopted at a fixed distance from its trigger, so the scores cannot
+// depend on which trainer ran it or when it finished. Five trainers that
+// finish jobs at very different times — immediately, never (the due step
+// trains it), on a goroutine, on one shared slot, on four — must produce
+// one digest.
+func TestAsyncIsAPureFunctionOfTheInput(t *testing.T) {
+	const steps = 600
+	closed := NewTrainerPool(1)
+	closed.Close() // Submit after Close runs the job at once, inline
+	held := NewTrainerPool(1)
+	release := make(chan struct{})
+	held.Submit("blocker", func() { <-release }) // the only slot never frees up
+	defer func() { close(release); held.Close() }()
+	one, four := NewTrainerPool(1), NewTrainerPool(4)
+	defer one.Close()
+	defer four.Close()
+
+	var want uint64
+	for i, tc := range []struct {
+		name string
+		pool *TrainerPool
+	}{
+		{"runs at once", closed},
+		{"never starts", held},
+		{"goroutine per job", nil},
+		{"pool of 1", one},
+		{"pool of 4", four},
+	} {
+		cfg := asyncConfig()
+		cfg.TrainerPool, cfg.TrainerKey = tc.pool, "s"
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := asyncDigest(t, d, steps)
+		d.Close()
+		st := d.FineTuneStats()
+		if !st.Async || st.Launched < 5 || st.Skipped == 0 || d.FineTunes() < 5 {
+			t.Fatalf("%s: want several launched, skipped and adopted fine-tunes: %+v, %d adopted", tc.name, st, d.FineTunes())
+		}
+		if tc.pool == held && st.AdoptWaits != int64(d.FineTunes()) {
+			t.Fatalf("%s: every due step had to train its job, but %d of %d waited", tc.name, st.AdoptWaits, d.FineTunes())
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("%s: score digest %016x, %q gave %016x", tc.name, got, "runs at once", want)
+		}
+	}
+}
+
+// TestStepAfterTrainerPoolClose: a detector whose shared trainer pool
+// has closed under it (daemon shutdown) keeps stepping through
+// fine-tunes — each is trained inline by the closed pool's Submit —
+// instead of deadlocking on its own Step.
+func TestStepAfterTrainerPoolClose(t *testing.T) {
+	tp := NewTrainerPool(1)
+	tp.Close()
+	d, err := New(Config{
+		Model: ModelAE, Task1: TaskSlidingWindow, Task2: TaskRegular,
+		Score: ScoreLikelihood, RegularInterval: 10,
+		Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 5,
+		AsyncFineTune: true, TrainerPool: tp, TrainerKey: "s",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]float64, 2)
+		for step := 0; step < 400; step++ {
+			d.Step(syntheticVec(buf, step))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Step deadlocked on a fine-tune submitted to a closed trainer pool")
+	}
+	if st := d.FineTuneStats(); st.Launched < 5 {
+		t.Fatalf("only %d fine-tunes launched; the test must cross at least 5 triggers", st.Launched)
+	}
+}
+
+// TestAsyncFineTuneConcurrent exercises the model swap under load, the
+// background Fit genuinely overlapping scoring — the race job runs this
+// with -race to prove the hand-off is clean.
+func TestAsyncFineTuneConcurrent(t *testing.T) {
+	d, err := New(asyncConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	asyncDigest(t, d, 600)
+	d.Close()
 	st := d.FineTuneStats()
 	if !st.Async || st.Launched == 0 || st.Completed == 0 {
 		t.Fatalf("expected async fine-tunes to have run, got %+v", st)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"streamad/internal/drift"
 	"streamad/internal/reservoir"
@@ -138,20 +137,15 @@ type Config struct {
 	// alert can name the channels that drove it. Self-scoring models
 	// (PCB-iForest, kNN) have no prediction pair to decompose.
 	Attribution bool
-	// AsyncFineTune enables the serve/train split: a drift-triggered
-	// fine-tune clones the model and trains the clone on a background
-	// goroutine over a snapshot of R_train, while scoring continues on
-	// the old parameters; the trained model is adopted at a later Step.
-	// Requires a model implementing Cloner — otherwise fine-tuning
-	// silently stays synchronous. Off by default: synchronous mode is
-	// bit-identical and fully deterministic.
+	// AsyncFineTune enables the serve/train split: a drift trigger at
+	// step s clones the model and copies R_train, a TrainerPool trains the
+	// clone while scoring continues on the old parameters, and the Step
+	// of s+adoptLag adopts it, waiting if need be. Requires a Cloner
+	// model; otherwise fine-tuning stays synchronous (the default): the
+	// live model trains in place within the triggering Step.
 	AsyncFineTune bool
-	// TrainerPool, when set together with AsyncFineTune, routes
-	// drift-triggered fine-tunes through a shared bounded pool instead of
-	// spawning one goroutine per fine-tune. The clone and training-set
-	// snapshot are taken lazily when a pool slot dequeues the job, so a
-	// queued fine-tune pins no deep copies; Step briefly synchronizes with
-	// that snapshot phase via a mutex. Ignored in synchronous mode.
+	// TrainerPool, with AsyncFineTune, runs the fine-tunes on a shared
+	// bounded pool instead of a goroutine each.
 	TrainerPool TrainerPool
 	// TrainerKey identifies this detector's stream in the trainer pool's
 	// cross-stream fairness ordering. Only meaningful with TrainerPool.
@@ -178,14 +172,14 @@ type Result struct {
 	Source string
 }
 
-// Detector runs the streaming anomaly detection loop. Step, WaitFineTune
-// and the state snapshot methods must all be called from a single
-// goroutine; FineTuneStats is safe from any goroutine. Together with its
-// model's checkpoint (streamad.Detector adds it) it is the leaf Node.
+// Detector runs the streaming anomaly detection loop. Step, Close and
+// the state snapshot methods must all be called from a single goroutine;
+// FineTuneStats is safe from any goroutine. Together with its model's
+// checkpoint (streamad.Detector adds it) it is the leaf Node.
 type Detector struct {
 	cfg        Config
-	predictor  Predictor
-	selfScore  SelfScoring
+	predictor  Predictor   //streamad:transient view of cfg.Model, set by NewDetector and adopt
+	selfScore  SelfScoring //streamad:transient view of cfg.Model, set by NewDetector and adopt
 	warmupLeft int
 	warmedUp   bool
 	steps      int
@@ -194,12 +188,9 @@ type Detector struct {
 	sanBuf     []float64 //streamad:transient per-step repair scratch, preallocated by NewDetector and overwritten each Step
 	sanitized  int       // steps on which a non-finite input was repaired
 	attrBuf    []float64 //streamad:transient per-step attribution scratch, preallocated by NewDetector and derived each Step
-	asyncFT    bool      // serve/train split active
-	poolFT     bool      // fine-tunes routed through the shared trainer pool
 	paged      bool      // window state released to the snapshot store (warm tier)
 	blobSize   int       // length of the last window-state blob marshalled or restored, the next one's capacity
-	trainMu    sync.Mutex
-	train      *trainer
+	train      *trainer  //streamad:transient fine-tune configuration and metrics, plus a pending job the leaf envelope checkpoints via Pending/SetPending
 }
 
 // ErrConfig reports an invalid Detector configuration.
@@ -228,15 +219,11 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if cfg.InitEpochs == 0 {
 		cfg.InitEpochs = 1
 	}
-	d := &Detector{cfg: cfg, warmupLeft: cfg.WarmupVectors, train: newTrainer()}
+	d := &Detector{cfg: cfg, warmupLeft: cfg.WarmupVectors, train: newTrainer(cfg)}
 	if isSelf && cfg.Measure == nil {
 		d.selfScore = ss
 	} else {
 		d.predictor = pred
-	}
-	if _, ok := cfg.Model.(Cloner); ok && cfg.AsyncFineTune {
-		d.asyncFT = true
-		d.poolFT = cfg.TrainerPool != nil
 	}
 	// Scoring-path scratch is allocated here, never lazily: the very
 	// first post-warmup Step must already run allocation-free.
@@ -284,16 +271,7 @@ func (d *Detector) Step(s []float64) (Result, bool) {
 	if d.paged {
 		panic("core: Step on paged-out detector; PageIn first")
 	}
-	if d.poolFT {
-		// Exclude the trainer pool's lazy clone+snapshot phase; the lock is
-		// uncontended except in the instant a queued fine-tune dequeues.
-		d.trainMu.Lock()
-		defer d.trainMu.Unlock()
-	}
 	d.steps++
-	if d.asyncFT {
-		d.adoptTrained()
-	}
 	if d.cfg.Sanitize {
 		s = d.sanitize(s)
 	}
@@ -338,6 +316,9 @@ func (d *Detector) Step(s []float64) (Result, bool) {
 		//streamad:ignore hotalloc fine-tune launch (model clone, goroutine or pool submit) runs only on a drift trigger, amortized over thousands of steps
 		fineTuned = d.fineTune()
 	}
+	if j := d.train.job; j != nil && j.due <= d.steps {
+		d.adopt()
+	}
 	return Result{Nonconformity: a, Score: f, FineTuned: fineTuned, Attribution: attribution}, true
 }
 
@@ -375,14 +356,14 @@ func (d *Detector) Steps() int { return d.steps }
 
 // Model returns the model currently serving scores. With asynchronous
 // fine-tuning the model identity changes at adoption steps, so callers
-// snapshotting parameters must use this accessor (after WaitFineTune)
-// rather than a reference captured at build time.
+// snapshotting parameters must use this accessor rather than a reference
+// captured at build time; a fine-tune pending adoption is not in it.
 func (d *Detector) Model() Model { return d.cfg.Model }
 
 // FineTunes returns the number of fine-tuning sessions performed after
-// warmup. In asynchronous mode it counts adopted models, so a fine-tune
-// still in flight (or finished but not yet adopted) is not included;
-// see FineTuneStats for launch/completion counts.
+// warmup. It counts adopted models, so an asynchronous fine-tune pending
+// adoption is not included; see FineTuneStats for launch/completion
+// counts.
 func (d *Detector) FineTunes() int { return d.fineTunes }
 
 // WarmedUp reports whether the initial training has completed.

@@ -49,17 +49,6 @@ type FineTuneStatser interface {
 	FineTuneStats() FineTuneStats
 }
 
-// Trainer is the optional capability of a node that may fine-tune in the
-// background: the pipeline leaf and, by walking its children, every
-// Composite. Tier-0 detectors have no model and lack it.
-type Trainer interface {
-	FineTuneStatser
-	// WaitFineTune drains in-flight training and adopts its model; like
-	// Step, callers serialize it.
-	WaitFineTune()
-	Closer
-}
-
 // Run feeds an entire series (rows × N) through d and returns one anomaly
 // score per time step with a parallel validity mask; steps before
 // readiness score 0 and are marked invalid.
@@ -104,6 +93,7 @@ func (c *Composite) FineTuneStats() FineTuneStats {
 		agg.InFlight = agg.InFlight || st.InFlight
 		agg.Launched += st.Launched
 		agg.Skipped += st.Skipped
+		agg.AdoptWaits += st.AdoptWaits
 		agg.Completed += st.Completed
 		if st.LastSeconds > agg.LastSeconds {
 			agg.LastSeconds = st.LastSeconds
@@ -116,18 +106,7 @@ func (c *Composite) FineTuneStats() FineTuneStats {
 	return agg
 }
 
-// WaitFineTune drains every child's in-flight asynchronous fine-tune.
-// Children are idle between Steps, so adopting models here cannot race
-// with scoring as long as the caller serializes it with Step.
-func (c *Composite) WaitFineTune() {
-	for _, n := range c.Nodes {
-		if t, ok := n.(Trainer); ok {
-			t.WaitFineTune()
-		}
-	}
-}
-
-// Close settles every child's outstanding asynchronous training (a
+// Close releases every child's pending fine-tune from its pool (a
 // composite owns no goroutines of its own). Safe to call more than once;
 // the composite remains steppable after.
 func (c *Composite) Close() {

@@ -12,9 +12,9 @@ import (
 // model stays resident, then restored bit-identically before the next
 // Step. Implemented by *Detector and composed child-wise by Composite.
 type Pager interface {
-	// PageOut drains any in-flight fine-tune, snapshots the window state
-	// and releases its backing storage. The returned blob restores the
-	// exact state via PageIn. After PageOut, Step panics until PageIn.
+	// PageOut snapshots the window state and releases its backing
+	// storage. The returned blob restores the exact state via PageIn.
+	// After PageOut, Step panics until PageIn.
 	PageOut() ([]byte, error)
 	// PageIn restores window state paged out by PageOut and reallocates
 	// the backing storage.
@@ -38,16 +38,15 @@ func (r *Representer) Release() {
 	r.primed = false
 }
 
-// PageOut implements Pager: it waits for (and adopts) any in-flight
-// fine-tune so no trainer holds references to the released storage, then
-// snapshots the window state and frees the representation window and
-// training set. The model, drift and scorer stay resident — warm-tier
-// residency is the model plus O(score-window) scalars.
+// PageOut implements Pager: it snapshots the window state and frees the
+// representation window and training set. The model, drift and scorer
+// stay resident — warm-tier residency is the model plus O(score-window)
+// scalars — and so does a pending fine-tune, which trains on copies of
+// its own.
 func (d *Detector) PageOut() ([]byte, error) {
 	if d.paged {
 		return nil, fmt.Errorf("core: detector already paged out")
 	}
-	d.WaitFineTune()
 	// Presized from the previous blob written or restored: one allocation.
 	blob, err := wire.Marshal(d, &d.blobSize)
 	if err != nil {

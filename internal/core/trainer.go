@@ -1,30 +1,46 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"streamad/internal/stats"
 )
 
+// adoptLag is how many steps after its drift trigger an asynchronous
+// fine-tune is adopted: a trigger at step s trains a clone on R_train as
+// of s, and the Step of s+adoptLag installs it however long training
+// took, so async scores are a function of the input alone. Sync mode is
+// lag 0. 32 is from the {0, 8, 32, 128} grid it is to be measured over.
+const adoptLag = 32
+
 // Cloner is the optional model capability behind asynchronous
 // fine-tuning: CloneModel returns a full-fidelity deep copy — weights,
-// optimizer state, scalers — that can train on a background goroutine
-// while the original keeps scoring. The returned value must implement
-// Model (and whichever of Predictor/SelfScoring the original does).
+// optimizer state, scalers — that can train on another goroutine while
+// the original keeps scoring. The returned value must implement Model
+// (and whichever of Predictor/SelfScoring the original does).
 type Cloner interface {
 	CloneModel() any
 }
 
-// TrainerPool is the shared bounded fine-tune pool the detector can route
-// asynchronous training through instead of spawning per-fine-tune
-// goroutines (implemented by internal/pool.Trainer). Submit queues one
+// TrainerPool runs asynchronous fine-tunes off the scoring goroutine
+// (internal/pool.Trainer is the shared bounded one). Submit hands over one
 // job for the stream key; the returned cancel reports true when it won
-// the race against dequeue, in which case the job will never run and the
-// caller owns its cleanup.
+// the race against the job's start, and the caller then runs the job.
 type TrainerPool interface {
 	Submit(key string, run func()) (cancel func() bool)
+}
+
+// goTrainer is the TrainerPool of an async detector configured without
+// one: a goroutine per job, never canceled.
+type goTrainer struct{}
+
+// Submit implements TrainerPool.
+//
+//streamad:lifecycle — the goroutine is joined by the detector: at the job's due step, by a checkpoint, or by Close.
+func (goTrainer) Submit(_ string, run func()) func() bool {
+	go run()
+	return func() bool { return false }
 }
 
 // FineTuneBuckets are the upper bounds (seconds) of the fine-tune
@@ -37,13 +53,17 @@ type FineTuneStats struct {
 	// Async reports whether the serve/train split is active (the config
 	// asked for it and the model supports cloning).
 	Async bool
-	// InFlight reports whether a background fine-tune is running now.
+	// InFlight reports whether an asynchronous fine-tune is pending: its
+	// trigger has passed and its due step has not.
 	InFlight bool
 	// Launched counts asynchronous fine-tunes started.
 	Launched int64
 	// Skipped counts drift triggers dropped because a fine-tune was
-	// already in flight.
+	// pending.
 	Skipped int64
+	// AdoptWaits counts due steps that found their fine-tune unfinished
+	// and trained it (still queued) or waited for it (still training).
+	AdoptWaits int64
 	// Completed counts finished fine-tuning epochs, sync and async.
 	Completed int64
 	// LastSeconds and TotalSeconds are the duration of the most recent
@@ -56,205 +76,190 @@ type FineTuneStats struct {
 	Buckets []uint64
 }
 
-// trainedModel wraps a freshly fine-tuned model for atomic hand-off from
-// the trainer goroutine to the scoring loop.
-type trainedModel struct {
-	model Model
+// job is one fine-tune: a model, the set to fit it on, and the step
+// that adopts it. A sync job is the live model and R_train, trained in
+// place by its trigger's Step; an async one owns copies and runs on a
+// TrainerPool.
+type job struct {
+	due    int
+	model  Model
+	set    [][]float64   // nil once trained
+	cancel func() bool   // the pool's cancel while the pool holds the job
+	done   chan struct{} // closed when the pool has trained it
 }
 
-// trainer holds the serve/train split state: the in-flight flag, the
-// pending trained model awaiting adoption, and the duration metrics.
-// All fields are atomics (or only touched by the Step goroutine) so the
-// background fine-tune never contends with scoring.
+// trainer is the detector's fine-tune state. The job is the scoring
+// goroutine's; everything FineTuneStats reads is atomic.
 type trainer struct {
-	inFlight  atomic.Int32
-	pending   atomic.Pointer[trainedModel]
-	wg        sync.WaitGroup
-	cancel    func() bool // pending pool job's cancel; scoring-goroutine only
+	lag       int         // adoptLag in async mode, 0 in sync mode
+	pool      TrainerPool // nil in sync mode
+	job       *job        // the pending fine-tune, if any
+	inFlight  atomic.Bool
 	launched  atomic.Int64
 	skipped   atomic.Int64
+	waits     atomic.Int64
 	lastNanos atomic.Int64
 	durations *stats.Histogram // one observation (ns) per finished epoch
 }
 
-func newTrainer() *trainer {
-	return &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9)}
+// newTrainer is async when cfg asks for it and the model can clone.
+func newTrainer(cfg Config) *trainer {
+	t := &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9)}
+	if _, ok := cfg.Model.(Cloner); ok && cfg.AsyncFineTune {
+		t.lag, t.pool = adoptLag, cfg.TrainerPool
+		if t.pool == nil {
+			t.pool = goTrainer{}
+		}
+	}
+	return t
 }
 
-// record accumulates one fine-tune duration into the metrics.
-func (t *trainer) record(d time.Duration) {
+// fit trains j's model on j's set and records the duration, on the pool
+// or on the scoring goroutine.
+func (t *trainer) fit(j *job) {
+	start := time.Now()
+	j.model.Fit(j.set)
+	j.set = nil
+	d := time.Since(start)
 	t.lastNanos.Store(int64(d))
 	t.durations.Observe(int64(d))
 }
 
-// fineTune handles a drift trigger. In synchronous mode (the default) it
-// runs the fine-tuning epoch inline, exactly as before. In asynchronous
-// mode it clones the model, snapshots R_train and trains on a background
-// goroutine, publishing the result for adoption at a later Step; scoring
-// continues on the old parameters meanwhile. A trigger that lands while a
-// fine-tune is already in flight is counted and dropped. Returns whether
-// a fine-tune was started (sync: also finished).
-//
-//streamad:lifecycle — the async trainer goroutine is joined by WaitFineTune/adoption.
-func (d *Detector) fineTune() bool {
-	if !d.asyncFT {
-		start := time.Now()
-		d.cfg.Model.Fit(d.cfg.TrainingSet.Items())
-		d.train.record(time.Since(start))
-		d.cfg.Drift.Reset(d.cfg.TrainingSet)
-		d.fineTunes++
+// release takes j back from its pool: a job not started yet is canceled,
+// keeping its set for the scoring goroutine to train, and one in training
+// is joined. It reports whether the job was not trained by then.
+func (j *job) release() (blocked bool) {
+	c := j.cancel
+	if c == nil {
+		return false
+	}
+	j.cancel = nil
+	if c() {
 		return true
 	}
-	if !d.train.inFlight.CompareAndSwap(0, 1) {
-		d.train.skipped.Add(1)
+	select {
+	case <-j.done:
+		return false
+	default:
+		<-j.done
+		return true
+	}
+}
+
+// finish makes sure j is trained, training it here if the pool has not,
+// and reports whether that took a wait or a training.
+func (t *trainer) finish(j *job) bool {
+	blocked := j.release()
+	if j.set != nil {
+		t.fit(j)
+	}
+	return blocked
+}
+
+// fineTune handles a drift trigger: it starts a job due lag steps from
+// now or, while one is pending, counts the trigger as skipped; either way
+// the drift detector restarts from the current training set. A sync job
+// (lag 0) trains the live model in place before that; an async one owns
+// a clone and a copy of R_train taken now. Reports whether a fine-tune
+// was started.
+func (d *Detector) fineTune() bool {
+	t := d.train
+	if t.job != nil {
+		t.skipped.Add(1)
 		d.cfg.Drift.Reset(d.cfg.TrainingSet)
 		return false
 	}
-	if d.poolFT {
-		// Pool mode: enqueue a job that clones the model and snapshots the
-		// training set lazily when a slot dequeues it, so however long the
-		// job queues it pins no deep copies. Step excludes that snapshot
-		// phase via trainMu (already held here — Step calls fineTune).
-		d.cfg.Drift.Reset(d.cfg.TrainingSet)
-		d.train.launched.Add(1)
-		d.train.wg.Add(1)
-		d.train.cancel = d.cfg.TrainerPool.Submit(d.cfg.TrainerKey, d.poolFineTune)
-		return true
+	j := &job{due: d.steps + t.lag, model: d.cfg.Model, set: d.cfg.TrainingSet.Items()}
+	t.job = j
+	if t.pool != nil {
+		j.model = d.cfg.Model.(Cloner).CloneModel().(Model)
+		j.set = snapshotSet(j.set)
+		j.done = make(chan struct{})
+		t.inFlight.Store(true)
+		t.launched.Add(1)
+		j.cancel = t.pool.Submit(d.cfg.TrainerKey, func() {
+			t.fit(j)
+			close(j.done)
+		})
 	}
-	clone := d.cfg.Model.(Cloner).CloneModel().(Model)
-	set := snapshotSet(d.cfg.TrainingSet.Items())
+	if j.due == d.steps {
+		d.adopt()
+	}
 	d.cfg.Drift.Reset(d.cfg.TrainingSet)
-	d.train.launched.Add(1)
-	d.train.wg.Add(1)
-	go func() {
-		defer d.train.wg.Done()
-		start := time.Now()
-		clone.Fit(set)
-		d.train.record(time.Since(start))
-		// Publish before clearing inFlight so a new launch can only start
-		// once its predecessor's result is visible for adoption.
-		d.train.pending.Store(&trainedModel{model: clone})
-		d.train.inFlight.Store(0)
-	}()
 	return true
 }
 
-// poolFineTune is the body of a trainer-pool job: clone and snapshot
-// under trainMu (excluding Step for just that phase), then train outside
-// the lock and publish for adoption, exactly like the goroutine path.
-// Runs on a pool slot, or inline on the scoring goroutine when a drain
-// wins the cancel race.
-func (d *Detector) poolFineTune() {
-	defer d.train.wg.Done()
-	d.trainMu.Lock()
-	clone := d.cfg.Model.(Cloner).CloneModel().(Model)
-	set := snapshotSet(d.cfg.TrainingSet.Items())
-	d.trainMu.Unlock()
-	start := time.Now()
-	clone.Fit(set)
-	d.train.record(time.Since(start))
-	// Publish before clearing inFlight so a new launch can only start
-	// once its predecessor's result is visible for adoption.
-	d.train.pending.Store(&trainedModel{model: clone})
-	d.train.inFlight.Store(0)
-}
-
-// drainPool settles the detector's pending trainer-pool job: if it is
-// still queued the cancel wins and the job either runs inline (train) or
-// is discarded (a dropped fine-tune, e.g. at eviction); if a slot already
-// claimed it, the wait joins it. Must run on the scoring goroutine with
-// trainMu NOT held.
-func (d *Detector) drainPool(train bool) {
-	c := d.train.cancel
-	d.train.cancel = nil
-	if c != nil && c() {
-		if train {
-			d.poolFineTune()
-		} else {
-			d.train.wg.Done()
-			d.train.inFlight.Store(0)
-		}
+// adopt installs the pending job's model at its due step, counting an
+// adopt wait if the job was not trained by then.
+func (d *Detector) adopt() {
+	t, j := d.train, d.train.job
+	if t.finish(j) {
+		t.waits.Add(1)
 	}
-	d.train.wg.Wait()
-}
-
-// adoptTrained swaps in a background-trained model if one is pending.
-// Called at Step entry on the scoring goroutine, so model installation
-// never races with Predict.
-func (d *Detector) adoptTrained() {
-	p := d.train.pending.Swap(nil)
-	if p == nil {
-		return
+	t.job = nil
+	t.inFlight.Store(false)
+	d.cfg.Model = j.model
+	if d.selfScore != nil {
+		d.selfScore = j.model.(SelfScoring)
+	} else {
+		d.predictor = j.model.(Predictor)
 	}
-	d.installModel(p.model)
 	d.fineTunes++
 }
 
-// installModel rewires the detector's cached model interfaces.
-func (d *Detector) installModel(m Model) {
-	d.cfg.Model = m
-	if d.selfScore != nil {
-		d.selfScore = m.(SelfScoring)
-	} else {
-		d.predictor = m.(Predictor)
+// Pending finishes the pending fine-tune, if any, and returns its due
+// step and trained model for a checkpoint to carry; between Steps there
+// is never one in sync mode.
+func (d *Detector) Pending() (due int, model Model, ok bool) {
+	j := d.train.job
+	if j == nil {
+		return 0, nil, false
 	}
+	d.train.finish(j)
+	return j.due, j.model, true
 }
 
-// WaitFineTune blocks until any in-flight asynchronous fine-tune has
-// finished, then adopts its model immediately. It must be called from the
-// same goroutine that calls Step (the detector's single-writer
-// discipline); after it returns, the detector scores with the newest
-// parameters — checkpointing and the async-vs-sync equivalence tests use
-// it to drain the trainer. A no-op in synchronous mode.
-func (d *Detector) WaitFineTune() {
-	if !d.asyncFT {
-		return
+// SetPending replaces the pending fine-tune with a trained model that the
+// Step of due adopts, as restored from a checkpoint; nil leaves none.
+func (d *Detector) SetPending(due int, model Model) {
+	d.Close()
+	d.train.job = nil
+	if model != nil {
+		d.train.job = &job{due: due, model: model}
 	}
-	if d.poolFT {
-		d.drainPool(true)
-	} else {
-		d.train.wg.Wait()
-	}
-	d.adoptTrained()
+	d.train.inFlight.Store(model != nil)
 }
 
-// Close settles any outstanding asynchronous training without adopting
-// its result: a queued pool fine-tune is canceled (its model would be
-// discarded anyway), an in-flight one is joined. After Close the detector
-// holds no pool or goroutine references; eviction paths must call it so a
-// TTL-evicted stream cannot leak an in-flight trainer. Safe to call more
-// than once; the detector remains usable (a later Step may trigger new
-// fine-tunes).
+// Close releases the pending fine-tune from its pool, so a dropped
+// detector leaves no pool job or goroutine behind. Adoption is untouched:
+// a job taken back is trained by its due Step. Safe to call repeatedly.
 func (d *Detector) Close() {
-	if !d.asyncFT {
-		return
-	}
-	if d.poolFT {
-		d.drainPool(false)
-	} else {
-		d.train.wg.Wait()
+	if j := d.train.job; j != nil {
+		j.release()
 	}
 }
 
 // FineTuneStats returns a snapshot of fine-tuning activity. Unlike most
 // Detector methods it is safe to call from any goroutine.
 func (d *Detector) FineTuneStats() FineTuneStats {
-	h := d.train.durations.Snapshot()
+	t := d.train
+	h := t.durations.Snapshot()
 	return FineTuneStats{
-		Async:        d.asyncFT,
-		InFlight:     d.train.inFlight.Load() != 0,
-		Launched:     d.train.launched.Load(),
-		Skipped:      d.train.skipped.Load(),
+		Async:        t.pool != nil,
+		InFlight:     t.inFlight.Load(),
+		Launched:     t.launched.Load(),
+		Skipped:      t.skipped.Load(),
+		AdoptWaits:   t.waits.Load(),
 		Completed:    int64(h.Count()),
-		LastSeconds:  float64(d.train.lastNanos.Load()) / 1e9,
+		LastSeconds:  float64(t.lastNanos.Load()) / 1e9,
 		TotalSeconds: float64(h.Sum) / 1e9,
 		Buckets:      h.Buckets,
 	}
 }
 
-// snapshotSet deep-copies the training set for the background trainer:
-// reservoir implementations reuse row storage in place, so the trainer
-// cannot read the live rows while the stream keeps observing.
+// snapshotSet deep-copies the training set for an async job: reservoir
+// implementations reuse row storage in place, so the pool cannot read
+// the live rows while the stream keeps observing.
 func snapshotSet(items [][]float64) [][]float64 {
 	total := 0
 	for _, it := range items {

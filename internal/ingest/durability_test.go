@@ -33,6 +33,9 @@ var durabilitySpecs = map[string]string{
 	"knn":   "knn+sw+musigma",
 	"ens":   "ensemble(usad+sw+musigma, nbeats+sw+musigma; agg=mean)",
 	"cas":   "cascade(zscore, arima+sw+musigma+raw; admit=0.2, calib=16, gatewin=8)",
+	// One member fine-tunes asynchronously: a trigger every 16 vectors,
+	// each fine-tune adopted 32 vectors after its trigger.
+	"async": "ensemble(arima+sw+regular, usad+sw+regular+al+async; agg=mean)",
 }
 
 var durabilityBase = streamad.Config{Channels: 2, Window: 8, TrainSize: 16, Seed: 1}
@@ -188,6 +191,81 @@ func TestCrashAtEveryTierBoundary(t *testing.T) {
 		}
 		store2.Close()
 	}
+}
+
+// TestCrashMidFineTune: a stream whose ensemble has an async member is
+// checkpointed while that member's fine-tune is pending, keeps observing
+// past the fine-tune's due step — those vectors only in its WAL — and the
+// process dies. The restore (the snapshot, which carries the trained model
+// and its due step, then the WAL tail, whose replay crosses the due step)
+// must score the rest of the input bit-identically to an uninterrupted
+// library run.
+func TestCrashMidFineTune(t *testing.T) {
+	const id, total = "async", 320
+	ref := libraryRun(t, id, 0, total)
+	feed := func(r *ingest.Registry, from, to int, what string) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			res, err := r.Observe(id, vec(0, i))
+			if err != nil || res.Err != nil {
+				t.Fatalf("%s step %d: %v / %v", what, i, err, res.Err)
+			}
+			if verdictOf(res) != ref[i] {
+				t.Fatalf("%s step %d: %+v, want %+v", what, i, verdictOf(res), ref[i])
+			}
+		}
+	}
+	pending := func(r *ingest.Registry) bool {
+		info, ok := r.StreamStats(id)
+		return ok && info.FineTune.InFlight
+	}
+	dir := filepath.Join(t.TempDir(), "state")
+	store, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ladderRegistry(t, store)
+	at := 0
+	for ; !pending(r); at++ {
+		if at == total/2 {
+			t.Fatal("no asynchronous fine-tune was launched")
+		}
+		feed(r, at, at+1, "live")
+	}
+	feed(r, at, at+5, "live")
+	at += 5
+	if err := r.SnapshotAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !pending(r) {
+		t.Fatal("the checkpoint must be taken while the fine-tune is pending")
+	}
+	feed(r, at, at+40, "live") // past the due step, logged in the WAL only
+	at += 40
+	if pending(r) {
+		t.Fatal("the fine-tune is still pending 45 vectors after its trigger")
+	}
+	crashed := filepath.Join(t.TempDir(), "state")
+	copyDir(t, dir, crashed)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	store2, err := persist.Open(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	r2 := ladderRegistry(t, store2)
+	defer r2.Close()
+	if n, warn, err := r2.RestoreStreams(); err != nil || n != 1 || len(warn) != 0 {
+		t.Fatalf("restored %d streams, warnings %v, err %v", n, warn, err)
+	}
+	if info, _ := r2.StreamStats(id); info.Steps != at {
+		t.Fatalf("restored at %d steps, %d vectors were acknowledged", info.Steps, at)
+	}
+	feed(r2, at, total, "restored")
 }
 
 func copyDir(t *testing.T, from, to string) {

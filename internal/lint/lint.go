@@ -15,7 +15,7 @@
 //     no Lock without a matching Unlock in the same function.
 //   - ctxgoroutine: goroutines are launched only inside
 //     //streamad:lifecycle helpers whose shutdown is joined by a
-//     Close/Stop/WaitFineTune path.
+//     Close/Stop path.
 //
 // The suite mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
 // Pass, Reportf) but is built entirely on the standard library's go/ast

@@ -32,6 +32,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -168,26 +169,25 @@ func escapeID(id string) string {
 	return b.String()
 }
 
-// unescapeID inverts escapeID.
+// unescapeID inverts escapeID. It accepts only stems escapeID writes: a
+// stem it would have spelled differently (lowercase hex, a character
+// left unescaped or escaped needlessly) names no stream's file.
 func unescapeID(name string) (string, error) {
 	var b strings.Builder
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		if c != '%' {
-			b.WriteByte(c)
-			continue
+		if c == '%' && i+2 < len(name) {
+			if v, err := strconv.ParseUint(name[i+1:i+3], 16, 8); err == nil {
+				c = byte(v)
+				i += 2
+			}
 		}
-		if i+2 >= len(name) {
-			return "", fmt.Errorf("persist: malformed escaped stream name %q", name)
-		}
-		var v int
-		if _, err := fmt.Sscanf(name[i+1:i+3], "%02X", &v); err != nil {
-			return "", fmt.Errorf("persist: malformed escaped stream name %q", name)
-		}
-		b.WriteByte(byte(v))
-		i += 2
+		b.WriteByte(c)
 	}
-	return b.String(), nil
+	if id := b.String(); escapeID(id) == name {
+		return id, nil
+	}
+	return "", fmt.Errorf("persist: %q is not an escaped stream name", name)
 }
 
 func (s *Store) snapPath(id string) string { return filepath.Join(s.dir, escapeID(id)+snapSuffix) }

@@ -197,6 +197,44 @@ func TestIDsAndEscaping(t *testing.T) {
 	}
 }
 
+// TestIDsSkipsNonCanonicalStems: a file whose stem escapeID would not
+// have written names no stream — reading it back as one would register
+// an empty phantom stream that maps to a different file (or none). IDs
+// must skip it as a foreign file and keep only the canonical stem.
+func TestIDsSkipsNonCanonicalStems(t *testing.T) {
+	for _, tc := range []struct {
+		file, id string // id "" = skipped
+	}{
+		{"a%2F.snap", "a/"},
+		{"a%2f.snap", ""}, // lowercase hex
+		{"a%-1.snap", ""}, // not hex
+		{"x.y.snap", ""},  // '.' is always escaped
+		{"a%41.wal", ""},  // 'A' is never escaped
+		{"wal%20.wal", "wal "},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.IDs()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{}
+		if tc.id != "" {
+			want = append(want, tc.id)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: IDs() = %q, want %q", tc.file, got, want)
+		}
+	}
+}
+
 func TestRemove(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	defer s.Close()

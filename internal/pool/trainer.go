@@ -13,9 +13,10 @@ import (
 // a single drift-storming stream cannot monopolize the slots while the
 // rest of the fleet's models go stale.
 //
-// Jobs are closures that capture their own training snapshot when they
-// start running (lazily at dequeue), so however deep the queue grows it
-// pins no deep-copied training sets.
+// A job owns the model clone and training-set copy its detector took at
+// the drift trigger, and the detector adopts the result at a fixed step
+// whenever the job runs; a job still queued by then is canceled and run
+// by the detector itself.
 type Trainer struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -103,11 +104,10 @@ func (h *trainHeap) Pop() interface{} {
 	return j
 }
 
-// Submit queues one fine-tune for the stream key. run executes on a pool
-// slot; it must capture its training snapshot itself when it runs. The
-// returned cancel reports true when it won the race against dequeue —
-// the job will never run and the caller owns its cleanup; false means a
-// slot has already claimed (or finished) it.
+// Submit queues one fine-tune for the stream key; run executes on a pool
+// slot. The returned cancel reports true when it won the race against
+// dequeue — the job will never run here and the caller owns it; false
+// means a slot has already claimed (or finished) it.
 func (t *Trainer) Submit(key string, run func()) (cancel func() bool) {
 	j := &trainJob{key: key, run: run}
 	t.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ type fineTuneDet struct{ stubDetector }
 
 func (d *fineTuneDet) FineTuneStats() core.FineTuneStats {
 	return core.FineTuneStats{
-		Async: true, InFlight: true, Launched: 5, Skipped: 2, Completed: 4,
+		Async: true, InFlight: true, Launched: 5, Skipped: 2, AdoptWaits: 3, Completed: 4,
 		LastSeconds: 0.25, TotalSeconds: 6.75,
 		// ≤1ms, 2× ≤10ms, one slower than the last bound (overflow).
 		Buckets: []uint64{0, 1, 0, 2, 0, 0, 0, 0, 0, 1},
@@ -252,6 +253,12 @@ func TestMetricsGolden(t *testing.T) {
 			observeLatency(s, d)
 		}
 		checkGolden(t, s, "composite")
+		// The adopt waits are a field of the stream's stats, not a family.
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/ft-1", nil))
+		if !strings.Contains(rec.Body.String(), `"adopt_waits":3,`) {
+			t.Errorf("GET /v1/streams/ft-1 lacks fine_tune.adopt_waits: %s", rec.Body)
+		}
 	})
 
 	t.Run("cluster", func(t *testing.T) {

@@ -285,12 +285,14 @@ type StatsResponse struct {
 }
 
 // FineTuneStatus is the serve/train split section of StatsResponse:
-// fine-tuning mode, in-flight state and duration accounting.
+// fine-tuning mode, pending state, the due steps that had to wait for
+// their fine-tune, and duration accounting.
 type FineTuneStatus struct {
 	Mode         string  `json:"mode"` // "sync" or "async"
 	InFlight     bool    `json:"in_flight,omitempty"`
 	Launched     int64   `json:"launched,omitempty"`
 	Skipped      int64   `json:"skipped,omitempty"`
+	AdoptWaits   int64   `json:"adopt_waits,omitempty"`
 	Completed    int64   `json:"completed"`
 	LastSeconds  float64 `json:"last_seconds"`
 	TotalSeconds float64 `json:"total_seconds"`
@@ -432,6 +434,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, id string) 
 			InFlight:     ft.InFlight,
 			Launched:     ft.Launched,
 			Skipped:      ft.Skipped,
+			AdoptWaits:   ft.AdoptWaits,
 			Completed:    ft.Completed,
 			LastSeconds:  ft.LastSeconds,
 			TotalSeconds: ft.TotalSeconds,

@@ -6,62 +6,9 @@ import (
 	"streamad/internal/core"
 )
 
-// TestTrainerPoolMatchesSyncWhenDrained: routing fine-tunes through the
-// shared trainer pool, then draining before the next step, must be
-// bit-identical to synchronous fine-tuning — the lazy snapshot at
-// dequeue sees exactly the state the sync path trains on.
-func TestTrainerPoolMatchesSyncWhenDrained(t *testing.T) {
-	cfg := Config{
-		Model: ModelAE, Task1: TaskSlidingWindow, Task2: TaskRegular,
-		Score: ScoreLikelihood, RegularInterval: 25,
-		Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 5,
-	}
-	syncDet, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := NewTrainerPool(2)
-	defer tp.Close()
-	pcfg := cfg
-	pcfg.AsyncFineTune = true
-	pcfg.TrainerPool = tp
-	pcfg.TrainerKey = "s"
-	poolDet, err := New(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer poolDet.Close()
-	if !poolDet.FineTuneStats().Async {
-		t.Fatal("pooled detector did not activate the serve/train split")
-	}
-	buf := make([]float64, 2)
-	buf2 := make([]float64, 2)
-	for step := 0; step < 400; step++ {
-		rs, oks := syncDet.Step(syntheticVec(buf, step))
-		rp, okp := poolDet.Step(syntheticVec(buf2, step))
-		poolDet.WaitFineTune()
-		if oks != okp {
-			t.Fatalf("step %d: readiness diverged (sync %v, pool %v)", step, oks, okp)
-		}
-		if rs.Score != rp.Score || rs.Nonconformity != rp.Nonconformity {
-			t.Fatalf("step %d: drained pool fine-tune diverged from sync: score %v vs %v",
-				step, rs.Score, rp.Score)
-		}
-	}
-	if s, p := syncDet.FineTunes(), poolDet.FineTunes(); s != p || s == 0 {
-		t.Fatalf("fine-tune counts diverged: sync %d, pool %d (want equal and nonzero)", s, p)
-	}
-	// Draining right after each step usually wins the cancel race and runs
-	// the job inline, so the work shows up as canceled rather than
-	// completed — either way it flowed through the pool.
-	if ts := tp.Stats(); ts.Completed+ts.Canceled == 0 {
-		t.Fatalf("no fine-tune ever passed through the trainer pool: %+v", ts)
-	}
-}
-
 // TestTrainerPoolConcurrentStreams: many detectors sharing one trainer
-// pool under load — no drain between steps — must stay finite and
-// eventually adopt trained models; Close must settle everything.
+// pool under load must stay finite and adopt trained models; Close must
+// release every pending job from the pool.
 func TestTrainerPoolConcurrentStreams(t *testing.T) {
 	tp := NewTrainerPool(2)
 	defer tp.Close()
@@ -81,7 +28,6 @@ func TestTrainerPoolConcurrentStreams(t *testing.T) {
 		dets[i] = d
 	}
 	buf := make([]float64, 2)
-	launched := false
 	for step := 0; step < 600; step++ {
 		for _, d := range dets {
 			d.Step(syntheticVec(buf, step))
@@ -89,20 +35,12 @@ func TestTrainerPoolConcurrentStreams(t *testing.T) {
 	}
 	for _, d := range dets {
 		d.Close()
-		st := d.FineTuneStats()
-		if st.Launched > 0 {
-			launched = true
-		}
-		if st.InFlight {
-			t.Fatal("Close left a fine-tune in flight")
+		if d.FineTuneStats().Launched == 0 || d.FineTunes() == 0 {
+			t.Fatalf("a detector adopted no pooled fine-tune: %+v", d.FineTuneStats())
 		}
 	}
-	if !launched {
-		t.Fatal("no detector ever launched a pooled fine-tune")
-	}
-	ts := tp.Stats()
-	if ts.Completed+ts.Canceled == 0 {
-		t.Fatalf("trainer pool saw no work: %+v", ts)
+	if ts := tp.Stats(); ts.Queued != 0 || ts.Completed == 0 {
+		t.Fatalf("after Close the pool still queues jobs, or it never trained one: %+v", ts)
 	}
 }
 

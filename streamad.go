@@ -222,21 +222,19 @@ type Config struct {
 	// per step (Result.Attribution), so alerts can name the channels that
 	// drove them. Only available for predictor models.
 	Attribution bool
-	// AsyncFineTune enables the serve/train split: drift-triggered
-	// fine-tunes clone the model and train on a background goroutine over
-	// a snapshot of the training set while scoring continues on the old
-	// parameters; the trained model is swapped in at a later step. Only
-	// models supporting cloning (all but PCB-iForest and VAR) go async;
-	// others silently stay synchronous. Off by default — synchronous
-	// fine-tuning is bit-for-bit deterministic.
+	// AsyncFineTune enables the serve/train split: a drift trigger's
+	// fine-tune trains a model clone on a copy of the training set in the
+	// background while scoring continues on the old parameters, and the
+	// step exactly 32 after the trigger swaps it in — waiting for it if
+	// need be — so scores are a pure function of the input. Models that
+	// cannot clone (PCB-iForest, VAR) stay synchronous, the default, which
+	// trains in place within the triggering step.
 	AsyncFineTune bool
-	// TrainerPool routes asynchronous fine-tunes through a shared
-	// K-slot trainer pool instead of a per-detector goroutine: the
-	// fine-tune queues, and its model/training-set snapshot is taken
-	// lazily when a slot dequeues it. TrainerKey is the pool's fairness
-	// key — detectors sharing a key (e.g. members of one stream's
-	// ensemble) compete as one principal, and the least-recently-served
-	// key trains first. Requires AsyncFineTune; ignored without it.
+	// TrainerPool runs asynchronous fine-tunes on a shared K-slot pool
+	// instead of a goroutine each. TrainerKey is the pool's fairness key —
+	// detectors sharing a key (e.g. members of one stream's ensemble)
+	// compete as one principal, and the least-recently-served key trains
+	// first. Requires AsyncFineTune; ignored without it.
 	TrainerPool *TrainerPool
 	TrainerKey  string
 	// ScorePool is ignored: ensemble members step in order on the
@@ -343,7 +341,7 @@ func NewTrainerPool(slots int) *TrainerPool { return pool.NewTrainer(slots) }
 
 // Detector is a fully assembled streaming anomaly detector: the leaf of
 // the detector tree. The embedded framework loop supplies Step, Steps,
-// FineTunes, FineTuneStats, WaitFineTune, Close, WarmedUp, DriftOps and
+// FineTunes, FineTuneStats, Close, WarmedUp, DriftOps and
 // warm-tier paging (PageOut/PageIn/Paged, which move the window state
 // only — the model stays resident); this type adds what the loop does
 // not own: the configuration, the Task 1 RNG and the model's place in the
@@ -516,13 +514,11 @@ func Run(det StreamDetector, series [][]float64) (scores []float64, valid []bool
 func (d *Detector) Config() Config { return d.cfg }
 
 // SaveModel returns a binary snapshot of the model parameters θ_model
-// (weights, coefficients, forests, normalization). Window and reservoir
-// state are not included: a restored detector refills its representation
-// window from the live stream, which takes w steps.
-// Any in-flight asynchronous fine-tune is drained first, so the snapshot
-// always holds the newest adopted parameters.
+// (weights, coefficients, forests, normalization) currently scoring; an
+// asynchronous fine-tune pending adoption is not in it. Window and
+// reservoir state are not included: a restored detector refills its
+// representation window from the live stream, which takes w steps.
 func (d *Detector) SaveModel() ([]byte, error) {
-	d.WaitFineTune()
 	m, ok := d.Model().(wire.Appender)
 	if !ok {
 		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
@@ -534,7 +530,6 @@ func (d *Detector) SaveModel() ([]byte, error) {
 // detector's model. The detector must have been built with an identical
 // model configuration (kind, Window, Channels).
 func (d *Detector) LoadModel(data []byte) error {
-	d.WaitFineTune()
 	m, ok := d.Model().(encoding.BinaryUnmarshaler)
 	if !ok {
 		return fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
