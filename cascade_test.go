@@ -294,12 +294,27 @@ func TestCascadeLoadRejectsMismatch(t *testing.T) {
 }
 
 // TestStepZeroAllocTier0 guards the tier-0 hot path: once warm, Step
-// must not allocate for any of the four detectors.
+// must not allocate for any of the four detectors, nor for a cascade
+// whose conformal gate screens for an ARIMA pipeline.
 func TestStepZeroAllocTier0(t *testing.T) {
-	kinds := []Tier0Kind{Tier0EWMA, Tier0ZScore, Tier0Hampel, Tier0Density}
-	for _, kind := range kinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			d, err := NewTier0(Config{Channels: 3, Seed: 3}, kind, 16)
+	type row struct {
+		name  string
+		build func() (StreamDetector, error)
+	}
+	var rows []row
+	for _, kind := range []Tier0Kind{Tier0EWMA, Tier0ZScore, Tier0Hampel, Tier0Density} {
+		rows = append(rows, row{kind.String(), func() (StreamDetector, error) {
+			return NewTier0(Config{Channels: 3, Seed: 3}, kind, 16)
+		}})
+	}
+	rows = append(rows, row{"cascade", func() (StreamDetector, error) {
+		return NewFromSpec("cascade(zscore, arima+sw+regular+al; admit=0.2, calib=16, gatewin=8)", Config{
+			Channels: 3, Window: 8, TrainSize: 32, WarmupVectors: 40, Seed: 3, RegularInterval: 1 << 30,
+		})
+	}})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			d, err := r.build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,7 +328,7 @@ func TestStepZeroAllocTier0(t *testing.T) {
 				step++
 			})
 			if allocs != 0 {
-				t.Errorf("%s Step allocates %.1f per op on the hot path, want 0", kind, allocs)
+				t.Errorf("%s Step allocates %.1f per op on the hot path, want 0", r.name, allocs)
 			}
 		})
 	}

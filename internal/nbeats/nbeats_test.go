@@ -196,3 +196,25 @@ func TestDeterministicWithSeed(t *testing.T) {
 		t.Fatal("same seed must give identical models")
 	}
 }
+
+// TestZeroAllocFixedBasis pins the interpretable stack, whose trend and
+// seasonality blocks run the fixed-basis kernels instead of a Linear:
+// once fitted, neither a forecast nor a training step may allocate.
+func TestZeroAllocFixedBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	set := makeSet(rng, 20, 7, 2)
+	m, err := NewInterpretable(Config{Channels: 2, BackcastRows: 6, Hidden: 8, ThetaDim: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Fit(set)
+	z := make([]float64, len(set[0]))
+	for name, run := range map[string]func(){
+		"Predict": func() { m.Predict(set[1]) },
+		"step":    func() { m.step(m.scaler.Transform(set[2], z)) },
+	} {
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", name, allocs)
+		}
+	}
+}

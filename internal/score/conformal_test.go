@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"streamad/internal/window"
 )
 
 // TestConformalPValueExact checks the p-value formula on a hand-built
@@ -181,5 +183,34 @@ func TestConformalDroppedSurvivesRestore(t *testing.T) {
 	}
 	if twin.Dropped() != c.Dropped() {
 		t.Fatalf("restored Dropped() = %d, want %d", twin.Dropped(), c.Dropped())
+	}
+}
+
+// TestZeroAllocScorers pins the per-step scoring kernels and the ring
+// they are built on, once their windows are full.
+func TestZeroAllocScorers(t *testing.T) {
+	avg, al := NewAverage(8), NewAnomalyLikelihood(8, 2)
+	conf := NewConformal(16, 0.1)
+	ring := window.NewRing(8)
+	dst := make([]float64, 8)
+	for i := 0; i < 32; i++ {
+		f := float64(i%5) / 5
+		avg.Score(f)
+		al.Score(f)
+		conf.Observe(f)
+		ring.Push(f)
+	}
+	target, pred := []float64{1, 2, 3}, []float64{1, 2, 2.5}
+	for name, run := range map[string]func(){
+		"raw":       func() { Raw{}.Score(0.3) },
+		"avg":       func() { avg.Score(0.3) },
+		"al":        func() { al.Score(0.3) },
+		"cosine":    func() { Cosine{}.Measure(target, pred) },
+		"conformal": func() { conf.Observe(conf.PValue(0.3)) },
+		"ring":      func() { ring.CopyInto(dst) },
+	} {
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", name, allocs)
+		}
 	}
 }
