@@ -68,7 +68,7 @@ type SLO struct {
 
 // Report is the JSON document a run prints.
 //
-//streamad:finite-json — every float is routed through finite() or ratio() when the report is assembled.
+// Every float is routed through finite() or ratio() when the report is assembled.
 type Report struct {
 	Spec             string       `json:"spec"`
 	Seed             int64        `json:"seed"`
@@ -92,7 +92,7 @@ type Report struct {
 // outcomes and its own latency percentiles, so a cluster node that is
 // slow or erroring stands out instead of hiding in the aggregate.
 //
-//streamad:finite-json — latencyStats routes every float through finite().
+// latencyStats routes every float through finite().
 type TargetReport struct {
 	URL             string       `json:"url"`
 	HTTPRequests    int          `json:"http_requests"`
@@ -156,7 +156,7 @@ type SLOReport struct {
 
 // soakRecord is one NDJSON request line of POST /v1/observe.
 //
-//streamad:finite-json — nextBatch zeroes non-finite vector entries before encoding.
+// nextBatch zeroes non-finite vector entries before encoding.
 type soakRecord struct {
 	Stream string    `json:"stream"`
 	Vector []float64 `json:"vector"`

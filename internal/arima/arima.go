@@ -23,15 +23,15 @@ type Model struct {
 	d        int // differencing order
 	channels int // N
 	gamma    []float64
-	lr       float64   //streamad:transient learning rate fixed at construction; snapshots restore onto an identically-configured model
-	binom    []float64 //streamad:transient derived from the differencing order d at construction (signedBinomial)
+	lr       float64   // learning rate fixed at construction; snapshots restore onto an identically-configured model
+	binom    []float64 // derived from the differencing order d at construction (signedBinomial)
 	// scratch buffers — Predict and step run allocation-free once series
 	// has grown to the window size.
-	series    []float64 //streamad:transient per-call copy of the input window, overwritten by every Predict
-	targetBuf []float64 //streamad:transient per-call forecasting scratch
-	predBuf   []float64 //streamad:transient per-call forecasting scratch
-	lagDiffs  []float64 //streamad:transient per-call forecasting scratch
-	gradBuf   []float64 //streamad:transient per-call gradient scratch
+	series    []float64 // per-call copy of the input window, overwritten by every Predict
+	targetBuf []float64 // per-call forecasting scratch
+	predBuf   []float64 // per-call forecasting scratch
+	lagDiffs  []float64 // per-call forecasting scratch
+	gradBuf   []float64 // per-call gradient scratch
 }
 
 // Config parameterizes the online ARIMA model.
@@ -129,8 +129,6 @@ func signedBinomial(d int) []float64 {
 }
 
 // diff computes ∇^d series[t] for t ≥ d using the binomial form.
-//
-//streamad:hotpath
 func (m *Model) diff(series []float64, t int) float64 {
 	var s float64
 	for i, b := range m.binom {
@@ -142,8 +140,6 @@ func (m *Model) diff(series []float64, t int) float64 {
 // forecastChannel predicts the value at index last = len(series)−1 from
 // series[0..last−1] and also returns the differenced lag values needed by
 // the gradient update.
-//
-//streamad:hotpath
 func (m *Model) forecastChannel(series []float64, lagDiffs []float64) float64 {
 	last := len(series) - 1
 	// Differenced lags: ∇^d s_{last−i} for i = 1..lags.
@@ -170,13 +166,11 @@ func (m *Model) forecastChannel(series []float64, lagDiffs []float64) float64 {
 
 // extract copies channel c of the feature vector x (row-major w×N) into
 // dst and returns it.
-//
-//streamad:hotpath
 func (m *Model) extract(x []float64, c int, dst []float64) []float64 {
 	w := len(x) / m.channels
 	dst = dst[:0]
 	for r := 0; r < w; r++ {
-		//streamad:ignore hotalloc appends into caller-owned scratch sized to the window; steady state never grows
+		// Appends into caller-owned scratch sized to the window; the steady state never grows it.
 		dst = append(dst, x[r*m.channels+c])
 	}
 	return dst
@@ -186,12 +180,9 @@ func (m *Model) extract(x []float64, c int, dst []float64) []float64 {
 // x ∈ R^{w×N} it returns (target, prediction) where target is the actual
 // final stream vector s_t and prediction is the forecast ŝ_t. Both slices
 // are reused across calls; copy to retain.
-//
-//streamad:hotpath
 func (m *Model) Predict(x []float64) (target, pred []float64) {
 	w := len(x) / m.channels
 	if w*m.channels != len(x) || w < m.WindowRows() {
-		//streamad:ignore hotalloc panic message on shape violation only
 		panic(fmt.Sprintf("arima: feature vector needs ≥%d rows of %d channels, got %d values",
 			m.WindowRows(), m.channels, len(x)))
 	}
@@ -199,7 +190,6 @@ func (m *Model) Predict(x []float64) (target, pred []float64) {
 	pred = m.predBuf
 	lagDiffs := m.lagDiffs
 	if cap(m.series) < w {
-		//streamad:ignore hotalloc lazy scratch growth, amortised to zero on the steady path
 		m.series = make([]float64, w)
 	}
 	for c := 0; c < m.channels; c++ {

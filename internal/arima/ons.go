@@ -16,8 +16,8 @@ type ONS struct {
 	eta   float64
 	ainv  [][]float64 // A_t⁻¹, lags × lags
 	// scratch
-	av []float64 //streamad:transient Sherman–Morrison update scratch, overwritten per step
-	g  []float64 //streamad:transient gradient scratch, overwritten per step
+	av []float64 // Sherman–Morrison update scratch, overwritten per step
+	g  []float64 // gradient scratch, overwritten per step
 }
 
 // NewONS wraps an online ARIMA model with the Online Newton Step learner.

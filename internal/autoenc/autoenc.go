@@ -24,10 +24,10 @@ type Model struct {
 	opt    nn.Optimizer
 	scaler *nn.Scaler
 	dim    int
-	lr     float64        //streamad:transient learning rate fixed at construction; snapshots restore onto an identically-configured model
-	grad   []float64      //streamad:transient per-call gradient scratch
-	zbuf   []float64      //streamad:transient per-call scaling scratch
-	ctx    *nn.MLPContext //streamad:transient training pass scratch, allocated at construction
+	lr     float64        // learning rate fixed at construction; snapshots restore onto an identically-configured model
+	grad   []float64      // per-call gradient scratch
+	zbuf   []float64      // per-call scaling scratch
+	ctx    *nn.MLPContext // training pass scratch, allocated at construction
 }
 
 // Config parameterizes the autoencoder.
@@ -98,11 +98,8 @@ func (m *Model) Dim() int { return m.dim }
 
 // Predict implements the framework model contract: target is the feature
 // vector itself, prediction is its reconstruction in the original space.
-//
-//streamad:hotpath
 func (m *Model) Predict(x []float64) (target, pred []float64) {
 	if len(x) != m.dim {
-		//streamad:ignore hotalloc panic message on shape violation only
 		panic(fmt.Sprintf("autoenc: expected %d values, got %d", m.dim, len(x)))
 	}
 	z := m.scaler.Transform(x, m.zbuf)

@@ -62,9 +62,9 @@ type Config struct {
 type Cascade struct {
 	core.Composite
 	gateLabel   string
-	gateSource  string //streamad:transient result-source label derived from the gate spec at construction
+	gateSource  string // result-source label derived from the gate spec at construction
 	heavyLabels []string
-	heavySource string //streamad:transient result-source label derived from the heavy specs at construction
+	heavySource string // result-source label derived from the heavy specs at construction
 	admit       float64
 	calib       int
 	minCalib    int
@@ -153,8 +153,6 @@ func New(cfg Config) (*Cascade, error) {
 // joins the conformal calibration window, and the vector reaches the
 // heavy members only when screening is inactive (ramp-up) or the gate
 // p-value is ≤ ε. ok is false only while neither tier can score.
-//
-//streamad:hotpath
 func (c *Cascade) Step(s []float64) (core.Result, bool) {
 	c.steps++
 	gate, heavy := c.Nodes[0], c.Nodes[1:]

@@ -13,7 +13,7 @@ const ForwardedHeader = "X-Streamad-Forwarded"
 // boundary, and the CRC-32C fingerprint of the source's live state that
 // the target must reproduce after replay before acknowledging.
 //
-//streamad:finite-json — the only floats are WALEntry vectors, finite by construction at ingest.
+// The only floats are WALEntry vectors, finite by construction at ingest.
 type MigrateRequest struct {
 	// Node is the sending node's advertised URL (diagnostics only).
 	Node string `json:"node"`
@@ -30,8 +30,6 @@ type MigrateRequest struct {
 // streamed (NDJSON) by GET /v1/streams/{id}/wal. Vectors entered the
 // system through observe handlers that reject non-finite values and
 // are replayed verbatim.
-//
-//streamad:finite-json — vectors are finite by construction at ingest.
 type WALEntry struct {
 	Seq    uint64    `json:"seq"`
 	Vector []float64 `json:"vector"`

@@ -70,8 +70,6 @@ func NewRepresenter(rows, channels int) *Representer {
 // Push adds stream vector s and returns the current feature vector
 // (row-major, oldest row first) once w vectors have accumulated. The
 // returned slice is reused across calls; copy it to retain.
-//
-//streamad:hotpath
 func (r *Representer) Push(s []float64) (x []float64, ok bool) {
 	r.win.Push(s)
 	if !r.win.Full() {
@@ -178,19 +176,19 @@ type Result struct {
 // checkpoint (streamad.Detector adds it) it is the leaf Node.
 type Detector struct {
 	cfg        Config
-	predictor  Predictor   //streamad:transient view of cfg.Model, set by NewDetector and adopt
-	selfScore  SelfScoring //streamad:transient view of cfg.Model, set by NewDetector and adopt
+	predictor  Predictor   // view of cfg.Model, set by NewDetector and adopt
+	selfScore  SelfScoring // view of cfg.Model, set by NewDetector and adopt
 	warmupLeft int
 	warmedUp   bool
 	steps      int
 	fineTunes  int
 	lastGood   []float64 // per-channel last finite value (Sanitize)
-	sanBuf     []float64 //streamad:transient per-step repair scratch, preallocated by NewDetector and overwritten each Step
+	sanBuf     []float64 // per-step repair scratch, preallocated by NewDetector and overwritten each Step
 	sanitized  int       // steps on which a non-finite input was repaired
-	attrBuf    []float64 //streamad:transient per-step attribution scratch, preallocated by NewDetector and derived each Step
+	attrBuf    []float64 // per-step attribution scratch, preallocated by NewDetector and derived each Step
 	paged      bool      // window state released to the snapshot store (warm tier)
 	blobSize   int       // length of the last window-state blob marshalled or restored, the next one's capacity
-	train      *trainer  //streamad:transient fine-tune configuration and metrics, plus a pending job the leaf envelope checkpoints via Pending/SetPending
+	train      *trainer  // fine-tune configuration and metrics, plus a pending job the leaf envelope checkpoints via Pending/SetPending
 }
 
 // ErrConfig reports an invalid Detector configuration.
@@ -265,8 +263,6 @@ func (d *Detector) sanitize(s []float64) []float64 {
 // Step consumes the next stream vector s_t. ok is false while the detector
 // is still filling its representation window or warming up; once true, the
 // Result carries the nonconformity and anomaly scores for this step.
-//
-//streamad:hotpath
 func (d *Detector) Step(s []float64) (Result, bool) {
 	if d.paged {
 		panic("core: Step on paged-out detector; PageIn first")
@@ -313,7 +309,9 @@ func (d *Detector) Step(s []float64) (Result, bool) {
 	update := d.cfg.TrainingSet.Observe(x, f)
 	fineTuned := false
 	if d.cfg.Drift.Observe(update, x, d.cfg.TrainingSet) {
-		//streamad:ignore hotalloc fine-tune launch (model clone, goroutine or pool submit) runs only on a drift trigger, amortized over thousands of steps
+		// A fine-tune launch allocates (model clone, goroutine or pool
+		// submit), but only on a drift trigger, amortized over thousands of
+		// steps.
 		fineTuned = d.fineTune()
 	}
 	if j := d.train.job; j != nil && j.due <= d.steps {

@@ -263,9 +263,9 @@ func TestZeroWarmupStillFitsOnce(t *testing.T) {
 
 // TestScratchPreallocated pins the constructor-time allocation of the
 // scoring-path scratch: sanitize and attribute used to allocate their
-// buffers lazily on first use, which put a make on the hot path (the
-// transitive hotalloc audit flags it). The buffers must exist before the
-// first Step, and survive a Load of a snapshot with no repair history.
+// buffers lazily on first use, which put a make on the hot path. The
+// buffers must exist before the first Step, and survive a Load of a
+// snapshot with no repair history.
 func TestScratchPreallocated(t *testing.T) {
 	cfg := testConfig(&echoModel{bias: 1}, 2, 3, 8, 4)
 	cfg.Sanitize = true

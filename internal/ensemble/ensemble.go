@@ -110,11 +110,11 @@ type Ensemble struct {
 	steps      int
 	readySteps int
 
-	outs    []stepOut //streamad:transient per-step member answers
-	scores  []float64 //streamad:transient per-step aggregation scratch, refilled by collect
-	nonconf []float64 //streamad:transient per-step aggregation scratch, refilled by collect
-	weights []float64 //streamad:transient per-step performance weights, recomputed by collect from member counters
-	scratch []float64 //streamad:transient combine() working buffer
+	outs    []stepOut // per-step member answers
+	scores  []float64 // per-step aggregation scratch, refilled by collect
+	nonconf []float64 // per-step aggregation scratch, refilled by collect
+	weights []float64 // per-step performance weights, recomputed by collect from member counters
+	scratch []float64 // combine() working buffer
 
 	blobSize int // length of the last blob saved or loaded, the next Save's capacity
 }

@@ -21,7 +21,7 @@ type PCBForest struct {
 	threshold float64
 	channels  int
 	src       *randstate.CountedSource
-	rng       *rand.Rand //streamad:transient stateless wrapper over src, whose position Save/Load round-trips
+	rng       *rand.Rand // stateless wrapper over src, whose position Save/Load round-trips
 	fitted    bool
 	// Pruned/Grown track cumulative maintenance activity for diagnostics.
 	Pruned int

@@ -178,10 +178,13 @@ type Registry struct {
 }
 
 // shard is one slice of the registry: a mutex plus the streams hashing
-// to it. The shard lock guards only membership (lookup, create, evict);
-// scoring never holds it.
+// to it. The shard lock guards membership (lookup, create, evict), and
+// serving a live stream never holds it. Creating a stream does: a cold
+// restore (getOrCreate, RestoreStreams) replays the stream's WAL through
+// its detector under the lock, so the first observe of a cold stream
+// stalls first observes of other cold streams on the same shard for the
+// length of that replay.
 type shard struct {
-	//streamad:membership — guards lookup/create/evict only; never held across a detector pass.
 	mu      sync.Mutex
 	streams map[string]*stream
 }

@@ -22,7 +22,7 @@ type Model struct {
 	dim   int
 	ref   [][]float64
 	scale float64   // median in-set k-NN distance at the last Fit
-	best  []float64 //streamad:transient reusable top-k scratch for knnDistance, overwritten per call
+	best  []float64 // reusable top-k scratch for knnDistance, overwritten per call
 }
 
 // Config parameterizes the kNN detector.
@@ -62,8 +62,6 @@ func (m *Model) CloneModel() any {
 func (m *Model) Fitted() bool { return len(m.ref) > 0 }
 
 // dist2 is the squared Euclidean distance.
-//
-//streamad:hotpath
 func dist2(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
@@ -75,8 +73,6 @@ func dist2(a, b []float64) float64 {
 
 // knnDistance returns the mean distance from x to its k nearest members
 // of ref, skipping the member at index skip (−1 to keep all).
-//
-//streamad:hotpath
 func (m *Model) knnDistance(x []float64, skip int) float64 {
 	k := m.k
 	if k > len(m.ref) {
@@ -92,7 +88,6 @@ func (m *Model) knnDistance(x []float64, skip int) float64 {
 	// slice; binary insertion in both the fill and steady phases replaces
 	// the old fill-phase full re-sort (O(k log k) per element).
 	if cap(m.best) < k {
-		//streamad:ignore hotalloc lazy scratch growth guarded by the cap check above
 		m.best = make([]float64, 0, k)
 	}
 	best := m.best[:0]
@@ -103,7 +98,7 @@ func (m *Model) knnDistance(x []float64, skip int) float64 {
 		d := dist2(x, r)
 		if len(best) < k {
 			pos := sort.SearchFloat64s(best, d)
-			//streamad:ignore hotalloc binary insertion into the cap-k scratch; never grows
+			// Binary insertion into the cap-k scratch; it never grows.
 			best = append(best, 0)
 			copy(best[pos+1:], best[pos:len(best)-1])
 			best[pos] = d
@@ -168,8 +163,6 @@ func (m *Model) Fit(set [][]float64) {
 // k-NN distance is mapped into [0,1) by d/(d+scale), so a vector at the
 // training set's own typical distance scores 0.5 and far-away vectors
 // approach 1.
-//
-//streamad:hotpath
 func (m *Model) NonconformityScore(x []float64) float64 {
 	if !m.Fitted() {
 		return 0.5

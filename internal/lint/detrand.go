@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -23,11 +22,10 @@ import (
 //     randstate's): wall-clock seeds make runs unreproducible.
 //
 // rand.New itself is fine — wrapping a *randstate.CountedSource is
-// exactly the sanctioned pattern. Methods on a *rand.Rand value are
-// fine for the same reason.
+// exactly the sanctioned pattern — and so are math/rand's type names and
+// the methods of a *rand.Rand value, which are not package references.
 var DetRand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbids RNG construction outside internal/randstate and any global or time-seeded math/rand use",
 	Run:  runDetRand,
 }
 
@@ -35,73 +33,70 @@ var DetRand = &Analyzer{
 // sources (matched by suffix so fixtures can model it).
 const randstateSuffix = "internal/randstate"
 
-func runDetRand(p *Pass) error {
-	exempt := strings.HasSuffix(p.Pkg.Path(), randstateSuffix)
+// randTypes are the type names math/rand and math/rand/v2 export;
+// every other exported name is a function over global or raw state.
+var randTypes = map[string]bool{"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true}
+
+func isRandPath(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
+
+func runDetRand(p *Pass) {
+	exempt := strings.HasSuffix(p.PkgPath, randstateSuffix)
 	for _, f := range p.Files {
+		imps := imports(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if !exempt {
-					checkRandSelector(p, n)
+				if path, name, ok := pkgRef(imps, n); ok && !exempt && isRandPath(path) {
+					checkRandRef(p, n, name)
 				}
 			case *ast.CallExpr:
-				checkTimeSeed(p, n)
+				checkTimeSeed(p, imps, n)
 			}
 			return true
 		})
 	}
-	return nil
 }
 
-// checkRandSelector flags forbidden references into math/rand[/v2].
-func checkRandSelector(p *Pass, sel *ast.SelectorExpr) {
-	obj := p.TypesInfo.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return
-	}
-	path := obj.Pkg().Path()
-	if path != "math/rand" && path != "math/rand/v2" {
-		return
-	}
-	switch obj := obj.(type) {
-	case *types.TypeName:
-		return // rand.Source, rand.Rand, ... in declarations are fine.
-	case *types.Func:
-		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return // method on a constructed *rand.Rand
-		}
-		switch obj.Name() {
-		case "New":
-			return // must wrap a counted source; NewSource check guards the inside
-		case "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-			p.Reportf(sel.Pos(), "raw %s.%s bypasses internal/randstate; use randstate.NewCountedSource so checkpoints restore bit-identically", obj.Pkg().Name(), obj.Name())
-			return
-		}
-		p.Reportf(sel.Pos(), "global math/rand state (%s.%s) is shared and not checkpointable; draw from a *rand.Rand built over randstate.NewCountedSource", obj.Pkg().Name(), obj.Name())
-	case *types.Var:
-		p.Reportf(sel.Pos(), "global math/rand state (%s.%s) is shared and not checkpointable", obj.Pkg().Name(), obj.Name())
+// checkRandRef flags a forbidden reference into math/rand[/v2].
+func checkRandRef(p *Pass, sel *ast.SelectorExpr, name string) {
+	switch {
+	case name == "New" || randTypes[name]:
+	case name == "NewSource" || name == "NewZipf" || name == "NewPCG" || name == "NewChaCha8":
+		p.Reportf(sel.Pos(), "raw rand.%s bypasses internal/randstate; use randstate.NewCountedSource so checkpoints restore bit-identically", name)
+	default:
+		p.Reportf(sel.Pos(), "global math/rand state (rand.%s) is shared and not checkpointable; draw from a *rand.Rand built over randstate.NewCountedSource", name)
 	}
 }
 
 // checkTimeSeed flags time.Now-derived seeds inside RNG constructors.
-func checkTimeSeed(p *Pass, call *ast.CallExpr) {
-	fn := pkgFunc(p.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
+func checkTimeSeed(p *Pass, imps map[string]string, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return
 	}
-	isCtor := false
-	switch fn.Pkg().Path() {
-	case "math/rand", "math/rand/v2":
-		isCtor = fn.Name() == "New" || fn.Name() == "NewSource" || strings.HasPrefix(fn.Name(), "New")
-	default:
-		isCtor = strings.HasSuffix(fn.Pkg().Path(), randstateSuffix) && strings.HasPrefix(fn.Name(), "New")
-	}
-	if !isCtor {
+	path, name, ok := pkgRef(imps, sel)
+	if !ok || !strings.HasPrefix(name, "New") || !(isRandPath(path) || strings.HasSuffix(path, randstateSuffix)) {
 		return
 	}
 	for _, arg := range call.Args {
-		if containsCallTo(p.TypesInfo, arg, "time", "Now") {
+		if callsTimeNow(imps, arg) {
 			p.Reportf(arg.Pos(), "time-seeded RNG makes runs unreproducible; derive the seed from configuration")
 		}
 	}
+}
+
+// callsTimeNow reports whether expr contains, at any depth, a call to
+// time.Now.
+func callsTimeNow(imps map[string]string, expr ast.Expr) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				path, name, ok := pkgRef(imps, sel)
+				found = ok && path == "time" && name == "Now"
+			}
+		}
+		return !found
+	})
+	return found
 }

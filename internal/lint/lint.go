@@ -1,288 +1,128 @@
-// Package lint implements streamadlint, a suite of static analyzers
-// that machine-check the repository's concurrency, determinism and
-// hot-path invariants:
+// Package lint implements the repository's own static checks, two
+// lexical invariants that no runtime test can observe:
 //
-//   - hotalloc: no allocating constructs inside //streamad:hotpath
-//     functions (the 0 allocs/op serving kernels).
 //   - detrand: every RNG flows through internal/randstate so
 //     checkpoints restore bit-identically; no global math/rand state,
 //     no time-based seeds.
-//   - floatsafe: no division by a possibly-zero length, no
-//     math.Sqrt/Log of a raw difference, no floats marshalled to JSON
-//     from structs that do not declare the finite-guard contract.
-//   - lockdiscipline: no field accessed both atomically and plainly, no
-//     detector/model calls while holding a //streamad:membership mutex,
-//     no Lock without a matching Unlock in the same function.
 //   - ctxgoroutine: goroutines are launched only inside
 //     //streamad:lifecycle helpers whose shutdown is joined by a
 //     Close/Stop path.
 //
 // The suite mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
-// Pass, Reportf) but is built entirely on the standard library's go/ast
-// and go/types, because this module deliberately has no third-party
-// dependencies. cmd/streamadlint drives it over the whole module.
-//
-// Findings are suppressed with a directive on the offending line or the
-// line above:
-//
-//	//lint:ignore hotalloc reason...
-//	//streamad:ignore detrand,floatsafe reason...
+// Pass, Reportf) but is built on go/parser alone: both checks resolve
+// names through a file's import table, so no type-checker is needed.
+// TestSuiteCleanOnRepo applies it to the whole module inside go test.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
+	"strings"
 )
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and ignore directives.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is a one-paragraph description of what the analyzer flags.
-	Doc string
 	// Run applies the analyzer to one package.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
-// A Pass provides one analyzer with one type-checked package.
+// A Pass provides one analyzer with one parsed package.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	Files    []*ast.File
+	// PkgPath is the package's import path.
+	PkgPath string
 
-	directives *directiveIndex
-	facts      *FactSet
-	report     func(Diagnostic)
+	report func(Diagnostic)
 }
 
 // Diagnostic is one finding, positioned and attributed to its analyzer.
-// A covered ignore directive does not delete the finding — it survives
-// with Suppressed set and the directive's reason attached, so tooling
-// (-json mode, suppression audits) can see the full picture.
 type Diagnostic struct {
-	Pos        token.Position
-	Analyzer   string
-	Message    string
-	Suppressed bool
-	// Reason is the justification text of the covering ignore
-	// directive; empty unless Suppressed.
-	Reason string
+	Pos      token.Position
+	Analyzer string
+	Message  string
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Reportf records a finding; an ignore directive covering its line
-// marks it suppressed rather than reported.
+// Reportf records a finding.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	position := p.Fset.Position(pos)
-	d := Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)}
-	if p.directives != nil {
-		if reason, ok := p.directives.ignored(p.Analyzer.Name, position); ok {
-			d.Suppressed = true
-			d.Reason = reason
-		}
-	}
-	p.report(d)
+	p.report(Diagnostic{Pos: p.Fset.Position(pos), Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // All returns the full analyzer catalogue in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, DetRand, FloatSafe, LockDiscipline, CtxGoroutine, StateSync, Directive}
+	return []*Analyzer{DetRand, CtxGoroutine}
 }
 
-// ByName resolves a comma-free analyzer name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// RunPackageFacts applies analyzers to one package, reading and
-// writing cross-package facts through fs. Suppressed diagnostics are
-// included, flagged and carrying their directive reasons.
-func RunPackageFacts(pkg *Package, analyzers []*Analyzer, fs *FactSet) ([]Diagnostic, error) {
+// Run applies analyzers to every package and returns the findings,
+// package by package.
+func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       pkg.Fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			TypesInfo:  pkg.Info,
-			directives: pkg.directives,
-			facts:      fs,
-			report:     func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			a.Run(&Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				PkgPath:  pkg.Path,
+				report:   func(d Diagnostic) { diags = append(diags, d) },
+			})
 		}
 	}
-	sortDiagnostics(diags)
-	return diags, nil
+	return diags
 }
 
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
-}
-
-// ---- shared AST/type helpers ----
-
-// hasMarker reports whether a comment group contains the given
-// machine-readable marker (e.g. "streamad:hotpath") as its own comment
-// line or at the start of one.
+// hasMarker reports whether a doc comment carries the given marker
+// (e.g. "streamad:lifecycle") at the start of one of its lines.
 func hasMarker(doc *ast.CommentGroup, marker string) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		if text, ok := trimCommentSlashes(c.Text); ok && hasPrefixWord(text, marker) {
+		fields := strings.Fields(strings.TrimPrefix(c.Text, "//"))
+		if len(fields) > 0 && fields[0] == marker {
 			return true
 		}
 	}
 	return false
 }
 
-// trimCommentSlashes strips the // or /* */ framing from one comment.
-func trimCommentSlashes(text string) (string, bool) {
-	if len(text) >= 2 && text[:2] == "//" {
-		return trimSpace(text[2:]), true
-	}
-	if len(text) >= 4 && text[:2] == "/*" {
-		return trimSpace(text[2 : len(text)-2]), true
-	}
-	return "", false
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-// hasPrefixWord reports whether s is word or starts with word followed
-// by a space, tab or '('.
-func hasPrefixWord(s, word string) bool {
-	if len(s) < len(word) || s[:len(word)] != word {
-		return false
-	}
-	if len(s) == len(word) {
-		return true
-	}
-	switch s[len(word)] {
-	case ' ', '\t', '(':
-		return true
-	}
-	return false
-}
-
-// pkgFunc resolves a call to a package-level function (not a method) and
-// returns it, or nil.
-func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return nil
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return nil
-	}
-	return fn
-}
-
-// isPkgCall reports whether call invokes the package-level function
-// pkgPath.name.
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := pkgFunc(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
-// isBuiltin reports whether call invokes the named builtin.
-func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, ok = info.Uses[id].(*types.Builtin)
-	return ok
-}
-
-// isConversion reports whether call is a type conversion, returning the
-// target type.
-func isConversion(info *types.Info, call *ast.CallExpr) (types.Type, bool) {
-	tv, ok := info.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return nil, false
-	}
-	return tv.Type, true
-}
-
-// unparen strips parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
+// imports maps each name a file binds to an import path. Blank and dot
+// imports bind nothing a selector can name.
+func imports(f *ast.File) map[string]string {
+	m := make(map[string]string, len(f.Imports))
+	for _, spec := range f.Imports {
+		path := strings.Trim(spec.Path.Value, "`\"")
+		name := path[strings.LastIndexByte(path, '/')+1:]
+		if path == "math/rand/v2" {
+			name = "rand"
 		}
-		e = p.X
-	}
-}
-
-// enclosingFuncs walks every function declaration and literal in the
-// file set of a pass, calling fn with the innermost enclosing FuncDecl
-// for each node. FuncLits report the FuncDecl that lexically contains
-// them (nil at package scope).
-func forEachFuncDecl(files []*ast.File, fn func(*ast.FuncDecl)) {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				fn(fd)
-			}
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		if name != "_" && name != "." {
+			m[name] = path
 		}
 	}
+	return m
 }
 
-// containsCallTo reports whether expr contains (at any depth) a call to
-// pkgPath.name.
-func containsCallTo(info *types.Info, expr ast.Expr, pkgPath, name string) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && isPkgCall(info, call, pkgPath, name) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+// pkgRef resolves sel as a reference into an imported package, returning
+// the package path and the selected name. A selector whose left side is
+// declared in the file (a local variable shadowing an import, say) is
+// not a package reference: the parser resolved its identifier.
+func pkgRef(imps map[string]string, sel *ast.SelectorExpr) (path, name string, ok bool) {
+	id, isIdent := sel.X.(*ast.Ident)
+	if !isIdent || id.Obj != nil {
+		return "", "", false
+	}
+	path, ok = imps[id.Name]
+	return path, sel.Sel.Name, ok
 }

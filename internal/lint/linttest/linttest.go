@@ -7,7 +7,7 @@
 //	// want "regexp"
 //	// want `regexp` "second regexp"
 //
-// Run loads each fixture package, applies the analyzer, and reports a
+// Run parses each fixture package, applies the analyzer, and reports a
 // test error for every diagnostic without a matching want and every
 // want without a matching diagnostic.
 package linttest
@@ -25,36 +25,17 @@ import (
 
 // Run applies analyzer a to the fixture packages under dir (typically
 // "testdata/src") named by pkgPaths, checking diagnostics against the
-// fixtures' want comments. One fact set is shared across the packages
-// in listed order, so cross-package fixtures (a dependency followed by
-// its importer) exercise the fact layer exactly as RunModule does —
-// list dependencies before the packages that import them.
+// fixtures' want comments.
 func Run(t *testing.T, dir string, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	loader := lint.NewLoader(abs, "")
-	fs := lint.NewFactSet()
+	fset := token.NewFileSet()
 	for _, path := range pkgPaths {
-		pkg, err := loader.Load(path)
-		if err != nil {
+		pkg, err := lint.Load(fset, filepath.Join(dir, filepath.FromSlash(path)), path)
+		if err != nil || pkg == nil {
 			t.Errorf("linttest: load %s: %v", path, err)
 			continue
 		}
-		diags, err := lint.RunPackageFacts(pkg, []*lint.Analyzer{a}, fs)
-		if err != nil {
-			t.Errorf("linttest: run %s on %s: %v", a.Name, path, err)
-			continue
-		}
-		surviving := diags[:0]
-		for _, d := range diags {
-			if !d.Suppressed {
-				surviving = append(surviving, d)
-			}
-		}
-		checkWants(t, pkg, surviving)
+		checkWants(t, pkg, lint.Run([]*lint.Analyzer{a}, []*lint.Package{pkg}))
 	}
 }
 
@@ -70,12 +51,8 @@ func checkWants(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
 	for _, d := range diags {
 		matched := false
 		for _, w := range wants {
-			if w.hit || w.pos.Filename != d.Pos.Filename || w.pos.Line != d.Pos.Line {
-				continue
-			}
-			if w.rx.MatchString(d.Message) {
-				w.hit = true
-				matched = true
+			if !w.hit && w.pos.Filename == d.Pos.Filename && w.pos.Line == d.Pos.Line && w.rx.MatchString(d.Message) {
+				w.hit, matched = true, true
 				break
 			}
 		}
@@ -97,16 +74,13 @@ func collectWants(t *testing.T, pkg *lint.Package) []*want {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, "//") {
-					continue
-				}
-				body := strings.TrimSpace(text[2:])
-				if !strings.HasPrefix(body, "want ") && body != "want" {
+				body, ok := strings.CutPrefix(c.Text, "//")
+				rest, isWant := strings.CutPrefix(strings.TrimSpace(body), "want ")
+				if !ok || !isWant {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				for _, pat := range parseWantPatterns(t, pos, strings.TrimPrefix(body, "want")) {
+				for _, pat := range parseWantPatterns(t, pos, rest) {
 					rx, err := regexp.Compile(pat)
 					if err != nil {
 						t.Fatalf("%s: bad want pattern %q: %v", pos, pat, err)
@@ -123,40 +97,17 @@ func collectWants(t *testing.T, pkg *lint.Package) []*want {
 func parseWantPatterns(t *testing.T, pos token.Position, s string) []string {
 	t.Helper()
 	var pats []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		switch s[0] {
-		case '"':
-			end := -1
-			for i := 1; i < len(s); i++ {
-				if s[i] == '\\' {
-					i++
-					continue
-				}
-				if s[i] == '"' {
-					end = i
-					break
-				}
-			}
-			if end < 0 {
-				t.Fatalf("%s: unterminated want pattern: %s", pos, s)
-			}
-			pat, err := strconv.Unquote(s[:end+1])
-			if err != nil {
-				t.Fatalf("%s: bad want pattern %s: %v", pos, s[:end+1], err)
-			}
-			pats = append(pats, pat)
-			s = strings.TrimSpace(s[end+1:])
-		case '`':
-			end := strings.IndexByte(s[1:], '`')
-			if end < 0 {
-				t.Fatalf("%s: unterminated want pattern: %s", pos, s)
-			}
-			pats = append(pats, s[1:1+end])
-			s = strings.TrimSpace(s[2+end:])
-		default:
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		quoted, err := strconv.QuotedPrefix(s)
+		if err != nil {
 			t.Fatalf("%s: want patterns must be quoted, got: %s", pos, s)
 		}
+		pat, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s: bad want pattern %s: %v", pos, quoted, err)
+		}
+		pats = append(pats, pat)
+		s = s[len(quoted):]
 	}
 	return pats
 }

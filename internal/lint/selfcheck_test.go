@@ -1,52 +1,24 @@
 package lint_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"streamad/internal/lint"
 )
 
 // TestSuiteCleanOnRepo is the self-application gate: the full analyzer
-// suite — cross-package facts included — must produce zero diagnostics
-// on the repository it ships in. A finding here means either new code
-// broke an invariant (fix it) or a deliberate exception lacks its
-// //streamad:ignore justification.
+// suite must produce zero diagnostics on the repository it ships in. A
+// finding here means new code broke an invariant: fix it, or mark a
+// goroutine's owner //streamad:lifecycle.
 func TestSuiteCleanOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module; skipped in -short mode")
-	}
-	root, err := filepath.Abs("../..")
+	pkgs, err := lint.ModulePackages("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	module, err := lint.ModulePath(root)
-	if err != nil {
-		t.Fatalf("reading go.mod: %v", err)
-	}
-	loader := lint.NewLoader(root, module)
-	paths, err := loader.ModulePackages()
-	if err != nil {
-		t.Fatalf("enumerating packages: %v", err)
-	}
-	if len(paths) == 0 {
+	if len(pkgs) == 0 {
 		t.Fatal("no packages found in module")
 	}
-	res, err := lint.RunModule(loader, paths, lint.All())
-	if err != nil {
-		t.Fatalf("running suite: %v", err)
-	}
-	for _, d := range res.Diags {
-		if !d.Suppressed {
-			t.Errorf("%s", d)
-		}
-	}
-	// Every suppression must carry its justification; a reason-less
-	// directive suppresses nothing, so any diagnostic it covered would
-	// already have failed above — this guards the Diagnostic plumbing.
-	for _, d := range res.Diags {
-		if d.Suppressed && d.Reason == "" {
-			t.Errorf("%s: suppressed without a reason", d)
-		}
+	for _, d := range lint.Run(lint.All(), pkgs) {
+		t.Errorf("%s", d)
 	}
 }

@@ -79,7 +79,7 @@ type Model struct {
 	channels int
 	backLen  int     // w−1 rows of history
 	inDim    int     // backLen·channels
-	lr       float64 //streamad:transient learning rate fixed at construction; snapshots restore onto an identically-configured model
+	lr       float64 // learning rate fixed at construction; snapshots restore onto an identically-configured model
 
 	// Preallocated hot-path scratch (see initScratch): the whole
 	// forward/backward pass runs without heap allocations.
@@ -343,8 +343,6 @@ func (m *Model) Blocks() int { return len(m.blocks) }
 // returning the total forecast (aliasing foreBuf, valid until the next
 // forward). Residual inputs live in the stack contexts; the in-place
 // x_{l+1} = x_l − x̂_l update runs in xbuf.
-//
-//streamad:hotpath
 func (m *Model) forward(input []float64) []float64 {
 	forecast := m.foreBuf
 	for i := range forecast {
@@ -381,8 +379,6 @@ func (m *Model) forward(input []float64) []float64 {
 
 // applyFixedInto computes basis·θ for a fixed basis matrix stored
 // row-wise, writing into out.
-//
-//streamad:hotpath
 func applyFixedInto(basis [][]float64, theta, out []float64) {
 	for i, row := range basis {
 		var s float64
@@ -395,8 +391,6 @@ func applyFixedInto(basis [][]float64, theta, out []float64) {
 
 // fixedGradInto backpropagates gradOut through a fixed basis into g:
 // ∂L/∂θ = Bᵀ·gradOut.
-//
-//streamad:hotpath
 func fixedGradInto(basis [][]float64, gradOut, g []float64) {
 	for i := range g {
 		g[i] = 0
@@ -415,12 +409,9 @@ func fixedGradInto(basis [][]float64, gradOut, g []float64) {
 // Predict implements the framework model contract: given the feature
 // vector x ∈ R^{w×N} it forecasts the final row from the preceding w−1
 // rows, returning (target = s_t, prediction = ŝ_t).
-//
-//streamad:hotpath
 func (m *Model) Predict(x []float64) (target, pred []float64) {
 	rows := len(x) / m.channels
 	if rows*m.channels != len(x) || rows != m.backLen+1 {
-		//streamad:ignore hotalloc panic message on shape violation only
 		panic(fmt.Sprintf("nbeats: expected %d rows of %d channels, got %d values",
 			m.backLen+1, m.channels, len(x)))
 	}

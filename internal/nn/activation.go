@@ -35,8 +35,6 @@ func (s Sigmoid) Forward(x []float64) (y, ctx []float64) {
 }
 
 // ForwardInto implements Activation; ctx is y.
-//
-//streamad:hotpath
 func (Sigmoid) ForwardInto(x, y []float64) []float64 {
 	for i, v := range x {
 		y[i] = 1 / (1 + math.Exp(-v))
@@ -52,8 +50,6 @@ func (s Sigmoid) Backward(ctx, gradOut []float64) []float64 {
 }
 
 // BackwardInto implements Activation.
-//
-//streamad:hotpath
 func (Sigmoid) BackwardInto(ctx, gradOut, gradIn []float64) {
 	for i, go_ := range gradOut {
 		y := ctx[i]
@@ -82,8 +78,6 @@ func (ReLU) Forward(x []float64) (y, ctx []float64) {
 
 // ForwardInto implements Activation; ctx is x itself (no copy), so the
 // caller must preserve x until BackwardInto and y must not alias x.
-//
-//streamad:hotpath
 func (ReLU) ForwardInto(x, y []float64) []float64 {
 	for i, v := range x {
 		if v > 0 {
@@ -103,8 +97,6 @@ func (r ReLU) Backward(ctx, gradOut []float64) []float64 {
 }
 
 // BackwardInto implements Activation.
-//
-//streamad:hotpath
 func (ReLU) BackwardInto(ctx, gradOut, gradIn []float64) {
 	for i, go_ := range gradOut {
 		if ctx[i] > 0 {
@@ -128,8 +120,6 @@ func (t Tanh) Forward(x []float64) (y, ctx []float64) {
 }
 
 // ForwardInto implements Activation; ctx is y.
-//
-//streamad:hotpath
 func (Tanh) ForwardInto(x, y []float64) []float64 {
 	for i, v := range x {
 		y[i] = math.Tanh(v)
@@ -145,8 +135,6 @@ func (t Tanh) Backward(ctx, gradOut []float64) []float64 {
 }
 
 // BackwardInto implements Activation.
-//
-//streamad:hotpath
 func (Tanh) BackwardInto(ctx, gradOut, gradIn []float64) {
 	for i, go_ := range gradOut {
 		y := ctx[i]
@@ -168,8 +156,6 @@ func (Identity) Forward(x []float64) (y, ctx []float64) {
 }
 
 // ForwardInto implements Activation.
-//
-//streamad:hotpath
 func (Identity) ForwardInto(x, y []float64) []float64 {
 	copy(y, x)
 	return nil
@@ -183,8 +169,6 @@ func (Identity) Backward(_, gradOut []float64) []float64 {
 }
 
 // BackwardInto implements Activation.
-//
-//streamad:hotpath
 func (Identity) BackwardInto(_, gradOut, gradIn []float64) {
 	copy(gradIn, gradOut)
 }

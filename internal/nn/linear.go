@@ -41,8 +41,6 @@ func (l *Linear) Forward(x []float64) (y, ctx []float64) {
 // slower). Each row still sums left to right into its own accumulator —
 // blocking across rows changes no bit of any output; splitting a row's
 // accumulator would.
-//
-//streamad:hotpath
 func (l *Linear) ForwardInto(x, y []float64) {
 	if len(x) != l.In || len(y) != l.Out {
 		panic("nn: Linear input dimension mismatch")
@@ -85,8 +83,6 @@ func (l *Linear) Backward(ctx, gradOut []float64) []float64 {
 // BackwardInto accumulates parameter gradients and writes ∂L/∂x into the
 // caller-provided gradIn (length In, overwritten). x is the input of the
 // matching ForwardInto call. gradIn must not alias x or gradOut.
-//
-//streamad:hotpath
 func (l *Linear) BackwardInto(x, gradOut, gradIn []float64) {
 	if len(gradOut) != l.Out || len(x) != l.In || len(gradIn) != l.In {
 		panic("nn: Linear backward dimension mismatch")

@@ -59,11 +59,8 @@ func (s *MinMaxScaler) Fit(set [][]float64) {
 }
 
 // Transform maps x into the unit range into dst (allocated when nil).
-//
-//streamad:hotpath
 func (s *MinMaxScaler) Transform(x, dst []float64) []float64 {
 	if dst == nil {
-		//streamad:ignore hotalloc first-call allocation when the caller passes nil dst
 		dst = make([]float64, len(x))
 	}
 	for i, v := range x {
@@ -74,11 +71,8 @@ func (s *MinMaxScaler) Transform(x, dst []float64) []float64 {
 
 // Inverse maps a unit-range vector back to the original space into dst
 // (allocated when nil).
-//
-//streamad:hotpath
 func (s *MinMaxScaler) Inverse(z, dst []float64) []float64 {
 	if dst == nil {
-		//streamad:ignore hotalloc first-call allocation when the caller passes nil dst
 		dst = make([]float64, len(z))
 	}
 	for i, v := range z {

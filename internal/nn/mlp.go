@@ -11,8 +11,8 @@ type MLP struct {
 	Layers []*Linear
 	Acts   []Activation
 
-	params  []*Param    //streamad:transient cached flat parameter list, rebuilt lazily by finish
-	scratch *MLPContext //streamad:transient Predict's private context, rebuilt lazily by finish
+	params  []*Param    // cached flat parameter list, rebuilt lazily by finish
+	scratch *MLPContext // Predict's private context, rebuilt lazily by finish
 }
 
 // MLPContext carries the per-layer buffers of one forward pass: the
@@ -85,8 +85,6 @@ func (m *MLP) NewContext() *MLPContext {
 // ForwardCtx runs a forward pass through ctx, allocation-free, and
 // returns the output — which aliases ctx's last activation buffer and
 // stays valid until the context's next forward pass.
-//
-//streamad:hotpath
 func (m *MLP) ForwardCtx(ctx *MLPContext, x []float64) []float64 {
 	if len(x) != m.Layers[0].In {
 		panic("nn: MLP input dimension mismatch")
@@ -105,8 +103,6 @@ func (m *MLP) ForwardCtx(ctx *MLPContext, x []float64) []float64 {
 // accumulating parameter gradients, and returns the input gradient —
 // which aliases ctx's first gradient buffer. gradOut is consumed: the
 // output layer's activation backward runs in place on it.
-//
-//streamad:hotpath
 func (m *MLP) BackwardCtx(ctx *MLPContext, gradOut []float64) []float64 {
 	g := gradOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
@@ -139,11 +135,10 @@ func (m *MLP) Backward(ctx *MLPContext, gradOut []float64) []float64 {
 // Predict is an allocation-free forward pass through the MLP's private
 // scratch context. The returned slice is reused by the next Predict or
 // ForwardCtx-on-scratch call; copy it to retain.
-//
-//streamad:hotpath
 func (m *MLP) Predict(x []float64) []float64 {
 	if m.scratch == nil {
-		//streamad:ignore hotalloc one-time lazy build for zero-value MLPs; NewMLP pre-builds, so a warm Predict never takes this branch
+		// One-time lazy build for zero-value MLPs; NewMLP pre-builds, so a
+		// warm Predict never takes this branch.
 		m.finish()
 	}
 	return m.ForwardCtx(m.scratch, x)
@@ -159,10 +154,9 @@ func (m *MLP) Params() []*Param {
 }
 
 // ZeroGrad clears all parameter gradients.
-//
-//streamad:hotpath
 func (m *MLP) ZeroGrad() {
-	//streamad:ignore hotalloc Params only allocates on its one-time lazy build; warm MLPs return the cached slice
+	// Params only allocates on its one-time lazy build; warm MLPs return
+	// the cached slice.
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}

@@ -19,18 +19,14 @@ type SGD struct {
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
 // Step implements Optimizer.
-//
-//streamad:hotpath
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		if s.Momentum != 0 {
 			if s.velocity == nil {
-				//streamad:ignore hotalloc lazy one-time map init
 				s.velocity = make(map[*Param][]float64)
 			}
 			v, ok := s.velocity[p]
 			if !ok {
-				//streamad:ignore hotalloc per-param velocity allocated once on first step
 				v = make([]float64, len(p.W))
 				s.velocity[p] = v
 			}
@@ -67,8 +63,6 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step implements Optimizer.
-//
-//streamad:hotpath
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -78,13 +72,11 @@ func (a *Adam) Step(params []*Param) {
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
-			//streamad:ignore hotalloc per-param moment allocated once on first step
 			m = make([]float64, len(p.W))
 			a.m[p] = m
 		}
 		v, ok := a.v[p]
 		if !ok {
-			//streamad:ignore hotalloc per-param moment allocated once on first step
 			v = make([]float64, len(p.W))
 			a.v[p] = v
 		}
@@ -108,14 +100,11 @@ func (a *Adam) Step(params []*Param) {
 
 // MSELoss returns ½·mean((pred−target)²) and writes ∂L/∂pred into grad
 // (allocated if nil). The ½ keeps the gradient simply (pred−target)/n.
-//
-//streamad:hotpath
 func MSELoss(pred, target, grad []float64) (float64, []float64) {
 	if len(pred) != len(target) {
 		panic("nn: MSELoss length mismatch")
 	}
 	if grad == nil {
-		//streamad:ignore hotalloc first-call allocation when the caller passes nil grad
 		grad = make([]float64, len(pred))
 	}
 	n := float64(len(pred))

@@ -48,8 +48,6 @@ func NewParam(n int) *Param {
 }
 
 // ZeroGrad clears the gradient accumulator.
-//
-//streamad:hotpath
 func (p *Param) ZeroGrad() {
 	for i := range p.G {
 		p.G[i] = 0
@@ -66,8 +64,6 @@ func (p *Param) XavierInit(fanIn, fanOut int, rng *rand.Rand) {
 }
 
 // GradNorm returns the Euclidean norm of the gradient, used for clipping.
-//
-//streamad:hotpath
 func (p *Param) GradNorm() float64 {
 	var s float64
 	for _, g := range p.G {
@@ -78,8 +74,6 @@ func (p *Param) GradNorm() float64 {
 
 // ClipGrads scales the gradients of params so their global norm does not
 // exceed maxNorm. It returns the pre-clip global norm.
-//
-//streamad:hotpath
 func ClipGrads(params []*Param, maxNorm float64) float64 {
 	var s float64
 	for _, p := range params {

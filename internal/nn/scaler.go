@@ -68,11 +68,8 @@ func (s *Scaler) Fit(set [][]float64) {
 }
 
 // Transform standardizes x into dst (allocated when nil) and returns dst.
-//
-//streamad:hotpath
 func (s *Scaler) Transform(x, dst []float64) []float64 {
 	if dst == nil {
-		//streamad:ignore hotalloc first-call allocation when the caller passes nil dst
 		dst = make([]float64, len(x))
 	}
 	for i, v := range x {
@@ -83,11 +80,8 @@ func (s *Scaler) Transform(x, dst []float64) []float64 {
 
 // Inverse maps a standardized vector back to the original space into dst
 // (allocated when nil).
-//
-//streamad:hotpath
 func (s *Scaler) Inverse(z, dst []float64) []float64 {
 	if dst == nil {
-		//streamad:ignore hotalloc first-call allocation when the caller passes nil dst
 		dst = make([]float64, len(z))
 	}
 	for i, v := range z {
@@ -99,11 +93,8 @@ func (s *Scaler) Inverse(z, dst []float64) []float64 {
 // InverseSub maps a standardized vector back using the trailing part of
 // the scaler's moments (offset elements in), for models whose output
 // covers only the final rows of the feature vector.
-//
-//streamad:hotpath
 func (s *Scaler) InverseSub(z, dst []float64, offset int) []float64 {
 	if dst == nil {
-		//streamad:ignore hotalloc first-call allocation when the caller passes nil dst
 		dst = make([]float64, len(z))
 	}
 	for i, v := range z {

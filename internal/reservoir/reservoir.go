@@ -135,7 +135,7 @@ type UniformReservoir struct {
 	items [][]float64
 	count int
 	t     int        // total observations seen
-	rng   *rand.Rand //streamad:transient caller-owned seeded RNG; its position checkpoints with the detector's counted source, not here
+	rng   *rand.Rand // caller-owned seeded RNG; its position checkpoints with the detector's counted source, not here
 	evict []float64
 }
 
@@ -210,9 +210,9 @@ func (u *UniformReservoir) Cap() int { return u.m }
 type AnomalyAwareReservoir struct {
 	m          int
 	dim        int
-	uMin, uMax float64    //streamad:transient priority-draw bounds fixed at construction (paper parameters)
-	l1, l2     float64    //streamad:transient priority exponents fixed at construction (paper parameters)
-	rng        *rand.Rand //streamad:transient caller-owned seeded RNG; its position checkpoints with the detector's counted source, not here
+	uMin, uMax float64    // priority-draw bounds fixed at construction (paper parameters)
+	l1, l2     float64    // priority exponents fixed at construction (paper parameters)
+	rng        *rand.Rand // caller-owned seeded RNG; its position checkpoints with the detector's counted source, not here
 	h          priorityHeap
 	evict      []float64
 }

@@ -31,7 +31,7 @@ type Conformal struct {
 	ring    *window.Ring
 	eps     float64
 	dropped int
-	top     []float64 //streamad:transient reusable top-(k+1) scratch for Threshold, overwritten per call
+	top     []float64 // reusable top-(k+1) scratch for Threshold, overwritten per call
 }
 
 // NewConformal returns a conformal decision rule with a calibration
@@ -48,8 +48,6 @@ func NewConformal(capacity int, eps float64) *Conformal {
 
 // PValue returns the conformal p-value of f against the current
 // calibration window, without observing f. Non-finite scores get 1.
-//
-//streamad:hotpath
 func (c *Conformal) PValue(f float64) float64 {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return 1
@@ -66,8 +64,6 @@ func (c *Conformal) PValue(f float64) float64 {
 
 // Observe folds f into the sliding calibration window; non-finite
 // scores are dropped.
-//
-//streamad:hotpath
 func (c *Conformal) Observe(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		c.dropped++
@@ -83,7 +79,8 @@ func (c *Conformal) N() int { return c.ring.Len() }
 func (c *Conformal) Epsilon() float64 { return c.eps }
 
 // Dropped returns how many non-finite scores were discarded since
-// construction (diagnostic; not part of the checkpoint).
+// construction. It is diagnostic only, but AppendBinary writes it, so a
+// restored gate keeps counting from the checkpointed value.
 func (c *Conformal) Dropped() int { return c.dropped }
 
 // Alert implements Thresholder: the score's p-value is compared against

@@ -30,8 +30,6 @@ type Nonconformity interface {
 type Cosine struct{}
 
 // Measure implements Nonconformity.
-//
-//streamad:hotpath
 func (Cosine) Measure(target, pred []float64) float64 {
 	a := (1 - mat.CosineSimilarity(target, pred)) / 2
 	if a < 0 {
@@ -62,8 +60,6 @@ type Scorer interface {
 type Raw struct{}
 
 // Score implements Scorer.
-//
-//streamad:hotpath
 func (Raw) Score(a float64) float64 { return a }
 
 // Reset implements Scorer.
@@ -84,8 +80,6 @@ func NewAverage(k int) *Average {
 }
 
 // Score implements Scorer.
-//
-//streamad:hotpath
 func (s *Average) Score(a float64) float64 {
 	if old, evicted := s.ring.Push(a); evicted {
 		s.sum -= old
@@ -142,8 +136,6 @@ func NewAnomalyLikelihood(k, kShort int) *AnomalyLikelihood {
 }
 
 // Score implements Scorer.
-//
-//streamad:hotpath
 func (s *AnomalyLikelihood) Score(a float64) float64 {
 	// The short ring sees the newest value; values it evicts graduate into
 	// the lagged long window.

@@ -313,7 +313,7 @@ func metricFamilies() []family {
 
 		// The serve/train split, for streams whose detector exposes
 		// fine-tune statistics.
-		{name: "streamad_finetune_inflight", kind: gauge, help: "Whether a background fine-tune is running (0/1; always 0 in sync mode).", labels: stream,
+		{name: "streamad_finetune_inflight", kind: gauge, help: "Whether a background fine-tune is pending adoption (0/1; always 0 in sync mode).", labels: stream,
 			perStream: when(fineTuneOf, func(ft *core.FineTuneStats, e *emitter) { e.put(onOff(ft.InFlight)) })},
 		{name: "streamad_finetune_skipped_total", kind: counter, help: "Drift triggers dropped because a fine-tune was already in flight.", labels: stream,
 			perStream: when(fineTuneOf, func(ft *core.FineTuneStats, e *emitter) { e.put(count(ft.Skipped)) })},

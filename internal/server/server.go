@@ -232,7 +232,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // observeRequest is the POST body of /v1/streams/{id}/observe. It is
 // re-marshalled verbatim when an observe is proxied to its ring owner.
 //
-//streamad:finite-json — the vector was decoded from JSON, which cannot carry NaN/Inf.
+// The vector was decoded from JSON, which cannot carry NaN/Inf.
 type observeRequest struct {
 	Vector []float64 `json:"vector"`
 }
@@ -454,7 +454,7 @@ type batchRecord struct {
 // exactly one of the score fields, Shed, Dropped or Error describes the
 // outcome.
 //
-//streamad:finite-json — toBatchResult passes every float through core.FiniteOrZero.
+// toBatchResult passes every float through core.FiniteOrZero.
 type BatchResult struct {
 	Stream        string  `json:"stream"`
 	Seq           uint64  `json:"seq"`

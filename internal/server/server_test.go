@@ -469,6 +469,86 @@ func TestStatsGuardsNonFiniteValues(t *testing.T) {
 	}
 }
 
+// nonFinite names the values a stream's constDetector and
+// constThresholder report for every score, nonconformity and threshold.
+var nonFinite = map[string]float64{"nan": math.NaN(), "pinf": math.Inf(1), "ninf": math.Inf(-1)}
+
+// constDetector is ready from its first step and reports v as both its
+// score and its nonconformity.
+type constDetector struct{ v float64 }
+
+func (d constDetector) Step([]float64) (core.Result, bool) {
+	return core.Result{Score: d.v, Nonconformity: d.v}, true
+}
+
+// constThresholder reports v as its boundary and never alerts.
+type constThresholder struct{ v float64 }
+
+func (constThresholder) Alert(float64) bool   { return false }
+func (t constThresholder) Threshold() float64 { return t.v }
+func (constThresholder) Name() string         { return "const" }
+
+// TestObserveZeroesNonFiniteFloats: NaN and ±Inf scores, nonconformities
+// and thresholds must reach the producer as 0 on both observe endpoints,
+// one vector per request and as an NDJSON batch. encoding/json refuses
+// non-finite floats, so a missed guard shows up as a cut-off response.
+func TestObserveZeroesNonFiniteFloats(t *testing.T) {
+	srv, err := New(Config{
+		NewDetector:    func(id string) (Stepper, error) { return constDetector{nonFinite[id]}, nil },
+		NewThresholder: func(id string) score.Thresholder { return constThresholder{nonFinite[id]} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	post := func(path, body string) []string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, raw)
+		}
+		return strings.Split(strings.TrimSpace(string(raw)), "\n")
+	}
+	var batch strings.Builder
+	for id := range nonFinite {
+		line := fmt.Sprintf(`{"stream":%q,"vector":[1,2]}`, id)
+		batch.WriteString(line + "\n" + line + "\n")
+		for _, out := range append(post("/v1/observe", line), post("/v1/streams/"+id+"/observe", `{"vector":[1,2]}`)...) {
+			checkZeroed(t, id, out)
+		}
+	}
+	lines := post("/v1/observe", batch.String())
+	if len(lines) != 2*len(nonFinite) {
+		t.Fatalf("batch returned %d lines, want %d", len(lines), 2*len(nonFinite))
+	}
+	for _, out := range lines {
+		checkZeroed(t, "batch", out)
+	}
+}
+
+// checkZeroed decodes one observe response line and requires a ready
+// result whose float fields are all 0.
+func checkZeroed(t *testing.T, what, line string) {
+	t.Helper()
+	var out struct {
+		Ready                           bool
+		Score, Nonconformity, Threshold float64
+		Error                           string
+	}
+	if err := json.Unmarshal([]byte(line), &out); err != nil {
+		t.Fatalf("%s: response %q does not decode: %v", what, line, err)
+	}
+	if !out.Ready || out.Error != "" || out.Score != 0 || out.Nonconformity != 0 || out.Threshold != 0 {
+		t.Fatalf("%s: non-finite floats not zeroed: %s", what, line)
+	}
+}
+
 // TestEnsembleThroughServer runs a real 3-member ensemble behind the
 // HTTP API: aggregated scores come back per vector, the stats endpoint
 // grows per-member rows, and /metrics exposes the member families.

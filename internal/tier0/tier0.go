@@ -93,13 +93,9 @@ func (c *Config) fill() error {
 }
 
 // zMap maps a nonnegative deviation statistic into [0,1).
-//
-//streamad:hotpath
 func zMap(z float64) float64 { return z / (z + zHalf) }
 
 // finite reports whether x is a usable sample.
-//
-//streamad:hotpath
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // leaf is the part of the core.Node contract no tier-0 detector varies:
@@ -145,8 +141,6 @@ func NewEWMA(cfg Config) (*EWMA, error) {
 
 // Step consumes the next stream vector. ok becomes true once at least one
 // channel has observed Warmup finite samples.
-//
-//streamad:hotpath
 func (d *EWMA) Step(s []float64) (core.Result, bool) {
 	if len(s) != len(d.mean) {
 		panic("tier0: vector dimension mismatch")
@@ -212,8 +206,6 @@ func NewZScore(cfg Config) (*ZScore, error) {
 
 // Step consumes the next stream vector. ok becomes true once at least one
 // channel ring is full.
-//
-//streamad:hotpath
 func (d *ZScore) Step(s []float64) (core.Result, bool) {
 	if len(s) != len(d.rings) {
 		panic("tier0: vector dimension mismatch")
@@ -289,8 +281,6 @@ func NewHampel(cfg Config) (*Hampel, error) {
 }
 
 // searchFloat returns the first index in a[:n] not less than x.
-//
-//streamad:hotpath
 func searchFloat(a []float64, n int, x float64) int {
 	lo, hi := 0, n
 	for lo < hi {
@@ -308,8 +298,6 @@ func searchFloat(a []float64, n int, x float64) int {
 // median med, walking two pointers outward from the median position and
 // taking the (w/2+1)-th smallest deviation. The array being sorted makes
 // both arms monotone in |v−med|.
-//
-//streamad:hotpath
 func madFrom(sorted []float64, w int, med float64) float64 {
 	mid := w / 2
 	li, ri := mid, mid+1
@@ -328,8 +316,6 @@ func madFrom(sorted []float64, w int, med float64) float64 {
 
 // Step consumes the next stream vector. ok becomes true once at least one
 // channel ring is full.
-//
-//streamad:hotpath
 func (d *Hampel) Step(s []float64) (core.Result, bool) {
 	if len(s) != len(d.rings) {
 		panic("tier0: vector dimension mismatch")
@@ -385,7 +371,7 @@ type Density struct {
 	alpha float64
 	scale float64
 	src   *randstate.CountedSource
-	rng   *rand.Rand //streamad:transient stateless wrapper over src, whose position Save/Load round-trips
+	rng   *rand.Rand // stateless wrapper over src, whose position Save/Load round-trips
 }
 
 // NewDensity returns a sliding-window density detector.
@@ -404,8 +390,6 @@ func NewDensity(cfg Config) (*Density, error) {
 }
 
 // dist is the Euclidean distance.
-//
-//streamad:hotpath
 func dist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
@@ -418,8 +402,6 @@ func dist(a, b []float64) float64 {
 // Step consumes the next stream vector. ok becomes true once the vector
 // ring is full; vectors with any non-finite component are skipped
 // entirely (not scored, not stored).
-//
-//streamad:hotpath
 func (d *Density) Step(s []float64) (core.Result, bool) {
 	if len(s) != d.win.Dim() {
 		panic("tier0: vector dimension mismatch")

@@ -36,24 +36,24 @@ type Model struct {
 	scaler *nn.MinMaxScaler
 	dim    int
 	latent int
-	lr     float64   //streamad:transient learning rate fixed at construction; snapshots restore onto an identically-configured model
+	lr     float64   // learning rate fixed at construction; snapshots restore onto an identically-configured model
 	epoch  int       // adversarial schedule counter n
-	zbuf   []float64 //streamad:transient per-call scaling scratch, built by initScratch at construction
+	zbuf   []float64 // per-call scaling scratch, built by initScratch at construction
 	// Alpha/Beta weight the two reconstruction errors in the inference
 	// score ½·(α·R₁ + β·R_both); defaults 0.5/0.5.
 	//
-	//streamad:transient inference-score weights fixed at construction, not learned state
+	// Both are fixed at construction, not learned state.
 	Alpha, Beta float64
 
 	// Preallocated training scratch: the adversarial steps run up to two
 	// concurrent passes through E and D₂, so each in-flight pass gets its
 	// own context; g1..g3 are the loss-gradient buffers and params1/2 the
 	// cached per-objective parameter lists.
-	encCtxA, encCtxB   *nn.MLPContext //streamad:transient training scratch, built by initScratch at construction
-	dec1Ctx            *nn.MLPContext //streamad:transient training scratch, built by initScratch at construction
-	dec2CtxA, dec2CtxB *nn.MLPContext //streamad:transient training scratch, built by initScratch at construction
-	g1, g2, g3         []float64      //streamad:transient loss-gradient scratch, built by initScratch at construction
-	outBuf             []float64      //streamad:transient forward-pass scratch, built by initScratch at construction
+	encCtxA, encCtxB   *nn.MLPContext // training scratch, built by initScratch at construction
+	dec1Ctx            *nn.MLPContext // training scratch, built by initScratch at construction
+	dec2CtxA, dec2CtxB *nn.MLPContext // training scratch, built by initScratch at construction
+	g1, g2, g3         []float64      // loss-gradient scratch, built by initScratch at construction
+	outBuf             []float64      // forward-pass scratch, built by initScratch at construction
 	params1, params2   []*nn.Param    // parameter lists the two objectives step, built by initScratch; Load copies weights in place so the pointers stay valid, and the Adam moments checkpoint in this order
 }
 
@@ -190,8 +190,6 @@ func (m *Model) Latent() int { return m.latent }
 func (m *Model) Epoch() int { return m.epoch }
 
 // ae1 computes AE₁(x) = D₁(E(x)).
-//
-//streamad:hotpath
 func (m *Model) ae1(x []float64) []float64 {
 	return m.dec1.Predict(m.enc.Predict(x))
 }
@@ -202,11 +200,8 @@ func (m *Model) ae1(x []float64) []float64 {
 // α·R₁ + β·R_both — mapped back to the original space. The second term is
 // the adversarially amplified two-pass reconstruction that makes the error
 // spike on anomalous inputs.
-//
-//streamad:hotpath
 func (m *Model) Predict(x []float64) (target, pred []float64) {
 	if len(x) != m.dim {
-		//streamad:ignore hotalloc panic message on shape violation only
 		panic(fmt.Sprintf("usad: expected %d values, got %d", m.dim, len(x)))
 	}
 	z := m.scaler.Transform(x, m.zbuf)

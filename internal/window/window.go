@@ -30,8 +30,6 @@ func (r *Ring) Full() bool { return r.count == len(r.buf) }
 
 // Push appends x, evicting the oldest element when full. It returns the
 // evicted value and whether an eviction happened.
-//
-//streamad:hotpath
 func (r *Ring) Push(x float64) (evicted float64, wasFull bool) {
 	if r.count < len(r.buf) {
 		r.buf[(r.head+r.count)%len(r.buf)] = x
@@ -45,8 +43,6 @@ func (r *Ring) Push(x float64) (evicted float64, wasFull bool) {
 }
 
 // At returns the i-th element counted from the oldest (0 = oldest).
-//
-//streamad:hotpath
 func (r *Ring) At(i int) float64 {
 	if i < 0 || i >= r.count {
 		panic("window: index out of range")
@@ -73,8 +69,6 @@ func (r *Ring) Slice() []float64 {
 
 // CopyInto copies the contents, oldest first, into dst (which must have
 // length ≥ Len) and returns the number of elements copied.
-//
-//streamad:hotpath
 func (r *Ring) CopyInto(dst []float64) int {
 	for i := 0; i < r.count; i++ {
 		dst[i] = r.At(i)
@@ -97,7 +91,7 @@ type VecRing struct {
 	buf      [][]float64
 	head     int
 	count    int
-	evict    []float64 //streamad:transient reusable eviction-copy scratch, overwritten per push
+	evict    []float64 // reusable eviction-copy scratch, overwritten per push
 }
 
 // NewVecRing returns a ring holding up to capacity vectors of length dim.
@@ -149,8 +143,6 @@ func (r *VecRing) Full() bool { return r.count == r.capacity }
 // Push appends a copy of x, evicting the oldest vector when full. The
 // returned evicted slice aliases internal storage and is only valid until
 // the next Push; copy it if it must be retained.
-//
-//streamad:hotpath
 func (r *VecRing) Push(x []float64) (evicted []float64, wasFull bool) {
 	if len(x) != r.dim {
 		panic("window: vector dimension mismatch")
@@ -167,7 +159,6 @@ func (r *VecRing) Push(x []float64) (evicted []float64, wasFull bool) {
 	// The caller sees the pre-overwrite contents; a single reusable
 	// scratch keeps the steady-state push allocation-free.
 	if r.evict == nil {
-		//streamad:ignore hotalloc eviction scratch allocated once, reused every push
 		r.evict = make([]float64, r.dim)
 	}
 	copy(r.evict, slot)
@@ -178,8 +169,6 @@ func (r *VecRing) Push(x []float64) (evicted []float64, wasFull bool) {
 
 // At returns the i-th vector counted from the oldest (0 = oldest). The
 // returned slice aliases internal storage; do not modify it.
-//
-//streamad:hotpath
 func (r *VecRing) At(i int) []float64 {
 	if i < 0 || i >= r.count {
 		panic("window: index out of range")
