@@ -60,24 +60,31 @@ vulncheck:
 test:
 	$(GO) test ./...
 
-# race also repeats the two async fine-tune tests whose failure mode is a
-# schedule: a digest that depends on when training finished, a deadlock.
+# race also repeats the tests whose failure mode is a schedule: the two
+# async fine-tune tests (a digest that depends on when training
+# finished, a deadlock) and the stream entry paths (standby failover,
+# migration, the adopt conflict rule, concurrent first observes of a
+# cold stream).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestAsyncIsAPureFunctionOfTheInput|TestStepAfterTrainerPoolClose' -count=5 .
+	$(GO) test -race -run 'TestStandbyFailoverBitIdentical' -count=5 ./internal/server
+	$(GO) test -race -run 'TestMigrationBitIdentical|TestAdoptSeqConflict|TestConcurrentObservesSingleRestore' -count=5 ./internal/ingest
 
 # loc prints the number ROADMAP aim 2 ("least code") is about: non-test
 # Go lines outside the frozen benchmark/. 25,998 before the detector-tree
 # refactor (PR 22), 25,707 before the spec-tree one (PR 23), 25,495
 # before the fork-join, the vet-protocol driver and two bench commands
 # were deleted (PR 28), 24,247 before the fine-tune paths became one,
-# 24,243 before the lint suite was culled to two parse-only analyzers.
+# 24,243 before the lint suite was culled to two parse-only analyzers,
+# 21,254 before restart, cold restore, migration and standby failover
+# came to share one way into the registry.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 21254
+LOC_CEILING = 21184
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

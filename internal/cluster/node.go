@@ -12,11 +12,9 @@ import (
 	"time"
 
 	"streamad/internal/ingest"
-	"streamad/internal/score"
 )
 
-// Config wires a Node to its peers and to the local registry's detector
-// factories (needed to materialise standby replicas).
+// Config wires a Node to its peers.
 type Config struct {
 	// Self is this node's advertised base URL; it must appear in Peers.
 	Self string
@@ -41,11 +39,6 @@ type Config struct {
 	// traffic (default: 30s timeout). Probes use their own short-timeout
 	// client derived from ProbeInterval.
 	Client *http.Client
-	// NewDetector and NewThresholder build the local halves of standby
-	// replicas; they should match the registry's own factories. Standby
-	// replication is disabled when NewDetector is nil.
-	NewDetector    func(id string) (ingest.Stepper, error)
-	NewThresholder func(id string) score.Thresholder
 	// Logf receives cluster lifecycle events (peer transitions,
 	// migrations, promotions). Defaults to a no-op.
 	Logf func(format string, args ...any)
@@ -84,7 +77,7 @@ type Node struct {
 	promotions      atomic.Uint64
 
 	repMu    sync.Mutex
-	replicas map[string]*replica
+	replicas map[string]*ingest.Replica
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -121,7 +114,7 @@ func New(cfg Config) (*Node, error) {
 		self:     cfg.Self,
 		peers:    make(map[string]*peerState),
 		client:   cfg.Client,
-		replicas: make(map[string]*replica),
+		replicas: make(map[string]*ingest.Replica),
 		stop:     make(chan struct{}),
 	}
 	if n.client == nil {
@@ -166,16 +159,23 @@ func (n *Node) Start(reg *ingest.Registry) {
 		n.wg.Add(1)
 		go n.rebalanceLoop()
 	}
-	if n.cfg.StandbyInterval > 0 && n.cfg.NewDetector != nil && n.cfg.NewThresholder != nil {
+	if n.cfg.StandbyInterval > 0 {
 		n.wg.Add(1)
 		go n.standbyLoop()
 	}
 }
 
-// Close stops and joins the background loops.
+// Close stops and joins the background loops and discards the standby
+// replicas.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
+	n.repMu.Lock()
+	defer n.repMu.Unlock()
+	for id, rep := range n.replicas {
+		rep.Close()
+		delete(n.replicas, id)
+	}
 }
 
 // Self returns this node's advertised URL.

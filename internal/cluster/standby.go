@@ -1,11 +1,10 @@
 // Warm-standby replication. For every stream whose ring successor is
-// this node, the standby loop keeps a live detector/thresholder replica:
-// it bootstraps from the owner's snapshot endpoint, then tails the
-// owner's WAL by sequence number, replaying each vector with the
-// registry's exact restore semantics. When the owner fails its health
-// probes the ring makes this node the owner, and the replica is promoted
-// into the registry — warm, at the last replicated sequence — instead of
-// the stream restarting cold.
+// this node, the standby loop keeps an ingest.Replica: it bootstraps
+// from the owner's snapshot endpoint, then tails the owner's WAL by
+// sequence number, replaying each vector exactly as a restart would.
+// When the owner fails its health probes the ring makes this node the
+// owner, and the replica is promoted into the registry — warm, at the
+// last replicated sequence — instead of the stream restarting cold.
 package cluster
 
 import (
@@ -20,20 +19,7 @@ import (
 
 	"streamad/internal/ingest"
 	"streamad/internal/persist"
-	"streamad/internal/score"
 )
-
-// replica is one warm standby. Its fields are owned by the standby loop
-// goroutine; the map holding replicas is guarded by n.repMu only so
-// Stats can count them.
-type replica struct {
-	id      string
-	det     ingest.Stepper
-	th      score.Thresholder
-	nextSeq uint64 // first WAL sequence not yet replayed
-	ready   int64
-	alerts  int64
-}
 
 // standbyLoop drives replica sync, promotion and garbage collection.
 func (n *Node) standbyLoop() {
@@ -54,59 +40,75 @@ func (n *Node) standbyLoop() {
 // tail), then discover streams this node should start backing up.
 func (n *Node) standbySync() {
 	n.repMu.Lock()
-	reps := make([]*replica, 0, len(n.replicas))
+	reps := make([]*ingest.Replica, 0, len(n.replicas))
 	for _, rep := range n.replicas {
 		reps = append(reps, rep)
 	}
 	n.repMu.Unlock()
 
 	for _, rep := range reps {
-		owner := n.Owner(rep.id)
+		id := rep.ID()
+		owner := n.Owner(id)
 		switch {
 		case owner == n.self:
 			n.promote(rep)
-		case n.Backup(rep.id) != n.self:
+		case n.Backup(id) != n.self:
 			// The ring moved the backup role elsewhere.
-			n.dropReplica(rep.id)
+			n.dropReplica(id)
 		default:
 			// Tail whoever currently owns the stream — after a failover
 			// or migration that may be a different node than the replica
 			// started against; a 410 resync realigns the state.
 			if err := n.tailReplica(rep, owner); err != nil {
-				n.cfg.Logf("streamad: cluster standby %q: %v", rep.id, err)
+				n.cfg.Logf("streamad: cluster standby %q: %v", id, err)
 			}
 		}
 	}
 	n.discoverStandbys()
 }
 
-// promote installs a replica into the local registry. The install's
+// promote publishes a replica into the local registry. Promote's
 // seq-ordered conflict rule arbitrates against a racing fresh stream
 // (created by an observe that arrived before the replica landed): the
 // replica wins only if it is further along.
-func (n *Node) promote(rep *replica) {
-	err := n.reg.Install(rep.id, rep.det, rep.th, rep.nextSeq, rep.ready, rep.alerts)
-	if err != nil {
-		n.cfg.Logf("streamad: cluster standby %q not promoted: %v", rep.id, err)
-	} else {
-		n.promotions.Add(1)
-		n.cfg.Logf("streamad: cluster promoted standby %q at seq %d", rep.id, rep.nextSeq)
+func (n *Node) promote(rep *ingest.Replica) {
+	n.swapReplica(rep.ID(), nil)
+	if err := n.reg.Promote(rep); err != nil {
+		n.cfg.Logf("streamad: cluster standby %q not promoted: %v", rep.ID(), err)
+		return
 	}
-	n.dropReplica(rep.id)
+	n.promotions.Add(1)
+	n.cfg.Logf("streamad: cluster promoted standby %q at seq %d", rep.ID(), rep.Seq())
 }
 
-func (n *Node) dropReplica(id string) {
+// swapReplica installs (or, with nil, removes) the replica for id and
+// returns the one it displaced.
+func (n *Node) swapReplica(id string, rep *ingest.Replica) *ingest.Replica {
 	n.repMu.Lock()
-	delete(n.replicas, id)
-	n.repMu.Unlock()
+	defer n.repMu.Unlock()
+	old := n.replicas[id]
+	if rep != nil {
+		n.replicas[id] = rep
+	} else {
+		delete(n.replicas, id)
+	}
+	return old
+}
+
+// dropReplica discards the replica for id, if any.
+func (n *Node) dropReplica(id string) {
+	if old := n.swapReplica(id, nil); old != nil {
+		old.Close()
+	}
 }
 
 // tailReplica pulls and replays the owner's WAL records from the
 // replica's boundary. A 410 means the owner rotated its WAL past us —
 // resync from its current snapshot; a 404 means the owner no longer
 // serves the stream (evicted or migrating) — drop and rediscover later.
-func (n *Node) tailReplica(rep *replica, owner string) error {
-	target := owner + "/v1/streams/" + url.PathEscape(rep.id) + "/wal?from=" + strconv.FormatUint(rep.nextSeq, 10)
+func (n *Node) tailReplica(rep *ingest.Replica, owner string) error {
+	id := rep.ID()
+	target := owner + "/v1/streams/" + url.PathEscape(id) + "/wal?from=" + strconv.FormatUint(rep.Seq(), 10)
 	resp, err := n.client.Get(target)
 	if err != nil {
 		return nil // owner unreachable; the prober and ring decide what happens next
@@ -115,21 +117,25 @@ func (n *Node) tailReplica(rep *replica, owner string) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		var gone WALGone
-		if err := json.NewDecoder(resp.Body).Decode(&gone); err != nil {
-			return fmt.Errorf("decode WAL-rotated response: %w", err)
+		fresh, err := n.buildReplica(id, owner)
+		if err != nil {
+			return fmt.Errorf("resync: %w", err)
 		}
-		return n.resyncReplica(rep, owner)
+		if old := n.swapReplica(id, fresh); old != nil {
+			old.Close()
+		}
+		return nil
 	case http.StatusNotFound:
-		n.dropReplica(rep.id)
+		n.dropReplica(id)
 		return nil
 	case http.StatusNotImplemented:
-		n.dropReplica(rep.id)
-		return fmt.Errorf("owner %s has no WAL (no state dir); standby disabled for %q", owner, rep.id)
+		n.dropReplica(id)
+		return fmt.Errorf("owner %s has no WAL (no state dir); standby disabled for %q", owner, id)
 	default:
 		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("owner %s WAL tail returned %s", owner, resp.Status)
 	}
+	var recs []persist.WALRecord
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -141,30 +147,12 @@ func (n *Node) tailReplica(rep *replica, owner string) error {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("decode WAL line: %w", err)
 		}
-		if rec.Seq < rep.nextSeq {
-			continue
-		}
-		ready, alert, _ := ingest.ReplayVector(rep.det, rep.th, rec.Vector)
-		if ready {
-			rep.ready++
-			if alert {
-				rep.alerts++
-			}
-		}
-		rep.nextSeq = rec.Seq + 1
-		n.standbyReplayed.Add(1)
+		recs = append(recs, persist.WALRecord{Seq: rec.Seq, Vector: rec.Vector})
 	}
-	return sc.Err()
-}
-
-// resyncReplica rebuilds a replica from the owner's current snapshot
-// after falling behind a WAL rotation.
-func (n *Node) resyncReplica(rep *replica, owner string) error {
-	fresh, err := n.buildReplica(rep.id, owner)
-	if err != nil {
-		return fmt.Errorf("resync: %w", err)
+	if err := sc.Err(); err != nil {
+		return err
 	}
-	*rep = *fresh
+	n.standbyReplayed.Add(uint64(rep.Replay(recs)))
 	return nil
 }
 
@@ -198,9 +186,7 @@ func (n *Node) discoverStandbys() {
 				n.cfg.Logf("streamad: cluster standby bootstrap %q from %s: %v", id, peer, err)
 				continue
 			}
-			n.repMu.Lock()
-			n.replicas[id] = rep
-			n.repMu.Unlock()
+			n.swapReplica(id, rep)
 		}
 	}
 }
@@ -231,7 +217,7 @@ func (n *Node) peerStreams(peer string) ([]string, error) {
 
 // buildReplica bootstraps a replica from the owner's snapshot endpoint
 // (the same versioned CRC file format the store persists).
-func (n *Node) buildReplica(id, owner string) (*replica, error) {
+func (n *Node) buildReplica(id, owner string) (*ingest.Replica, error) {
 	resp, err := n.client.Get(owner + "/v1/streams/" + url.PathEscape(id) + "/snapshot")
 	if err != nil {
 		return nil, err
@@ -249,20 +235,8 @@ func (n *Node) buildReplica(id, owner string) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := n.cfg.NewDetector(id)
-	if err != nil {
-		return nil, err
+	if snap.ID != id {
+		return nil, fmt.Errorf("cluster: %s served the snapshot of %q for %q", owner, snap.ID, id)
 	}
-	th := n.cfg.NewThresholder(id)
-	if err := ingest.LoadSnapshotState(det, th, snap); err != nil {
-		return nil, err
-	}
-	return &replica{
-		id:      id,
-		det:     det,
-		th:      th,
-		nextSeq: snap.Seq,
-		ready:   int64(snap.Ready),
-		alerts:  int64(snap.Alerts),
-	}, nil
+	return n.reg.NewReplica(snap)
 }

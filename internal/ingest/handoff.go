@@ -1,25 +1,26 @@
 // Stream handoff: the registry side of cluster migration and failover.
-// A stream leaves a node as a snapshot plus WAL tail (Handoff), enters a
-// node by replaying exactly that state (Adopt) or by promoting an
-// already-warm replica (Install), and is tailed remotely by sequence
-// number (WALTail). Every transfer carries a CRC-32C fingerprint of the
-// live state; because Save/Load round-trips are bit-identical (the PR 1
-// restore invariant), the target recomputing the same fingerprint after
-// replay proves the migrated stream will score future vectors exactly as
-// the uninterrupted source would have.
+// A stream leaves a node as a snapshot plus WAL tail (Handoff) and is
+// tailed remotely by sequence number (WALTail). Every way into a node is
+// a Replica — an unpublished stream built with the registry's own
+// factories from a snapshot and advanced through WAL records by the
+// dispatcher's own step — that Promote publishes: Adopt (a migration's
+// payload, or a source reinstating a stream it failed to hand off), the
+// /migrate endpoint, and a cluster standby tailing its owner's WAL.
+//
+// Every transfer carries a fingerprint of the live state: the CRC-32C
+// of its snapshot body (persist.Fingerprint). Because Save/Load round
+// trips are bit-identical (the restore invariant), a target whose
+// replayed replica has the source's fingerprint will score future
+// vectors exactly as the uninterrupted source would have.
 package ingest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"time"
 
 	"streamad/internal/persist"
-	"streamad/internal/score"
 )
 
 // ErrWALRotated reports a WAL tail request from below the last snapshot
@@ -27,17 +28,13 @@ import (
 // must refetch the snapshot and resume tailing from its Seq.
 var ErrWALRotated = errors.New("ingest: WAL rotated past the requested sequence")
 
-// ErrSeqConflict reports an install refused because the local stream has
-// already assigned more sequence numbers than the incoming state has
-// consumed — installing it would time-travel the stream backwards.
+// ErrSeqConflict reports a promotion refused because the local stream
+// has already assigned more sequence numbers than the incoming state has
+// consumed — publishing it would time-travel the stream backwards.
 var ErrSeqConflict = errors.New("ingest: stream already live at a later sequence")
 
 // ErrNoStore reports an operation that needs a configured state dir.
 var ErrNoStore = errors.New("ingest: operation requires a state dir")
-
-// handoffCRC is the CRC-32C table for state fingerprints (the same
-// polynomial persist uses for file integrity).
-var handoffCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // HandoffState is everything a target node needs to adopt a stream: the
 // snapshot, the WAL records at or past its Seq, and the fingerprint of
@@ -48,39 +45,56 @@ type HandoffState struct {
 	Fingerprint uint32
 }
 
-// fingerprint canonically encodes a stream's live state — sequence
-// boundary, serving counters, detector and thresholder blobs — and
-// returns its CRC-32C. The caller must own the stream (procMu held, or
-// not yet published).
-func fingerprint(st *stream) (uint32, error) {
-	ck, ok := st.det.(Checkpointer)
-	if !ok {
-		return 0, fmt.Errorf("ingest: detector %T does not support checkpointing", st.det)
-	}
-	detBlob, err := ck.Save()
+// Replica is a stream this registry has built but not published. Its
+// owner advances it with Replay and then either publishes it (Promote)
+// or discards it (Close); it is not safe for concurrent use.
+type Replica struct{ st *stream }
+
+// NewReplica builds an unpublished stream in the state snap holds, with
+// the registry's detector and thresholder factories.
+func (r *Registry) NewReplica(snap *persist.StreamSnapshot) (*Replica, error) {
+	st, err := r.newStream(snap.ID)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	thBlob, err := marshalThresholder(st.th)
-	if err != nil {
-		return 0, err
+	if err := st.load(snap); err != nil {
+		closeDetector(st.det)
+		return nil, err
 	}
-	var hdr [40]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], st.seqDone)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(st.ready.Load()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(st.alerts.Load()))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(detBlob)))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(thBlob)))
-	sum := crc32.Update(0, handoffCRC, hdr[:])
-	sum = crc32.Update(sum, handoffCRC, detBlob)
-	return crc32.Update(sum, handoffCRC, thBlob), nil
+	return &Replica{st: st}, nil
 }
+
+// ID is the replica's stream id.
+func (p *Replica) ID() string { return p.st.id }
+
+// Seq is the replica's boundary: every record below it is folded in.
+func (p *Replica) Seq() uint64 { return p.st.seqDone }
+
+// Replay advances the replica through the WAL records at or past its
+// boundary, exactly as a restart replays them, and returns how many it
+// stepped.
+func (p *Replica) Replay(recs []persist.WALRecord) int {
+	n, _ := p.st.replay(recs)
+	return n
+}
+
+// Fingerprint is the CRC-32C of the replica's snapshot body.
+func (p *Replica) Fingerprint() (uint32, error) {
+	snap, err := buildSnapshot(p.st.id, p.st, nil)
+	if err != nil {
+		return 0, err
+	}
+	return persist.Fingerprint(snap), nil
+}
+
+// Close settles a replica that will not be promoted.
+func (p *Replica) Close() { closeDetector(p.st.det) }
 
 // Handoff quiesces a stream and detaches it for migration: admissions
 // are closed, the queue drains, the state is captured, and the stream
 // leaves the registry. After a successful Handoff the id is unknown
 // locally (a racing observe may recreate it fresh; the seq-ordered
-// conflict rule in install resolves that when the migration lands
+// conflict rule in Promote resolves that when the migration lands
 // elsewhere or is reinstated). On capture failure the stream reopens
 // untouched.
 func (r *Registry) Handoff(id string) (*HandoffState, error) {
@@ -132,87 +146,71 @@ func (r *Registry) Handoff(id string) (*HandoffState, error) {
 // capture assembles the HandoffState of a quiesced stream; the caller
 // holds st.procMu. With a healthy on-disk snapshot + WAL the shipped
 // state is exactly what a local restart would replay; otherwise (no
-// store, or damaged WAL) a fresh checkpoint of the live state ships with
-// an empty tail.
+// store, or damaged WAL) the live checkpoint that was fingerprinted
+// ships with an empty tail.
 func (r *Registry) capture(id string, st *stream) (*HandoffState, error) {
-	fp, err := fingerprint(st)
+	live, err := buildSnapshot(id, st, nil)
 	if err != nil {
 		return nil, err
 	}
-	hs := &HandoffState{Fingerprint: fp}
-	if r.cfg.Store != nil {
-		snap, err := r.cfg.Store.ReadSnapshot(id)
-		if err == nil {
-			recs, walErr := r.cfg.Store.ReadWAL(id)
-			if walErr == nil {
-				hs.Snapshot = snap
-				for _, rec := range recs {
-					if rec.Seq >= snap.Seq {
-						hs.Tail = append(hs.Tail, rec)
-					}
-				}
-				return hs, nil
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
+	hs := &HandoffState{Snapshot: live, Fingerprint: persist.Fingerprint(live)}
+	if r.cfg.Store == nil {
+		return hs, nil
 	}
-	snap, err := buildSnapshot(id, st, nil)
+	snap, err := r.cfg.Store.ReadSnapshot(id)
+	if errors.Is(err, os.ErrNotExist) {
+		return hs, nil
+	}
 	if err != nil {
 		return nil, err
+	}
+	recs, err := r.cfg.Store.ReadWAL(id)
+	if err != nil {
+		return hs, nil
 	}
 	hs.Snapshot = snap
+	for _, rec := range recs {
+		if rec.Seq >= snap.Seq {
+			hs.Tail = append(hs.Tail, rec)
+		}
+	}
 	return hs, nil
 }
 
-// Adopt installs a stream shipped from another node: a fresh detector
-// and thresholder are built, the snapshot is loaded, the WAL tail is
-// replayed with restore semantics, and the result is published under the
-// seq-ordered conflict rule. It returns the adopted state's fingerprint;
-// the migration protocol acknowledges only when it matches the source's.
+// Adopt installs a stream shipped from another node: a replica of the
+// snapshot replays the WAL tail and is promoted. It returns the adopted
+// state's fingerprint; the migration protocol acknowledges only when it
+// matches the source's.
 func (r *Registry) Adopt(id string, snap *persist.StreamSnapshot, tail []persist.WALRecord) (uint32, error) {
-	det, err := r.cfg.NewDetector(id)
+	if snap.ID != id {
+		return 0, fmt.Errorf("ingest: snapshot is for stream %q, not %q", snap.ID, id)
+	}
+	p, err := r.NewReplica(snap)
 	if err != nil {
 		return 0, err
 	}
-	st := r.newStream(id, det, r.cfg.NewThresholder(id))
-	if err := loadSnapshotInto(st, snap); err != nil {
-		return 0, err
-	}
-	replayRecords(st, tail)
-	st.seq = st.seqDone
-	fp, err := fingerprint(st)
+	p.Replay(tail)
+	fp, err := p.Fingerprint()
 	if err != nil {
+		p.Close()
 		return 0, err
 	}
-	if err := r.install(st); err != nil {
+	if err := r.Promote(p); err != nil {
 		return 0, err
 	}
 	return fp, nil
 }
 
-// Install publishes an already-live detector/thresholder pair as a
-// stream — the failover path, promoting a warm standby replica that has
-// been tailing the failed owner's WAL. seq is the replica's consumed
-// boundary; ready and alerts seed the serving counters.
-func (r *Registry) Install(id string, det Stepper, th score.Thresholder, seq uint64, ready, alerts int64) error {
-	st := r.newStream(id, det, th)
-	st.seq = seq
-	st.seqDone = seq
-	st.steps.Store(int64(seq))
-	st.ready.Store(ready)
-	st.alerts.Store(alerts)
-	st.thBits.Store(math.Float64bits(th.Threshold()))
-	return r.install(st)
-}
-
-// install publishes an unshared stream under the conflict rule: an
-// existing stream survives only if it has assigned more sequence numbers
-// than the incoming state has consumed — otherwise it is closed and
-// replaced (its queued items finish on the detached object). With a
-// store the new stream is immediately checkpointed, so a restart
-// recovers it even though its WAL starts mid-sequence.
-func (r *Registry) install(st *stream) error {
+// Promote publishes a replica at its boundary under the seq-ordered
+// conflict rule: an existing stream survives only if it has assigned
+// more sequence numbers than the replica has consumed — otherwise it is
+// closed and replaced (its queued items finish on the detached object).
+// With a store the new stream is immediately checkpointed, so a restart
+// recovers it even though its WAL starts mid-sequence. The replica is
+// spent either way: a refused one is closed.
+func (r *Registry) Promote(p *Replica) error {
+	st := p.st
+	st.seq = st.seqDone
 	st.lastTouch.Store(time.Now().UnixNano())
 	sh := r.shardFor(st.id)
 	sh.mu.Lock()
@@ -223,15 +221,17 @@ func (r *Registry) install(st *stream) error {
 		if oldSeq > st.seq {
 			old.qmu.Unlock()
 			sh.mu.Unlock()
+			p.Close()
 			return fmt.Errorf("%w: %q at seq %d, refusing to install state at seq %d",
 				ErrSeqConflict, st.id, oldSeq, st.seq)
 		}
 		old.closed = true
 		old.notFull.Broadcast()
 		old.qmu.Unlock()
-	} else if int(r.nlive.Load()) >= r.cfg.MaxStreams {
+	} else if err := r.checkRoom(); err != nil {
 		sh.mu.Unlock()
-		return fmt.Errorf("ingest: stream limit %d reached", r.cfg.MaxStreams)
+		p.Close()
+		return err
 	}
 	sh.streams[st.id] = st
 	if !exists {
@@ -253,7 +253,7 @@ func (r *Registry) install(st *stream) error {
 	if err := r.snapshotStream(st.id, st, 0); err != nil {
 		// Without an anchoring checkpoint a restart would replay this
 		// stream's mid-sequence WAL into a fresh detector and diverge
-		// silently; fail the install instead.
+		// silently; fail the promotion instead.
 		sh.mu.Lock()
 		if sh.streams[st.id] == st {
 			delete(sh.streams, st.id)
@@ -299,11 +299,6 @@ func (r *Registry) WALTail(id string, from uint64) ([]persist.WALRecord, uint64,
 	}
 	return out, st.seqDone, nil
 }
-
-// Logf forwards to the registry's configured diagnostic logger, so
-// embedders (the server's cluster endpoints) report through the same
-// sink as the registry's own background loops.
-func (r *Registry) Logf(format string, args ...any) { r.cfg.Logf(format, args...) }
 
 // DropPersisted deletes a stream's on-disk snapshot and WAL — the last
 // step of a migration out, once the target has acknowledged the

@@ -180,10 +180,10 @@ type Registry struct {
 // shard is one slice of the registry: a mutex plus the streams hashing
 // to it. The shard lock guards membership (lookup, create, evict), and
 // serving a live stream never holds it. Creating a stream does: a cold
-// restore (getOrCreate, RestoreStreams) replays the stream's WAL through
-// its detector under the lock, so the first observe of a cold stream
-// stalls first observes of other cold streams on the same shard for the
-// length of that replay.
+// restore (getOrCreate) replays the stream's WAL through its detector
+// under the lock, so the first observe of a cold stream stalls first
+// observes of other cold streams on the same shard for the length of
+// that replay.
 type shard struct {
 	mu      sync.Mutex
 	streams map[string]*stream
@@ -350,42 +350,57 @@ func (r *Registry) shardIndex(id string) int {
 // shardFor returns the shard a stream id hashes to.
 func (r *Registry) shardFor(id string) *shard { return r.shards[r.shardIndex(id)] }
 
-// getOrCreate returns the live stream for id, creating (or restoring
-// from the store, if it holds state for the id) on first use. The shard
-// lock is held across detector construction, so concurrent first
-// observes of the same id build exactly one detector; streams on other
-// shards are unaffected.
-func (r *Registry) getOrCreate(id string) (*stream, error) {
+// getOrCreate returns the live stream for id, building it on first use
+// from whatever the store holds for the id (restore): a first observe, a
+// restart's RestoreStreams and a cold stream's next observe all enter
+// here. The shard lock is held across detector construction, so
+// concurrent first observes of the same id build exactly one detector;
+// streams on other shards are unaffected. The warnings describe
+// tolerated damage in the replayed WAL.
+func (r *Registry) getOrCreate(id string) (*stream, []string, error) {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if st, ok := sh.streams[id]; ok {
-		return st, nil
+		return st, nil, nil
 	}
-	if int(r.nlive.Load()) >= r.cfg.MaxStreams {
-		return nil, fmt.Errorf("ingest: stream limit %d reached", r.cfg.MaxStreams)
+	if err := r.checkRoom(); err != nil {
+		return nil, nil, err
 	}
-	st, _, err := r.buildStream(id)
+	st, warnings, err := r.restore(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sh.streams[id] = st
 	r.nlive.Add(1)
 	r.history.Add(1)
-	return st, nil
+	return st, warnings, nil
 }
 
-// newStream wires a bare stream (no detector state yet).
-func (r *Registry) newStream(id string, det Stepper, th score.Thresholder) *stream {
-	st := &stream{id: id, det: det, th: th}
+// checkRoom refuses a new stream once MaxStreams are live.
+func (r *Registry) checkRoom() error {
+	if int(r.nlive.Load()) >= r.cfg.MaxStreams {
+		return fmt.Errorf("ingest: stream limit %d reached", r.cfg.MaxStreams)
+	}
+	return nil
+}
+
+// newStream wires a bare stream around a fresh detector and thresholder
+// from the registry's factories.
+func (r *Registry) newStream(id string) (*stream, error) {
+	det, err := r.cfg.NewDetector(id)
+	if err != nil {
+		return nil, err
+	}
+	st := &stream{id: id, det: det, th: r.cfg.NewThresholder(id)}
 	st.notFull.L = &st.qmu
-	st.thBits.Store(math.Float64bits(th.Threshold()))
+	st.thBits.Store(math.Float64bits(st.th.Threshold()))
 	st.dispatchFn = func() { r.dispatch(st) }
 	// Stamp creation as a touch: without it a concurrent evictor pass in
 	// the window before admit's own stamp sees lastTouch == 0 and evicts
 	// the stream the moment it is born.
 	st.lastTouch.Store(time.Now().UnixNano())
-	return st
+	return st, nil
 }
 
 // Observe admits one vector and waits for its score: the synchronous
@@ -425,7 +440,7 @@ func (r *Registry) Enqueue(id string, vec []float64) (Ack, error) {
 // retrying when it races the TTL evictor.
 func (r *Registry) admit(id string, vec []float64) (*stream, item, bool, error) {
 	for {
-		st, err := r.getOrCreate(id)
+		st, _, err := r.getOrCreate(id)
 		if err != nil {
 			return nil, item{}, false, err
 		}
@@ -535,16 +550,25 @@ func (r *Registry) processLocked(st *stream, it item) Result {
 	}
 	st.steps.Add(1)
 	st.seqDone = it.seq + 1
-	res, out := safeStep(st.det, it.vec)
+	return st.step(it.seq, it.vec)
+}
+
+// step folds one vector into the stream's detector and alert policy and
+// counts ready steps and alerts: the routine the live dispatcher and
+// every replay of a logged prefix (restart, cold restore, migration,
+// standby) share. Sequence, step and WAL counters stay with the caller,
+// which holds procMu or owns the stream unpublished.
+func (st *stream) step(seq uint64, vec []float64) Result {
+	res, out := safeStep(st.det, vec)
 	if !out.ok {
 		if out.panicked {
-			return Result{Seq: it.seq, BadShape: true}
+			return Result{Seq: seq, BadShape: true}
 		}
-		return Result{Seq: it.seq} // warming up
+		return Result{Seq: seq} // warming up
 	}
 	st.ready.Add(1)
 	rs := Result{
-		Seq:           it.seq,
+		Seq:           seq,
 		Ready:         true,
 		Score:         res.Score,
 		Nonconformity: res.Nonconformity,

@@ -59,7 +59,8 @@ func (r *Registry) giveBack(b []byte) {
 }
 
 // RestoreStreams rebuilds every stream persisted in the configured
-// store. It must be called before the registry takes traffic. The
+// store, each the way its first observe would (getOrCreate). It must be
+// called before the registry takes traffic. The
 // returned warnings describe tolerated damage (a torn WAL tail from a
 // mid-write crash); hard corruption — bad magic, version or CRC —
 // aborts with an error so damaged state is never half-loaded silently.
@@ -72,45 +73,27 @@ func (r *Registry) RestoreStreams() (restored int, warnings []string, err error)
 		return 0, nil, err
 	}
 	for _, id := range ids {
-		if int(r.nlive.Load()) >= r.cfg.MaxStreams {
-			return restored, warnings, fmt.Errorf("ingest: stream limit %d reached while restoring %q", r.cfg.MaxStreams, id)
-		}
-		sh := r.shardFor(id)
-		sh.mu.Lock()
-		if _, ok := sh.streams[id]; ok {
-			sh.mu.Unlock()
-			continue
-		}
-		st, warn, err := r.buildStream(id)
+		_, warn, err := r.getOrCreate(id)
 		if err != nil {
-			sh.mu.Unlock()
 			return restored, warnings, fmt.Errorf("ingest: restore stream %q: %w", id, err)
 		}
-		sh.streams[id] = st
-		r.nlive.Add(1)
-		r.history.Add(1)
-		sh.mu.Unlock()
 		warnings = append(warnings, warn...)
 		restored++
 	}
 	return restored, warnings, nil
 }
 
-// buildStream constructs the stream for an id, restoring from the store
-// when it holds state (a snapshot, a WAL, or both) — which is also how a
-// TTL-evicted stream comes back on its next observe. Without persisted
-// state it is simply a fresh detector.
-func (r *Registry) buildStream(id string) (*stream, []string, error) {
-	det, err := r.cfg.NewDetector(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := r.newStream(id, det, r.cfg.NewThresholder(id))
-	if r.cfg.Store == nil {
-		return st, nil, nil
+// restore builds the unpublished stream for an id from what the store
+// holds (a snapshot, a WAL, or both); without a store or persisted state
+// it is simply a fresh detector.
+func (r *Registry) restore(id string) (*stream, []string, error) {
+	st, err := r.newStream(id)
+	if err != nil || r.cfg.Store == nil {
+		return st, nil, err
 	}
 	hadState, warnings, err := r.restoreLocked(st)
 	if err != nil {
+		closeDetector(st.det)
 		return nil, nil, err
 	}
 	st.seq = st.seqDone
@@ -132,7 +115,7 @@ func (r *Registry) restoreLocked(st *stream) (hadState bool, warnings []string, 
 		snap, err = &persist.StreamSnapshot{ID: st.id}, nil
 	}
 	if err == nil {
-		err = loadSnapshotInto(st, snap)
+		err = st.load(snap)
 	}
 	r.giveBack(buf) // Load and UnmarshalBinary copy out of their input
 	if err != nil {
@@ -149,61 +132,34 @@ func (r *Registry) restoreLocked(st *stream) (hadState bool, warnings []string, 
 	if len(recs) > 0 {
 		hadState = true
 	}
-	rejected := replayRecords(st, recs)
-	if rejected > 0 {
+	if _, rejected := st.replay(recs); rejected > 0 {
 		warnings = append(warnings, fmt.Sprintf(
 			"stream %q: skipped %d WAL record(s) the detector rejected when first observed", st.id, rejected))
 	}
 	return hadState, warnings, nil
 }
 
-// LoadSnapshotState loads a snapshot's detector and thresholder blobs
-// into a live pair. It is shared by the registry restore path and the
-// cluster standby replicas, so an out-of-registry replica lands in
-// exactly the state a restored stream would.
-func LoadSnapshotState(det Stepper, th score.Thresholder, snap *persist.StreamSnapshot) error {
+// load applies a snapshot to an unshared (or procMu-held) stream:
+// detector and thresholder blobs, processed boundary and serving
+// counters, not st.seq. Empty blobs leave their half as it is.
+func (st *stream) load(snap *persist.StreamSnapshot) error {
 	if len(snap.Detector) > 0 {
-		ck, ok := det.(Checkpointer)
+		ck, ok := st.det.(Checkpointer)
 		if !ok {
-			return fmt.Errorf("detector %T does not support checkpointing", det)
+			return fmt.Errorf("detector %T does not support checkpointing", st.det)
 		}
 		if err := ck.Load(snap.Detector); err != nil {
 			return err
 		}
 	}
 	if len(snap.Threshold) > 0 {
-		u, ok := th.(encoding.BinaryUnmarshaler)
+		u, ok := st.th.(encoding.BinaryUnmarshaler)
 		if !ok {
-			return fmt.Errorf("thresholder %T does not support checkpointing", th)
+			return fmt.Errorf("thresholder %T does not support checkpointing", st.th)
 		}
 		if err := u.UnmarshalBinary(snap.Threshold); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// ReplayVector steps one logged vector through a detector/thresholder
-// pair with the registry's exact replay semantics: a panicking detector
-// rejects the vector (the live path returned BadShape for it), a warming
-// detector consumes it silently, and a ready score feeds the alert
-// policy. Cluster standby replicas use it to tail a WAL bit-identically.
-func ReplayVector(det Stepper, th score.Thresholder, vec []float64) (ready, alert, rejected bool) {
-	res, out := safeStep(det, vec)
-	if out.panicked {
-		return false, false, true
-	}
-	if !out.ok {
-		return false, false, false
-	}
-	return true, th.Alert(res.Score), false
-}
-
-// loadSnapshotInto applies a snapshot to an unshared (or procMu-held)
-// stream: blobs, processed boundary and serving counters, not st.seq.
-func loadSnapshotInto(st *stream, snap *persist.StreamSnapshot) error {
-	if err := LoadSnapshotState(st.det, st.th, snap); err != nil {
-		return err
 	}
 	st.seqDone = snap.Seq
 	st.snapSeq = snap.Seq
@@ -215,12 +171,12 @@ func loadSnapshotInto(st *stream, snap *persist.StreamSnapshot) error {
 	return nil
 }
 
-// replayRecords re-steps WAL records at or past the stream's current
-// boundary into an unshared (or procMu-held) stream, mirroring the live
-// dispatcher's outcome handling, and returns how many records the
+// replay re-steps WAL records at or past the stream's current boundary
+// into an unshared (or procMu-held) stream through the live dispatcher's
+// step, and returns how many it stepped and how many of those the
 // detector rejected. Sequence gaps (drop-oldest sheds) replay as the
 // live stream experienced them: skipped.
-func replayRecords(st *stream, recs []persist.WALRecord) (rejected int) {
+func (st *stream) replay(recs []persist.WALRecord) (replayed, rejected int) {
 	for _, rec := range recs {
 		if rec.Seq < st.seqDone {
 			continue // already folded into the snapshot
@@ -228,20 +184,12 @@ func replayRecords(st *stream, recs []persist.WALRecord) (rejected int) {
 		st.seqDone = rec.Seq + 1
 		st.steps.Store(int64(rec.Seq) + 1)
 		st.walSince++
-		ready, alert, rej := ReplayVector(st.det, st.th, rec.Vector)
-		if rej {
+		replayed++
+		if st.step(rec.Seq, rec.Vector).BadShape {
 			rejected++
-			continue
-		}
-		if ready {
-			st.ready.Add(1)
-			if alert {
-				st.alerts.Add(1)
-			}
 		}
 	}
-	st.thBits.Store(math.Float64bits(st.th.Threshold()))
-	return rejected
+	return replayed, rejected
 }
 
 // snapshotter is the background checkpoint loop: a timer pass over all

@@ -138,17 +138,17 @@ func (r *Registry) ensureResident(st *stream, promote bool) (warm bool, err erro
 // restored as a restart would: snapshot if there is one, then the WAL,
 // which a warm stream may well have. The stream object and st.seq stay.
 func (r *Registry) rebuildLocked(st *stream) error {
-	fresh, err := r.cfg.NewDetector(st.id)
+	fresh, err := r.newStream(st.id)
 	if err != nil {
 		return err
 	}
-	defer closeDetector(fresh)
-	st.th = r.cfg.NewThresholder(st.id)
-	blank, err := buildSnapshot(st.id, &stream{det: fresh, th: st.th}, nil)
-	if err == nil {
-		err = LoadSnapshotState(st.det, st.th, blank)
-	}
+	defer closeDetector(fresh.det)
 	was := st.seqDone
+	st.th = fresh.th
+	blank, err := buildSnapshot(st.id, fresh, nil)
+	if err == nil {
+		err = st.load(blank)
+	}
 	if err == nil {
 		_, _, err = r.restoreLocked(st)
 	}

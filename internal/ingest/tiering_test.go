@@ -118,8 +118,8 @@ func testWarmPageOutBitIdentical(t *testing.T, build func() (streamad.StreamDete
 	if _, err := store.ReadSnapshot("s"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("demotion wrote a snapshot (err %v)", err)
 	}
-	if n, err := store.WALEntries("s"); err != nil || n != 40 {
-		t.Fatalf("WAL holds %d records after demotion (err %v), want 40", n, err)
+	if recs, err := store.ReadWAL("s"); err != nil || len(recs) != 40 {
+		t.Fatalf("WAL holds %d records after demotion (err %v), want 40", len(recs), err)
 	}
 	for i := 40; i < 80; i++ {
 		step(i)
@@ -172,7 +172,7 @@ func TestWarmPageInFallsBackToSnapshot(t *testing.T) {
 		if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
 			t.Fatalf("PageIdle demoted %d streams, want 1", n)
 		}
-		if n, _ := store.WALEntries("s"); n == 0 {
+		if recs, _ := store.ReadWAL("s"); len(recs) == 0 {
 			t.Fatal("the demoted stream's WAL is clean: the fallback has nothing to replay")
 		}
 		// Damage the slot in place: zero the swap file under the index.
@@ -351,8 +351,8 @@ func testWarmStreamColdEviction(t *testing.T, build func() (streamad.StreamDetec
 	if snap, err := store.ReadSnapshot("s"); err != nil || snap.Seq != 40 {
 		t.Fatalf("eviction left snapshot %+v, %v; want one at seq 40", snap, err)
 	}
-	if n, err := store.WALEntries("s"); err != nil || n != 0 {
-		t.Fatalf("WAL holds %d records after the eviction checkpoint (err %v)", n, err)
+	if recs, err := store.ReadWAL("s"); err != nil || len(recs) != 0 {
+		t.Fatalf("WAL holds %d records after the eviction checkpoint (err %v)", len(recs), err)
 	}
 	for i := 40; i < 60; i++ {
 		v := vec(7, i)

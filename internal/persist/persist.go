@@ -356,6 +356,15 @@ func EncodeSnapshotFile(snap *StreamSnapshot) ([]byte, error) {
 	return append(appendSnapshotHead(file, snap), snap.Detector...), nil
 }
 
+// Fingerprint is the CRC-32C of the snapshot's file body, the checksum
+// its file header carries. Cluster migration compares the fingerprints
+// of the source's and the target's live states: equal bodies are equal
+// sequence boundaries, counters, thresholder and detector bytes.
+func Fingerprint(snap *StreamSnapshot) uint32 {
+	head := appendSnapshotHead(make([]byte, 0, snapshotHeadSize(snap)), snap)
+	return binary.LittleEndian.Uint32(head[envelopeSize-4:])
+}
+
 // checkEnvelope verifies a file's magic, version, size and CRC and
 // returns its body, a sub-slice of raw.
 func checkEnvelope(raw []byte, magic string) ([]byte, error) {
@@ -538,16 +547,6 @@ func decodeWAL(id string, raw []byte) ([]WALRecord, error) {
 		off = end
 	}
 	return recs, nil
-}
-
-// WALEntries counts the records currently in a stream's WAL without
-// decoding vectors; used by tests and diagnostics.
-func (s *Store) WALEntries(id string) (int, error) {
-	recs, err := s.ReadWAL(id)
-	if err != nil && !errors.Is(err, ErrTornWAL) {
-		return len(recs), err
-	}
-	return len(recs), nil
 }
 
 // Remove deletes all persisted state of one stream.

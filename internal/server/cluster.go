@@ -145,15 +145,19 @@ func (s *Server) proxyStats(w http.ResponseWriter, id, owner string) {
 
 // handleMigrate is POST /v1/streams/{id}/migrate: adopt a stream shipped
 // by a peer. The snapshot file is integrity-checked (magic, version,
-// CRC), the WAL tail is replayed with restore semantics, and the adopted
-// state's fingerprint must equal the source's — otherwise the adopted
-// stream is torn back down and the request 409s, leaving the source to
-// reinstate. Protocol failures are 4xx: a migration must never be able
-// to fail a node's 5xx SLO.
+// CRC), a replica of it replays the WAL tail, and only a replica whose
+// fingerprint equals the source's is promoted — a mismatch 409s before
+// anything local is touched, leaving the source to reinstate. Protocol
+// failures are 4xx: a migration must never be able to fail a node's 5xx
+// SLO.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, id string) {
 	if s.node == nil {
 		http.Error(w, "not a cluster node", http.StatusNotImplemented)
 		return
+	}
+	fail := func(msg string, status int) {
+		s.node.NoteMigrationIn(false)
+		http.Error(w, msg, status)
 	}
 	var req cluster.MigrateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -162,48 +166,48 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, id string
 	}
 	snap, err := persist.DecodeSnapshotFile(req.Snapshot)
 	if err != nil {
-		s.node.NoteMigrationIn(false)
-		http.Error(w, "bad snapshot: "+err.Error(), http.StatusBadRequest)
+		fail("bad snapshot: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if snap.ID != id {
-		s.node.NoteMigrationIn(false)
-		http.Error(w, fmt.Sprintf("snapshot is for stream %q, not %q", snap.ID, id), http.StatusBadRequest)
+		fail(fmt.Sprintf("snapshot is for stream %q, not %q", snap.ID, id), http.StatusBadRequest)
 		return
 	}
 	tail := make([]persist.WALRecord, 0, len(req.WAL))
 	for _, rec := range req.WAL {
 		for _, v := range rec.Vector {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.node.NoteMigrationIn(false)
-				http.Error(w, "non-finite value in WAL tail", http.StatusBadRequest)
+				fail("non-finite value in WAL tail", http.StatusBadRequest)
 				return
 			}
 		}
 		tail = append(tail, persist.WALRecord{Seq: rec.Seq, Vector: rec.Vector})
 	}
-	fp, err := s.reg.Adopt(id, snap, tail)
-	if errors.Is(err, ingest.ErrSeqConflict) {
-		s.node.NoteMigrationIn(false)
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
+	rep, err := s.reg.NewReplica(snap)
 	if err != nil {
-		s.node.NoteMigrationIn(false)
-		http.Error(w, "adopt failed: "+err.Error(), http.StatusUnprocessableEntity)
+		fail("adopt failed: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	if fp != req.Fingerprint {
-		// The replayed state does not reproduce the source's live state;
-		// refuse the stream so the source (which still holds it) reinstates.
-		if _, herr := s.reg.Handoff(id); herr == nil {
-			if derr := s.reg.DropPersisted(id); derr != nil {
-				s.reg.Logf("streamad: drop refused migration %q: %v", id, derr)
-			}
+	rep.Replay(tail)
+	fp, err := rep.Fingerprint()
+	if err != nil || fp != req.Fingerprint {
+		rep.Close()
+		if err != nil {
+			fail("adopt failed: "+err.Error(), http.StatusUnprocessableEntity)
+		} else {
+			// The replayed state does not reproduce the source's live
+			// state; refuse it so the source (which still holds it)
+			// reinstates.
+			fail(fmt.Sprintf("fingerprint mismatch: replayed %08x, source %08x", fp, req.Fingerprint),
+				http.StatusConflict)
 		}
-		s.node.NoteMigrationIn(false)
-		http.Error(w, fmt.Sprintf("fingerprint mismatch: replayed %08x, source %08x", fp, req.Fingerprint),
-			http.StatusConflict)
+		return
+	}
+	if err := s.reg.Promote(rep); errors.Is(err, ingest.ErrSeqConflict) {
+		fail(err.Error(), http.StatusConflict)
+		return
+	} else if err != nil {
+		fail("adopt failed: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	s.node.NoteMigrationIn(true)

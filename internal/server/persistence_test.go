@@ -107,8 +107,8 @@ func TestCrashRecovery(t *testing.T) {
 	// Crash: no srv1.Close(), no final snapshot — just drop the process
 	// state and release file handles the way an exit would.
 	store1.Close()
-	if n, err := store1.WALEntries("s"); err != nil || n != 60 {
-		t.Fatalf("expected 60 WAL entries pending, got %d (%v)", n, err)
+	if recs, err := store1.ReadWAL("s"); err != nil || len(recs) != 60 {
+		t.Fatalf("expected 60 WAL entries pending, got %d (%v)", len(recs), err)
 	}
 
 	// Second life.
@@ -211,8 +211,8 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot endpoint: %d: %s", rec.Code, rec.Body.String())
 	}
-	if n, _ := store.WALEntries("s"); n != 0 {
-		t.Fatalf("endpoint snapshot left %d WAL entries", n)
+	if recs, _ := store.ReadWAL("s"); len(recs) != 0 {
+		t.Fatalf("endpoint snapshot left %d WAL entries", len(recs))
 	}
 	// The body is the on-disk format; the persisted copy must decode to
 	// the same sequence number.

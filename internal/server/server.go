@@ -110,8 +110,8 @@ type Config struct {
 	// Cluster, when set with at least two peers, makes this server one
 	// node of a logical cluster: observes are forwarded to their ring
 	// owners, streams migrate on membership changes, and ring successors
-	// keep warm standbys (see internal/cluster). The detector and
-	// thresholder factories and Logf default to the server's own.
+	// keep warm standbys (see internal/cluster), built with the
+	// registry's own factories. Logf defaults to the server's own.
 	Cluster *cluster.Config
 }
 
@@ -163,20 +163,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Cluster != nil && len(cfg.Cluster.Peers) > 0 {
 		ccfg := *cfg.Cluster
-		if ccfg.NewDetector == nil {
-			ccfg.NewDetector = cfg.NewDetector
-		}
-		if ccfg.NewThresholder == nil {
-			if cfg.NewThresholder != nil {
-				ccfg.NewThresholder = cfg.NewThresholder
-			} else {
-				// Mirror the registry's own default so a promoted standby
-				// replica carries the same alert policy a fresh stream gets.
-				ccfg.NewThresholder = func(string) score.Thresholder {
-					return score.NewQuantileThresholder(0.99)
-				}
-			}
-		}
 		if ccfg.Logf == nil {
 			ccfg.Logf = cfg.Logf
 		}
