@@ -21,6 +21,26 @@ func refForwardInto(l *Linear, x, y []float64) {
 	}
 }
 
+// refBackwardInto is the one-row-at-a-time scalar backward loop: the
+// order every gradient in the repository was accumulated in.
+func refBackwardInto(l *Linear, x, gradOut, gradIn []float64) {
+	for i := range gradIn {
+		gradIn[i] = 0
+	}
+	for o, g := range gradOut {
+		if g == 0 {
+			continue
+		}
+		wrow := l.Weight.W[o*l.In : (o+1)*l.In]
+		grow := l.Weight.G[o*l.In : (o+1)*l.In]
+		l.Bias.G[o] += g
+		for i, xv := range x {
+			grow[i] += g * xv
+			gradIn[i] += g * wrow[i]
+		}
+	}
+}
+
 // refAdamStep is Adam.Step before its loop invariants were hoisted.
 func refAdamStep(a *Adam, params []*Param) {
 	a.t++
@@ -61,22 +81,18 @@ func sameBits(a, b []float64) (int, bool) {
 
 // TestForwardIntoMatchesScalarReference holds the kernel rule: blocking
 // across output rows must not change one bit of any output, on every
-// remainder of Out mod 4 and on empty and tiny inputs.
+// remainder of Out mod 8 and on empty and tiny inputs.
 func TestForwardIntoMatchesScalarReference(t *testing.T) {
-	ins := []int{0, 1, 2, 3, 16, 44, 120, 128}
-	outs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 44, 72, 128}
 	rng := rand.New(rand.NewSource(11))
-	for _, in := range ins {
-		for _, out := range outs {
+	for _, in := range kernelIns {
+		for _, out := range kernelOuts {
 			l := NewLinear(in, out, rng)
 			for i := range l.Bias.W {
 				l.Bias.W[i] = rng.NormFloat64()
 			}
 			x := make([]float64, in)
 			for i := range x {
-				// Mixed magnitudes make the sum order-sensitive: a
-				// reordered or split accumulator rounds differently.
-				x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))
+				x[i] = mixedMagnitude(rng)
 			}
 			got, want := make([]float64, out), make([]float64, out)
 			l.ForwardInto(x, got)
@@ -84,6 +100,67 @@ func TestForwardIntoMatchesScalarReference(t *testing.T) {
 			if i, ok := sameBits(got, want); !ok {
 				t.Fatalf("%d→%d: y[%d] = %x, scalar reference %x", in, out, i,
 					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// kernelIns and kernelOuts are the layer shapes the kernel reference
+// tests sweep: empty and tiny layers, every remainder of In mod 4 with
+// and without a multiple of 4 before it, and every remainder of Out
+// mod 8 below, after one and after two multiples of 8.
+var (
+	kernelIns  = []int{0, 1, 2, 3, 5, 6, 7, 16, 44, 120, 128}
+	kernelOuts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 44, 72, 128}
+)
+
+// mixedMagnitude is a normal draw scaled by 10^[-6, 6]: sums of such
+// values are order-sensitive, so a reordered or split accumulator
+// rounds differently.
+func mixedMagnitude(rng *rand.Rand) float64 {
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))
+}
+
+// TestBackwardIntoMatchesScalarReference holds the kernel rule for the
+// backward pass: gradIn, the weight and the bias gradients must match
+// the one-row scalar loop bit for bit, including the skip of rows whose
+// upstream gradient is zero, over the same shape grid as the forward.
+func TestBackwardIntoMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, in := range kernelIns {
+		for _, out := range kernelOuts {
+			got := NewLinear(in, out, rng)
+			for i := range got.Weight.G {
+				got.Weight.G[i] = mixedMagnitude(rng)
+			}
+			for i := range got.Bias.G {
+				got.Bias.G[i] = mixedMagnitude(rng)
+			}
+			want := got.Clone()
+			x := make([]float64, in)
+			for i := range x {
+				x[i] = mixedMagnitude(rng)
+			}
+			gradOut := make([]float64, out)
+			for i := range gradOut {
+				if i%3 != 1 {
+					gradOut[i] = mixedMagnitude(rng)
+				}
+			}
+			gotIn, wantIn := make([]float64, in), make([]float64, in)
+			for i := range gotIn {
+				gotIn[i] = rng.NormFloat64() // stale values BackwardInto must overwrite
+			}
+			got.BackwardInto(x, gradOut, gotIn)
+			refBackwardInto(want, x, gradOut, wantIn)
+			pairs := [][2][]float64{
+				{gotIn, wantIn}, {got.Weight.G, want.Weight.G}, {got.Bias.G, want.Bias.G},
+			}
+			for which, pr := range pairs {
+				if i, ok := sameBits(pr[0], pr[1]); !ok {
+					t.Fatalf("%d→%d: slab %d (gradIn, weight G, bias G)[%d] = %x, scalar reference %x",
+						in, out, which, i, math.Float64bits(pr[0][i]), math.Float64bits(pr[1][i]))
+				}
 			}
 		}
 	}
@@ -105,8 +182,10 @@ func adamGrad(rng *rand.Rand, s, i int) float64 {
 	return rng.NormFloat64() * 1e-3
 }
 
-// TestAdamStepMatchesReference compares 300 steps of the hoisted loop
-// with the reference on weights and both moments, bit for bit.
+// TestAdamStepMatchesReference compares 400 steps of the hoisted loop
+// with the reference on weights and both moments, bit for bit. From
+// step 356 on, bc1 = 1 - 0.9^t rounds to exactly 1.0: the regime a
+// long-lived optimizer spends nearly all its steps in.
 func TestAdamStepMatchesReference(t *testing.T) {
 	sizes := []int{0, 1, 7, 64, 129}
 	build := func() []*Param {
@@ -121,7 +200,7 @@ func TestAdamStepMatchesReference(t *testing.T) {
 	got, want := build(), build()
 	a, ref := NewAdam(1e-3), NewAdam(1e-3)
 	rng := rand.New(rand.NewSource(9))
-	for s := 0; s < 300; s++ {
+	for s := 0; s < 400; s++ {
 		for k := range got {
 			for i := range got[k].G {
 				g := adamGrad(rng, s, i)
@@ -214,4 +293,35 @@ func BenchmarkAdamStep(b *testing.B) {
 		}
 		a.Step(params)
 	}
+}
+
+// BenchmarkLinearBackward is one BackwardInto through each of USAD's six
+// layer shapes: the per-sample backward of a USAD fine-tune. The weight
+// gradients accumulate across iterations, as they do over a batch.
+func BenchmarkLinearBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	shapes := heavyShapes[:6]
+	layers := make([]*Linear, len(shapes))
+	xs := make([][]float64, len(shapes))
+	gOuts := make([][]float64, len(shapes))
+	gIns := make([][]float64, len(shapes))
+	for k, sh := range shapes {
+		layers[k] = NewLinear(sh[0], sh[1], rng)
+		xs[k] = make([]float64, sh[0])
+		for i := range xs[k] {
+			xs[k][i] = rng.NormFloat64()
+		}
+		gOuts[k] = make([]float64, sh[1])
+		for i := range gOuts[k] {
+			gOuts[k][i] = rng.NormFloat64() * 1e-2
+		}
+		gIns[k] = make([]float64, sh[0])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, l := range layers {
+			l.BackwardInto(xs[k], gOuts[k], gIns[k])
+		}
+	}
+	benchSink += gIns[0][0]
 }
