@@ -66,8 +66,6 @@ func CloneOptimizer(opt Optimizer, oldParams, newParams []*Param) Optimizer {
 			c.v = make(map[*Param][]float64)
 		}
 		return c
-	case *SGD:
-		return &SGD{LR: o.LR, Momentum: o.Momentum, velocity: cloneMap(o.velocity)}
 	default:
 		return nil
 	}

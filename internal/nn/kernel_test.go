@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -222,6 +223,123 @@ func TestAdamStepMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzFloats decodes float64s from fuzz input. Each value is one tag
+// byte: below 0x80 it picks an edge value, otherwise the next eight
+// bytes are the raw little-endian bits. Exhausted input reads as 0.
+type fuzzFloats []byte
+
+var edgeFloats = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+	math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300, 1e-300, -1e-300, 1, -1,
+}
+
+func (f *fuzzFloats) next() float64 {
+	b := *f
+	if len(b) == 0 {
+		return 0
+	}
+	tag, b := b[0], b[1:]
+	if tag < 0x80 {
+		*f = b
+		return edgeFloats[int(tag)%len(edgeFloats)]
+	}
+	var raw [8]byte
+	n := copy(raw[:], b)
+	*f = b[n:]
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+}
+
+func (f *fuzzFloats) fill(xs []float64) {
+	for i := range xs {
+		xs[i] = f.next()
+	}
+}
+
+// sameOrNaN reports the first index at which two slices differ bit-wise,
+// where any NaN matches any NaN: a NaN's payload depends on operand
+// order, which IEEE 754 leaves to the implementation.
+func sameOrNaN(a, b []float64) (int, bool) {
+	for i := range a {
+		if math.IsNaN(a[i]) && math.IsNaN(b[i]) {
+			continue
+		}
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// FuzzKernelsMatchReference runs ForwardInto, BackwardInto and one
+// Adam.Step at step t on a shape, t and values decoded from the input —
+// zeros of both signs, subnormals, infinities, NaN and 1e±300 included —
+// and compares every output slab with the scalar references bit for bit.
+func FuzzKernelsMatchReference(f *testing.F) {
+	// Seeds cycle every edge value through every slab at three shapes,
+	// two of them past t = 356; a fourth mixes raw bits in.
+	for k, sh := range [][3]int{{2, 3, 400}, {6, 9, 40}, {17, 23, 1023}} {
+		b := []byte{byte(sh[0]), byte(sh[1]), byte(sh[2]), byte(sh[2] >> 8)}
+		for i := 0; i < 1500; i++ {
+			b = append(b, byte(i*(2*k+1)%len(edgeFloats)))
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{8, 16, 0x2c, 0x01, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 2, 4, 0x80, 1, 2, 3, 4, 5, 6, 7, 0x81})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		in, out := int(data[0]%33), int(data[1]%33)
+		step := 1 + int(binary.LittleEndian.Uint16(data[2:4]))%1024
+		src := fuzzFloats(data[4:])
+		check := func(what string, got, want []float64) {
+			t.Helper()
+			if i, ok := sameOrNaN(got, want); !ok {
+				t.Fatalf("%d→%d, t=%d: %s[%d] = %x, reference %x", in, out, step, what, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+
+		l := &Linear{In: in, Out: out, Weight: NewParam(in * out), Bias: NewParam(out)}
+		src.fill(l.Weight.W)
+		src.fill(l.Bias.W)
+		src.fill(l.Weight.G)
+		src.fill(l.Bias.G)
+		x, gradOut := make([]float64, in), make([]float64, out)
+		src.fill(x)
+		src.fill(gradOut)
+		ref := l.Clone()
+
+		y, yRef := make([]float64, out), make([]float64, out)
+		l.ForwardInto(x, y)
+		refForwardInto(ref, x, yRef)
+		check("y", y, yRef)
+
+		gradIn, gradInRef := make([]float64, in), make([]float64, in)
+		l.BackwardInto(x, gradOut, gradIn)
+		refBackwardInto(ref, x, gradOut, gradInRef)
+		check("gradIn", gradIn, gradInRef)
+		check("weight G", l.Weight.G, ref.Weight.G)
+		check("bias G", l.Bias.G, ref.Bias.G)
+
+		lr := src.next()
+		p, pRef := l.Weight, ref.Weight
+		m, v := make([]float64, len(p.W)), make([]float64, len(p.W))
+		src.fill(m)
+		src.fill(v)
+		a, aRef := NewAdam(lr), NewAdam(lr)
+		a.t, aRef.t = step-1, step-1
+		a.m[p], a.v[p] = m, v
+		aRef.m[pRef], aRef.v[pRef] = append([]float64(nil), m...), append([]float64(nil), v...)
+		a.Step([]*Param{p})
+		refAdamStep(aRef, []*Param{pRef})
+		check("adam W", p.W, pRef.W)
+		check("adam G", p.G, pRef.G)
+		check("adam m", a.m[p], aRef.m[pRef])
+		check("adam v", a.v[p], aRef.v[pRef])
+	})
 }
 
 // heavyShapes are the eleven distinct layer shapes of the benchmark's

@@ -36,11 +36,10 @@ func (l *Linear) Forward(x []float64) (y, ctx []float64) {
 // itself until the matching BackwardInto. y must not alias x.
 //
 // One accumulator per row is bound by the 4-cycle latency of its add
-// chain, so four rows share each pass over x: four independent chains
-// keep the adder issuing every cycle (eight spill registers and run
-// slower). Each row still sums left to right into its own accumulator —
-// blocking across rows changes no bit of any output; splitting a row's
-// accumulator would.
+// chain, so several rows share each pass over x: eight in forwardRows8,
+// then four in Go, whose register allocator spills at eight. Each row
+// still sums left to right into its own accumulator — blocking across
+// rows changes no bit of any output; splitting a row's accumulator would.
 func (l *Linear) ForwardInto(x, y []float64) {
 	if len(x) != l.In || len(y) != l.Out {
 		panic("nn: Linear input dimension mismatch")
@@ -49,6 +48,8 @@ func (l *Linear) ForwardInto(x, y []float64) {
 	// w, b and y advance together, re-sliced rather than indexed by row:
 	// fewer live values, so the inner loop's index stays in a register.
 	w, b := l.Weight.W[:n*len(y)], l.Bias.W[:len(y)]
+	r := forwardRows8(w, x, b, y)
+	w, b, y = w[r*n:], b[r:], y[r:]
 	for len(y) >= 4 {
 		r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
 		s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
@@ -90,12 +91,19 @@ func (l *Linear) BackwardInto(x, gradOut, gradIn []float64) {
 	for i := range gradIn {
 		gradIn[i] = 0
 	}
+	// Columns are independent, so backwardPairs may take the first k of
+	// every row before this loop takes the rest: each element still
+	// accumulates its rows in order.
+	n := len(x)
+	w, gw := l.Weight.W[:n*len(gradOut)], l.Weight.G[:n*len(gradOut)]
+	k := backwardPairs(x, gradOut, w, gw, gradIn)
+	x, gradIn = x[k:], gradIn[k:]
 	for o, g := range gradOut {
 		if g == 0 {
 			continue
 		}
-		wrow := l.Weight.W[o*l.In : (o+1)*l.In]
-		grow := l.Weight.G[o*l.In : (o+1)*l.In]
+		wrow := w[o*n+k : (o+1)*n]
+		grow := gw[o*n+k : (o+1)*n]
 		l.Bias.G[o] += g
 		for i, xv := range x {
 			grow[i] += g * xv

@@ -145,36 +145,6 @@ func TestMLPLearnsRegression(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam(1)
-	p.W[0] = 1
-	p.G[0] = 0.5
-	NewSGD(0.1).Step([]*Param{p})
-	if !almostEq(p.W[0], 0.95, 1e-12) {
-		t.Fatalf("SGD step = %v, want 0.95", p.W[0])
-	}
-	if p.G[0] != 0 {
-		t.Fatal("SGD must clear gradients")
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	plain := NewParam(1)
-	mom := NewParam(1)
-	plain.W[0], mom.W[0] = 1, 1
-	sgd := NewSGD(0.01)
-	sgdm := &SGD{LR: 0.01, Momentum: 0.9}
-	for i := 0; i < 10; i++ {
-		plain.G[0] = plain.W[0] // gradient of ½w²
-		mom.G[0] = mom.W[0]
-		sgd.Step([]*Param{plain})
-		sgdm.Step([]*Param{mom})
-	}
-	if math.Abs(mom.W[0]) >= math.Abs(plain.W[0]) {
-		t.Fatalf("momentum should descend faster: |%v| vs |%v|", mom.W[0], plain.W[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	p := NewParam(1)
 	p.W[0] = 5

@@ -8,42 +8,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum != 0 {
-			if s.velocity == nil {
-				s.velocity = make(map[*Param][]float64)
-			}
-			v, ok := s.velocity[p]
-			if !ok {
-				v = make([]float64, len(p.W))
-				s.velocity[p] = v
-			}
-			for i := range p.W {
-				v[i] = s.Momentum*v[i] - s.LR*p.G[i]
-				p.W[i] += v[i]
-				p.G[i] = 0
-			}
-			continue
-		}
-		for i := range p.W {
-			p.W[i] -= s.LR * p.G[i]
-			p.G[i] = 0
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR    float64
@@ -80,11 +44,16 @@ func (a *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.W))
 			a.v[p] = v
 		}
-		// Equal lengths let the compiler drop the bounds checks. The loop
-		// is bound by its three divisions and the square root; each stays
-		// where it is — a hoisted reciprocal would round differently.
+		// The loop is bound by its three divisions and the square root;
+		// each stays where it is — a hoisted reciprocal would round
+		// differently. adamPairs runs the same expression two elements
+		// per instruction; equal lengths let the compiler drop the bounds
+		// checks on the rest.
 		w := p.W
 		grad, m, v := p.G[:len(w)], m[:len(w)], v[:len(w)]
+		k := adamPairs(w, grad, m, v, b1, c1, b2, c2, bc1, bc2, lr, eps)
+		w = w[k:]
+		grad, m, v = grad[k:][:len(w)], m[k:][:len(w)], v[k:][:len(w)]
 		for i := range w {
 			g := grad[i]
 			mi := b1*m[i] + c1*g

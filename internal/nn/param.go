@@ -1,6 +1,6 @@
 // Package nn is a from-scratch neural-network substrate: fully connected
 // layers with manual backpropagation, sigmoid/ReLU/tanh activations, MSE
-// loss and SGD/Adam optimizers. Layers expose context-passing Forward/
+// loss and the Adam optimizer. Layers expose context-passing Forward/
 // Backward pairs so one parameter set can participate in several forward
 // passes per step — required by USAD's shared encoder and N-BEATS' double
 // residual stacks.
@@ -61,15 +61,6 @@ func (p *Param) XavierInit(fanIn, fanOut int, rng *rand.Rand) {
 	for i := range p.W {
 		p.W[i] = (2*rng.Float64() - 1) * limit
 	}
-}
-
-// GradNorm returns the Euclidean norm of the gradient, used for clipping.
-func (p *Param) GradNorm() float64 {
-	var s float64
-	for _, g := range p.G {
-		s += g * g
-	}
-	return math.Sqrt(s)
 }
 
 // ClipGrads scales the gradients of params so their global norm does not
