@@ -549,3 +549,53 @@ func newNBEATSDetector(p bench.Profile, channels int, interpretable bool) (*core
 		InitEpochs:    10,
 	})
 }
+
+// BenchmarkDriftStormFleet measures how the trainer pool's job order
+// serves a fleet under a drift storm: 32 async streams, alternately one
+// usad pipeline and a usad + nbeats ensemble, share one two-slot trainer
+// pool while every stream passes an abrupt drift and μ/σ-Change fires on
+// most of them at once. The fleet is stepped round-robin, one vector per
+// stream per round. adopt_waits/op counts the due steps of one fleet run
+// that found their fine-tune still queued or training; the scores do not
+// depend on it, only how long a due step stalls.
+func BenchmarkDriftStormFleet(b *testing.B) {
+	const streams, rounds = 32, 400
+	sc, err := scenario.Parse("drift(base(corpus=gauss,channels=4,p=0.02,pool=512),kind=abrupt,at=200,shift=3)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var waits int64
+	for i := 0; i < b.N; i++ {
+		tp := streamad.NewTrainerPool(2)
+		fleet := make([]streamad.StreamDetector, streams)
+		inputs := make([]scenario.Stream, streams)
+		for s := range fleet {
+			spec := "usad+sw+musigma"
+			if s%2 == 1 {
+				spec = "ensemble(usad+sw+musigma, nbeats+sw+musigma; agg=mean)"
+			}
+			fleet[s], err = streamad.NewFromSpec(spec, streamad.Config{
+				Channels: 4, Window: 8, TrainSize: 64, WarmupVectors: 100, Seed: int64(s + 1),
+				AsyncFineTune: true, TrainerPool: tp, TrainerKey: fmt.Sprintf("s%d", s),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if inputs[s], err = sc.NewStream(int64(s + 1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			for s, det := range fleet {
+				v, _ := inputs[s].Next()
+				det.Step(v)
+			}
+		}
+		for _, det := range fleet {
+			det.(core.Closer).Close()
+			waits += det.(core.FineTuneStatser).FineTuneStats().AdoptWaits
+		}
+		tp.Close()
+	}
+	b.ReportMetric(float64(waits)/float64(b.N), "adopt_waits/op")
+}

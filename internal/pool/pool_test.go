@@ -155,3 +155,63 @@ func TestTrainerCancel(t *testing.T) {
 		t.Fatalf("canceled count = %d, want 1", got)
 	}
 }
+
+// TestPoolCancelRace: every cancelable task is raced by its cancel while
+// the workers pull from the queue. Exactly one side wins each race: a
+// cancel that wins means the task never runs, one that loses means it
+// runs. After Close every submission is accounted for, run or canceled.
+func TestPoolCancelRace(t *testing.T) {
+	const submitters, each = 4, 500
+	tr := NewTrainer(3)
+	var ran [submitters * each]atomic.Bool
+	var won [submitters * each]bool
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * each; i < (g+1)*each; i++ {
+				i := i
+				cancel := tr.Submit("k", func() { ran[i].Store(true) })
+				if i%3 == 0 {
+					runtime.Gosched()
+				}
+				won[i] = cancel()
+				if cancel() {
+					t.Errorf("task %d: a second cancel won", i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	tr.Close()
+	var canceled uint64
+	for i := range won {
+		if won[i] == ran[i].Load() {
+			t.Fatalf("task %d: cancel won = %v and ran = %v; exactly one side must win", i, won[i], ran[i].Load())
+		}
+		if won[i] {
+			canceled++
+		}
+	}
+	st := tr.Stats()
+	if st.Completed+st.Canceled != submitters*each || st.Canceled != canceled || st.Queued != 0 {
+		t.Fatalf("after Close: %+v, %d cancels won, %d submitted", st, canceled, submitters*each)
+	}
+}
+
+// TestSubmitRoundTripAllocs: handing a task to a scoring worker and
+// getting it back costs at most one allocation.
+func TestSubmitRoundTripAllocs(t *testing.T) {
+	p := NewScoring(1)
+	defer p.Close()
+	done := make(chan struct{}, 1)
+	task := func() { done <- struct{}{} }
+	allocs := testing.AllocsPerRun(200, func() {
+		p.Submit(task)
+		<-done
+	})
+	if allocs > 1 {
+		t.Fatalf("a Submit round trip allocates %.1f objects, want at most 1", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package streamad
 
 import (
+	"runtime"
 	"testing"
 
 	"streamad/internal/core"
@@ -148,6 +149,61 @@ func TestEnsemblePageRoundTrip(t *testing.T) {
 				if okr != okp || rr.Score != rp.Score || rr.Source != rp.Source {
 					t.Fatalf("step %d: paging changed the scores", step)
 				}
+			}
+		})
+	}
+}
+
+// TestQueuedJobsPerLeafBounded: a leaf skips every drift trigger while
+// its fine-tune is pending, so however often drift fires, a trainer pool
+// holds at most one job per cloneable leaf. A blocker holds the only
+// slot, so every job stays queued and its due step takes it back.
+func TestQueuedJobsPerLeafBounded(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		leaves int64
+	}{
+		{"ae+sw+regular", 1},
+		{"ensemble(arima+sw+regular, ae+sw+regular; agg=mean)", 2},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			tp := NewTrainerPool(1)
+			release := make(chan struct{})
+			tp.Submit("blocker", func() { <-release })
+			defer func() { close(release); tp.Close() }()
+			for tp.Stats().Running == 0 {
+				runtime.Gosched()
+			}
+			det, err := NewFromSpec(tc.spec, Config{
+				Channels: 2, Window: 6, TrainSize: 24, WarmupVectors: 30, Seed: 5,
+				RegularInterval: 3, AsyncFineTune: true, TrainerPool: tp, TrainerKey: "s",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer det.(core.Closer).Close()
+			var peak int64
+			buf := make([]float64, 2)
+			for step := 0; step < 300; step++ {
+				det.Step(syntheticVec(buf, step))
+				if q := tp.Stats().Queued; q > peak {
+					peak = q
+				}
+			}
+			if peak != tc.leaves {
+				t.Fatalf("peak queue %d, want one job per cloneable leaf (%d)", peak, tc.leaves)
+			}
+			// An ensemble counts triggers; a leaf counts adoptions.
+			adopted := det.FineTunes()
+			if leaves := det.Children(); leaves != nil {
+				adopted = 0
+				for _, leaf := range leaves {
+					adopted += leaf.FineTunes()
+				}
+			}
+			st := det.(core.FineTuneStatser).FineTuneStats()
+			if adopted < 5 || st.Skipped == 0 || st.AdoptWaits != int64(adopted) {
+				t.Fatalf("want several adopted fine-tunes, skipped triggers and a wait at every due step: %+v, %d adopted", st, adopted)
 			}
 		})
 	}
