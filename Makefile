@@ -64,14 +64,16 @@ vulncheck:
 test:
 	$(GO) test ./...
 
-# race also repeats the tests whose failure mode is a schedule: the two
+# race also repeats the tests whose failure mode is a schedule: the
 # async fine-tune tests (a digest that depends on when training
-# finished, a deadlock) and the stream entry paths (standby failover,
-# migration, the adopt conflict rule, concurrent first observes of a
-# cold stream).
+# finished, a deadlock, the per-leaf queue bound), the pool's cancel
+# claim racing its workers, and the stream entry paths (standby
+# failover, migration, the adopt conflict rule, concurrent first
+# observes of a cold stream).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestAsyncIsAPureFunctionOfTheInput|TestStepAfterTrainerPoolClose' -count=5 .
+	$(GO) test -race -run 'TestAsyncIsAPureFunctionOfTheInput|TestStepAfterTrainerPoolClose|TestQueuedJobsPerLeafBounded' -count=5 .
+	$(GO) test -race -run 'TestPoolCancelRace' -count=5 ./internal/pool
 	$(GO) test -race -run 'TestStandbyFailoverBitIdentical' -count=5 ./internal/server
 	$(GO) test -race -run 'TestMigrationBitIdentical|TestAdoptSeqConflict|TestConcurrentObservesSingleRestore' -count=5 ./internal/ingest
 
@@ -84,13 +86,14 @@ race:
 # 21,254 before restart, cold restore, migration and standby failover
 # came to share one way into the registry, 21,184 before the nn kernels
 # went to SSE2 assembly (the first *.s lines counted) and SGD and
-# Param.GradNorm were deleted.
+# Param.GradNorm were deleted, 21,411 before the trainer pool became a
+# second instance of the scoring pool's FIFO and nn.Optimizer went.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 21411
+LOC_CEILING = 21207
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -557,7 +557,9 @@ func newNBEATSDetector(p bench.Profile, channels int, interpretable bool) (*core
 // most of them at once. The fleet is stepped round-robin, one vector per
 // stream per round. adopt_waits/op counts the due steps of one fleet run
 // that found their fine-tune still queued or training; the scores do not
-// depend on it, only how long a due step stalls.
+// depend on it, only how long a due step stalls. Each stream sets
+// TrainerKey to its own id, so the same source also measures a queue
+// ordered by that key.
 func BenchmarkDriftStormFleet(b *testing.B) {
 	const streams, rounds = 32, 400
 	sc, err := scenario.Parse("drift(base(corpus=gauss,channels=4,p=0.02,pool=512),kind=abrupt,at=200,shift=3)")

@@ -298,7 +298,7 @@ func TestDetectorLoadRejectsMismatch(t *testing.T) {
 func TestRestoreMidFineTune(t *testing.T) {
 	held := NewTrainerPool(1)
 	release := make(chan struct{})
-	held.Submit("blocker", func() { <-release })
+	held.Submit(func() { <-release }, nil)
 	defer func() { close(release); held.Close() }()
 	cfg := asyncConfig()
 	cfg.TrainerPool = held

@@ -58,7 +58,7 @@ func main() {
 		asyncFT     = flag.Bool("async-finetune", false, "fine-tune in the background (serve/train split): scoring keeps serving the old model while the new one trains, and the new one takes over exactly 32 vectors after its drift trigger, so scores stay a function of the input")
 
 		scoreWorkers = flag.Int("score-workers", 0, "shared scoring-pool workers; every stream's batch drain runs here, keeping goroutines O(workers) not O(streams) (0 = GOMAXPROCS)")
-		trainSlots   = flag.Int("train-slots", 0, "concurrent fine-tune slots in the shared trainer pool with cross-stream fairness (0 = one background goroutine per fine-tune); a fine-tune still queued when it is due trains on the stream's own goroutine. Requires -async-finetune to matter")
+		trainSlots   = flag.Int("train-slots", 0, "concurrent fine-tune slots in the shared trainer pool, which trains fine-tunes first come first served (0 = one background goroutine per fine-tune); a fine-tune still queued when it is due trains on the stream's own goroutine. Requires -async-finetune to matter")
 
 		stateDir     = flag.String("state-dir", "", "directory for snapshots and WALs (empty = no persistence)")
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "background checkpoint period (requires -state-dir)")
@@ -113,11 +113,7 @@ func main() {
 	if c, ok := probe.(core.Closer); ok {
 		c.Close()
 	}
-	newDetector := func(id string) (server.Stepper, error) {
-		b := base
-		b.TrainerKey = id // the stream is the trainer pool's fairness principal
-		return tree.Build(b)
-	}
+	newDetector := func(string) (server.Stepper, error) { return tree.Build(base) }
 
 	var store *persist.Store
 	if *stateDir != "" {

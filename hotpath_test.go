@@ -157,7 +157,7 @@ func TestAsyncIsAPureFunctionOfTheInput(t *testing.T) {
 	closed.Close() // Submit after Close runs the job at once, inline
 	held := NewTrainerPool(1)
 	release := make(chan struct{})
-	held.Submit("blocker", func() { <-release }) // the only slot never frees up
+	held.Submit(func() { <-release }, nil) // the only slot never frees up
 	defer func() { close(release); held.Close() }()
 	one, four := NewTrainerPool(1), NewTrainerPool(4)
 	defer one.Close()

@@ -21,10 +21,9 @@ import (
 // stream's scale; predictions are mapped back to the original space.
 type Model struct {
 	net    *nn.MLP
-	opt    nn.Optimizer
+	opt    *nn.Adam
 	scaler *nn.Scaler
 	dim    int
-	lr     float64        // learning rate fixed at construction; snapshots restore onto an identically-configured model
 	grad   []float64      // per-call gradient scratch
 	zbuf   []float64      // per-call scaling scratch
 	ctx    *nn.MLPContext // training pass scratch, allocated at construction
@@ -65,7 +64,6 @@ func New(cfg Config) (*Model, error) {
 		opt:    nn.NewAdam(lr),
 		scaler: nn.NewScaler(cfg.Dim),
 		dim:    cfg.Dim,
-		lr:     lr,
 		grad:   make([]float64, cfg.Dim),
 		zbuf:   make([]float64, cfg.Dim),
 		ctx:    net.NewContext(),
@@ -77,16 +75,11 @@ func New(cfg Config) (*Model, error) {
 // trains on a background goroutine while the original keeps scoring.
 func (m *Model) CloneModel() any {
 	net := m.net.Clone()
-	opt := nn.CloneOptimizer(m.opt, m.net.Params(), net.Params())
-	if opt == nil {
-		opt = nn.NewAdam(m.lr)
-	}
 	return &Model{
 		net:    net,
-		opt:    opt,
+		opt:    nn.CloneOptimizer(m.opt, m.net.Params(), net.Params()),
 		scaler: m.scaler.Clone(),
 		dim:    m.dim,
-		lr:     m.lr,
 		grad:   make([]float64, m.dim),
 		zbuf:   make([]float64, m.dim),
 		ctx:    net.NewContext(),

@@ -73,12 +73,15 @@ func (n *Node) standbySync() {
 // replica wins only if it is further along.
 func (n *Node) promote(rep *ingest.Replica) {
 	n.swapReplica(rep.ID(), nil)
+	// Read before Promote publishes the stream: from then on its
+	// dispatcher owns the sequence counters.
+	seq := rep.Seq()
 	if err := n.reg.Promote(rep); err != nil {
 		n.cfg.Logf("streamad: cluster standby %q not promoted: %v", rep.ID(), err)
 		return
 	}
 	n.promotions.Add(1)
-	n.cfg.Logf("streamad: cluster promoted standby %q at seq %d", rep.ID(), rep.Seq())
+	n.cfg.Logf("streamad: cluster promoted standby %q at seq %d", rep.ID(), seq)
 }
 
 // swapReplica installs (or, with nil, removes) the replica for id and

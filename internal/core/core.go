@@ -145,9 +145,6 @@ type Config struct {
 	// TrainerPool, with AsyncFineTune, runs the fine-tunes on a shared
 	// bounded pool instead of a goroutine each.
 	TrainerPool TrainerPool
-	// TrainerKey identifies this detector's stream in the trainer pool's
-	// cross-stream fairness ordering. Only meaningful with TrainerPool.
-	TrainerKey string
 }
 
 // Result is the per-time-step output of the Detector.

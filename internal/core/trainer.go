@@ -24,11 +24,13 @@ type Cloner interface {
 }
 
 // TrainerPool runs asynchronous fine-tunes off the scoring goroutine
-// (internal/pool.Trainer is the shared bounded one). Submit hands over one
-// job for the stream key; the returned cancel reports true when it won
-// the race against the job's start, and the caller then runs the job.
+// (internal/pool.Pool is the shared bounded one). Submit hands over one
+// job with the zeroed claim word the job owns; Cancel reports true when
+// it won the race against the job's start, and the caller then runs the
+// job.
 type TrainerPool interface {
-	Submit(key string, run func()) (cancel func() bool)
+	Submit(run func(), claim *atomic.Int32)
+	Cancel(claim *atomic.Int32) bool
 }
 
 // goTrainer is the TrainerPool of an async detector configured without
@@ -38,10 +40,10 @@ type goTrainer struct{}
 // Submit implements TrainerPool.
 //
 //streamad:lifecycle — the goroutine is joined by the detector: at the job's due step, by a checkpoint, or by Close.
-func (goTrainer) Submit(_ string, run func()) func() bool {
-	go run()
-	return func() bool { return false }
-}
+func (goTrainer) Submit(run func(), _ *atomic.Int32) { go run() }
+
+// Cancel implements TrainerPool.
+func (goTrainer) Cancel(*atomic.Int32) bool { return false }
 
 // FineTuneBuckets are the upper bounds (seconds) of the fine-tune
 // duration histogram in FineTuneStats; an implicit +Inf bucket follows.
@@ -81,11 +83,11 @@ type FineTuneStats struct {
 // place by its trigger's Step; an async one owns copies and runs on a
 // TrainerPool.
 type job struct {
-	due    int
-	model  Model
-	set    [][]float64   // nil once trained
-	cancel func() bool   // the pool's cancel while the pool holds the job
-	done   chan struct{} // closed when the pool has trained it
+	due   int
+	model Model
+	set   [][]float64   // nil once trained
+	claim atomic.Int32  // the pool's claim word for the job
+	done  chan struct{} // closed when the pool has trained it; nil once the pool has let go
 }
 
 // trainer is the detector's fine-tune state. The job is the scoring
@@ -128,20 +130,20 @@ func (t *trainer) fit(j *job) {
 // release takes j back from its pool: a job not started yet is canceled,
 // keeping its set for the scoring goroutine to train, and one in training
 // is joined. It reports whether the job was not trained by then.
-func (j *job) release() (blocked bool) {
-	c := j.cancel
-	if c == nil {
+func (t *trainer) release(j *job) (blocked bool) {
+	done := j.done
+	if done == nil {
 		return false
 	}
-	j.cancel = nil
-	if c() {
+	j.done = nil
+	if t.pool.Cancel(&j.claim) {
 		return true
 	}
 	select {
-	case <-j.done:
+	case <-done:
 		return false
 	default:
-		<-j.done
+		<-done
 		return true
 	}
 }
@@ -149,7 +151,7 @@ func (j *job) release() (blocked bool) {
 // finish makes sure j is trained, training it here if the pool has not,
 // and reports whether that took a wait or a training.
 func (t *trainer) finish(j *job) bool {
-	blocked := j.release()
+	blocked := t.release(j)
 	if j.set != nil {
 		t.fit(j)
 	}
@@ -174,13 +176,14 @@ func (d *Detector) fineTune() bool {
 	if t.pool != nil {
 		j.model = d.cfg.Model.(Cloner).CloneModel().(Model)
 		j.set = snapshotSet(j.set)
-		j.done = make(chan struct{})
+		done := make(chan struct{})
+		j.done = done
 		t.inFlight.Store(true)
 		t.launched.Add(1)
-		j.cancel = t.pool.Submit(d.cfg.TrainerKey, func() {
+		t.pool.Submit(func() {
 			t.fit(j)
-			close(j.done)
-		})
+			close(done)
+		}, &j.claim)
 	}
 	if j.due == d.steps {
 		d.adopt()
@@ -235,7 +238,7 @@ func (d *Detector) SetPending(due int, model Model) {
 // a job taken back is trained by its due Step. Safe to call repeatedly.
 func (d *Detector) Close() {
 	if j := d.train.job; j != nil {
-		j.release()
+		d.train.release(j)
 	}
 }
 

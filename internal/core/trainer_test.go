@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"streamad/internal/drift"
@@ -41,14 +42,14 @@ type fakePool struct {
 	submitted int
 }
 
-func (p *fakePool) Submit(_ string, run func()) func() bool {
+func (p *fakePool) Submit(run func(), _ *atomic.Int32) {
 	p.submitted++
-	if p.never {
-		return func() bool { return true }
+	if !p.never {
+		run()
 	}
-	run()
-	return func() bool { return false }
 }
+
+func (p *fakePool) Cancel(*atomic.Int32) bool { return p.never }
 
 // fineTuning builds a detector over meanModel that triggers every 5
 // vectors, async on pool when one is given.

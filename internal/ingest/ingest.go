@@ -298,7 +298,7 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.ScorePool != nil {
 		r.pool = cfg.ScorePool
 	} else {
-		r.pool = pool.NewScoring(0)
+		r.pool = pool.New(0)
 		r.ownPool = true
 	}
 	for i := range r.shards {
@@ -431,7 +431,7 @@ func (r *Registry) Enqueue(id string, vec []float64) (Ack, error) {
 		return Ack{}, err
 	}
 	if start {
-		r.pool.Submit(st.dispatchFn)
+		r.pool.Submit(st.dispatchFn, nil)
 	}
 	return Ack{Seq: it.seq, Done: it.done}, nil
 }

@@ -74,12 +74,11 @@ type blockScratch struct {
 // forecasts are mapped back to the original space.
 type Model struct {
 	blocks   []*block
-	opt      nn.Optimizer
+	opt      *nn.Adam
 	scaler   *nn.Scaler
 	channels int
-	backLen  int     // w−1 rows of history
-	inDim    int     // backLen·channels
-	lr       float64 // learning rate fixed at construction; snapshots restore onto an identically-configured model
+	backLen  int // w−1 rows of history
+	inDim    int // backLen·channels
 
 	// Preallocated hot-path scratch (see initScratch): the whole
 	// forward/backward pass runs without heap allocations.
@@ -216,7 +215,6 @@ func newWithBases(cfg Config, bases []BasisKind) (*Model, error) {
 		channels: cfg.Channels,
 		backLen:  cfg.BackcastRows,
 		inDim:    inDim,
-		lr:       lr,
 	}
 	for _, kind := range bases {
 		b := &block{
@@ -251,7 +249,6 @@ func (m *Model) CloneModel() any {
 		channels: m.channels,
 		backLen:  m.backLen,
 		inDim:    m.inDim,
-		lr:       m.lr,
 	}
 	for _, b := range m.blocks {
 		nb := &block{
@@ -269,11 +266,7 @@ func (m *Model) CloneModel() any {
 		c.blocks = append(c.blocks, nb)
 	}
 	c.initScratch()
-	if opt := nn.CloneOptimizer(m.opt, m.params(), c.params()); opt != nil {
-		c.opt = opt
-	} else {
-		c.opt = nn.NewAdam(m.lr)
-	}
+	c.opt = nn.CloneOptimizer(m.opt, m.params(), c.params())
 	return c
 }
 

@@ -29,9 +29,8 @@ func (m *MLP) Clone() *MLP {
 // CloneOptimizer deep-copies an optimizer's state for a cloned parameter
 // set: moment slices keyed by oldParams[i] are re-keyed to newParams[i].
 // The two slices must list the respective models' parameters in the same
-// order. It returns nil for optimizer types it does not know, signaling
-// the caller to fall back to a fresh optimizer.
-func CloneOptimizer(opt Optimizer, oldParams, newParams []*Param) Optimizer {
+// order.
+func CloneOptimizer(o *Adam, oldParams, newParams []*Param) *Adam {
 	if len(oldParams) != len(newParams) {
 		panic("nn: CloneOptimizer parameter count mismatch")
 	}
@@ -40,9 +39,6 @@ func CloneOptimizer(opt Optimizer, oldParams, newParams []*Param) Optimizer {
 		remap[p] = newParams[i]
 	}
 	cloneMap := func(src map[*Param][]float64) map[*Param][]float64 {
-		if src == nil {
-			return nil
-		}
 		dst := make(map[*Param][]float64, len(src))
 		for p, s := range src {
 			np, ok := remap[p]
@@ -55,18 +51,6 @@ func CloneOptimizer(opt Optimizer, oldParams, newParams []*Param) Optimizer {
 		}
 		return dst
 	}
-	switch o := opt.(type) {
-	case *Adam:
-		c := &Adam{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps,
-			t: o.t, m: cloneMap(o.m), v: cloneMap(o.v)}
-		if c.m == nil {
-			c.m = make(map[*Param][]float64)
-		}
-		if c.v == nil {
-			c.v = make(map[*Param][]float64)
-		}
-		return c
-	default:
-		return nil
-	}
+	return &Adam{LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps,
+		t: o.t, m: cloneMap(o.m), v: cloneMap(o.v)}
 }

@@ -2,12 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients. Step also
-// clears the gradients it consumed.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR    float64
@@ -26,7 +20,8 @@ func NewAdam(lr float64) *Adam {
 		m: make(map[*Param][]float64), v: make(map[*Param][]float64)}
 }
 
-// Step implements Optimizer.
+// Step updates params from their accumulated gradients and clears the
+// gradients it consumed.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))

@@ -85,34 +85,27 @@ func readMoment(rd *wire.Reader, m []float64, n int) []float64 {
 	return m
 }
 
-// AppendOptimizer appends opt's training position over params (in order)
-// as one section: Adam's step counter and first/second moment estimates,
+// AppendOptimizer appends a's training position over params (in order)
+// as one section: the step counter and first/second moment estimates,
 // so a restored model's next fine-tune continues the exact optimizer
-// trajectory instead of restarting the moments at zero. Stateless
-// optimizers append an empty section.
-func AppendOptimizer(dst []byte, opt Optimizer, params []*Param) []byte {
+// trajectory instead of restarting the moments at zero.
+func AppendOptimizer(dst []byte, a *Adam, params []*Param) []byte {
 	dst, mark := wire.BeginSection(dst)
-	if a, ok := opt.(*Adam); ok {
-		dst = wire.AppendInt(dst, a.t)
-		dst = wire.AppendInt(dst, len(params))
-		for _, p := range params {
-			dst = appendMoment(dst, a.m[p], len(p.W))
-			dst = appendMoment(dst, a.v[p], len(p.W))
-		}
+	dst = wire.AppendInt(dst, a.t)
+	dst = wire.AppendInt(dst, len(params))
+	for _, p := range params {
+		dst = appendMoment(dst, a.m[p], len(p.W))
+		dst = appendMoment(dst, a.v[p], len(p.W))
 	}
 	return wire.EndSection(dst, mark)
 }
 
-// LoadOptimizer restores an AppendOptimizer section into opt against the
+// LoadOptimizer restores an AppendOptimizer section into a against the
 // same parameter list (same order, same shapes). An empty section leaves
 // the optimizer untouched (fresh state).
-func LoadOptimizer(opt Optimizer, params []*Param, data []byte) error {
+func LoadOptimizer(a *Adam, params []*Param, data []byte) error {
 	if len(data) == 0 {
 		return nil
-	}
-	a, ok := opt.(*Adam)
-	if !ok {
-		return fmt.Errorf("nn: optimizer snapshot for a stateless optimizer")
 	}
 	rd := wire.NewReader(data)
 	t := rd.Int()

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSubmitRunsEverything(t *testing.T) {
-	p := NewScoring(3)
+	p := New(3)
 	defer p.Close()
 	var n atomic.Int64
 	var wg sync.WaitGroup
@@ -17,7 +17,7 @@ func TestSubmitRunsEverything(t *testing.T) {
 		p.Submit(func() {
 			n.Add(1)
 			wg.Done()
-		})
+		}, nil)
 	}
 	wg.Wait()
 	if n.Load() != 100 {
@@ -31,7 +31,7 @@ func saturate(t *testing.T, p *Pool) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	for i := 0; i < p.Workers(); i++ {
-		p.Submit(func() { <-gate })
+		p.Submit(func() { <-gate }, nil)
 	}
 	for p.Stats().Running < int64(p.Workers()) {
 		runtime.Gosched()
@@ -42,12 +42,12 @@ func saturate(t *testing.T, p *Pool) (release func()) {
 // TestWorkerPopClearsSlot: the popped entry must not stay reachable from
 // the queue's backing array.
 func TestWorkerPopClearsSlot(t *testing.T) {
-	p := NewScoring(1)
+	p := New(1)
 	release := saturate(t, p)
 	var wg sync.WaitGroup
 	wg.Add(3)
 	for i := 0; i < 3; i++ {
-		p.Submit(func() { wg.Done() })
+		p.Submit(func() { wg.Done() }, nil)
 	}
 	p.mu.Lock()
 	backing := p.queue[:len(p.queue):len(p.queue)]
@@ -56,18 +56,80 @@ func TestWorkerPopClearsSlot(t *testing.T) {
 	wg.Wait()
 	p.Close()
 	for i, e := range backing {
-		if e != nil {
+		if e.run != nil {
 			t.Fatalf("slot %d of the queue's backing array still holds its popped entry", i)
 		}
 	}
 }
 
+// TestQueueStaysBoundedUnderLoad: a queue that never empties still reuses
+// its backing array, whose capacity follows the longest queue rather than
+// the number of tasks that passed through.
+func TestQueueStaysBoundedUnderLoad(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	step := make(chan struct{})
+	fn := func() { <-step }
+	for i := 0; i < 4; i++ {
+		p.Submit(fn, nil)
+	}
+	for i := 0; i < 1000; i++ {
+		step <- struct{}{} // one task finishes,
+		p.Submit(fn, nil)  // one joins: at most four wait at any time
+	}
+	p.mu.Lock()
+	c := cap(p.queue)
+	p.mu.Unlock()
+	close(step)
+	if c > 8 {
+		t.Fatalf("queue capacity %d after 1,004 tasks, never more than 4 waiting", c)
+	}
+}
+
+// TestSlideClearsVacatedSlots: sliding the waiting tasks down to the
+// front of the array must not leave copies of them in the slots they
+// vacated, where they would stay reachable after they run.
+func TestSlideClearsVacatedSlots(t *testing.T) {
+	p := New(1)
+	started := make(chan int, 6)
+	gates := make([]chan struct{}, 6)
+	submit := func(i int) {
+		gates[i] = make(chan struct{})
+		p.Submit(func() { started <- i; <-gates[i] }, nil)
+	}
+	submit(0)
+	<-started // the worker holds 0; 1–4 fill the array
+	for i := 1; i <= 4; i++ {
+		submit(i)
+	}
+	for i := 0; i < 2; i++ {
+		close(gates[i])
+		<-started // 1, then 2, popped: half the array is popped slots
+	}
+	submit(5) // finds the array full and slides 3 and 4 down
+	p.mu.Lock()
+	head, vacated := p.head, p.queue[len(p.queue):cap(p.queue)]
+	p.mu.Unlock()
+	for i := 2; i < len(gates); i++ {
+		close(gates[i])
+	}
+	p.Close()
+	if head != 0 {
+		t.Fatalf("head = %d after the submit, want a slide", head)
+	}
+	for i, e := range vacated {
+		if e.run != nil {
+			t.Fatalf("vacated slot %d still holds a task", i)
+		}
+	}
+}
+
 func TestPoolCloseIdempotentAndInlineAfter(t *testing.T) {
-	p := NewScoring(1)
+	p := New(1)
 	p.Close()
 	p.Close()
 	ran := false
-	p.Submit(func() { ran = true })
+	p.Submit(func() { ran = true }, nil)
 	if !ran {
 		t.Fatal("Submit after Close must run inline")
 	}
@@ -75,11 +137,11 @@ func TestPoolCloseIdempotentAndInlineAfter(t *testing.T) {
 
 func TestPoolGoroutineCountBounded(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewScoring(4)
+	p := New(4)
 	var wg sync.WaitGroup
 	for i := 0; i < 1000; i++ {
 		wg.Add(1)
-		p.Submit(func() { wg.Done() })
+		p.Submit(func() { wg.Done() }, nil)
 	}
 	wg.Wait()
 	during := runtime.NumGoroutine()
@@ -90,16 +152,16 @@ func TestPoolGoroutineCountBounded(t *testing.T) {
 }
 
 func TestTrainerRunsAndCounts(t *testing.T) {
-	tr := NewTrainer(2)
+	tr := New(2)
 	defer tr.Close()
 	var n atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
-		tr.Submit("s", func() {
+		tr.Submit(func() {
 			n.Add(1)
 			wg.Done()
-		})
+		}, nil)
 	}
 	wg.Wait()
 	if n.Load() != 20 {
@@ -107,41 +169,22 @@ func TestTrainerRunsAndCounts(t *testing.T) {
 	}
 	tr.Close() // a slot counts a job only after it returns: join before reading
 	st := tr.Stats()
-	if st.Completed != 20 || st.Slots != 2 {
+	if st.Completed != 20 || st.Workers != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// TestTrainerFairness floods the queue from one noisy stream and one
-// quiet one with a single busy slot: the quiet stream's lone job must
-// not wait behind the noisy stream's whole backlog.
-func TestTrainerFairness(t *testing.T) {
-	tr := NewTrainer(1)
-	defer tr.Close()
-	gate := make(chan struct{})
-	started := make(chan string, 64)
-	tr.Submit("noisy", func() { <-gate }) // occupies the slot
-	for i := 0; i < 10; i++ {
-		tr.Submit("noisy", func() { started <- "noisy" })
-	}
-	tr.Submit("quiet", func() { started <- "quiet" })
-	close(gate)
-	first := <-started
-	if first != "quiet" {
-		t.Fatalf("first dequeued stream = %q, want the least-recently-served %q", first, "quiet")
-	}
-}
-
 func TestTrainerCancel(t *testing.T) {
-	tr := NewTrainer(1)
+	tr := New(1)
 	gate := make(chan struct{})
-	tr.Submit("a", func() { <-gate }) // hold the slot so the next job stays queued
+	tr.Submit(func() { <-gate }, nil) // hold the slot so the next job stays queued
 	ran := make(chan struct{})
-	cancel := tr.Submit("b", func() { close(ran) })
-	if !cancel() {
+	var claim atomic.Int32
+	tr.Submit(func() { close(ran) }, &claim)
+	if !tr.Cancel(&claim) {
 		t.Fatal("cancel of a queued job must win")
 	}
-	if cancel() {
+	if tr.Cancel(&claim) {
 		t.Fatal("second cancel must report false")
 	}
 	close(gate)
@@ -162,9 +205,10 @@ func TestTrainerCancel(t *testing.T) {
 // runs. After Close every submission is accounted for, run or canceled.
 func TestPoolCancelRace(t *testing.T) {
 	const submitters, each = 4, 500
-	tr := NewTrainer(3)
+	tr := New(3)
 	var ran [submitters * each]atomic.Bool
 	var won [submitters * each]bool
+	var claims [submitters * each]atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
@@ -172,12 +216,12 @@ func TestPoolCancelRace(t *testing.T) {
 			defer wg.Done()
 			for i := g * each; i < (g+1)*each; i++ {
 				i := i
-				cancel := tr.Submit("k", func() { ran[i].Store(true) })
+				tr.Submit(func() { ran[i].Store(true) }, &claims[i])
 				if i%3 == 0 {
 					runtime.Gosched()
 				}
-				won[i] = cancel()
-				if cancel() {
+				won[i] = tr.Cancel(&claims[i])
+				if tr.Cancel(&claims[i]) {
 					t.Errorf("task %d: a second cancel won", i)
 				}
 			}
@@ -201,17 +245,17 @@ func TestPoolCancelRace(t *testing.T) {
 }
 
 // TestSubmitRoundTripAllocs: handing a task to a scoring worker and
-// getting it back costs at most one allocation.
+// getting it back allocates nothing; the queue reuses its backing array.
 func TestSubmitRoundTripAllocs(t *testing.T) {
-	p := NewScoring(1)
+	p := New(1)
 	defer p.Close()
 	done := make(chan struct{}, 1)
-	task := func() { done <- struct{}{} }
+	fn := func() { done <- struct{}{} }
 	allocs := testing.AllocsPerRun(200, func() {
-		p.Submit(task)
+		p.Submit(fn, nil)
 		<-done
 	})
-	if allocs > 1 {
-		t.Fatalf("a Submit round trip allocates %.1f objects, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("a Submit round trip allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -75,8 +75,8 @@ type scrapeInput struct {
 	omitted int // streams cut by the cap
 	ingest  ingest.Stats
 	observe stats.HistogramSnapshot
-	trainer *pool.TrainerStats // nil without a trainer pool
-	cluster *cluster.Stats     // nil outside cluster mode
+	trainer *pool.Stats    // nil without a trainer pool
+	cluster *cluster.Stats // nil outside cluster mode
 }
 
 // metricSet is a validated family list plus the per-stream series cap
@@ -266,7 +266,7 @@ func when[S, T any](get func(*S) *T, emit func(*T, *emitter)) func(*S, *emitter)
 
 func fineTuneOf(r *ingest.StreamInfo) *core.FineTuneStats { return r.FineTune }
 func cascadeOf(r *ingest.StreamInfo) *core.CascadeStats   { return r.Cascade }
-func trainerOf(sc *scrapeInput) *pool.TrainerStats        { return sc.trainer }
+func trainerOf(sc *scrapeInput) *pool.Stats               { return sc.trainer }
 func clusterOf(sc *scrapeInput) *cluster.Stats            { return sc.cluster }
 
 // eachMember emits one sample per member of every ensemble in the
@@ -393,15 +393,15 @@ func metricFamilies() []family {
 		{name: "streamad_pool_score_tasks_total", kind: counter, help: "Scoring tasks completed.",
 			collect: func(sc *scrapeInput, e *emitter) { e.put(count(sc.ingest.ScorePool.Completed)) }},
 		{name: "streamad_pool_train_slots", kind: gauge, help: "Concurrent training slots.",
-			collect: when(trainerOf, func(ts *pool.TrainerStats, e *emitter) { e.put(count(ts.Slots)) })},
+			collect: when(trainerOf, func(ts *pool.Stats, e *emitter) { e.put(count(ts.Workers)) })},
 		{name: "streamad_pool_train_queue_depth", kind: gauge, help: "Fine-tunes waiting for a training slot.",
-			collect: when(trainerOf, func(ts *pool.TrainerStats, e *emitter) { e.put(count(ts.Queued)) })},
+			collect: when(trainerOf, func(ts *pool.Stats, e *emitter) { e.put(count(ts.Queued)) })},
 		{name: "streamad_pool_train_running", kind: gauge, help: "Fine-tunes currently training.",
-			collect: when(trainerOf, func(ts *pool.TrainerStats, e *emitter) { e.put(count(ts.Running)) })},
+			collect: when(trainerOf, func(ts *pool.Stats, e *emitter) { e.put(count(ts.Running)) })},
 		{name: "streamad_pool_train_total", kind: counter, help: "Fine-tunes completed through the trainer pool.",
-			collect: when(trainerOf, func(ts *pool.TrainerStats, e *emitter) { e.put(count(ts.Completed)) })},
+			collect: when(trainerOf, func(ts *pool.Stats, e *emitter) { e.put(count(ts.Completed)) })},
 		{name: "streamad_pool_train_canceled_total", kind: counter, help: "Queued fine-tunes canceled before a slot ran them.",
-			collect: when(trainerOf, func(ts *pool.TrainerStats, e *emitter) { e.put(count(ts.Canceled)) })},
+			collect: when(trainerOf, func(ts *pool.Stats, e *emitter) { e.put(count(ts.Canceled)) })},
 
 		{name: "streamad_ingest_observe_seconds", kind: histogram, help: "Observe request latency over both observe endpoints, from body receipt to the last result written.",
 			collect: func(sc *scrapeInput, e *emitter) {

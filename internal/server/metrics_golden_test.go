@@ -185,7 +185,7 @@ func checkGolden(t *testing.T, s *Server, name string) {
 
 func newGoldenServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	score := pool.NewScoring(3)
+	score := pool.New(3)
 	t.Cleanup(score.Close)
 	cfg.ScorePool = score
 	s, err := New(cfg)
@@ -215,7 +215,7 @@ func TestMetricsGolden(t *testing.T) {
 	t.Run("composite", func(t *testing.T) {
 		gate := &gatedDet{stubDetector: stubDetector{dim: 2}, entered: make(chan struct{}, 1), release: make(chan struct{})}
 		cfg := goldenConfig(gate)
-		trainer := pool.NewTrainer(2)
+		trainer := pool.New(2)
 		t.Cleanup(trainer.Close)
 		cfg.TrainerPool = trainer
 		s := newGoldenServer(t, cfg)

@@ -87,7 +87,7 @@ type Config struct {
 	// families. The pool itself is wired into
 	// detectors by the NewDetector factory (see streamad.Config); the
 	// server only reports it. The caller keeps ownership.
-	TrainerPool *pool.Trainer
+	TrainerPool *pool.Pool
 	// Store, when set, makes the server durable: every observed vector is
 	// appended to the stream's WAL before it is scored, snapshots are taken
 	// in the background, and RestoreStreams rebuilds state on startup.
@@ -121,7 +121,7 @@ type Server struct {
 	mux     *http.ServeMux
 	obsLat  *stats.Histogram // observe request latency, in ns
 	node    *cluster.Node
-	trainer *pool.Trainer // reported in /metrics; owned by the caller
+	trainer *pool.Pool // reported in /metrics; owned by the caller
 	metrics *metricSet
 }
 

@@ -31,8 +31,8 @@ type Model struct {
 	enc    *nn.MLP // E:  dim → z (3 FC layers)
 	dec1   *nn.MLP // D₁: z → dim (3 FC layers)
 	dec2   *nn.MLP // D₂: z → dim (3 FC layers)
-	opt1   nn.Optimizer
-	opt2   nn.Optimizer
+	opt1   *nn.Adam
+	opt2   *nn.Adam
 	scaler *nn.MinMaxScaler
 	dim    int
 	latent int
@@ -171,12 +171,8 @@ func (m *Model) CloneModel() any {
 	c := m.Clone()
 	oldAll := append(append(append([]*nn.Param(nil), m.enc.Params()...), m.dec1.Params()...), m.dec2.Params()...)
 	newAll := append(append(append([]*nn.Param(nil), c.enc.Params()...), c.dec1.Params()...), c.dec2.Params()...)
-	if opt := nn.CloneOptimizer(m.opt1, oldAll, newAll); opt != nil {
-		c.opt1 = opt
-	}
-	if opt := nn.CloneOptimizer(m.opt2, oldAll, newAll); opt != nil {
-		c.opt2 = opt
-	}
+	c.opt1 = nn.CloneOptimizer(m.opt1, oldAll, newAll)
+	c.opt2 = nn.CloneOptimizer(m.opt2, oldAll, newAll)
 	return c
 }
 

@@ -169,7 +169,7 @@ func TestQueuedJobsPerLeafBounded(t *testing.T) {
 		t.Run(tc.spec, func(t *testing.T) {
 			tp := NewTrainerPool(1)
 			release := make(chan struct{})
-			tp.Submit("blocker", func() { <-release })
+			tp.Submit(func() { <-release }, nil)
 			defer func() { close(release); tp.Close() }()
 			for tp.Stats().Running == 0 {
 				runtime.Gosched()

@@ -230,13 +230,15 @@ type Config struct {
 	// cannot clone (PCB-iForest, VAR) stay synchronous, the default, which
 	// trains in place within the triggering step.
 	AsyncFineTune bool
-	// TrainerPool runs asynchronous fine-tunes on a shared K-slot pool
-	// instead of a goroutine each. TrainerKey is the pool's fairness key —
-	// detectors sharing a key (e.g. members of one stream's ensemble)
-	// compete as one principal, and the least-recently-served key trains
-	// first. Requires AsyncFineTune; ignored without it.
+	// TrainerPool runs asynchronous fine-tunes on a shared K-worker pool
+	// instead of a goroutine each, first submitted first trained. A
+	// detector skips drift triggers while its fine-tune is pending, so
+	// each pipeline has at most one job queued. Requires AsyncFineTune;
+	// ignored without it.
 	TrainerPool *TrainerPool
-	TrainerKey  string
+	// TrainerKey is ignored. A compat shim; see the list above the
+	// ScorePool type.
+	TrainerKey string
 	// ScorePool is ignored: ensemble members step in order on the
 	// caller. A compat shim; see the list above the ScorePool type.
 	ScorePool *ScorePool
@@ -313,31 +315,37 @@ func (c *Config) fillDefaults() error {
 
 // Compat shims. The frozen benchmark/ compiles against these and nothing
 // else in the repo needs them; the next benchmark-lane PR can stop using
-// them and delete all four in one go:
+// them and delete all five in one go:
 //
 //   - IsEnsembleSpec and ParseEnsembleSpec (parse.go): ParseSpec plus a
 //     type switch on the returned Spec tree answers both.
 //   - core.Pager's single PageOut() ([]byte, error): tracedDetector
 //     implements exactly this method set, which blocks a page-out that
 //     appends into a borrowed buffer (ROADMAP item 9).
-//   - Config.ScorePool: set by the benchmark, read by nothing.
+//   - Config.ScorePool and Config.TrainerKey: set by the benchmark, read
+//     by nothing.
 
 // ScorePool re-exports the shared bounded worker pool the ingestion
 // layer's stream dispatchers run on. One pool serves any number of
 // streams; goroutine count stays O(workers), not O(streams).
 type ScorePool = pool.Pool
 
-// TrainerPool re-exports the shared K-slot training pool with
-// cross-stream fairness; see Config.TrainerPool.
-type TrainerPool = pool.Trainer
+// TrainerPool re-exports the same pool type as the shared training
+// pool; see Config.TrainerPool.
+type TrainerPool = pool.Pool
 
 // NewScoringPool builds a shared scoring pool; workers <= 0 selects
 // GOMAXPROCS. Close it after the registry using it has closed.
-func NewScoringPool(workers int) *ScorePool { return pool.NewScoring(workers) }
+func NewScoringPool(workers int) *ScorePool { return pool.New(workers) }
 
 // NewTrainerPool builds a shared trainer pool with the given number of
 // concurrent training slots; slots <= 0 selects 2.
-func NewTrainerPool(slots int) *TrainerPool { return pool.NewTrainer(slots) }
+func NewTrainerPool(slots int) *TrainerPool {
+	if slots <= 0 {
+		slots = 2
+	}
+	return pool.New(slots)
+}
 
 // Detector is a fully assembled streaming anomaly detector: the leaf of
 // the detector tree. The embedded framework loop supplies Step, Steps,
@@ -446,7 +454,6 @@ func New(cfg Config) (*Detector, error) {
 		// Guarded assignment: a nil *TrainerPool must stay a nil
 		// interface in core, or the pool branch would dereference it.
 		ccfg.TrainerPool = cfg.TrainerPool
-		ccfg.TrainerKey = cfg.TrainerKey
 	}
 	inner, err := core.NewDetector(ccfg)
 	if err != nil {
