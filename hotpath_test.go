@@ -2,10 +2,13 @@ package streamad
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 	"time"
+
+	"streamad/internal/core"
 )
 
 // syntheticVec fills dst with a deterministic multi-channel waveform.
@@ -75,6 +78,39 @@ func TestStepZeroAllocModels(t *testing.T) {
 			})
 		}
 	}
+	// The models that predict in batches: a warm StepBatch stays off the
+	// heap at every batch size a dispatcher hands it.
+	for _, m := range []ModelKind{ModelAE, ModelUSAD, ModelNBEATS} {
+		d := buildWarmDetector(t, m, ScoreLikelihood)
+		for _, batch := range []int{1, 7, 16} {
+			t.Run(fmt.Sprintf("%s/StepBatch-%d", modelNames.Spec(m), batch), func(t *testing.T) {
+				zeroAllocBatch(t, d, batch)
+			})
+		}
+	}
+}
+
+// zeroAllocBatch pins core.StepBatch over batch fresh vectors at 0
+// allocations per call on a warm node.
+func zeroAllocBatch(t *testing.T, n core.Stepper, batch int) {
+	t.Helper()
+	xs, out := make([][]float64, batch), make([]core.Outcome, batch)
+	for i := range xs {
+		xs[i] = make([]float64, 3)
+	}
+	step := 100000
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, x := range xs {
+			syntheticVec(x, step)
+			step++
+		}
+		if ready := core.StepBatch(n, xs, out); ready != batch {
+			t.Fatalf("warm node returned %d of %d ready", ready, batch)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StepBatch of %d allocates %.1f objects per call, want 0", batch, allocs)
+	}
 }
 
 // TestStepZeroAllocEnsemble: a warm ensemble's whole Step — members,
@@ -103,6 +139,9 @@ func TestStepZeroAllocEnsemble(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ensemble Step allocates %.1f objects per call, want 0", allocs)
+	}
+	for _, batch := range []int{1, 7, 16} {
+		t.Run(fmt.Sprintf("StepBatch-%d", batch), func(t *testing.T) { zeroAllocBatch(t, e, batch) })
 	}
 }
 

@@ -27,6 +27,7 @@ type Model struct {
 	grad   []float64      // per-call gradient scratch
 	zbuf   []float64      // per-call scaling scratch
 	ctx    *nn.MLPContext // training pass scratch, allocated at construction
+	slab   []float64      // Predict's scratch, BatchScratch(1) long, allocated at construction
 }
 
 // Config parameterizes the autoencoder.
@@ -59,7 +60,7 @@ func New(cfg Config) (*Model, error) {
 	}
 	rng := rand.New(randstate.NewCountedSource(cfg.Seed))
 	net := nn.NewMLP([]int{cfg.Dim, hidden, cfg.Dim}, nn.Sigmoid{}, nn.Identity{}, rng)
-	return &Model{
+	m := &Model{
 		net:    net,
 		opt:    nn.NewAdam(lr),
 		scaler: nn.NewScaler(cfg.Dim),
@@ -67,7 +68,9 @@ func New(cfg Config) (*Model, error) {
 		grad:   make([]float64, cfg.Dim),
 		zbuf:   make([]float64, cfg.Dim),
 		ctx:    net.NewContext(),
-	}, nil
+	}
+	m.slab = make([]float64, m.BatchScratch(1))
+	return m, nil
 }
 
 // CloneModel returns a full-fidelity deep copy — weights, optimizer
@@ -83,6 +86,7 @@ func (m *Model) CloneModel() any {
 		grad:   make([]float64, m.dim),
 		zbuf:   make([]float64, m.dim),
 		ctx:    net.NewContext(),
+		slab:   make([]float64, len(m.slab)),
 	}
 }
 
@@ -91,13 +95,26 @@ func (m *Model) Dim() int { return m.dim }
 
 // Predict implements the framework model contract: target is the feature
 // vector itself, prediction is its reconstruction in the original space.
-func (m *Model) Predict(x []float64) (target, pred []float64) {
-	if len(x) != m.dim {
-		panic(fmt.Sprintf("autoenc: expected %d values, got %d", m.dim, len(x)))
+// It is PredictBatch of one window, in the model's own scratch.
+func (m *Model) Predict(x []float64) (target, pred []float64) { return m.PredictBatch(x, 1, m.slab) }
+
+// BatchScratch is the scratch PredictBatch needs for batch windows: the
+// scaled inputs, the predictions and the network's slab.
+func (m *Model) BatchScratch(batch int) int { return 2*m.dim*batch + m.net.SlabLen(batch) }
+
+// PredictBatch reconstructs batch windows laid end to end in xs (window s
+// at xs[s*Dim():]) in one pass per layer, in scratch (BatchScratch(batch)
+// long): the targets are xs itself, the predictions are laid out the
+// same way in scratch, each bit-identical to that window's Predict.
+func (m *Model) PredictBatch(xs []float64, batch int, scratch []float64) (targets, preds []float64) {
+	n := m.dim * batch
+	if len(xs) != n {
+		panic(fmt.Sprintf("autoenc: expected %d values, got %d", n, len(xs)))
 	}
-	z := m.scaler.Transform(x, m.zbuf)
-	out := m.net.Predict(z)
-	return x, m.scaler.Inverse(out, out)
+	z, out, net := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	m.scaler.TransformBatch(xs, batch, z)
+	m.scaler.InverseBatch(m.net.PredictBatch(z, batch, net), batch, out, 0)
+	return xs, out
 }
 
 // Fit refreshes the input scaler and runs one reconstruction epoch

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"streamad/internal/drift"
 	"streamad/internal/reservoir"
@@ -36,6 +37,18 @@ type Model interface {
 // forecasting models return (s_t, ŝ_t).
 type Predictor interface {
 	Predict(x []float64) (target, pred []float64)
+}
+
+// BatchPredictor is the optional Predictor facet behind the leaf's
+// StepBatch, for a model whose prediction is a pure function of its
+// parameters and the window: PredictBatch predicts batch windows laid
+// end to end in xs, working in scratch (at least BatchScratch(batch)
+// long), and returns their targets and predictions laid end to end the
+// same way (each len/batch long) in xs or scratch, each bit-identical to
+// that window's Predict.
+type BatchPredictor interface {
+	BatchScratch(batch int) int
+	PredictBatch(xs []float64, batch int, scratch []float64) (targets, preds []float64)
 }
 
 // SelfScoring models produce their nonconformity score directly instead of
@@ -290,19 +303,29 @@ func (d *Detector) Step(s []float64) (Result, bool) {
 		return Result{}, false
 	}
 
-	var a float64
-	var attribution []float64
 	if d.selfScore != nil {
-		a = d.selfScore.NonconformityScore(x)
-	} else {
-		target, pred := d.predictor.Predict(x)
-		a = d.cfg.Measure.Measure(target, pred)
-		if d.cfg.Attribution {
-			attribution = d.attribute(target, pred)
-		}
+		return d.finish(x, d.selfScore.NonconformityScore(x), nil), true
 	}
-	f := d.cfg.Scorer.Score(a)
+	target, pred := d.predictor.Predict(x)
+	return d.measure(x, target, pred), true
+}
 
+// measure is a predictor's step from its prediction on: the
+// nonconformity of (target, pred), then finish.
+func (d *Detector) measure(x, target, pred []float64) Result {
+	a := d.cfg.Measure.Measure(target, pred)
+	var attribution []float64
+	if d.cfg.Attribution {
+		attribution = d.attribute(target, pred)
+	}
+	return d.finish(x, a, attribution)
+}
+
+// finish is every step's second half, once the window x has its
+// nonconformity a: the score, the Task 1 update, the drift check with
+// its fine-tune, and the adoption of a job due at this step.
+func (d *Detector) finish(x []float64, a float64, attribution []float64) Result {
+	f := d.cfg.Scorer.Score(a)
 	update := d.cfg.TrainingSet.Observe(x, f)
 	fineTuned := false
 	if d.cfg.Drift.Observe(update, x, d.cfg.TrainingSet) {
@@ -314,7 +337,105 @@ func (d *Detector) Step(s []float64) (Result, bool) {
 	if j := d.train.job; j != nil && j.due <= d.steps {
 		d.adopt()
 	}
-	return Result{Nonconformity: a, Score: f, FineTuned: fineTuned, Attribution: attribution}, true
+	return Result{Nonconformity: a, Score: f, FineTuned: fineTuned, Attribution: attribution}
+}
+
+// StepBatch implements BatchStepper: it takes the longest prefix of xs,
+// at most MaxBatch, of vectors as wide as the stream, when the leaf is
+// warmed up and its model a BatchPredictor; otherwise (window fill,
+// warmup, a vector of the wrong width, a model without the facet) it
+// takes none. It pushes the run through the Representer, copying each
+// window out (the representation shifts in place), and predicts the
+// windows up to the next step at which the model can change — a pending
+// job's due step — in one PredictBatch. It then finishes them in order
+// exactly as Step does; an adoption mid-run (that due step, or a sync
+// fine-tune triggered by any step) re-predicts the rest on the new
+// model. The window copies and the model's scratch are borrowed for the
+// call (borrowScratch).
+func (d *Detector) StepBatch(xs [][]float64, out []Outcome) int {
+	bp, ok := d.predictor.(BatchPredictor)
+	if !ok || !d.warmedUp || d.paged {
+		return 0
+	}
+	rep := d.cfg.Representer
+	width, dim := rep.Channels(), rep.Dim()
+	n := 0
+	for n < len(xs) && n < MaxBatch && len(xs[n]) == width {
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	// Sized for a whole run whatever n is, so every slab a model borrows
+	// fits every later run of it.
+	buf := borrowScratch(MaxBatch*dim + bp.BatchScratch(MaxBatch))
+	defer returnScratch(buf)
+	wins, scratch := buf[:MaxBatch*dim], buf[MaxBatch*dim:]
+	for k, s := range xs[:n] {
+		if d.cfg.Sanitize {
+			s = d.sanitize(s)
+		}
+		x, _ := rep.Push(s) // warmed up, so the window is full
+		copy(wins[k*dim:], x)
+	}
+	adopted := d.fineTunes
+	for k := 0; k < n; {
+		m := n - k
+		if j := d.train.job; j != nil && j.due-d.steps < m {
+			m = max(j.due-d.steps, 1)
+		}
+		targets, preds := bp.PredictBatch(wins[k*dim:(k+m)*dim], m, scratch)
+		tn, pn := len(targets)/m, len(preds)/m
+		for p := 0; p < m; p++ {
+			d.steps++
+			out[k] = Outcome{Result: d.measure(wins[k*dim:][:dim], targets[p*tn:][:tn], preds[p*pn:][:pn]), Ready: true}
+			k++
+			if d.fineTunes != adopted {
+				adopted = d.fineTunes
+				bp = d.predictor.(BatchPredictor) // a clone of the same model type
+				break
+			}
+		}
+	}
+	return n
+}
+
+// scratchFree is StepBatch's free list of scratch slabs: a run's window
+// copies and its model's PredictBatch scratch live for one call, so a
+// process keeps about one slab per goroutine stepping at a time, not one
+// per stream. A list under a mutex rather than a sync.Pool, which the GC
+// empties: a warm StepBatch must not allocate.
+var scratchFree struct {
+	sync.Mutex
+	slabs [][]float64
+}
+
+// maxFreeScratch bounds the list; slabs returned past it are dropped.
+const maxFreeScratch = 32
+
+// borrowScratch takes a free slab of at least n values off the list, or
+// allocates one.
+func borrowScratch(n int) []float64 {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	for i, s := range scratchFree.slabs {
+		if cap(s) >= n {
+			last := len(scratchFree.slabs) - 1
+			scratchFree.slabs[i], scratchFree.slabs[last] = scratchFree.slabs[last], nil
+			scratchFree.slabs = scratchFree.slabs[:last]
+			return s[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+// returnScratch puts a borrowed slab back on the list.
+func returnScratch(s []float64) {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if len(scratchFree.slabs) < maxFreeScratch {
+		scratchFree.slabs = append(scratchFree.slabs, s)
+	}
 }
 
 // attribute computes each channel's share of the squared prediction

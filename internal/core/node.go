@@ -37,6 +37,75 @@ type Stepper interface {
 	Step(s []float64) (Result, bool)
 }
 
+// BatchStepper is the optional facet of a Stepper that takes a run of
+// vectors in one call, so work shared by the run — a model's forward
+// pass over every window between two adoptions — is done once. The
+// pipeline leaf and the ensemble have it; StepBatch is how callers reach
+// it.
+type BatchStepper interface {
+	// StepBatch steps a prefix of xs, of a length it chooses, with
+	// exactly Step's effects, writing xs[i]'s outcome to out[i], and
+	// returns the prefix's length. 0 hands the next vector back to the
+	// caller, which steps it with Step; a wrapper that embeds a node and
+	// overrides Step so keeps seeing every vector the node does not
+	// batch.
+	StepBatch(xs [][]float64, out []Outcome) int
+}
+
+// Outcome is one vector's answer in a batch: what Step returns, plus the
+// panic value of a vector the node rejected — Step's contract for a
+// wrong-length vector — which a batch carries instead of raising, so the
+// rest of the batch is still stepped. An Attribution slice aliases its
+// leaf's buffer, which every step rewrites: only the last ready one's in
+// a batch is current.
+type Outcome struct {
+	Result
+	Ready    bool
+	Rejected any
+}
+
+// MaxBatch is the most windows a node predicts in one pass: batches are
+// stepped in runs of at most MaxBatch vectors. Eight is the batch
+// kernel's sample block, so each weight is loaded once per run; a longer
+// run loads no fewer per window and only needs a larger scratch slab.
+const MaxBatch = 8
+
+// StepBatch steps xs through n, xs[i]'s outcome in out[i] (len(out) ≥
+// len(xs)), and returns how many were ready: the runs n's BatchStepper
+// facet takes through it, every other vector through StepOne. Either way
+// the outcomes are exactly those of len(xs) Step calls.
+func StepBatch(n Stepper, xs [][]float64, out []Outcome) (ready int) {
+	b, _ := n.(BatchStepper)
+	for i := 0; i < len(xs); {
+		k := 0
+		if b != nil {
+			k = b.StepBatch(xs[i:], out[i:])
+		}
+		if k == 0 {
+			out[i], k = StepOne(n, xs[i]), 1
+		}
+		for _, o := range out[i : i+k] {
+			if o.Ready {
+				ready++
+			}
+		}
+		i += k
+	}
+	return ready
+}
+
+// StepOne is one Step whose panic, if it raises one, is caught into the
+// Outcome's Rejected.
+func StepOne(n Stepper, s []float64) (o Outcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			o = Outcome{Rejected: p}
+		}
+	}()
+	o.Result, o.Ready = n.Step(s)
+	return o
+}
+
 // Closer is what an owner dropping a detector calls: Close settles
 // background training so no trainer goroutine or pool job outlives it.
 type Closer interface {
@@ -49,16 +118,24 @@ type FineTuneStatser interface {
 	FineTuneStats() FineTuneStats
 }
 
-// Run feeds an entire series (rows × N) through d and returns one anomaly
-// score per time step with a parallel validity mask; steps before
-// readiness score 0 and are marked invalid.
+// Run feeds an entire series (rows × N) through d, MaxBatch rows per
+// StepBatch, and returns one anomaly score per time step with a parallel
+// validity mask; steps before readiness score 0 and are marked invalid.
+// A row d rejects panics, as its Step does, once its batch is stepped.
 func Run(d Stepper, series [][]float64) (scores []float64, valid []bool) {
 	scores = make([]float64, len(series))
 	valid = make([]bool, len(series))
-	for i, s := range series {
-		if res, ok := d.Step(s); ok {
-			scores[i] = res.Score
-			valid[i] = true
+	out := make([]Outcome, MaxBatch)
+	for i := 0; i < len(series); i += MaxBatch {
+		rows := series[i:min(i+MaxBatch, len(series))]
+		StepBatch(d, rows, out)
+		for k, o := range out[:len(rows)] {
+			if o.Rejected != nil {
+				panic(o.Rejected)
+			}
+			if o.Ready {
+				scores[i+k], valid[i+k] = o.Score, true
+			}
 		}
 	}
 	return scores, valid

@@ -8,7 +8,9 @@
 // their verdicts.
 //
 // Members own no goroutines: Step runs them in member order on the
-// caller, the plain fit_partial → score_partial loop PySAD uses. (A
+// caller, the plain fit_partial → score_partial loop PySAD uses, and
+// StepBatch hands each member a whole run of vectors in turn (PySAD's
+// batch score) before combining them vector by vector. (A
 // fork-join onto the scoring pool was removed in PR 28: a forked step
 // measured 41–45 µs against 29–41 µs inline, and ten model-heavy pairs
 // without it stayed inside the parent's quartile spread.)
@@ -73,26 +75,6 @@ type member struct {
 	lastScore float64
 }
 
-// stepOut is one member's answer for one vector.
-type stepOut struct {
-	res      core.Result
-	ok       bool
-	panicked interface{}
-}
-
-// step applies one vector to a member, converting a panic into a value
-// so every member is offered every vector (their step counts never skew)
-// before Step re-raises it.
-func step(det core.Node, v []float64) (out stepOut) {
-	defer func() {
-		if p := recover(); p != nil {
-			out = stepOut{panicked: p}
-		}
-	}()
-	r, ok := det.Step(v)
-	return stepOut{res: r, ok: ok}
-}
-
 // Ensemble steps N member pipelines over one stream and combines their
 // scores. Like core.Detector, an Ensemble is not safe for concurrent use;
 // callers serialize Step (the HTTP server holds one lock per stream).
@@ -110,7 +92,9 @@ type Ensemble struct {
 	steps      int
 	readySteps int
 
-	outs    []stepOut // per-step member answers
+	outs    [][]core.Outcome // per member, its answers to the batch being stepped (core.MaxBatch each)
+	one     [1][]float64     // Step's batch of one
+	oneOut  [1]core.Outcome
 	scores  []float64 // per-step aggregation scratch, refilled by collect
 	nonconf []float64 // per-step aggregation scratch, refilled by collect
 	weights []float64 // per-step performance weights, recomputed by collect from member counters
@@ -160,7 +144,7 @@ func New(cfg Config) (*Ensemble, error) {
 		counterCap: cfg.CounterCap,
 		pruneOn:    cfg.PruneEnabled,
 		pruneBelow: cfg.PruneBelow,
-		outs:       make([]stepOut, n),
+		outs:       make([][]core.Outcome, n),
 		scores:     make([]float64, 0, n),
 		nonconf:    make([]float64, 0, n),
 		weights:    make([]float64, 0, n),
@@ -175,6 +159,7 @@ func New(cfg Config) (*Ensemble, error) {
 			label = cfg.Labels[i]
 		}
 		e.members[i] = &member{label: label}
+		e.outs[i] = make([]core.Outcome, core.MaxBatch)
 	}
 	return e, nil
 }
@@ -185,49 +170,71 @@ func New(cfg Config) (*Ensemble, error) {
 // simply absent from the aggregate. If any member rejects the vector with
 // a panic (the detectors' contract for dimension mismatch), Step re-panics
 // once every member has been offered the vector, preserving the
-// single-detector contract.
+// single-detector contract. It is StepBatch of one vector.
 func (e *Ensemble) Step(s []float64) (core.Result, bool) {
-	e.steps++
+	e.one[0] = s
+	e.StepBatch(e.one[:], e.oneOut[:])
+	e.one[0] = nil
+	o := e.oneOut[0]
+	if o.Rejected != nil {
+		panic(o.Rejected)
+	}
+	return o.Result, o.Ready
+}
+
+// StepBatch implements core.BatchStepper: each member steps the first
+// core.MaxBatch vectors (or fewer) through core.StepBatch, so a member
+// that batches predicts them in one pass, then they are combined one
+// vector at a time exactly as Step always has. A vector any member
+// rejected — every member is still offered it — is rejected with the
+// first such member's panic value.
+func (e *Ensemble) StepBatch(xs [][]float64, out []core.Outcome) int {
+	run := xs[:min(len(xs), core.MaxBatch)]
 	for i, det := range e.Nodes {
-		e.outs[i] = step(det, s)
+		core.StepBatch(det, run, e.outs[i])
 	}
-	var panicked interface{}
-	for i := range e.outs {
-		if e.outs[i].panicked != nil {
-			panicked = e.outs[i].panicked
-			break
+	for k := range run {
+		out[k] = e.combine(k)
+	}
+	return len(run)
+}
+
+// combine is one vector's ensemble step once every member has answered
+// it: the members' answers are e.outs[i][k].
+func (e *Ensemble) combine(k int) core.Outcome {
+	e.steps++
+	for i := range e.Nodes {
+		if p := e.outs[i][k].Rejected; p != nil {
+			return core.Outcome{Rejected: p}
 		}
-	}
-	if panicked != nil {
-		panic(panicked)
 	}
 
 	nReady := 0
 	fineTuned := false
 	for i, m := range e.members {
-		o := &e.outs[i]
-		if !o.ok {
+		o := &e.outs[i][k]
+		if !o.Ready {
 			continue
 		}
 		nReady++
 		m.ready++
-		m.lastScore = o.res.Score
-		if o.res.FineTuned {
+		m.lastScore = o.Score
+		if o.FineTuned {
 			m.fineTunes++
 			fineTuned = true
 		}
 	}
 	if nReady == 0 {
-		return core.Result{}, false
+		return core.Outcome{}
 	}
 	e.readySteps++
 
 	// Aggregate over the ready, enabled members; if the pruning policy
 	// has disabled every ready member, fall back to all ready members —
 	// an ensemble never goes silent.
-	e.collect(false)
+	e.collect(k, false)
 	if len(e.scores) == 0 {
-		e.collect(true)
+		e.collect(k, true)
 	}
 	f := combine(e.agg, e.scores, e.weights, &e.scratch)
 	a := combine(e.agg, e.nonconf, e.weights, &e.scratch)
@@ -236,10 +243,11 @@ func (e *Ensemble) Step(s []float64) (core.Result, bool) {
 	// included, so they can earn their way back in.
 	consensus := f >= e.verdict
 	for i, m := range e.members {
-		if !e.outs[i].ok {
+		o := &e.outs[i][k]
+		if !o.Ready {
 			continue
 		}
-		if (e.outs[i].res.Score >= e.verdict) == consensus {
+		if (o.Score >= e.verdict) == consensus {
 			if m.pc < e.counterCap {
 				m.pc++
 			}
@@ -256,21 +264,22 @@ func (e *Ensemble) Step(s []float64) (core.Result, bool) {
 			}
 		}
 	}
-	return core.Result{Nonconformity: a, Score: f, FineTuned: fineTuned}, true
+	return core.Outcome{Result: core.Result{Nonconformity: a, Score: f, FineTuned: fineTuned}, Ready: true}
 }
 
 // collect gathers the scores, nonconformities and performance weights of
-// the ready members into the ensemble's scratch slices.
-func (e *Ensemble) collect(includeDisabled bool) {
+// the members ready on vector k into the ensemble's scratch slices.
+func (e *Ensemble) collect(k int, includeDisabled bool) {
 	e.scores = e.scores[:0]
 	e.nonconf = e.nonconf[:0]
 	e.weights = e.weights[:0]
 	for i, m := range e.members {
-		if !e.outs[i].ok || (m.disabled && !includeDisabled) {
+		o := &e.outs[i][k]
+		if !o.Ready || (m.disabled && !includeDisabled) {
 			continue
 		}
-		e.scores = append(e.scores, e.outs[i].res.Score)
-		e.nonconf = append(e.nonconf, e.outs[i].res.Nonconformity)
+		e.scores = append(e.scores, o.Score)
+		e.nonconf = append(e.nonconf, o.Nonconformity)
 		e.weights = append(e.weights, m.perfWeight())
 	}
 }

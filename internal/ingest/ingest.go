@@ -21,9 +21,11 @@
 // which repeatedly grabs the entire queue and scores it in one locked
 // detector pass — one lock acquisition and one cache-warm detector
 // session for however many vectors accumulated, instead of one per
-// vector. Per-stream order is total: sequence numbers are assigned under
-// the queue lock and processed in assignment order, so scores are
-// bit-identical to the serial path.
+// vector. The pass logs every vector, then steps the logged ones as one
+// core.StepBatch, so a model that predicts in batches runs one forward
+// pass per run of core.MaxBatch of them. Per-stream order is total:
+// sequence numbers are assigned under the queue lock and processed in
+// assignment order, so scores are bit-identical to the serial path.
 //
 // The registry also owns what the server used to do per stream behind a
 // global mutex: WAL-before-score durability, background snapshots,
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,6 +216,13 @@ type stream struct {
 	walSince int          // WAL appends since the last snapshot
 	snapSeq  uint64       // seq boundary of the last written snapshot; WAL tails below it are gone
 
+	// Scratch of processLocked, replay and fold, grown to the largest
+	// batch: the vectors of one detector batch, their outcomes and their
+	// Results.
+	vecs [][]float64
+	outs []core.Outcome
+	res  []Result
+
 	// The observable counters are atomics written under procMu but read
 	// lock-free, so GET /v1/streams and /metrics never stall behind an
 	// in-flight detector pass (which can run for milliseconds on large
@@ -230,6 +240,7 @@ type item struct {
 	seq  uint64
 	vec  []float64
 	done chan Result
+	err  error // the WAL refused the vector; set by the dispatcher
 }
 
 // Result is the outcome of one admitted vector. Exactly one of the
@@ -524,87 +535,88 @@ func (r *Registry) dispatch(st *stream) {
 			st.procMu.Unlock()
 			continue
 		}
-		for _, it := range batch {
-			it.done <- r.processLocked(st, it)
-		}
+		r.processLocked(st, batch)
 		st.procMu.Unlock()
 	}
 }
 
-// processLocked logs and scores one vector; the caller holds st.procMu.
-func (r *Registry) processLocked(st *stream, it item) Result {
-	if r.cfg.Store != nil {
-		// Log before scoring: a vector the WAL cannot hold is not
-		// consumed, so the on-disk state never lags what the detector has
-		// seen.
-		if err := r.cfg.Store.Append(st.id, it.seq, it.vec); err != nil {
-			return Result{Seq: it.seq, Err: fmt.Errorf("persist: %w", err)}
+// processLocked logs a batch and scores it, answering every item in
+// order; the caller holds st.procMu. Each vector is logged before it is
+// scored: one the WAL cannot hold fails alone and is not consumed, so
+// the on-disk state never lags what the detector has seen, and the
+// logged ones are scored as one fold.
+func (r *Registry) processLocked(st *stream, batch []item) {
+	vecs := st.vecs[:0]
+	for i := range batch {
+		it := &batch[i]
+		if r.cfg.Store != nil {
+			if err := r.cfg.Store.Append(st.id, it.seq, it.vec); err != nil {
+				it.err = fmt.Errorf("persist: %w", err)
+				continue
+			}
+			st.walSince++
+			if r.cfg.SnapshotEvery > 0 && st.walSince >= r.cfg.SnapshotEvery {
+				select {
+				case r.snapKick <- st.id:
+				default: // snapshotter busy; the next trigger catches it
+				}
+			}
 		}
-		st.walSince++
-		if r.cfg.SnapshotEvery > 0 && st.walSince >= r.cfg.SnapshotEvery {
-			select {
-			case r.snapKick <- st.id:
-			default: // snapshotter busy; the next trigger catches it
+		st.steps.Add(1)
+		st.seqDone = it.seq + 1
+		vecs = append(vecs, it.vec)
+	}
+	scored := st.fold(vecs)
+	clear(vecs) // the vectors are the producers'
+	st.vecs = vecs[:0]
+	for _, it := range batch {
+		res := Result{Seq: it.seq, Err: it.err}
+		if it.err == nil {
+			res, scored = scored[0], scored[1:]
+			res.Seq = it.seq
+		}
+		it.done <- res
+	}
+}
+
+// fold steps vecs through the stream's detector as one batch
+// (core.StepBatch) and their scores through the alert policy one by one,
+// in order, counting ready steps and alerts, and returns one Result per
+// vector, Seq left to the caller; the slice is reused by the next fold.
+// It is the routine the live dispatcher and every replay of a logged
+// prefix (restart, cold restore, migration, standby) share. Sequence,
+// step and WAL counters stay with the caller, which holds procMu or owns
+// the stream unpublished.
+func (st *stream) fold(vecs [][]float64) []Result {
+	n := len(vecs)
+	st.outs = slices.Grow(st.outs[:0], n)[:n]
+	st.res = slices.Grow(st.res[:0], n)[:n]
+	st.ready.Add(int64(core.StepBatch(st.det, vecs, st.outs)))
+	for i, o := range st.outs {
+		switch {
+		case o.Rejected != nil: // the detectors' contract for a wrong-length vector
+			st.res[i] = Result{BadShape: true}
+		case !o.Ready: // warming up
+			st.res[i] = Result{}
+		default:
+			st.res[i] = Result{
+				Ready:         true,
+				Score:         o.Score,
+				Nonconformity: o.Nonconformity,
+				FineTuned:     o.FineTuned,
+				Source:        o.Source,
+				// Read the boundary before Alert consumes the score: the
+				// quantile policy reports +Inf until warm.
+				Threshold: st.th.Threshold(),
+			}
+			if st.th.Alert(o.Score) {
+				st.res[i].Alert = true
+				st.alerts.Add(1)
 			}
 		}
 	}
-	st.steps.Add(1)
-	st.seqDone = it.seq + 1
-	return st.step(it.seq, it.vec)
-}
-
-// step folds one vector into the stream's detector and alert policy and
-// counts ready steps and alerts: the routine the live dispatcher and
-// every replay of a logged prefix (restart, cold restore, migration,
-// standby) share. Sequence, step and WAL counters stay with the caller,
-// which holds procMu or owns the stream unpublished.
-func (st *stream) step(seq uint64, vec []float64) Result {
-	res, out := safeStep(st.det, vec)
-	if !out.ok {
-		if out.panicked {
-			return Result{Seq: seq, BadShape: true}
-		}
-		return Result{Seq: seq} // warming up
-	}
-	st.ready.Add(1)
-	rs := Result{
-		Seq:           seq,
-		Ready:         true,
-		Score:         res.Score,
-		Nonconformity: res.Nonconformity,
-		FineTuned:     res.FineTuned,
-		Source:        res.Source,
-	}
-	// Read the boundary before Alert consumes the score, as the serial
-	// path always has: the quantile policy reports +Inf until warm.
-	rs.Threshold = st.th.Threshold()
-	if st.th.Alert(res.Score) {
-		rs.Alert = true
-		st.alerts.Add(1)
-	}
 	st.thBits.Store(math.Float64bits(st.th.Threshold()))
-	return rs
-}
-
-// stepOutcome distinguishes "warming up" from "panicked on bad input".
-type stepOutcome struct {
-	ok       bool
-	panicked bool
-}
-
-// safeStep runs the detector step, converting dimension-mismatch panics
-// (the detectors' contract for programmer error) into client errors.
-func safeStep(det Stepper, v []float64) (res core.Result, out stepOutcome) {
-	defer func() {
-		if recover() != nil {
-			out = stepOutcome{ok: false, panicked: true}
-		}
-	}()
-	r, ready := det.Step(v)
-	if !ready {
-		return core.Result{}, stepOutcome{}
-	}
-	return r, stepOutcome{ok: true}
+	return st.res
 }
 
 // evictor is the idle-stream maintenance loop: warm paging first (so a

@@ -173,22 +173,30 @@ func (st *stream) load(snap *persist.StreamSnapshot) error {
 
 // replay re-steps WAL records at or past the stream's current boundary
 // into an unshared (or procMu-held) stream through the live dispatcher's
-// step, and returns how many it stepped and how many of those the
-// detector rejected. Sequence gaps (drop-oldest sheds) replay as the
-// live stream experienced them: skipped.
+// fold, core.MaxBatch records at a time, and returns how many it stepped
+// and how many of those the detector rejected. Sequence gaps (drop-oldest
+// sheds) replay as the live stream experienced them: skipped.
 func (st *stream) replay(recs []persist.WALRecord) (replayed, rejected int) {
-	for _, rec := range recs {
-		if rec.Seq < st.seqDone {
-			continue // already folded into the snapshot
+	vecs := st.vecs[:0]
+	for i, rec := range recs {
+		if rec.Seq >= st.seqDone { // below it: already folded into the snapshot
+			st.seqDone = rec.Seq + 1
+			st.steps.Store(int64(rec.Seq) + 1)
+			st.walSince++
+			replayed++
+			vecs = append(vecs, rec.Vector)
 		}
-		st.seqDone = rec.Seq + 1
-		st.steps.Store(int64(rec.Seq) + 1)
-		st.walSince++
-		replayed++
-		if st.step(rec.Seq, rec.Vector).BadShape {
-			rejected++
+		if len(vecs) == core.MaxBatch || i == len(recs)-1 && len(vecs) > 0 {
+			for _, res := range st.fold(vecs) {
+				if res.BadShape {
+					rejected++
+				}
+			}
+			clear(vecs)
+			vecs = vecs[:0]
 		}
 	}
+	st.vecs = vecs
 	return replayed, rejected
 }
 

@@ -87,7 +87,7 @@ type Model struct {
 	xbuf        []float64 // in-place residual x_l
 	backBuf     []float64 // current block's backcast
 	foreBuf     []float64 // accumulated forecast
-	targetBuf   []float64
+	slab        []float64 // Predict's scratch, BatchScratch(1) long
 	gForecast   []float64
 	gx, negGx   []float64
 	gh, ghB     []float64
@@ -102,7 +102,7 @@ func (m *Model) initScratch() {
 	m.xbuf = make([]float64, m.inDim)
 	m.backBuf = make([]float64, m.inDim)
 	m.foreBuf = make([]float64, outDim)
-	m.targetBuf = make([]float64, outDim)
+	m.slab = make([]float64, m.BatchScratch(1))
 	m.gForecast = make([]float64, outDim)
 	m.gx = make([]float64, m.inDim)
 	m.negGx = make([]float64, m.inDim)
@@ -357,8 +357,8 @@ func (m *Model) forward(input []float64) []float64 {
 			b.basisB.ForwardInto(sc.thetaB, back)
 			b.basisF.ForwardInto(sc.thetaF, fore)
 		default:
-			applyFixedInto(b.fixedB, sc.thetaB, back)
-			applyFixedInto(b.fixedF, sc.thetaF, fore)
+			applyFixedInto(b.fixedB, sc.thetaB, back, 1)
+			applyFixedInto(b.fixedF, sc.thetaF, fore, 1)
 		}
 		for i := range x {
 			x[i] -= back[i]
@@ -371,14 +371,17 @@ func (m *Model) forward(input []float64) []float64 {
 }
 
 // applyFixedInto computes basis·θ for a fixed basis matrix stored
-// row-wise, writing into out.
-func applyFixedInto(basis [][]float64, theta, out []float64) {
+// row-wise, for batch samples on feature-major slabs (θ[k*batch+s] into
+// out[i*batch+s]).
+func applyFixedInto(basis [][]float64, theta, out []float64, batch int) {
 	for i, row := range basis {
-		var s float64
-		for k, v := range row {
-			s += v * theta[k]
+		for s := 0; s < batch; s++ {
+			var acc float64
+			for k, v := range row {
+				acc += v * theta[k*batch+s]
+			}
+			out[i*batch+s] = acc
 		}
-		out[i] = s
 	}
 }
 
@@ -401,18 +404,66 @@ func fixedGradInto(basis [][]float64, gradOut, g []float64) {
 
 // Predict implements the framework model contract: given the feature
 // vector x ∈ R^{w×N} it forecasts the final row from the preceding w−1
-// rows, returning (target = s_t, prediction = ŝ_t).
-func (m *Model) Predict(x []float64) (target, pred []float64) {
-	rows := len(x) / m.channels
-	if rows*m.channels != len(x) || rows != m.backLen+1 {
+// rows, returning (target = s_t, prediction = ŝ_t). It is PredictBatch of
+// one window, in the model's own scratch.
+func (m *Model) Predict(x []float64) (target, pred []float64) { return m.PredictBatch(x, 1, m.slab) }
+
+// BatchScratch is the scratch PredictBatch needs for batch windows: the
+// slabs listed in PredictBatch and one block's FC stack, which the
+// blocks take in turn.
+func (m *Model) BatchScratch(batch int) int {
+	return (2*m.inDim+2*m.blocks[0].thetaB.Out+4*m.channels)*batch + m.blocks[0].stack.SlabLen(batch)
+}
+
+// PredictBatch forecasts batch windows laid end to end in xs (window s at
+// xs[s*(BackcastRows()+1)*Channels():]) with one pass per layer, running
+// forward's residual stack on feature-major slabs in scratch
+// (BatchScratch(batch) long). Targets and predictions are the windows'
+// final rows laid end to end in scratch, each bit-identical to that
+// window's Predict.
+func (m *Model) PredictBatch(xs []float64, batch int, scratch []float64) (targets, preds []float64) {
+	d, ch, theta := m.inDim+m.channels, m.channels, m.blocks[0].thetaB.Out
+	if len(xs) != d*batch {
 		panic(fmt.Sprintf("nbeats: expected %d rows of %d channels, got %d values",
-			m.backLen+1, m.channels, len(x)))
+			m.backLen+1, ch, len(xs)))
 	}
-	z := m.scaler.Transform(x, m.zbuf)
-	target = m.targetBuf
-	copy(target, x[m.backLen*m.channels:])
-	pred = m.forward(z[:m.inDim])
-	return target, m.scaler.InverseSub(pred, pred, m.inDim)
+	// Feature-major: the residual and a block's backcast, its θᵇ and θᶠ,
+	// its forecast and the total; then the targets and predictions,
+	// window-major, and the stack's slab.
+	var sl [8][]float64
+	for i, n := range [8]int{m.inDim, m.inDim, theta, theta, ch, ch, ch, ch} {
+		sl[i], scratch = scratch[:n*batch], scratch[n*batch:]
+	}
+	x, back, thetaB, thetaF, fore, forecast, targets, preds := sl[0], sl[1], sl[2], sl[3], sl[4], sl[5], sl[6], sl[7]
+
+	m.scaler.TransformBatch(xs, batch, x)
+	for s := 0; s < batch; s++ {
+		copy(targets[s*ch:][:ch], xs[s*d+m.inDim:])
+	}
+	for i := range forecast {
+		forecast[i] = 0
+	}
+	for _, b := range m.blocks {
+		h := b.stack.PredictBatch(x, batch, scratch)
+		b.thetaB.ForwardBatchInto(h, thetaB, batch)
+		b.thetaF.ForwardBatchInto(h, thetaF, batch)
+		switch b.kind {
+		case GenericBasis:
+			b.basisB.ForwardBatchInto(thetaB, back, batch)
+			b.basisF.ForwardBatchInto(thetaF, fore, batch)
+		default:
+			applyFixedInto(b.fixedB, thetaB, back, batch)
+			applyFixedInto(b.fixedF, thetaF, fore, batch)
+		}
+		for i := range x {
+			x[i] -= back[i]
+		}
+		for i := range forecast {
+			forecast[i] += fore[i]
+		}
+	}
+	m.scaler.InverseBatch(forecast, batch, preds, m.inDim)
+	return targets, preds
 }
 
 // Fit refreshes the input scaler and runs one forecasting epoch

@@ -14,7 +14,7 @@ func (l *Linear) Clone() *Linear {
 }
 
 // Clone returns a deep copy of the MLP (activations are stateless and
-// shared). The clone gets its own scratch context, so original and clone
+// shared). The clone gets its own Predict slab, so original and clone
 // can run on different goroutines.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Acts: make([]Activation, len(m.Acts))}

@@ -106,6 +106,54 @@ func TestForwardIntoMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// TestForwardBatchMatchesForwardInto holds the lane rule for the batch
+// kernel: on the model-heavy shapes and on odd In and Out, at every
+// batch size from 1 to 17 (every remainder of the eight- and two-sample
+// blocks), each (row, sample) output must equal the scalar reference on
+// that sample bit for bit.
+func TestForwardBatchMatchesForwardInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	shapes := append([][2]int{{7, 15}, {5, 17}, {13, 23}, {3, 2}, {1, 1}, {0, 3}, {3, 0}}, heavyShapes...)
+	for _, sh := range shapes {
+		in, out := sh[0], sh[1]
+		l := NewLinear(in, out, rng)
+		for i := range l.Bias.W {
+			l.Bias.W[i] = rng.NormFloat64()
+		}
+		for batch := 1; batch <= 17; batch++ {
+			x, y := make([]float64, in*batch), make([]float64, out*batch)
+			for i := range x {
+				x[i] = mixedMagnitude(rng)
+			}
+			for i := range y {
+				y[i] = math.NaN() // every output must be written
+			}
+			l.ForwardBatchInto(x, y, batch)
+			if i, ok := sameBits(y, refForwardBatch(l, x, batch)); !ok {
+				t.Fatalf("%d→%d, batch %d: output %d of sample %d = %x, scalar reference %x", in, out, batch,
+					i/batch, i%batch, math.Float64bits(y[i]), math.Float64bits(refForwardBatch(l, x, batch)[i]))
+			}
+		}
+	}
+}
+
+// refForwardBatch runs refForwardInto on each sample of a feature-major
+// slab and returns the outputs in the same layout.
+func refForwardBatch(l *Linear, x []float64, batch int) []float64 {
+	y := make([]float64, l.Out*batch)
+	xs, ys := make([]float64, l.In), make([]float64, l.Out)
+	for s := 0; s < batch; s++ {
+		for i := range xs {
+			xs[i] = x[i*batch+s]
+		}
+		refForwardInto(l, xs, ys)
+		for o, v := range ys {
+			y[o*batch+s] = v
+		}
+	}
+	return y
+}
+
 // kernelIns and kernelOuts are the layer shapes the kernel reference
 // tests sweep: empty and tiny layers, every remainder of In mod 4 with
 // and without a multiple of 4 before it, and every remainder of Out
@@ -272,10 +320,13 @@ func sameOrNaN(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-// FuzzKernelsMatchReference runs ForwardInto, BackwardInto and one
-// Adam.Step at step t on a shape, t and values decoded from the input —
-// zeros of both signs, subnormals, infinities, NaN and 1e±300 included —
-// and compares every output slab with the scalar references bit for bit.
+// FuzzKernelsMatchReference runs ForwardInto, BackwardInto, one
+// Adam.Step at step t and a ForwardBatchInto of batch samples on a shape,
+// t, batch and values decoded from the input — zeros of both signs,
+// subnormals, infinities, NaN and 1e±300 included — and compares every
+// output slab with the scalar references bit for bit. The batch is the
+// top six bits of the step's high byte, so seeds from before it decode
+// to batch 1.
 func FuzzKernelsMatchReference(f *testing.F) {
 	// Seeds cycle every edge value through every slab at three shapes,
 	// two of them past t = 356; a fourth mixes raw bits in.
@@ -287,12 +338,28 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{8, 16, 0x2c, 0x01, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 2, 4, 0x80, 1, 2, 3, 4, 5, 6, 7, 0x81})
+	// Batches 16, 9 and 3 on shapes whose rows and samples both leave a
+	// remainder: over every edge value, and over raw mixed-magnitude
+	// values, whose sums a reordered or restarted accumulator rounds
+	// differently.
+	rng := rand.New(rand.NewSource(3))
+	for k, sh := range [][3]int{{5, 17, 16}, {16, 8, 9}, {3, 23, 3}} {
+		b := []byte{byte(sh[0]), byte(sh[1]), 7, byte((sh[2] - 1) << 2)}
+		raw := append([]byte(nil), b...)
+		for i := 0; i < 2500; i++ {
+			b = append(b, byte(i*(k+2)%len(edgeFloats)))
+			raw = binary.LittleEndian.AppendUint64(append(raw, 0x80), math.Float64bits(mixedMagnitude(rng)))
+		}
+		f.Add(b)
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
 		in, out := int(data[0]%33), int(data[1]%33)
 		step := 1 + int(binary.LittleEndian.Uint16(data[2:4]))%1024
+		batch := 1 + int(data[3]>>2)%17
 		src := fuzzFloats(data[4:])
 		check := func(what string, got, want []float64) {
 			t.Helper()
@@ -339,6 +406,11 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		check("adam G", p.G, pRef.G)
 		check("adam m", a.m[p], aRef.m[pRef])
 		check("adam v", a.v[p], aRef.v[pRef])
+
+		xb, yb := make([]float64, in*batch), make([]float64, out*batch)
+		src.fill(xb)
+		l.ForwardBatchInto(xb, yb, batch)
+		check(fmt.Sprintf("batch-%d y", batch), yb, refForwardBatch(l, xb, batch))
 	})
 }
 
@@ -382,6 +454,25 @@ func BenchmarkLinearForward(b *testing.B) {
 			}
 		}
 		benchSink += ys[0][0]
+	})
+	// batch16 is sum for a 16-sample slab per layer: one op is sixteen
+	// windows, so ns/window compares with sum's ns/op.
+	const batch = 16
+	xbs, ybs := make([][]float64, len(layers)), make([][]float64, len(layers))
+	for k, l := range layers {
+		xbs[k], ybs[k] = make([]float64, l.In*batch), make([]float64, l.Out*batch)
+		for i := range xbs[k] {
+			xbs[k][i] = rng.NormFloat64()
+		}
+	}
+	b.Run("batch16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, l := range layers {
+				l.ForwardBatchInto(xbs[k], ybs[k], batch)
+			}
+		}
+		benchSink += ybs[0][0]
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/window")
 	})
 }
 

@@ -2,7 +2,8 @@ package nn
 
 // The steady-state loops run their bulk in SSE2 assembly
 // (kernels_amd64.s): two float64 lanes per instruction, each lane one
-// output row or one parameter element, never a partial sum. SSE2 is the
+// output row, one (row, sample) output or one parameter element, never a
+// partial sum. SSE2 is the
 // amd64 baseline, so there is no feature check. Each kernel does a
 // prefix of its loop and returns how far it got; the Go loop that calls
 // it finishes the rest with the same operations in the same order, so
@@ -20,6 +21,14 @@ func adamPairs(w, g, m, v []float64, b1, c1, b2, c2, bc1, bc2, lr, eps float64) 
 //
 //go:noescape
 func forwardRows8(w, x, b, y []float64) int
+
+// forwardBatch computes y = W·x + b on feature-major slabs (x[i*batch+s],
+// y[o*batch+s]) for rows len(b)&^1 and samples batch&^1, and returns that
+// sample count, or 0 when it did nothing. w holds len(b) rows of in
+// weights.
+//
+//go:noescape
+func forwardBatch(w, x, b, y []float64, in, batch int) int
 
 // backwardPairs accumulates grow += g·x and gradIn += g·wrow over the
 // first len(x)&^1 columns of every row whose upstream gradient g is

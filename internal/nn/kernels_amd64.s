@@ -218,3 +218,155 @@ bwdNext:
 
 bwdDone:
 	RET
+
+// func forwardBatch(w, x, b, y []float64, in, batch int) int
+//
+// x and y are feature-major: x[i*batch+s] is input i of sample s and
+// y[o*batch+s] output o. A block is two rows × eight samples in eight
+// accumulators, or two rows × two samples in two: each lane is one (row,
+// sample) output, initialised from the row's bias and adding
+// x[i][s]*w[row][i] for i = 0, 1, … exactly as the one-row loop does
+// (the product is commutative; each sample pair is loaded once per row
+// so that it can be the destination, with no register copy). Rows
+// len(b)&^1 and samples batch&^1 are done; 0 when either is 0.
+TEXT ·forwardBatch(SB), NOSPLIT, $0-120
+	MOVQ w_base+0(FP), SI
+	MOVQ x_base+24(FP), BX
+	MOVQ b_base+48(FP), R11
+	MOVQ b_len+56(FP), R13
+	MOVQ y_base+72(FP), R12
+	MOVQ in+96(FP), CX
+	MOVQ batch+104(FP), R10
+	SHRQ $1, R13           // row pairs
+	MOVQ R10, R15
+	ANDQ $-2, R15          // samples done
+	TESTQ R13, R13
+	JNZ  fbCount
+	XORQ R15, R15
+
+fbCount:
+	MOVQ R15, ret+112(FP)
+	TESTQ R15, R15
+	JZ   fbDone
+	SHLQ $3, R15           // samples done, in bytes
+	MOVQ CX, DX
+	SHLQ $3, DX            // weight row stride in bytes
+	SHLQ $3, R10           // x feature stride = y row stride, in bytes
+
+fbRows:
+	MOVSD    (R11), X12
+	UNPCKLPD X12, X12      // bias of row 0
+	MOVSD    8(R11), X13
+	UNPCKLPD X13, X13      // bias of row 1
+	XORQ     R8, R8        // sample offset in bytes
+
+fbOcts:
+	LEAQ   64(R8), AX
+	CMPQ   AX, R15
+	JGT    fbPairs
+	MOVAPD X12, X0
+	MOVAPD X12, X1
+	MOVAPD X12, X2
+	MOVAPD X12, X3
+	MOVAPD X13, X4
+	MOVAPD X13, X5
+	MOVAPD X13, X6
+	MOVAPD X13, X7
+	LEAQ   (BX)(R8*1), AX  // x[0][s]
+	MOVQ   SI, R9          // w[row 0][0]
+	MOVQ   CX, DI
+	TESTQ  DI, DI
+	JZ     fbOctStore
+
+fbOctCols:
+	MOVSD    (R9), X8
+	UNPCKLPD X8, X8        // w[row 0][i]
+	MOVSD    (R9)(DX*1), X9
+	UNPCKLPD X9, X9        // w[row 1][i]
+	MOVUPD   (AX), X10
+	MOVUPD   (AX), X11
+	MULPD    X8, X10
+	ADDPD    X10, X0
+	MULPD    X9, X11
+	ADDPD    X11, X4
+	MOVUPD   16(AX), X10
+	MOVUPD   16(AX), X11
+	MULPD    X8, X10
+	ADDPD    X10, X1
+	MULPD    X9, X11
+	ADDPD    X11, X5
+	MOVUPD   32(AX), X10
+	MOVUPD   32(AX), X11
+	MULPD    X8, X10
+	ADDPD    X10, X2
+	MULPD    X9, X11
+	ADDPD    X11, X6
+	MOVUPD   48(AX), X10
+	MOVUPD   48(AX), X11
+	MULPD    X8, X10
+	ADDPD    X10, X3
+	MULPD    X9, X11
+	ADDPD    X11, X7
+	ADDQ     $8, R9
+	ADDQ     R10, AX
+	DECQ     DI
+	JNZ      fbOctCols
+
+fbOctStore:
+	LEAQ   (R12)(R8*1), AX
+	MOVUPD X0, (AX)
+	MOVUPD X1, 16(AX)
+	MOVUPD X2, 32(AX)
+	MOVUPD X3, 48(AX)
+	ADDQ   R10, AX
+	MOVUPD X4, (AX)
+	MOVUPD X5, 16(AX)
+	MOVUPD X6, 32(AX)
+	MOVUPD X7, 48(AX)
+	ADDQ   $64, R8
+	JMP    fbOcts
+
+fbPairs:
+	CMPQ   R8, R15
+	JGE    fbNextRows
+	MOVAPD X12, X0
+	MOVAPD X13, X4
+	LEAQ   (BX)(R8*1), AX
+	MOVQ   SI, R9
+	MOVQ   CX, DI
+	TESTQ  DI, DI
+	JZ     fbPairStore
+
+fbPairCols:
+	MOVSD    (R9), X8
+	UNPCKLPD X8, X8
+	MOVSD    (R9)(DX*1), X9
+	UNPCKLPD X9, X9
+	MOVUPD   (AX), X10
+	MOVUPD   (AX), X11
+	MULPD    X8, X10
+	ADDPD    X10, X0
+	MULPD    X9, X11
+	ADDPD    X11, X4
+	ADDQ     $8, R9
+	ADDQ     R10, AX
+	DECQ     DI
+	JNZ      fbPairCols
+
+fbPairStore:
+	LEAQ   (R12)(R8*1), AX
+	MOVUPD X0, (AX)
+	ADDQ   R10, AX
+	MOVUPD X4, (AX)
+	ADDQ   $16, R8
+	JMP    fbPairs
+
+fbNextRows:
+	LEAQ (SI)(DX*2), SI
+	ADDQ $16, R11
+	LEAQ (R12)(R10*2), R12
+	DECQ R13
+	JNZ  fbRows
+
+fbDone:
+	RET

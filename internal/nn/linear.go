@@ -72,6 +72,44 @@ func (l *Linear) ForwardInto(x, y []float64) {
 	}
 }
 
+// ForwardBatchInto computes y = W·x + b for batch samples at once, on
+// feature-major slabs: x[i*batch+s] is input i of sample s (len In·batch)
+// and y[o*batch+s] output o of sample s (len Out·batch), so a pair of
+// samples is one packed load. Every output is ForwardInto's sum: from
+// the bias, left to right over the inputs, so each sample's outputs are
+// bit-identical to a ForwardInto of that sample, and at batch 1 the
+// layout is the vector and this is ForwardInto. y must not alias x.
+//
+// forwardBatch covers two rows × eight (then two) samples per pass over
+// the weights, loading each weight once for every sample in the block;
+// the loop below finishes an odd last sample and an odd last row.
+func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
+	if batch == 1 {
+		l.ForwardInto(x, y)
+		return
+	}
+	n := l.In
+	if len(x) != n*batch || len(y) != l.Out*batch {
+		panic("nn: Linear batch dimension mismatch")
+	}
+	w, b := l.Weight.W[:n*l.Out], l.Bias.W[:l.Out]
+	k := forwardBatch(w, x, b, y, n, batch)
+	for o := range b {
+		from := k
+		if o >= l.Out&^1 {
+			from = 0
+		}
+		row := w[o*n:][:n]
+		for s := from; s < batch; s++ {
+			acc := b[o]
+			for i, v := range row {
+				acc += v * x[i*batch+s]
+			}
+			y[o*batch+s] = acc
+		}
+	}
+}
+
 // Backward accumulates parameter gradients given the upstream gradient
 // gradOut = ∂L/∂y and the context from the matching Forward call, and
 // returns ∂L/∂x.

@@ -63,10 +63,21 @@ func (s *MinMaxScaler) Transform(x, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(x))
 	}
-	for i, v := range x {
-		dst[i] = (v - s.lo[i]) * s.scale[i]
-	}
+	s.TransformBatch(x, 1, dst[:len(x)])
 	return dst
+}
+
+// TransformBatch maps batch samples laid end to end in xs into the unit
+// range, transposed into the feature-major slab dst (dst[i*batch+s]),
+// as Scaler.TransformBatch does.
+func (s *MinMaxScaler) TransformBatch(xs []float64, batch int, dst []float64) {
+	stride, n := len(xs)/batch, len(dst)/batch
+	for i, lo := range s.lo[:n] {
+		sc, row := s.scale[i], dst[i*batch:][:batch]
+		for k := range row {
+			row[k] = (xs[k*stride+i] - lo) * sc
+		}
+	}
 }
 
 // Inverse maps a unit-range vector back to the original space into dst
@@ -75,10 +86,20 @@ func (s *MinMaxScaler) Inverse(z, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(z))
 	}
-	for i, v := range z {
-		dst[i] = v/s.scale[i] + s.lo[i]
-	}
+	s.InverseBatch(z, 1, dst[:len(z)])
 	return dst
+}
+
+// InverseBatch maps the feature-major slab z back to the original space,
+// writing the samples end to end into dst, as Scaler.InverseBatch does.
+func (s *MinMaxScaler) InverseBatch(z []float64, batch int, dst []float64) {
+	n := len(z) / batch
+	for i := 0; i < n; i++ {
+		sc, lo, row := s.scale[i], s.lo[i], z[i*batch:][:batch]
+		for k, v := range row {
+			dst[k*n+i] = v/sc + lo
+		}
+	}
 }
 
 // Clone returns a deep copy.

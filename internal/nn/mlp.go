@@ -11,8 +11,8 @@ type MLP struct {
 	Layers []*Linear
 	Acts   []Activation
 
-	params  []*Param    // cached flat parameter list, rebuilt lazily by finish
-	scratch *MLPContext // Predict's private context, rebuilt lazily by finish
+	params []*Param  // cached flat parameter list, rebuilt lazily by finish
+	slab   []float64 // Predict's per-layer outputs, SlabLen(1) long, built by finish
 }
 
 // MLPContext carries the per-layer buffers of one forward pass: the
@@ -48,8 +48,8 @@ func NewMLP(sizes []int, act, outAct Activation, rng *rand.Rand) *MLP {
 	return m
 }
 
-// finish builds the cached parameter list and the Predict scratch
-// context. It must be called after Layers/Acts are assembled.
+// finish builds the cached parameter list and the Predict slab. It must
+// be called after Layers/Acts are assembled.
 func (m *MLP) finish() {
 	// Exact capacity: callers append to the returned Params slice, and a
 	// full backing array forces those appends to copy instead of writing
@@ -59,7 +59,17 @@ func (m *MLP) finish() {
 		ps = append(ps, l.Weight, l.Bias)
 	}
 	m.params = ps
-	m.scratch = m.NewContext()
+	m.slab = make([]float64, m.SlabLen(1))
+}
+
+// SlabLen is the scratch PredictBatch needs for batch samples: every
+// layer's output slab.
+func (m *MLP) SlabLen(batch int) int {
+	n := 0
+	for _, l := range m.Layers {
+		n += l.Out * batch
+	}
+	return n
 }
 
 // NewContext allocates a reusable forward/backward context sized for
@@ -132,16 +142,37 @@ func (m *MLP) Backward(ctx *MLPContext, gradOut []float64) []float64 {
 	return m.BackwardCtx(ctx, gradOut)
 }
 
-// Predict is an allocation-free forward pass through the MLP's private
-// scratch context. The returned slice is reused by the next Predict or
-// ForwardCtx-on-scratch call; copy it to retain.
+// Predict is an allocation-free forward pass: PredictBatch of one
+// sample, whose slab layout is the vector itself, in the MLP's own slab.
+// The returned slice is reused by the next Predict; copy it to retain.
 func (m *MLP) Predict(x []float64) []float64 {
-	if m.scratch == nil {
-		// One-time lazy build for zero-value MLPs; NewMLP pre-builds, so a
-		// warm Predict never takes this branch.
+	if m.slab == nil {
+		// One-time lazy build for zero-value MLPs; NewMLP pre-builds.
 		m.finish()
 	}
-	return m.ForwardCtx(m.scratch, x)
+	return m.PredictBatch(x, 1, m.slab)
+}
+
+// PredictBatch runs batch samples through the MLP at once on a
+// feature-major slab (x[i*batch+s], len InDim·batch) and returns the
+// outputs in the same layout (OutDim·batch), each sample's bit-identical
+// to a ForwardCtx of that sample: every layer is one ForwardBatchInto
+// into the next part of scratch (SlabLen(batch) long), and the
+// activations, element-wise, run in place on the whole slab (no backward
+// pass needs their contexts). The output is the last part of scratch.
+func (m *MLP) PredictBatch(x []float64, batch int, scratch []float64) []float64 {
+	if len(x) != m.Layers[0].In*batch {
+		panic("nn: MLP input dimension mismatch")
+	}
+	in := x
+	for i, l := range m.Layers {
+		y := scratch[:l.Out*batch]
+		scratch = scratch[len(y):]
+		l.ForwardBatchInto(in, y, batch)
+		m.Acts[i].ForwardInto(y, y)
+		in = y
+	}
+	return in
 }
 
 // Params returns all parameters of the MLP. The returned slice is cached

@@ -14,8 +14,9 @@
 //     passes and must serve only one in-flight pass at a time. Code that
 //     overlaps several passes of one parameter set (USAD's encoder runs
 //     twice before backprop) holds one context per pass. MLP.Predict
-//     uses the MLP's private scratch context, so its result is only
-//     valid until the next Predict on the same MLP.
+//     writes into the MLP's private slab, so its result is only valid
+//     until the next Predict on the same MLP; PredictBatch writes into
+//     the scratch its caller passes.
 //
 //  2. Into-variants write into caller buffers and alias instead of
 //     copying. Linear.ForwardInto keeps no input copy — the caller

@@ -72,22 +72,28 @@ func (s *Scaler) Transform(x, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(x))
 	}
-	for i, v := range x {
-		dst[i] = (v - s.mean[i]) / s.std[i]
-	}
+	s.TransformBatch(x, 1, dst[:len(x)])
 	return dst
+}
+
+// TransformBatch standardizes the leading len(dst)/batch features of
+// batch samples laid end to end in xs (sample s at xs[s*len(xs)/batch:])
+// into the feature-major slab dst (dst[i*batch+s]): the transpose the
+// batch forward passes read, fused with the scaling.
+func (s *Scaler) TransformBatch(xs []float64, batch int, dst []float64) {
+	stride, n := len(xs)/batch, len(dst)/batch
+	for i, m := range s.mean[:n] {
+		sd, row := s.std[i], dst[i*batch:][:batch]
+		for k := range row {
+			row[k] = (xs[k*stride+i] - m) / sd
+		}
+	}
 }
 
 // Inverse maps a standardized vector back to the original space into dst
 // (allocated when nil).
 func (s *Scaler) Inverse(z, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(z))
-	}
-	for i, v := range z {
-		dst[i] = v*s.std[i] + s.mean[i]
-	}
-	return dst
+	return s.InverseSub(z, dst, 0)
 }
 
 // InverseSub maps a standardized vector back using the trailing part of
@@ -97,10 +103,21 @@ func (s *Scaler) InverseSub(z, dst []float64, offset int) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(z))
 	}
-	for i, v := range z {
-		dst[i] = v*s.std[offset+i] + s.mean[offset+i]
-	}
+	s.InverseBatch(z, 1, dst[:len(z)], offset)
 	return dst
+}
+
+// InverseBatch maps the feature-major slab z (z[i*batch+s]) back to the
+// original space with the moments from offset on, writing the samples
+// end to end into dst (sample s at dst[s*len(z)/batch:]).
+func (s *Scaler) InverseBatch(z []float64, batch int, dst []float64, offset int) {
+	n := len(z) / batch
+	for i := 0; i < n; i++ {
+		sd, m, row := s.std[offset+i], s.mean[offset+i], z[i*batch:][:batch]
+		for k, v := range row {
+			dst[k*n+i] = v*sd + m
+		}
+	}
 }
 
 // Clone returns a deep copy.

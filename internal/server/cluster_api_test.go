@@ -628,6 +628,11 @@ func TestClusterE2E(t *testing.T) {
 		st, live := statsLocal(t, srvs[1], owned)
 		return live && st.Steps > 0
 	})
+	// The registry serves the stream as soon as the promotion installs
+	// it; cluster.Node.promote counts the promotion after that.
+	waitFor(t, 10*time.Second, "survivor to count the promotion", func() bool {
+		return srvs[1].ClusterNode().Stats().Promotions > 0
+	})
 	if got := srvs[1].ClusterNode().Stats().Promotions; got == 0 {
 		t.Fatal("survivor serves the stream but reports no promotion")
 	}

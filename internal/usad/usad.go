@@ -53,7 +53,7 @@ type Model struct {
 	dec1Ctx            *nn.MLPContext // training scratch, built by initScratch at construction
 	dec2CtxA, dec2CtxB *nn.MLPContext // training scratch, built by initScratch at construction
 	g1, g2, g3         []float64      // loss-gradient scratch, built by initScratch at construction
-	outBuf             []float64      // forward-pass scratch, built by initScratch at construction
+	slab               []float64      // Predict's scratch, BatchScratch(1) long, built by initScratch
 	params1, params2   []*nn.Param    // parameter lists the two objectives step, built by initScratch; Load copies weights in place so the pointers stay valid, and the Adam moments checkpoint in this order
 }
 
@@ -66,7 +66,7 @@ func (m *Model) initScratch() {
 	m.g1 = make([]float64, m.dim)
 	m.g2 = make([]float64, m.dim)
 	m.g3 = make([]float64, m.dim)
-	m.outBuf = make([]float64, m.dim)
+	m.slab = make([]float64, m.BatchScratch(1))
 	m.zbuf = make([]float64, m.dim)
 	m.params1 = append(append([]*nn.Param(nil), m.enc.Params()...), m.dec1.Params()...)
 	m.params2 = append(append([]*nn.Param(nil), m.enc.Params()...), m.dec2.Params()...)
@@ -185,36 +185,49 @@ func (m *Model) Latent() int { return m.latent }
 // Epoch returns the adversarial schedule counter n.
 func (m *Model) Epoch() int { return m.epoch }
 
-// ae1 computes AE₁(x) = D₁(E(x)).
-func (m *Model) ae1(x []float64) []float64 {
-	return m.dec1.Predict(m.enc.Predict(x))
-}
-
 // Predict implements the framework model contract: target is the feature
 // vector, prediction is the USAD inference reconstruction — the blend
 // α·AE₁(x) + β·AE₂(AE₁(x)) mirroring the original paper's inference score
 // α·R₁ + β·R_both — mapped back to the original space. The second term is
 // the adversarially amplified two-pass reconstruction that makes the error
-// spike on anomalous inputs.
-func (m *Model) Predict(x []float64) (target, pred []float64) {
-	if len(x) != m.dim {
-		panic(fmt.Sprintf("usad: expected %d values, got %d", m.dim, len(x)))
+// spike on anomalous inputs. It is PredictBatch of one window, in the
+// model's own scratch.
+func (m *Model) Predict(x []float64) (target, pred []float64) { return m.PredictBatch(x, 1, m.slab) }
+
+// BatchScratch is the scratch PredictBatch needs for batch windows: the
+// scaled inputs, the predictions and the three networks' slabs.
+func (m *Model) BatchScratch(batch int) int {
+	return 2*m.dim*batch + m.enc.SlabLen(batch) + m.dec1.SlabLen(batch) + m.dec2.SlabLen(batch)
+}
+
+// PredictBatch predicts batch windows laid end to end in xs (window s at
+// xs[s*Dim():]) in one pass per layer, in scratch (BatchScratch(batch)
+// long): the targets are xs itself, the predictions are laid out the
+// same way in scratch, each bit-identical to that window's Predict.
+func (m *Model) PredictBatch(xs []float64, batch int, scratch []float64) (targets, preds []float64) {
+	n := m.dim * batch
+	if len(xs) != n {
+		panic(fmt.Sprintf("usad: expected %d values, got %d", n, len(xs)))
 	}
-	z := m.scaler.Transform(x, m.zbuf)
-	w1 := m.ae1(z)
-	w3 := m.dec2.Predict(m.enc.Predict(w1))
-	out := m.outBuf
-	for i := range out {
-		out[i] = m.Alpha*w1[i] + m.Beta*w3[i]
+	z, rest := scratch[:n], scratch[n:]
+	out, rest := rest[:n], rest[n:]
+	enc, rest := rest[:m.enc.SlabLen(batch)], rest[m.enc.SlabLen(batch):]
+	dec1, dec2 := rest[:m.dec1.SlabLen(batch)], rest[m.dec1.SlabLen(batch):]
+	m.scaler.TransformBatch(xs, batch, z)
+	w1 := m.dec1.PredictBatch(m.enc.PredictBatch(z, batch, enc), batch, dec1)
+	w3 := m.dec2.PredictBatch(m.enc.PredictBatch(w1, batch, enc), batch, dec2)
+	for i := range z {
+		z[i] = m.Alpha*w1[i] + m.Beta*w3[i]
 	}
-	return x, m.scaler.Inverse(out, out)
+	m.scaler.InverseBatch(z, batch, out)
+	return xs, out
 }
 
 // Reconstructions returns (AE₁(x), AE₂(AE₁(x))) in the original space for
 // the blended inference score used by the Figure 1 experiment.
 func (m *Model) Reconstructions(x []float64) (r1, rBoth []float64) {
 	z := m.scaler.Transform(x, m.zbuf)
-	w1 := m.ae1(z)
+	w1 := m.dec1.Predict(m.enc.Predict(z))
 	w3 := m.dec2.Predict(m.enc.Predict(w1))
 	return m.scaler.Inverse(w1, nil), m.scaler.Inverse(w3, nil)
 }
@@ -280,7 +293,7 @@ func (m *Model) stepAE2(x []float64, wRec, wAdv float64) {
 	// w3 = D2(z3).
 	z := m.enc.ForwardCtx(m.encCtxA, x)
 	w2 := m.dec2.ForwardCtx(m.dec2CtxA, z)
-	w1 := m.ae1(x)
+	w1 := m.dec1.Predict(z) // AE₁(x): z is E(x), from the same weights
 	z3 := m.enc.ForwardCtx(m.encCtxB, w1)
 	w3 := m.dec2.ForwardCtx(m.dec2CtxB, z3)
 

@@ -512,7 +512,9 @@ func buildModel(cfg Config) (core.Model, error) {
 }
 
 // Run scores an entire series with det, returning per-step anomaly scores
-// and a validity mask covering the post-warmup region.
+// and a validity mask covering the post-warmup region. It steps the
+// series in batches, so AE, USAD and N-BEATS pipelines predict several
+// windows per forward pass; the scores are those of per-row Step calls.
 func Run(det StreamDetector, series [][]float64) (scores []float64, valid []bool) {
 	return core.Run(det, series)
 }
