@@ -121,7 +121,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 					}
 					core.StepBatch(batched, xs, out)
 					for k, x := range xs {
-						want := core.StepOne(twin, x)
+						want := stepRef(twin, x)
 						got := out[k]
 						if (got.Rejected != nil) != (want.Rejected != nil) || got.Ready != want.Ready ||
 							math.Float64bits(got.Score) != math.Float64bits(want.Score) ||
@@ -137,6 +137,18 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			})
 		}
 	}
+}
+
+// stepRef is the per-vector reference: one Step, a panic caught into
+// the Outcome's Rejected.
+func stepRef(n core.Stepper, x []float64) (o core.Outcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			o = core.Outcome{Rejected: p}
+		}
+	}()
+	o.Result, o.Ready = n.Step(x)
+	return o
 }
 
 // TestStepBatchSharesScratchSafely steps four leaves on four goroutines

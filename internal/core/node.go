@@ -72,7 +72,7 @@ const MaxBatch = 8
 
 // StepBatch steps xs through n, xs[i]'s outcome in out[i] (len(out) ≥
 // len(xs)), and returns how many were ready: the runs n's BatchStepper
-// facet takes through it, every other vector through StepOne. Either way
+// facet takes through it, every other vector through stepOne. Either way
 // the outcomes are exactly those of len(xs) Step calls.
 func StepBatch(n Stepper, xs [][]float64, out []Outcome) (ready int) {
 	b, _ := n.(BatchStepper)
@@ -82,7 +82,7 @@ func StepBatch(n Stepper, xs [][]float64, out []Outcome) (ready int) {
 			k = b.StepBatch(xs[i:], out[i:])
 		}
 		if k == 0 {
-			out[i], k = StepOne(n, xs[i]), 1
+			out[i], k = stepOne(n, xs[i]), 1
 		}
 		for _, o := range out[i : i+k] {
 			if o.Ready {
@@ -94,9 +94,9 @@ func StepBatch(n Stepper, xs [][]float64, out []Outcome) (ready int) {
 	return ready
 }
 
-// StepOne is one Step whose panic, if it raises one, is caught into the
+// stepOne is one Step whose panic, if it raises one, is caught into the
 // Outcome's Rejected.
-func StepOne(n Stepper, s []float64) (o Outcome) {
+func stepOne(n Stepper, s []float64) (o Outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			o = Outcome{Rejected: p}
