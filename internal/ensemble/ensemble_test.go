@@ -213,7 +213,7 @@ func TestAllPrunedFallsBack(t *testing.T) {
 }
 
 // TestPanicPropagation: a member panicking on a bad vector must surface
-// as a panic of Step (the server's safeStep contract) and leave the
+// as a panic of Step (which the dispatcher reports as BadShape) and leave the
 // ensemble usable.
 func TestPanicPropagation(t *testing.T) {
 	e, err := New(Config{Members: members(&scriptMember{}, &scriptMember{})})
