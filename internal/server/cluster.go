@@ -117,8 +117,11 @@ func (s *Server) proxyObserve(w http.ResponseWriter, id, owner string, vector []
 		http.Error(w, "owner "+owner+" unreachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	if status == http.StatusOK {
+	switch status {
+	case http.StatusOK:
 		w.Header().Set("Content-Type", "application/json")
+	case http.StatusTooManyRequests:
+		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.reg.RetryAfter())))
 	}
 	w.WriteHeader(status)
 	w.Write(out)
