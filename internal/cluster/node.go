@@ -194,9 +194,6 @@ func (n *Node) Backup(id string) string {
 	return owners[1]
 }
 
-// IsLocal reports whether this node owns the stream.
-func (n *Node) IsLocal(id string) bool { return n.Owner(id) == n.self }
-
 // PeerAlive reports the probed liveness of a member URL (self is always
 // alive; unknown URLs never are).
 func (n *Node) PeerAlive(url string) bool {
@@ -207,8 +204,8 @@ func (n *Node) PeerAlive(url string) bool {
 	return ok && ps.alive.Load()
 }
 
-// Client returns the node's data-path HTTP client, shared with server
-// handlers that proxy individual requests (single observes, stats).
+// Client returns the node's data-path HTTP client, shared with the
+// server's stats proxy.
 func (n *Node) Client() *http.Client { return n.client }
 
 // probeLoop drives the health probes.
@@ -283,7 +280,7 @@ func (n *Node) rebuildRing() {
 // with the loop-guard header set and returns the peer's response body
 // (its BatchResult lines, in order). records sizes the per-peer counter.
 func (n *Node) ForwardBatch(peer string, records int, body []byte) ([]byte, error) {
-	out, err := n.forward(peer, "/v1/observe", body)
+	out, err := n.forward(peer, body)
 	ps := n.peers[peer]
 	if err != nil {
 		if ps != nil {
@@ -297,41 +294,8 @@ func (n *Node) ForwardBatch(peer string, records int, body []byte) ([]byte, erro
 	return out, nil
 }
 
-// ForwardRecord proxies a single-record body to a peer endpoint with the
-// loop-guard header set and returns the peer's status code and response
-// body. err reports transport failures only, so callers can relay
-// non-200 statuses (sheds, bad shapes) to the producer verbatim.
-func (n *Node) ForwardRecord(peer, path string, body []byte, contentType string) (int, []byte, error) {
-	ps := n.peers[peer]
-	req, err := http.NewRequest(http.MethodPost, peer+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	req.Header.Set(ForwardedHeader, n.self)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		if ps != nil {
-			ps.forwardErrs.Add(1)
-		}
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if ps != nil {
-			ps.forwardErrs.Add(1)
-		}
-		return 0, nil, err
-	}
-	if ps != nil {
-		ps.forwarded.Add(1)
-	}
-	return resp.StatusCode, out, nil
-}
-
-func (n *Node) forward(peer, path string, body []byte) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodPost, peer+path, bytes.NewReader(body))
+func (n *Node) forward(peer string, body []byte) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodPost, peer+"/v1/observe", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

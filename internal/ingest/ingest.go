@@ -17,8 +17,8 @@
 //     a Dropped result) and the new one is admitted.
 //
 // A micro-batching dispatcher drains each queue: whoever admits a vector
-// into an idle stream becomes (or spawns) that stream's dispatcher,
-// which repeatedly grabs the entire queue and scores it in one locked
+// into an idle stream submits that stream's dispatcher to the scoring
+// pool, which repeatedly grabs the entire queue and scores it in one locked
 // detector pass — one lock acquisition and one cache-warm detector
 // session for however many vectors accumulated, instead of one per
 // vector. The pass logs every vector, then steps the logged ones as one
@@ -414,46 +414,29 @@ func (r *Registry) newStream(id string) (*stream, error) {
 	return st, nil
 }
 
-// Observe admits one vector and waits for its score: the synchronous
-// single-vector path. If the stream was idle the calling goroutine
-// doubles as the dispatcher (the combining-lock pattern), so a lone
-// producer pays no handoff; under contention its pass also drains
-// whatever concurrent producers queued behind it.
+// Observe admits one vector and waits for its score: Enqueue plus a
+// receive. A compat shim for the frozen benchmark's traced replay; see
+// the list above streamad.ScorePool.
 func (r *Registry) Observe(id string, vec []float64) (Result, error) {
-	st, it, start, err := r.admit(id, vec)
+	ack, err := r.Enqueue(id, vec)
 	if err != nil {
 		return Result{}, err
 	}
-	if start {
-		r.dispatch(st)
-	}
-	return <-it.done, nil
+	return <-ack.Done, nil
 }
 
-// Enqueue admits one vector asynchronously and returns its Ack; the
-// batch endpoint uses it to queue a whole NDJSON batch before waiting,
-// which is what lets the dispatcher coalesce same-stream records into
-// one detector pass. The dispatcher hop runs as a scoring-pool task, not
-// a spawned goroutine, so concurrency stays O(workers) however many
-// streams are live.
+// Enqueue admits one vector and returns its Ack: it resolves the stream
+// (retrying when it races the TTL evictor) and enqueues under the
+// overload policy. Both observe endpoints queue every record of a
+// request before waiting on any, which is what lets the dispatcher
+// coalesce same-stream records into one detector pass. The dispatcher
+// hop runs as a scoring-pool task, not a spawned goroutine, so
+// concurrency stays O(workers) however many streams are live.
 func (r *Registry) Enqueue(id string, vec []float64) (Ack, error) {
-	st, it, start, err := r.admit(id, vec)
-	if err != nil {
-		return Ack{}, err
-	}
-	if start {
-		r.pool.Submit(st.dispatchFn, nil)
-	}
-	return Ack{Seq: it.seq, Done: it.done}, nil
-}
-
-// admit resolves the stream and enqueues under the overload policy,
-// retrying when it races the TTL evictor.
-func (r *Registry) admit(id string, vec []float64) (*stream, item, bool, error) {
 	for {
 		st, _, err := r.getOrCreate(id)
 		if err != nil {
-			return nil, item{}, false, err
+			return Ack{}, err
 		}
 		st.lastTouch.Store(time.Now().UnixNano())
 		it, start, err := r.enqueue(st, vec)
@@ -461,9 +444,12 @@ func (r *Registry) admit(id string, vec []float64) (*stream, item, bool, error) 
 			continue
 		}
 		if err != nil {
-			return nil, item{}, false, err
+			return Ack{}, err
 		}
-		return st, it, start, nil
+		if start {
+			r.pool.Submit(st.dispatchFn, nil)
+		}
+		return Ack{Seq: it.seq, Done: it.done}, nil
 	}
 }
 

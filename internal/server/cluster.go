@@ -1,6 +1,6 @@
 // The server side of cluster mode: the forwarding machinery behind
-// POST /v1/observe, transparent proxies for single observes and stats,
-// and the migration and WAL-tail endpoints the cluster loops call.
+// observeRecords, the transparent proxy for stats, and the migration
+// and WAL-tail endpoints the cluster loops call.
 // Everything here is inert when the server was built without
 // Config.Cluster.
 package server
@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 
 	"streamad/internal/cluster"
 	"streamad/internal/ingest"
@@ -36,34 +35,41 @@ func (s *Server) StartCluster() {
 // and tests.
 func (s *Server) ClusterNode() *cluster.Node { return s.node }
 
-// forwardGroup accumulates one peer's share of a batch: the NDJSON
-// sub-batch to ship and, after run, the peer's response lines in
-// sub-batch order. Fields are written by the spawning handler before
-// launch and by the group's own goroutine until the WaitGroup joins;
-// never concurrently.
+// forwardGroup accumulates one peer's share of the records
+// observeRecords routes away: the NDJSON sub-batch to ship and, once
+// done is closed, the peer's response lines in sub-batch order. Fields
+// are written by observeRecords before launch and by the group's own
+// goroutine until it closes done; never concurrently.
 type forwardGroup struct {
 	peer    string
 	body    bytes.Buffer
 	count   int
+	done    chan struct{}
 	results []BatchResult
 	err     error
 }
 
-// forwardAll ships every group to its peer concurrently and returns the
-// WaitGroup that joins them. A nil node or empty group map returns a
-// zero WaitGroup whose Wait is immediate.
+// add appends one record to the sub-batch and returns its line index.
+// The line is encoded from the decoded record: float64 → JSON → float64
+// round-trips exactly, so the owner scores the same bits.
+func (g *forwardGroup) add(rec batchRecord) int {
+	json.NewEncoder(&g.body).Encode(rec) // cannot fail: the vector came from JSON, so it is finite
+	g.count++
+	return g.count - 1
+}
+
+// forwardAll ships every group to its peer concurrently. Each group is
+// joined by the first result read from it.
 //
-//streamad:lifecycle — one goroutine per peer group, joined by the returned WaitGroup in handleBatchObserve.
-func forwardAll(node *cluster.Node, groups map[string]*forwardGroup) *sync.WaitGroup {
-	var wg sync.WaitGroup
+//streamad:lifecycle — one goroutine per peer group, joined through the group's done channel in forwardGroup.result.
+func forwardAll(node *cluster.Node, groups map[string]*forwardGroup) {
 	for _, g := range groups {
-		wg.Add(1)
-		go func(g *forwardGroup) {
-			defer wg.Done()
+		g.done = make(chan struct{})
+		go func() {
+			defer close(g.done)
 			g.run(node)
-		}(g)
+		}()
 	}
-	return &wg
 }
 
 // run forwards the sub-batch and decodes the peer's response lines.
@@ -87,44 +93,20 @@ func (g *forwardGroup) run(node *cluster.Node) {
 	}
 }
 
-// result maps one record's outcome out of the group. A failed forward
-// becomes a per-record inline error — the batch as a whole still
-// succeeds (HTTP 200), mirroring how per-stream sheds are reported, so
-// one dead peer never turns a mixed batch into a 5xx.
+// result waits for the group and maps one record's outcome out of it.
+// A failed forward becomes a per-record 502 error line — the batch as a
+// whole still succeeds (HTTP 200), mirroring how per-stream sheds are
+// reported, so one dead peer never turns a mixed batch into a 5xx.
 func (g *forwardGroup) result(i int, stream string) BatchResult {
+	<-g.done
 	if g.err != nil {
-		return BatchResult{Stream: stream, Error: "forward to " + g.peer + " failed: " + g.err.Error()}
+		return BatchResult{Stream: stream, Error: "forward to " + g.peer + " failed: " + g.err.Error(), Status: http.StatusBadGateway}
 	}
 	if i >= len(g.results) {
 		return BatchResult{Stream: stream, Error: "forward to " + g.peer + ": short response (" +
-			strconv.Itoa(len(g.results)) + " lines for " + strconv.Itoa(g.count) + " records)"}
+			strconv.Itoa(len(g.results)) + " lines for " + strconv.Itoa(g.count) + " records)", Status: http.StatusBadGateway}
 	}
 	return g.results[i]
-}
-
-// proxyObserve relays a single-record observe to the stream's owner and
-// streams the owner's status and body back verbatim, so producers can
-// post to any node. Only a transport failure becomes a local error.
-func (s *Server) proxyObserve(w http.ResponseWriter, id, owner string, vector []float64) {
-	body, err := json.Marshal(observeRequest{Vector: vector})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	path := "/v1/streams/" + url.PathEscape(id) + "/observe"
-	status, out, err := s.node.ForwardRecord(owner, path, body, "application/json")
-	if err != nil {
-		http.Error(w, "owner "+owner+" unreachable: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	switch status {
-	case http.StatusOK:
-		w.Header().Set("Content-Type", "application/json")
-	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.reg.RetryAfter())))
-	}
-	w.WriteHeader(status)
-	w.Write(out)
 }
 
 // proxyStats relays GET /v1/streams/{id} to the owner.

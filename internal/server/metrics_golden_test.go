@@ -143,7 +143,9 @@ func goldenConfig(gate *gatedDet) Config {
 
 // step feeds n quiet vectors and one alerting one straight into the
 // registry: no HTTP request, so the observe-latency histogram only holds
-// what a state puts there on purpose.
+// what a state puts there on purpose. Each vector's dispatcher task is
+// waited out before the next vector goes in, so every vector is exactly
+// one scoring-pool task and the scrape that follows is stable.
 func step(t *testing.T, s *Server, id string, n int) {
 	t.Helper()
 	for i := 0; i <= n; i++ {
@@ -151,9 +153,23 @@ func step(t *testing.T, s *Server, id string, n int) {
 		if i == n {
 			v[0] = 7
 		}
+		tasks := s.reg.Stats().ScorePool.Completed
 		if _, err := s.reg.Observe(id, v); err != nil {
 			t.Fatal(err)
 		}
+		waitPoolCompleted(t, s, tasks+1)
+	}
+}
+
+// waitPoolCompleted waits until the scoring pool has completed n tasks.
+// A dispatcher task is counted after its last result is delivered.
+func waitPoolCompleted(t *testing.T, s *Server, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); s.reg.Stats().ScorePool.Completed != n; {
+		if time.Now().After(deadline) {
+			t.Fatal("pooled dispatch never completed")
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
@@ -222,6 +238,7 @@ func TestMetricsGolden(t *testing.T) {
 		for i, id := range []string{"plain", "ens-1", "ens-2", "cas-1", "ft-1", "x-all"} {
 			step(t, s, id, i+2)
 		}
+		tasks := s.reg.Stats().ScorePool.Completed
 		first, err := s.reg.Enqueue("gated", []float64{0, 0})
 		if err != nil {
 			t.Fatal(err)
@@ -238,14 +255,7 @@ func TestMetricsGolden(t *testing.T) {
 		close(gate.release)
 		<-first.Done
 		<-last
-		// The pooled dispatcher task is counted after its last result is
-		// delivered; wait for the counter so the scrape is stable.
-		for deadline := time.Now().Add(5 * time.Second); s.reg.Stats().ScorePool.Completed != 1; {
-			if time.Now().After(deadline) {
-				t.Fatal("pooled dispatch never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitPoolCompleted(t, s, tasks+1)
 		for _, d := range []time.Duration{
 			100 * time.Microsecond, 500 * time.Microsecond, 3 * time.Millisecond,
 			3 * time.Millisecond, 700 * time.Millisecond, 4 * time.Second,

@@ -24,6 +24,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -215,8 +216,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// observeRequest is the POST body of /v1/streams/{id}/observe. It is
-// re-marshalled verbatim when an observe is proxied to its ring owner.
+// observeRequest is the POST body of /v1/streams/{id}/observe.
 //
 // The vector was decoded from JSON, which cannot carry NaN/Inf.
 type observeRequest struct {
@@ -318,6 +318,9 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// handleObserve is POST /v1/streams/{id}/observe: a batch of one. It
+// decodes {"vector"}, passes the record through observeRecords and
+// renders its BatchResult as the single endpoint's status and body.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
 	start := time.Now()
 	defer func() { s.obsLat.Observe(int64(time.Since(start))) }()
@@ -330,57 +333,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, id string
 		http.Error(w, "empty vector", http.StatusBadRequest)
 		return
 	}
-	if s.node != nil {
-		if r.Header.Get(cluster.ForwardedHeader) == "" {
-			if owner := s.node.Owner(id); owner != s.node.Self() {
-				s.proxyObserve(w, id, owner, req.Vector)
-				return
-			}
-		} else {
-			s.node.NoteForwardedIn(1)
-		}
-	}
-	res, err := s.reg.Observe(id, req.Vector)
-	if errors.Is(err, ingest.ErrOverload) {
+	ps := [1]pending{{rec: batchRecord{Stream: id, Vector: req.Vector}, ok: true}}
+	s.observeRecords(ps[:], r.Header.Get(cluster.ForwardedHeader) != "")
+	switch out := &ps[0].out; {
+	case out.Shed:
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.reg.RetryAfter())))
 		http.Error(w, "stream queue full; retry later", http.StatusTooManyRequests)
-		return
+	case out.Error != "":
+		// A line from a peer that predates the status field carries none.
+		http.Error(w, out.Error, cmp.Or(out.Status, http.StatusBadGateway))
+	default:
+		writeJSON(w, http.StatusOK, ObserveResponse{
+			Ready: out.Ready, Score: out.Score, Nonconformity: out.Nonconformity,
+			Alert: out.Alert, Threshold: out.Threshold, FineTuned: out.FineTuned,
+			Source: out.Source, Step: int(out.Seq), Dropped: out.Dropped, Node: out.Node,
+		})
 	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if res.Err != nil {
-		http.Error(w, res.Err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if res.BadShape {
-		http.Error(w, "vector shape does not match this stream's detector", http.StatusBadRequest)
-		return
-	}
-	out := toObserveResponse(res)
-	if s.node != nil {
-		out.Node = s.node.Self()
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// toObserveResponse maps an ingest result onto the wire format.
-func toObserveResponse(res ingest.Result) ObserveResponse {
-	out := ObserveResponse{Step: int(res.Seq), Dropped: res.Dropped}
-	if !res.Ready {
-		return out
-	}
-	out.Ready = true
-	out.Score = core.FiniteOrZero(res.Score)
-	out.Nonconformity = core.FiniteOrZero(res.Nonconformity)
-	out.FineTuned = res.FineTuned
-	out.Alert = res.Alert
-	out.Source = res.Source
-	// The quantile policy reports +Inf until it has enough scores —
-	// leave the field empty until the threshold is real.
-	out.Threshold = core.FiniteOrZero(res.Threshold)
-	return out
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, id string) {
@@ -460,6 +428,11 @@ type BatchResult struct {
 	// Dropped marks a vector the drop-oldest policy discarded unscored.
 	Dropped bool   `json:"dropped,omitempty"`
 	Error   string `json:"error,omitempty"`
+	// Status is set on error lines only: the HTTP status the single
+	// endpoint answers the error with (400 bad record or shape, 500 WAL
+	// failure, 502 failed forward, 503 stream not admitted). A non-owner
+	// relays an owner's error with it.
+	Status int `json:"status,omitempty"`
 	// Node is the cluster node that scored the record (empty outside
 	// cluster mode); forwarded records carry the owner's URL here.
 	Node string `json:"node,omitempty"`
@@ -486,11 +459,10 @@ type BatchCapError struct {
 // {"stream","vector"} records spanning any number of streams. The body
 // is parsed and counted before anything touches a queue, so a batch
 // over MaxBatchRecords is rejected whole (413 + BatchCapError) with no
-// partial side effects. Admitted batches enqueue every record before
-// awaiting any result, so consecutive records for one stream coalesce
-// into single dispatcher passes; the response is NDJSON, one result per
-// record, in request order. Records shed by the overload policy are
-// reported inline (the whole batch is never failed for one hot stream).
+// partial side effects. The records then go through observeRecords
+// together; the response is NDJSON, one result per record, in request
+// order. Records shed by the overload policy are reported inline (the
+// whole batch is never failed for one hot stream).
 func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -498,19 +470,6 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer func() { s.obsLat.Observe(int64(time.Since(start))) }()
-	// clusterActive: this node routes records to their ring owners. A
-	// batch that already crossed the proxy layer (forwarded header) is
-	// scored entirely locally instead — the loop guard.
-	clusterActive := s.node != nil && r.Header.Get(cluster.ForwardedHeader) == ""
-	type pending struct {
-		rec    batchRecord
-		raw    []byte      // original NDJSON line, kept only for forwarding
-		ok     bool        // rec parsed and validated; enqueue it below
-		out    BatchResult // pre-filled for records that never reach a queue
-		done   <-chan ingest.Result
-		fwd    *forwardGroup // non-nil when another node scores this record
-		fwdIdx int           // this record's line index in fwd's response
-	}
 	var pendings []pending
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), maxRecordBytes)
@@ -530,16 +489,13 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 		p := pending{}
 		switch err := json.Unmarshal(line, &rec); {
 		case err != nil:
-			p.out = BatchResult{Error: "bad json: " + err.Error()}
+			p.out = BatchResult{Error: "bad json: " + err.Error(), Status: http.StatusBadRequest}
 		case rec.Stream == "":
-			p.out = BatchResult{Error: "missing stream id"}
+			p.out = BatchResult{Error: "missing stream id", Status: http.StatusBadRequest}
 		case len(rec.Vector) == 0:
-			p.out = BatchResult{Stream: rec.Stream, Error: "empty vector"}
+			p.out = BatchResult{Stream: rec.Stream, Error: "empty vector", Status: http.StatusBadRequest}
 		default:
 			p.rec, p.ok = rec, true
-			if clusterActive {
-				p.raw = append([]byte(nil), line...) // scanner reuses its buffer
-			}
 		}
 		pendings = append(pendings, p)
 	}
@@ -551,15 +507,48 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty batch", http.StatusBadRequest)
 		return
 	}
-	// Group remote-owned records into one sub-batch per peer and ship
-	// them concurrently with local scoring; the groups are joined before
-	// the response is written. Records for self (or with no cluster) fall
-	// through to the local enqueue loop below.
+	s.observeRecords(pendings, r.Header.Get(cluster.ForwardedHeader) != "")
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	for i := range pendings {
+		enc.Encode(&pendings[i].out)
+	}
+}
+
+// pending is one record on its way through observeRecords: parsed and
+// validated (ok), or already answered in out.
+type pending struct {
+	rec    batchRecord
+	ok     bool
+	out    BatchResult
+	done   <-chan ingest.Result
+	fwd    *forwardGroup // non-nil when another node scores this record
+	fwdIdx int           // this record's line index in fwd's sub-batch
+}
+
+// observeRecords is the one path of every observed vector, for both
+// observe endpoints: it routes each ok record to its ring owner, admits
+// the local ones, forwards the rest in one sub-batch per peer, awaits
+// every outcome and leaves it in the record's out. All local records
+// are enqueued before any is awaited, so consecutive records for one
+// stream coalesce into single dispatcher passes, and the sub-batches
+// travel while they are scored. Records that already crossed a hop
+// (forwarded) are scored here whatever the ring says: the loop guard.
+func (s *Server) observeRecords(ps []pending, forwarded bool) {
 	var groups map[string]*forwardGroup
-	if clusterActive {
+	if s.node != nil && forwarded {
+		n := 0
+		for i := range ps {
+			if ps[i].ok {
+				n++
+			}
+		}
+		s.node.NoteForwardedIn(n)
+	} else if s.node != nil {
 		self := s.node.Self()
-		for i := range pendings {
-			p := &pendings[i]
+		for i := range ps {
+			p := &ps[i]
 			if !p.ok {
 				continue
 			}
@@ -575,23 +564,12 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 				g = &forwardGroup{peer: owner}
 				groups[owner] = g
 			}
-			g.body.Write(p.raw)
-			g.body.WriteByte('\n')
-			p.fwd, p.fwdIdx = g, g.count
-			g.count++
+			p.fwd, p.fwdIdx = g, g.add(p.rec)
 		}
-	} else if s.node != nil {
-		nOK := 0
-		for i := range pendings {
-			if pendings[i].ok {
-				nOK++
-			}
-		}
-		s.node.NoteForwardedIn(nOK)
 	}
-	fwdWG := forwardAll(s.node, groups)
-	for i := range pendings {
-		p := &pendings[i]
+	forwardAll(s.node, groups)
+	for i := range ps {
+		p := &ps[i]
 		if !p.ok || p.fwd != nil {
 			continue
 		}
@@ -603,28 +581,22 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 				RetryAfterMs: s.reg.RetryAfter().Milliseconds(),
 			}
 		case err != nil:
-			p.out = BatchResult{Stream: p.rec.Stream, Error: err.Error()}
+			p.out = BatchResult{Stream: p.rec.Stream, Error: err.Error(), Status: http.StatusServiceUnavailable}
 		default:
-			p.out = BatchResult{Stream: p.rec.Stream, Seq: ack.Seq}
 			p.done = ack.Done
 		}
 	}
-	fwdWG.Wait()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, p := range pendings {
-		out := p.out
+	for i := range ps {
+		p := &ps[i]
 		switch {
 		case p.fwd != nil:
-			out = p.fwd.result(p.fwdIdx, p.rec.Stream)
+			p.out = p.fwd.result(p.fwdIdx, p.rec.Stream)
 		case p.done != nil:
-			out = toBatchResult(out.Stream, <-p.done)
+			p.out = toBatchResult(p.rec.Stream, <-p.done)
 			if s.node != nil {
-				out.Node = s.node.Self()
+				p.out.Node = s.node.Self()
 			}
 		}
-		enc.Encode(out)
 	}
 }
 
@@ -633,9 +605,9 @@ func toBatchResult(stream string, res ingest.Result) BatchResult {
 	out := BatchResult{Stream: stream, Seq: res.Seq}
 	switch {
 	case res.Err != nil:
-		out.Error = res.Err.Error()
+		out.Error, out.Status = res.Err.Error(), http.StatusInternalServerError
 	case res.BadShape:
-		out.Error = "vector shape does not match this stream's detector"
+		out.Error, out.Status = "vector shape does not match this stream's detector", http.StatusBadRequest
 	case res.Dropped:
 		out.Dropped = true
 	case res.Ready:
