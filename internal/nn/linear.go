@@ -21,19 +21,9 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = W·x + b and returns y along with the context
-// (a copy of x) needed by Backward.
-func (l *Linear) Forward(x []float64) (y, ctx []float64) {
-	y = make([]float64, l.Out)
-	l.ForwardInto(x, y)
-	ctx = make([]float64, l.In)
-	copy(ctx, x)
-	return y, ctx
-}
-
 // ForwardInto computes y = W·x + b into the caller-provided y (length
-// Out). Unlike Forward it keeps no context: the caller must preserve x
-// itself until the matching BackwardInto. y must not alias x.
+// Out). It keeps no context: the caller must preserve x itself until the
+// matching BackwardInto. y must not alias x.
 //
 // One accumulator per row is bound by the 4-cycle latency of its add
 // chain, so several rows share each pass over x: eight in forwardRows8,
@@ -108,15 +98,6 @@ func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
 			y[o*batch+s] = acc
 		}
 	}
-}
-
-// Backward accumulates parameter gradients given the upstream gradient
-// gradOut = ∂L/∂y and the context from the matching Forward call, and
-// returns ∂L/∂x.
-func (l *Linear) Backward(ctx, gradOut []float64) []float64 {
-	gradIn := make([]float64, l.In)
-	l.BackwardInto(ctx, gradOut, gradIn)
-	return gradIn
 }
 
 // BackwardInto accumulates parameter gradients and writes ∂L/∂x into the

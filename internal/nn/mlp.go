@@ -127,21 +127,6 @@ func (m *MLP) BackwardCtx(ctx *MLPContext, gradOut []float64) []float64 {
 	return g
 }
 
-// Forward runs a forward pass through a freshly allocated context and
-// returns the output with that context. Hot paths should hold a context
-// and call ForwardCtx instead.
-func (m *MLP) Forward(x []float64) ([]float64, *MLPContext) {
-	ctx := m.NewContext()
-	return m.ForwardCtx(ctx, x), ctx
-}
-
-// Backward backpropagates gradOut through the pass recorded in ctx,
-// accumulating parameter gradients, and returns the input gradient.
-// Like BackwardCtx it consumes gradOut in place.
-func (m *MLP) Backward(ctx *MLPContext, gradOut []float64) []float64 {
-	return m.BackwardCtx(ctx, gradOut)
-}
-
 // Predict is an allocation-free forward pass: PredictBatch of one
 // sample, whose slab layout is the vector itself, in the MLP's own slab.
 // The returned slice is reused by the next Predict; copy it to retain.

@@ -26,12 +26,11 @@ func TestMultiPassGradientAccumulation(t *testing.T) {
 	}
 
 	// Analytic: two passes, two backwards, gradients accumulate.
-	y1, ctx1 := m.Forward(x1)
-	_, g1 := MSELoss(y1, t1, nil)
-	y2, ctx2 := m.Forward(x2)
-	_, g2 := MSELoss(y2, t2, nil)
-	m.Backward(ctx1, g1)
-	m.Backward(ctx2, g2)
+	ctx1, ctx2 := m.NewContext(), m.NewContext()
+	_, g1 := MSELoss(m.ForwardCtx(ctx1, x1), t1, nil)
+	_, g2 := MSELoss(m.ForwardCtx(ctx2, x2), t2, nil)
+	m.BackwardCtx(ctx1, g1)
+	m.BackwardCtx(ctx2, g2)
 
 	for pi, p := range m.Params() {
 		for i := range p.W {
@@ -57,11 +56,10 @@ func TestChainedMLPGradient(t *testing.T) {
 		return l
 	}
 
-	z, encCtx := enc.Forward(x)
-	out, decCtx := dec.Forward(z)
+	encCtx, decCtx := enc.NewContext(), dec.NewContext()
+	out := dec.ForwardCtx(decCtx, enc.ForwardCtx(encCtx, x))
 	_, g := MSELoss(out, x, nil)
-	gz := dec.Backward(decCtx, g)
-	enc.Backward(encCtx, gz)
+	enc.BackwardCtx(encCtx, dec.BackwardCtx(decCtx, g))
 
 	for pi, p := range append(enc.Params(), dec.Params()...) {
 		for i := range p.W {
@@ -89,9 +87,9 @@ func TestLinearCloneIsDeep(t *testing.T) {
 func TestZeroGradClears(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMLP([]int{2, 2}, Identity{}, Identity{}, rng)
-	y, ctx := m.Forward([]float64{1, 1})
-	_, g := MSELoss(y, []float64{0, 0}, nil)
-	m.Backward(ctx, g)
+	ctx := m.NewContext()
+	_, g := MSELoss(m.ForwardCtx(ctx, []float64{1, 1}), []float64{0, 0}, nil)
+	m.BackwardCtx(ctx, g)
 	w := m.Layers[0].Weight.W[0]
 	m.ZeroGrad()
 	for _, p := range m.Params() {

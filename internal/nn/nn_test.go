@@ -26,9 +26,10 @@ func TestLinearForward(t *testing.T) {
 	l := NewLinear(2, 2, rng)
 	copy(l.Weight.W, []float64{1, 2, 3, 4})
 	copy(l.Bias.W, []float64{10, 20})
-	y, _ := l.Forward([]float64{1, 1})
+	y := make([]float64, 2)
+	l.ForwardInto([]float64{1, 1}, y)
 	if y[0] != 13 || y[1] != 27 {
-		t.Fatalf("Forward = %v, want [13 27]", y)
+		t.Fatalf("ForwardInto = %v, want [13 27]", y)
 	}
 }
 
@@ -37,15 +38,17 @@ func TestLinearGradientCheck(t *testing.T) {
 	l := NewLinear(3, 2, rng)
 	x := []float64{0.5, -1.2, 2.0}
 	target := []float64{1, -1}
+	y := make([]float64, l.Out)
 	loss := func() float64 {
-		y, _ := l.Forward(x)
+		l.ForwardInto(x, y)
 		lv, _ := MSELoss(y, target, nil)
 		return lv
 	}
 	// Analytic gradients.
-	y, ctx := l.Forward(x)
+	l.ForwardInto(x, y)
 	_, g := MSELoss(y, target, nil)
-	gradIn := l.Backward(ctx, g)
+	gradIn := make([]float64, l.In)
+	l.BackwardInto(x, g, gradIn)
 
 	for i := range l.Weight.W {
 		num := numericGrad(l.Weight.W, i, loss)
@@ -75,14 +78,16 @@ func TestActivationGradientChecks(t *testing.T) {
 	for _, act := range acts {
 		act := act
 		t.Run(act.Name(), func(t *testing.T) {
+			y := make([]float64, len(x))
 			loss := func() float64 {
-				y, _ := act.Forward(x)
+				act.ForwardInto(x, y)
 				lv, _ := MSELoss(y, target, nil)
 				return lv
 			}
-			y, ctx := act.Forward(x)
+			ctx := act.ForwardInto(x, y)
 			_, g := MSELoss(y, target, nil)
-			gin := act.Backward(ctx, g)
+			gin := make([]float64, len(x))
+			act.BackwardInto(ctx, g, gin)
 			for i := range x {
 				num := numericGrad(x, i, loss)
 				if !almostEq(gin[i], num, 1e-6) {
@@ -103,9 +108,9 @@ func TestMLPGradientCheck(t *testing.T) {
 		lv, _ := MSELoss(y, target, nil)
 		return lv
 	}
-	y, ctx := m.Forward(x)
-	_, g := MSELoss(y, target, nil)
-	m.Backward(ctx, g)
+	ctx := m.NewContext()
+	_, g := MSELoss(m.ForwardCtx(ctx, x), target, nil)
+	m.BackwardCtx(ctx, g)
 	for pi, p := range m.Params() {
 		for i := range p.W {
 			num := numericGrad(p.W, i, loss)
@@ -122,13 +127,13 @@ func TestMLPLearnsRegression(t *testing.T) {
 	opt := NewAdam(0.01)
 	// Learn f(x) = x0*0.5 − x1.
 	var finalLoss float64
+	ctx := m.NewContext()
 	for epoch := 0; epoch < 400; epoch++ {
 		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
 		target := []float64{0.5*x[0] - x[1]}
-		y, ctx := m.Forward(x)
-		lv, g := MSELoss(y, target, nil)
+		lv, g := MSELoss(m.ForwardCtx(ctx, x), target, nil)
 		finalLoss = lv
-		m.Backward(ctx, g)
+		m.BackwardCtx(ctx, g)
 		opt.Step(m.Params())
 	}
 	// Evaluate on fresh points.

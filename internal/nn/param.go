@@ -1,8 +1,8 @@
 // Package nn is a from-scratch neural-network substrate: fully connected
 // layers with manual backpropagation, sigmoid/ReLU/tanh activations, MSE
-// loss and the Adam optimizer. Layers expose context-passing Forward/
-// Backward pairs so one parameter set can participate in several forward
-// passes per step — required by USAD's shared encoder and N-BEATS' double
+// loss and the Adam optimizer. An MLP exposes a context-passing
+// ForwardCtx/BackwardCtx pair so one parameter set can participate in
+// several forward passes per step — required by USAD's shared encoder and N-BEATS' double
 // residual stacks.
 //
 // # Buffer ownership
