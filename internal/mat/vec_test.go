@@ -68,31 +68,6 @@ func TestCosineBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestAddToSubScale(t *testing.T) {
-	dst := []float64{1, 2}
-	AddTo(dst, 2, []float64{10, 20})
-	if dst[0] != 21 || dst[1] != 42 {
-		t.Fatalf("AddTo = %v", dst)
-	}
-	d := Sub([]float64{5, 5}, []float64{2, 3})
-	if d[0] != 3 || d[1] != 2 {
-		t.Fatalf("Sub = %v", d)
-	}
-	ScaleVec(d, 2)
-	if d[0] != 6 || d[1] != 4 {
-		t.Fatalf("ScaleVec = %v", d)
-	}
-}
-
-func TestCloneVecIndependent(t *testing.T) {
-	a := []float64{1, 2}
-	c := CloneVec(a)
-	c[0] = 9
-	if a[0] != 1 {
-		t.Fatal("CloneVec aliases input")
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
@@ -103,15 +78,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Fatal("empty-input moments should be 0")
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if got := MaxAbs([]float64{-3, 2, 1}); got != 3 {
-		t.Fatalf("MaxAbs = %v, want 3", got)
-	}
-	if MaxAbs(nil) != 0 {
-		t.Fatal("MaxAbs(nil) should be 0")
 	}
 }
 

@@ -199,49 +199,7 @@ func nabSigmoid(y float64) float64 {
 // true anomaly windows. A detector that flags one long spurious interval
 // therefore scores very negatively, matching Table III.
 func NABScore(scores []float64, labels []bool, valid []bool, threshold float64) float64 {
-	windows := Ranges(labels)
-	if len(windows) == 0 {
-		return 0
-	}
-	w := float64(len(windows))
-	pred := Binarize(scores, valid, threshold)
-	var total float64
-	for _, win := range windows {
-		first := -1
-		for t := win.Start; t <= win.End; t++ {
-			if t >= 0 && t < len(pred) && pred[t] {
-				first = t
-				break
-			}
-		}
-		if first < 0 {
-			total -= 1 / w
-			continue
-		}
-		// Relative position: −1 at window start, 0 at window end.
-		var y float64
-		if win.Len() > 1 {
-			y = float64(first-win.End) / float64(win.Len()-1)
-		}
-		total += nabSigmoid(y) / w
-	}
-	// False-positive points.
-	for t, p := range pred {
-		if !p {
-			continue
-		}
-		inside := false
-		for _, win := range windows {
-			if win.Contains(t) {
-				inside = true
-				break
-			}
-		}
-		if !inside {
-			total -= 1 / w
-		}
-	}
-	return total
+	return NABScoreProfile(scores, labels, valid, threshold, StandardProfile())
 }
 
 // softLabels spreads each true anomaly window by buffer steps on both

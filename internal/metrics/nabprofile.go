@@ -28,8 +28,8 @@ func RewardLowFNProfile() NABProfile {
 	return NABProfile{Name: "reward_low_FN", ATP: 1, AFP: 0.5, AFN: 2}
 }
 
-// NABScoreProfile is NABScore with explicit profile weights; NABScore is
-// equivalent to NABScoreProfile with the standard profile.
+// NABScoreProfile is the NAB score with explicit profile weights;
+// NABScore is this with the standard profile.
 func NABScoreProfile(scores []float64, labels []bool, valid []bool, threshold float64, p NABProfile) float64 {
 	windows := Ranges(labels)
 	if len(windows) == 0 {
@@ -50,6 +50,7 @@ func NABScoreProfile(scores []float64, labels []bool, valid []bool, threshold fl
 			total -= p.AFN / w
 			continue
 		}
+		// Relative position: −1 at window start, 0 at window end.
 		var y float64
 		if win.Len() > 1 {
 			y = float64(first-win.End) / float64(win.Len()-1)

@@ -146,9 +146,6 @@ func (g *Generator) ExactAnomalyCount(n int) int {
 // window of one full pool length.
 func (g *Generator) PerCycleAnomalies() int { return g.perCycle }
 
-// PoolSize returns the pool length P.
-func (g *Generator) PoolSize() int { return len(g.pool) }
-
 // channelStd returns the per-channel standard deviation of the pool
 // (floored at a small epsilon so scale-relative injections stay finite
 // on constant channels).

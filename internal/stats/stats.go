@@ -6,7 +6,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Running tracks mean and variance of a scalar sequence with Welford's
@@ -80,32 +79,6 @@ func QFunc(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
-// ECDF is an empirical cumulative distribution function built from a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from sample (copied and sorted).
-func NewECDF(sample []float64) *ECDF {
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns F(x) = P(X ≤ x) under the empirical distribution.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	// Number of elements ≤ x.
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // KSResult is the outcome of a two-sample Kolmogorov–Smirnov test.
 type KSResult struct {
 	// Statistic is sup_x |F1(x) − F2(x)|.
@@ -130,19 +103,8 @@ func KSCritical(alpha float64) float64 {
 	return math.Sqrt(math.Log(2/alpha) / 2)
 }
 
-// KSTest runs the two-sample KS test on a and b at significance alpha.
-// Neither input is modified.
-func KSTest(a, b []float64, alpha float64) KSResult {
-	sa := make([]float64, len(a))
-	copy(sa, a)
-	sort.Float64s(sa)
-	sb := make([]float64, len(b))
-	copy(sb, b)
-	sort.Float64s(sb)
-	return KSTestSorted(sa, sb, alpha)
-}
-
-// KSTestSorted is KSTest for pre-sorted samples.
+// KSTestSorted runs the two-sample KS test on the sorted samples sa and
+// sb at significance alpha.
 func KSTestSorted(sa, sb []float64, alpha float64) KSResult {
 	ra, rb := len(sa), len(sb)
 	if ra == 0 || rb == 0 {
@@ -177,29 +139,4 @@ func KSTestSorted(sa, sb []float64, alpha float64) KSResult {
 	}
 	thr := KSCritical(alpha) * math.Sqrt(float64(ra+rb)/float64(ra*rb))
 	return KSResult{Statistic: d, Threshold: thr, Reject: d > thr, Comparisons: cmps}
-}
-
-// Quantile returns the q-quantile (0≤q≤1) of the sample using linear
-// interpolation between order statistics. The input is not modified.
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -99,29 +100,6 @@ func TestQFunc(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0},
-		{1, 0.25},
-		{2, 0.75},
-		{2.5, 0.75},
-		{3, 1},
-		{99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("F(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
-	}
-	if (&ECDF{}).At(1) != 0 {
-		t.Fatal("empty ECDF should be 0")
-	}
-}
-
 func TestKSSameDistributionNoReject(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := make([]float64, 500)
@@ -130,7 +108,9 @@ func TestKSSameDistributionNoReject(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	res := KSTest(a, b, 0.001)
+	sort.Float64s(a)
+	sort.Float64s(b)
+	res := KSTestSorted(a, b, 0.001)
 	if res.Reject {
 		t.Fatalf("same-distribution KS rejected: stat=%v thr=%v", res.Statistic, res.Threshold)
 	}
@@ -144,7 +124,9 @@ func TestKSShiftedDistributionRejects(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64() + 2
 	}
-	res := KSTest(a, b, 0.01)
+	sort.Float64s(a)
+	sort.Float64s(b)
+	res := KSTestSorted(a, b, 0.01)
 	if !res.Reject {
 		t.Fatalf("shifted KS did not reject: stat=%v thr=%v", res.Statistic, res.Threshold)
 	}
@@ -154,7 +136,7 @@ func TestKSShiftedDistributionRejects(t *testing.T) {
 }
 
 func TestKSEmptyInputs(t *testing.T) {
-	res := KSTest(nil, []float64{1}, 0.05)
+	res := KSTestSorted(nil, []float64{1}, 0.05)
 	if res.Reject {
 		t.Fatal("empty sample must not reject")
 	}
@@ -165,7 +147,7 @@ func TestKSStatisticExact(t *testing.T) {
 	// the threshold to drop below 1) the test must reject.
 	a := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := []float64{20, 21, 22, 23, 24, 25, 26, 27, 28, 29}
-	res := KSTest(a, b, 0.05)
+	res := KSTestSorted(a, b, 0.05)
 	if !almostEq(res.Statistic, 1, 1e-12) {
 		t.Fatalf("disjoint KS statistic = %v, want 1", res.Statistic)
 	}
@@ -195,30 +177,13 @@ func TestKSStatisticSymmetryProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() + rng.Float64()
 		}
-		r1 := KSTest(a, b, 0.05)
-		r2 := KSTest(b, a, 0.05)
+		sort.Float64s(a)
+		sort.Float64s(b)
+		r1 := KSTestSorted(a, b, 0.05)
+		r2 := KSTestSorted(b, a, 0.05)
 		return almostEq(r1.Statistic, r2.Statistic, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {1. / 3, 2},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile should be NaN")
-	}
-	// Input must not be reordered.
-	if xs[0] != 4 {
-		t.Fatal("Quantile modified its input")
 	}
 }

@@ -50,14 +50,6 @@ func (r *Ring) At(i int) float64 {
 	return r.buf[(r.head+i)%len(r.buf)]
 }
 
-// Last returns the most recent element; it panics on an empty ring.
-func (r *Ring) Last() float64 {
-	if r.count == 0 {
-		panic("window: empty ring")
-	}
-	return r.At(r.count - 1)
-}
-
 // Slice copies the contents, oldest first, into a new slice.
 func (r *Ring) Slice() []float64 {
 	out := make([]float64, r.count)
@@ -125,9 +117,6 @@ func (r *VecRing) Release() {
 	r.count = 0
 }
 
-// Released reports whether the backing storage has been freed.
-func (r *VecRing) Released() bool { return r.buf == nil }
-
 // Dim returns the vector length.
 func (r *VecRing) Dim() int { return r.dim }
 
@@ -176,14 +165,6 @@ func (r *VecRing) At(i int) []float64 {
 	return r.buf[(r.head+i)%len(r.buf)]
 }
 
-// Last returns the most recent vector; it panics on an empty ring.
-func (r *VecRing) Last() []float64 {
-	if r.count == 0 {
-		panic("window: empty ring")
-	}
-	return r.At(r.count - 1)
-}
-
 // Snapshot copies all stored vectors, oldest first, into a new [][]float64.
 func (r *VecRing) Snapshot() [][]float64 {
 	out := make([][]float64, r.count)
@@ -191,16 +172,6 @@ func (r *VecRing) Snapshot() [][]float64 {
 	for i := 0; i < r.count; i++ {
 		out[i] = backing[i*r.dim : (i+1)*r.dim]
 		copy(out[i], r.At(i))
-	}
-	return out
-}
-
-// Flatten copies all stored vectors, oldest first, into one contiguous
-// slice of length Len()*Dim().
-func (r *VecRing) Flatten() []float64 {
-	out := make([]float64, r.count*r.dim)
-	for i := 0; i < r.count; i++ {
-		copy(out[i*r.dim:(i+1)*r.dim], r.At(i))
 	}
 	return out
 }
