@@ -104,9 +104,6 @@ type Config struct {
 	// restores it from the checkpoint. Without a Store the eviction
 	// discards the detector state.
 	StreamTTL time.Duration
-	// EvictInterval is the idle-scan period (default StreamTTL/4,
-	// clamped to [10ms, 30s]).
-	EvictInterval time.Duration
 	// Store, when set, makes the registry durable: every admitted vector
 	// is appended to the stream's WAL before it is scored, snapshots are
 	// taken in the background, and RestoreStreams rebuilds state on
@@ -322,16 +319,13 @@ func New(cfg Config) (*Registry, error) {
 		go r.snapshotter()
 	}
 	// One maintenance loop serves both recency policies; it wakes at a
-	// quarter of the shortest configured horizon.
+	// quarter of the shortest configured horizon, clamped to [10ms, 30s].
 	wake := cfg.StreamTTL
 	if cfg.WarmAfter > 0 && (wake <= 0 || cfg.WarmAfter < wake) {
 		wake = cfg.WarmAfter
 	}
 	if wake > 0 {
-		iv := cfg.EvictInterval
-		if iv <= 0 {
-			iv = wake / 4
-		}
+		iv := wake / 4
 		if iv < 10*time.Millisecond {
 			iv = 10 * time.Millisecond
 		}

@@ -207,8 +207,6 @@ type Config struct {
 	KSCheckEvery int
 	// RegularInterval is the cadence of TaskRegular (default TrainSize).
 	RegularInterval int
-	// ADWINDelta is the TaskADWIN confidence parameter (default 0.002).
-	ADWINDelta float64
 	// InitEpochs is the number of initial-fit epochs (default 1; neural
 	// models benefit from a few more).
 	InitEpochs int
@@ -244,10 +242,6 @@ type Config struct {
 	ScorePool *ScorePool
 	// Seed drives every random component (default 1).
 	Seed int64
-	// LR overrides the model learning rate (0 = model default).
-	LR float64
-	// ARIMADiff is the online-ARIMA differencing order d (default 1).
-	ARIMADiff int
 }
 
 func (c *Config) fillDefaults() error {
@@ -303,9 +297,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ARIMADiff == 0 {
-		c.ARIMADiff = 1
 	}
 	if c.Model == ModelVAR && c.Task1 != TaskSlidingWindow {
 		return fmt.Errorf("streamad: VAR requires the sliding-window strategy (got %v)", c.Task1)
@@ -412,7 +403,7 @@ func New(cfg Config) (*Detector, error) {
 	case TaskRegular:
 		det = drift.NewRegular(cfg.RegularInterval)
 	case TaskADWIN:
-		det = drift.NewADWIN(cfg.ADWINDelta)
+		det = drift.NewADWIN(0) // the default confidence δ = 0.002
 	default:
 		return nil, fmt.Errorf("streamad: unknown Task2 %d", cfg.Task2)
 	}
@@ -462,29 +453,33 @@ func New(cfg Config) (*Detector, error) {
 	return &Detector{Detector: inner, cfg: cfg, src: src}, nil
 }
 
+// arimaDiff is the online-ARIMA differencing order d. Every model is
+// built with its package's default learning rate.
+const arimaDiff = 1
+
 func buildModel(cfg Config) (core.Model, error) {
 	switch cfg.Model {
 	case ModelARIMA:
-		lags := cfg.Window - cfg.ARIMADiff - 1
+		lags := cfg.Window - arimaDiff - 1
 		if lags < 1 {
-			return nil, fmt.Errorf("streamad: Window %d too small for ARIMA with d=%d", cfg.Window, cfg.ARIMADiff)
+			return nil, fmt.Errorf("streamad: Window %d too small for ARIMA with d=%d", cfg.Window, arimaDiff)
 		}
 		return arima.New(arima.Config{
-			Lags: lags, D: cfg.ARIMADiff, Channels: cfg.Channels, LR: cfg.LR,
+			Lags: lags, D: arimaDiff, Channels: cfg.Channels,
 		})
 	case ModelPCBIForest:
 		return iforest.New(iforest.Config{Channels: cfg.Channels, Seed: cfg.Seed})
 	case ModelAE:
 		return autoenc.New(autoenc.Config{
-			Dim: cfg.Window * cfg.Channels, LR: cfg.LR, Seed: cfg.Seed,
+			Dim: cfg.Window * cfg.Channels, Seed: cfg.Seed,
 		})
 	case ModelUSAD:
 		return usad.New(usad.Config{
-			Dim: cfg.Window * cfg.Channels, LR: cfg.LR, Seed: cfg.Seed,
+			Dim: cfg.Window * cfg.Channels, Seed: cfg.Seed,
 		})
 	case ModelNBEATS:
 		return nbeats.New(nbeats.Config{
-			Channels: cfg.Channels, BackcastRows: cfg.Window - 1, LR: cfg.LR, Seed: cfg.Seed,
+			Channels: cfg.Channels, BackcastRows: cfg.Window - 1, Seed: cfg.Seed,
 		})
 	case ModelVAR:
 		p := cfg.Window / 4
@@ -493,17 +488,17 @@ func buildModel(cfg Config) (core.Model, error) {
 		}
 		return varmodel.New(varmodel.Config{P: p, Channels: cfg.Channels})
 	case ModelARIMAONS:
-		lags := cfg.Window - cfg.ARIMADiff - 1
+		lags := cfg.Window - arimaDiff - 1
 		if lags < 1 {
-			return nil, fmt.Errorf("streamad: Window %d too small for ARIMA with d=%d", cfg.Window, cfg.ARIMADiff)
+			return nil, fmt.Errorf("streamad: Window %d too small for ARIMA with d=%d", cfg.Window, arimaDiff)
 		}
 		base, err := arima.New(arima.Config{
-			Lags: lags, D: cfg.ARIMADiff, Channels: cfg.Channels,
+			Lags: lags, D: arimaDiff, Channels: cfg.Channels,
 		})
 		if err != nil {
 			return nil, err
 		}
-		return arima.NewONS(base, cfg.LR, 0), nil
+		return arima.NewONS(base, 0, 0), nil
 	case ModelKNN:
 		return knn.New(knn.Config{Dim: cfg.Window * cfg.Channels})
 	default:
