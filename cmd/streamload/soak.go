@@ -319,12 +319,13 @@ type worker struct {
 	lat []time.Duration
 	rs  RequestStats
 	det DetectionStats
-	evs []tolEvent // deferred records awaiting point-adjust matching (tol > 0)
+	evs []tolEvent // deferred records awaiting point-adjust matching
 }
 
-// tolEvent is one evaluated record held back for tolerant matching: the
-// confusion cell depends on neighbours that may not have been scored
-// yet, so classification waits until the stream's quota is exhausted.
+// tolEvent is one evaluated record held back for matching: with a
+// tolerance the confusion cell depends on neighbours that may not have
+// been scored yet, so classification waits until the stream's quota is
+// exhausted.
 type tolEvent struct {
 	idx   int
 	truth bool
@@ -470,8 +471,8 @@ func (t *targetStats) add(src *targetStats) {
 	t.lat = append(t.lat, src.lat...)
 }
 
-// record classifies one response record and, for scored post-warmup
-// records, updates the confusion matrix against the ground truth.
+// record classifies one response record and defers scored post-warmup
+// records to finalize, which builds the confusion matrix.
 func (w *worker) record(res server.BatchResult, truth bool, idx int) {
 	switch {
 	case res.Error != "":
@@ -494,35 +495,18 @@ func (w *worker) record(res server.BatchResult, truth bool, idx int) {
 		if res.Alert {
 			w.det.Alerts++
 		}
-		if w.tol > 0 {
-			w.evs = append(w.evs, tolEvent{idx: idx, truth: truth, alert: res.Alert})
-			return
-		}
-		switch {
-		case res.Alert && truth:
-			w.det.TruePositives++
-		case res.Alert:
-			w.det.FalsePositives++
-		case truth:
-			w.det.FalseNegatives++
-		default:
-			w.det.TrueNegatives++
-		}
+		w.evs = append(w.evs, tolEvent{idx: idx, truth: truth, alert: res.Alert})
 	}
 }
 
 // finalize classifies the deferred records with point-adjust matching:
 // a truth at i is a true positive iff an alert landed in [i, i+tol]; an
 // alert on a normal record at j is forgiven (a true negative) iff a
-// truth sits in [j-tol, j]. With tol == 0 nothing was deferred and this
-// is a no-op — the inline path already produced the exact-match matrix,
-// and the two agree at tol == 0 because each window collapses to the
-// record itself. Events are re-sorted because the reorder timing fault
-// can deliver batches out of stream order.
+// truth sits in [j-tol, j]. At tol == 0 each window collapses to the
+// record itself, which is exact per-record matching. Events are
+// re-sorted because the reorder timing fault can deliver batches out of
+// stream order.
 func (w *worker) finalize() {
-	if len(w.evs) == 0 {
-		return
-	}
 	sort.Slice(w.evs, func(i, j int) bool { return w.evs[i].idx < w.evs[j].idx })
 	var truths, alerts []int
 	for _, e := range w.evs {
