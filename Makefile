@@ -89,13 +89,15 @@ race:
 # Param.GradNorm were deleted, 21,411 before the trainer pool became a
 # second instance of the scoring pool's FIFO and nn.Optimizer went,
 # 21,207 before a dispatcher batch was scored in one forward pass per
-# model (the batch kernel, PredictBatch, StepBatch and the ingest fold).
+# model (the batch kernel, PredictBatch, StepBatch and the ingest fold),
+# 21,788 before both observe endpoints came to share one path and the
+# code only its own unit tests called was deleted.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 21788
+LOC_CEILING = 21338
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -241,7 +241,7 @@ type ObserveResponse struct {
 	// before scoring; its sequence number was consumed but no score exists.
 	Dropped bool `json:"dropped,omitempty"`
 	// Node is the cluster node that scored the vector (empty outside
-	// cluster mode); a proxied observe carries the owner's URL here.
+	// cluster mode); a forwarded observe carries the owner's URL here.
 	Node string `json:"node,omitempty"`
 }
 
@@ -340,7 +340,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, id string
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.reg.RetryAfter())))
 		http.Error(w, "stream queue full; retry later", http.StatusTooManyRequests)
 	case out.Error != "":
-		// A line from a peer that predates the status field carries none.
+		// An error line from a peer that names no status is a bad gateway.
 		http.Error(w, out.Error, cmp.Or(out.Status, http.StatusBadGateway))
 	default:
 		writeJSON(w, http.StatusOK, ObserveResponse{
