@@ -334,7 +334,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	ps := [1]pending{{rec: batchRecord{Stream: id, Vector: req.Vector}, ok: true}}
-	s.observeRecords(ps[:], r.Header.Get(cluster.ForwardedHeader) != "")
+	s.observeRecords(ps[:], r.Header.Get(cluster.ForwardedHeader) != "", nil)
 	switch out := &ps[0].out; {
 	case out.Shed:
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.reg.RetryAfter())))
@@ -507,13 +507,9 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty batch", http.StatusBadRequest)
 		return
 	}
-	s.observeRecords(pendings, r.Header.Get(cluster.ForwardedHeader) != "")
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	for i := range pendings {
-		enc.Encode(&pendings[i].out)
-	}
+	s.observeRecords(pendings, r.Header.Get(cluster.ForwardedHeader) != "", func(i int) { enc.Encode(&pendings[i].out) })
 }
 
 // pending is one record on its way through observeRecords: parsed and
@@ -530,12 +526,16 @@ type pending struct {
 // observeRecords is the one path of every observed vector, for both
 // observe endpoints: it routes each ok record to its ring owner, admits
 // the local ones, forwards the rest in one sub-batch per peer, awaits
-// every outcome and leaves it in the record's out. All local records
-// are enqueued before any is awaited, so consecutive records for one
-// stream coalesce into single dispatcher passes, and the sub-batches
-// travel while they are scored. Records that already crossed a hop
-// (forwarded) are scored here whatever the ring says: the loop guard.
-func (s *Server) observeRecords(ps []pending, forwarded bool) {
+// every outcome in request order and leaves it in the record's out,
+// calling answer (when non-nil) with the record's index as soon as it
+// is known, so a batch encodes early results while later ones are still
+// scored. All local
+// records are enqueued before any is awaited, so consecutive records
+// for one stream coalesce into single dispatcher passes, and the
+// sub-batches travel while they are scored. Records that already
+// crossed a hop (forwarded) are scored here whatever the ring says: the
+// loop guard.
+func (s *Server) observeRecords(ps []pending, forwarded bool, answer func(i int)) {
 	var groups map[string]*forwardGroup
 	if s.node != nil && forwarded {
 		n := 0
@@ -596,6 +596,9 @@ func (s *Server) observeRecords(ps []pending, forwarded bool) {
 			if s.node != nil {
 				p.out.Node = s.node.Self()
 			}
+		}
+		if answer != nil {
+			answer(i)
 		}
 	}
 }
