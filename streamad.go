@@ -306,7 +306,7 @@ func (c *Config) fillDefaults() error {
 
 // Compat shims. The frozen benchmark/ compiles against these and nothing
 // else in the repo needs them; the next benchmark-lane PR can stop using
-// them and delete all five in one go:
+// them and delete all six in one go:
 //
 //   - IsEnsembleSpec and ParseEnsembleSpec (parse.go): ParseSpec plus a
 //     type switch on the returned Spec tree answers both.
@@ -315,6 +315,8 @@ func (c *Config) fillDefaults() error {
 //     appends into a borrowed buffer (ROADMAP item 9).
 //   - Config.ScorePool and Config.TrainerKey: set by the benchmark, read
 //     by nothing.
+//   - ingest.Registry.Observe: Enqueue plus a receive, called by the
+//     benchmark's traced replay.
 
 // ScorePool re-exports the shared bounded worker pool the ingestion
 // layer's stream dispatchers run on. One pool serves any number of
