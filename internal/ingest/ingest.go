@@ -18,10 +18,10 @@
 //
 // A micro-batching dispatcher drains each queue: whoever admits a vector
 // into an idle stream submits that stream's dispatcher to the scoring
-// pool, which repeatedly grabs the entire queue and scores it in one locked
-// detector pass — one lock acquisition and one cache-warm detector
-// session for however many vectors accumulated, instead of one per
-// vector. The pass logs every vector, then steps the logged ones as one
+// pool. The dispatcher repeatedly grabs the entire queue and scores it
+// in one locked detector pass — one lock acquisition and one cache-warm
+// detector session for however many vectors accumulated, instead of one
+// per vector. The pass logs every vector, then steps the logged ones as one
 // core.StepBatch, so a model that predicts in batches runs one forward
 // pass per run of core.MaxBatch of them. Per-stream order is total:
 // sequence numbers are assigned under the queue lock and processed in
@@ -448,7 +448,7 @@ func (r *Registry) Enqueue(id string, vec []float64) (Ack, error) {
 }
 
 // enqueue admits one vector into the stream's bounded queue. The boolean
-// reports whether the caller must run a dispatcher for the stream.
+// reports whether the caller must submit a dispatcher for the stream.
 func (r *Registry) enqueue(st *stream, vec []float64) (item, bool, error) {
 	st.qmu.Lock()
 	for {
