@@ -68,13 +68,13 @@ test:
 # async fine-tune tests (a digest that depends on when training
 # finished, a deadlock, the per-leaf queue bound), the pool's cancel
 # claim racing its workers, and the stream entry paths (standby
-# failover, migration, the adopt conflict rule, concurrent first
-# observes of a cold stream).
+# failover, migration in-process and between two live nodes, the adopt
+# conflict rule, concurrent first observes of a cold stream).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestAsyncIsAPureFunctionOfTheInput|TestStepAfterTrainerPoolClose|TestQueuedJobsPerLeafBounded' -count=5 .
 	$(GO) test -race -run 'TestPoolCancelRace' -count=5 ./internal/pool
-	$(GO) test -race -run 'TestStandbyFailoverBitIdentical' -count=5 ./internal/server
+	$(GO) test -race -run 'TestStandbyFailoverBitIdentical|TestMigrationOverTheWire' -count=5 ./internal/server
 	$(GO) test -race -run 'TestMigrationBitIdentical|TestAdoptSeqConflict|TestConcurrentObservesSingleRestore' -count=5 ./internal/ingest
 
 # loc prints the number ROADMAP aim 2 ("least code") is about: non-test
@@ -91,13 +91,15 @@ race:
 # 21,207 before a dispatcher batch was scored in one forward pass per
 # model (the batch kernel, PredictBatch, StepBatch and the ingest fold),
 # 21,788 before both observe endpoints came to share one path and the
-# code only its own unit tests called was deleted.
+# code only its own unit tests called was deleted, 21,343 before streams
+# crossed nodes in the store's own snapshot and WAL bytes and the unused
+# metrics and single-value knobs went.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 21343
+LOC_CEILING = 21126
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \
@@ -108,7 +110,9 @@ loc-check:
 # committed seed corpus (testdata/fuzz): the snapshot-file and WAL
 # decoders and the detector checkpoint decoder must never panic, never
 # accept a CRC-bad file, and re-encode whatever they accept
-# byte-identically; the two spec grammars must never panic, a detector
+# byte-identically — the snapshot-file and WAL decoders are also what
+# reads every byte a cluster peer sends (a migration's snapshot file, a
+# standby's WAL tail); the two spec grammars must never panic, a detector
 # spec's canonical form must be a fixed point, and an accepted scenario
 # must replay bit-identically; the nn kernels must match their scalar
 # references bit for bit on edge values (±0, subnormals, ±Inf, NaN,

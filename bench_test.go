@@ -38,7 +38,6 @@ func benchProfile() bench.Profile {
 		ScoreWindow:   60,
 		ShortWindow:   4,
 		KSCheckEvery:  25,
-		CalibFrac:     0.3,
 		CalibQ:        0.99,
 		Seed:          1,
 	}

@@ -74,7 +74,6 @@ func main() {
 
 		clusterPeers   = flag.String("cluster-peers", "", "comma-separated base URLs of every cluster node, self included (empty = single node)")
 		clusterSelf    = flag.String("cluster-self", "", "this node's base URL as it appears in -cluster-peers (required with -cluster-peers)")
-		clusterVnodes  = flag.Int("cluster-vnodes", 64, "virtual nodes per member on the consistent-hash ring")
 		probeInterval  = flag.Duration("cluster-probe-interval", time.Second, "peer health-probe period")
 		probeFailures  = flag.Int("cluster-probe-failures", 2, "consecutive probe failures before a peer is marked down")
 		rebalanceEvery = flag.Duration("cluster-rebalance-interval", 2*time.Second, "how often misplaced streams are migrated to their ring owners (<0 disables)")
@@ -152,7 +151,6 @@ func main() {
 		clusterCfg = &cluster.Config{
 			Self:              *clusterSelf,
 			Peers:             strings.Split(*clusterPeers, ","),
-			VirtualNodes:      *clusterVnodes,
 			ProbeInterval:     *probeInterval,
 			ProbeFailures:     *probeFailures,
 			RebalanceInterval: *rebalanceEvery,

@@ -29,9 +29,9 @@ type Profile struct {
 	ShortWindow int
 	// KSCheckEvery throttles KSWIN testing (1 = paper-faithful).
 	KSCheckEvery int
-	// CalibFrac / CalibQ parameterize the evaluation threshold calibration.
-	CalibFrac float64
-	CalibQ    float64
+	// CalibQ is the score quantile the evaluation threshold is
+	// calibrated at.
+	CalibQ float64
 	// Seed drives all detector randomness.
 	Seed int64
 }
@@ -47,7 +47,6 @@ func Fast() Profile {
 		ScoreWindow:   100,
 		ShortWindow:   6,
 		KSCheckEvery:  25,
-		CalibFrac:     0.3,
 		CalibQ:        0.99,
 		Seed:          1,
 	}
@@ -64,7 +63,6 @@ func Paper() Profile {
 		ScoreWindow:   500,
 		ShortWindow:   25,
 		KSCheckEvery:  1,
-		CalibFrac:     0.25,
 		CalibQ:        0.995,
 		Seed:          1,
 	}

@@ -19,7 +19,6 @@ func tinyProfile() Profile {
 		ScoreWindow:   40,
 		ShortWindow:   4,
 		KSCheckEvery:  20,
-		CalibFrac:     0.3,
 		CalibQ:        0.99,
 		Seed:          1,
 	}

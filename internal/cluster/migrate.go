@@ -1,22 +1,20 @@
 // Outbound stream migration. When the ring says a locally-live stream
 // belongs to another node (a peer came back, or this node just booted
 // with restored state it no longer owns), the rebalancer quiesces it,
-// ships snapshot + WAL tail to the owner, and releases local state only
-// after the owner acknowledges with a matching state fingerprint. Any
+// ships its live snapshot file to the owner, and releases local state
+// only after the owner acknowledges with a matching state fingerprint. Any
 // failure reinstates the stream locally — the state is never in zero
 // places.
 package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"time"
 
-	"streamad/internal/ingest"
 	"streamad/internal/persist"
 )
 
@@ -57,53 +55,39 @@ func (n *Node) rebalanceOnce() {
 // migrateOut hands one stream to its owner. Handoff detaches the quiesced
 // state from the registry; from then until the owner's fingerprint-checked
 // ack (followed by dropping local disk state) or reinstatement via Adopt,
-// this node holds the only copy in hs.
+// this node holds the only copy in snap.
 func (n *Node) migrateOut(id, owner string) {
-	hs, err := n.reg.Handoff(id)
+	snap, err := n.reg.Handoff(id)
 	if err != nil {
 		return // raced an eviction or a concurrent handoff; nothing detached
 	}
-	if err := n.sendMigration(id, owner, hs); err != nil {
+	if err := n.sendMigration(id, owner, snap); err != nil {
 		n.migOutErr.Add(1)
 		n.cfg.Logf("streamad: cluster migrate %q to %s failed (reinstating): %v", id, owner, err)
-		if _, aerr := n.reg.Adopt(id, hs.Snapshot, hs.Tail); aerr != nil {
+		if _, aerr := n.reg.Adopt(id, snap, nil); aerr != nil {
 			n.cfg.Logf("streamad: cluster reinstate %q: %v", id, aerr)
 		}
 		return
 	}
 	n.migOutOK.Add(1)
-	n.cfg.Logf("streamad: cluster migrated %q to %s (seq %d, %d tail records)",
-		id, owner, hs.Snapshot.Seq, len(hs.Tail))
+	n.cfg.Logf("streamad: cluster migrated %q to %s at seq %d", id, owner, snap.Seq)
 	if err := n.reg.DropPersisted(id); err != nil {
 		n.cfg.Logf("streamad: cluster drop persisted state of migrated %q: %v", id, err)
 	}
 }
 
-// sendMigration posts the handoff state to the owner's migrate endpoint
-// and verifies the echoed fingerprint. The target already refused (409)
-// any state it could not reproduce bit-identically, so a mismatched echo
-// here means a protocol bug, not data loss — but it still fails the
-// migration so the source reinstates.
-func (n *Node) sendMigration(id, owner string, hs *ingest.HandoffState) error {
-	file, err := persist.EncodeSnapshotFile(hs.Snapshot)
-	if err != nil {
-		return err
-	}
-	mreq := MigrateRequest{Node: n.self, Snapshot: file, Fingerprint: hs.Fingerprint}
-	for _, rec := range hs.Tail {
-		mreq.WAL = append(mreq.WAL, WALEntry{Seq: rec.Seq, Vector: rec.Vector})
-	}
-	body, err := json.Marshal(&mreq)
+// sendMigration posts the stream's snapshot file to the owner's migrate
+// endpoint and verifies the echoed fingerprint. The target already
+// refused (409) any state it could not reproduce bit-identically, so a
+// mismatched echo here means a protocol bug, not data loss — but it
+// still fails the migration so the source reinstates.
+func (n *Node) sendMigration(id, owner string, snap *persist.StreamSnapshot) error {
+	file, err := persist.EncodeSnapshotFile(snap)
 	if err != nil {
 		return err
 	}
 	target := owner + "/v1/streams/" + url.PathEscape(id) + "/migrate"
-	req, err := http.NewRequest(http.MethodPost, target, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
+	resp, err := n.client.Post(target, "application/octet-stream", bytes.NewReader(file))
 	if err != nil {
 		return err
 	}
@@ -112,12 +96,8 @@ func (n *Node) sendMigration(id, owner string, hs *ingest.HandoffState) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("cluster: %s rejected migration: %s: %s", owner, resp.Status, bytes.TrimSpace(msg))
 	}
-	var ack MigrateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return fmt.Errorf("cluster: decode migrate ack from %s: %w", owner, err)
-	}
-	if ack.Fingerprint != hs.Fingerprint {
-		return fmt.Errorf("cluster: %s acknowledged fingerprint %08x, want %08x", owner, ack.Fingerprint, hs.Fingerprint)
+	if got, want := resp.Header.Get(FingerprintHeader), fmt.Sprintf("%08x", persist.Fingerprint(snap)); got != want {
+		return fmt.Errorf("cluster: %s acknowledged fingerprint %q, want %s", owner, got, want)
 	}
 	return nil
 }

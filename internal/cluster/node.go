@@ -22,8 +22,6 @@ type Config struct {
 	// ("http://host:port"). Liveness within the set is probed; the set
 	// itself never changes at runtime.
 	Peers []string
-	// VirtualNodes per member on the ring (default 64).
-	VirtualNodes int
 	// ProbeInterval is the health-probe period (default 1s).
 	ProbeInterval time.Duration
 	// ProbeFailures is how many consecutive probe failures mark a peer
@@ -35,10 +33,6 @@ type Config struct {
 	// StandbyInterval is how often standby replicas sync against their
 	// owners' WALs (default 1s; <0 disables replication).
 	StandbyInterval time.Duration
-	// Client is the HTTP client for forwarding, migration and standby
-	// traffic (default: 30s timeout). Probes use their own short-timeout
-	// client derived from ProbeInterval.
-	Client *http.Client
 	// Logf receives cluster lifecycle events (peer transitions,
 	// migrations, promotions). Defaults to a no-op.
 	Logf func(format string, args ...any)
@@ -91,9 +85,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: self URL required")
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
@@ -113,12 +104,9 @@ func New(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		self:     cfg.Self,
 		peers:    make(map[string]*peerState),
-		client:   cfg.Client,
+		client:   &http.Client{Timeout: 30 * time.Second},
 		replicas: make(map[string]*ingest.Replica),
 		stop:     make(chan struct{}),
-	}
-	if n.client == nil {
-		n.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	n.probec = &http.Client{Timeout: cfg.ProbeInterval}
 	for _, p := range cfg.Peers {
@@ -273,7 +261,7 @@ func (n *Node) rebuildRing() {
 			alive = append(alive, url)
 		}
 	}
-	n.ring.Store(NewRing(alive, n.cfg.VirtualNodes))
+	n.ring.Store(NewRing(alive, 64)) // 64 virtual points per member
 }
 
 // ForwardBatch ships an NDJSON batch slice to a peer's observe endpoint

@@ -8,10 +8,10 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -105,10 +105,12 @@ func (n *Node) dropReplica(id string) {
 	}
 }
 
-// tailReplica pulls and replays the owner's WAL records from the
-// replica's boundary. A 410 means the owner rotated its WAL past us —
-// resync from its current snapshot; a 404 means the owner no longer
-// serves the stream (evicted or migrating) — drop and rediscover later.
+// tailReplica pulls the owner's WAL records from the replica's boundary,
+// in the WAL file format, and replays them; a body that does not decode,
+// or holds a non-finite value, replays nothing and is retried on the
+// next pass. A 410 means the owner rotated its WAL past us — resync from
+// its current snapshot; a 404 means the owner no longer serves the
+// stream (evicted or migrating) — drop and rediscover later.
 func (n *Node) tailReplica(rep *ingest.Replica, owner string) error {
 	id := rep.ID()
 	target := owner + "/v1/streams/" + url.PathEscape(id) + "/wal?from=" + strconv.FormatUint(rep.Seq(), 10)
@@ -138,22 +140,20 @@ func (n *Node) tailReplica(rep *ingest.Replica, owner string) error {
 		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("owner %s WAL tail returned %s", owner, resp.Status)
 	}
-	var recs []persist.WALRecord
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec WALEntry
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("decode WAL line: %w", err)
-		}
-		recs = append(recs, persist.WALRecord{Seq: rec.Seq, Vector: rec.Vector})
-	}
-	if err := sc.Err(); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return err
+	}
+	recs, err := persist.DecodeWAL(id, raw)
+	if err != nil {
+		return fmt.Errorf("decode WAL tail: %w", err)
+	}
+	for _, rec := range recs {
+		for _, v := range rec.Vector {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("WAL tail record %d holds a non-finite value", rec.Seq)
+			}
+		}
 	}
 	n.standbyReplayed.Add(uint64(rep.Replay(recs)))
 	return nil
@@ -230,16 +230,10 @@ func (n *Node) buildReplica(id, owner string) (*ingest.Replica, error) {
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("cluster: %s snapshot returned %s", owner, resp.Status)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	file, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := persist.DecodeSnapshotFile(raw)
-	if err != nil {
-		return nil, err
-	}
-	if snap.ID != id {
-		return nil, fmt.Errorf("cluster: %s served the snapshot of %q for %q", owner, snap.ID, id)
-	}
-	return n.reg.NewReplica(snap)
+	rep, _, err := n.reg.ReplicaFromFile(id, file)
+	return rep, err
 }

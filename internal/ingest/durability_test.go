@@ -400,16 +400,16 @@ func TestKeptBlobsAreNotBorrowed(t *testing.T) {
 	}
 
 	observe("pcb", 60, 70) // evicted by the churn: restored, then dirty again
-	hs, err := r.Handoff("pcb")
+	handed, err := r.Handoff("pcb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	keptDet, keptTh = bytes.Clone(hs.Snapshot.Detector), bytes.Clone(hs.Snapshot.Threshold)
+	keptDet, keptTh = bytes.Clone(handed.Detector), bytes.Clone(handed.Threshold)
 	churn(75)
-	if !bytes.Equal(hs.Snapshot.Detector, keptDet) || !bytes.Equal(hs.Snapshot.Threshold, keptTh) {
+	if !bytes.Equal(handed.Detector, keptDet) || !bytes.Equal(handed.Threshold, keptTh) {
 		t.Fatal("a handoff's snapshot changed under later checkpoints")
 	}
-	if _, err := r.Adopt("pcb", hs.Snapshot, hs.Tail); err != nil {
+	if _, err := r.Adopt("pcb", handed, nil); err != nil {
 		t.Fatalf("the kept handoff state no longer loads: %v", err)
 	}
 }

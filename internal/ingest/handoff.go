@@ -1,23 +1,23 @@
 // Stream handoff: the registry side of cluster migration and failover.
-// A stream leaves a node as a snapshot plus WAL tail (Handoff) and is
-// tailed remotely by sequence number (WALTail). Every way into a node is
-// a Replica — an unpublished stream built with the registry's own
+// A stream leaves a node as its live snapshot (Handoff) and is tailed
+// remotely by sequence number (WALTail). Every way into a node is a
+// Replica — an unpublished stream built with the registry's own
 // factories from a snapshot and advanced through WAL records by the
-// dispatcher's own step — that Promote publishes: Adopt (a migration's
-// payload, or a source reinstating a stream it failed to hand off), the
-// /migrate endpoint, and a cluster standby tailing its owner's WAL.
+// dispatcher's own step — that Promote publishes: Adopt (a source
+// reinstating a stream it failed to hand off), the /migrate endpoint,
+// and a cluster standby tailing its owner's WAL.
 //
-// Every transfer carries a fingerprint of the live state: the CRC-32C
-// of its snapshot body (persist.Fingerprint). Because Save/Load round
-// trips are bit-identical (the restore invariant), a target whose
-// replayed replica has the source's fingerprint will score future
-// vectors exactly as the uninterrupted source would have.
+// A migration is checked by fingerprint: the CRC-32C of the snapshot
+// body (persist.Fingerprint), which the snapshot file's header carries.
+// Because Save/Load round trips are bit-identical (the restore
+// invariant), a target whose replica re-encodes to the shipped file's
+// CRC will score future vectors exactly as the uninterrupted source
+// would have.
 package ingest
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"streamad/internal/persist"
@@ -36,14 +36,9 @@ var ErrSeqConflict = errors.New("ingest: stream already live at a later sequence
 // ErrNoStore reports an operation that needs a configured state dir.
 var ErrNoStore = errors.New("ingest: operation requires a state dir")
 
-// HandoffState is everything a target node needs to adopt a stream: the
-// snapshot, the WAL records at or past its Seq, and the fingerprint of
-// the source's live state that the target must reproduce.
-type HandoffState struct {
-	Snapshot    *persist.StreamSnapshot
-	Tail        []persist.WALRecord
-	Fingerprint uint32
-}
+// ErrBadSnapshot reports a peer's snapshot file that does not decode or
+// holds another stream's state.
+var ErrBadSnapshot = errors.New("ingest: bad snapshot file")
 
 // Replica is a stream this registry has built but not published. Its
 // owner advances it with Replay and then either publishes it (Promote)
@@ -62,6 +57,23 @@ func (r *Registry) NewReplica(snap *persist.StreamSnapshot) (*Replica, error) {
 		return nil, err
 	}
 	return &Replica{st: st}, nil
+}
+
+// ReplicaFromFile builds a replica of stream id from a peer's snapshot
+// file: the file is decoded (magic, version and CRC checked exactly as
+// on a restart) and must hold id's state. It also returns the decoded
+// snapshot, whose persist.Fingerprint is the file's CRC. A file that
+// does not decode or names another stream fails with ErrBadSnapshot.
+func (r *Registry) ReplicaFromFile(id string, file []byte) (*Replica, *persist.StreamSnapshot, error) {
+	snap, err := persist.DecodeSnapshotFile(file)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if snap.ID != id {
+		return nil, nil, fmt.Errorf("%w: it is for stream %q, not %q", ErrBadSnapshot, snap.ID, id)
+	}
+	rep, err := r.NewReplica(snap)
+	return rep, snap, err
 }
 
 // ID is the replica's stream id.
@@ -91,13 +103,14 @@ func (p *Replica) Fingerprint() (uint32, error) {
 func (p *Replica) Close() { closeDetector(p.st.det) }
 
 // Handoff quiesces a stream and detaches it for migration: admissions
-// are closed, the queue drains, the state is captured, and the stream
-// leaves the registry. After a successful Handoff the id is unknown
-// locally (a racing observe may recreate it fresh; the seq-ordered
-// conflict rule in Promote resolves that when the migration lands
-// elsewhere or is reinstated). On capture failure the stream reopens
-// untouched.
-func (r *Registry) Handoff(id string) (*HandoffState, error) {
+// are closed, the queue drains, the live state is captured, and the
+// stream leaves the registry. The returned snapshot is that live state;
+// its persist.Fingerprint is the CRC its file header carries. After a
+// successful Handoff the id is unknown locally (a racing observe may
+// recreate it fresh; the seq-ordered conflict rule in Promote resolves
+// that when the migration lands elsewhere or is reinstated). On capture
+// failure the stream reopens untouched.
+func (r *Registry) Handoff(id string) (*persist.StreamSnapshot, error) {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
 	st, ok := sh.streams[id]
@@ -120,12 +133,12 @@ func (r *Registry) Handoff(id string) (*HandoffState, error) {
 	}
 	st.qmu.Unlock()
 	st.procMu.Lock()
-	hs, err := func() (*HandoffState, error) {
-		// A warm stream's fingerprint needs its window state resident.
+	snap, err := func() (*persist.StreamSnapshot, error) {
+		// A warm stream's snapshot needs its window state resident.
 		if _, err := r.ensureResident(st, true); err != nil {
 			return nil, err
 		}
-		return r.capture(id, st)
+		return buildSnapshot(id, st, nil)
 	}()
 	st.procMu.Unlock()
 	if err != nil {
@@ -140,47 +153,13 @@ func (r *Registry) Handoff(id string) (*HandoffState, error) {
 		r.nlive.Add(-1)
 	}
 	sh.mu.Unlock()
-	return hs, nil
+	return snap, nil
 }
 
-// capture assembles the HandoffState of a quiesced stream; the caller
-// holds st.procMu. With a healthy on-disk snapshot + WAL the shipped
-// state is exactly what a local restart would replay; otherwise (no
-// store, or damaged WAL) the live checkpoint that was fingerprinted
-// ships with an empty tail.
-func (r *Registry) capture(id string, st *stream) (*HandoffState, error) {
-	live, err := buildSnapshot(id, st, nil)
-	if err != nil {
-		return nil, err
-	}
-	hs := &HandoffState{Snapshot: live, Fingerprint: persist.Fingerprint(live)}
-	if r.cfg.Store == nil {
-		return hs, nil
-	}
-	snap, err := r.cfg.Store.ReadSnapshot(id)
-	if errors.Is(err, os.ErrNotExist) {
-		return hs, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	recs, err := r.cfg.Store.ReadWAL(id)
-	if err != nil {
-		return hs, nil
-	}
-	hs.Snapshot = snap
-	for _, rec := range recs {
-		if rec.Seq >= snap.Seq {
-			hs.Tail = append(hs.Tail, rec)
-		}
-	}
-	return hs, nil
-}
-
-// Adopt installs a stream shipped from another node: a replica of the
-// snapshot replays the WAL tail and is promoted. It returns the adopted
-// state's fingerprint; the migration protocol acknowledges only when it
-// matches the source's.
+// Adopt installs a stream's state: a replica of the snapshot replays the
+// WAL tail, if any, and is promoted. It returns the adopted state's
+// fingerprint. A source reinstates a stream it failed to hand off this
+// way, with the snapshot Handoff returned and no tail.
 func (r *Registry) Adopt(id string, snap *persist.StreamSnapshot, tail []persist.WALRecord) (uint32, error) {
 	if snap.ID != id {
 		return 0, fmt.Errorf("ingest: snapshot is for stream %q, not %q", snap.ID, id)

@@ -46,8 +46,8 @@ func specRegistry(t *testing.T, spec string, store *persist.Store, snapEvery int
 }
 
 // TestMigrationBitIdentical: for every detector family, handing a stream
-// off mid-run (snapshot + WAL tail shipped to a second registry, exactly
-// the /migrate protocol's payload) must leave the adopted stream
+// off mid-run (its live snapshot file shipped to a second registry,
+// exactly the /migrate protocol's payload) must leave the adopted stream
 // bit-identical to an uninterrupted twin — same fingerprint at the
 // transfer point, then identical scores, nonconformities, thresholds and
 // alert decisions on every future vector.
@@ -72,9 +72,8 @@ func TestMigrationBitIdentical(t *testing.T) {
 
 			// src checkpoints after 64 vectors; the feed pauses right there
 			// so the boundary is deterministic, then the last 32 pre-handoff
-			// vectors land only in the WAL. The handoff then ships a genuine
-			// mid-stream snapshot plus tail — the interesting path — not
-			// just a fresh checkpoint.
+			// vectors land only in the WAL. The handoff must still ship the
+			// live state at seq 96, not the checkpoint on disk.
 			src := specRegistry(t, tc.spec, storeA, 64)
 			dst := specRegistry(t, tc.spec, storeB, 0)
 			ref := specRegistry(t, tc.spec, nil, 0)
@@ -114,28 +113,37 @@ func TestMigrationBitIdentical(t *testing.T) {
 				}
 			}
 
-			hs, err := src.Handoff(id)
+			snap, err := src.Handoff(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hs.Snapshot == nil || hs.Snapshot.ID != id {
-				t.Fatalf("handoff snapshot = %+v", hs.Snapshot)
-			}
-			if hs.Snapshot.Seq != 64 || len(hs.Tail) != before-64 {
-				t.Fatalf("handoff shipped snap seq %d with %d tail records, want 64 + %d — the mid-stream path was not exercised",
-					hs.Snapshot.Seq, len(hs.Tail), before-64)
+			if snap == nil || snap.ID != id || snap.Seq != before {
+				t.Fatalf("handoff snapshot = %+v, want the live state at seq %d, not the checkpoint at 64", snap, before)
 			}
 			// The source no longer knows the stream.
 			if _, ok := src.StreamStats(id); ok {
 				t.Fatal("stream still live on source after handoff")
 			}
 
-			fp, err := dst.Adopt(id, hs.Snapshot, hs.Tail)
+			// The target takes the snapshot file, as /migrate does, and
+			// promotes a replica that re-encodes to the file's CRC.
+			file, err := persist.EncodeSnapshotFile(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fp != hs.Fingerprint {
-				t.Fatalf("adopted fingerprint %08x, source shipped %08x", fp, hs.Fingerprint)
+			rep, shipped, err := dst.ReplicaFromFile(id, file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := rep.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := persist.Fingerprint(shipped); fp != want {
+				t.Fatalf("replica fingerprint %08x, source shipped %08x", fp, want)
+			}
+			if err := dst.Promote(rep); err != nil {
+				t.Fatal(err)
 			}
 
 			for i := 0; i < after; i++ {
@@ -183,7 +191,7 @@ func TestAdoptSeqConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hs, err := donor.Handoff("s")
+	snap, err := donor.Handoff("s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +201,7 @@ func TestAdoptSeqConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Adopt("s", hs.Snapshot, hs.Tail); !errors.Is(err, ingest.ErrSeqConflict) {
+	if _, err := r.Adopt("s", snap, nil); !errors.Is(err, ingest.ErrSeqConflict) {
 		t.Fatalf("Adopt over a newer stream = %v, want ErrSeqConflict", err)
 	}
 	st, ok := r.StreamStats("s")
@@ -208,7 +216,7 @@ func TestAdoptSeqConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r2.Adopt("s", hs.Snapshot, hs.Tail); err != nil {
+	if _, err := r2.Adopt("s", snap, nil); err != nil {
 		t.Fatalf("Adopt over an older stream = %v", err)
 	}
 	if st, _ := r2.StreamStats("s"); st.Seq != 10 {

@@ -66,8 +66,8 @@ type Checkpointer interface {
 }
 
 // ErrOverload is returned by admission under the Shed policy when the
-// stream's queue is full. Producers should back off for the configured
-// RetryAfter hint and retry.
+// stream's queue is full. Producers should back off for the RetryAfter
+// hint and retry.
 var ErrOverload = errors.New("ingest: stream queue full")
 
 // ErrUnknownStream is returned by lookups for ids the registry has never
@@ -92,9 +92,6 @@ type Config struct {
 	// Overload picks what admission does when a queue is full
 	// (default Block).
 	Overload Policy
-	// RetryAfter is the back-off hint attached to shed vectors
-	// (default 1s).
-	RetryAfter time.Duration
 	// MaxStreams bounds the number of live streams across all shards
 	// (default 1024).
 	MaxStreams int
@@ -289,9 +286,6 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = 1024
 	}
@@ -339,8 +333,9 @@ func New(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
-// RetryAfter is the back-off hint producers should honour after a shed.
-func (r *Registry) RetryAfter() time.Duration { return r.cfg.RetryAfter }
+// RetryAfter is the back-off hint producers should honour after a shed:
+// one second.
+func (r *Registry) RetryAfter() time.Duration { return time.Second }
 
 // shardIndex hashes a stream id to its shard's index (FNV-1a).
 func (r *Registry) shardIndex(id string) int {

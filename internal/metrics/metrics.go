@@ -198,8 +198,52 @@ func nabSigmoid(y float64) float64 {
 // time step outside all windows contributes −1/W, with W the number of
 // true anomaly windows. A detector that flags one long spurious interval
 // therefore scores very negatively, matching Table III.
+//
+// These are the Numenta benchmark's standard-profile weights; the paper
+// reports no other profile.
 func NABScore(scores []float64, labels []bool, valid []bool, threshold float64) float64 {
-	return NABScoreProfile(scores, labels, valid, threshold, StandardProfile())
+	windows := Ranges(labels)
+	if len(windows) == 0 {
+		return 0
+	}
+	w := float64(len(windows))
+	pred := Binarize(scores, valid, threshold)
+	var total float64
+	for _, win := range windows {
+		first := -1
+		for t := win.Start; t <= win.End; t++ {
+			if t >= 0 && t < len(pred) && pred[t] {
+				first = t
+				break
+			}
+		}
+		if first < 0 {
+			total -= 1 / w
+			continue
+		}
+		// Relative position: −1 at window start, 0 at window end.
+		var y float64
+		if win.Len() > 1 {
+			y = float64(first-win.End) / float64(win.Len()-1)
+		}
+		total += nabSigmoid(y) / w
+	}
+	for t, isPos := range pred {
+		if !isPos {
+			continue
+		}
+		inside := false
+		for _, win := range windows {
+			if win.Contains(t) {
+				inside = true
+				break
+			}
+		}
+		if !inside {
+			total -= 1 / w
+		}
+	}
+	return total
 }
 
 // softLabels spreads each true anomaly window by buffer steps on both
@@ -287,70 +331,6 @@ func VUS(scores []float64, labels []bool, valid []bool, maxBuffer, nBuffers, gri
 		}
 		soft := softLabels(labels, buffer)
 		sum += softPRAUC(scores, soft, valid, gridSize)
-	}
-	return sum / float64(nBuffers)
-}
-
-// softROCAUC computes the point-wise ROC AUC against soft labels:
-// TPR and FPR are weighted by the soft label mass.
-func softROCAUC(scores []float64, soft []float64, valid []bool, gridSize int) float64 {
-	grid := thresholdGrid(scores, valid, gridSize)
-	if len(grid) == 0 {
-		return 0
-	}
-	var totalPos, totalNeg float64
-	for i, s := range soft {
-		if valid[i] {
-			totalPos += s
-			totalNeg += 1 - s
-		}
-	}
-	if totalPos == 0 || totalNeg == 0 {
-		return 0
-	}
-	type pt struct{ fpr, tpr float64 }
-	pts := make([]pt, 0, len(grid)+2)
-	for _, th := range grid {
-		var tp, fp float64
-		for i, s := range scores {
-			if !valid[i] || s < th {
-				continue
-			}
-			tp += soft[i]
-			fp += 1 - soft[i]
-		}
-		pts = append(pts, pt{fpr: fp / totalNeg, tpr: tp / totalPos})
-	}
-	pts = append(pts, pt{0, 0}, pt{1, 1})
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].fpr != pts[j].fpr {
-			return pts[i].fpr < pts[j].fpr
-		}
-		return pts[i].tpr < pts[j].tpr
-	})
-	var auc float64
-	for i := 1; i < len(pts); i++ {
-		auc += (pts[i].fpr - pts[i-1].fpr) * (pts[i].tpr + pts[i-1].tpr) / 2
-	}
-	return auc
-}
-
-// VUSROC is the ROC-based volume under the surface — the measure the VUS
-// paper (Paparrizos et al.) presents as R-AUC-ROC integrated over the
-// buffer dimension. Our Table III reproduction reports the PR variant
-// (VUS), which is better suited to rare anomalies; both are provided.
-func VUSROC(scores []float64, labels []bool, valid []bool, maxBuffer, nBuffers, gridSize int) float64 {
-	if nBuffers < 1 {
-		nBuffers = 1
-	}
-	var sum float64
-	for i := 0; i < nBuffers; i++ {
-		buffer := 0
-		if nBuffers > 1 {
-			buffer = maxBuffer * i / (nBuffers - 1)
-		}
-		soft := softLabels(labels, buffer)
-		sum += softROCAUC(scores, soft, valid, gridSize)
 	}
 	return sum / float64(nBuffers)
 }

@@ -218,6 +218,59 @@ func TestNABScoreNoWindows(t *testing.T) {
 	}
 }
 
+// TestNABProfileMissPenalty: NABScore's weights are NAB's standard
+// profile, under which every missed window costs 1/W.
+func TestNABProfileMissPenalty(t *testing.T) {
+	n := 100
+	labels := make([]bool, n)
+	for i := 10; i < 20; i++ {
+		labels[i] = true
+	}
+	scores := make([]float64, n) // everything missed
+	v := allValid(n)
+	std := NABScore(scores, labels, v, 0.5)
+	if std != -1 {
+		t.Fatalf("standard miss = %v, want −1", std)
+	}
+}
+
+// TestNABProfileMatchesNABScore pins NABScore, bit for bit, to the score
+// the standard profile's explicit weights gave before they were folded
+// into it.
+func TestNABProfileMatchesNABScore(t *testing.T) {
+	n := 150
+	labels := make([]bool, n)
+	for i := 90; i < 110; i++ {
+		labels[i] = true
+	}
+	scores := make([]float64, n)
+	scores[92] = 1
+	scores[30] = 1
+	v := allValid(n)
+	if got := NABScore(scores, labels, v, 0.5); math.Float64bits(got) != 0xbf971830907a8e40 {
+		t.Fatalf("NABScore = %v (%#x), want the standard-profile score -0.022553213899881408", got, math.Float64bits(got))
+	}
+}
+
+// TestNABUpperBoundProperty: the NAB score never exceeds 1 (perfect early
+// detection of every window with zero false positives) for any inputs.
+func TestNABUpperBoundProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(200)
+		labels := make([]bool, n)
+		scores := make([]float64, n)
+		for i := range labels {
+			labels[i] = rng.Intn(8) == 0
+			scores[i] = rng.Float64()
+		}
+		return NABScore(scores, labels, allValid(n), 0.5) <= 1.0000001
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSoftLabelsBuffer(t *testing.T) {
 	labels := []bool{false, false, false, true, true, false, false, false}
 	soft := softLabels(labels, 2)

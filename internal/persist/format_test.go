@@ -203,14 +203,11 @@ func FuzzDecodeSnapshotFile(f *testing.F) {
 // file. Seeds: testdata/fuzz (walSeeds).
 func FuzzReadWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		recs, err := decodeWAL("fuzz", raw)
+		recs, err := DecodeWAL("fuzz", raw)
 		if len(recs) == 0 {
 			return
 		}
-		again := walHeader()
-		for _, r := range recs {
-			again = appendRecord(again, r.Seq, r.Vector)
-		}
+		again := EncodeWAL(recs)
 		if !bytes.HasPrefix(raw, again) {
 			t.Fatalf("%d accepted records do not re-encode to the file's prefix", len(recs))
 		}

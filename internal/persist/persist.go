@@ -425,10 +425,7 @@ func (s *Store) walHandle(id string) (*os.File, error) {
 		return nil, fmt.Errorf("persist: stat WAL: %w", err)
 	}
 	if info.Size() == 0 {
-		var hdr [12]byte
-		copy(hdr[:8], walMagic)
-		binary.LittleEndian.PutUint32(hdr[8:12], Version)
-		if _, err := f.Write(hdr[:]); err != nil {
+		if _, err := f.Write(EncodeWAL(nil)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("persist: write WAL header: %w", err)
 		}
@@ -493,11 +490,8 @@ func (s *Store) rotateWAL(id string) error {
 	return nil
 }
 
-// ReadWAL returns the stream's logged vectors in append order. A missing
-// WAL returns an empty slice. A torn final record returns the valid prefix
-// together with ErrTornWAL; any other inconsistency (bad magic, version,
-// mid-file CRC failure) returns the valid prefix and a hard error so the
-// caller can report it — nothing is ever silently half-loaded.
+// ReadWAL returns the stream's logged vectors in append order (see
+// DecodeWAL). A missing WAL returns an empty slice.
 func (s *Store) ReadWAL(id string) ([]WALRecord, error) {
 	raw, err := os.ReadFile(s.walPath(id))
 	if err != nil {
@@ -506,11 +500,26 @@ func (s *Store) ReadWAL(id string) ([]WALRecord, error) {
 		}
 		return nil, fmt.Errorf("persist: read WAL: %w", err)
 	}
-	return decodeWAL(id, raw)
+	return DecodeWAL(id, raw)
 }
 
-// decodeWAL parses a WAL file's bytes; id only labels errors.
-func decodeWAL(id string, raw []byte) ([]WALRecord, error) {
+// EncodeWAL renders records in the exact WAL file format: the header,
+// then one CRC-framed record each. A cluster owner serves a stream's WAL
+// tail to its standby in these bytes.
+func EncodeWAL(recs []WALRecord) []byte {
+	out := binary.LittleEndian.AppendUint32([]byte(walMagic), Version)
+	for _, rec := range recs {
+		out = appendRecord(out, rec.Seq, rec.Vector)
+	}
+	return out
+}
+
+// DecodeWAL parses WAL file bytes, the inverse of EncodeWAL; id only
+// labels errors. A torn final record returns the valid prefix together
+// with ErrTornWAL; any other inconsistency (bad magic, version, mid-file
+// CRC failure) returns the valid prefix and a hard error so the caller
+// can report it — nothing is ever silently half-loaded.
+func DecodeWAL(id string, raw []byte) ([]WALRecord, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -129,12 +128,12 @@ func (s *Server) proxyStats(w http.ResponseWriter, id, owner string) {
 }
 
 // handleMigrate is POST /v1/streams/{id}/migrate: adopt a stream shipped
-// by a peer. The snapshot file is integrity-checked (magic, version,
-// CRC), a replica of it replays the WAL tail, and only a replica whose
-// fingerprint equals the source's is promoted — a mismatch 409s before
-// anything local is touched, leaving the source to reinstate. Protocol
-// failures are 4xx: a migration must never be able to fail a node's 5xx
-// SLO.
+// by a peer as its live snapshot file. The file is integrity-checked
+// (magic, version, CRC) and a replica built from it is promoted only if
+// it re-encodes to the file's own CRC, the source's fingerprint — a
+// mismatch 409s before anything local is touched, leaving the source to
+// reinstate. Protocol failures are 4xx: a migration must never be able
+// to fail a node's 5xx SLO.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, id string) {
 	if s.node == nil {
 		http.Error(w, "not a cluster node", http.StatusNotImplemented)
@@ -144,47 +143,29 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, id string
 		s.node.NoteMigrationIn(false)
 		http.Error(w, msg, status)
 	}
-	var req cluster.MigrateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad migrate request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	snap, err := persist.DecodeSnapshotFile(req.Snapshot)
+	file, err := io.ReadAll(r.Body)
 	if err != nil {
-		fail("bad snapshot: "+err.Error(), http.StatusBadRequest)
+		fail("read migrate body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if snap.ID != id {
-		fail(fmt.Sprintf("snapshot is for stream %q, not %q", snap.ID, id), http.StatusBadRequest)
+	rep, snap, err := s.reg.ReplicaFromFile(id, file)
+	if errors.Is(err, ingest.ErrBadSnapshot) {
+		fail(err.Error(), http.StatusBadRequest)
 		return
-	}
-	tail := make([]persist.WALRecord, 0, len(req.WAL))
-	for _, rec := range req.WAL {
-		for _, v := range rec.Vector {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				fail("non-finite value in WAL tail", http.StatusBadRequest)
-				return
-			}
-		}
-		tail = append(tail, persist.WALRecord{Seq: rec.Seq, Vector: rec.Vector})
-	}
-	rep, err := s.reg.NewReplica(snap)
-	if err != nil {
+	} else if err != nil {
 		fail("adopt failed: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	rep.Replay(tail)
+	want := persist.Fingerprint(snap)
 	fp, err := rep.Fingerprint()
-	if err != nil || fp != req.Fingerprint {
+	if err != nil || fp != want {
 		rep.Close()
 		if err != nil {
 			fail("adopt failed: "+err.Error(), http.StatusUnprocessableEntity)
 		} else {
-			// The replayed state does not reproduce the source's live
-			// state; refuse it so the source (which still holds it)
-			// reinstates.
-			fail(fmt.Sprintf("fingerprint mismatch: replayed %08x, source %08x", fp, req.Fingerprint),
-				http.StatusConflict)
+			// The replica does not reproduce the source's live state;
+			// refuse it so the source (which still holds it) reinstates.
+			fail(fmt.Sprintf("fingerprint mismatch: replica %08x, source %08x", fp, want), http.StatusConflict)
 		}
 		return
 	}
@@ -196,13 +177,14 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	s.node.NoteMigrationIn(true)
-	writeJSON(w, http.StatusOK, cluster.MigrateResponse{Node: s.node.Self(), Fingerprint: fp})
+	w.Header().Set(cluster.FingerprintHeader, fmt.Sprintf("%08x", fp))
+	w.WriteHeader(http.StatusOK)
 }
 
 // handleWALTail is GET /v1/streams/{id}/wal?from=N: the stream's WAL
-// records with seq >= N as NDJSON, for standby followers. 410 with the
-// snapshot boundary means the tail was rotated away and the follower
-// must resync from the snapshot endpoint.
+// records with seq >= N in the WAL file format, for standby followers.
+// A 410 means the tail was rotated away and the follower must resync
+// from the snapshot endpoint.
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request, id string) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -218,17 +200,13 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request, id string
 		http.Error(w, "unknown stream", http.StatusNotFound)
 		return
 	case errors.Is(err, ingest.ErrWALRotated):
-		writeJSON(w, http.StatusGone, cluster.WALGone{Error: err.Error(), SnapshotSeq: seqDone})
+		http.Error(w, fmt.Sprintf("%v: resync from the snapshot at seq %d", err, seqDone), http.StatusGone)
 		return
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Streamad-Seq-Done", strconv.FormatUint(seqDone, 10))
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, rec := range recs {
-		enc.Encode(cluster.WALEntry{Seq: rec.Seq, Vector: rec.Vector})
-	}
+	w.Write(persist.EncodeWAL(recs))
 }

@@ -16,9 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"streamad"
 	"streamad/internal/cluster"
 	"streamad/internal/core"
-	"streamad/internal/ingest"
 	"streamad/internal/persist"
 )
 
@@ -29,7 +29,12 @@ import (
 // exactly the path it checks.
 func newClusterServer(t *testing.T, self string, peers []string, store *persist.Store) *Server {
 	t.Helper()
-	cfg := persistentConfig(store)
+	return newClusterServerFrom(t, self, peers, persistentConfig(store))
+}
+
+// newClusterServerFrom is newClusterServer on a given configuration.
+func newClusterServerFrom(t *testing.T, self string, peers []string, cfg Config) *Server {
+	t.Helper()
 	cfg.Cluster = &cluster.Config{
 		Self: self, Peers: peers,
 		ProbeInterval: time.Hour, RebalanceInterval: -1, StandbyInterval: -1,
@@ -40,6 +45,34 @@ func newClusterServer(t *testing.T, self string, peers []string, store *persist.
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// skewedDetector re-encodes differently from what it loaded: every
+// checkpoint it writes carries one extra byte.
+type skewedDetector struct{ *streamad.Detector }
+
+func (d skewedDetector) Save() ([]byte, error) {
+	b, err := d.Detector.Save()
+	return append(b, 0), err
+}
+
+func (d skewedDetector) AppendBinary(dst []byte) ([]byte, error) {
+	b, err := d.Detector.AppendBinary(dst)
+	return append(b, 0), err
+}
+
+// skewedConfig is persistentConfig with skewedDetector detectors.
+func skewedConfig(store *persist.Store) Config {
+	cfg := persistentConfig(store)
+	plain := cfg.NewDetector
+	cfg.NewDetector = func(id string) (Stepper, error) {
+		det, err := plain(id)
+		if err != nil {
+			return nil, err
+		}
+		return skewedDetector{det.(*streamad.Detector)}, nil
+	}
+	return cfg
 }
 
 // observeLocal scores one vector on this node regardless of ring
@@ -83,28 +116,24 @@ func statsLocal(t *testing.T, s *Server, id string) (StatsResponse, bool) {
 	return resp, true
 }
 
-// migrateRequestFor packages a Handoff the way the rebalancer wires it
-// onto POST /migrate.
-func migrateRequestFor(t *testing.T, from string, hs *ingest.HandoffState) []byte {
+// handOff detaches a stream from s the way the rebalancer does and
+// returns its snapshot file, the body of POST /migrate.
+func handOff(t *testing.T, s *Server, id string) (*persist.StreamSnapshot, []byte) {
 	t.Helper()
-	blob, err := persist.EncodeSnapshotFile(hs.Snapshot)
+	snap, err := s.reg.Handoff(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := cluster.MigrateRequest{Node: from, Snapshot: blob, Fingerprint: hs.Fingerprint}
-	for _, rec := range hs.Tail {
-		req.WAL = append(req.WAL, cluster.WALEntry{Seq: rec.Seq, Vector: rec.Vector})
-	}
-	body, err := json.Marshal(req)
+	file, err := persist.EncodeSnapshotFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return snap, file
 }
 
 func postMigrate(s *Server, id string, body []byte) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, "/v1/streams/"+id+"/migrate", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	return rec
@@ -133,21 +162,13 @@ func TestMigrateEndpoint(t *testing.T) {
 	for _, v := range vecs {
 		observeLocal(t, srvA, "mig-1", v)
 	}
-	hs, err := srvA.reg.Handoff("mig-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := migrateRequestFor(t, selfA, hs)
+	snap, body := handOff(t, srvA, "mig-1")
 	rec := postMigrate(srvB, "mig-1", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("migrate = %d: %s", rec.Code, rec.Body.String())
 	}
-	var ack cluster.MigrateResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Node != selfB || ack.Fingerprint != hs.Fingerprint {
-		t.Fatalf("ack = %+v, want node %s fp %08x", ack, selfB, hs.Fingerprint)
+	if got, want := rec.Header().Get(cluster.FingerprintHeader), fmt.Sprintf("%08x", persist.Fingerprint(snap)); got != want {
+		t.Fatalf("ack fingerprint = %q, want %s", got, want)
 	}
 	resp := observeLocal(t, srvB, "mig-1", testVectors(21)[20])
 	if resp.Step != 20 {
@@ -163,10 +184,14 @@ func TestMigrateEndpoint(t *testing.T) {
 	if rec := postMigrate(srvB, "mig-other", body); rec.Code != http.StatusBadRequest {
 		t.Fatalf("mismatched-id migrate = %d, want 400", rec.Code)
 	}
-	// Garbage snapshot bytes.
-	bad, _ := json.Marshal(cluster.MigrateRequest{Node: selfA, Snapshot: []byte("not a snapshot")})
-	if rec := postMigrate(srvB, "mig-1", bad); rec.Code != http.StatusBadRequest {
+	// Garbage bytes, and a file whose CRC no longer covers its body.
+	if rec := postMigrate(srvB, "mig-1", []byte("not a snapshot")); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage-snapshot migrate = %d, want 400", rec.Code)
+	}
+	tampered := bytes.Clone(body)
+	tampered[len(tampered)-1] ^= 1
+	if rec := postMigrate(srvB, "mig-1", tampered); rec.Code != http.StatusBadRequest {
+		t.Fatalf("tampered-snapshot migrate = %d, want 400", rec.Code)
 	}
 	// A node outside any cluster refuses the endpoint outright.
 	solo, err := New(persistentConfig(nil))
@@ -179,9 +204,10 @@ func TestMigrateEndpoint(t *testing.T) {
 	}
 }
 
-// TestMigrateFingerprintMismatch: a tampered fingerprint must be
-// refused, and the half-adopted stream torn down — the source keeps
-// ownership, so the target holding a divergent copy would split brain.
+// TestMigrateFingerprintMismatch: a target whose replica does not
+// re-encode to the shipped file's CRC must refuse the migration, and the
+// half-adopted stream be torn down — the source keeps ownership, so the
+// target holding a divergent copy would split brain.
 func TestMigrateFingerprintMismatch(t *testing.T) {
 	const selfA, selfB = "http://a.test", "http://b.test"
 	peers := []string{selfA, selfB}
@@ -196,22 +222,18 @@ func TestMigrateFingerprintMismatch(t *testing.T) {
 	}
 	defer storeB.Close()
 	srvA := newClusterServer(t, selfA, peers, storeA)
-	srvB := newClusterServer(t, selfB, peers, storeB)
+	srvB := newClusterServerFrom(t, selfB, peers, skewedConfig(storeB))
 
 	for _, v := range testVectors(10) {
 		observeLocal(t, srvA, "mig-2", v)
 	}
-	hs, err := srvA.reg.Handoff("mig-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs.Fingerprint ^= 1
-	rec := postMigrate(srvB, "mig-2", migrateRequestFor(t, selfA, hs))
+	_, body := handOff(t, srvA, "mig-2")
+	rec := postMigrate(srvB, "mig-2", body)
 	if rec.Code != http.StatusConflict {
-		t.Fatalf("tampered migrate = %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("skewed migrate = %d: %s", rec.Code, rec.Body.String())
 	}
 	if !strings.Contains(rec.Body.String(), "fingerprint") {
-		t.Fatalf("tampered migrate body = %q, want a fingerprint complaint", rec.Body.String())
+		t.Fatalf("skewed migrate body = %q, want a fingerprint complaint", rec.Body.String())
 	}
 	if _, live := statsLocal(t, srvB, "mig-2"); live {
 		t.Fatal("target kept the stream after refusing its fingerprint")
@@ -237,7 +259,7 @@ func TestMigrateMismatchKeepsOlderTwin(t *testing.T) {
 	}
 	defer storeB.Close()
 	srvA := newClusterServer(t, selfA, peers, storeA)
-	srvB := newClusterServer(t, selfB, peers, storeB)
+	srvB := newClusterServerFrom(t, selfB, peers, skewedConfig(storeB))
 
 	vecs := testVectors(10)
 	for _, v := range vecs {
@@ -246,13 +268,9 @@ func TestMigrateMismatchKeepsOlderTwin(t *testing.T) {
 	for _, v := range vecs[:3] {
 		observeLocal(t, srvB, "mig-3", v)
 	}
-	hs, err := srvA.reg.Handoff("mig-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs.Fingerprint ^= 1
-	if rec := postMigrate(srvB, "mig-3", migrateRequestFor(t, selfA, hs)); rec.Code != http.StatusConflict {
-		t.Fatalf("tampered migrate = %d: %s", rec.Code, rec.Body.String())
+	_, body := handOff(t, srvA, "mig-3")
+	if rec := postMigrate(srvB, "mig-3", body); rec.Code != http.StatusConflict {
+		t.Fatalf("skewed migrate = %d: %s", rec.Code, rec.Body.String())
 	}
 	twin, live := statsLocal(t, srvB, "mig-3")
 	if !live || twin.Steps != 3 {
@@ -263,8 +281,8 @@ func TestMigrateMismatchKeepsOlderTwin(t *testing.T) {
 	}
 }
 
-// TestWALTailEndpoint: GET /wal serves the tail as NDJSON from the
-// requested sequence, reports the consumed boundary in a header, and
+// TestWALTailEndpoint: GET /wal serves the tail in the WAL file format
+// from the requested sequence, reports the consumed boundary in a header, and
 // maps the registry's error taxonomy onto 4xx/5xx statuses (404 unknown,
 // 410 rotated with a resync boundary, 501 without a store).
 func TestWALTailEndpoint(t *testing.T) {
@@ -292,13 +310,15 @@ func TestWALTailEndpoint(t *testing.T) {
 	if got := rec.Header().Get("X-Streamad-Seq-Done"); got != "8" {
 		t.Fatalf("seq-done header = %q, want 8", got)
 	}
+	if got := rec.Header().Get("Content-Type"); got != "application/octet-stream" {
+		t.Fatalf("wal content type = %q", got)
+	}
+	recs, err := persist.DecodeWAL("w-1", rec.Body.Bytes())
+	if err != nil {
+		t.Fatalf("wal body does not decode: %v", err)
+	}
 	var seqs []uint64
-	sc := bufio.NewScanner(rec.Body)
-	for sc.Scan() {
-		var e cluster.WALEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad wal line %q: %v", sc.Text(), err)
-		}
+	for _, e := range recs {
 		if len(e.Vector) != 3 {
 			t.Fatalf("wal entry %d has %d channels", e.Seq, len(e.Vector))
 		}
@@ -323,8 +343,8 @@ func TestWALTailEndpoint(t *testing.T) {
 }
 
 // TestWALTailRotated: once the snapshotter folds the tail into a
-// checkpoint, a follower asking for pre-boundary records gets 410 plus
-// the boundary to resync from.
+// checkpoint, a follower asking for pre-boundary records gets a 410
+// naming the boundary to resync from.
 func TestWALTailRotated(t *testing.T) {
 	const selfA, selfB = "http://a.test", "http://b.test"
 	store, err := persist.Open(t.TempDir())
@@ -353,12 +373,8 @@ func TestWALTailRotated(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/w-2/wal?from=0", nil))
 		if rec.Code == http.StatusGone {
-			var gone cluster.WALGone
-			if err := json.Unmarshal(rec.Body.Bytes(), &gone); err != nil {
-				t.Fatalf("bad 410 body %q: %v", rec.Body.String(), err)
-			}
-			if gone.SnapshotSeq == 0 {
-				t.Fatalf("410 body carries no resync boundary: %+v", gone)
+			if body := rec.Body.String(); !strings.Contains(body, "snapshot at seq ") || strings.Contains(body, "at seq 0\n") {
+				t.Fatalf("410 body %q names no resync boundary", body)
 			}
 			return
 		}

@@ -68,9 +68,6 @@ type Config struct {
 	// Overload picks the full-queue policy: ingest.Block (backpressure,
 	// default), ingest.Shed (429 + Retry-After) or ingest.DropOldest.
 	Overload ingest.Policy
-	// RetryAfter is the back-off hint attached to 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
 	// StreamTTL, when positive, checkpoints and unloads streams with no
 	// observes for the TTL (see ingest.Config.StreamTTL).
 	StreamTTL time.Duration
@@ -137,7 +134,6 @@ func New(cfg Config) (*Server, error) {
 		Shards:           cfg.Shards,
 		QueueDepth:       cfg.QueueDepth,
 		Overload:         cfg.Overload,
-		RetryAfter:       cfg.RetryAfter,
 		MaxStreams:       cfg.MaxStreams,
 		StreamTTL:        cfg.StreamTTL,
 		WarmAfter:        cfg.WarmAfter,
