@@ -11,10 +11,10 @@ import (
 	"streamad/internal/persist"
 )
 
-// nopStepper is a detector that only counts its steps.
-type nopStepper struct{ steps int }
+// nopStepper is a detector that never scores.
+type nopStepper struct{}
 
-func (s *nopStepper) Step([]float64) (core.Result, bool) { s.steps++; return core.Result{}, false }
+func (nopStepper) Step([]float64) (core.Result, bool) { return core.Result{}, false }
 
 // TestTailReplicaDecodesWALBytes: a standby replays an owner's tail only
 // when the whole body decodes as WAL-file bytes and every value is
@@ -27,7 +27,7 @@ func TestTailReplicaDecodesWALBytes(t *testing.T) {
 	}))
 	defer owner.Close()
 	reg, err := ingest.New(ingest.Config{
-		NewDetector: func(string) (ingest.Stepper, error) { return &nopStepper{}, nil },
+		NewDetector: func(string) (ingest.Stepper, error) { return nopStepper{}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
