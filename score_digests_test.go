@@ -19,8 +19,10 @@ const scoreDigestFile = "testdata/score_digests.json"
 
 // The neural pipelines and the ensemble of the benchmark's model-heavy
 // workload, at its geometry; the pipelines of its other three workloads;
-// a tier-0 leaf; and a cascade over an ensemble, the deepest detector
-// tree the grammar builds.
+// a tier-0 leaf; a cascade over an ensemble, the deepest detector tree
+// the grammar builds; and every model kind again with its fine-tunes on
+// the serve/train split, whose scores depend on the job's copy of the
+// model being exact (pcb trains in place, so its row equals the sync one).
 var scoreDigestSpecs = []string{
 	"ae+sw+musigma",
 	"usad+sw+musigma",
@@ -31,6 +33,14 @@ var scoreDigestSpecs = []string{
 	"knn+sw+musigma",
 	"hampel",
 	"cascade(zscore, ensemble(arima+sw+musigma, knn+sw+musigma; agg=median); admit=0.05)",
+	"ae+sw+musigma+async",
+	"usad+sw+musigma+async",
+	"nbeats+sw+musigma+async",
+	"arima+sw+musigma+async",
+	"arima-ons+sw+musigma+async",
+	"knn+sw+musigma+async",
+	"ensemble(usad+sw+musigma+async, nbeats+sw+musigma+async; agg=mean)",
+	"pcb+sw+musigma+async",
 }
 
 // The benchmark's input family: a 2 % contaminated gaussian base with one
@@ -90,6 +100,9 @@ func TestScoreDigestsMatchParent(t *testing.T) {
 		}
 		t.Logf("%s: %s, %d fine-tunes", spec, d, fineTunes)
 		got[spec] = d
+	}
+	if got["pcb+sw+musigma+async"] != got["pcb+sw+musigma"] {
+		t.Errorf("pcb+sw+musigma+async: digest %s, the sync row reads %s: pcb must fine-tune in place", got["pcb+sw+musigma+async"], got["pcb+sw+musigma"])
 	}
 	if *updateDigests {
 		b, err := json.MarshalIndent(got, "", "  ")
