@@ -69,13 +69,15 @@ test:
 # finished, a deadlock, the per-leaf queue bound), the pool's cancel
 # claim racing its workers, and the stream entry paths (standby
 # failover, migration in-process and between two live nodes, the adopt
-# conflict rule, concurrent first observes of a cold stream).
+# conflict rule, concurrent first observes of a cold stream), and the two
+# tiering tests that page a stream right after its last observe.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestAsyncIsAPureFunctionOfTheInput|TestStepAfterTrainerPoolClose|TestQueuedJobsPerLeafBounded' -count=5 .
 	$(GO) test -race -run 'TestPoolCancelRace' -count=5 ./internal/pool
 	$(GO) test -race -run 'TestStandbyFailoverBitIdentical|TestMigrationOverTheWire' -count=5 ./internal/server
 	$(GO) test -race -run 'TestMigrationBitIdentical|TestAdoptSeqConflict|TestConcurrentObservesSingleRestore' -count=5 ./internal/ingest
+	$(GO) test -race -run 'TestWarmPageInFallsBackToSnapshot|TestWarmStreamColdEviction' -count=20 ./internal/ingest
 
 # loc prints the number ROADMAP aim 2 ("least code") is about: non-test
 # Go and assembly lines outside the frozen benchmark/. 25,998 before the detector-tree
@@ -93,13 +95,15 @@ race:
 # 21,788 before both observe endpoints came to share one path and the
 # code only its own unit tests called was deleted, 21,343 before streams
 # crossed nodes in the store's own snapshot and WAL bytes and the unused
-# metrics and single-value knobs went.
+# metrics and single-value knobs went, 21,126 before a model's checkpoint
+# became its only copy (core.Cloner, the fourteen hand-written deep
+# copies and the model-only snapshot path deleted).
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 21126
+LOC_CEILING = 20922
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

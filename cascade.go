@@ -35,9 +35,6 @@ var tier0Names = spec.Enum[Tier0Kind]{What: "tier-0 detector", Rows: []spec.Name
 // String returns the spec-grammar name.
 func (t Tier0Kind) String() string { return tier0Names.Spec(t) }
 
-// ParseTier0Kind converts a tier-0 detector name into a Tier0Kind.
-func ParseTier0Kind(s string) (Tier0Kind, error) { return tier0Names.Parse(s) }
-
 func (Tier0Kind) kind() specKind { return kindTier0 }
 
 // Build implements Spec: a standalone tier-0 detector at the default

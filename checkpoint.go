@@ -1,7 +1,6 @@
 package streamad
 
 import (
-	"encoding"
 	"fmt"
 
 	"streamad/internal/core"
@@ -54,10 +53,10 @@ func fingerprintValue(i int, v int64) interface{} {
 // Save returns a binary snapshot of the complete detector state: model
 // parameters including optimizer position, the representation window, the
 // Task 1 training set and its RNG position, the Task 2 drift reference,
-// the scorer windows and every counter. Unlike SaveModel, a detector
-// restored with Load resumes scoring immediately — no window refill, no
-// re-warmup — and produces scores identical to an uninterrupted run, even
-// through later drift-triggered fine-tunes.
+// the scorer windows and every counter. A detector restored with Load
+// resumes scoring immediately — no window refill, no re-warmup — and
+// produces scores identical to an uninterrupted run, even through later
+// drift-triggered fine-tunes.
 //
 // The buffer is presized from the previous snapshot saved or loaded, so
 // Save is one allocation, the first one after a restore included.
@@ -131,16 +130,18 @@ func (d *Detector) Load(data []byte) error {
 	// framework loop state is touched.
 	var pending core.Model
 	if v == pendingVersion {
-		c, ok := d.Model().(core.Cloner)
-		if !ok {
+		if !trainsAsync(d.cfg.Model) {
 			return fmt.Errorf("streamad: %v cannot fine-tune asynchronously, but the snapshot holds a pending fine-tune", d.cfg.Model)
 		}
-		pending = c.CloneModel().(core.Model)
-		if err := pending.(encoding.BinaryUnmarshaler).UnmarshalBinary(trained); err != nil {
+		var err error
+		if pending, err = buildModel(d.cfg); err != nil {
+			return err
+		}
+		if err := d.loadModel(pending, trained); err != nil {
 			return err
 		}
 	}
-	if err := d.LoadModel(model); err != nil {
+	if err := d.loadModel(d.Model(), model); err != nil {
 		return err
 	}
 	if err := d.PageIn(inner); err != nil {

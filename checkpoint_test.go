@@ -3,11 +3,14 @@ package streamad
 import (
 	"bytes"
 	"encoding"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"streamad/internal/core"
 	"streamad/internal/dataset"
+	"streamad/internal/wire"
 )
 
 // syncCheckpointSpecs are synchronous detectors whose Save bytes are
@@ -63,106 +66,106 @@ func TestSyncSaveMatchesPinnedBytes(t *testing.T) {
 	}
 }
 
-// TestModelCheckpointRoundTrip trains each model kind briefly, snapshots
-// it, restores the snapshot into a freshly built detector and verifies
-// both produce identical scores on the same evaluation stream.
+// TestModelCheckpointRoundTrip pins the contract every copy of a model
+// rests on — an async fine-tune's job, a restored pending job, Figure 1's
+// frozen model: a blank model built from the detector's configuration and
+// loaded with a trained model's checkpoint re-encodes to the same bytes,
+// predicts (or self-scores) bit-identically, and trains to the same bytes.
 func TestModelCheckpointRoundTrip(t *testing.T) {
 	corpus := dataset.Daphnet(dataset.Config{Length: 700, SeriesCount: 1, Seed: 13})
 	s := corpus.Series[0]
-	mk := func() Config {
-		return Config{
-			Model: ModelAE, Task1: TaskSlidingWindow, Task2: TaskRegular,
-			// TaskRegular with a huge interval: no fine-tunes after warmup,
-			// so the restored model's scores must match exactly.
-			RegularInterval: 1 << 30,
-			Score:           ScoreAverage,
-			Channels:        s.Channels(), Window: 12, TrainSize: 60,
-			WarmupVectors: 80, Seed: 5,
-		}
-	}
 	kinds := []ModelKind{ModelARIMA, ModelARIMAONS, ModelPCBIForest, ModelAE, ModelUSAD, ModelNBEATS, ModelVAR, ModelKNN}
 	for _, kind := range kinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := mk()
-			cfg.Model = kind
-			trained, err := New(cfg)
+			trained, err := New(Config{
+				Model: kind, Task1: TaskSlidingWindow, Task2: TaskRegular, RegularInterval: 40,
+				Channels: s.Channels(), Window: 12, TrainSize: 60, WarmupVectors: 80, Seed: 5,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm up (train) on the first part of the stream.
 			for _, row := range s.Data[:300] {
 				trained.Step(row)
 			}
-			if !trained.WarmedUp() {
-				t.Fatal("detector did not warm up")
+			if trained.FineTunes() == 0 {
+				t.Fatal("no fine-tune before the copy; the pin would not cover one")
 			}
-			snap, err := trained.SaveModel()
-			if err != nil {
-				t.Fatalf("SaveModel: %v", err)
-			}
-			if len(snap) == 0 {
-				t.Fatal("empty snapshot")
-			}
-
-			// The restored detector must skip its own initial fit (the
-			// model comes from the snapshot) but still refill its window
-			// and training set from the live stream.
-			cfg.PreTrained = true
-			restored, err := New(cfg)
+			live := trained.Model()
+			blob := encodeModel(t, live)
+			blank, err := buildModel(trained.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := restored.LoadModel(snap); err != nil {
-				t.Fatalf("LoadModel: %v", err)
+			if err := trained.loadModel(blank, blob); err != nil {
+				t.Fatalf("loading the checkpoint into a blank model: %v", err)
+			}
+			if !bytes.Equal(encodeModel(t, blank), blob) {
+				t.Fatal("the loaded model re-encodes to different bytes")
 			}
 
-			// Drive both detectors through an identical evaluation slice.
-			// The restored one becomes ready after its window + warmup
-			// refill; from then on the (frozen, identical) models must
-			// produce identical nonconformity scores.
-			compared := 0
+			// Both models see the same windows of the rest of the stream;
+			// PCB-iForest's counters move as it scores, on both sides.
+			rep := core.NewRepresenter(12, s.Channels())
+			var windows [][]float64
 			for i := 300; i < 650; i++ {
-				a, okA := trained.Step(s.Data[i])
-				b, okB := restored.Step(s.Data[i])
-				if !okA || !okB {
+				x, ok := rep.Push(s.Data[i])
+				if !ok {
 					continue
 				}
-				compared++
-				if a.Nonconformity != b.Nonconformity {
-					t.Fatalf("nonconformity diverged at %d: %v vs %v", i, a.Nonconformity, b.Nonconformity)
+				windows = append(windows, append([]float64(nil), x...))
+				if a, ok := live.(core.SelfScoring); ok {
+					got, want := blank.(core.SelfScoring).NonconformityScore(x), a.NonconformityScore(x)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("row %d: the copy scores %v, the live model %v", i, got, want)
+					}
+					continue
+				}
+				_, want := live.(core.Predictor).Predict(x)
+				want = append([]float64(nil), want...)
+				_, got := blank.(core.Predictor).Predict(x)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("row %d: the copy predicts %v, the live model %v", i, got[j], want[j])
+					}
 				}
 			}
-			if compared < 100 {
-				t.Fatalf("only %d comparable steps; restored detector never became ready", compared)
+			set := windows[len(windows)-60:]
+			live.Fit(set)
+			blank.Fit(set)
+			if !bytes.Equal(encodeModel(t, blank), encodeModel(t, live)) {
+				t.Fatal("the copy and the live model trained to different bytes")
 			}
 		})
 	}
 }
 
-// TestLoadModelRejectsMismatchedShape verifies a snapshot cannot be
-// loaded into a differently-shaped detector.
+// encodeModel returns m's checkpoint.
+func encodeModel(t *testing.T, m core.Model) []byte {
+	t.Helper()
+	b, err := m.(wire.Appender).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLoadModelRejectsMismatchedShape: the model codec refuses a
+// checkpoint of another shape or another model kind.
 func TestLoadModelRejectsMismatchedShape(t *testing.T) {
-	a, err := New(Config{Model: ModelAE, Channels: 3, Window: 8, TrainSize: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	model := func(kind ModelKind, channels int) core.Model {
+		t.Helper()
+		d, err := New(Config{Model: kind, Channels: channels, Window: 8, TrainSize: 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Model()
 	}
-	snap, err := a.SaveModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{Model: ModelAE, Channels: 4, Window: 8, TrainSize: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.LoadModel(snap); err == nil {
+	snap := encodeModel(t, model(ModelAE, 3))
+	if err := model(ModelAE, 4).(encoding.BinaryUnmarshaler).UnmarshalBinary(snap); err == nil {
 		t.Fatal("mismatched-shape load must fail")
 	}
-	c, err := New(Config{Model: ModelUSAD, Channels: 3, Window: 8, TrainSize: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadModel(snap); err == nil {
+	if err := model(ModelUSAD, 3).(encoding.BinaryUnmarshaler).UnmarshalBinary(snap); err == nil {
 		t.Fatal("cross-model load must fail")
 	}
 }

@@ -24,9 +24,6 @@ const (
 	AggPerfWeighted = ensemble.AggPerfWeighted
 )
 
-// ParseAggKind converts an ensemble-combiner name into an AggKind.
-func ParseAggKind(s string) (AggKind, error) { return ensemble.AggNames.Parse(s) }
-
 // StreamDetector is the one detector contract (core.Node), shared by
 // single-pipeline detectors (*Detector), ensembles (*Ensemble), cascades
 // (*Cascade) and the tier-0 detectors: streaming scoring, full-state

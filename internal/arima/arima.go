@@ -82,24 +82,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// CloneModel returns a full-fidelity deep copy of the model for the
-// asynchronous fine-tuning path. The binomial coefficient table is
-// immutable and shared; all scratch is fresh.
-func (m *Model) CloneModel() any {
-	return &Model{
-		lags:      m.lags,
-		d:         m.d,
-		channels:  m.channels,
-		gamma:     append([]float64(nil), m.gamma...),
-		lr:        m.lr,
-		binom:     m.binom,
-		targetBuf: make([]float64, m.channels),
-		predBuf:   make([]float64, m.channels),
-		lagDiffs:  make([]float64, m.lags),
-		gradBuf:   make([]float64, m.lags),
-	}
-}
-
 // WindowRows returns the number of stream rows the model needs per feature
 // vector: lags + d history rows + 1 target row.
 func (m *Model) WindowRows() int { return m.lags + m.d + 1 }

@@ -48,23 +48,6 @@ func NewONS(model *Model, eta, epsilon float64) *ONS {
 // Model returns the wrapped ARIMA model.
 func (o *ONS) Model() *Model { return o.model }
 
-// CloneModel returns a full-fidelity deep copy — wrapped model, A⁻¹ and
-// learning rate — for the asynchronous fine-tuning path.
-func (o *ONS) CloneModel() any {
-	n := o.model.lags
-	ainv := make([][]float64, n)
-	for i := range ainv {
-		ainv[i] = append([]float64(nil), o.ainv[i]...)
-	}
-	return &ONS{
-		model: o.model.CloneModel().(*Model),
-		eta:   o.eta,
-		ainv:  ainv,
-		av:    make([]float64, n),
-		g:     make([]float64, n),
-	}
-}
-
 // Predict delegates to the wrapped model.
 func (o *ONS) Predict(x []float64) (target, pred []float64) {
 	return o.model.Predict(x)

@@ -73,23 +73,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// CloneModel returns a full-fidelity deep copy — weights, optimizer
-// moments and scaler — for the asynchronous fine-tuning path: the clone
-// trains on a background goroutine while the original keeps scoring.
-func (m *Model) CloneModel() any {
-	net := m.net.Clone()
-	return &Model{
-		net:    net,
-		opt:    nn.CloneOptimizer(m.opt, m.net.Params(), net.Params()),
-		scaler: m.scaler.Clone(),
-		dim:    m.dim,
-		grad:   make([]float64, m.dim),
-		zbuf:   make([]float64, m.dim),
-		ctx:    net.NewContext(),
-		slab:   make([]float64, len(m.slab)),
-	}
-}
-
 // Dim returns the feature-vector length.
 func (m *Model) Dim() int { return m.dim }
 

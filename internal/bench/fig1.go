@@ -77,7 +77,8 @@ func FinetuneExperiment(cfg Fig1Config) (*Fig1Result, error) {
 	n := series.Channels()
 	dim := p.Window * n
 
-	model, err := usad.New(usad.Config{Dim: dim, Seed: p.Seed})
+	modelCfg := usad.Config{Dim: dim, Seed: p.Seed}
+	model, err := usad.New(modelCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,18 @@ func FinetuneExperiment(cfg Fig1Config) (*Fig1Result, error) {
 		u := set.Observe(x, a)
 		if det.Observe(u, x, set) {
 			if stale == nil {
-				stale = model.Clone()
+				// Frozen as a blank model loaded with the live one's
+				// checkpoint, a copy that shares no storage with it.
+				if stale, err = usad.New(modelCfg); err != nil {
+					return nil, err
+				}
+				blob, err := model.AppendBinary(nil)
+				if err == nil {
+					err = stale.UnmarshalBinary(blob)
+				}
+				if err != nil {
+					return nil, err
+				}
 			}
 			model.Fit(set.Items())
 			det.Reset(set)

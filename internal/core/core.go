@@ -132,11 +132,6 @@ type Config struct {
 	WarmupVectors int
 	// InitEpochs is the number of epochs of the initial fit (default 1).
 	InitEpochs int
-	// PreTrained skips the initial fit at the end of warmup: the warmup
-	// still fills the training set and initializes the drift reference,
-	// but the model parameters — e.g. restored from a snapshot — are left
-	// untouched until the first drift-triggered fine-tune.
-	PreTrained bool
 	// Sanitize replaces NaN/±Inf stream values with the channel's last
 	// finite value (or 0 before one exists) instead of letting them poison
 	// every running statistic. Real telemetry has gaps; with Sanitize off,
@@ -148,14 +143,16 @@ type Config struct {
 	// alert can name the channels that drove it. Self-scoring models
 	// (PCB-iForest, kNN) have no prediction pair to decompose.
 	Attribution bool
-	// AsyncFineTune enables the serve/train split: a drift trigger at
-	// step s clones the model and copies R_train, a TrainerPool trains the
-	// clone while scoring continues on the old parameters, and the Step
-	// of s+adoptLag adopts it, waiting if need be. Requires a Cloner
-	// model; otherwise fine-tuning stays synchronous (the default): the
-	// live model trains in place within the triggering Step.
-	AsyncFineTune bool
-	// TrainerPool, with AsyncFineTune, runs the fine-tunes on a shared
+	// NewModel, when set, enables the serve/train split: a drift trigger
+	// at step s loads a blank model from NewModel with the live model's
+	// checkpoint (its AppendBinary bytes, through its UnmarshalBinary) and
+	// copies R_train, a TrainerPool trains the copy while scoring
+	// continues on the old parameters, and the Step of s+adoptLag adopts
+	// it, waiting if need be. When NewModel is nil, or it or the decode
+	// fails, fine-tuning is synchronous: the live model trains in place
+	// within the triggering Step.
+	NewModel func() (Model, error)
+	// TrainerPool, with NewModel, runs the fine-tunes on a shared
 	// bounded pool instead of a goroutine each.
 	TrainerPool TrainerPool
 }
@@ -291,11 +288,9 @@ func (d *Detector) Step(s []float64) (Result, bool) {
 			d.warmupLeft--
 		}
 		if d.warmupLeft == 0 {
-			if !d.cfg.PreTrained {
-				items := d.cfg.TrainingSet.Items()
-				for e := 0; e < d.cfg.InitEpochs; e++ {
-					d.cfg.Model.Fit(items)
-				}
+			items := d.cfg.TrainingSet.Items()
+			for e := 0; e < d.cfg.InitEpochs; e++ {
+				d.cfg.Model.Fit(items)
 			}
 			d.cfg.Drift.Reset(d.cfg.TrainingSet)
 			d.warmedUp = true

@@ -1,27 +1,21 @@
 package core
 
 import (
+	"encoding"
 	"sync/atomic"
 	"time"
 
 	"streamad/internal/stats"
+	"streamad/internal/wire"
 )
 
 // adoptLag is how many steps after its drift trigger an asynchronous
-// fine-tune is adopted: a trigger at step s trains a clone on R_train as
-// of s, and the Step of s+adoptLag installs it however long training
-// took, so async scores are a function of the input alone. Sync mode is
-// lag 0. 32 is from the {0, 8, 32, 128} grid it is to be measured over.
+// fine-tune is adopted: a trigger at step s trains a copy of the model on
+// R_train as of s, and the Step of s+adoptLag installs it however long
+// training took, so async scores are a function of the input alone. Sync
+// mode is lag 0. 32 is from the {0, 8, 32, 128} grid it is to be
+// measured over.
 const adoptLag = 32
-
-// Cloner is the optional model capability behind asynchronous
-// fine-tuning: CloneModel returns a full-fidelity deep copy — weights,
-// optimizer state, scalers — that can train on another goroutine while
-// the original keeps scoring. The returned value must implement Model
-// (and whichever of Predictor/SelfScoring the original does).
-type Cloner interface {
-	CloneModel() any
-}
 
 // TrainerPool runs asynchronous fine-tunes off the scoring goroutine
 // (internal/pool.Pool is the shared bounded one). Submit hands over one
@@ -53,7 +47,7 @@ var FineTuneBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5
 // fine-tuning activity, safe to call from any goroutine.
 type FineTuneStats struct {
 	// Async reports whether the serve/train split is active (the config
-	// asked for it and the model supports cloning).
+	// asked for it and the model kind trains asynchronously).
 	Async bool
 	// InFlight reports whether an asynchronous fine-tune is pending: its
 	// trigger has passed and its due step has not.
@@ -93,9 +87,11 @@ type job struct {
 // trainer is the detector's fine-tune state. The job is the scoring
 // goroutine's; everything FineTuneStats reads is atomic.
 type trainer struct {
-	lag       int         // adoptLag in async mode, 0 in sync mode
-	pool      TrainerPool // nil in sync mode
-	job       *job        // the pending fine-tune, if any
+	lag       int                   // adoptLag in async mode, 0 in sync mode
+	pool      TrainerPool           // nil in sync mode
+	newModel  func() (Model, error) // Config.NewModel
+	blobSize  int                   // length of the last model checkpoint copied, the next one's capacity
+	job       *job                  // the pending fine-tune, if any
 	inFlight  atomic.Bool
 	launched  atomic.Int64
 	skipped   atomic.Int64
@@ -104,10 +100,10 @@ type trainer struct {
 	durations *stats.Histogram // one observation (ns) per finished epoch
 }
 
-// newTrainer is async when cfg asks for it and the model can clone.
+// newTrainer is async when cfg sets NewModel.
 func newTrainer(cfg Config) *trainer {
-	t := &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9)}
-	if _, ok := cfg.Model.(Cloner); ok && cfg.AsyncFineTune {
+	t := &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9), newModel: cfg.NewModel}
+	if cfg.NewModel != nil {
 		t.lag, t.pool = adoptLag, cfg.TrainerPool
 		if t.pool == nil {
 			t.pool = goTrainer{}
@@ -162,8 +158,8 @@ func (t *trainer) finish(j *job) bool {
 // now or, while one is pending, counts the trigger as skipped; either way
 // the drift detector restarts from the current training set. A sync job
 // (lag 0) trains the live model in place before that; an async one owns
-// a clone and a copy of R_train taken now. Reports whether a fine-tune
-// was started.
+// a copy of the model and of R_train taken now. A model that cannot be
+// copied takes the sync path. Reports whether a fine-tune was started.
 func (d *Detector) fineTune() bool {
 	t := d.train
 	if t.job != nil {
@@ -171,10 +167,10 @@ func (d *Detector) fineTune() bool {
 		d.cfg.Drift.Reset(d.cfg.TrainingSet)
 		return false
 	}
-	j := &job{due: d.steps + t.lag, model: d.cfg.Model, set: d.cfg.TrainingSet.Items()}
+	j := &job{due: d.steps, model: d.cfg.Model, set: d.cfg.TrainingSet.Items()}
 	t.job = j
-	if t.pool != nil {
-		j.model = d.cfg.Model.(Cloner).CloneModel().(Model)
+	if copied := d.copyModel(); copied != nil {
+		j.due, j.model = d.steps+t.lag, copied
 		j.set = snapshotSet(j.set)
 		done := make(chan struct{})
 		j.done = done
@@ -190,6 +186,31 @@ func (d *Detector) fineTune() bool {
 	}
 	d.cfg.Drift.Reset(d.cfg.TrainingSet)
 	return true
+}
+
+// copyModel returns a blank model from NewModel loaded with the live
+// model's checkpoint, or nil in sync mode and when NewModel or the
+// decode fails. The checkpoint is the model's only definition of its
+// state, so the copy trains exactly as the live model would have.
+func (d *Detector) copyModel() Model {
+	t := d.train
+	live, ok := d.cfg.Model.(wire.Appender)
+	if t.newModel == nil || !ok {
+		return nil
+	}
+	m, err := t.newModel()
+	if err != nil {
+		return nil
+	}
+	u, ok := m.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return nil
+	}
+	blob, err := wire.Marshal(live, &t.blobSize)
+	if err != nil || u.UnmarshalBinary(blob) != nil {
+		return nil
+	}
+	return m
 }
 
 // adopt installs the pending job's model at its due step, counting an

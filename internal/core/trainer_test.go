@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
 
 	"streamad/internal/drift"
+	"streamad/internal/wire"
 )
 
 // meanModel predicts the feature vector shifted by a bias that Fit pulls
@@ -33,7 +35,15 @@ func (m *meanModel) Fit(set [][]float64) {
 	m.bias = m.bias/2 + sum/float64(n)/2
 }
 
-func (m *meanModel) CloneModel() any { c := *m; return &c }
+func (m *meanModel) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendFloat64(dst, m.bias), nil
+}
+
+func (m *meanModel) UnmarshalBinary(data []byte) error {
+	rd := wire.NewReader(data)
+	m.bias = rd.Float64()
+	return rd.Done()
+}
 
 // fakePool runs a submitted job at once, or — never — leaves it queued
 // for the due step to take back.
@@ -57,7 +67,10 @@ func fineTuning(t *testing.T, pool TrainerPool) *Detector {
 	t.Helper()
 	cfg := testConfig(&meanModel{bias: 1}, 2, 1, 8, 8)
 	cfg.Drift = drift.NewRegular(5)
-	cfg.AsyncFineTune, cfg.TrainerPool = pool != nil, pool
+	if pool != nil {
+		cfg.NewModel = func() (Model, error) { return &meanModel{}, nil }
+		cfg.TrainerPool = pool
+	}
 	d, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,3 +140,43 @@ func TestAsyncAdoptsAtTheDueStep(t *testing.T) {
 	}
 	t.Fatal("no fine-tune was ever triggered")
 }
+
+// TestFailedCopyTrainsInPlace: a trigger whose copy of the model cannot
+// be made — NewModel fails, or the blank model refuses the live one's
+// checkpoint — trains the live model in place at lag 0, step for step
+// like a sync detector, launching nothing and submitting nothing.
+func TestFailedCopyTrainsInPlace(t *testing.T) {
+	for name, newModel := range map[string]func() (Model, error){
+		"NewModel fails": func() (Model, error) { return nil, errors.New("no model") },
+		"decode fails":   func() (Model, error) { return &refusingModel{}, nil },
+	} {
+		for run := 0; run < 2; run++ {
+			sync := fineTuning(t, nil)
+			pool := &fakePool{}
+			cfg := testConfig(&meanModel{bias: 1}, 2, 1, 8, 8)
+			cfg.Drift = drift.NewRegular(5)
+			cfg.NewModel, cfg.TrainerPool = newModel, pool
+			failing, err := NewDetector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				a, okA := sync.Step(wave(i))
+				b, okB := failing.Step(wave(i))
+				if okA != okB || a.FineTuned != b.FineTuned || sync.FineTunes() != failing.FineTunes() ||
+					math.Float64bits(a.Nonconformity) != math.Float64bits(b.Nonconformity) {
+					t.Fatalf("%s, run %d, step %d: %+v/%v sync, %+v/%v after a failed copy", name, run, i, a, okA, b, okB)
+				}
+			}
+			st := failing.FineTuneStats()
+			if failing.FineTunes() < 30 || pool.submitted != 0 || st.Launched != 0 || st.InFlight || !st.Async {
+				t.Fatalf("%s, run %d: %d fine-tunes, %d submitted, stats %+v", name, run, failing.FineTunes(), pool.submitted, st)
+			}
+		}
+	}
+}
+
+// refusingModel is a meanModel whose decoder refuses every checkpoint.
+type refusingModel struct{ meanModel }
+
+func (*refusingModel) UnmarshalBinary([]byte) error { return errors.New("refused") }

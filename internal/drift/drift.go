@@ -31,11 +31,6 @@ type OpCounts struct {
 	Cmps  int64 // comparisons
 }
 
-// Plus returns the element-wise sum of two counts.
-func (o OpCounts) Plus(p OpCounts) OpCounts {
-	return OpCounts{Adds: o.Adds + p.Adds, Mults: o.Mults + p.Mults, Cmps: o.Cmps + p.Cmps}
-}
-
 // Detector decides, per time step, whether the model should be fine-tuned.
 type Detector interface {
 	// Observe consumes the training-set update for this time step and the

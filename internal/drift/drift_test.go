@@ -329,12 +329,3 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestOpCountsPlus(t *testing.T) {
-	a := OpCounts{Adds: 1, Mults: 2, Cmps: 3}
-	b := OpCounts{Adds: 10, Mults: 20, Cmps: 30}
-	c := a.Plus(b)
-	if c.Adds != 11 || c.Mults != 22 || c.Cmps != 33 {
-		t.Fatalf("Plus = %+v", c)
-	}
-}

@@ -102,8 +102,8 @@ func TestPCBForestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != 25 || f.Fitted() {
-		t.Fatalf("defaults wrong: trees=%d fitted=%v", f.NumTrees(), f.Fitted())
+	if f.numTrees != 25 || f.fitted {
+		t.Fatalf("defaults wrong: trees=%d fitted=%v", f.numTrees, f.fitted)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestPCBForestScoresOutliers(t *testing.T) {
 		set[i] = featureVec(s, 4)
 	}
 	f.Fit(set)
-	if !f.Fitted() {
+	if !f.fitted {
 		t.Fatal("Fit did not build the forest")
 	}
 	inlier := f.NonconformityScore(featureVec([]float64{0.2, -0.1}, 4))
@@ -147,9 +147,8 @@ func TestPCBForestCountersUpdate(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.NonconformityScore([]float64{rng.NormFloat64()})
 	}
-	counters := f.Counters()
 	nonZero := 0
-	for _, c := range counters {
+	for _, c := range f.counters {
 		if c != 0 {
 			nonZero++
 		}
@@ -172,10 +171,10 @@ func TestPCBForestPruneAndRegrow(t *testing.T) {
 		f.NonconformityScore([]float64{rng.NormFloat64() * 3})
 	}
 	f.Fit(set) // drift-style refit
-	if got := len(f.Counters()); got != 12 {
+	if got := len(f.counters); got != 12 {
 		t.Fatalf("forest size after refit = %d, want 12", got)
 	}
-	for _, c := range f.Counters() {
+	for _, c := range f.counters {
 		if c != 0 {
 			t.Fatal("counters must reset after the PCB refit")
 		}
@@ -193,11 +192,11 @@ func TestPCBForestPruneAndRegrow(t *testing.T) {
 func TestPCBForestEmptyFitIsNoop(t *testing.T) {
 	f, _ := New(Config{Channels: 2, Seed: 7})
 	f.Fit(nil)
-	if f.Fitted() {
+	if f.fitted {
 		t.Fatal("empty Fit must not mark fitted")
 	}
 	f.Fit([][]float64{{1}}) // shorter than one stream vector
-	if f.Fitted() {
+	if f.fitted {
 		t.Fatal("too-short vectors must be ignored")
 	}
 }

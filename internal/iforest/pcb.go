@@ -78,19 +78,6 @@ func New(cfg Config) (*PCBForest, error) {
 // Channels returns N.
 func (f *PCBForest) Channels() int { return f.channels }
 
-// NumTrees returns the configured forest size.
-func (f *PCBForest) NumTrees() int { return f.numTrees }
-
-// Fitted reports whether the forest has been built.
-func (f *PCBForest) Fitted() bool { return f.fitted }
-
-// Counters returns a copy of the per-tree performance counters.
-func (f *PCBForest) Counters() []int {
-	out := make([]int, len(f.counters))
-	copy(out, f.counters)
-	return out
-}
-
 // lastRows extracts the final stream vector s_t of every feature vector in
 // the training set: PCB-iForest isolates stream vectors, not windows.
 func (f *PCBForest) lastRows(set [][]float64) [][]float64 {

@@ -169,6 +169,7 @@ func TestWarmPageInFallsBackToSnapshot(t *testing.T) {
 			}
 			step(i)
 		}
+		r.WaitIdle("s")
 		if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
 			t.Fatalf("PageIdle demoted %d streams, want 1", n)
 		}
@@ -331,6 +332,7 @@ func testWarmStreamColdEviction(t *testing.T, build func() (streamad.StreamDetec
 		}
 		ref.Step(v)
 	}
+	r.WaitIdle("s")
 	if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
 		t.Fatal("demotion failed")
 	}

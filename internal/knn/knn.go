@@ -51,13 +51,6 @@ func New(cfg Config) (*Model, error) {
 // K returns the neighbor count.
 func (m *Model) K() int { return m.k }
 
-// CloneModel returns a copy for the asynchronous fine-tuning path. The
-// reference rows are immutable between Fits (Fit replaces the whole
-// backing array), so clone and original share them until the next Fit.
-func (m *Model) CloneModel() any {
-	return &Model{k: m.k, dim: m.dim, ref: m.ref, scale: m.scale}
-}
-
 // Fitted reports whether a reference set is loaded.
 func (m *Model) Fitted() bool { return len(m.ref) > 0 }
 

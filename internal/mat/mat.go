@@ -60,13 +60,6 @@ func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 // Data returns the underlying row-major storage (aliased, not copied).
 func (m *Dense) Data() []float64 { return m.data }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	d := make([]float64, len(m.data))
-	copy(d, m.data)
-	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.cols, m.rows)

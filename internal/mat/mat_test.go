@@ -86,15 +86,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	m := NewDenseData(1, 2, []float64{1, 2})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone aliases original storage")
-	}
-}
-
 func TestAddScaledAndScale(t *testing.T) {
 	m := NewDenseData(1, 2, []float64{6, 12})
 	m.Scale(2)

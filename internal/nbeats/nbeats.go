@@ -240,36 +240,6 @@ func newWithBases(cfg Config, bases []BasisKind) (*Model, error) {
 	return m, nil
 }
 
-// CloneModel returns a full-fidelity deep copy — weights, Adam moments
-// and scaler — for the asynchronous fine-tuning path. Fixed basis
-// matrices are immutable and shared.
-func (m *Model) CloneModel() any {
-	c := &Model{
-		scaler:   m.scaler.Clone(),
-		channels: m.channels,
-		backLen:  m.backLen,
-		inDim:    m.inDim,
-	}
-	for _, b := range m.blocks {
-		nb := &block{
-			stack:  b.stack.Clone(),
-			thetaB: b.thetaB.Clone(),
-			thetaF: b.thetaF.Clone(),
-			fixedB: b.fixedB,
-			fixedF: b.fixedF,
-			kind:   b.kind,
-		}
-		if b.kind == GenericBasis {
-			nb.basisB = b.basisB.Clone()
-			nb.basisF = b.basisF.Clone()
-		}
-		c.blocks = append(c.blocks, nb)
-	}
-	c.initScratch()
-	c.opt = nn.CloneOptimizer(m.opt, m.params(), c.params())
-	return c
-}
-
 // polyBasis builds fixed polynomial backcast basis rows: output element
 // (row r, channel c) gets value t_r^k for coefficient k (channels share
 // coefficients, matching the shared-θ design for multivariate streams).

@@ -185,7 +185,7 @@ func TestBackwardIntoMatchesScalarReference(t *testing.T) {
 			for i := range got.Bias.G {
 				got.Bias.G[i] = mixedMagnitude(rng)
 			}
-			want := got.Clone()
+			want := copyLinear(got)
 			x := make([]float64, in)
 			for i := range x {
 				x[i] = mixedMagnitude(rng)
@@ -377,7 +377,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		x, gradOut := make([]float64, in), make([]float64, out)
 		src.fill(x)
 		src.fill(gradOut)
-		ref := l.Clone()
+		ref := copyLinear(l)
 
 		y, yRef := make([]float64, out), make([]float64, out)
 		l.ForwardInto(x, y)
@@ -533,4 +533,15 @@ func BenchmarkLinearBackward(b *testing.B) {
 		}
 	}
 	benchSink += gIns[0][0]
+}
+
+// copyLinear returns a copy of l, gradients included, for a reference
+// loop to run on beside the kernel under test.
+func copyLinear(l *Linear) *Linear {
+	c := &Linear{In: l.In, Out: l.Out, Weight: NewParam(len(l.Weight.W)), Bias: NewParam(len(l.Bias.W))}
+	for _, p := range [][2]*Param{{c.Weight, l.Weight}, {c.Bias, l.Bias}} {
+		copy(p[0].W, p[1].W)
+		copy(p[0].G, p[1].G)
+	}
+	return c
 }

@@ -101,11 +101,3 @@ func (s *MinMaxScaler) InverseBatch(z []float64, batch int, dst []float64) {
 		}
 	}
 }
-
-// Clone returns a deep copy.
-func (s *MinMaxScaler) Clone() *MinMaxScaler {
-	c := &MinMaxScaler{lo: make([]float64, len(s.lo)), scale: make([]float64, len(s.scale))}
-	copy(c.lo, s.lo)
-	copy(c.scale, s.scale)
-	return c
-}

@@ -71,18 +71,6 @@ func TestChainedMLPGradient(t *testing.T) {
 	}
 }
 
-// TestLinearCloneIsDeep verifies layer clones share nothing.
-func TestLinearCloneIsDeep(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l := NewLinear(2, 2, rng)
-	c := l.Clone()
-	l.Weight.W[0] += 100
-	l.Bias.G[0] = 42
-	if c.Weight.W[0] == l.Weight.W[0] || c.Bias.G[0] == 42 {
-		t.Fatal("Linear clone aliases storage")
-	}
-}
-
 // TestZeroGradClears verifies ZeroGrad leaves weights intact.
 func TestZeroGradClears(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))

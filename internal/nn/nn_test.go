@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"streamad/internal/wire"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -204,11 +206,17 @@ func TestXavierInitBounds(t *testing.T) {
 	}
 }
 
+// TestMLPCloneIndependent: a network loaded with another's checkpoint
+// shares no storage with it.
 func TestMLPCloneIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMLP([]int{2, 3, 1}, Sigmoid{}, Identity{}, rng)
-	c := m.Clone()
+	c := NewMLP([]int{2, 3, 1}, Sigmoid{}, Identity{}, rng)
+	loadCheckpoint(t, c, m)
 	before := m.Predict([]float64{1, 1})[0]
+	if got := c.Predict([]float64{1, 1})[0]; got != before {
+		t.Fatalf("the loaded network predicts %v, the original %v", got, before)
+	}
 	c.Layers[0].Weight.W[0] += 10
 	after := m.Predict([]float64{1, 1})[0]
 	if before != after {
@@ -313,20 +321,36 @@ func TestMinMaxUnitRange(t *testing.T) {
 	}
 }
 
+// TestScalerCloneIndependent: a scaler loaded with another's checkpoint
+// keeps its statistics when the original refits.
 func TestScalerCloneIndependent(t *testing.T) {
 	s := NewScaler(1)
 	s.Fit([][]float64{{1}, {3}})
-	c := s.Clone()
+	c := NewScaler(1)
+	loadCheckpoint(t, c, s)
 	s.Fit([][]float64{{100}, {300}})
 	if z := c.Transform([]float64{2}, nil); !almostEq(z[0], 0, 1e-9) {
-		t.Fatalf("clone affected by refit: %v", z[0])
+		t.Fatalf("copy affected by refit: %v", z[0])
 	}
 	mm := NewMinMaxScaler(1)
 	mm.Fit([][]float64{{0}, {2}})
-	mc := mm.Clone()
+	mc := NewMinMaxScaler(1)
+	loadCheckpoint(t, mc, mm)
 	mm.Fit([][]float64{{0}, {200}})
 	if z := mc.Transform([]float64{1}, nil); !almostEq(z[0], 0.5, 1e-9) {
-		t.Fatalf("minmax clone affected by refit: %v", z[0])
+		t.Fatalf("minmax copy affected by refit: %v", z[0])
+	}
+}
+
+// loadCheckpoint loads src's checkpoint into dst.
+func loadCheckpoint(t *testing.T, dst interface{ UnmarshalBinary([]byte) error }, src wire.Appender) {
+	t.Helper()
+	b, err := src.AppendBinary(nil)
+	if err == nil {
+		err = dst.UnmarshalBinary(b)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

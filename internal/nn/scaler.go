@@ -119,11 +119,3 @@ func (s *Scaler) InverseBatch(z []float64, batch int, dst []float64, offset int)
 		}
 	}
 }
-
-// Clone returns a deep copy.
-func (s *Scaler) Clone() *Scaler {
-	c := &Scaler{mean: make([]float64, len(s.mean)), std: make([]float64, len(s.std))}
-	copy(c.mean, s.mean)
-	copy(c.std, s.std)
-	return c
-}

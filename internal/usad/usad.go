@@ -139,43 +139,6 @@ func mid2(d, z int) int {
 	return m
 }
 
-// Clone returns a deep copy of the model parameters and adversarial
-// schedule. The optimizers' moment estimates are not copied: a clone is
-// intended as a frozen "before fine-tuning" snapshot (Figure 1); if it is
-// trained further it starts with fresh Adam state.
-func (m *Model) Clone() *Model {
-	c := &Model{
-		enc:    m.enc.Clone(),
-		dec1:   m.dec1.Clone(),
-		dec2:   m.dec2.Clone(),
-		opt1:   nn.NewAdam(m.lr),
-		opt2:   nn.NewAdam(m.lr),
-		scaler: m.scaler.Clone(),
-		dim:    m.dim,
-		latent: m.latent,
-		lr:     m.lr,
-		epoch:  m.epoch,
-		Alpha:  m.Alpha,
-		Beta:   m.Beta,
-	}
-	c.initScratch()
-	return c
-}
-
-// CloneModel returns a full-fidelity deep copy — weights, both
-// optimizers' moment estimates, normalization and the adversarial
-// schedule — for the asynchronous fine-tuning path. Unlike Clone, a
-// CloneModel copy continues the exact training trajectory the original
-// would have followed.
-func (m *Model) CloneModel() any {
-	c := m.Clone()
-	oldAll := append(append(append([]*nn.Param(nil), m.enc.Params()...), m.dec1.Params()...), m.dec2.Params()...)
-	newAll := append(append(append([]*nn.Param(nil), c.enc.Params()...), c.dec1.Params()...), c.dec2.Params()...)
-	c.opt1 = nn.CloneOptimizer(m.opt1, oldAll, newAll)
-	c.opt2 = nn.CloneOptimizer(m.opt2, oldAll, newAll)
-	return c
-}
-
 // Dim returns the feature-vector length.
 func (m *Model) Dim() int { return m.dim }
 

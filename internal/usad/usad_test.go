@@ -106,6 +106,10 @@ func TestReconstructionsShapes(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependentSnapshot: a blank model loaded with a trained
+// one's checkpoint — how Figure 1 freezes its stale model — carries the
+// schedule counter and predicts like the original, and further training
+// of the original leaves it untouched.
 func TestCloneIsIndependentSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dim := 32
@@ -114,20 +118,34 @@ func TestCloneIsIndependentSnapshot(t *testing.T) {
 	for e := 0; e < 5; e++ {
 		m.Fit(set)
 	}
-	c := m.Clone()
-	if c.Epoch() != m.Epoch() {
-		t.Fatal("clone must carry the schedule counter")
+	c, _ := New(Config{Dim: dim, Seed: 5})
+	blob, err := m.AppendBinary(nil)
+	if err == nil {
+		err = c.UnmarshalBinary(blob)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Epoch() != m.Epoch() {
+		t.Fatal("the copy must carry the schedule counter")
+	}
+	_, want := m.Predict(set[0])
+	want = append([]float64(nil), want...)
 	_, before := c.Predict(set[0])
 	snapshot := append([]float64(nil), before...)
-	// Further training of the original must not affect the clone.
+	for i := range want {
+		if snapshot[i] != want[i] {
+			t.Fatal("the copy predicts differently from the original")
+		}
+	}
+	// Further training of the original must not affect the copy.
 	for e := 0; e < 5; e++ {
 		m.Fit(set)
 	}
 	_, after := c.Predict(set[0])
 	for i := range snapshot {
 		if snapshot[i] != after[i] {
-			t.Fatal("clone shares parameters with original")
+			t.Fatal("the copy shares parameters with the original")
 		}
 	}
 }

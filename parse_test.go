@@ -86,19 +86,22 @@ func TestParseScoreKind(t *testing.T) {
 	}
 }
 
+// TestParseAggKind: every combiner name an ensemble spec's agg= option
+// accepts, and one it refuses.
 func TestParseAggKind(t *testing.T) {
+	spec := func(agg string) string { return "ensemble(arima+sw+kswin, knn+sw+kswin; agg=" + agg + ")" }
 	cases := map[string]AggKind{
 		"mean": AggMean, "avg": AggMean, "MAX": AggMax, "median": AggMedian,
 		"trimmed": AggTrimmedMean, "trimmed-mean": AggTrimmedMean,
 		"perf": AggPerfWeighted, "weighted": AggPerfWeighted,
 	}
 	for in, want := range cases {
-		got, err := ParseAggKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseAggKind(%q) = %v, %v", in, got, err)
+		got, err := parseAs[EnsembleSpec](spec(in))
+		if err != nil || got.Agg != want {
+			t.Errorf("ParseSpec(%q): agg %v, %v", spec(in), got.Agg, err)
 		}
 	}
-	if _, err := ParseAggKind("mode"); err == nil {
+	if _, err := ParseSpec(spec("mode")); err == nil {
 		t.Error("unknown combiner must error")
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"streamad/internal/spec"
 	"streamad/internal/usad"
 	"streamad/internal/varmodel"
-	"streamad/internal/wire"
 )
 
 // ModelKind selects the machine learning model.
@@ -210,9 +209,6 @@ type Config struct {
 	// InitEpochs is the number of initial-fit epochs (default 1; neural
 	// models benefit from a few more).
 	InitEpochs int
-	// PreTrained skips the initial fit at warmup end, for detectors whose
-	// model is restored from a SaveModel snapshot.
-	PreTrained bool
 	// Sanitize repairs NaN/±Inf input values with the channel's last
 	// finite value instead of letting them poison the statistics.
 	Sanitize bool
@@ -221,11 +217,12 @@ type Config struct {
 	// drove them. Only available for predictor models.
 	Attribution bool
 	// AsyncFineTune enables the serve/train split: a drift trigger's
-	// fine-tune trains a model clone on a copy of the training set in the
+	// fine-tune trains a copy of the model — a blank one loaded with the
+	// live model's checkpoint — on a copy of the training set in the
 	// background while scoring continues on the old parameters, and the
 	// step exactly 32 after the trigger swaps it in — waiting for it if
-	// need be — so scores are a pure function of the input. Models that
-	// cannot clone (PCB-iForest, VAR) stay synchronous, the default, which
+	// need be — so scores are a pure function of the input. PCB-iForest
+	// and VAR stay synchronous (see trainsAsync), the default, which
 	// trains in place within the triggering step.
 	AsyncFineTune bool
 	// TrainerPool runs asynchronous fine-tunes on a shared K-worker pool
@@ -346,7 +343,7 @@ func NewTrainerPool(slots int) *TrainerPool {
 // warm-tier paging (PageOut/PageIn/Paged, which move the window state
 // only — the model stays resident); this type adds what the loop does
 // not own: the configuration, the Task 1 RNG and the model's place in the
-// checkpoint (Save/Load in checkpoint.go, SaveModel/LoadModel here).
+// checkpoint (Save/Load in checkpoint.go).
 type Detector struct {
 	*core.Detector
 	cfg Config
@@ -438,10 +435,11 @@ func New(cfg Config) (*Detector, error) {
 		Scorer:        scorer,
 		WarmupVectors: cfg.WarmupVectors,
 		InitEpochs:    cfg.InitEpochs,
-		PreTrained:    cfg.PreTrained,
 		Sanitize:      cfg.Sanitize,
 		Attribution:   cfg.Attribution,
-		AsyncFineTune: cfg.AsyncFineTune,
+	}
+	if cfg.AsyncFineTune && trainsAsync(cfg.Model) {
+		ccfg.NewModel = func() (core.Model, error) { return buildModel(cfg) }
 	}
 	if cfg.TrainerPool != nil {
 		// Guarded assignment: a nil *TrainerPool must stay a nil
@@ -454,6 +452,15 @@ func New(cfg Config) (*Detector, error) {
 	}
 	return &Detector{Detector: inner, cfg: cfg, src: src}, nil
 }
+
+// trainsAsync reports whether a model kind's fine-tunes may run on the
+// serve/train split. Two kinds always train in place:
+//   - PCB-iForest, because scoring updates the per-tree performance
+//     counters its Fit prunes by, so the serving forest keeps changing
+//     while a copy trains and adopting the copy would drop those votes;
+//   - VAR, because its Fit re-estimates the coefficients from scratch in
+//     one least-squares solve, with no training state to carry over.
+func trainsAsync(m ModelKind) bool { return m != ModelPCBIForest && m != ModelVAR }
 
 // arimaDiff is the online-ARIMA differencing order d. Every model is
 // built with its package's default learning rate.
@@ -519,24 +526,11 @@ func Run(det StreamDetector, series [][]float64) (scores []float64, valid []bool
 // Config returns the (default-filled) configuration the detector runs.
 func (d *Detector) Config() Config { return d.cfg }
 
-// SaveModel returns a binary snapshot of the model parameters θ_model
-// (weights, coefficients, forests, normalization) currently scoring; an
-// asynchronous fine-tune pending adoption is not in it. Window and
-// reservoir state are not included: a restored detector refills its
-// representation window from the live stream, which takes w steps.
-func (d *Detector) SaveModel() ([]byte, error) {
-	m, ok := d.Model().(wire.Appender)
-	if !ok {
-		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
-	}
-	return m.AppendBinary(nil)
-}
-
-// LoadModel restores a snapshot produced by SaveModel into this
-// detector's model. The detector must have been built with an identical
-// model configuration (kind, Window, Channels).
-func (d *Detector) LoadModel(data []byte) error {
-	m, ok := d.Model().(encoding.BinaryUnmarshaler)
+// loadModel restores a model checkpoint (the model's AppendBinary bytes)
+// into model, which must have been built with an identical model
+// configuration (kind, Window, Channels).
+func (d *Detector) loadModel(model core.Model, data []byte) error {
+	m, ok := model.(encoding.BinaryUnmarshaler)
 	if !ok {
 		return fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
 	}
