@@ -126,10 +126,10 @@ func FinetuneExperiment(cfg Fig1Config) (*Fig1Result, error) {
 			if stale == nil {
 				// Frozen as a blank model loaded with the live one's
 				// checkpoint, a copy that shares no storage with it.
-				if stale, err = usad.New(modelCfg); err != nil {
-					return nil, err
-				}
 				blob, err := model.AppendBinary(nil)
+				if err == nil {
+					stale, err = usad.New(modelCfg)
+				}
 				if err == nil {
 					err = stale.UnmarshalBinary(blob)
 				}

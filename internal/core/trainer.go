@@ -87,11 +87,10 @@ type job struct {
 // trainer is the detector's fine-tune state. The job is the scoring
 // goroutine's; everything FineTuneStats reads is atomic.
 type trainer struct {
-	lag       int                   // adoptLag in async mode, 0 in sync mode
-	pool      TrainerPool           // nil in sync mode
-	newModel  func() (Model, error) // Config.NewModel
-	blobSize  int                   // length of the last model checkpoint copied, the next one's capacity
-	job       *job                  // the pending fine-tune, if any
+	lag       int         // adoptLag in async mode, 0 in sync mode
+	pool      TrainerPool // nil in sync mode
+	blobSize  int         // length of the last model checkpoint copied, the next one's capacity
+	job       *job        // the pending fine-tune, if any
 	inFlight  atomic.Bool
 	launched  atomic.Int64
 	skipped   atomic.Int64
@@ -102,7 +101,7 @@ type trainer struct {
 
 // newTrainer is async when cfg sets NewModel.
 func newTrainer(cfg Config) *trainer {
-	t := &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9), newModel: cfg.NewModel}
+	t := &trainer{durations: stats.NewHistogram(FineTuneBuckets, 1e9)}
 	if cfg.NewModel != nil {
 		t.lag, t.pool = adoptLag, cfg.TrainerPool
 		if t.pool == nil {
@@ -193,12 +192,11 @@ func (d *Detector) fineTune() bool {
 // decode fails. The checkpoint is the model's only definition of its
 // state, so the copy trains exactly as the live model would have.
 func (d *Detector) copyModel() Model {
-	t := d.train
 	live, ok := d.cfg.Model.(wire.Appender)
-	if t.newModel == nil || !ok {
+	if d.cfg.NewModel == nil || !ok {
 		return nil
 	}
-	m, err := t.newModel()
+	m, err := d.cfg.NewModel()
 	if err != nil {
 		return nil
 	}
@@ -206,7 +204,7 @@ func (d *Detector) copyModel() Model {
 	if !ok {
 		return nil
 	}
-	blob, err := wire.Marshal(live, &t.blobSize)
+	blob, err := wire.Marshal(live, &d.train.blobSize)
 	if err != nil || u.UnmarshalBinary(blob) != nil {
 		return nil
 	}

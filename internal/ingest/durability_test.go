@@ -123,6 +123,7 @@ func TestCrashAtEveryTierBoundary(t *testing.T) {
 	}
 	far := time.Now().Add(24 * time.Hour)
 	demote := func() {
+		r.WaitIdle(ids...)
 		if n := r.PageIdle(far); n != len(ids) {
 			t.Fatalf("PageIdle demoted %d streams, want %d", n, len(ids))
 		}
@@ -136,6 +137,7 @@ func TestCrashAtEveryTierBoundary(t *testing.T) {
 		{"observe (page-in)", observe(5)},
 		{"demote again", demote},
 		{"evict past TTL (pre-pass checkpoint)", func() {
+			r.WaitIdle(ids...)
 			if n := r.EvictIdle(far); n != len(ids) {
 				t.Fatalf("EvictIdle evicted %d streams, want %d", n, len(ids))
 			}

@@ -402,6 +402,7 @@ func TestEvictIdleRestoresFromStore(t *testing.T) {
 	}
 	check(0, 60)
 
+	r.WaitIdle("dev")
 	if n := r.EvictIdle(time.Now().Add(2 * time.Hour)); n != 1 {
 		t.Fatalf("EvictIdle = %d, want 1", n)
 	}
@@ -429,6 +430,7 @@ func TestEvictIdleWithoutStoreDiscards(t *testing.T) {
 	if _, err := r.Observe("b", vec(0, 0)); err == nil {
 		t.Fatal("MaxStreams=1 admitted a second stream")
 	}
+	r.WaitIdle("a")
 	if n := r.EvictIdle(time.Now().Add(2 * time.Hour)); n != 1 {
 		t.Fatalf("EvictIdle = %d, want 1", n)
 	}

@@ -100,6 +100,7 @@ func testWarmPageOutBitIdentical(t *testing.T, build func() (streamad.StreamDete
 		step(i)
 	}
 	// Far-future "now" forces the idle check regardless of WarmAfter.
+	r.WaitIdle("s")
 	if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
 		t.Fatalf("PageIdle demoted %d streams, want 1", n)
 	}
@@ -215,6 +216,7 @@ func TestConcurrentObservesSingleRestore(t *testing.T) {
 		ref.Step(v)
 	}
 	for round := 0; round < 5; round++ {
+		r.WaitIdle("s")
 		if n := r.PageIdle(time.Now().Add(time.Hour)); n != 1 {
 			t.Fatalf("round %d: PageIdle demoted %d, want 1", round, n)
 		}
@@ -282,6 +284,7 @@ func TestEvictRestoreGoroutineStable(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 20; cycle++ {
+		r.WaitIdle("a", "b")
 		if n := r.EvictIdle(time.Now().Add(2 * time.Hour)); n != 2 {
 			t.Fatalf("cycle %d: evicted %d streams, want 2", cycle, n)
 		}

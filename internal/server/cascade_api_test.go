@@ -61,15 +61,7 @@ func TestCascadeAPIExposition(t *testing.T) {
 	}
 
 	// Stats endpoint: the cascade section partitions the stream.
-	resp, err := http.Get(ts.URL + "/v1/streams/dev-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := nodeStats(t, ts.Config.Handler, "dev-1")
 	cs := st.Cascade
 	if cs == nil {
 		t.Fatal("stats response has no cascade section")

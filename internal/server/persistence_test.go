@@ -452,12 +452,7 @@ func TestEnsembleCrashRecovery(t *testing.T) {
 
 	// Per-member counters survived the crash: every member has been judged
 	// for all 200 steps, not just the post-restore 80.
-	rec := httptest.NewRecorder()
-	srv2.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/s", nil))
-	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := nodeStats(t, srv2, "s")
 	if stats.Steps != 200 {
 		t.Fatalf("restored stats show %d steps, want 200", stats.Steps)
 	}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"streamad"
 	"streamad/internal/core"
@@ -574,12 +575,7 @@ func TestEnsembleThroughServer(t *testing.T) {
 		t.Fatal("ensemble never scored through the server")
 	}
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/s", nil))
-	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := nodeStats(t, srv, "s")
 	if len(stats.Members) != 3 {
 		t.Fatalf("stats carry %d member rows, want 3: %+v", len(stats.Members), stats)
 	}
@@ -594,7 +590,7 @@ func TestEnsembleThroughServer(t *testing.T) {
 		t.Fatalf("member weights sum to %v, want 1", weightSum)
 	}
 
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	text := rec.Body.String()
 	for _, family := range []string{
@@ -633,18 +629,13 @@ func TestNestedTreeThroughServer(t *testing.T) {
 		observeDirect(t, srv, "s", v)
 	}
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/s", nil))
-	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := nodeStats(t, srv, "s")
 	cs := stats.Cascade
 	if cs == nil || cs.Node != "" || cs.GateLabel != "zscore" || cs.Screened+cs.Admitted+cs.Forwarded != stats.Steps {
 		t.Fatalf("cascade section wrong: %+v (steps %d)", cs, stats.Steps)
 	}
 	if len(stats.Members) != 2 {
-		t.Fatalf("stats carry %d member rows, want the nested ensemble's 2: %s", len(stats.Members), rec.Body)
+		t.Fatalf("stats carry %d member rows, want the nested ensemble's 2: %+v", len(stats.Members), stats)
 	}
 	for i, m := range stats.Members {
 		if m.Node != "1" || m.Index != i || m.Ready == 0 {
@@ -655,7 +646,7 @@ func TestNestedTreeThroughServer(t *testing.T) {
 		t.Fatalf("member labels: %+v", stats.Members)
 	}
 
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, line := range []string{
 		`streamad_cascade_admit_target{stream="s"} 0.1`,
@@ -736,4 +727,23 @@ func TestMetricsStreamCapDefault(t *testing.T) {
 	if !strings.Contains(body, `streamad_steps_total{stream="only"} 1`) {
 		t.Fatalf("per-stream series missing under default cap:\n%s", body)
 	}
+}
+
+// nodeStats GETs /v1/streams/{id} until the answer carries the stream's
+// node detail (ensemble members or a cascade section): an observe is
+// answered before its dispatcher lets go of the stream, and the stats of
+// a busy stream omit that detail.
+func nodeStats(t *testing.T, h http.Handler, id string) StatsResponse {
+	t.Helper()
+	var stats StatsResponse
+	waitFor(t, 5*time.Second, "the node detail of stream "+id, func() bool {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/"+id, nil))
+		stats = StatsResponse{}
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return len(stats.Members) > 0 || stats.Cascade != nil
+	})
+	return stats
 }
