@@ -108,7 +108,8 @@ func TestForwardIntoMatchesScalarReference(t *testing.T) {
 
 // TestForwardBatchMatchesForwardInto holds the lane rule for the batch
 // kernel: on the model-heavy shapes and on odd In and Out, at every
-// batch size from 1 to 17 (every remainder of the eight- and two-sample
+// batch size from 1 to 33 (every remainder of the sixteen-, eight-,
+// four- and two-sample blocks, after none, one and two sixteen-sample
 // blocks), each (row, sample) output must equal the scalar reference on
 // that sample bit for bit.
 func TestForwardBatchMatchesForwardInto(t *testing.T) {
@@ -120,7 +121,7 @@ func TestForwardBatchMatchesForwardInto(t *testing.T) {
 		for i := range l.Bias.W {
 			l.Bias.W[i] = rng.NormFloat64()
 		}
-		for batch := 1; batch <= 17; batch++ {
+		for batch := 1; batch <= 33; batch++ {
 			x, y := make([]float64, in*batch), make([]float64, out*batch)
 			for i := range x {
 				x[i] = mixedMagnitude(rng)
@@ -155,11 +156,11 @@ func refForwardBatch(l *Linear, x []float64, batch int) []float64 {
 }
 
 // kernelIns and kernelOuts are the layer shapes the kernel reference
-// tests sweep: empty and tiny layers, every remainder of In mod 4 with
-// and without a multiple of 4 before it, and every remainder of Out
-// mod 8 below, after one and after two multiples of 8.
+// tests sweep: empty and tiny layers, every In up to 16 (every remainder
+// of In mod 8 below and after one block of 8), and every remainder of
+// Out mod 8 below, after one and after two multiples of 8.
 var (
-	kernelIns  = []int{0, 1, 2, 3, 5, 6, 7, 16, 44, 120, 128}
+	kernelIns  = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 44, 120, 128}
 	kernelOuts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 44, 72, 128}
 )
 
