@@ -70,6 +70,33 @@ func refAdamStep(a *Adam, params []*Param) {
 	}
 }
 
+// kernelPaths runs f as subtest "go" with the AVX kernels switched off,
+// so the Go loops run what they cover, as on a CPU without AVX, and as
+// subtest "avx" with them on, when the CPU has AVX.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	have := hasAVX
+	defer func() { hasAVX = have }()
+	hasAVX = false
+	t.Run("go", f)
+	hasAVX = have
+	t.Run("avx", func(t *testing.T) {
+		if !have {
+			t.Skip("this CPU has no AVX: only the go path ran")
+		}
+		f(t)
+	})
+}
+
+// benchPaths runs f as sub-benchmark name on the kernels this CPU runs
+// and as name/go with the AVX kernels switched off.
+func benchPaths(b *testing.B, name string, f func(b *testing.B)) {
+	b.Run(name, f)
+	have := hasAVX
+	defer func() { hasAVX = have }()
+	hasAVX = false
+	b.Run(name+"/go", f)
+}
+
 // sameBits reports the first index at which two slices differ bit-wise.
 func sameBits(a, b []float64) (int, bool) {
 	for i := range a {
@@ -113,29 +140,31 @@ func TestForwardIntoMatchesScalarReference(t *testing.T) {
 // blocks), each (row, sample) output must equal the scalar reference on
 // that sample bit for bit.
 func TestForwardBatchMatchesForwardInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	shapes := append([][2]int{{7, 15}, {5, 17}, {13, 23}, {3, 2}, {1, 1}, {0, 3}, {3, 0}}, heavyShapes...)
-	for _, sh := range shapes {
-		in, out := sh[0], sh[1]
-		l := NewLinear(in, out, rng)
-		for i := range l.Bias.W {
-			l.Bias.W[i] = rng.NormFloat64()
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		shapes := append([][2]int{{7, 15}, {5, 17}, {13, 23}, {3, 2}, {1, 1}, {0, 3}, {3, 0}}, heavyShapes...)
+		for _, sh := range shapes {
+			in, out := sh[0], sh[1]
+			l := NewLinear(in, out, rng)
+			for i := range l.Bias.W {
+				l.Bias.W[i] = rng.NormFloat64()
+			}
+			for batch := 1; batch <= 33; batch++ {
+				x, y := make([]float64, in*batch), make([]float64, out*batch)
+				for i := range x {
+					x[i] = mixedMagnitude(rng)
+				}
+				for i := range y {
+					y[i] = math.NaN() // every output must be written
+				}
+				l.ForwardBatchInto(x, y, batch)
+				if i, ok := sameBits(y, refForwardBatch(l, x, batch)); !ok {
+					t.Fatalf("%d→%d, batch %d: output %d of sample %d = %x, scalar reference %x", in, out, batch,
+						i/batch, i%batch, math.Float64bits(y[i]), math.Float64bits(refForwardBatch(l, x, batch)[i]))
+				}
+			}
 		}
-		for batch := 1; batch <= 33; batch++ {
-			x, y := make([]float64, in*batch), make([]float64, out*batch)
-			for i := range x {
-				x[i] = mixedMagnitude(rng)
-			}
-			for i := range y {
-				y[i] = math.NaN() // every output must be written
-			}
-			l.ForwardBatchInto(x, y, batch)
-			if i, ok := sameBits(y, refForwardBatch(l, x, batch)); !ok {
-				t.Fatalf("%d→%d, batch %d: output %d of sample %d = %x, scalar reference %x", in, out, batch,
-					i/batch, i%batch, math.Float64bits(y[i]), math.Float64bits(refForwardBatch(l, x, batch)[i]))
-			}
-		}
-	}
+	})
 }
 
 // refForwardBatch runs refForwardInto on each sample of a feature-major
@@ -176,44 +205,46 @@ func mixedMagnitude(rng *rand.Rand) float64 {
 // the one-row scalar loop bit for bit, including the skip of rows whose
 // upstream gradient is zero, over the same shape grid as the forward.
 func TestBackwardIntoMatchesScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, in := range kernelIns {
-		for _, out := range kernelOuts {
-			got := NewLinear(in, out, rng)
-			for i := range got.Weight.G {
-				got.Weight.G[i] = mixedMagnitude(rng)
-			}
-			for i := range got.Bias.G {
-				got.Bias.G[i] = mixedMagnitude(rng)
-			}
-			want := copyLinear(got)
-			x := make([]float64, in)
-			for i := range x {
-				x[i] = mixedMagnitude(rng)
-			}
-			gradOut := make([]float64, out)
-			for i := range gradOut {
-				if i%3 != 1 {
-					gradOut[i] = mixedMagnitude(rng)
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for _, in := range kernelIns {
+			for _, out := range kernelOuts {
+				got := NewLinear(in, out, rng)
+				for i := range got.Weight.G {
+					got.Weight.G[i] = mixedMagnitude(rng)
 				}
-			}
-			gotIn, wantIn := make([]float64, in), make([]float64, in)
-			for i := range gotIn {
-				gotIn[i] = rng.NormFloat64() // stale values BackwardInto must overwrite
-			}
-			got.BackwardInto(x, gradOut, gotIn)
-			refBackwardInto(want, x, gradOut, wantIn)
-			pairs := [][2][]float64{
-				{gotIn, wantIn}, {got.Weight.G, want.Weight.G}, {got.Bias.G, want.Bias.G},
-			}
-			for which, pr := range pairs {
-				if i, ok := sameBits(pr[0], pr[1]); !ok {
-					t.Fatalf("%d→%d: slab %d (gradIn, weight G, bias G)[%d] = %x, scalar reference %x",
-						in, out, which, i, math.Float64bits(pr[0][i]), math.Float64bits(pr[1][i]))
+				for i := range got.Bias.G {
+					got.Bias.G[i] = mixedMagnitude(rng)
+				}
+				want := copyLinear(got)
+				x := make([]float64, in)
+				for i := range x {
+					x[i] = mixedMagnitude(rng)
+				}
+				gradOut := make([]float64, out)
+				for i := range gradOut {
+					if i%3 != 1 {
+						gradOut[i] = mixedMagnitude(rng)
+					}
+				}
+				gotIn, wantIn := make([]float64, in), make([]float64, in)
+				for i := range gotIn {
+					gotIn[i] = rng.NormFloat64() // stale values BackwardInto must overwrite
+				}
+				got.BackwardInto(x, gradOut, gotIn)
+				refBackwardInto(want, x, gradOut, wantIn)
+				pairs := [][2][]float64{
+					{gotIn, wantIn}, {got.Weight.G, want.Weight.G}, {got.Bias.G, want.Bias.G},
+				}
+				for which, pr := range pairs {
+					if i, ok := sameBits(pr[0], pr[1]); !ok {
+						t.Fatalf("%d→%d: slab %d (gradIn, weight G, bias G)[%d] = %x, scalar reference %x",
+							in, out, which, i, math.Float64bits(pr[0][i]), math.Float64bits(pr[1][i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // adamGrad is gradient i of step s in the equivalence test: every step
@@ -237,41 +268,43 @@ func adamGrad(rng *rand.Rand, s, i int) float64 {
 // step 356 on, bc1 = 1 - 0.9^t rounds to exactly 1.0: the regime a
 // long-lived optimizer spends nearly all its steps in.
 func TestAdamStepMatchesReference(t *testing.T) {
-	sizes := []int{0, 1, 7, 64, 129}
-	build := func() []*Param {
-		rng := rand.New(rand.NewSource(5))
-		ps := make([]*Param, len(sizes))
-		for k, n := range sizes {
-			ps[k] = NewParam(n)
-			ps[k].XavierInit(8, 8, rng)
-		}
-		return ps
-	}
-	got, want := build(), build()
-	a, ref := NewAdam(1e-3), NewAdam(1e-3)
-	rng := rand.New(rand.NewSource(9))
-	for s := 0; s < 400; s++ {
-		for k := range got {
-			for i := range got[k].G {
-				g := adamGrad(rng, s, i)
-				got[k].G[i], want[k].G[i] = g, g
+	kernelPaths(t, func(t *testing.T) {
+		sizes := []int{0, 1, 7, 64, 129}
+		build := func() []*Param {
+			rng := rand.New(rand.NewSource(5))
+			ps := make([]*Param, len(sizes))
+			for k, n := range sizes {
+				ps[k] = NewParam(n)
+				ps[k].XavierInit(8, 8, rng)
 			}
+			return ps
 		}
-		a.Step(got)
-		refAdamStep(ref, want)
-		for k := range got {
-			pairs := [][2][]float64{
-				{got[k].W, want[k].W}, {got[k].G, want[k].G},
-				{a.m[got[k]], ref.m[want[k]]}, {a.v[got[k]], ref.v[want[k]]},
+		got, want := build(), build()
+		a, ref := NewAdam(1e-3), NewAdam(1e-3)
+		rng := rand.New(rand.NewSource(9))
+		for s := 0; s < 400; s++ {
+			for k := range got {
+				for i := range got[k].G {
+					g := adamGrad(rng, s, i)
+					got[k].G[i], want[k].G[i] = g, g
+				}
 			}
-			for which, pr := range pairs {
-				if i, ok := sameBits(pr[0], pr[1]); !ok {
-					t.Fatalf("step %d, param %d, slab %d (W,G,m,v): [%d] = %x, reference %x", s, k, which, i,
-						math.Float64bits(pr[0][i]), math.Float64bits(pr[1][i]))
+			a.Step(got)
+			refAdamStep(ref, want)
+			for k := range got {
+				pairs := [][2][]float64{
+					{got[k].W, want[k].W}, {got[k].G, want[k].G},
+					{a.m[got[k]], ref.m[want[k]]}, {a.v[got[k]], ref.v[want[k]]},
+				}
+				for which, pr := range pairs {
+					if i, ok := sameBits(pr[0], pr[1]); !ok {
+						t.Fatalf("step %d, param %d, slab %d (W,G,m,v): [%d] = %x, reference %x", s, k, which, i,
+							math.Float64bits(pr[0][i]), math.Float64bits(pr[1][i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // fuzzFloats decodes float64s from fuzz input. Each value is one tag
@@ -355,63 +388,65 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		in, out := int(data[0]%33), int(data[1]%33)
-		step := 1 + int(binary.LittleEndian.Uint16(data[2:4]))%1024
-		batch := 1 + int(data[3]>>2)%17
-		src := fuzzFloats(data[4:])
-		check := func(what string, got, want []float64) {
-			t.Helper()
-			if i, ok := sameOrNaN(got, want); !ok {
-				t.Fatalf("%d→%d, t=%d: %s[%d] = %x, reference %x", in, out, step, what, i,
-					math.Float64bits(got[i]), math.Float64bits(want[i]))
+		kernelPaths(t, func(t *testing.T) {
+			if len(data) < 4 {
+				return
 			}
-		}
+			in, out := int(data[0]%33), int(data[1]%33)
+			step := 1 + int(binary.LittleEndian.Uint16(data[2:4]))%1024
+			batch := 1 + int(data[3]>>2)%17
+			src := fuzzFloats(data[4:])
+			check := func(what string, got, want []float64) {
+				t.Helper()
+				if i, ok := sameOrNaN(got, want); !ok {
+					t.Fatalf("%d→%d, t=%d: %s[%d] = %x, reference %x", in, out, step, what, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
 
-		l := &Linear{In: in, Out: out, Weight: NewParam(in * out), Bias: NewParam(out)}
-		src.fill(l.Weight.W)
-		src.fill(l.Bias.W)
-		src.fill(l.Weight.G)
-		src.fill(l.Bias.G)
-		x, gradOut := make([]float64, in), make([]float64, out)
-		src.fill(x)
-		src.fill(gradOut)
-		ref := copyLinear(l)
+			l := &Linear{In: in, Out: out, Weight: NewParam(in * out), Bias: NewParam(out)}
+			src.fill(l.Weight.W)
+			src.fill(l.Bias.W)
+			src.fill(l.Weight.G)
+			src.fill(l.Bias.G)
+			x, gradOut := make([]float64, in), make([]float64, out)
+			src.fill(x)
+			src.fill(gradOut)
+			ref := copyLinear(l)
 
-		y, yRef := make([]float64, out), make([]float64, out)
-		l.ForwardInto(x, y)
-		refForwardInto(ref, x, yRef)
-		check("y", y, yRef)
+			y, yRef := make([]float64, out), make([]float64, out)
+			l.ForwardInto(x, y)
+			refForwardInto(ref, x, yRef)
+			check("y", y, yRef)
 
-		gradIn, gradInRef := make([]float64, in), make([]float64, in)
-		l.BackwardInto(x, gradOut, gradIn)
-		refBackwardInto(ref, x, gradOut, gradInRef)
-		check("gradIn", gradIn, gradInRef)
-		check("weight G", l.Weight.G, ref.Weight.G)
-		check("bias G", l.Bias.G, ref.Bias.G)
+			gradIn, gradInRef := make([]float64, in), make([]float64, in)
+			l.BackwardInto(x, gradOut, gradIn)
+			refBackwardInto(ref, x, gradOut, gradInRef)
+			check("gradIn", gradIn, gradInRef)
+			check("weight G", l.Weight.G, ref.Weight.G)
+			check("bias G", l.Bias.G, ref.Bias.G)
 
-		lr := src.next()
-		p, pRef := l.Weight, ref.Weight
-		m, v := make([]float64, len(p.W)), make([]float64, len(p.W))
-		src.fill(m)
-		src.fill(v)
-		a, aRef := NewAdam(lr), NewAdam(lr)
-		a.t, aRef.t = step-1, step-1
-		a.m[p], a.v[p] = m, v
-		aRef.m[pRef], aRef.v[pRef] = append([]float64(nil), m...), append([]float64(nil), v...)
-		a.Step([]*Param{p})
-		refAdamStep(aRef, []*Param{pRef})
-		check("adam W", p.W, pRef.W)
-		check("adam G", p.G, pRef.G)
-		check("adam m", a.m[p], aRef.m[pRef])
-		check("adam v", a.v[p], aRef.v[pRef])
+			lr := src.next()
+			p, pRef := l.Weight, ref.Weight
+			m, v := make([]float64, len(p.W)), make([]float64, len(p.W))
+			src.fill(m)
+			src.fill(v)
+			a, aRef := NewAdam(lr), NewAdam(lr)
+			a.t, aRef.t = step-1, step-1
+			a.m[p], a.v[p] = m, v
+			aRef.m[pRef], aRef.v[pRef] = append([]float64(nil), m...), append([]float64(nil), v...)
+			a.Step([]*Param{p})
+			refAdamStep(aRef, []*Param{pRef})
+			check("adam W", p.W, pRef.W)
+			check("adam G", p.G, pRef.G)
+			check("adam m", a.m[p], aRef.m[pRef])
+			check("adam v", a.v[p], aRef.v[pRef])
 
-		xb, yb := make([]float64, in*batch), make([]float64, out*batch)
-		src.fill(xb)
-		l.ForwardBatchInto(xb, yb, batch)
-		check(fmt.Sprintf("batch-%d y", batch), yb, refForwardBatch(l, xb, batch))
+			xb, yb := make([]float64, in*batch), make([]float64, out*batch)
+			src.fill(xb)
+			l.ForwardBatchInto(xb, yb, batch)
+			check(fmt.Sprintf("batch-%d y", batch), yb, refForwardBatch(l, xb, batch))
+		})
 	})
 }
 
@@ -456,25 +491,27 @@ func BenchmarkLinearForward(b *testing.B) {
 		}
 		benchSink += ys[0][0]
 	})
-	// batch16 is sum for a 16-sample slab per layer: one op is sixteen
-	// windows, so ns/window compares with sum's ns/op.
-	const batch = 16
-	xbs, ybs := make([][]float64, len(layers)), make([][]float64, len(layers))
-	for k, l := range layers {
-		xbs[k], ybs[k] = make([]float64, l.In*batch), make([]float64, l.Out*batch)
-		for i := range xbs[k] {
-			xbs[k][i] = rng.NormFloat64()
-		}
-	}
-	b.Run("batch16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k, l := range layers {
-				l.ForwardBatchInto(xbs[k], ybs[k], batch)
+	// batchN is sum for an N-sample slab per layer: one op is N windows,
+	// so ns/window compares with sum's ns/op. A scoring batch is at most
+	// eight windows (core.MaxBatch); sixteen shows how the kernel scales.
+	for _, batch := range []int{8, 16} {
+		xbs, ybs := make([][]float64, len(layers)), make([][]float64, len(layers))
+		for k, l := range layers {
+			xbs[k], ybs[k] = make([]float64, l.In*batch), make([]float64, l.Out*batch)
+			for i := range xbs[k] {
+				xbs[k][i] = rng.NormFloat64()
 			}
 		}
-		benchSink += ybs[0][0]
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/window")
-	})
+		benchPaths(b, fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for k, l := range layers {
+					l.ForwardBatchInto(xbs[k], ybs[k], batch)
+				}
+			}
+			benchSink += ybs[0][0]
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch), "ns/window")
+		})
+	}
 }
 
 // BenchmarkAdamStep is one optimizer step over USAD's encoder and one
@@ -506,8 +543,9 @@ func BenchmarkAdamStep(b *testing.B) {
 }
 
 // BenchmarkLinearBackward is one BackwardInto through each of USAD's six
-// layer shapes: the per-sample backward of a USAD fine-tune. The weight
-// gradients accumulate across iterations, as they do over a batch.
+// layer shapes (sub-benchmark usad): the per-sample backward of a USAD
+// fine-tune. The weight gradients accumulate across iterations, as they
+// do over a batch.
 func BenchmarkLinearBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := heavyShapes[:6]
@@ -527,13 +565,14 @@ func BenchmarkLinearBackward(b *testing.B) {
 		}
 		gIns[k] = make([]float64, sh[0])
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k, l := range layers {
-			l.BackwardInto(xs[k], gOuts[k], gIns[k])
+	benchPaths(b, "usad", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, l := range layers {
+				l.BackwardInto(xs[k], gOuts[k], gIns[k])
+			}
 		}
-	}
-	benchSink += gIns[0][0]
+		benchSink += gIns[0][0]
+	})
 }
 
 // copyLinear returns a copy of l, gradients included, for a reference

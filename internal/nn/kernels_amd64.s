@@ -1,8 +1,26 @@
 #include "textflag.h"
 
 // Operands are in Go assembler order (source, destination): MULPD X8, X9
-// is X9 = X9 * X8. Each packed operation rounds each lane exactly as the
-// scalar instruction does, and none is fused or reassociated.
+// is X9 = X9 * X8, and VMULPD Y8, Y10, Y11 is Y11 = Y10 * Y8. Each packed
+// operation rounds each lane exactly as the scalar instruction does, and
+// none is fused or reassociated. An AVX kernel returns at once, having
+// run no AVX instruction, when ·hasAVX is false, and runs VZEROUPPER
+// before every other RET.
+
+// func cpuid1ECX() uint32
+TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, ret+0(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
 
 // func adamPairs(w, g, m, v []float64, b1, c1, b2, c2, bc1, bc2, lr, eps float64) int
 TEXT ·adamPairs(SB), NOSPLIT, $0-168
@@ -32,6 +50,8 @@ TEXT ·adamPairs(SB), NOSPLIT, $0-168
 	UNPCKLPD X7, X7
 	XORPD    X14, X14
 	XORQ     AX, AX
+	MOVQ     $0x3ff0000000000000, R10
+	SUBQ     bc1+128(FP), R10 // 0 when bc1 is exactly 1.0
 
 adamLoop:
 	MOVUPD (SI)(AX*8), X8  // g
@@ -48,7 +68,11 @@ adamLoop:
 	MULPD  X8, X12         // (c2*g)*g
 	ADDPD  X12, X11        // vi = b2*v + (c2*g)*g
 	MOVUPD X11, (R9)(AX*8)
+	TESTQ  R10, R10
+	JZ     adamMhat        // mi/1.0 is mi, bit for bit
 	DIVPD  X4, X9          // mhat = mi/bc1
+
+adamMhat:
 	DIVPD  X5, X11         // vhat = vi/bc2
 	SQRTPD X11, X11
 	ADDPD  X7, X11         // sqrt(vhat) + eps
@@ -135,79 +159,83 @@ fwdStore:
 fwdDone:
 	RET
 
-// func backwardPairs(x, gradOut, w, gw, gradIn []float64) int
-TEXT ·backwardPairs(SB), NOSPLIT, $0-128
+// func backwardCols(x, gradOut, w, gw, gradIn []float64) int
+//
+// Eight columns per pass, then four: each column's two sums are a lane,
+// and the rows are taken in order, so every element adds its products in
+// the scalar loop's order.
+TEXT ·backwardCols(SB), NOSPLIT, $0-128
+	MOVQ $0, ret+120(FP)
+	CMPB ·hasAVX(SB), $0
+	JEQ  bwdNone
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), DX
 	MOVQ DX, CX
-	ANDQ $-2, CX
+	ANDQ $-4, CX
 	MOVQ CX, ret+120(FP)
-	JZ   bwdDone
+	JZ   bwdNone
 	SHLQ $3, DX            // row stride in bytes
 	MOVQ gradOut_base+24(FP), BX
 	MOVQ gradOut_len+32(FP), R13
 	MOVQ w_base+48(FP), R8
 	MOVQ gw_base+72(FP), R9
 	MOVQ gradIn_base+96(FP), R10
-	XORPD X7, X7
+	VXORPD X7, X7, X7
 	TESTQ R13, R13
 	JZ    bwdDone
 
 bwdRows:
-	MOVSD   (BX), X0
-	UCOMISD X7, X0
-	JNE     bwdRow
-	JPS     bwdRow         // NaN compares unordered, not equal: not skipped
-	JMP     bwdNext
+	VMOVSD   (BX), X0
+	VUCOMISD X7, X0
+	JNE      bwdRow
+	JPS      bwdRow        // NaN compares unordered, not equal: not skipped
+	JMP      bwdNext
 
 bwdRow:
-	UNPCKLPD X0, X0
-	XORQ     AX, AX
-	CMPQ     CX, $4
-	JLT      bwdCols
+	VBROADCASTSD (BX), Y0
+	XORQ         AX, AX
+	CMPQ         CX, $8
+	JLT          bwdCols4
 
-bwdCols4: // two independent pairs per iteration
-	MOVUPD (SI)(AX*8), X1
-	MOVUPD 16(SI)(AX*8), X5
-	MULPD  X0, X1
-	MULPD  X0, X5
-	MOVUPD (R9)(AX*8), X2
-	MOVUPD 16(R9)(AX*8), X6
-	ADDPD  X1, X2
-	ADDPD  X5, X6
-	MOVUPD X2, (R9)(AX*8)
-	MOVUPD X6, 16(R9)(AX*8)
-	MOVUPD (R8)(AX*8), X3
-	MOVUPD 16(R8)(AX*8), X8
-	MULPD  X0, X3
-	MULPD  X0, X8
-	MOVUPD (R10)(AX*8), X4
-	MOVUPD 16(R10)(AX*8), X9
-	ADDPD  X3, X4
-	ADDPD  X8, X9
-	MOVUPD X4, (R10)(AX*8)
-	MOVUPD X9, 16(R10)(AX*8)
-	ADDQ   $4, AX
-	LEAQ   4(AX), R11
-	CMPQ   R11, CX
-	JLE    bwdCols4
-	CMPQ   AX, CX
-	JGE    bwdNext
+bwdCols8: // two independent quads per iteration
+	VMOVUPD (SI)(AX*8), Y1
+	VMOVUPD 32(SI)(AX*8), Y5
+	VMULPD  Y0, Y1, Y1     // x*g
+	VMULPD  Y0, Y5, Y5
+	VMOVUPD (R9)(AX*8), Y2
+	VMOVUPD 32(R9)(AX*8), Y6
+	VADDPD  Y1, Y2, Y2     // grow += x*g
+	VADDPD  Y5, Y6, Y6
+	VMOVUPD Y2, (R9)(AX*8)
+	VMOVUPD Y6, 32(R9)(AX*8)
+	VMOVUPD (R8)(AX*8), Y3
+	VMOVUPD 32(R8)(AX*8), Y8
+	VMULPD  Y0, Y3, Y3     // w*g
+	VMULPD  Y0, Y8, Y8
+	VMOVUPD (R10)(AX*8), Y4
+	VMOVUPD 32(R10)(AX*8), Y9
+	VADDPD  Y3, Y4, Y4     // gradIn += w*g
+	VADDPD  Y8, Y9, Y9
+	VMOVUPD Y4, (R10)(AX*8)
+	VMOVUPD Y9, 32(R10)(AX*8)
+	ADDQ    $8, AX
+	LEAQ    8(AX), R11
+	CMPQ    R11, CX
+	JLE     bwdCols8
+	CMPQ    AX, CX
+	JGE     bwdNext
 
-bwdCols:
-	MOVUPD (SI)(AX*8), X1
-	MULPD  X0, X1          // g*x
-	MOVUPD (R9)(AX*8), X2
-	ADDPD  X1, X2          // grow += g*x
-	MOVUPD X2, (R9)(AX*8)
-	MOVUPD (R8)(AX*8), X3
-	MULPD  X0, X3          // g*w
-	MOVUPD (R10)(AX*8), X4
-	ADDPD  X3, X4          // gradIn += g*w
-	MOVUPD X4, (R10)(AX*8)
-	ADDQ   $2, AX
-	CMPQ   AX, CX
-	JLT    bwdCols
+bwdCols4: // at most once: CX is a multiple of four
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  Y0, Y1, Y1
+	VMOVUPD (R9)(AX*8), Y2
+	VADDPD  Y1, Y2, Y2
+	VMOVUPD Y2, (R9)(AX*8)
+	VMOVUPD (R8)(AX*8), Y3
+	VMULPD  Y0, Y3, Y3
+	VMOVUPD (R10)(AX*8), Y4
+	VADDPD  Y3, Y4, Y4
+	VMOVUPD Y4, (R10)(AX*8)
 
 bwdNext:
 	ADDQ DX, R8
@@ -217,19 +245,26 @@ bwdNext:
 	JNZ  bwdRows
 
 bwdDone:
+	VZEROUPPER
+
+bwdNone:
 	RET
 
 // func forwardBatch(w, x, b, y []float64, in, batch int) int
 //
 // x and y are feature-major: x[i*batch+s] is input i of sample s and
-// y[o*batch+s] output o. A block is two rows × eight samples in eight
-// accumulators, or two rows × two samples in two: each lane is one (row,
-// sample) output, initialised from the row's bias and adding
-// x[i][s]*w[row][i] for i = 0, 1, … exactly as the one-row loop does
-// (the product is commutative; each sample pair is loaded once per row
-// so that it can be the destination, with no register copy). Rows
+// y[o*batch+s] output o. A block is two rows × eight samples in four
+// accumulators, two rows × four samples in two, or two rows × two
+// samples in the low halves of two: each lane is one (row, sample)
+// output, initialised from the row's bias and adding x[i][s]*w[row][i]
+// for i = 0, 1, … exactly as the one-row loop does. Each x load serves
+// both rows as the multiply's first operand; the product commutes, and
+// only a NaN × NaN product can carry the other operand's payload. Rows
 // len(b)&^1 and samples batch&^1 are done; 0 when either is 0.
 TEXT ·forwardBatch(SB), NOSPLIT, $0-120
+	MOVQ $0, ret+112(FP)
+	CMPB ·hasAVX(SB), $0
+	JEQ  fbNone
 	MOVQ w_base+0(FP), SI
 	MOVQ x_base+24(FP), BX
 	MOVQ b_base+48(FP), R11
@@ -238,128 +273,122 @@ TEXT ·forwardBatch(SB), NOSPLIT, $0-120
 	MOVQ in+96(FP), CX
 	MOVQ batch+104(FP), R10
 	SHRQ $1, R13           // row pairs
+	JZ   fbNone
 	MOVQ R10, R15
 	ANDQ $-2, R15          // samples done
-	TESTQ R13, R13
-	JNZ  fbCount
-	XORQ R15, R15
-
-fbCount:
+	JZ   fbNone
 	MOVQ R15, ret+112(FP)
-	TESTQ R15, R15
-	JZ   fbDone
 	SHLQ $3, R15           // samples done, in bytes
 	MOVQ CX, DX
 	SHLQ $3, DX            // weight row stride in bytes
 	SHLQ $3, R10           // x feature stride = y row stride, in bytes
 
 fbRows:
-	MOVSD    (R11), X12
-	UNPCKLPD X12, X12      // bias of row 0
-	MOVSD    8(R11), X13
-	UNPCKLPD X13, X13      // bias of row 1
-	XORQ     R8, R8        // sample offset in bytes
+	XORQ R8, R8            // sample offset in bytes
 
-fbOcts:
-	LEAQ   64(R8), AX
-	CMPQ   AX, R15
-	JGT    fbPairs
-	MOVAPD X12, X0
-	MOVAPD X12, X1
-	MOVAPD X12, X2
-	MOVAPD X12, X3
-	MOVAPD X13, X4
-	MOVAPD X13, X5
-	MOVAPD X13, X6
-	MOVAPD X13, X7
-	LEAQ   (BX)(R8*1), AX  // x[0][s]
-	MOVQ   SI, R9          // w[row 0][0]
-	MOVQ   CX, DI
-	TESTQ  DI, DI
-	JZ     fbOctStore
+fbBlock8:
+	LEAQ         64(R8), AX
+	CMPQ         AX, R15
+	JGT          fbBlock4
+	VBROADCASTSD (R11), Y0 // bias of row 0
+	VMOVAPD      Y0, Y1
+	VBROADCASTSD 8(R11), Y2 // bias of row 1
+	VMOVAPD      Y2, Y3
+	LEAQ         (BX)(R8*1), AX // x[0][s]
+	MOVQ         SI, R9         // w[row 0][0]
+	MOVQ         CX, DI
+	TESTQ        DI, DI
+	JZ           fb8Store
 
-fbOctCols:
-	MOVSD    (R9), X8
-	UNPCKLPD X8, X8        // w[row 0][i]
-	MOVSD    (R9)(DX*1), X9
-	UNPCKLPD X9, X9        // w[row 1][i]
-	MOVUPD   (AX), X10
-	MOVUPD   (AX), X11
-	MULPD    X8, X10
-	ADDPD    X10, X0
-	MULPD    X9, X11
-	ADDPD    X11, X4
-	MOVUPD   16(AX), X10
-	MOVUPD   16(AX), X11
-	MULPD    X8, X10
-	ADDPD    X10, X1
-	MULPD    X9, X11
-	ADDPD    X11, X5
-	MOVUPD   32(AX), X10
-	MOVUPD   32(AX), X11
-	MULPD    X8, X10
-	ADDPD    X10, X2
-	MULPD    X9, X11
-	ADDPD    X11, X6
-	MOVUPD   48(AX), X10
-	MOVUPD   48(AX), X11
-	MULPD    X8, X10
-	ADDPD    X10, X3
-	MULPD    X9, X11
-	ADDPD    X11, X7
+fb8Cols:
+	VBROADCASTSD (R9), Y8       // w[row 0][i]
+	VBROADCASTSD (R9)(DX*1), Y9 // w[row 1][i]
+	VMOVUPD      (AX), Y10
+	VMOVUPD      32(AX), Y13
+	VMULPD       Y8, Y10, Y11
+	VMULPD       Y9, Y10, Y12
+	VMULPD       Y8, Y13, Y14
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y11, Y0, Y0
+	VADDPD       Y12, Y2, Y2
+	VADDPD       Y14, Y1, Y1
+	VADDPD       Y15, Y3, Y3
+	ADDQ         $8, R9
+	ADDQ         R10, AX
+	DECQ         DI
+	JNZ          fb8Cols
+
+fb8Store:
+	LEAQ    (R12)(R8*1), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	ADDQ    R10, AX
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y3, 32(AX)
+	ADDQ    $64, R8
+	JMP     fbBlock8
+
+fbBlock4: // at most once: fewer than eight samples are left
+	LEAQ         32(R8), AX
+	CMPQ         AX, R15
+	JGT          fbBlock2
+	VBROADCASTSD (R11), Y0
+	VBROADCASTSD 8(R11), Y4
+	LEAQ         (BX)(R8*1), AX
+	MOVQ         SI, R9
+	MOVQ         CX, DI
+	TESTQ        DI, DI
+	JZ           fb4Store
+
+fb4Cols:
+	VBROADCASTSD (R9), Y8
+	VBROADCASTSD (R9)(DX*1), Y9
+	VMOVUPD      (AX), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y4, Y4
+	ADDQ         $8, R9
+	ADDQ         R10, AX
+	DECQ         DI
+	JNZ          fb4Cols
+
+fb4Store:
+	LEAQ    (R12)(R8*1), AX
+	VMOVUPD Y0, (AX)
+	ADDQ    R10, AX
+	VMOVUPD Y4, (AX)
+	ADDQ    $32, R8
+
+fbBlock2: // at most once: R15 is a multiple of two samples
+	CMPQ     R8, R15
+	JGE      fbNextRows
+	VMOVDDUP (R11), X0
+	VMOVDDUP 8(R11), X4
+	LEAQ     (BX)(R8*1), AX
+	MOVQ     SI, R9
+	MOVQ     CX, DI
+	TESTQ    DI, DI
+	JZ       fb2Store
+
+fb2Cols:
+	VMOVDDUP (R9), X8
+	VMOVDDUP (R9)(DX*1), X9
+	VMOVUPD  (AX), X10
+	VMULPD   X8, X10, X11
+	VADDPD   X11, X0, X0
+	VMULPD   X9, X10, X12
+	VADDPD   X12, X4, X4
 	ADDQ     $8, R9
 	ADDQ     R10, AX
 	DECQ     DI
-	JNZ      fbOctCols
+	JNZ      fb2Cols
 
-fbOctStore:
-	LEAQ   (R12)(R8*1), AX
-	MOVUPD X0, (AX)
-	MOVUPD X1, 16(AX)
-	MOVUPD X2, 32(AX)
-	MOVUPD X3, 48(AX)
-	ADDQ   R10, AX
-	MOVUPD X4, (AX)
-	MOVUPD X5, 16(AX)
-	MOVUPD X6, 32(AX)
-	MOVUPD X7, 48(AX)
-	ADDQ   $64, R8
-	JMP    fbOcts
-
-fbPairs:
-	CMPQ   R8, R15
-	JGE    fbNextRows
-	MOVAPD X12, X0
-	MOVAPD X13, X4
-	LEAQ   (BX)(R8*1), AX
-	MOVQ   SI, R9
-	MOVQ   CX, DI
-	TESTQ  DI, DI
-	JZ     fbPairStore
-
-fbPairCols:
-	MOVSD    (R9), X8
-	UNPCKLPD X8, X8
-	MOVSD    (R9)(DX*1), X9
-	UNPCKLPD X9, X9
-	MOVUPD   (AX), X10
-	MOVUPD   (AX), X11
-	MULPD    X8, X10
-	ADDPD    X10, X0
-	MULPD    X9, X11
-	ADDPD    X11, X4
-	ADDQ     $8, R9
-	ADDQ     R10, AX
-	DECQ     DI
-	JNZ      fbPairCols
-
-fbPairStore:
-	LEAQ   (R12)(R8*1), AX
-	MOVUPD X0, (AX)
-	ADDQ   R10, AX
-	MOVUPD X4, (AX)
-	ADDQ   $16, R8
-	JMP    fbPairs
+fb2Store:
+	LEAQ    (R12)(R8*1), AX
+	VMOVUPD X0, (AX)
+	ADDQ    R10, AX
+	VMOVUPD X4, (AX)
 
 fbNextRows:
 	LEAQ (SI)(DX*2), SI
@@ -367,6 +396,7 @@ fbNextRows:
 	LEAQ (R12)(R10*2), R12
 	DECQ R13
 	JNZ  fbRows
+	VZEROUPPER
 
-fbDone:
+fbNone:
 	RET

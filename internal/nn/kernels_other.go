@@ -10,4 +10,7 @@ func forwardRows8(w, x, b, y []float64) int { return 0 }
 
 func forwardBatch(w, x, b, y []float64, in, batch int) int { return 0 }
 
-func backwardPairs(x, gradOut, w, gw, gradIn []float64) int { return 0 }
+func backwardCols(x, gradOut, w, gw, gradIn []float64) int { return 0 }
+
+// hasAVX is false: there are no AVX kernels to switch off.
+var hasAVX = false

@@ -110,12 +110,12 @@ func (l *Linear) BackwardInto(x, gradOut, gradIn []float64) {
 	for i := range gradIn {
 		gradIn[i] = 0
 	}
-	// Columns are independent, so backwardPairs may take the first k of
+	// Columns are independent, so backwardCols may take the first k of
 	// every row before this loop takes the rest: each element still
 	// accumulates its rows in order.
 	n := len(x)
 	w, gw := l.Weight.W[:n*len(gradOut)], l.Weight.G[:n*len(gradOut)]
-	k := backwardPairs(x, gradOut, w, gw, gradIn)
+	k := backwardCols(x, gradOut, w, gw, gradIn)
 	x, gradIn = x[k:], gradIn[k:]
 	for o, g := range gradOut {
 		if g == 0 {

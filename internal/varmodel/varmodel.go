@@ -52,9 +52,6 @@ func (m *Model) Order() int { return m.p }
 // Channels returns N.
 func (m *Model) Channels() int { return m.channels }
 
-// Fitted reports whether coefficients have been estimated.
-func (m *Model) Fitted() bool { return m.fitted }
-
 // Coef returns the stacked coefficient matrix [ν | A_1 | … | A_p], or nil
 // before the first fit.
 func (m *Model) Coef() *mat.Dense { return m.coef }

@@ -17,7 +17,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Order() != 2 || m.Channels() != 3 || m.Fitted() {
+	if m.Order() != 2 || m.Channels() != 3 || m.fitted {
 		t.Fatal("fresh model state wrong")
 	}
 }
@@ -118,7 +118,7 @@ func TestFitFromSlidingWindowSet(t *testing.T) {
 	}
 	m, _ := New(Config{P: 2, Channels: 1})
 	m.Fit(set)
-	if !m.Fitted() {
+	if !m.fitted {
 		t.Fatal("Fit from sliding-window set failed")
 	}
 	coef := m.Coef()
@@ -140,7 +140,7 @@ func TestFitSeriesErrors(t *testing.T) {
 func TestFitEmptySetIsNoop(t *testing.T) {
 	m, _ := New(Config{P: 1, Channels: 1})
 	m.Fit(nil)
-	if m.Fitted() {
+	if m.fitted {
 		t.Fatal("empty Fit should not mark model fitted")
 	}
 }
