@@ -97,13 +97,14 @@ race:
 # crossed nodes in the store's own snapshot and WAL bytes and the unused
 # metrics and single-value knobs went, 21,126 before a model's checkpoint
 # became its only copy (core.Cloner, the fourteen hand-written deep
-# copies and the model-only snapshot path deleted).
+# copies and the model-only snapshot path deleted), 20,918 before the
+# batch forward and the backward went to AVX behind a CPUID probe.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 20918
+LOC_CEILING = 20973
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \
@@ -138,8 +139,9 @@ bench:
 # 16-vector burst through Run), the heavy pipeline against the cascade
 # screening for it, the nn kernels (Linear.ForwardInto on the eleven
 # layer shapes of the repo benchmark's model-heavy workload and
-# Linear.ForwardBatchInto on them at batch 16, Linear.BackwardInto on
-# USAD's six, Adam.Step),
+# Linear.ForwardBatchInto on them at batch 8 and 16, Linear.BackwardInto
+# on USAD's six, each of those two also with the AVX kernels off (/go),
+# Adam.Step),
 # and one trip of a pcb stream around the residency ladder on a real
 # directory (hot→warm→hot, and hot→warm→cold→hot).
 HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep|BenchmarkCascadeStep

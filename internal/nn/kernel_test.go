@@ -70,9 +70,9 @@ func refAdamStep(a *Adam, params []*Param) {
 	}
 }
 
-// kernelPaths runs f as subtest "go" with the AVX kernels switched off,
-// so the Go loops run what they cover, as on a CPU without AVX, and as
-// subtest "avx" with them on, when the CPU has AVX.
+// kernelPaths runs f twice: as subtest "go" with hasAVX false, so the Go
+// loops do the work the AVX kernels otherwise take, as on a CPU without
+// AVX, and as subtest "avx" with the kernels on (skipped without AVX).
 func kernelPaths(t *testing.T, f func(t *testing.T)) {
 	have := hasAVX
 	defer func() { hasAVX = have }()
@@ -135,10 +135,10 @@ func TestForwardIntoMatchesScalarReference(t *testing.T) {
 
 // TestForwardBatchMatchesForwardInto holds the lane rule for the batch
 // kernel: on the model-heavy shapes and on odd In and Out, at every
-// batch size from 1 to 33 (every remainder of the sixteen-, eight-,
-// four- and two-sample blocks, after none, one and two sixteen-sample
-// blocks), each (row, sample) output must equal the scalar reference on
-// that sample bit for bit.
+// batch size from 1 to 33 (every remainder of the eight-, four- and
+// two-sample blocks, after up to four eight-sample blocks), each (row,
+// sample) output must equal the scalar reference on that sample bit for
+// bit.
 func TestForwardBatchMatchesForwardInto(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))

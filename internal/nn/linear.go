@@ -70,9 +70,10 @@ func (l *Linear) ForwardInto(x, y []float64) {
 // bit-identical to a ForwardInto of that sample, and at batch 1 the
 // layout is the vector and this is ForwardInto. y must not alias x.
 //
-// forwardBatch covers two rows × eight (then two) samples per pass over
-// the weights, loading each weight once for every sample in the block;
-// the loop below finishes an odd last sample and an odd last row.
+// forwardBatch covers two rows × eight (then four, then two) samples per
+// pass over the weights, loading each weight once for every sample in
+// the block; the loop below finishes an odd last sample and an odd last
+// row, or everything when the CPU has no AVX.
 func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
 	if batch == 1 {
 		l.ForwardInto(x, y)
