@@ -21,6 +21,7 @@ var syncCheckpointSpecs = map[string]string{
 	"ae-regular":  "ae+sw+regular+al",
 	"arima-kswin": "arima+ures+kswin+avg",
 	"knn-regular": "knn+ares+regular+raw",
+	"pcb-regular": "pcb+sw+regular+raw",
 	"ensemble":    "ensemble(usad+sw+musigma, arima+sw+regular; agg=median)",
 }
 
