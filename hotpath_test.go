@@ -55,11 +55,10 @@ func buildWarmDetector(t testing.TB, model ModelKind, sc ScoreKind) *Detector {
 // TestStepZeroAllocModels: the scoring hot path must not touch the heap.
 // The zero-allocation kernels are the contract the serve/train split's
 // latency target rests on, so every model is pinned under every scoring
-// function. PCB-iForest (the per-tree depth slice) and VAR (target,
-// prediction and regressor) were never zero-allocation; they are pinned
-// at today's count so it cannot grow.
+// function. VAR (target, prediction and regressor) was never
+// zero-allocation; it is pinned at today's count so it cannot grow.
 func TestStepZeroAllocModels(t *testing.T) {
-	budget := map[ModelKind]float64{ModelPCBIForest: 1, ModelVAR: 3}
+	budget := map[ModelKind]float64{ModelVAR: 3}
 	for m := ModelARIMA; m <= ModelKNN; m++ {
 		for _, sc := range []ScoreKind{ScoreRaw, ScoreAverage, ScoreLikelihood} {
 			t.Run(modelNames.Spec(m)+"/"+scoreNames.Spec(sc), func(t *testing.T) {

@@ -8,22 +8,26 @@ package iforest
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
-// node is one node of an extended isolation tree. Branching sends a point
-// s left when (s − intercept)·normal ≤ 0.
+// node is one record of an extended isolation tree's pre-order slab. A
+// branching node's left child is the next record and right is the index
+// of its right child; right 0 marks a leaf, since the root is nobody's
+// child. plane[at : at+2·dim] holds a branching node's hyperplane, the
+// normal followed by the intercept: a point s goes left when
+// (s − intercept)·normal ≤ 0. size counts the training points at the node.
 type node struct {
-	left, right *node
-	normal      []float64
-	intercept   []float64
-	size        int // number of training points at this node (leaves)
+	right, size, at int32
 }
 
-func (n *node) isLeaf() bool { return n.left == nil }
-
-// Tree is a single extended isolation tree.
+// Tree is a single extended isolation tree, held as two pointer-free
+// slabs so scoring walks contiguous memory and the collector has nothing
+// to trace.
 type Tree struct {
-	root     *node
+	nodes    []node
+	plane    []float64
+	dim      int
 	maxDepth int
 	sample   int // points used to build the tree
 }
@@ -52,16 +56,30 @@ func AvgPathLength(n int) float64 {
 	}
 }
 
-// buildTree recursively grows an extended isolation tree over points.
-func buildTree(points [][]float64, depth, maxDepth int, rng *rand.Rand) *node {
+// grower holds the scratch one tree is grown with: the per-dimension
+// bounds of the current subset, a spill for partitioning it, and the
+// slabs the nodes are appended to.
+type grower struct {
+	rng      *rand.Rand
+	maxDepth int
+	lo, hi   []float64
+	spill    [][]float64
+	nodes    []node
+	plane    []float64
+}
+
+// grow appends the subtree over points, depth levels below the root, in
+// pre-order. points is partitioned in place, stably, so every subset is
+// seen in the order the old recursive copies saw it.
+func (g *grower) grow(points [][]float64, depth int) {
 	n := len(points)
-	if n <= 1 || depth >= maxDepth {
-		return &node{size: n}
+	i := len(g.nodes)
+	g.nodes = append(g.nodes, node{size: int32(n)})
+	if n <= 1 || depth >= g.maxDepth {
+		return
 	}
-	dim := len(points[0])
 	// Per-dimension bounds of the current subset.
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
+	lo, hi := g.lo, g.hi
 	copy(lo, points[0])
 	copy(hi, points[0])
 	for _, p := range points[1:] {
@@ -83,53 +101,70 @@ func buildTree(points [][]float64, depth, maxDepth int, rng *rand.Rand) *node {
 	}
 	if degenerate {
 		// All points identical: cannot split.
-		return &node{size: n}
+		return
 	}
 	// Random hyperplane: slope from a standard normal, intercept uniform in
 	// the bounding box (the extended isolation forest's diagonal branches).
-	normal := make([]float64, dim)
-	for d := range normal {
-		normal[d] = rng.NormFloat64()
+	dim := len(lo)
+	at := len(g.plane)
+	for d := 0; d < dim; d++ {
+		g.plane = append(g.plane, g.rng.NormFloat64())
 	}
-	intercept := make([]float64, dim)
-	for d := range intercept {
-		intercept[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
+	for d := 0; d < dim; d++ {
+		g.plane = append(g.plane, lo[d]+g.rng.Float64()*(hi[d]-lo[d]))
 	}
-	var left, right [][]float64
+	normal, intercept := g.plane[at:at+dim], g.plane[at+dim:at+2*dim]
+	left, right := 0, 0
 	for _, p := range points {
 		var s float64
 		for d, v := range p {
 			s += (v - intercept[d]) * normal[d]
 		}
 		if s <= 0 {
-			left = append(left, p)
+			points[left] = p
+			left++
 		} else {
-			right = append(right, p)
+			g.spill[right] = p
+			right++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	copy(points[left:], g.spill[:right])
+	if left == 0 || right == 0 {
 		// Unlucky hyperplane missed the set; treat as leaf rather than
 		// recursing forever.
-		return &node{size: n}
+		g.plane = g.plane[:at]
+		return
 	}
-	return &node{
-		normal:    normal,
-		intercept: intercept,
-		left:      buildTree(left, depth+1, maxDepth, rng),
-		right:     buildTree(right, depth+1, maxDepth, rng),
-		size:      n,
-	}
+	g.nodes[i].at = int32(at)
+	g.grow(points[:left], depth+1)
+	g.nodes[i].right = int32(len(g.nodes))
+	g.grow(points[left:], depth+1)
 }
 
-// NewTree builds an extended isolation tree from the sample. The depth
-// limit is ⌈log2(len(sample))⌉ as in the original algorithm.
+// NewTree builds an extended isolation tree from the sample, which it
+// leaves in its order. The depth limit is ⌈log2(len(sample))⌉ as in the
+// original algorithm.
 func NewTree(sample [][]float64, rng *rand.Rand) *Tree {
 	maxDepth := int(math.Ceil(math.Log2(float64(len(sample)) + 1)))
 	if maxDepth < 1 {
 		maxDepth = 1
 	}
+	dim := 0
+	if len(sample) > 0 {
+		dim = len(sample[0])
+	}
+	g := grower{
+		rng:      rng,
+		maxDepth: maxDepth,
+		lo:       make([]float64, dim),
+		hi:       make([]float64, dim),
+		spill:    make([][]float64, len(sample)),
+	}
+	g.grow(slices.Clone(sample), 0)
 	return &Tree{
-		root:     buildTree(sample, 0, maxDepth, rng),
+		nodes:    slices.Clone(g.nodes),
+		plane:    slices.Clone(g.plane),
+		dim:      dim,
 		maxDepth: maxDepth,
 		sample:   len(sample),
 	}
@@ -138,21 +173,25 @@ func NewTree(sample [][]float64, rng *rand.Rand) *Tree {
 // PathLength returns the isolation depth of point s, with the standard
 // c(size) adjustment at non-singleton leaves.
 func (t *Tree) PathLength(s []float64) float64 {
-	n := t.root
+	dim := t.dim
 	depth := 0.0
-	for !n.isLeaf() {
+	for i := 0; ; depth++ {
+		n := t.nodes[i]
+		if n.right == 0 {
+			return depth + AvgPathLength(int(n.size))
+		}
+		hp := t.plane[n.at : int(n.at)+2*dim]
+		normal, intercept := hp[:dim], hp[dim:]
 		var v float64
 		for d, x := range s {
-			v += (x - n.intercept[d]) * n.normal[d]
+			v += (x - intercept[d]) * normal[d]
 		}
 		if v <= 0 {
-			n = n.left
+			i++
 		} else {
-			n = n.right
+			i = int(n.right)
 		}
-		depth++
 	}
-	return depth + AvgPathLength(n.size)
 }
 
 // Score converts an average path length over a forest built from n-point

@@ -3,6 +3,7 @@ package iforest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,7 +180,7 @@ func TestPCBForestPruneAndRegrow(t *testing.T) {
 			t.Fatal("counters must reset after the PCB refit")
 		}
 	}
-	if f.Pruned+f.Grown == 0 {
+	if f.pruned+f.grown == 0 {
 		t.Log("no trees pruned this run (all counters positive) — acceptable")
 	}
 	// Forest must still score sanely.
@@ -225,4 +226,51 @@ func TestPCBForestScorePanicsOnShortVector(t *testing.T) {
 		}
 	}()
 	f.NonconformityScore([]float64{1})
+}
+
+func TestNewTreeLeavesSampleOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sample := cluster(rng, 64, 3, 0, 1)
+	before := slices.Clone(sample)
+	NewTree(sample, rng)
+	for i := range sample {
+		if &sample[i][0] != &before[i][0] {
+			t.Fatalf("NewTree moved the caller's point %d", i)
+		}
+	}
+}
+
+// TestNonconformityScoreZeroAlloc: once the forest is fitted, scoring walks
+// the slabs and keeps its per-tree depths in the forest's scratch.
+func TestNonconformityScoreZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	f, _ := New(Config{Channels: 4, Seed: 12})
+	f.Fit(cluster(rng, 100, 4, 0, 1))
+	x := []float64{0.1, -0.3, 2, 0.5}
+	if allocs := testing.AllocsPerRun(200, func() { f.NonconformityScore(x) }); allocs != 0 {
+		t.Fatalf("NonconformityScore allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkPCBScore scores one vector per op on 512 forests at the
+// tier-churn workload's geometry (25 trees, 100 training vectors, 4
+// channels), round-robin, so the trees come from memory the way a fleet's
+// do rather than from a warm L1.
+func BenchmarkPCBScore(b *testing.B) {
+	const forests, channels = 512, 4
+	rng := rand.New(rand.NewSource(13))
+	fleet := make([]*PCBForest, forests)
+	for i := range fleet {
+		fleet[i], _ = New(Config{Channels: channels, Seed: int64(i)})
+		fleet[i].Fit(cluster(rng, 100, channels, 0, 1))
+	}
+	xs := cluster(rng, 64, channels, 0, 1.5)
+	for _, f := range fleet {
+		f.NonconformityScore(xs[0]) // sizes the depth scratch
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fleet[i%forests].NonconformityScore(xs[i%len(xs)])
+	}
 }

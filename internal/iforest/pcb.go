@@ -23,9 +23,11 @@ type PCBForest struct {
 	src       *randstate.CountedSource
 	rng       *rand.Rand // stateless wrapper over src, whose position Save/Load round-trips
 	fitted    bool
-	// Pruned/Grown track cumulative maintenance activity for diagnostics.
-	Pruned int
-	Grown  int
+	depths    []float64 // per-tree path lengths of the vector being scored
+	// pruned/grown count cumulative maintenance activity; the checkpoint
+	// carries them.
+	pruned int
+	grown  int
 }
 
 // Config parameterizes a PCB-iForest.
@@ -128,13 +130,13 @@ func (f *PCBForest) Fit(set [][]float64) {
 		if f.counters[i] > 0 {
 			kept = append(kept, t)
 		} else {
-			f.Pruned++
+			f.pruned++
 		}
 	}
 	f.trees = kept
 	for len(f.trees) < f.numTrees {
 		f.trees = append(f.trees, f.buildOne(points))
-		f.Grown++
+		f.grown++
 	}
 	f.counters = make([]int, f.numTrees)
 }
@@ -151,7 +153,10 @@ func (f *PCBForest) NonconformityScore(x []float64) float64 {
 	if !f.fitted || len(f.trees) == 0 {
 		return 0.5
 	}
-	depths := make([]float64, len(f.trees))
+	if cap(f.depths) < len(f.trees) {
+		f.depths = make([]float64, len(f.trees))
+	}
+	depths := f.depths[:len(f.trees)]
 	var sum float64
 	for i, t := range f.trees {
 		depths[i] = t.PathLength(s)

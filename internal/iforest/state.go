@@ -6,82 +6,49 @@ import (
 	"streamad/internal/wire"
 )
 
-// countNodes returns the number of nodes under n and how many of them are
-// internal, so the restore side can size one slab per tree.
-func countNodes(n *node) (nodes, internal int) {
-	if n.isLeaf() {
-		return 1, 0
-	}
-	ln, li := countNodes(n.left)
-	rn, ri := countNodes(n.right)
-	return 1 + ln + rn, 1 + li + ri
-}
-
-// appendNode appends n and its subtrees in pre-order: the size, whether
-// the node branches and, when it does, the hyperplane followed by the
-// left and right subtrees.
-func appendNode(dst []byte, n *node, dim int) ([]byte, error) {
-	dst = wire.AppendInt(dst, n.size)
-	dst = wire.AppendBool(dst, !n.isLeaf())
-	if n.isLeaf() {
-		return dst, nil
-	}
-	if len(n.normal) != dim || len(n.intercept) != dim {
-		return nil, fmt.Errorf("iforest: node hyperplane has %d dimensions, forest has %d", len(n.normal), dim)
-	}
-	dst = wire.AppendRawFloat64s(dst, n.normal)
-	dst = wire.AppendRawFloat64s(dst, n.intercept)
-	dst, err := appendNode(dst, n.left, dim)
-	if err != nil {
-		return nil, err
-	}
-	return appendNode(dst, n.right, dim)
-}
-
-// treeDecoder rebuilds one pre-order tree into a node slab and a float
-// slab, so a restored tree costs two allocations instead of three per
-// branching node.
+// treeDecoder refills one tree's slabs, pre-sized from the declared
+// counts, from its pre-order encoding.
 type treeDecoder struct {
-	rd       *wire.Reader
-	nodes    []node
-	floats   []float64
-	dim      int
-	maxDepth int
+	rd *wire.Reader
+	t  *Tree
 }
 
 // next decodes the node at the front of the input and, recursively, its
-// subtrees. Depth is bounded by the tree's own limit, which also bounds
-// the recursion on hostile input.
-func (t *treeDecoder) next(depth int) *node {
-	size, internal := t.rd.Int(), t.rd.Bool()
-	if t.rd.Err() != nil {
-		return nil
+// subtrees, and reports whether the reader is still healthy. Depth is
+// bounded by the tree's own limit, which also bounds the recursion on
+// hostile input.
+func (dec *treeDecoder) next(depth int) bool {
+	rd, t := dec.rd, dec.t
+	size, branch := rd.Int(), rd.Bool()
+	if rd.Err() != nil {
+		return false
 	}
-	if len(t.nodes) == 0 || depth > t.maxDepth {
-		t.rd.Fail(fmt.Errorf("iforest: tree snapshot exceeds its declared node count or depth %d", t.maxDepth))
-		return nil
+	if len(t.nodes) == cap(t.nodes) || depth > t.maxDepth {
+		rd.Fail(fmt.Errorf("iforest: tree snapshot exceeds its declared node count or depth %d", t.maxDepth))
+		return false
 	}
-	n := &t.nodes[0]
-	t.nodes = t.nodes[1:]
-	n.size = size
-	if !internal {
-		return n
+	if size != int(int32(size)) {
+		rd.Fail(fmt.Errorf("iforest: tree node size %d out of range", size))
+		return false
 	}
-	if len(t.floats) < 2*t.dim {
-		t.rd.Fail(fmt.Errorf("iforest: tree snapshot has more branching nodes than declared"))
-		return nil
+	i := len(t.nodes)
+	t.nodes = append(t.nodes, node{size: int32(size)})
+	if !branch {
+		return true
 	}
-	n.normal, n.intercept = t.floats[:t.dim:t.dim], t.floats[t.dim:2*t.dim:2*t.dim]
-	t.floats = t.floats[2*t.dim:]
-	t.rd.RawFloat64s(n.normal)
-	t.rd.RawFloat64s(n.intercept)
-	if n.left = t.next(depth + 1); n.left == nil {
-		return nil
+	at := len(t.plane)
+	if cap(t.plane)-at < 2*t.dim {
+		rd.Fail(fmt.Errorf("iforest: tree snapshot has more branching nodes than declared"))
+		return false
 	}
-	if n.right = t.next(depth + 1); n.right == nil {
-		return nil
+	t.plane = t.plane[:at+2*t.dim]
+	rd.RawFloat64s(t.plane[at:])
+	t.nodes[i].at = int32(at)
+	if !dec.next(depth + 1) {
+		return false
 	}
-	return n
+	t.nodes[i].right = int32(len(t.nodes))
+	return dec.next(depth + 1)
 }
 
 // AppendBinary implements wire.Appender: the full forest — every tree's
@@ -94,21 +61,25 @@ func (f *PCBForest) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendInt(dst, f.subsample)
 	dst = wire.AppendFloat64(dst, f.threshold)
 	dst = wire.AppendBool(dst, f.fitted)
-	dst = wire.AppendInt(dst, f.Pruned)
-	dst = wire.AppendInt(dst, f.Grown)
+	dst = wire.AppendInt(dst, f.pruned)
+	dst = wire.AppendInt(dst, f.grown)
 	dst = wire.AppendInt64(dst, f.src.SeedValue())
 	dst = wire.AppendUint64(dst, f.src.Draws())
 	dst = wire.AppendInt(dst, len(f.trees))
 	for i, t := range f.trees {
-		nodes, internal := countNodes(t.root)
 		dst = wire.AppendInt(dst, f.counters[i])
 		dst = wire.AppendInt(dst, t.maxDepth)
 		dst = wire.AppendInt(dst, t.sample)
-		dst = wire.AppendInt(dst, nodes)
-		dst = wire.AppendInt(dst, internal)
-		var err error
-		if dst, err = appendNode(dst, t.root, f.channels); err != nil {
-			return nil, err
+		dst = wire.AppendInt(dst, len(t.nodes))
+		dst = wire.AppendInt(dst, len(t.plane)/(2*t.dim))
+		// The slab is already in pre-order: each node's size, whether it
+		// branches and, when it does, its normal and intercept.
+		for _, n := range t.nodes {
+			dst = wire.AppendInt(dst, int(n.size))
+			dst = wire.AppendBool(dst, n.right != 0)
+			if n.right != 0 {
+				dst = wire.AppendRawFloat64s(dst, t.plane[n.at:int(n.at)+2*t.dim])
+			}
 		}
 	}
 	return dst, nil
@@ -131,10 +102,10 @@ func (f *PCBForest) UnmarshalBinary(data []byte) error {
 		counters[i], t.maxDepth, t.sample = rd.Int(), rd.Int(), rd.Int()
 		nodes := rd.Count(len(data))
 		internal := rd.Count(nodes)
-		dec := treeDecoder{rd: &rd, dim: f.channels, maxDepth: t.maxDepth,
-			nodes: make([]node, nodes), floats: make([]float64, 2*f.channels*internal)}
-		t.root = dec.next(0)
-		if rd.Err() == nil && (len(dec.nodes) != 0 || len(dec.floats) != 0) {
+		t.dim = f.channels
+		t.nodes, t.plane = make([]node, 0, nodes), make([]float64, 0, 2*f.channels*internal)
+		dec := treeDecoder{rd: &rd, t: t}
+		if dec.next(0) && (len(t.nodes) != cap(t.nodes) || len(t.plane) != cap(t.plane)) {
 			rd.Fail(fmt.Errorf("iforest: tree %d holds fewer nodes than declared", i))
 		}
 		trees[i] = t
@@ -144,7 +115,7 @@ func (f *PCBForest) UnmarshalBinary(data []byte) error {
 	}
 	f.numTrees, f.subsample, f.threshold, f.fitted = numTrees, subsample, threshold, fitted
 	f.trees, f.counters = trees, counters
-	f.Pruned, f.Grown = pruned, grown
+	f.pruned, f.grown = pruned, grown
 	f.src.Restore(seed, draws)
 	return nil
 }
