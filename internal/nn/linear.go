@@ -73,7 +73,7 @@ func (l *Linear) ForwardInto(x, y []float64) {
 // forwardBatch covers two rows × eight (then four, then two) samples per
 // pass over the weights, loading each weight once for every sample in
 // the block; the loop below finishes an odd last sample and an odd last
-// row, or everything when the CPU has no AVX.
+// row, or everything when the CPU has no AVX, four samples at a time.
 func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
 	if batch == 1 {
 		l.ForwardInto(x, y)
@@ -91,12 +91,29 @@ func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
 			from = 0
 		}
 		row := w[o*n:][:n]
-		for s := from; s < batch; s++ {
+		yo := y[o*batch:][:batch]
+		s := from
+		// Four samples per pass over the row, one accumulator each, so
+		// every weight is loaded once for four adjacent inputs.
+		for ; s+4 <= batch; s += 4 {
+			a0, a1, a2, a3 := b[o], b[o], b[o], b[o]
+			p := s
+			for _, v := range row {
+				xs := x[p : p+4]
+				a0 += v * xs[0]
+				a1 += v * xs[1]
+				a2 += v * xs[2]
+				a3 += v * xs[3]
+				p += batch
+			}
+			yo[s], yo[s+1], yo[s+2], yo[s+3] = a0, a1, a2, a3
+		}
+		for ; s < batch; s++ {
 			acc := b[o]
 			for i, v := range row {
 				acc += v * x[i*batch+s]
 			}
-			y[o*batch+s] = acc
+			yo[s] = acc
 		}
 	}
 }
