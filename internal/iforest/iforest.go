@@ -56,26 +56,22 @@ func AvgPathLength(n int) float64 {
 	}
 }
 
-// grower holds the scratch one tree is grown with: the per-dimension
-// bounds of the current subset, a spill for partitioning it, and the
-// slabs the nodes are appended to.
+// grower grows one tree into its slabs, with one pair of bounds and one
+// partition spill as scratch.
 type grower struct {
-	rng      *rand.Rand
-	maxDepth int
-	lo, hi   []float64
-	spill    [][]float64
-	nodes    []node
-	plane    []float64
+	Tree
+	rng    *rand.Rand
+	lo, hi []float64
+	spill  [][]float64
 }
 
 // grow appends the subtree over points, depth levels below the root, in
-// pre-order. points is partitioned in place, stably, so every subset is
-// seen in the order the old recursive copies saw it.
+// pre-order. It partitions points in place and stably, so each subset
+// keeps the order in which it was sampled.
 func (g *grower) grow(points [][]float64, depth int) {
-	n := len(points)
 	i := len(g.nodes)
-	g.nodes = append(g.nodes, node{size: int32(n)})
-	if n <= 1 || depth >= g.maxDepth {
+	g.nodes = append(g.nodes, node{size: int32(len(points))})
+	if len(points) <= 1 || depth >= g.maxDepth {
 		return
 	}
 	// Per-dimension bounds of the current subset.
@@ -92,28 +88,24 @@ func (g *grower) grow(points [][]float64, depth int) {
 			}
 		}
 	}
-	degenerate := true
+	split := false
 	for d := range lo {
-		if hi[d] > lo[d] {
-			degenerate = false
-			break
-		}
+		split = split || hi[d] > lo[d]
 	}
-	if degenerate {
+	if !split {
 		// All points identical: cannot split.
 		return
 	}
 	// Random hyperplane: slope from a standard normal, intercept uniform in
 	// the bounding box (the extended isolation forest's diagonal branches).
-	dim := len(lo)
 	at := len(g.plane)
-	for d := 0; d < dim; d++ {
+	for range lo {
 		g.plane = append(g.plane, g.rng.NormFloat64())
 	}
-	for d := 0; d < dim; d++ {
+	for d := range lo {
 		g.plane = append(g.plane, lo[d]+g.rng.Float64()*(hi[d]-lo[d]))
 	}
-	normal, intercept := g.plane[at:at+dim], g.plane[at+dim:at+2*dim]
+	normal, intercept := g.plane[at:at+g.dim], g.plane[at+g.dim:]
 	left, right := 0, 0
 	for _, p := range points {
 		var s float64
@@ -141,47 +133,34 @@ func (g *grower) grow(points [][]float64, depth int) {
 	g.grow(points[left:], depth+1)
 }
 
-// NewTree builds an extended isolation tree from the sample, which it
-// leaves in its order. The depth limit is ⌈log2(len(sample))⌉ as in the
+// NewTree builds an extended isolation tree from the sample without
+// reordering it. The depth limit is ⌈log2(len(sample))⌉ as in the
 // original algorithm.
 func NewTree(sample [][]float64, rng *rand.Rand) *Tree {
-	maxDepth := int(math.Ceil(math.Log2(float64(len(sample)) + 1)))
-	if maxDepth < 1 {
-		maxDepth = 1
-	}
-	dim := 0
+	g := grower{rng: rng, spill: make([][]float64, len(sample))}
+	g.sample = len(sample)
+	g.maxDepth = max(1, int(math.Ceil(math.Log2(float64(len(sample))+1))))
 	if len(sample) > 0 {
-		dim = len(sample[0])
+		g.dim = len(sample[0])
 	}
-	g := grower{
-		rng:      rng,
-		maxDepth: maxDepth,
-		lo:       make([]float64, dim),
-		hi:       make([]float64, dim),
-		spill:    make([][]float64, len(sample)),
-	}
+	g.lo, g.hi = make([]float64, g.dim), make([]float64, g.dim)
 	g.grow(slices.Clone(sample), 0)
-	return &Tree{
-		nodes:    slices.Clone(g.nodes),
-		plane:    slices.Clone(g.plane),
-		dim:      dim,
-		maxDepth: maxDepth,
-		sample:   len(sample),
-	}
+	t := g.Tree
+	t.nodes, t.plane = slices.Clone(t.nodes), slices.Clone(t.plane)
+	return &t
 }
 
 // PathLength returns the isolation depth of point s, with the standard
 // c(size) adjustment at non-singleton leaves.
 func (t *Tree) PathLength(s []float64) float64 {
-	dim := t.dim
 	depth := 0.0
 	for i := 0; ; depth++ {
 		n := t.nodes[i]
 		if n.right == 0 {
 			return depth + AvgPathLength(int(n.size))
 		}
-		hp := t.plane[n.at : int(n.at)+2*dim]
-		normal, intercept := hp[:dim], hp[dim:]
+		hp := t.plane[n.at : int(n.at)+2*t.dim]
+		normal, intercept := hp[:t.dim], hp[t.dim:]
 		var v float64
 		for d, x := range s {
 			v += (x - intercept[d]) * normal[d]

@@ -24,10 +24,8 @@ type PCBForest struct {
 	rng       *rand.Rand // stateless wrapper over src, whose position Save/Load round-trips
 	fitted    bool
 	depths    []float64 // per-tree path lengths of the vector being scored
-	// pruned/grown count cumulative maintenance activity; the checkpoint
-	// carries them.
-	pruned int
-	grown  int
+	// pruned and grown count the maintenance so far; checkpoints carry them.
+	pruned, grown int
 }
 
 // Config parameterizes a PCB-iForest.

@@ -6,19 +6,11 @@ import (
 	"streamad/internal/wire"
 )
 
-// treeDecoder refills one tree's slabs, pre-sized from the declared
-// counts, from its pre-order encoding.
-type treeDecoder struct {
-	rd *wire.Reader
-	t  *Tree
-}
-
-// next decodes the node at the front of the input and, recursively, its
-// subtrees, and reports whether the reader is still healthy. Depth is
-// bounded by the tree's own limit, which also bounds the recursion on
-// hostile input.
-func (dec *treeDecoder) next(depth int) bool {
-	rd, t := dec.rd, dec.t
+// decode appends the node at the front of the input and, recursively,
+// its subtrees to t's slabs, which are pre-sized from the declared
+// counts, and reports whether rd is still healthy. Depth is bounded by
+// the tree's own limit, which also bounds the recursion on hostile input.
+func (t *Tree) decode(rd *wire.Reader, depth int) bool {
 	size, branch := rd.Int(), rd.Bool()
 	if rd.Err() != nil {
 		return false
@@ -31,12 +23,11 @@ func (dec *treeDecoder) next(depth int) bool {
 		rd.Fail(fmt.Errorf("iforest: tree node size %d out of range", size))
 		return false
 	}
-	i := len(t.nodes)
+	i, at := len(t.nodes), len(t.plane)
 	t.nodes = append(t.nodes, node{size: int32(size)})
 	if !branch {
 		return true
 	}
-	at := len(t.plane)
 	if cap(t.plane)-at < 2*t.dim {
 		rd.Fail(fmt.Errorf("iforest: tree snapshot has more branching nodes than declared"))
 		return false
@@ -44,11 +35,11 @@ func (dec *treeDecoder) next(depth int) bool {
 	t.plane = t.plane[:at+2*t.dim]
 	rd.RawFloat64s(t.plane[at:])
 	t.nodes[i].at = int32(at)
-	if !dec.next(depth + 1) {
+	if !t.decode(rd, depth+1) {
 		return false
 	}
 	t.nodes[i].right = int32(len(t.nodes))
-	return dec.next(depth + 1)
+	return t.decode(rd, depth+1)
 }
 
 // AppendBinary implements wire.Appender: the full forest — every tree's
@@ -104,8 +95,7 @@ func (f *PCBForest) UnmarshalBinary(data []byte) error {
 		internal := rd.Count(nodes)
 		t.dim = f.channels
 		t.nodes, t.plane = make([]node, 0, nodes), make([]float64, 0, 2*f.channels*internal)
-		dec := treeDecoder{rd: &rd, t: t}
-		if dec.next(0) && (len(t.nodes) != cap(t.nodes) || len(t.plane) != cap(t.plane)) {
+		if t.decode(&rd, 0) && (len(t.nodes) != cap(t.nodes) || len(t.plane) != cap(t.plane)) {
 			rd.Fail(fmt.Errorf("iforest: tree %d holds fewer nodes than declared", i))
 		}
 		trees[i] = t

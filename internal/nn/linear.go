@@ -73,7 +73,8 @@ func (l *Linear) ForwardInto(x, y []float64) {
 // forwardBatch covers two rows × eight (then four, then two) samples per
 // pass over the weights, loading each weight once for every sample in
 // the block; the loop below finishes an odd last sample and an odd last
-// row, or everything when the CPU has no AVX, four samples at a time.
+// row, or everything when the CPU has no AVX, four samples per pass over
+// a row with one accumulator each.
 func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
 	if batch == 1 {
 		l.ForwardInto(x, y)
@@ -93,8 +94,6 @@ func (l *Linear) ForwardBatchInto(x, y []float64, batch int) {
 		row := w[o*n:][:n]
 		yo := y[o*batch:][:batch]
 		s := from
-		// Four samples per pass over the row, one accumulator each, so
-		// every weight is loaded once for four adjacent inputs.
 		for ; s+4 <= batch; s += 4 {
 			a0, a1, a2, a3 := b[o], b[o], b[o], b[o]
 			p := s
