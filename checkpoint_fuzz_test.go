@@ -12,9 +12,11 @@ import (
 // and pointer-linked trees, a forecaster over a sampled training set,
 // an ensemble composing two pipelines into one buffer, a tier-0 leaf,
 // a cascade composing a tier-0 gate, a conformal window and a pipeline,
-// and an async pipeline whose seed is taken with a fine-tune pending, so
-// the envelope ends in the trained model. New blueprints are appended: a
-// seed's kind byte is its index.
+// an async pipeline whose seed is taken with a fine-tune pending, so
+// the envelope ends in the trained model, then the decoders none of those
+// reach: an ensemble of USAD, VAR and ARIMA-ONS over ADWIN, Regular and
+// KSWIN, a cascade behind each other tier-0 gate, and a bare Hampel
+// leaf. New blueprints are appended: a seed's kind byte is its index.
 var fuzzSpecs = []string{
 	"pcb+sw+musigma",
 	"arima+ures+kswin",
@@ -22,6 +24,10 @@ var fuzzSpecs = []string{
 	"zscore",
 	"cascade(zscore, knn+sw+musigma; admit=0.1, calib=32, gatewin=8)",
 	"arima+sw+regular+raw+async",
+	"ensemble(usad+sw+adwin+al, var+sw+regular, arima-ons+ures+kswin; agg=median)",
+	"cascade(density, ae+sw+musigma+al; admit=0.2, calib=16, gatewin=4)",
+	"cascade(ewma, knn+sw+adwin)",
+	"hampel",
 }
 
 // fuzzDetector builds blueprint kind at a geometry small enough that a
@@ -41,7 +47,8 @@ func fuzzDetector(t testing.TB, kind byte) StreamDetector {
 // one warmed-up, fine-tuned checkpoint per blueprint.
 func TestFuzzSeedCorpus(t *testing.T) {
 	stream := gridStream(60, 2)
-	for kind, name := range []string{"pcb", "arima", "ensemble", "zscore", "cascade", "async"} {
+	for kind, name := range []string{"pcb", "arima", "ensemble", "zscore", "cascade", "async",
+		"ensemble-models", "cascade-density", "cascade-ewma", "hampel"} {
 		det := fuzzDetector(t, byte(kind))
 		for _, v := range stream {
 			det.Step(v)

@@ -104,6 +104,13 @@ func checkRoundTrip(t *testing.T, mk func() (StreamDetector, error), stride int)
 
 	scratch := build()
 	requirePrefixesFail(t, "Load", blob, stride, scratch.Load)
+	// A receiver that refused every prefix still takes the whole blob.
+	if err := scratch.Load(blob); err != nil {
+		t.Fatalf("Load after refused prefixes: %v", err)
+	}
+	if after, err := scratch.Save(); err != nil || !bytes.Equal(blob, after) {
+		t.Fatalf("Load after refused prefixes saves different bytes (err %v)", err)
+	}
 
 	if pager, ok := restored.(core.Pager); ok {
 		page, err := pager.PageOut()
@@ -210,6 +217,48 @@ func TestCheckpointRoundTripGrid(t *testing.T) {
 		cfg.Model, cfg.Sanitize = ModelKNN, true
 		checkRoundTrip(t, func() (StreamDetector, error) { return New(cfg) }, 1)
 	})
+}
+
+// TestRefusedLoadLeavesStateAlone: a checkpoint refused for a
+// configuration mismatch — the leaf's fingerprint, a cascade's member
+// layout, a tier-0 header — is refused before any state is touched, so
+// the receiver saves exactly what it saved before. Ensembles are not
+// covered: members load in order, so a refused member leaves the
+// earlier ones loaded.
+func TestRefusedLoadLeavesStateAlone(t *testing.T) {
+	stream := gridStream(gridBefore, 2)
+	for _, tc := range []struct{ receiver, blob string }{
+		{"arima+ures+musigma", "arima+sw+musigma"},
+		{"pcb+sw+kswin", "pcb+sw+regular"},
+		{"cascade(zscore, knn+sw+musigma)", "cascade(zscore, arima+sw+musigma)"},
+		{"hampel", "zscore"},
+	} {
+		build := func(spec string) StreamDetector {
+			d, err := NewFromSpec(spec, gridConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range stream {
+				d.Step(v)
+			}
+			return d
+		}
+		recv, src := build(tc.receiver), build(tc.blob)
+		before, err := recv.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := src.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recv.Load(blob); err == nil {
+			t.Fatalf("%s accepted a %s checkpoint", tc.receiver, tc.blob)
+		}
+		if after, err := recv.Save(); err != nil || !bytes.Equal(before, after) {
+			t.Errorf("%s: a refused %s checkpoint changed the saved state (err %v)", tc.receiver, tc.blob, err)
+		}
+	}
 }
 
 // TestCheckpointAllocBudget pins the encoder's allocation behaviour so

@@ -2,7 +2,9 @@ package streamad
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,16 +16,28 @@ import (
 )
 
 // syncCheckpointSpecs are synchronous detectors whose Save bytes are
-// pinned under testdata/sync_checkpoints: pipelines over models that can
-// clone (the ones async fine-tuning may route elsewhere) and an ensemble
-// of two of them, each stepped through fine-tunes.
+// pinned under testdata/sync_checkpoints, each stepped through
+// fine-tunes: every model kind, every drift detector, every scorer, an
+// ensemble and a cascade behind each tier-0 gate. A blob larger than
+// pinFileLimit is pinned by the SHA-256 in name.sha256 instead of by
+// its bytes in name.bin.
 var syncCheckpointSpecs = map[string]string{
-	"ae-regular":  "ae+sw+regular+al",
-	"arima-kswin": "arima+ures+kswin+avg",
-	"knn-regular": "knn+ares+regular+raw",
-	"pcb-regular": "pcb+sw+regular+raw",
-	"ensemble":    "ensemble(usad+sw+musigma, arima+sw+regular; agg=median)",
+	"ae-regular":      "ae+sw+regular+al",
+	"arima-kswin":     "arima+ures+kswin+avg",
+	"knn-regular":     "knn+ares+regular+raw",
+	"pcb-regular":     "pcb+sw+regular+raw",
+	"ensemble":        "ensemble(usad+sw+musigma, arima+sw+regular; agg=median)",
+	"nbeats-adwin":    "nbeats+sw+adwin+avg",
+	"var-regular":     "var+sw+regular+al",
+	"arima-ons":       "arima-ons+ures+regular",
+	"cascade-density": "cascade(density, var+sw+regular)",
+	"cascade-hampel":  "cascade(hampel, nbeats+ares+regular+al)",
+	"cascade-ewma":    "cascade(ewma, knn+sw+adwin; admit=0.5, calib=8)",
 }
+
+// pinFileLimit is the largest blob TestSyncSaveMatchesPinnedBytes keeps
+// byte for byte.
+const pinFileLimit = 64 << 10
 
 // TestSyncSaveMatchesPinnedBytes: a synchronous detector's checkpoint is
 // byte-for-byte the one the pinned blobs were captured from, after
@@ -48,6 +62,11 @@ func TestSyncSaveMatchesPinnedBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join("testdata", "sync_checkpoints", name+".bin")
+		if len(blob) > pinFileLimit {
+			sum := sha256.Sum256(blob)
+			path = filepath.Join("testdata", "sync_checkpoints", name+".sha256")
+			blob = []byte(hex.EncodeToString(sum[:]) + "\n")
+		}
 		if *updateDigests {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)

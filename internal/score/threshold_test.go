@@ -1,6 +1,8 @@
 package score
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"sort"
@@ -183,5 +185,43 @@ func TestQuantileThresholderDroppedSurvivesRestore(t *testing.T) {
 	}
 	if twin.Dropped() != p.Dropped() {
 		t.Fatalf("restored Dropped() = %d, want %d", twin.Dropped(), p.Dropped())
+	}
+}
+
+// TestThresholderSnapshotBytes pins the bytes the ingest layer persists
+// with every stream snapshot: a P² thresholder still buffering its first
+// scores, one past that with dropped non-finite scores, and a static
+// threshold. Each is pinned by the SHA-256 of its MarshalBinary.
+func TestThresholderSnapshotBytes(t *testing.T) {
+	cold := NewQuantileThresholder(0.95)
+	warm := NewQuantileThresholder(0.9)
+	for i := 0; i < 3; i++ {
+		cold.Alert(0.1 * float64(i))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		v := rng.ExpFloat64()
+		if i%97 == 0 {
+			v = math.NaN()
+		}
+		warm.Alert(v)
+	}
+	for _, tc := range []struct {
+		name string
+		m    interface{ MarshalBinary() ([]byte, error) }
+		want string
+	}{
+		{"quantile cold", cold, "7dceb623e81ef7a3e6896099b134f0a9dd0bfabe2637812dc8cdcb36443c2379"},
+		{"quantile warm", warm, "e1a4ee308ac0013adb64c36020c34e747c89a31d2d43dde379da1e5b9b8b0208"},
+		{"static", &StaticThresholder{T: 0.625}, "1484002011489c8f323ca9c7a936ea9484f520adf77df99a9ff8e5adada7ca4f"},
+	} {
+		blob, err := tc.m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: %d bytes with SHA-256 %s, pinned %s", tc.name, len(blob), got, tc.want)
+		}
 	}
 }
