@@ -149,6 +149,10 @@ func BenchmarkTierCycle(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// An answer can arrive before its stream is released, and
+				// PageIdle skips a busy stream; until dispatch answers after
+				// release (ROADMAP item 3), wait for the stream to go idle.
+				r.WaitIdle("s")
 				if r.PageIdle(far) != 1 {
 					b.Fatal("not demoted")
 				}
