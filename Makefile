@@ -144,9 +144,11 @@ bench:
 # on USAD's six, each of those two also with the AVX kernels off (/go),
 # Adam.Step),
 # one PCB-iForest score on 512 forests at the tier-churn geometry,
-# round-robin, and one trip of a pcb stream around the residency ladder
-# on a real directory (hot→warm→hot, and hot→warm→cold→hot).
-HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep|BenchmarkCascadeStep
+# round-robin, one trip of a pcb stream around the residency ladder
+# on a real directory (hot→warm→hot, and hot→warm→cold→hot), and each
+# model's checkpoint save (with the snapshot file render), load and
+# page-out/page-in.
+HOTPATH_BENCH = BenchmarkDetectorStep|BenchmarkStepDuringFineTune|BenchmarkModelFit|BenchmarkEnsembleStep|BenchmarkCascadeStep|BenchmarkCheckpoint
 KERNEL_BENCH = BenchmarkLinearForward|BenchmarkLinearBackward|BenchmarkAdamStep
 PCB_BENCH = BenchmarkPCBScore
 TIER_BENCH = BenchmarkTierCycle
