@@ -62,93 +62,82 @@ func fingerprintValue(i int, v int64) interface{} {
 // Save is one allocation, the first one after a restore included.
 func (d *Detector) Save() ([]byte, error) { return wire.Marshal(d, &d.blobSize) }
 
-// AppendBinary appends the Save snapshot to dst: the envelope version,
-// the configuration fingerprint, the Task 1 RNG position, then the model
-// and the framework-loop state as two sections of the same buffer. It
-// shadows the embedded loop's AppendBinary, which writes the last section
-// alone. A pending fine-tune is finished — trained here if its pool has
-// not started it — and appended as its due step and a model section; it
-// is still adopted at that step, by this detector or a restored one.
-func (d *Detector) AppendBinary(dst []byte) ([]byte, error) {
-	model, ok := d.Model().(wire.Appender)
-	if !ok {
-		return nil, fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
-	}
-	due, trained, pending := d.Pending()
-	version := snapshotVersion
-	if pending {
-		version = pendingVersion
-	}
-	dst = wire.AppendInt(dst, version)
-	for _, v := range d.fingerprint() {
-		dst = wire.AppendInt64(dst, v)
-	}
-	dst = wire.AppendInt64(dst, d.src.SeedValue())
-	dst = wire.AppendUint64(dst, d.src.Draws())
-	dst, err := wire.AppendSection(dst, model)
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = wire.AppendSection(dst, d.Detector); err != nil || !pending {
-		return dst, err
-	}
-	return wire.AppendSection(wire.AppendInt(dst, due), trained.(wire.Appender))
-}
+// AppendBinary appends the Save snapshot to dst.
+func (d *Detector) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, d) }
 
 // Load restores a snapshot produced by Save into this detector. The
 // detector must have been built with the same configuration (combination,
 // Channels, Window, TrainSize, warmup and score windows, Seed); a
-// mismatch is rejected before any state is touched.
-func (d *Detector) Load(data []byte) error {
-	rd := wire.NewReader(data)
-	v := rd.Int()
-	if rd.Err() != nil || v != snapshotVersion && v != pendingVersion {
-		return fmt.Errorf("streamad: snapshot version %d, this build reads %d and %d", v, snapshotVersion, pendingVersion)
+// mismatch is refused before any state is touched.
+func (d *Detector) Load(data []byte) error { return wire.Decode(data, d) }
+
+// Walk implements wire.Walker: the envelope version, the configuration
+// fingerprint, the Task 1 RNG position, then the model and the
+// framework-loop state as two sections of the same buffer. It shadows the
+// embedded loop's Walk, which is the last section alone. A pending
+// fine-tune is finished — trained here if its pool has not started it —
+// and walked as its due step and a model section; it is still adopted at
+// that step, by this detector or a restored one.
+func (d *Detector) Walk(w *wire.Walk) {
+	model, ok := d.Model().(wire.Walker)
+	if !ok {
+		w.Fail(fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model))
+		return
 	}
-	var snap [len(fingerprintFields)]int64
-	for i := range snap {
-		snap[i] = rd.Int64()
+	if w.Decoding() {
+		d.blobSize = w.Left()
 	}
-	rngSeed, rngDraws := rd.Int64(), rd.Uint64()
-	model, inner := rd.Section(), rd.Section()
 	var due int
-	var trained []byte
-	if v == pendingVersion {
-		due, trained = rd.Int(), rd.Section()
+	var trained core.Model
+	version := snapshotVersion
+	if w.Encoding() {
+		if due, trained, ok = d.Pending(); ok {
+			version = pendingVersion
+		}
 	}
-	if err := rd.Done(); err != nil {
-		return fmt.Errorf("streamad: decode snapshot: %w", err)
+	if w.Int(&version); w.Decoding() && version != snapshotVersion && version != pendingVersion {
+		w.Fail(fmt.Errorf("streamad: snapshot version %d, this build reads %d and %d", version, snapshotVersion, pendingVersion))
 	}
 	for i, want := range d.fingerprint() {
-		if snap[i] != want {
-			return fmt.Errorf("streamad: snapshot %s %v does not match detector %s %v",
-				fingerprintFields[i], fingerprintValue(i, snap[i]), fingerprintFields[i], fingerprintValue(i, want))
+		got := want
+		if w.Int64(&got); w.Decoding() && got != want {
+			w.Fail(fmt.Errorf("streamad: snapshot %s %v does not match detector %s %v",
+				fingerprintFields[i], fingerprintValue(i, got), fingerprintFields[i], fingerprintValue(i, want)))
 		}
 	}
-	// Decode the models first: their Unmarshal validates shapes against
-	// the receiver, so a corrupt or cross-model blob fails before the
-	// framework loop state is touched.
-	var pending core.Model
-	if v == pendingVersion {
-		if !trainsAsync(d.cfg.Model) {
-			return fmt.Errorf("streamad: %v cannot fine-tune asynchronously, but the snapshot holds a pending fine-tune", d.cfg.Model)
+	seed, draws := d.src.SeedValue(), d.src.Draws()
+	w.Int64(&seed)
+	w.Uint64(&draws)
+	w.Section(model.Walk)
+	w.Section(d.Detector.Walk)
+	if version == pendingVersion {
+		if w.Decoding() {
+			trained = d.pendingModel(w)
 		}
-		var err error
-		if pending, err = buildModel(d.cfg); err != nil {
-			return err
-		}
-		if err := d.loadModel(pending, trained); err != nil {
-			return err
+		w.Int(&due)
+		if t, ok := trained.(wire.Walker); ok {
+			w.Section(t.Walk)
+		} else {
+			w.Fail(fmt.Errorf("streamad: pending %v model does not support snapshots", d.cfg.Model))
 		}
 	}
-	if err := d.loadModel(d.Model(), model); err != nil {
-		return err
+	if w.Decoding() {
+		d.SetPending(due, trained)
+		d.src.Restore(seed, draws)
 	}
-	if err := d.PageIn(inner); err != nil {
-		return err
+}
+
+// pendingModel returns the blank model a checkpoint's pending fine-tune
+// decodes into, failing w when this detector cannot fine-tune
+// asynchronously.
+func (d *Detector) pendingModel(w *wire.Walk) core.Model {
+	if !trainsAsync(d.cfg.Model) {
+		w.Fail(fmt.Errorf("streamad: %v cannot fine-tune asynchronously, but the snapshot holds a pending fine-tune", d.cfg.Model))
+		return nil
 	}
-	d.SetPending(due, pending)
-	d.src.Restore(rngSeed, rngDraws)
-	d.blobSize = len(data)
-	return nil
+	m, err := buildModel(d.cfg)
+	if err != nil {
+		w.Fail(err)
+	}
+	return m
 }

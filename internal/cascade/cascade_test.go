@@ -37,38 +37,42 @@ func (f *fakeNode) Step(s []float64) (core.Result, bool) {
 func (f *fakeNode) Steps() int            { return f.steps }
 func (f *fakeNode) FineTunes() int        { return 0 }
 func (f *fakeNode) Children() []core.Node { return nil }
-func (f *fakeNode) Save() ([]byte, error) { return f.AppendBinary(nil) }
-
-func (f *fakeNode) AppendBinary(dst []byte) ([]byte, error) {
-	return wire.AppendFloat64s(wire.AppendInt(dst, f.steps), f.seen), nil
+func (f *fakeNode) Walk(w *wire.Walk) {
+	w.Int(&f.steps)
+	f.walkSeen(w)
 }
 
-func (f *fakeNode) Load(data []byte) error {
-	rd := wire.NewReader(data)
-	steps, seen := rd.Int(), rd.NewFloat64s()
-	if err := rd.Done(); err != nil {
-		return err
+func (f *fakeNode) Save() ([]byte, error)                   { return wire.Append(nil, f) }
+func (f *fakeNode) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, f) }
+func (f *fakeNode) Load(data []byte) error                  { return wire.Decode(data, f) }
+
+// walkSeen walks the vectors seen so far, the fake's page.
+func (f *fakeNode) walkSeen(w *wire.Walk) {
+	n := w.Count(len(f.seen), w.Left()/8)
+	if w.Decoding() {
+		f.seen = make([]float64, n)
 	}
-	f.steps, f.seen = steps, seen
-	return nil
+	w.RawFloat64s(f.seen)
 }
+
+type pageWalk func(*wire.Walk)
+
+func (p pageWalk) Walk(w *wire.Walk) { p(w) }
 
 func (f *fakeNode) PageOut() ([]byte, error) {
 	if f.refuse {
 		return nil, errors.New("fakeNode: refusing to page")
 	}
-	blob := wire.AppendFloat64s(nil, f.seen)
+	blob, err := wire.Append(nil, pageWalk(f.walkSeen))
 	f.seen, f.paged = nil, true
-	return blob, nil
+	return blob, err
 }
 
 func (f *fakeNode) PageIn(data []byte) error {
-	rd := wire.NewReader(data)
-	seen := rd.NewFloat64s()
-	if err := rd.Done(); err != nil {
+	if err := wire.Decode(data, pageWalk(f.walkSeen)); err != nil {
 		return err
 	}
-	f.seen, f.paged = seen, false
+	f.paged = false
 	return nil
 }
 

@@ -1,117 +1,52 @@
 package cascade
 
-import (
-	"fmt"
-
-	"streamad/internal/wire"
-)
+import "streamad/internal/wire"
 
 // snapshotVersion identifies the Cascade.Save envelope layout.
 const snapshotVersion = 2
 
-// AppendBinary implements wire.Appender: the configuration fingerprint
-// and cascade counters, the conformal calibration window, then the
-// gate's and every heavy member's own full checkpoint.
-func (c *Cascade) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendInt(dst, snapshotVersion)
-	dst = wire.AppendFloat64(dst, c.admit)
-	dst = wire.AppendInt(dst, c.calib)
-	dst = wire.AppendInt(dst, c.minCalib)
-	dst = wire.AppendString(dst, c.gateLabel)
-	dst = wire.AppendInt(dst, len(c.heavyLabels))
+// Walk implements wire.Walker: the configuration fingerprint (admission
+// rate, calibration window, member layout) and cascade counters, the
+// conformal calibration window, then the gate's and every heavy member's
+// own full checkpoint. A fingerprint that differs from the receiver's is
+// refused before any state is touched; each member then validates its
+// own checkpoint.
+func (c *Cascade) Walk(w *wire.Walk) {
+	w.Expect("cascade: version", snapshotVersion)
+	w.ExpectFloat64("cascade: admit", c.admit)
+	w.Expect("cascade: calibration (window, minimum)", c.calib, c.minCalib)
+	w.ExpectString("cascade: gate", c.gateLabel)
+	w.Expect("cascade: heavy members", len(c.heavyLabels))
 	for _, l := range c.heavyLabels {
-		dst = wire.AppendString(dst, l)
+		w.ExpectString("cascade: heavy member", l)
 	}
-	for _, r := range c.heavyReady {
-		dst = wire.AppendBool(dst, r)
+	for i := range c.heavyReady {
+		w.Bool(&c.heavyReady[i])
 	}
-	dst = wire.AppendBool(dst, c.allHeavyReady)
-	dst = wire.AppendInt(dst, c.steps)
-	dst = wire.AppendInt(dst, c.screened)
-	dst = wire.AppendInt(dst, c.admitted)
-	dst = wire.AppendInt(dst, c.forwarded)
-	dst = wire.AppendInt(dst, c.fineTunes)
-	dst = wire.AppendFloat64(dst, c.lastP)
-	dst, err := wire.AppendSection(dst, c.conf)
-	if err != nil {
-		return nil, fmt.Errorf("cascade: %w", err)
+	w.Bool(&c.allHeavyReady)
+	w.Int(&c.steps)
+	w.Int(&c.screened)
+	w.Int(&c.admitted)
+	w.Int(&c.forwarded)
+	w.Int(&c.fineTunes)
+	w.Float64(&c.lastP)
+	w.Section(c.conf.Walk)
+	for _, n := range c.Nodes {
+		w.Section(n.Walk)
 	}
-	for i, n := range c.Nodes {
-		if dst, err = wire.AppendSection(dst, n); err != nil {
-			return nil, fmt.Errorf("cascade: %s: %w", c.childName(i), err)
-		}
-	}
-	return dst, nil
 }
+
+// AppendBinary implements core.Node.
+func (c *Cascade) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, c) }
 
 // Save returns a binary checkpoint composing the gate's and every heavy
 // member's full checkpoint with the conformal calibration window and the
 // cascade counters. A cascade restored with Load screens and scores
 // bit-identically to an uninterrupted run.
-func (c *Cascade) Save() ([]byte, error) { return c.AppendBinary(nil) }
-
-// childName names child i — the gate, then the heavy members — in errors.
-func (c *Cascade) childName(i int) string {
-	if i == 0 {
-		return fmt.Sprintf("gate (%s)", c.gateLabel)
-	}
-	return fmt.Sprintf("heavy member %d (%s)", i-1, c.heavyLabels[i-1])
-}
+func (c *Cascade) Save() ([]byte, error) { return wire.Append(nil, c) }
 
 // Load restores a checkpoint produced by Save. The cascade must have
 // been built with the same configuration (admission rate, calibration
-// window, member layout); each member additionally validates its own
-// blob, so mismatched member configurations are rejected before any
-// cascade-level state is touched.
-func (c *Cascade) Load(data []byte) error {
-	rd := wire.NewReader(data)
-	if v := rd.Int(); rd.Err() != nil || v != snapshotVersion {
-		return fmt.Errorf("cascade: snapshot version %d, this build reads %d", v, snapshotVersion)
-	}
-	admit, calib, minCalib, gateLabel, heavy := rd.Float64(), rd.Int(), rd.Int(), rd.String(), rd.Int()
-	switch {
-	case rd.Err() != nil:
-		return fmt.Errorf("cascade: decode snapshot: %w", rd.Err())
-	case admit != c.admit:
-		return fmt.Errorf("cascade: snapshot admit=%v does not match cascade admit=%v", admit, c.admit)
-	case calib != c.calib || minCalib != c.minCalib:
-		return fmt.Errorf("cascade: snapshot calibration (%d/%d) does not match cascade (%d/%d)",
-			minCalib, calib, c.minCalib, c.calib)
-	case gateLabel != c.gateLabel:
-		return fmt.Errorf("cascade: snapshot gate %q does not match cascade gate %q", gateLabel, c.gateLabel)
-	case heavy != len(c.heavyLabels):
-		return fmt.Errorf("cascade: snapshot has %d heavy members, cascade has %d", heavy, len(c.heavyLabels))
-	}
-	for i, want := range c.heavyLabels {
-		if l := rd.String(); rd.Err() == nil && l != want {
-			return fmt.Errorf("cascade: snapshot heavy member %d is %q, cascade has %q", i, l, want)
-		}
-	}
-	heavyReady := make([]bool, len(c.heavyReady))
-	for i := range heavyReady {
-		heavyReady[i] = rd.Bool()
-	}
-	allReady := rd.Bool()
-	steps, screened, admitted, forwarded, fineTunes := rd.Int(), rd.Int(), rd.Int(), rd.Int(), rd.Int()
-	lastP := rd.Float64()
-	conf := rd.Section()
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("cascade: decode snapshot: %w", err)
-	}
-	for i, n := range c.Nodes {
-		if err := n.Load(rd.Section()); err != nil {
-			return fmt.Errorf("cascade: %s: %w", c.childName(i), err)
-		}
-	}
-	if err := rd.Done(); err != nil {
-		return fmt.Errorf("cascade: decode snapshot: %w", err)
-	}
-	if err := c.conf.UnmarshalBinary(conf); err != nil {
-		return fmt.Errorf("cascade: %w", err)
-	}
-	copy(c.heavyReady, heavyReady)
-	c.allHeavyReady = allReady
-	c.steps, c.screened, c.admitted, c.forwarded, c.fineTunes = steps, screened, admitted, forwarded, fineTunes
-	c.lastP = lastP
-	return nil
-}
+// window, member layout), which is refused before any state is touched;
+// each member additionally validates its own checkpoint.
+func (c *Cascade) Load(data []byte) error { return wire.Decode(data, c) }

@@ -145,7 +145,7 @@ type Config struct {
 	Attribution bool
 	// NewModel, when set, enables the serve/train split: a drift trigger
 	// at step s loads a blank model from NewModel with the live model's
-	// checkpoint (its AppendBinary bytes, through its UnmarshalBinary) and
+	// checkpoint (encoded and decoded by its wire.Walker) and
 	// copies R_train, a TrainerPool trains the copy while scoring
 	// continues on the old parameters, and the Step of s+adoptLag adopts
 	// it, waiting if need be. When NewModel is nil, or it or the decode

@@ -17,9 +17,11 @@ type Node interface {
 	Steps() int
 	// FineTunes returns the drift-triggered fine-tuning sessions so far.
 	FineTunes() int
-	// AppendBinary appends the node's full checkpoint — its children's
-	// included — to dst; Save returns it in a fresh buffer. Load restores
-	// one bit-identically and rejects a differently configured node's.
+	// Walk defines the node's full checkpoint, its children's included,
+	// which a parent walks as one of its sections. AppendBinary appends
+	// it to dst; Save returns it in a fresh buffer. Load restores one
+	// bit-identically and rejects a differently configured node's.
+	wire.Walker
 	AppendBinary(dst []byte) ([]byte, error)
 	Save() ([]byte, error)
 	Load(data []byte) error
@@ -226,15 +228,28 @@ func (c *Composite) PageIn(data []byte) error { return c.pageIn(data, len(c.Node
 // pageIn restores the leading sections of data into the Pagers among the
 // first n children.
 func (c *Composite) pageIn(data []byte, n int) error {
-	rd := wire.NewReader(data)
-	for i, k := range c.Nodes[:n] {
-		if p, ok := k.(Pager); ok {
-			if err := p.PageIn(rd.Section()); err != nil {
-				return fmt.Errorf("core: page in child %d: %w", i, err)
-			}
+	return wire.Decode(data, pageSet(c.Nodes[:n]))
+}
+
+// pageSet pages its Pagers in from a PageOut blob: one section of the
+// child's own page bytes each, in child order.
+type pageSet []Node
+
+// Walk implements wire.Walker for decoding; PageOut writes the sections.
+func (s pageSet) Walk(w *wire.Walk) {
+	for i, n := range s {
+		p, ok := n.(Pager)
+		if !ok {
+			continue
+		}
+		var page []byte
+		if w.Bytes(&page); !w.Decoding() {
+			return
+		}
+		if err := p.PageIn(page); err != nil {
+			w.Fail(fmt.Errorf("core: page in child %d: %w", i, err))
 		}
 	}
-	return rd.Done()
 }
 
 // Paged implements Pager. Paging is all-or-nothing, so the first

@@ -31,7 +31,7 @@ type Releaser interface {
 }
 
 // Release frees the representation window's backing storage and the flat
-// feature-vector mirror; UnmarshalBinary restores both.
+// feature-vector mirror; decoding its walk restores both.
 func (r *Representer) Release() {
 	r.win.Release()
 	r.flat = nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding"
 	"sync/atomic"
 	"time"
 
@@ -192,7 +191,7 @@ func (d *Detector) fineTune() bool {
 // decode fails. The checkpoint is the model's only definition of its
 // state, so the copy trains exactly as the live model would have.
 func (d *Detector) copyModel() Model {
-	live, ok := d.cfg.Model.(wire.Appender)
+	live, ok := d.cfg.Model.(wire.Walker)
 	if d.cfg.NewModel == nil || !ok {
 		return nil
 	}
@@ -200,12 +199,12 @@ func (d *Detector) copyModel() Model {
 	if err != nil {
 		return nil
 	}
-	u, ok := m.(encoding.BinaryUnmarshaler)
+	blank, ok := m.(wire.Walker)
 	if !ok {
 		return nil
 	}
 	blob, err := wire.Marshal(live, &d.train.blobSize)
-	if err != nil || u.UnmarshalBinary(blob) != nil {
+	if err != nil || wire.Decode(blob, blank) != nil {
 		return nil
 	}
 	return m

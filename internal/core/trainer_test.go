@@ -35,15 +35,7 @@ func (m *meanModel) Fit(set [][]float64) {
 	m.bias = m.bias/2 + sum/float64(n)/2
 }
 
-func (m *meanModel) AppendBinary(dst []byte) ([]byte, error) {
-	return wire.AppendFloat64(dst, m.bias), nil
-}
-
-func (m *meanModel) UnmarshalBinary(data []byte) error {
-	rd := wire.NewReader(data)
-	m.bias = rd.Float64()
-	return rd.Done()
-}
+func (m *meanModel) Walk(w *wire.Walk) { w.Float64(&m.bias) }
 
 // fakePool runs a submitted job at once, or — never — leaves it queued
 // for the due step to take back.
@@ -179,4 +171,4 @@ func TestFailedCopyTrainsInPlace(t *testing.T) {
 // refusingModel is a meanModel whose decoder refuses every checkpoint.
 type refusingModel struct{ meanModel }
 
-func (*refusingModel) UnmarshalBinary([]byte) error { return errors.New("refused") }
+func (*refusingModel) Walk(w *wire.Walk) { w.Fail(errors.New("refused")) }

@@ -30,24 +30,13 @@ func (m *scriptMember) Step(s []float64) (core.Result, bool) {
 	return core.Result{Score: v, Nonconformity: v}, true
 }
 
-func (m *scriptMember) Steps() int            { return m.steps }
-func (m *scriptMember) FineTunes() int        { return 0 }
-func (m *scriptMember) Children() []core.Node { return nil }
-func (m *scriptMember) Save() ([]byte, error) { return m.AppendBinary(nil) }
-
-func (m *scriptMember) AppendBinary(dst []byte) ([]byte, error) {
-	return wire.AppendInt(dst, m.steps), nil
-}
-
-func (m *scriptMember) Load(data []byte) error {
-	rd := wire.NewReader(data)
-	steps := rd.Int()
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	m.steps = steps
-	return nil
-}
+func (m *scriptMember) Steps() int                              { return m.steps }
+func (m *scriptMember) FineTunes() int                          { return 0 }
+func (m *scriptMember) Children() []core.Node                   { return nil }
+func (m *scriptMember) Walk(w *wire.Walk)                       { w.Int(&m.steps) }
+func (m *scriptMember) Save() ([]byte, error)                   { return wire.Append(nil, m) }
+func (m *scriptMember) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, m) }
+func (m *scriptMember) Load(data []byte) error                  { return wire.Decode(data, m) }
 
 func members(ms ...*scriptMember) []core.Node {
 	out := make([]core.Node, len(ms))

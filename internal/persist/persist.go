@@ -400,13 +400,27 @@ func DecodeSnapshotFile(raw []byte) (*StreamSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := wire.NewReader(body)
-	snap := &StreamSnapshot{Seq: rd.Uint64(), Ready: rd.Int(), Alerts: rd.Int(), ID: rd.String()}
-	snap.Threshold, snap.Detector = rd.Section(), rd.Section()
-	if err := rd.Done(); err != nil {
+	snap := new(StreamSnapshot)
+	if err := wire.Decode(body, (*snapshotBody)(snap)); err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
 	return snap, nil
+}
+
+// snapshotBody decodes a snapshot file's body as appendSnapshotHead and
+// the detector bytes after it lay it out. Only decoding walks it: the
+// writers stream the detector bytes after the head instead of copying
+// them into it.
+type snapshotBody StreamSnapshot
+
+// Walk implements wire.Walker.
+func (s *snapshotBody) Walk(w *wire.Walk) {
+	w.Uint64(&s.Seq)
+	w.Int(&s.Ready)
+	w.Int(&s.Alerts)
+	w.String(&s.ID)
+	w.Bytes(&s.Threshold)
+	w.Bytes(&s.Detector)
 }
 
 // walHandle returns (opening if needed) the stream's append handle.

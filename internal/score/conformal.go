@@ -1,7 +1,6 @@
 package score
 
 import (
-	"fmt"
 	"math"
 
 	"streamad/internal/window"
@@ -79,7 +78,7 @@ func (c *Conformal) N() int { return c.ring.Len() }
 func (c *Conformal) Epsilon() float64 { return c.eps }
 
 // Dropped returns how many non-finite scores were discarded since
-// construction. It is diagnostic only, but AppendBinary writes it, so a
+// construction. It is diagnostic only, but the checkpoint carries it, so a
 // restored gate keeps counting from the checkpointed value.
 func (c *Conformal) Dropped() int { return c.dropped }
 
@@ -145,28 +144,20 @@ func searchAscending(a []float64, x float64) int {
 // Name implements Thresholder.
 func (c *Conformal) Name() string { return "conformal" }
 
-// AppendBinary implements wire.Appender. The dropped counter rides along
-// so the diagnostic survives a restore.
-func (c *Conformal) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendFloat64(dst, c.eps)
-	dst = wire.AppendInt(dst, c.dropped)
-	return wire.AppendSection(dst, c.ring)
+// Walk implements wire.Walker. The dropped counter rides along so the
+// diagnostic survives a restore. The receiver's epsilon and window
+// capacity must match the snapshot.
+func (c *Conformal) Walk(w *wire.Walk) {
+	w.ExpectFloat64("score: conformal eps", c.eps)
+	w.Int(&c.dropped)
+	w.Section(c.ring.Walk)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler, so the ingest
 // layer persists the calibration window with the stream snapshot.
-func (c *Conformal) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler; the receiver's
-// epsilon and window capacity must match the snapshot.
-func (c *Conformal) UnmarshalBinary(data []byte) error {
-	rd := wire.NewReader(data)
-	if eps := rd.Float64(); rd.Err() == nil && eps != c.eps {
-		return fmt.Errorf("score: conformal snapshot eps=%v != receiver eps=%v", eps, c.eps)
-	}
-	c.dropped = rd.Int()
-	if err := c.ring.UnmarshalBinary(rd.Section()); err != nil {
-		return rd.Fail(err)
-	}
-	return rd.Done()
+func (c *Conformal) MarshalBinary() ([]byte, error) {
+	return wire.Append(make([]byte, 0, 8*(5+c.ring.Cap())), c)
 }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (c *Conformal) UnmarshalBinary(data []byte) error { return wire.Decode(data, c) }

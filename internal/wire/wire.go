@@ -1,11 +1,15 @@
 // Package wire is the flat checkpoint encoding shared by every detector
 // component and the snapshot store: fixed-width little-endian scalars,
 // float64 slices as a count plus raw IEEE-754 bits, and length-prefixed
-// nested sections. The save side appends a whole component tree into one
-// caller-owned buffer (no reflection, no intermediate copies); the load
-// side walks sub-slices of the one input buffer through a bounds-checked
-// Reader and copies floats straight into the receiver's existing
-// backing arrays.
+// nested sections.
+//
+// A component defines its checkpoint once, as a Walk method that visits
+// every field in wire order. The same method encodes — appending the
+// whole component tree into one caller-owned buffer, with no reflection
+// and no intermediate copies — and decodes, walking sub-slices of the
+// one input buffer and copying floats straight into the receiver's
+// existing backing arrays. Encode and decode therefore cannot disagree
+// about a field.
 //
 // Every value has exactly one encoding (ints are 8 bytes, bools are 0 or
 // 1, lengths are 8 bytes), so a blob a decoder accepts re-encodes
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Appender is the method set of Go 1.24's encoding.BinaryAppender,
@@ -27,31 +32,13 @@ type Appender interface {
 	AppendBinary(dst []byte) ([]byte, error)
 }
 
-// ErrTruncated reports input that ended before the value being read.
-var ErrTruncated = errors.New("wire: truncated input")
-
 // AppendUint64 appends v as 8 little-endian bytes.
 func AppendUint64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
 // AppendInt appends v as a 64-bit two's-complement integer.
 func AppendInt(dst []byte, v int) []byte { return AppendUint64(dst, uint64(int64(v))) }
 
-// AppendInt64 appends v as a 64-bit two's-complement integer.
-func AppendInt64(dst []byte, v int64) []byte { return AppendUint64(dst, uint64(v)) }
-
-// AppendBool appends v as one byte, 0 or 1.
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// AppendFloat64 appends the IEEE-754 bits of v.
-func AppendFloat64(dst []byte, v float64) []byte { return AppendUint64(dst, math.Float64bits(v)) }
-
-// AppendRawFloat64s appends the bits of every element of v with no count;
-// the reader must know the length from the receiver's geometry.
+// AppendRawFloat64s appends the bits of every element of v with no count.
 func AppendRawFloat64s(dst []byte, v []float64) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, 8*len(v))[:off+8*len(v)]
@@ -61,185 +48,314 @@ func AppendRawFloat64s(dst []byte, v []float64) []byte {
 	return dst
 }
 
-// AppendFloat64s appends len(v) followed by the elements' bits.
-func AppendFloat64s(dst []byte, v []float64) []byte {
-	return AppendRawFloat64s(AppendInt(dst, len(v)), v)
-}
-
-// AppendBytes appends len(b) followed by b; the reader's Section returns it.
+// AppendBytes appends len(b) followed by b, as Walk.Bytes reads it.
 func AppendBytes(dst, b []byte) []byte { return append(AppendInt(dst, len(b)), b...) }
 
-// AppendString appends len(s) followed by the bytes of s.
+// AppendString appends len(s) followed by the bytes of s, as Walk.String
+// reads it.
 func AppendString(dst []byte, s string) []byte { return append(AppendInt(dst, len(s)), s...) }
 
-// BeginSection reserves a length prefix for a nested section and returns
-// the mark EndSection needs to patch it.
-func BeginSection(dst []byte) ([]byte, int) {
-	return AppendUint64(dst, 0), len(dst)
+// Walker is a checkpointed component: Walk visits its state in wire
+// order through w, which writes each value when encoding and reads it
+// back into the same place when decoding. Work only a restore needs —
+// reallocating storage that paging released, rebuilding derived state —
+// sits behind w.Decoding(). Loop bounds come from walked counts, which
+// read as 0 once a decoding walk has failed.
+type Walker interface {
+	Walk(w *Walk)
 }
 
-// EndSection patches the prefix reserved at mark with the number of bytes
-// appended since BeginSection.
-func EndSection(dst []byte, mark int) []byte {
-	binary.LittleEndian.PutUint64(dst[mark:], uint64(len(dst)-mark-8))
-	return dst
+// Walk is one encoding or decoding pass over a component tree. The first
+// failure sticks: every later call does nothing, so a walk checks once,
+// and a decoding walk writes nothing after the value it refused.
+type Walk struct {
+	buf      []byte // encoding: the output; decoding: the current section's unread input
+	decoding bool
+	err      error
 }
 
-// AppendSection appends a's checkpoint as one length-prefixed section.
-func AppendSection(dst []byte, a Appender) ([]byte, error) {
-	dst, mark := BeginSection(dst)
-	dst, err := a.AppendBinary(dst)
+// Append appends v's checkpoint to dst.
+func Append(dst []byte, v Walker) ([]byte, error) {
+	out, err := walk(v, dst, false)
 	if err != nil {
 		return nil, err
 	}
-	return EndSection(dst, mark), nil
+	return out, nil
 }
 
-// Marshal returns a's checkpoint in a fresh buffer presized from *size,
+// Decode restores data, a checkpoint Append wrote, into v, refusing
+// input left over after v's walk. Decoded state never aliases data.
+func Decode(data []byte, v Walker) error {
+	_, err := walk(v, data, true)
+	return err
+}
+
+// walks recycles Walk values: a Walk handed to an interface method
+// escapes, and a checkpoint or page call should allocate nothing beyond
+// its own buffer. A Walker must not keep w past its Walk.
+var walks = sync.Pool{New: func() any { return new(Walk) }}
+
+// walk runs v's walk over buf in one direction and returns the buffer it
+// leaves: the output when encoding.
+func walk(v Walker, buf []byte, decoding bool) ([]byte, error) {
+	w := walks.Get().(*Walk)
+	*w = Walk{buf: buf, decoding: decoding}
+	v.Walk(w)
+	err := w.done()
+	buf = w.buf
+	*w = Walk{}
+	walks.Put(w)
+	return buf, err
+}
+
+// Marshal returns v's checkpoint in a fresh buffer presized from *size,
 // and records the blob's length there. A warmed-up detector's state has
 // a fixed size, so a caller that keeps size across calls (and seeds it
 // with the length of a blob it loaded) saves in one allocation.
-func Marshal(a Appender, size *int) ([]byte, error) {
-	blob, err := a.AppendBinary(make([]byte, 0, *size))
+func Marshal(v Walker, size *int) ([]byte, error) {
+	blob, err := Append(make([]byte, 0, *size), v)
 	*size = len(blob)
 	return blob, err
 }
 
-// Reader decodes a buffer written with the Append helpers. The first
-// failure sticks: later reads return zero values and Err reports it, so
-// a decoder reads a whole header and checks once. Slices returned by
-// Section alias the input.
-type Reader struct {
-	buf []byte
-	err error
-}
+// Decoding reports whether w reads into the walked state and has not
+// failed: the guard for work only a restore does. Encoding is its
+// counterpart. Both are false once the walk has failed, so neither
+// side's own work runs on a refused checkpoint.
+func (w *Walk) Decoding() bool { return w.decoding && w.err == nil }
 
-// NewReader returns a Reader over data.
-func NewReader(data []byte) Reader { return Reader{buf: data} }
+// Encoding reports whether w writes the walked state and has not failed.
+func (w *Walk) Encoding() bool { return !w.decoding && w.err == nil }
 
-// Err returns the first decoding failure, if any.
-func (r *Reader) Err() error { return r.err }
+// Err returns the walk's first failure, if any.
+func (w *Walk) Err() error { return w.err }
 
-// Done returns the first decoding failure, or an error when input is
-// left over: a decoder calls it last so trailing garbage is never
-// silently accepted.
-func (r *Reader) Done() error {
-	if r.err == nil && len(r.buf) != 0 {
-		r.err = fmt.Errorf("wire: %d trailing bytes", len(r.buf))
+// Fail records err as the walk's failure unless one is already set.
+func (w *Walk) Fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
-	return r.err
 }
 
-// Fail records err as the Reader's failure unless one is already set,
-// and returns the failure in effect. Decoders use it for geometry
-// mismatches, so validation shares the sticky-error flow.
-func (r *Reader) Fail(err error) error {
-	if r.err == nil {
-		r.err = err
+// Left returns the number of input bytes left in the section being
+// decoded: at the start of a component's walk, its checkpoint's length.
+func (w *Walk) Left() int { return len(w.buf) }
+
+// done refuses input left over in the current section.
+func (w *Walk) done() error {
+	if w.err == nil && w.decoding && len(w.buf) != 0 {
+		w.err = fmt.Errorf("wire: %d trailing bytes", len(w.buf))
 	}
-	return r.err
+	return w.err
 }
 
-// take returns the next n bytes, or nil after recording ErrTruncated.
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+// take returns the next n input bytes, or nil after recording a failure.
+func (w *Walk) take(n int) []byte {
+	if w.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(r.buf) {
-		r.err = ErrTruncated
+	if n < 0 || n > len(w.buf) {
+		w.err = errTruncated
 		return nil
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
+	b := w.buf[:n]
+	w.buf = w.buf[n:]
 	return b
 }
 
-// Uint64 reads an 8-byte little-endian value.
-func (r *Reader) Uint64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+// Uint64 walks an 8-byte little-endian value.
+func (w *Walk) Uint64(v *uint64) {
+	if !w.decoding {
+		if w.err == nil {
+			w.buf = AppendUint64(w.buf, *v)
+		}
+		return
 	}
-	return binary.LittleEndian.Uint64(b)
+	if b := w.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
 }
 
-// Int reads a 64-bit integer.
-func (r *Reader) Int() int { return int(int64(r.Uint64())) }
-
-// Int64 reads a 64-bit integer.
-func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
-
-// Float64 reads one IEEE-754 value.
-func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
-
-// Bool reads one byte and rejects anything but 0 and 1.
-func (r *Reader) Bool() bool {
-	b := r.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		r.err = fmt.Errorf("wire: bool byte %#x", b[0])
-		return false
-	}
-	return b[0] == 1
+// Int64 walks a 64-bit two's-complement integer.
+func (w *Walk) Int64(v *int64) {
+	u := uint64(*v)
+	w.Uint64(&u)
+	*v = int64(u)
 }
 
-// Count reads a length and rejects one that is negative, above max, or
-// above the bytes left (every counted element occupies at least one), so
-// a corrupt count can never drive a large allocation.
-func (r *Reader) Count(max int) int {
-	n := r.Int()
-	if r.err != nil {
-		return 0
+// Int walks an int as a 64-bit two's-complement integer.
+func (w *Walk) Int(v *int) {
+	u := uint64(int64(*v))
+	w.Uint64(&u)
+	*v = int(int64(u))
+}
+
+// Float64 walks the IEEE-754 bits of one value, NaN payloads included.
+func (w *Walk) Float64(v *float64) {
+	u := math.Float64bits(*v)
+	w.Uint64(&u)
+	*v = math.Float64frombits(u)
+}
+
+// Bool walks one byte, 0 or 1; decoding refuses any other.
+func (w *Walk) Bool(v *bool) {
+	if !w.decoding {
+		if w.err == nil {
+			w.buf = append(w.buf, 0)
+			if *v {
+				w.buf[len(w.buf)-1] = 1
+			}
+		}
+		return
 	}
-	if n < 0 || n > max || n > len(r.buf) {
-		r.err = fmt.Errorf("wire: count %d out of range (limit %d, %d bytes left)", n, max, len(r.buf))
+	b := w.take(1)
+	switch {
+	case b == nil:
+	case b[0] > 1:
+		w.err = fmt.Errorf("wire: bool byte %#x", b[0])
+	default:
+		*v = b[0] == 1
+	}
+}
+
+// Count walks a length n and returns it; decoding returns the one read
+// and refuses one that is negative, above max, or above the bytes left
+// (every counted element occupies at least one), so a corrupt count can
+// never drive a large allocation. A refused count reads as 0.
+func (w *Walk) Count(n, max int) int {
+	w.Int(&n)
+	switch {
+	case !w.decoding:
+		return n
+	case w.err != nil:
+		return 0
+	case n < 0 || n > max || n > len(w.buf):
+		w.err = fmt.Errorf("wire: count %d out of range (limit %d, %d bytes left)", n, max, len(w.buf))
 		return 0
 	}
 	return n
 }
 
-// RawFloat64s fills dst from the next 8·len(dst) bytes.
-func (r *Reader) RawFloat64s(dst []float64) {
-	b := r.take(8 * len(dst))
-	if b == nil {
+// RawFloat64s walks the bits of every element of s with no count: the
+// length comes from the receiver's geometry.
+func (w *Walk) RawFloat64s(s []float64) {
+	if !w.decoding {
+		if w.err == nil {
+			w.buf = AppendRawFloat64s(w.buf, s)
+		}
 		return
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if b := w.take(8 * len(s)); b != nil {
+		for i := range s {
+			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 }
 
-// Float64s reads a counted slice into dst, which must have exactly the
-// encoded length: the copy-into-existing-storage read every fixed-shape
-// component uses.
-func (r *Reader) Float64s(dst []float64) {
-	n := r.Count(math.MaxInt)
-	if r.err == nil && n != len(dst) {
-		r.err = fmt.Errorf("wire: slice holds %d values, receiver holds %d", n, len(dst))
+// Float64s walks len(s) and the elements' bits. Decoding fills s, which
+// must have exactly the encoded length: the read into existing storage
+// every fixed-shape component uses.
+func (w *Walk) Float64s(s []float64) {
+	if n := w.Count(len(s), math.MaxInt); w.err == nil && n != len(s) {
+		w.err = fmt.Errorf("wire: slice holds %d values, receiver holds %d", n, len(s))
+	}
+	w.RawFloat64s(s)
+}
+
+// String walks a length-prefixed string; a decoded one is a copy.
+func (w *Walk) String(s *string) {
+	n := w.Count(len(*s), math.MaxInt)
+	if !w.decoding {
+		if w.err == nil {
+			w.buf = append(w.buf, *s...)
+		}
 		return
 	}
-	r.RawFloat64s(dst)
-}
-
-// NewFloat64s reads a counted slice into fresh storage, for state whose
-// length the receiver does not fix. A zero count returns nil.
-func (r *Reader) NewFloat64s() []float64 {
-	n := r.Count(len(r.buf) / 8)
-	if n == 0 {
-		return nil
+	if b := w.take(n); w.err == nil {
+		*s = string(b)
 	}
-	out := make([]float64, n)
-	r.RawFloat64s(out)
-	return out
 }
 
-// Section reads a length-prefixed run of bytes (a nested section or an
-// AppendBytes blob) and returns it as a sub-slice of the input.
-func (r *Reader) Section() []byte {
-	return r.take(r.Count(math.MaxInt))
+// Bytes walks a length-prefixed run of bytes. A decoded one aliases the
+// input, so it is for a caller that decodes it in turn.
+func (w *Walk) Bytes(b *[]byte) {
+	n := w.Count(len(*b), math.MaxInt)
+	if !w.decoding {
+		if w.err == nil {
+			w.buf = append(w.buf, *b...)
+		}
+		return
+	}
+	if s := w.take(n); w.err == nil {
+		*b = s
+	}
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Section()) }
+// Expect walks a receiver's configuration values: encoding writes them,
+// decoding reads as many and refuses the first that differs from the
+// receiver's, before anything after it is read or written. what names
+// the component in the refusal.
+func (w *Walk) Expect(what string, vals ...int) {
+	for i, want := range vals {
+		got := want
+		if w.Int(&got); w.err == nil && got != want {
+			w.err = fmt.Errorf("%s: snapshot value %d at position %d does not match the receiver's configuration %v",
+				what, got, i, append([]int(nil), vals...))
+		}
+	}
+}
+
+// ExpectFloat64 is Expect for one floating-point configuration value,
+// compared bit for bit so that what is accepted re-encodes unchanged.
+func (w *Walk) ExpectFloat64(what string, want float64) {
+	got := want
+	if w.Float64(&got); w.err == nil && math.Float64bits(got) != math.Float64bits(want) {
+		w.err = fmt.Errorf("%s: snapshot value %v does not match the receiver's %v", what, got, want)
+	}
+}
+
+// ExpectString is Expect for one string configuration value.
+func (w *Walk) ExpectString(what, want string) {
+	n := w.Count(len(want), math.MaxInt)
+	if !w.decoding {
+		if w.err == nil {
+			w.buf = append(w.buf, want...)
+		}
+		return
+	}
+	if got := w.take(n); w.err == nil && string(got) != want {
+		w.err = fmt.Errorf("%s: snapshot value %q does not match the receiver's %q", what, got, want)
+	}
+}
+
+// Section walks a child component as one length-prefixed nested
+// section, through its walk method (a method value such as ring.Walk,
+// which does not allocate). Encoding reserves the prefix and patches it
+// in place once the child is written; decoding walks the child over the
+// section's sub-slice of the input and refuses bytes it leaves over.
+func (w *Walk) Section(walk func(*Walk)) {
+	if w.err != nil {
+		return
+	}
+	if !w.decoding {
+		mark := len(w.buf)
+		w.buf = AppendUint64(w.buf, 0)
+		walk(w)
+		if w.err == nil {
+			binary.LittleEndian.PutUint64(w.buf[mark:], uint64(len(w.buf)-mark-8))
+		}
+		return
+	}
+	sec := w.take(w.Count(0, math.MaxInt))
+	if w.err != nil {
+		return
+	}
+	rest := w.buf
+	w.buf = sec
+	walk(w)
+	w.done()
+	w.buf = rest
+}
+
+// errTruncated reports input that ended before the value being read.
+var errTruncated = errors.New("wire: truncated input")

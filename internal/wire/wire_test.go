@@ -7,122 +7,147 @@ import (
 	"testing"
 )
 
-type pair struct{ a, b float64 }
-
-func (p pair) AppendBinary(dst []byte) ([]byte, error) {
-	return AppendFloat64(AppendFloat64(dst, p.a), p.b), nil
+// every holds one value for each Walk method.
+type every struct {
+	u         uint64
+	i         int
+	i64       int64
+	b         bool
+	f         float64
+	fixed     []float64 // Float64s: the receiver fixes the length
+	raw       []float64 // RawFloat64s: no count at all
+	s         string
+	blob      []byte
+	counted   []float64 // Count sizes it when decoding
+	child     *every    // a nested section
+	geometry  int       // Expect
+	rate      float64   // ExpectFloat64
+	label     string    // ExpectString
+	decodedAt int       // Left at the start of the last decoding walk
 }
 
-// TestRoundTrip writes one of everything, nested two sections deep, and
-// reads it back through sub-slices of the one buffer.
-func TestRoundTrip(t *testing.T) {
-	nan := math.Float64frombits(0x7ff8_dead_beef_0001) // payload must survive
-	vals := []float64{1.5, -0, math.Inf(-1), nan}
-	var buf []byte
-	buf = AppendInt(buf, -42)
-	buf = AppendUint64(buf, 1<<63+7)
-	buf = AppendBool(buf, true)
-	buf = AppendString(buf, "gate/é")
-	buf = AppendFloat64s(buf, vals)
-	buf, outer := BeginSection(buf)
-	buf = AppendRawFloat64s(buf, vals[:2])
-	buf, err := AppendSection(buf, pair{2, 3})
+func (e *every) Walk(w *Walk) {
+	if w.Decoding() {
+		e.decodedAt = w.Left()
+	}
+	w.Expect("every", e.geometry)
+	w.ExpectFloat64("every rate", e.rate)
+	w.ExpectString("every label", e.label)
+	w.Uint64(&e.u)
+	w.Int(&e.i)
+	w.Int64(&e.i64)
+	w.Bool(&e.b)
+	w.Float64(&e.f)
+	w.Float64s(e.fixed)
+	w.RawFloat64s(e.raw)
+	w.String(&e.s)
+	w.Bytes(&e.blob)
+	n := w.Count(len(e.counted), 4)
+	if w.Decoding() {
+		e.counted = make([]float64, n)
+	}
+	w.RawFloat64s(e.counted)
+	if e.child != nil {
+		w.Section(e.child.Walk)
+	}
+}
+
+// blank returns a receiver with e's configuration and shapes only.
+func (e *every) blank() *every {
+	b := &every{geometry: e.geometry, rate: e.rate, label: e.label,
+		fixed: make([]float64, len(e.fixed)), raw: make([]float64, len(e.raw))}
+	if e.child != nil {
+		b.child = e.child.blank()
+	}
+	return b
+}
+
+func (e *every) bytes(t *testing.T) []byte {
+	t.Helper()
+	b, err := Append(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf = EndSection(buf, outer)
-	buf = AppendBytes(buf, nil)
-
-	rd := NewReader(buf)
-	if got := rd.Int(); got != -42 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := rd.Uint64(); got != 1<<63+7 {
-		t.Errorf("Uint64 = %d", got)
-	}
-	if !rd.Bool() {
-		t.Error("Bool = false")
-	}
-	if got := rd.String(); got != "gate/é" {
-		t.Errorf("String = %q", got)
-	}
-	floats := make([]float64, len(vals))
-	rd.Float64s(floats)
-	for i := range vals {
-		if math.Float64bits(floats[i]) != math.Float64bits(vals[i]) {
-			t.Errorf("float %d: bits %#x, want %#x", i, math.Float64bits(floats[i]), math.Float64bits(vals[i]))
-		}
-	}
-	section := rd.Section()
-	if empty := rd.Section(); len(empty) != 0 {
-		t.Errorf("empty blob has %d bytes", len(empty))
-	}
-	if err := rd.Done(); err != nil {
-		t.Fatalf("Done: %v", err)
-	}
-	if &section[0] != &buf[len(buf)-8-len(section)] {
-		t.Error("Section copied instead of aliasing the input")
-	}
-	in := NewReader(section)
-	raw := make([]float64, 2)
-	in.RawFloat64s(raw)
-	inner := NewReader(in.Section())
-	if a, b := inner.Float64(), inner.Float64(); a != 2 || b != 3 || inner.Done() != nil || in.Done() != nil {
-		t.Errorf("nested section read %v %v (errs %v, %v)", a, b, inner.Err(), in.Err())
-	}
+	return b
 }
 
-// TestReaderRefusesBadInput covers the decoder's defences: every strict
-// prefix is an error, the first error sticks, counts are bounded by the
-// receiver and by the bytes left, and trailing bytes are not ignored.
-func TestReaderRefusesBadInput(t *testing.T) {
-	good := AppendFloat64s(AppendBool(AppendInt(nil, 7), false), []float64{1, 2, 3})
-	read := func(b []byte) error {
-		rd := NewReader(b)
-		rd.Int()
-		rd.Bool()
-		rd.Float64s(make([]float64, 3))
-		return rd.Done()
+// TestWalk runs one walk over a value of every kind, nested a section
+// deep, in both directions, and then over a table of damaged inputs: each
+// is refused, the first failure sticks, and a refused configuration value
+// leaves the receiver untouched.
+func TestWalk(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_dead_beef_0001) // payload must survive
+	src := &every{
+		u: 1<<63 + 7, i: -42, i64: math.MinInt64, b: true, f: nan,
+		fixed: []float64{1.5, math.Copysign(0, -1)}, raw: []float64{math.Inf(-1)},
+		s: "gate/é", blob: []byte{0, 1, 2}, counted: []float64{3, 4, 5},
+		child:    &every{i: 9, label: "inner", fixed: []float64{}, s: "x"},
+		geometry: 16, rate: 0.05, label: "outer",
 	}
-	if err := read(good); err != nil {
-		t.Fatal(err)
+	blob := src.bytes(t)
+	dst := src.blank()
+	if err := Decode(blob, dst); err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
-	for n := 0; n < len(good); n++ {
-		if err := read(good[:n]); err == nil {
+	if again := dst.bytes(t); !bytes.Equal(again, blob) {
+		t.Fatal("decoded value re-encodes differently")
+	}
+	if math.Float64bits(dst.f) != math.Float64bits(nan) || dst.u != src.u || dst.i64 != src.i64 ||
+		dst.s != src.s || dst.child.s != "x" || dst.child.i != 9 || dst.decodedAt != len(blob) {
+		t.Fatalf("decoded %+v, want %+v", dst, src)
+	}
+	if &dst.blob[0] != &blob[bytes.Index(blob, []byte{0, 1, 2})] {
+		t.Error("Bytes copied instead of aliasing the input")
+	}
+
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		recv   func() *every
+		config bool // refused at a configuration value, before any state
+	}{
+		{"trailing byte", append(bytes.Clone(blob), 0), dst.blank, false},
+		{"geometry", blob, func() *every { r := dst.blank(); r.geometry = 17; return r }, true},
+		{"rate", blob, func() *every { r := dst.blank(); r.rate = 0.1; return r }, true},
+		{"label", blob, func() *every { r := dst.blank(); r.label = "outes"; return r }, true},
+		{"fixed length", blob, func() *every { r := dst.blank(); r.fixed = make([]float64, 3); return r }, false},
+		{"nested geometry", blob, func() *every { r := dst.blank(); r.child.geometry = 1; return r }, false},
+		{"bool byte", bytes.Replace(bytes.Clone(blob), []byte("\x80\x01"), []byte("\x80\x02"), 1), dst.blank, false},
+		{"count over its limit", src.withCounted(5).bytes(t), dst.blank, false},
+		{"negative section", append(blob[:len(blob)-len(src.child.bytes(t))-8:len(blob)-len(src.child.bytes(t))-8],
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), dst.blank, false},
+	} {
+		recv := tc.recv()
+		before := recv.bytes(t)
+		err := Decode(tc.data, recv)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if tc.config && !bytes.Equal(recv.bytes(t), before) {
+			t.Errorf("%s: the refused walk wrote into the receiver", tc.name)
+		}
+	}
+	for n := 0; n < len(blob); n++ {
+		if err := Decode(blob[:n], dst.blank()); err == nil {
 			t.Errorf("%d-byte prefix accepted", n)
 		}
 	}
-	if err := read(append(bytes.Clone(good), 0)); err == nil {
-		t.Error("trailing byte accepted")
-	}
 
-	rd := NewReader([]byte{2})
-	if rd.Bool(); rd.Err() == nil {
-		t.Error("bool byte 2 accepted")
+	w := &Walk{decoding: true}
+	var i int
+	w.Int(&i)
+	first := w.Err()
+	w.Fail(errors.New("later"))
+	s := "kept"
+	if w.String(&s); !errors.Is(first, errTruncated) || w.Err() != first || s != "kept" || w.Decoding() || w.Encoding() {
+		t.Errorf("first error did not stick: %v then %v", first, w.Err())
 	}
-	rd = NewReader(nil)
-	rd.Int()
-	first := rd.Err()
-	rd.Fail(errors.New("later"))
-	if !errors.Is(first, ErrTruncated) || rd.Err() != first || rd.Float64() != 0 || rd.Section() != nil {
-		t.Errorf("first error did not stick: %v then %v", first, rd.Err())
-	}
+}
 
-	huge := AppendInt(nil, math.MaxInt) // a count no input could back
-	rd = NewReader(huge)
-	if out := rd.NewFloat64s(); out != nil || rd.Err() == nil {
-		t.Error("NewFloat64s allocated for a count beyond its input")
-	}
-	rd = NewReader(AppendInt(nil, 4))
-	if rd.Count(3); rd.Err() == nil {
-		t.Error("Count above the receiver's limit accepted")
-	}
-	rd = NewReader(AppendFloat64s(nil, []float64{1, 2}))
-	if rd.Float64s(make([]float64, 3)); rd.Err() == nil {
-		t.Error("Float64s filled a longer receiver from a shorter slice")
-	}
-	rd = NewReader(AppendInt(nil, -1))
-	if rd.Section(); rd.Err() == nil {
-		t.Error("negative section length accepted")
-	}
+// withCounted returns a copy of e whose counted slice has n values.
+func (e *every) withCounted(n int) *every {
+	c := *e
+	c.counted = make([]float64, n)
+	return &c
 }
