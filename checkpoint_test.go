@@ -117,7 +117,7 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := trained.loadModel(blank, blob); err != nil {
+			if err := wire.Decode(blob, blank.(wire.Walker)); err != nil {
 				t.Fatalf("loading the checkpoint into a blank model: %v", err)
 			}
 			if !bytes.Equal(encodeModel(t, blank), blob) {

@@ -27,8 +27,8 @@ const (
 // StreamDetector is the one detector contract (core.Node), shared by
 // single-pipeline detectors (*Detector), ensembles (*Ensemble), cascades
 // (*Cascade) and the tier-0 detectors: streaming scoring, full-state
-// checkpointing (Save/Load bit-identically; AppendBinary into a parent's
-// buffer) and Children, so any of them composes into a tree. The serving
+// checkpointing (Save/Load bit-identically; Walk as a section of a
+// parent's checkpoint) and Children, so any of them composes into a tree. The serving
 // stack — the sharded ingestion registry (internal/ingest) and the HTTP
 // server on top of it — and the CLIs program against it, so an ensemble
 // or cascade drops in anywhere one pipeline did. Run scores a whole

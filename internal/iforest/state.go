@@ -6,47 +6,66 @@ import (
 	"streamad/internal/wire"
 )
 
-// walk walks node i and, recursively, its subtrees in pre-order: the
-// node's size, whether it branches and, when it does, its normal and
-// intercept. The slab is already in pre-order, so node i's left child is
-// node i+1. Decoding appends each node to t's slabs, which are pre-sized
-// from the declared counts, and refuses a node past either count or
-// deeper than the tree's own limit, which also bounds the recursion on
-// hostile input.
-func (t *Tree) walk(w *wire.Walk, i, depth int) {
-	var size int
-	var branch bool
-	if w.Encoding() {
-		size, branch = int(t.nodes[i].size), t.nodes[i].right != 0
-	}
-	w.Int(&size)
-	w.Bool(&branch)
-	if w.Decoding() {
-		switch {
-		case len(t.nodes) == cap(t.nodes) || depth > t.maxDepth:
-			w.Fail(fmt.Errorf("iforest: tree snapshot exceeds its declared node count or depth %d", t.maxDepth))
-		case size != int(int32(size)):
-			w.Fail(fmt.Errorf("iforest: tree node size %d out of range", size))
-		case branch && cap(t.plane)-len(t.plane) < 2*t.dim:
-			w.Fail(fmt.Errorf("iforest: tree snapshot has more branching nodes than declared"))
-		default:
-			t.nodes = append(t.nodes, node{size: int32(size)})
-			if branch {
-				t.nodes[i].at = int32(len(t.plane))
-				t.plane = t.plane[:len(t.plane)+2*t.dim]
+// maxWalkDepth bounds the depth of a decoded tree: a tree grown from a
+// sample of n vectors is at most ⌈log₂ n⌉ deep.
+const maxWalkDepth = 64
+
+// walk walks the tree's count node records in pre-order: each node's
+// size, whether it branches and, when it does, its normal and intercept.
+// A branching node's left child is the next record and its right child
+// the record after its left subtree. Decoding appends each record to t's
+// slabs, pre-sized from the declared counts, links each right child
+// through open (the branching nodes still waiting for theirs, with their
+// depths), and refuses a record past either count, deeper than the
+// tree's own limit, or outside one complete tree.
+func (t *Tree) walk(w *wire.Walk, count int) {
+	var open [maxWalkDepth]struct{ node, depth int }
+	top, depth, branch := 0, -1, true // a virtual branching parent for the root
+	for i := 0; i < count; i++ {
+		var size int
+		if w.Decoding() {
+			switch {
+			case branch:
+				depth++
+			case top > 0:
+				top--
+				t.nodes[open[top].node].right = int32(i)
+				depth = open[top].depth + 1
+			default:
+				w.Fail(fmt.Errorf("iforest: tree snapshot holds more nodes than one tree"))
 			}
 		}
+		if w.Encoding() {
+			size, branch = int(t.nodes[i].size), t.nodes[i].right != 0
+		}
+		w.Int(&size)
+		w.Bool(&branch)
+		if w.Decoding() {
+			switch {
+			case depth > t.maxDepth || depth >= maxWalkDepth:
+				w.Fail(fmt.Errorf("iforest: tree snapshot deeper than %d", t.maxDepth))
+			case size != int(int32(size)):
+				w.Fail(fmt.Errorf("iforest: tree node size %d out of range", size))
+			case branch && cap(t.plane)-len(t.plane) < 2*t.dim:
+				w.Fail(fmt.Errorf("iforest: tree snapshot has more branching nodes than declared"))
+			default:
+				t.nodes = append(t.nodes, node{size: int32(size)})
+				if branch {
+					t.nodes[i].at = int32(len(t.plane))
+					t.plane = t.plane[:len(t.plane)+2*t.dim]
+					open[top] = struct{ node, depth int }{i, depth}
+					top++
+				}
+			}
+		}
+		if branch && w.Err() == nil {
+			at := int(t.nodes[i].at)
+			w.RawFloat64s(t.plane[at : at+2*t.dim])
+		}
 	}
-	if !branch || w.Err() != nil {
-		return
+	if w.Decoding() && (top > 0 || branch || len(t.plane) != cap(t.plane)) {
+		w.Fail(fmt.Errorf("iforest: tree snapshot holds fewer nodes than declared"))
 	}
-	at := int(t.nodes[i].at)
-	w.RawFloat64s(t.plane[at : at+2*t.dim])
-	t.walk(w, i+1, depth+1)
-	if w.Decoding() {
-		t.nodes[i].right = int32(len(t.nodes))
-	}
-	t.walk(w, int(t.nodes[i].right), depth+1)
 }
 
 // Walk implements wire.Walker: the full forest — every tree's geometry
@@ -83,10 +102,7 @@ func (f *PCBForest) Walk(w *wire.Walk) {
 			t.dim = f.channels
 			t.nodes, t.plane = make([]node, 0, nodes), make([]float64, 0, 2*f.channels*branching)
 		}
-		t.walk(w, 0, 0)
-		if w.Decoding() && (len(t.nodes) != cap(t.nodes) || len(t.plane) != cap(t.plane)) {
-			w.Fail(fmt.Errorf("iforest: tree %d holds fewer nodes than declared", i))
-		}
+		t.walk(w, nodes)
 	}
 	if w.Decoding() {
 		f.src.Restore(seed, draws)

@@ -89,7 +89,7 @@ func (s *SlidingWindow) alloc() {
 }
 
 // Release empties the window and frees its backing storage for warm-tier
-// paging; UnmarshalBinary reallocates on restore.
+// paging; decoding its Walk reallocates on restore.
 func (s *SlidingWindow) Release() {
 	s.items = nil
 	s.evict = nil
@@ -162,7 +162,7 @@ func (u *UniformReservoir) alloc() {
 
 // Release empties the reservoir contents and frees the backing storage for
 // warm-tier paging; the observation clock t is untouched (it is snapshot
-// state, restored by UnmarshalBinary).
+// state, restored by its Walk).
 func (u *UniformReservoir) Release() {
 	u.items = nil
 	u.evict = nil
@@ -301,7 +301,7 @@ func (a *AnomalyAwareReservoir) Len() int { return a.h.Len() }
 func (a *AnomalyAwareReservoir) Cap() int { return a.m }
 
 // Release frees the heap entries and eviction scratch for warm-tier
-// paging; UnmarshalBinary rebuilds both on restore.
+// paging; decoding its Walk rebuilds both on restore.
 func (a *AnomalyAwareReservoir) Release() {
 	a.h.entries = nil
 	a.evict = nil

@@ -108,7 +108,7 @@ func (r *VecRing) alloc() {
 
 // Release empties the ring and frees its backing storage (the dominant
 // per-stream memory for warm-tier paging). The capacity is remembered:
-// UnmarshalBinary reallocates on restore. Push/At on a released ring
+// decoding its Walk reallocates on restore. Push/At on a released ring
 // panic — callers must page back in first.
 func (r *VecRing) Release() {
 	r.buf = nil

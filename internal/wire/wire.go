@@ -66,8 +66,9 @@ type Walker interface {
 }
 
 // Walk is one encoding or decoding pass over a component tree. The first
-// failure sticks: every later call does nothing, so a walk checks once,
-// and a decoding walk writes nothing after the value it refused.
+// failure sticks, so a walk checks once: a decoding walk reads and writes
+// nothing after the value it refused, and a failed encoding walk's
+// output is discarded.
 type Walk struct {
 	buf      []byte // encoding: the output; decoding: the current section's unread input
 	decoding bool
@@ -105,6 +106,13 @@ func walk(v Walker, buf []byte, decoding bool) ([]byte, error) {
 	buf = w.buf
 	*w = Walk{}
 	walks.Put(w)
+	if err != nil {
+		op := "encode"
+		if decoding {
+			op = "decode"
+		}
+		err = fmt.Errorf("wire: %s %T: %w", op, v, err)
+	}
 	return buf, err
 }
 
@@ -163,51 +171,70 @@ func (w *Walk) take(n int) []byte {
 	return b
 }
 
+// The scalar methods run once per value — once per tree node in a
+// forest — so each keeps its encoding branch small enough to inline and
+// leaves the read to read64. An encoding walk keeps appending after a
+// failure; Append discards its output.
+
 // Uint64 walks an 8-byte little-endian value.
 func (w *Walk) Uint64(v *uint64) {
-	if !w.decoding {
-		if w.err == nil {
-			w.buf = AppendUint64(w.buf, *v)
-		}
+	if w.decoding {
+		*v = w.read64(*v)
 		return
 	}
-	if b := w.take(8); b != nil {
-		*v = binary.LittleEndian.Uint64(b)
-	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, *v)
 }
 
 // Int64 walks a 64-bit two's-complement integer.
 func (w *Walk) Int64(v *int64) {
-	u := uint64(*v)
-	w.Uint64(&u)
-	*v = int64(u)
+	if w.decoding {
+		*v = int64(w.read64(uint64(*v)))
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(*v))
 }
 
 // Int walks an int as a 64-bit two's-complement integer.
 func (w *Walk) Int(v *int) {
-	u := uint64(int64(*v))
-	w.Uint64(&u)
-	*v = int(int64(u))
+	if w.decoding {
+		*v = int(int64(w.read64(uint64(*v))))
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(*v))
 }
 
 // Float64 walks the IEEE-754 bits of one value, NaN payloads included.
 func (w *Walk) Float64(v *float64) {
-	u := math.Float64bits(*v)
-	w.Uint64(&u)
-	*v = math.Float64frombits(u)
+	if w.decoding {
+		*v = math.Float64frombits(w.read64(math.Float64bits(*v)))
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(*v))
+}
+
+// read64 returns the next 8 input bytes as a little-endian value, or old
+// once the walk has failed.
+func (w *Walk) read64(old uint64) uint64 {
+	if b := w.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return old
 }
 
 // Bool walks one byte, 0 or 1; decoding refuses any other.
 func (w *Walk) Bool(v *bool) {
-	if !w.decoding {
-		if w.err == nil {
-			w.buf = append(w.buf, 0)
-			if *v {
-				w.buf[len(w.buf)-1] = 1
-			}
-		}
+	if w.decoding {
+		w.readBool(v)
 		return
 	}
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	w.buf = append(w.buf, b)
+}
+
+func (w *Walk) readBool(v *bool) {
 	b := w.take(1)
 	switch {
 	case b == nil:
@@ -239,12 +266,14 @@ func (w *Walk) Count(n, max int) int {
 // RawFloat64s walks the bits of every element of s with no count: the
 // length comes from the receiver's geometry.
 func (w *Walk) RawFloat64s(s []float64) {
-	if !w.decoding {
-		if w.err == nil {
-			w.buf = AppendRawFloat64s(w.buf, s)
-		}
+	if w.decoding {
+		w.readRaw(s)
 		return
 	}
+	w.buf = AppendRawFloat64s(w.buf, s)
+}
+
+func (w *Walk) readRaw(s []float64) {
 	if b := w.take(8 * len(s)); b != nil {
 		for i := range s {
 			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
@@ -266,9 +295,7 @@ func (w *Walk) Float64s(s []float64) {
 func (w *Walk) String(s *string) {
 	n := w.Count(len(*s), math.MaxInt)
 	if !w.decoding {
-		if w.err == nil {
-			w.buf = append(w.buf, *s...)
-		}
+		w.buf = append(w.buf, *s...)
 		return
 	}
 	if b := w.take(n); w.err == nil {
@@ -281,9 +308,7 @@ func (w *Walk) String(s *string) {
 func (w *Walk) Bytes(b *[]byte) {
 	n := w.Count(len(*b), math.MaxInt)
 	if !w.decoding {
-		if w.err == nil {
-			w.buf = append(w.buf, *b...)
-		}
+		w.buf = append(w.buf, *b...)
 		return
 	}
 	if s := w.take(n); w.err == nil {
@@ -318,9 +343,7 @@ func (w *Walk) ExpectFloat64(what string, want float64) {
 func (w *Walk) ExpectString(what, want string) {
 	n := w.Count(len(want), math.MaxInt)
 	if !w.decoding {
-		if w.err == nil {
-			w.buf = append(w.buf, want...)
-		}
+		w.buf = append(w.buf, want...)
 		return
 	}
 	if got := w.take(n); w.err == nil && string(got) != want {
@@ -334,16 +357,11 @@ func (w *Walk) ExpectString(what, want string) {
 // in place once the child is written; decoding walks the child over the
 // section's sub-slice of the input and refuses bytes it leaves over.
 func (w *Walk) Section(walk func(*Walk)) {
-	if w.err != nil {
-		return
-	}
 	if !w.decoding {
 		mark := len(w.buf)
 		w.buf = AppendUint64(w.buf, 0)
 		walk(w)
-		if w.err == nil {
-			binary.LittleEndian.PutUint64(w.buf[mark:], uint64(len(w.buf)-mark-8))
-		}
+		binary.LittleEndian.PutUint64(w.buf[mark:], uint64(len(w.buf)-mark-8))
 		return
 	}
 	sec := w.take(w.Count(0, math.MaxInt))

@@ -26,7 +26,6 @@
 package streamad
 
 import (
-	"encoding"
 	"fmt"
 	"math/rand"
 
@@ -525,17 +524,6 @@ func Run(det StreamDetector, series [][]float64) (scores []float64, valid []bool
 
 // Config returns the (default-filled) configuration the detector runs.
 func (d *Detector) Config() Config { return d.cfg }
-
-// loadModel restores a model checkpoint (the model's AppendBinary bytes)
-// into model, which must have been built with an identical model
-// configuration (kind, Window, Channels).
-func (d *Detector) loadModel(model core.Model, data []byte) error {
-	m, ok := model.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model)
-	}
-	return m.UnmarshalBinary(data)
-}
 
 // Combo is one (model, Task 1, Task 2) combination of the Table I grid.
 type Combo struct {
