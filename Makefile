@@ -99,13 +99,15 @@ race:
 # became its only copy (core.Cloner, the fourteen hand-written deep
 # copies and the model-only snapshot path deleted), 20,918 before the
 # batch forward and the backward went to AVX behind a CPUID probe,
-# 20,973 before isolation trees became two pointer-free slabs.
+# 20,973 before isolation trees became two pointer-free slabs, 20,971
+# before each checkpointed component came to define its state once, as
+# one walk that both encodes and decodes.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 20971
+LOC_CEILING = 20537
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -84,9 +84,7 @@ func (d *Detector) Walk(w *wire.Walk) {
 		w.Fail(fmt.Errorf("streamad: %v does not support model snapshots", d.cfg.Model))
 		return
 	}
-	if w.Decoding() {
-		d.blobSize = w.Left()
-	}
+	size := w.Left()
 	var due int
 	var trained core.Model
 	version := snapshotVersion
@@ -124,6 +122,7 @@ func (d *Detector) Walk(w *wire.Walk) {
 	if w.Decoding() {
 		d.SetPending(due, trained)
 		d.src.Restore(seed, draws)
+		d.blobSize = size
 	}
 }
 

@@ -24,9 +24,7 @@ func (e *Ensemble) pruneThreshold() int {
 // counters followed by its own full checkpoint, which the member
 // validates against its own configuration.
 func (e *Ensemble) Walk(w *wire.Walk) {
-	if w.Decoding() {
-		e.blobSize = w.Left()
-	}
+	size := w.Left()
 	w.Expect("ensemble: (version, members, combiner)", snapshotVersion, len(e.members), int(e.agg))
 	w.ExpectFloat64("ensemble: verdict", e.verdict)
 	w.Expect("ensemble: counter cap", e.counterCap)
@@ -44,6 +42,9 @@ func (e *Ensemble) Walk(w *wire.Walk) {
 		w.Int(&m.fineTunes)
 		w.Float64(&m.lastScore)
 		w.Section(e.Nodes[i].Walk)
+	}
+	if w.Decoding() {
+		e.blobSize = size
 	}
 }
 
