@@ -324,6 +324,8 @@ func (w *Walk) Expect(what string, vals ...int) {
 	for i, want := range vals {
 		got := want
 		if w.Int(&got); w.err == nil && got != want {
+			// A copy of vals, so that the caller's variadic array does
+			// not escape and a walk that matches allocates nothing.
 			w.err = fmt.Errorf("%s: snapshot value %d at position %d does not match the receiver's configuration %v",
 				what, got, i, append([]int(nil), vals...))
 		}
