@@ -71,24 +71,32 @@ func (e *every) bytes(t *testing.T) []byte {
 	return b
 }
 
-// TestWalk runs one walk over a value of every kind, nested a section
-// deep, in both directions, and then over a table of damaged inputs: each
-// is refused, the first failure sticks, and a refused configuration value
-// leaves the receiver untouched.
-func TestWalk(t *testing.T) {
-	nan := math.Float64frombits(0x7ff8_dead_beef_0001) // payload must survive
-	src := &every{
+// nan carries a payload that a walk must keep bit for bit.
+var nan = math.Float64frombits(0x7ff8_dead_beef_0001)
+
+// walked returns a value of every kind nested a section deep, its
+// encoding, and a blank receiver with that encoding decoded into it.
+func walked(t *testing.T) (src *every, blob []byte, dst *every) {
+	t.Helper()
+	src = &every{
 		u: 1<<63 + 7, i: -42, i64: math.MinInt64, b: true, f: nan,
 		fixed: []float64{1.5, math.Copysign(0, -1)}, raw: []float64{math.Inf(-1)},
 		s: "gate/é", blob: []byte{0, 1, 2}, counted: []float64{3, 4, 5},
 		child:    &every{i: 9, label: "inner", fixed: []float64{}, s: "x"},
 		geometry: 16, rate: 0.05, label: "outer",
 	}
-	blob := src.bytes(t)
-	dst := src.blank()
+	blob = src.bytes(t)
+	dst = src.blank()
 	if err := Decode(blob, dst); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
+	return src, blob, dst
+}
+
+// TestRoundTrip runs one walk over a value of every kind, nested a section
+// deep, in both directions.
+func TestRoundTrip(t *testing.T) {
+	src, blob, dst := walked(t)
 	if again := dst.bytes(t); !bytes.Equal(again, blob) {
 		t.Fatal("decoded value re-encodes differently")
 	}
@@ -99,7 +107,14 @@ func TestWalk(t *testing.T) {
 	if &dst.blob[0] != &blob[bytes.Index(blob, []byte{0, 1, 2})] {
 		t.Error("Bytes copied instead of aliasing the input")
 	}
+}
 
+// TestReaderRefusesBadInput runs decoding walks over a table of damaged
+// inputs and every prefix of a good one: each is refused, the first
+// failure sticks, and a refused configuration value leaves the receiver
+// untouched.
+func TestReaderRefusesBadInput(t *testing.T) {
+	src, blob, dst := walked(t)
 	for _, tc := range []struct {
 		name   string
 		data   []byte
