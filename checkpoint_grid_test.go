@@ -2,6 +2,7 @@ package streamad
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -258,6 +259,48 @@ func TestRefusedLoadLeavesStateAlone(t *testing.T) {
 		if after, err := recv.Save(); err != nil || !bytes.Equal(before, after) {
 			t.Errorf("%s: a refused %s checkpoint changed the saved state (err %v)", tc.receiver, tc.blob, err)
 		}
+	}
+}
+
+// TestNBEATSRefusesAnotherBlockBasis pins the N-BEATS block-basis word:
+// every block of the generic model writes 0 after its model header and
+// scaler section, and a checkpoint whose first block carries any other
+// value is refused without touching the receiver.
+func TestNBEATSRefusesAnotherBlockBasis(t *testing.T) {
+	cfg := gridConfig()
+	det, err := NewFromSpec("nbeats+sw+musigma", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range gridStream(gridBefore, cfg.Channels) {
+		det.Step(v)
+	}
+	before, err := det.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The model walk opens with (channels, backcast rows, blocks) and the
+	// scaler's section; the first block's basis word follows.
+	var header []byte
+	for _, v := range []int{cfg.Channels, cfg.Window - 1, 3} {
+		header = binary.LittleEndian.AppendUint64(header, uint64(v))
+	}
+	at := bytes.Index(before, header)
+	if at < 0 {
+		t.Fatal("no N-BEATS model header in the checkpoint")
+	}
+	at += len(header)
+	at += 8 + int(binary.LittleEndian.Uint64(before[at:]))
+	if got := binary.LittleEndian.Uint64(before[at:]); got != 0 {
+		t.Fatalf("first block-basis word is %d, want 0", got)
+	}
+	blob := bytes.Clone(before)
+	binary.LittleEndian.PutUint64(blob[at:], 1)
+	if err := det.Load(blob); err == nil {
+		t.Fatal("Load accepted a block-basis word of 1")
+	}
+	if after, err := det.Save(); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("a refused checkpoint changed the saved state (err %v)", err)
 	}
 }
 
