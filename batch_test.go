@@ -42,9 +42,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		"nbeats": func() (batchModel, error) {
 			return nbeats.New(nbeats.Config{Channels: channels, BackcastRows: rows - 1, Seed: 1})
 		},
-		"nbeats-interpretable": func() (batchModel, error) {
-			return nbeats.NewInterpretable(nbeats.Config{Channels: channels, BackcastRows: rows - 1, Seed: 1})
-		},
 	}
 	for name, mk := range build {
 		m, err := mk()

@@ -19,12 +19,10 @@ import (
 	"streamad/internal/dataset"
 	"streamad/internal/drift"
 	"streamad/internal/knn"
-	"streamad/internal/metrics"
 	"streamad/internal/nbeats"
 	"streamad/internal/persist"
 	"streamad/internal/reservoir"
 	"streamad/internal/scenario"
-	"streamad/internal/score"
 	"streamad/internal/usad"
 )
 
@@ -473,30 +471,6 @@ func BenchmarkAblationARESPriority(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNBEATSBasis compares the generic and interpretable
-// N-BEATS configurations (DESIGN.md ablation) on forecast-driven
-// detection quality.
-func BenchmarkAblationNBEATSBasis(b *testing.B) {
-	p := benchProfile()
-	corpus := dataset.Daphnet(p.Data)
-	s := corpus.Series[0]
-	run := func(b *testing.B, interpretable bool) {
-		var auc float64
-		for i := 0; i < b.N; i++ {
-			det, err := newNBEATSDetector(p, s.Channels(), interpretable)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scores, valid := core.Run(det, s.Data)
-			th := metrics.QuantileThreshold(scores, valid, p.CalibQ)
-			auc = metrics.Evaluate(scores, s.Labels, valid, th).AUC
-		}
-		b.ReportMetric(auc, "pr-auc")
-	}
-	b.Run("generic", func(b *testing.B) { run(b, false) })
-	b.Run("interpretable", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkKSWINThrottle quantifies the cost of per-step KSWIN testing
 // versus the throttled variant — the Table II motivation in wall-clock
 // form.
@@ -530,32 +504,6 @@ func BenchmarkKSWINThrottle(b *testing.B) {
 			}
 		})
 	}
-}
-
-// newNBEATSDetector assembles an N-BEATS detector with either the generic
-// or the interpretable (trend+seasonality) basis for the basis ablation.
-func newNBEATSDetector(p bench.Profile, channels int, interpretable bool) (*core.Detector, error) {
-	cfg := nbeats.Config{Channels: channels, BackcastRows: p.Window - 1, Seed: p.Seed}
-	var model core.Model
-	var err error
-	if interpretable {
-		model, err = nbeats.NewInterpretable(cfg)
-	} else {
-		model, err = nbeats.New(cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return core.NewDetector(core.Config{
-		Representer:   core.NewRepresenter(p.Window, channels),
-		Model:         model,
-		TrainingSet:   reservoir.NewSlidingWindow(p.TrainSize, p.Window*channels),
-		Drift:         drift.NewMuSigmaChange(p.Window * channels),
-		Measure:       score.Cosine{},
-		Scorer:        score.NewAnomalyLikelihood(p.ScoreWindow, p.ShortWindow),
-		WarmupVectors: p.WarmupVectors,
-		InitEpochs:    10,
-	})
 }
 
 // BenchmarkDriftStormFleet measures how the trainer pool's job order

@@ -5,57 +5,24 @@
 // stack to expansion coefficients θᵇ, θᶠ that are projected onto backcast
 // and forecast basis vectors; blocks are chained with the double residual
 // topology x_{l+1} = x_l − x̂_l, ŷ = Σ_l ŷ_l.
-//
-// Two basis families are provided: the learned "generic" basis (default)
-// and fixed interpretable bases (polynomial trend, Fourier seasonality)
-// for the ablation study.
+// The basis is the learned "generic" one: a plain linear projection.
 package nbeats
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"streamad/internal/nn"
 	"streamad/internal/randstate"
 )
 
-// BasisKind selects the expansion basis of a block.
-type BasisKind int
-
-const (
-	// GenericBasis learns the basis vectors (a plain linear projection).
-	GenericBasis BasisKind = iota
-	// TrendBasis uses fixed low-order polynomials of time.
-	TrendBasis
-	// SeasonalityBasis uses fixed Fourier harmonics of time.
-	SeasonalityBasis
-)
-
-// String returns the basis name.
-func (b BasisKind) String() string {
-	switch b {
-	case GenericBasis:
-		return "generic"
-	case TrendBasis:
-		return "trend"
-	case SeasonalityBasis:
-		return "seasonality"
-	default:
-		return fmt.Sprintf("BasisKind(%d)", int(b))
-	}
-}
-
 // block is one N-BEATS block.
 type block struct {
-	stack  *nn.MLP     // input → hidden h_l
-	thetaB *nn.Linear  // h_l → θᵇ
-	thetaF *nn.Linear  // h_l → θᶠ
-	basisB *nn.Linear  // θᵇ → backcast (generic) …
-	basisF *nn.Linear  // θᶠ → forecast
-	fixedB [][]float64 // … or fixed basis matrices (rows = outputs)
-	fixedF [][]float64
-	kind   BasisKind
+	stack  *nn.MLP    // input → hidden h_l
+	thetaB *nn.Linear // h_l → θᵇ
+	thetaF *nn.Linear // h_l → θᶠ
+	basisB *nn.Linear // θᵇ → backcast
+	basisF *nn.Linear // θᶠ → forecast
 }
 
 // blockScratch holds one block's preallocated forward/backward state:
@@ -128,10 +95,8 @@ func (m *Model) initScratch() {
 		ps = append(ps, b.stack.Params()...)
 		ps = append(ps, b.thetaB.Params()...)
 		ps = append(ps, b.thetaF.Params()...)
-		if b.kind == GenericBasis {
-			ps = append(ps, b.basisB.Params()...)
-			ps = append(ps, b.basisF.Params()...)
-		}
+		ps = append(ps, b.basisB.Params()...)
+		ps = append(ps, b.basisF.Params()...)
 	}
 	m.paramsCache = ps
 }
@@ -149,41 +114,10 @@ type Config struct {
 	Hidden int
 	// ThetaDim is the expansion-coefficient length per head (default 16).
 	ThetaDim int
-	// Basis selects the expansion basis for every block (default generic).
-	// For the interpretable configuration pass TrendBasis or
-	// SeasonalityBasis; mixed stacks can be built with NewInterpretable.
-	Basis BasisKind
 	// LR is the Adam learning rate (default 1e-3).
 	LR float64
 	// Seed drives weight initialization.
 	Seed int64
-}
-
-// New returns an initialized N-BEATS model with homogeneous blocks.
-func New(cfg Config) (*Model, error) {
-	bases := make([]BasisKind, defaultInt(cfg.Blocks, 3))
-	for i := range bases {
-		bases[i] = cfg.Basis
-	}
-	return newWithBases(cfg, bases)
-}
-
-// NewInterpretable returns the interpretable two-stack configuration of
-// the original paper: trend blocks followed by seasonality blocks.
-func NewInterpretable(cfg Config) (*Model, error) {
-	n := defaultInt(cfg.Blocks, 4)
-	if n < 2 {
-		n = 2
-	}
-	bases := make([]BasisKind, n)
-	for i := range bases {
-		if i < n/2 {
-			bases[i] = TrendBasis
-		} else {
-			bases[i] = SeasonalityBasis
-		}
-	}
-	return newWithBases(cfg, bases)
 }
 
 func defaultInt(v, d int) int {
@@ -193,7 +127,8 @@ func defaultInt(v, d int) int {
 	return v
 }
 
-func newWithBases(cfg Config, bases []BasisKind) (*Model, error) {
+// New returns an initialized N-BEATS model.
+func New(cfg Config) (*Model, error) {
 	if cfg.Channels <= 0 {
 		return nil, fmt.Errorf("nbeats: Channels must be positive, got %d", cfg.Channels)
 	}
@@ -216,91 +151,21 @@ func newWithBases(cfg Config, bases []BasisKind) (*Model, error) {
 		backLen:  cfg.BackcastRows,
 		inDim:    inDim,
 	}
-	for _, kind := range bases {
-		b := &block{
+	for range defaultInt(cfg.Blocks, 3) {
+		m.blocks = append(m.blocks, &block{
 			stack:  nn.NewMLP([]int{inDim, hidden, hidden}, nn.ReLU{}, nn.ReLU{}, rng),
 			thetaB: nn.NewLinear(hidden, theta, rng),
 			thetaF: nn.NewLinear(hidden, theta, rng),
-			kind:   kind,
-		}
-		switch kind {
-		case GenericBasis:
-			b.basisB = nn.NewLinear(theta, inDim, rng)
-			b.basisF = nn.NewLinear(theta, outDim, rng)
-		case TrendBasis:
-			b.fixedB = polyBasis(cfg.BackcastRows, cfg.Channels, theta, inDim)
-			b.fixedF = polyForecastBasis(cfg.Channels, theta, outDim)
-		case SeasonalityBasis:
-			b.fixedB = fourierBasis(cfg.BackcastRows, cfg.Channels, theta, inDim)
-			b.fixedF = polyForecastBasis(cfg.Channels, theta, outDim)
-		}
-		m.blocks = append(m.blocks, b)
+			basisB: nn.NewLinear(theta, inDim, rng),
+			basisF: nn.NewLinear(theta, outDim, rng),
+		})
 	}
 	m.initScratch()
 	return m, nil
 }
 
-// polyBasis builds fixed polynomial backcast basis rows: output element
-// (row r, channel c) gets value t_r^k for coefficient k (channels share
-// coefficients, matching the shared-θ design for multivariate streams).
-func polyBasis(rows, channels, theta, outDim int) [][]float64 {
-	basis := make([][]float64, outDim)
-	for r := 0; r < rows; r++ {
-		t := float64(r) / float64(rows)
-		for c := 0; c < channels; c++ {
-			row := make([]float64, theta)
-			for k := 0; k < theta; k++ {
-				row[k] = math.Pow(t, float64(k%4)) // cap degree at 3
-			}
-			basis[r*channels+c] = row
-		}
-	}
-	return basis
-}
-
-// polyForecastBasis builds the forecast basis at horizon t=1.
-func polyForecastBasis(channels, theta, outDim int) [][]float64 {
-	basis := make([][]float64, outDim)
-	for c := 0; c < channels; c++ {
-		row := make([]float64, theta)
-		for k := 0; k < theta; k++ {
-			row[k] = 1 // t=1 ⇒ t^k = 1
-		}
-		basis[c] = row
-	}
-	return basis
-}
-
-// fourierBasis builds fixed Fourier backcast basis rows: harmonics of the
-// normalized time index, alternating cos/sin.
-func fourierBasis(rows, channels, theta, outDim int) [][]float64 {
-	basis := make([][]float64, outDim)
-	for r := 0; r < rows; r++ {
-		t := float64(r) / float64(rows)
-		for c := 0; c < channels; c++ {
-			row := make([]float64, theta)
-			for k := 0; k < theta; k++ {
-				h := float64(k/2 + 1)
-				if k%2 == 0 {
-					row[k] = math.Cos(2 * math.Pi * h * t)
-				} else {
-					row[k] = math.Sin(2 * math.Pi * h * t)
-				}
-			}
-			basis[r*channels+c] = row
-		}
-	}
-	return basis
-}
-
 // Channels returns N.
 func (m *Model) Channels() int { return m.channels }
-
-// BackcastRows returns the history length in rows.
-func (m *Model) BackcastRows() int { return m.backLen }
-
-// Blocks returns the number of blocks.
-func (m *Model) Blocks() int { return len(m.blocks) }
 
 // forward runs the residual stack through the preallocated scratch,
 // returning the total forecast (aliasing foreBuf, valid until the next
@@ -322,14 +187,8 @@ func (m *Model) forward(input []float64) []float64 {
 		b.thetaB.ForwardInto(sc.h, sc.thetaB)
 		b.thetaF.ForwardInto(sc.h, sc.thetaF)
 		back := m.backBuf
-		switch b.kind {
-		case GenericBasis:
-			b.basisB.ForwardInto(sc.thetaB, back)
-			b.basisF.ForwardInto(sc.thetaF, fore)
-		default:
-			applyFixedInto(b.fixedB, sc.thetaB, back, 1)
-			applyFixedInto(b.fixedF, sc.thetaF, fore, 1)
-		}
+		b.basisB.ForwardInto(sc.thetaB, back)
+		b.basisF.ForwardInto(sc.thetaF, fore)
 		for i := range x {
 			x[i] -= back[i]
 		}
@@ -338,38 +197,6 @@ func (m *Model) forward(input []float64) []float64 {
 		}
 	}
 	return forecast
-}
-
-// applyFixedInto computes basis·θ for a fixed basis matrix stored
-// row-wise, for batch samples on feature-major slabs (θ[k*batch+s] into
-// out[i*batch+s]).
-func applyFixedInto(basis [][]float64, theta, out []float64, batch int) {
-	for i, row := range basis {
-		for s := 0; s < batch; s++ {
-			var acc float64
-			for k, v := range row {
-				acc += v * theta[k*batch+s]
-			}
-			out[i*batch+s] = acc
-		}
-	}
-}
-
-// fixedGradInto backpropagates gradOut through a fixed basis into g:
-// ∂L/∂θ = Bᵀ·gradOut.
-func fixedGradInto(basis [][]float64, gradOut, g []float64) {
-	for i := range g {
-		g[i] = 0
-	}
-	for i, row := range basis {
-		go_ := gradOut[i]
-		if go_ == 0 {
-			continue
-		}
-		for k, v := range row {
-			g[k] += v * go_
-		}
-	}
 }
 
 // Predict implements the framework model contract: given the feature
@@ -417,14 +244,8 @@ func (m *Model) PredictBatch(xs []float64, batch int, scratch []float64) (target
 		h := b.stack.PredictBatch(x, batch, scratch)
 		b.thetaB.ForwardBatchInto(h, thetaB, batch)
 		b.thetaF.ForwardBatchInto(h, thetaF, batch)
-		switch b.kind {
-		case GenericBasis:
-			b.basisB.ForwardBatchInto(thetaB, back, batch)
-			b.basisF.ForwardBatchInto(thetaF, fore, batch)
-		default:
-			applyFixedInto(b.fixedB, thetaB, back, batch)
-			applyFixedInto(b.fixedF, thetaF, fore, batch)
-		}
+		b.basisB.ForwardBatchInto(thetaB, back, batch)
+		b.basisF.ForwardBatchInto(thetaF, fore, batch)
 		for i := range x {
 			x[i] -= back[i]
 		}
@@ -470,21 +291,13 @@ func (m *Model) step(x []float64) {
 		b := m.blocks[l]
 		sc := m.scratch[l]
 		// Forecast head.
-		if b.kind == GenericBasis {
-			b.basisF.BackwardInto(sc.thetaF, gForecast, sc.gThetaF)
-		} else {
-			fixedGradInto(b.fixedF, gForecast, sc.gThetaF)
-		}
+		b.basisF.BackwardInto(sc.thetaF, gForecast, sc.gThetaF)
 		// Backcast head: x̂_l enters as −g_x.
 		negGx := m.negGx
 		for i, v := range gx {
 			negGx[i] = -v
 		}
-		if b.kind == GenericBasis {
-			b.basisB.BackwardInto(sc.thetaB, negGx, sc.gThetaB)
-		} else {
-			fixedGradInto(b.fixedB, negGx, sc.gThetaB)
-		}
+		b.basisB.BackwardInto(sc.thetaB, negGx, sc.gThetaB)
 		hidden := b.stack.OutDim()
 		gh, ghB := m.gh[:hidden], m.ghB[:hidden]
 		b.thetaF.BackwardInto(sc.h, sc.gThetaF, gh)

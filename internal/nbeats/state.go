@@ -5,35 +5,21 @@ import (
 	"streamad/internal/wire"
 )
 
-// learnedLayers lists a block's standalone Linear layers in checkpoint
-// order; fixed bases are regenerated from the configuration.
-func (b *block) learnedLayers() []*nn.Linear {
-	if b.kind == GenericBasis {
-		return []*nn.Linear{b.thetaB, b.thetaF, b.basisB, b.basisF}
-	}
-	return []*nn.Linear{b.thetaB, b.thetaF}
-}
-
 // Walk implements wire.Walker, including the Adam moment estimates so
 // resumed fine-tuning continues the exact optimizer trajectory. The
 // receiver must have been constructed with the same configuration
-// (blocks, sizes, bases).
+// (blocks, sizes). Each block still carries the basis word of the
+// format's former basis families; only 0, the learned basis, is read.
 func (m *Model) Walk(w *wire.Walk) {
 	w.Expect("nbeats: (N, rows, blocks)", m.channels, m.backLen, len(m.blocks))
 	w.Section(m.scaler.Walk)
 	for _, b := range m.blocks {
-		w.Expect("nbeats: block basis", int(b.kind))
+		w.Expect("nbeats: block basis", 0)
 		w.Section(b.stack.Walk)
-		for _, l := range b.learnedLayers() {
+		for _, l := range [...]*nn.Linear{b.thetaB, b.thetaF, b.basisB, b.basisF} {
 			w.Float64s(l.Weight.W)
 			w.Float64s(l.Bias.W)
 		}
 	}
 	nn.WalkOptimizer(w, m.opt, m.params())
 }
-
-// AppendBinary implements wire.Appender.
-func (m *Model) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Model) UnmarshalBinary(data []byte) error { return wire.Decode(data, m) }
