@@ -163,7 +163,7 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 // encodeModel returns m's checkpoint.
 func encodeModel(t *testing.T, m core.Model) []byte {
 	t.Helper()
-	b, err := m.(wire.Appender).AppendBinary(nil)
+	b, err := wire.Append(nil, m.(wire.Walker))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestLoadModelRejectsMismatchedShape(t *testing.T) {
 		return d.Model()
 	}
 	snap := encodeModel(t, model(ModelAE, 3))
-	if err := model(ModelAE, 4).(encoding.BinaryUnmarshaler).UnmarshalBinary(snap); err == nil {
+	if err := wire.Decode(snap, model(ModelAE, 4).(wire.Walker)); err == nil {
 		t.Fatal("mismatched-shape load must fail")
 	}
-	if err := model(ModelUSAD, 3).(encoding.BinaryUnmarshaler).UnmarshalBinary(snap); err == nil {
+	if err := wire.Decode(snap, model(ModelUSAD, 3).(wire.Walker)); err == nil {
 		t.Fatal("cross-model load must fail")
 	}
 }

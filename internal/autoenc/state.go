@@ -14,9 +14,3 @@ func (m *Model) Walk(w *wire.Walk) {
 	w.Section(m.scaler.Walk)
 	nn.WalkOptimizer(w, m.opt, m.net.Params())
 }
-
-// AppendBinary implements wire.Appender.
-func (m *Model) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Model) UnmarshalBinary(data []byte) error { return wire.Decode(data, m) }

@@ -11,6 +11,7 @@ import (
 	"streamad/internal/reservoir"
 	"streamad/internal/score"
 	"streamad/internal/usad"
+	"streamad/internal/wire"
 )
 
 // Fig1Point is one time step of the Figure 1 fine-tuning experiment,
@@ -126,12 +127,12 @@ func FinetuneExperiment(cfg Fig1Config) (*Fig1Result, error) {
 			if stale == nil {
 				// Frozen as a blank model loaded with the live one's
 				// checkpoint, a copy that shares no storage with it.
-				blob, err := model.AppendBinary(nil)
+				blob, err := wire.Append(nil, model)
 				if err == nil {
 					stale, err = usad.New(modelCfg)
 				}
 				if err == nil {
-					err = stale.UnmarshalBinary(blob)
+					err = wire.Decode(blob, stale)
 				}
 				if err != nil {
 					return nil, err

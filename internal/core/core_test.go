@@ -9,6 +9,7 @@ import (
 	"streamad/internal/drift"
 	"streamad/internal/reservoir"
 	"streamad/internal/score"
+	"streamad/internal/wire"
 )
 
 // echoModel predicts the feature vector shifted by a constant bias; its
@@ -295,7 +296,7 @@ func TestScratchPreallocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := clean.AppendBinary(nil)
+	blob, err := wire.Append(nil, clean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,12 +61,9 @@ func (d *Detector) Walk(w *wire.Walk) {
 	}
 }
 
-// AppendBinary appends the streaming state Walk defines.
-func (d *Detector) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, d) }
-
-// PageIn implements Pager and is AppendBinary's inverse: it restores the
-// streaming state — a PageOut blob or the loop section of a full
-// checkpoint — and re-enables Step. Deliberately not named
+// PageIn implements Pager and is the inverse of wire.Append(dst, d): it
+// restores the streaming state — a PageOut blob or the loop section of a
+// full checkpoint — and re-enables Step. Deliberately not named
 // UnmarshalBinary: promoted onto the leaf Node it would pass for a
 // full-state decoder and silently skip the model.
 func (d *Detector) PageIn(data []byte) error { return wire.Decode(data, d) }

@@ -108,9 +108,3 @@ func (f *PCBForest) Walk(w *wire.Walk) {
 		f.src.Restore(seed, draws)
 	}
 }
-
-// AppendBinary implements wire.Appender.
-func (f *PCBForest) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, f) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (f *PCBForest) UnmarshalBinary(data []byte) error { return wire.Decode(data, f) }

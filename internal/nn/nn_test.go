@@ -343,11 +343,11 @@ func TestScalerCloneIndependent(t *testing.T) {
 }
 
 // loadCheckpoint loads src's checkpoint into dst.
-func loadCheckpoint(t *testing.T, dst interface{ UnmarshalBinary([]byte) error }, src wire.Appender) {
+func loadCheckpoint(t *testing.T, dst, src wire.Walker) {
 	t.Helper()
-	b, err := src.AppendBinary(nil)
+	b, err := wire.Append(nil, src)
 	if err == nil {
-		err = dst.UnmarshalBinary(b)
+		err = wire.Decode(b, dst)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -19,35 +19,17 @@ func (m *MLP) Walk(w *wire.Walk) {
 	}
 }
 
-// AppendBinary implements wire.Appender.
-func (m *MLP) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *MLP) UnmarshalBinary(data []byte) error { return wire.Decode(data, m) }
-
 // Walk implements wire.Walker for Scaler.
 func (s *Scaler) Walk(w *wire.Walk) {
 	w.Float64s(s.mean)
 	w.Float64s(s.std)
 }
 
-// AppendBinary implements wire.Appender for Scaler.
-func (s *Scaler) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler for Scaler.
-func (s *Scaler) UnmarshalBinary(data []byte) error { return wire.Decode(data, s) }
-
 // Walk implements wire.Walker for MinMaxScaler.
 func (s *MinMaxScaler) Walk(w *wire.Walk) {
 	w.Float64s(s.lo)
 	w.Float64s(s.scale)
 }
-
-// AppendBinary implements wire.Appender for MinMaxScaler.
-func (s *MinMaxScaler) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler for MinMaxScaler.
-func (s *MinMaxScaler) UnmarshalBinary(data []byte) error { return wire.Decode(data, s) }
 
 // WalkOptimizer walks a's training position over params (in order) as
 // one section — the step counter and the first and second moment

@@ -20,9 +20,3 @@ func (m *Model) Walk(w *wire.Walk) {
 	nn.WalkOptimizer(w, m.opt1, m.params1)
 	nn.WalkOptimizer(w, m.opt2, m.params2)
 }
-
-// AppendBinary implements wire.Appender.
-func (m *Model) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Model) UnmarshalBinary(data []byte) error { return wire.Decode(data, m) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamad/internal/mat"
+	"streamad/internal/wire"
 )
 
 func sineSet(rng *rand.Rand, n, dim int) [][]float64 {
@@ -119,9 +120,9 @@ func TestCloneIsIndependentSnapshot(t *testing.T) {
 		m.Fit(set)
 	}
 	c, _ := New(Config{Dim: dim, Seed: 5})
-	blob, err := m.AppendBinary(nil)
+	blob, err := wire.Append(nil, m)
 	if err == nil {
-		err = c.UnmarshalBinary(blob)
+		err = wire.Decode(blob, c)
 	}
 	if err != nil {
 		t.Fatal(err)

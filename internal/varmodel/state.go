@@ -35,9 +35,3 @@ func (m *Model) Walk(w *wire.Walk) {
 		w.RawFloat64s(m.coef.Data())
 	}
 }
-
-// AppendBinary implements wire.Appender.
-func (m *Model) AppendBinary(dst []byte) ([]byte, error) { return wire.Append(dst, m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Model) UnmarshalBinary(data []byte) error { return wire.Decode(data, m) }
