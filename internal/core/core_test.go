@@ -38,7 +38,6 @@ type constScorer struct{ last float64 }
 
 func (c *constScorer) Score(a float64) float64 { c.last = a; return a }
 func (c *constScorer) Reset()                  {}
-func (c *constScorer) Name() string            { return "test" }
 
 func testConfig(model Model, w, n, m, warm int) Config {
 	return Config{

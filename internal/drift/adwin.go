@@ -110,8 +110,5 @@ func (a *ADWIN) Reset(reservoir.TrainingSet) {}
 // Ops implements Detector.
 func (a *ADWIN) Ops() OpCounts { return a.ops }
 
-// Name implements Detector.
-func (a *ADWIN) Name() string { return "adwin" }
-
 // WindowLen returns the current adaptive-window length (for tests).
 func (a *ADWIN) WindowLen() int { return len(a.window) }

@@ -91,9 +91,6 @@ func TestADWINValidation(t *testing.T) {
 	if NewADWIN(0).Delta != 0.002 {
 		t.Fatal("default delta")
 	}
-	if NewADWIN(0.002).Name() != "adwin" {
-		t.Fatal("name")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for delta ≥ 1")

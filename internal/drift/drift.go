@@ -42,8 +42,6 @@ type Detector interface {
 	Reset(set reservoir.TrainingSet)
 	// Ops returns cumulative operation counts.
 	Ops() OpCounts
-	// Name returns a short identifier ("regular", "musigma", "kswin").
-	Name() string
 }
 
 // Regular triggers a fine-tune every Interval time steps, the paper's
@@ -78,9 +76,6 @@ func (r *Regular) Reset(reservoir.TrainingSet) {}
 
 // Ops implements Detector.
 func (r *Regular) Ops() OpCounts { return r.ops }
-
-// Name implements Detector.
-func (r *Regular) Name() string { return "regular" }
 
 // MuSigmaChange is the paper's "μ/σ-Change" strategy: it maintains the
 // running mean vector μ_t and standard deviation σ_t of the training set
@@ -196,9 +191,6 @@ func (d *MuSigmaChange) Reset(set reservoir.TrainingSet) {
 
 // Ops implements Detector.
 func (d *MuSigmaChange) Ops() OpCounts { return d.ops }
-
-// Name implements Detector.
-func (d *MuSigmaChange) Name() string { return "musigma" }
 
 // Mean returns the current running mean vector (aliased; read-only).
 func (d *MuSigmaChange) Mean() []float64 { return d.mean }
@@ -321,9 +313,6 @@ func (k *KSWIN) Reset(set reservoir.TrainingSet) {
 
 // Ops implements Detector.
 func (k *KSWIN) Ops() OpCounts { return k.ops }
-
-// Name implements Detector.
-func (k *KSWIN) Name() string { return "kswin" }
 
 // PaperFormulaMuSigma returns the paper's Table II closed-form operation
 // counts for the μ/σ-Change method at one time step.

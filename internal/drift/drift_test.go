@@ -38,9 +38,6 @@ func TestRegularCadence(t *testing.T) {
 	if fires != 4 {
 		t.Fatalf("Regular fired %d times in 20 steps with interval 5, want 4", fires)
 	}
-	if r.Name() != "regular" {
-		t.Fatalf("Name = %q", r.Name())
-	}
 	if r.Ops().Cmps == 0 {
 		t.Fatal("Regular should count comparisons")
 	}
@@ -300,15 +297,6 @@ func TestKSWINOpsDominateMuSigma(t *testing.T) {
 	}
 	if rows[1].Adds <= rows[0].Adds || rows[1].Cmps <= rows[0].Cmps {
 		t.Fatalf("paper formulas must show KSWIN ≫ μ/σ: %+v vs %+v", rows[1], rows[0])
-	}
-}
-
-func TestDetectorNames(t *testing.T) {
-	if NewMuSigmaChange(2).Name() != "musigma" {
-		t.Fatal("musigma name")
-	}
-	if NewKSWIN(1, 2, 0.01).Name() != "kswin" {
-		t.Fatal("kswin name")
 	}
 }
 

@@ -141,9 +141,6 @@ func searchAscending(a []float64, x float64) int {
 	return lo
 }
 
-// Name implements Thresholder.
-func (c *Conformal) Name() string { return "conformal" }
-
 // Walk implements wire.Walker. The dropped counter rides along so the
 // diagnostic survives a restore. The receiver's epsilon and window
 // capacity must match the snapshot.

@@ -118,11 +118,13 @@ func TestConformalNonFiniteDropped(t *testing.T) {
 }
 
 // TestConformalThresholderContract checks Conformal satisfies the
-// Thresholder interface used by the alerting layer.
+// Thresholder interface used by the alerting layer: a window too young
+// for any p-value to reach ε neither alerts nor reports a finite
+// boundary.
 func TestConformalThresholderContract(t *testing.T) {
 	var thr Thresholder = NewConformal(64, 0.1)
-	if thr.Name() != "conformal" {
-		t.Fatalf("Name() = %q", thr.Name())
+	if thr.Alert(1e9) || !math.IsInf(thr.Threshold(), 1) {
+		t.Fatalf("a one-score window alerted or reports boundary %v", thr.Threshold())
 	}
 }
 

@@ -18,8 +18,6 @@ type Nonconformity interface {
 	// Measure returns a_t ∈ [0,1]; 0 = perfectly normal, 1 = maximally
 	// strange.
 	Measure(target, pred []float64) float64
-	// Name identifies the measure.
-	Name() string
 }
 
 // Cosine is the paper's cosine-similarity nonconformity a_t = 1 − cos.
@@ -41,9 +39,6 @@ func (Cosine) Measure(target, pred []float64) float64 {
 	return a
 }
 
-// Name implements Nonconformity.
-func (Cosine) Name() string { return "cosine" }
-
 // Scorer converts the stream of nonconformity scores a_t into the final
 // anomaly scores f_t.
 type Scorer interface {
@@ -51,8 +46,6 @@ type Scorer interface {
 	Score(a float64) float64
 	// Reset clears accumulated state.
 	Reset()
-	// Name identifies the scorer.
-	Name() string
 }
 
 // Raw passes nonconformity scores through unchanged (f_t = a_t); it is the
@@ -64,9 +57,6 @@ func (Raw) Score(a float64) float64 { return a }
 
 // Reset implements Scorer.
 func (Raw) Reset() {}
-
-// Name implements Scorer.
-func (Raw) Name() string { return "raw" }
 
 // Average is the sliding mean of the last k nonconformity scores.
 type Average struct {
@@ -93,9 +83,6 @@ func (s *Average) Reset() {
 	s.ring.Reset()
 	s.sum = 0
 }
-
-// Name implements Scorer.
-func (s *Average) Name() string { return "average" }
 
 // AnomalyLikelihood is the Numenta anomaly likelihood (Lavin & Ahmad):
 // it compares a short-term mean μ̃ (window k') against the long-term mean
@@ -175,6 +162,3 @@ func (s *AnomalyLikelihood) Reset() {
 	s.short.Reset()
 	s.sumL, s.sumSqL, s.sumS = 0, 0, 0
 }
-
-// Name implements Scorer.
-func (s *AnomalyLikelihood) Name() string { return "likelihood" }

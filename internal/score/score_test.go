@@ -20,9 +20,6 @@ func TestCosineMeasure(t *testing.T) {
 	if got := c.Measure([]float64{1, 0}, []float64{0, 1}); !almostEq(got, 0.5, 1e-12) {
 		t.Fatalf("orthogonal vectors → %v, want 0.5", got)
 	}
-	if c.Name() != "cosine" {
-		t.Fatal("name")
-	}
 }
 
 // TestCosineRangeProperty: measure must stay in [0,1] for any input.
@@ -51,9 +48,6 @@ func TestRawScorer(t *testing.T) {
 		t.Fatal("Raw must pass through")
 	}
 	r.Reset()
-	if r.Name() != "raw" {
-		t.Fatal("name")
-	}
 }
 
 func TestAverageScorer(t *testing.T) {
@@ -73,9 +67,6 @@ func TestAverageScorer(t *testing.T) {
 	s.Reset()
 	if got := s.Score(1); got != 1 {
 		t.Fatalf("after reset = %v", got)
-	}
-	if s.Name() != "average" {
-		t.Fatal("name")
 	}
 }
 
@@ -178,9 +169,6 @@ func TestAnomalyLikelihoodReset(t *testing.T) {
 	s.Reset()
 	if got := s.Score(0.1); got != 0.5 {
 		t.Fatalf("after reset = %v, want neutral 0.5", got)
-	}
-	if s.Name() != "likelihood" {
-		t.Fatal("name")
 	}
 }
 

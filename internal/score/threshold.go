@@ -15,8 +15,6 @@ type Thresholder interface {
 	Alert(f float64) bool
 	// Threshold returns the current decision boundary.
 	Threshold() float64
-	// Name identifies the policy.
-	Name() string
 }
 
 // StaticThresholder alerts above a fixed boundary.
@@ -29,9 +27,6 @@ func (s *StaticThresholder) Alert(f float64) bool { return f >= s.T }
 
 // Threshold implements Thresholder.
 func (s *StaticThresholder) Threshold() float64 { return s.T }
-
-// Name implements Thresholder.
-func (s *StaticThresholder) Name() string { return "static" }
 
 // QuantileThresholder maintains a streaming estimate of the q-quantile of
 // the score distribution using the P² algorithm (Jain & Chlamtac 1985) —
@@ -164,5 +159,6 @@ func (p *QuantileThresholder) Threshold() float64 {
 // Count returns the number of observed scores.
 func (p *QuantileThresholder) Count() int { return p.count }
 
-// Name implements Thresholder.
+// Name identifies the policy. It is a compat shim (see streamad.go):
+// only a wrapper in the frozen benchmark forwards it.
 func (p *QuantileThresholder) Name() string { return "p2-quantile" }

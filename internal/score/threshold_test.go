@@ -14,8 +14,8 @@ func TestStaticThresholder(t *testing.T) {
 	if !s.Alert(0.5) || s.Alert(0.49) {
 		t.Fatal("static threshold boundary wrong")
 	}
-	if s.Threshold() != 0.5 || s.Name() != "static" {
-		t.Fatal("accessors wrong")
+	if s.Threshold() != 0.5 {
+		t.Fatal("Threshold wrong")
 	}
 }
 

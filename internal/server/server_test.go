@@ -409,7 +409,6 @@ type infThresholder struct{}
 
 func (infThresholder) Alert(float64) bool { return false }
 func (infThresholder) Threshold() float64 { return math.Inf(1) }
-func (infThresholder) Name() string       { return "inf" }
 
 // nanMemberDet is a Stepper whose member stats carry non-finite floats.
 type nanMemberDet struct{ stubDetector }
@@ -487,7 +486,6 @@ type constThresholder struct{ v float64 }
 
 func (constThresholder) Alert(float64) bool   { return false }
 func (t constThresholder) Threshold() float64 { return t.v }
-func (constThresholder) Name() string         { return "const" }
 
 // TestObserveZeroesNonFiniteFloats: NaN and ±Inf scores, nonconformities
 // and thresholds must reach the producer as 0 on both observe endpoints,

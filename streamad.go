@@ -302,7 +302,7 @@ func (c *Config) fillDefaults() error {
 
 // Compat shims. The frozen benchmark/ compiles against these and nothing
 // else in the repo needs them; the next benchmark-lane PR can stop using
-// them and delete all six in one go:
+// them and delete all seven in one go:
 //
 //   - IsEnsembleSpec and ParseEnsembleSpec (parse.go): ParseSpec plus a
 //     type switch on the returned Spec tree answers both.
@@ -313,6 +313,8 @@ func (c *Config) fillDefaults() error {
 //     by nothing.
 //   - ingest.Registry.Observe: Enqueue plus a receive, called by the
 //     benchmark's traced replay.
+//   - score.QuantileThresholder.Name: no interface asks for it any more;
+//     the benchmark's tracedThresholder forwards it.
 
 // ScorePool re-exports the shared bounded worker pool the ingestion
 // layer's stream dispatchers run on. One pool serves any number of
