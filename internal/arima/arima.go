@@ -89,9 +89,6 @@ func (m *Model) WindowRows() int { return m.lags + m.d + 1 }
 // Channels returns N.
 func (m *Model) Channels() int { return m.channels }
 
-// Gamma returns the coefficient vector (aliased; read-only).
-func (m *Model) Gamma() []float64 { return m.gamma }
-
 // signedBinomial returns (−1)^i · C(d,i) for i = 0..d, the coefficients of
 // the d-fold differencing operator ∇^d s_t = Σ (−1)^i C(d,i) s_{t−i}.
 func signedBinomial(d int) []float64 {

@@ -111,7 +111,7 @@ func TestLearnsAR1Process(t *testing.T) {
 		m.Fit(set)
 	}
 	// γ should approximate [0.8, 0, 0, 0, 0].
-	g := m.Gamma()
+	g := m.gamma
 	if math.Abs(g[0]-0.8) > 0.25 {
 		t.Fatalf("γ[0] = %v, want ≈0.8 (γ=%v)", g[0], g)
 	}
@@ -162,9 +162,9 @@ func TestFitIsStableOnBurstyData(t *testing.T) {
 	for epoch := 0; epoch < 5; epoch++ {
 		m.Fit(set)
 	}
-	for _, g := range m.Gamma() {
+	for _, g := range m.gamma {
 		if math.IsNaN(g) || math.IsInf(g, 0) {
-			t.Fatalf("γ diverged: %v", m.Gamma())
+			t.Fatalf("γ diverged: %v", m.gamma)
 		}
 	}
 }
@@ -181,9 +181,9 @@ func TestPredictPanicsOnShortWindow(t *testing.T) {
 
 func TestFitSkipsShortVectors(t *testing.T) {
 	m, _ := New(Config{Lags: 5, D: 1, Channels: 1})
-	before := append([]float64(nil), m.Gamma()...)
+	before := append([]float64(nil), m.gamma...)
 	m.Fit([][]float64{{1, 2}})
-	for i, g := range m.Gamma() {
+	for i, g := range m.gamma {
 		if g != before[i] {
 			t.Fatal("short vector should not trigger an update")
 		}

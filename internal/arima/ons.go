@@ -45,9 +45,6 @@ func NewONS(model *Model, eta, epsilon float64) *ONS {
 	}
 }
 
-// Model returns the wrapped ARIMA model.
-func (o *ONS) Model() *Model { return o.model }
-
 // Predict delegates to the wrapped model.
 func (o *ONS) Predict(x []float64) (target, pred []float64) {
 	return o.model.Predict(x)

@@ -96,9 +96,9 @@ func TestONSStaysFinite(t *testing.T) {
 	for epoch := 0; epoch < 5; epoch++ {
 		ons.Fit(set)
 	}
-	for _, g := range base.Gamma() {
+	for _, g := range base.gamma {
 		if math.IsNaN(g) || math.IsInf(g, 0) {
-			t.Fatalf("ONS diverged: %v", base.Gamma())
+			t.Fatalf("ONS diverged: %v", base.gamma)
 		}
 	}
 }
@@ -106,7 +106,7 @@ func TestONSStaysFinite(t *testing.T) {
 func TestONSDefaults(t *testing.T) {
 	base, _ := New(Config{Lags: 2, D: 0, Channels: 1})
 	ons := NewONS(base, 0, 0)
-	if ons.Model() != base {
+	if ons.model != base {
 		t.Fatal("Model() accessor")
 	}
 	if ons.eta != 0.1 {

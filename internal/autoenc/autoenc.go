@@ -73,9 +73,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Dim returns the feature-vector length.
-func (m *Model) Dim() int { return m.dim }
-
 // Predict implements the framework model contract: target is the feature
 // vector itself, prediction is its reconstruction in the original space.
 // It is PredictBatch of one window, in the model's own scratch.
@@ -117,13 +114,4 @@ func (m *Model) Fit(set [][]float64) {
 		nn.ClipGrads(params, 5)
 		m.opt.Step(params)
 	}
-}
-
-// ReconstructionLoss returns the standardized-space MSE between x and its
-// reconstruction, exposed for the Figure 1 fine-tuning experiment.
-func (m *Model) ReconstructionLoss(x []float64) float64 {
-	z := m.scaler.Transform(x, nil)
-	out := m.net.Predict(z)
-	loss, _ := nn.MSELoss(out, z, nil)
-	return loss
 }

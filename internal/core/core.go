@@ -106,9 +106,6 @@ func (r *Representer) Push(s []float64) (x []float64, ok bool) {
 // Dim returns the flattened feature-vector length w·N.
 func (r *Representer) Dim() int { return r.rows * r.channels }
 
-// Rows returns w.
-func (r *Representer) Rows() int { return r.rows }
-
 // Channels returns N.
 func (r *Representer) Channels() int { return r.channels }
 

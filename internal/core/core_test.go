@@ -53,7 +53,7 @@ func testConfig(model Model, w, n, m, warm int) Config {
 
 func TestRepresenter(t *testing.T) {
 	r := NewRepresenter(3, 2)
-	if r.Dim() != 6 || r.Rows() != 3 || r.Channels() != 2 {
+	if r.Dim() != 6 || r.rows != 3 || r.Channels() != 2 {
 		t.Fatal("representer dims")
 	}
 	if _, ok := r.Push([]float64{1, 2}); ok {

@@ -109,6 +109,3 @@ func (a *ADWIN) Reset(reservoir.TrainingSet) {}
 
 // Ops implements Detector.
 func (a *ADWIN) Ops() OpCounts { return a.ops }
-
-// WindowLen returns the current adaptive-window length (for tests).
-func (a *ADWIN) WindowLen() int { return len(a.window) }

@@ -37,7 +37,7 @@ func TestADWINDetectsMeanShift(t *testing.T) {
 		u := sw.Observe(x, 0)
 		a.Observe(u, x, sw)
 	}
-	before := a.WindowLen()
+	before := len(a.window)
 	shifted := gaussGen(rng, dim, 2, 1)
 	detected := false
 	for i := 0; i < 200; i++ {
@@ -53,8 +53,8 @@ func TestADWINDetectsMeanShift(t *testing.T) {
 	}
 	// The cut must have shrunk the window below its pre-drift length plus
 	// the post-drift additions.
-	if a.WindowLen() >= before+200 {
-		t.Fatalf("ADWIN did not shrink its window: %d", a.WindowLen())
+	if len(a.window) >= before+200 {
+		t.Fatalf("ADWIN did not shrink its window: %d", len(a.window))
 	}
 }
 
@@ -82,8 +82,8 @@ func TestADWINWindowBounded(t *testing.T) {
 		u := sw.Observe(x, 0)
 		a.Observe(u, x, sw)
 	}
-	if a.WindowLen() > 100 {
-		t.Fatalf("window grew to %d > MaxWindow", a.WindowLen())
+	if len(a.window) > 100 {
+		t.Fatalf("window grew to %d > MaxWindow", len(a.window))
 	}
 }
 

@@ -192,12 +192,6 @@ func (d *MuSigmaChange) Reset(set reservoir.TrainingSet) {
 // Ops implements Detector.
 func (d *MuSigmaChange) Ops() OpCounts { return d.ops }
 
-// Mean returns the current running mean vector (aliased; read-only).
-func (d *MuSigmaChange) Mean() []float64 { return d.mean }
-
-// StdDev returns the current running standard deviation over all elements.
-func (d *MuSigmaChange) StdDev() float64 { return d.elems.StdDev() }
-
 // KSWIN applies the two-sample Kolmogorov–Smirnov test per channel between
 // the reference training set (snapshotted at the last fine-tune) and the
 // current training set. Drift is declared as soon as any channel rejects

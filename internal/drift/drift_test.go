@@ -145,12 +145,12 @@ func TestMuSigmaRunningMatchesBatchAfterSwaps(t *testing.T) {
 	}
 	for j := range batch {
 		batch[j] /= float64(len(items))
-		diff := batch[j] - d.Mean()[j]
+		diff := batch[j] - d.mean[j]
 		if diff < -1e-8 || diff > 1e-8 {
-			t.Fatalf("running mean[%d] = %v, batch %v", j, d.Mean()[j], batch[j])
+			t.Fatalf("running mean[%d] = %v, batch %v", j, d.mean[j], batch[j])
 		}
 	}
-	if d.StdDev() <= 0 {
+	if d.elems.StdDev() <= 0 {
 		t.Fatal("running σ should be positive")
 	}
 }

@@ -18,10 +18,14 @@ import (
 
 // newPagerRegistry builds a registry whose streams run real (small)
 // streamad detectors — required by the tiering tests because the stub
-// detectors don't implement core.Pager.
-func newPagerRegistry(t *testing.T, cfg ingest.Config) (*ingest.Registry, *persist.Store) {
+// detectors don't implement core.Pager — on a store in dir, or in a
+// fresh directory when dir is empty.
+func newPagerRegistry(t *testing.T, dir string, cfg ingest.Config) (*ingest.Registry, *persist.Store) {
 	t.Helper()
-	store, err := persist.Open(filepath.Join(t.TempDir(), "state"))
+	if dir == "" {
+		dir = filepath.Join(t.TempDir(), "state")
+	}
+	store, err := persist.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestWarmPageOutBitIdentical(t *testing.T) {
 }
 
 func testWarmPageOutBitIdentical(t *testing.T, build func() (streamad.StreamDetector, error)) {
-	r, store := newPagerRegistry(t, ingest.Config{
+	r, store := newPagerRegistry(t, "", ingest.Config{
 		NewDetector: func(string) (ingest.Stepper, error) { return build() },
 	})
 	ref, err := build()
@@ -142,7 +146,8 @@ func testWarmPageOutBitIdentical(t *testing.T, build func() (streamad.StreamDete
 // uninterrupted run.
 func TestWarmPageInFallsBackToSnapshot(t *testing.T) {
 	for _, snapAt := range []int{25, -1} { // vectors before the one checkpoint; -1 = never
-		r, store := newPagerRegistry(t, ingest.Config{Logf: t.Logf})
+		dir := t.TempDir()
+		r, store := newPagerRegistry(t, dir, ingest.Config{Logf: t.Logf})
 		ref, err := streamad.New(pagerDetCfg())
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +183,7 @@ func TestWarmPageInFallsBackToSnapshot(t *testing.T) {
 			t.Fatal("the demoted stream's WAL is clean: the fallback has nothing to replay")
 		}
 		// Damage the slot in place: zero the swap file under the index.
-		swap := filepath.Join(store.Dir(), "pages.swap")
+		swap := filepath.Join(dir, "pages.swap")
 		info, err := os.Stat(swap)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +208,7 @@ func TestWarmPageInFallsBackToSnapshot(t *testing.T) {
 // stream must trigger exactly one page-in, keep exactly one stream
 // object installed, and stay bit-identical to the serial reference.
 func TestConcurrentObservesSingleRestore(t *testing.T) {
-	r, _ := newPagerRegistry(t, ingest.Config{})
+	r, _ := newPagerRegistry(t, "", ingest.Config{})
 	ref, err := streamad.New(pagerDetCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +271,7 @@ func TestConcurrentObservesSingleRestore(t *testing.T) {
 func TestEvictRestoreGoroutineStable(t *testing.T) {
 	cfg := pagerDetCfg()
 	cfg.AsyncFineTune = true // exercise the trainer shutdown path too
-	r, _ := newPagerRegistry(t, ingest.Config{
+	r, _ := newPagerRegistry(t, "", ingest.Config{
 		StreamTTL: time.Hour, // manual eviction below
 		NewDetector: func(string) (ingest.Stepper, error) {
 			return streamad.New(cfg)
@@ -320,7 +325,7 @@ func TestWarmStreamColdEviction(t *testing.T) {
 }
 
 func testWarmStreamColdEviction(t *testing.T, build func() (streamad.StreamDetector, error)) {
-	r, store := newPagerRegistry(t, ingest.Config{
+	r, store := newPagerRegistry(t, "", ingest.Config{
 		StreamTTL:   time.Hour,
 		NewDetector: func(string) (ingest.Stepper, error) { return build() },
 	})
@@ -401,7 +406,7 @@ func TestFleetWalksTheLadder(t *testing.T) {
 	defer tp.Close()
 	det := pagerDetCfg()
 	det.AsyncFineTune, det.TrainerPool = true, tp
-	r, _ := newPagerRegistry(t, ingest.Config{
+	r, _ := newPagerRegistry(t, "", ingest.Config{
 		NewDetector: func(id string) (ingest.Stepper, error) {
 			c := det
 			c.TrainerKey = id

@@ -48,9 +48,6 @@ func New(cfg Config) (*Model, error) {
 	return &Model{k: k, dim: cfg.Dim}, nil
 }
 
-// K returns the neighbor count.
-func (m *Model) K() int { return m.k }
-
 // Fitted reports whether a reference set is loaded.
 func (m *Model) Fitted() bool { return len(m.ref) > 0 }
 

@@ -29,8 +29,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.K() != 5 || m.Fitted() {
-		t.Fatalf("defaults wrong: K=%d fitted=%v", m.K(), m.Fitted())
+	if m.k != 5 || m.Fitted() {
+		t.Fatalf("defaults wrong: K=%d fitted=%v", m.k, m.Fitted())
 	}
 }
 

@@ -178,8 +178,5 @@ func (m *MLP) ZeroGrad() {
 	}
 }
 
-// InDim returns the input dimensionality.
-func (m *MLP) InDim() int { return m.Layers[0].In }
-
 // OutDim returns the output dimensionality.
 func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }

@@ -222,8 +222,8 @@ func TestMLPCloneIndependent(t *testing.T) {
 	if before != after {
 		t.Fatal("clone shares weights with original")
 	}
-	if m.InDim() != 2 || m.OutDim() != 1 {
-		t.Fatalf("dims %d %d", m.InDim(), m.OutDim())
+	if m.Layers[0].In != 2 || m.OutDim() != 1 {
+		t.Fatalf("dims %d %d", m.Layers[0].In, m.OutDim())
 	}
 }
 
@@ -242,7 +242,7 @@ func TestScalerRoundTripProperty(t *testing.T) {
 		s.Fit(set)
 		x := set[0]
 		z := s.Transform(x, nil)
-		back := s.Inverse(z, nil)
+		back := s.InverseSub(z, nil, 0)
 		for i := range x {
 			if !almostEq(back[i], x[i], 1e-9) {
 				return false

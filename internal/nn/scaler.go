@@ -90,12 +90,6 @@ func (s *Scaler) TransformBatch(xs []float64, batch int, dst []float64) {
 	}
 }
 
-// Inverse maps a standardized vector back to the original space into dst
-// (allocated when nil).
-func (s *Scaler) Inverse(z, dst []float64) []float64 {
-	return s.InverseSub(z, dst, 0)
-}
-
 // InverseSub maps a standardized vector back using the trailing part of
 // the scaler's moments (offset elements in), for models whose output
 // covers only the final rows of the feature vector.

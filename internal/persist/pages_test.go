@@ -40,7 +40,7 @@ func mustRead(t *testing.T, s *Store, id string, want []byte) {
 
 func swapFileSize(t *testing.T, s *Store) int64 {
 	t.Helper()
-	info, err := os.Stat(filepath.Join(s.Dir(), swapName))
+	info, err := os.Stat(filepath.Join(s.dir, swapName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSwapDetectsDamage(t *testing.T) {
 	s := openStore(t)
 	mustWrite(t, s, "a", page('a', 3000))
 	mustWrite(t, s, "b", page('b', 3000))
-	f, err := os.OpenFile(filepath.Join(s.Dir(), swapName), os.O_WRONLY, 0)
+	f, err := os.OpenFile(filepath.Join(s.dir, swapName), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

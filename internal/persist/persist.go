@@ -132,9 +132,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, wals: make(map[string]*os.File)}, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases all open WAL handles and deletes the swap file.
 func (s *Store) Close() error {
 	s.mu.Lock()

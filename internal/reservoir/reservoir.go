@@ -50,8 +50,6 @@ type TrainingSet interface {
 	Items() [][]float64
 	// Len returns the current number of stored vectors.
 	Len() int
-	// Cap returns the maximum number of stored vectors (m).
-	Cap() int
 }
 
 // SlidingWindow keeps the m most recent feature vectors in arrival order.
@@ -125,9 +123,6 @@ func (s *SlidingWindow) Items() [][]float64 {
 // Len implements TrainingSet.
 func (s *SlidingWindow) Len() int { return s.count }
 
-// Cap implements TrainingSet.
-func (s *SlidingWindow) Cap() int { return s.m }
-
 // UniformReservoir implements uniform reservoir sampling over the stream.
 type UniformReservoir struct {
 	m     int
@@ -199,9 +194,6 @@ func (u *UniformReservoir) Items() [][]float64 {
 
 // Len implements TrainingSet.
 func (u *UniformReservoir) Len() int { return u.count }
-
-// Cap implements TrainingSet.
-func (u *UniformReservoir) Cap() int { return u.m }
 
 // AnomalyAwareReservoir retains the feature vectors with the highest
 // priorities p = u^(λ1/exp(−λ2·f)). Because u < 1 and the exponent grows
@@ -297,23 +289,11 @@ func (a *AnomalyAwareReservoir) Items() [][]float64 {
 // Len implements TrainingSet.
 func (a *AnomalyAwareReservoir) Len() int { return a.h.Len() }
 
-// Cap implements TrainingSet.
-func (a *AnomalyAwareReservoir) Cap() int { return a.m }
-
 // Release frees the heap entries and eviction scratch for warm-tier
 // paging; decoding its Walk rebuilds both on restore.
 func (a *AnomalyAwareReservoir) Release() {
 	a.h.entries = nil
 	a.evict = nil
-}
-
-// MinPriority returns the lowest priority currently held, or +Inf when the
-// reservoir is empty. Exposed for tests and ablations.
-func (a *AnomalyAwareReservoir) MinPriority() float64 {
-	if a.h.Len() == 0 {
-		return math.Inf(1)
-	}
-	return a.h.entries[0].p
 }
 
 type priorityEntry struct {

@@ -28,8 +28,8 @@ func TestSlidingWindowOrderAndEviction(t *testing.T) {
 			t.Fatalf("Items = %v, want %v", items, want)
 		}
 	}
-	if sw.Len() != 3 || sw.Cap() != 3 {
-		t.Fatalf("Len/Cap = %d/%d", sw.Len(), sw.Cap())
+	if sw.Len() != 3 || sw.m != 3 {
+		t.Fatalf("Len/Cap = %d/%d", sw.Len(), sw.m)
 	}
 }
 
@@ -191,20 +191,29 @@ func TestARESReplacementNeedsLowerPriority(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ar.Observe(vec(float64(i)), 0)
 	}
-	min := ar.MinPriority()
+	min := minPriority(ar)
 	if min <= 0 || min >= 1 {
 		t.Fatalf("min priority = %v, want in (0,1)", min)
 	}
-	if ar.Len() != 3 || ar.Cap() != 3 {
-		t.Fatalf("Len/Cap = %d/%d", ar.Len(), ar.Cap())
+	if ar.Len() != 3 || ar.m != 3 {
+		t.Fatalf("Len/Cap = %d/%d", ar.Len(), ar.m)
 	}
+}
+
+// minPriority returns the lowest priority a holds, or +Inf when it is
+// empty: the bar a newcomer must clear once a is full.
+func minPriority(a *AnomalyAwareReservoir) float64 {
+	if a.h.Len() == 0 {
+		return math.Inf(1)
+	}
+	return a.h.entries[0].p
 }
 
 func TestARESEmptyMinPriority(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ar := NewAnomalyAwareReservoir(2, 1, rng)
-	if !math.IsInf(ar.MinPriority(), 1) {
-		t.Fatal("empty ARES MinPriority should be +Inf")
+	if !math.IsInf(minPriority(ar), 1) {
+		t.Fatal("empty ARES minimum priority should be +Inf")
 	}
 }
 

@@ -142,10 +142,6 @@ func (g *Generator) ExactAnomalyCount(n int) int {
 	return (n/p)*g.perCycle + g.prefix[n%p]
 }
 
-// PerCycleAnomalies returns ⌊p·P⌋: the exact anomaly count of every
-// window of one full pool length.
-func (g *Generator) PerCycleAnomalies() int { return g.perCycle }
-
 // channelStd returns the per-channel standard deviation of the pool
 // (floored at a small epsilon so scale-relative injections stay finite
 // on constant channels).

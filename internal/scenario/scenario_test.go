@@ -65,8 +65,8 @@ func TestGeneratorExactContamination(t *testing.T) {
 	for _, p := range []float64{0, 0.01, 0.025, 0.1, 0.5} {
 		g := mustGauss(t, 3, p, pool, 42)
 		want := int(p * pool)
-		if g.PerCycleAnomalies() != want {
-			t.Fatalf("p=%v: per-cycle anomalies %d, want ⌊p·P⌋ = %d", p, g.PerCycleAnomalies(), want)
+		if got := g.ExactAnomalyCount(pool); got != want {
+			t.Fatalf("p=%v: per-cycle anomalies %d, want ⌊p·P⌋ = %d", p, got, want)
 		}
 		_, labels := drain(t, g, 3*pool+17)
 		assertExactCounts(t, g, labels)

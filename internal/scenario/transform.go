@@ -396,15 +396,3 @@ func (b *burstStream) ExactAnomalyCount(n int) int {
 	}
 	return total
 }
-
-// Compose applies transforms inside-out: Compose(base, A, B) is B(A(base)).
-func Compose(base Stream, transforms ...Transform) (Stream, error) {
-	s := base
-	for _, tr := range transforms {
-		var err error
-		if s, err = tr(s); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}

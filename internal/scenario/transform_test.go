@@ -10,10 +10,17 @@ import (
 // compose wraps a fresh seeded gauss generator in the given transforms.
 func compose(t *testing.T, seed int64, trs ...scenario.Transform) scenario.Stream {
 	t.Helper()
-	g := mustGauss(t, 4, 0.05, 100, seed)
-	s, err := scenario.Compose(g, trs...)
-	if err != nil {
-		t.Fatal(err)
+	return wrap(t, mustGauss(t, 4, 0.05, 100, seed), trs...)
+}
+
+// wrap applies transforms inside-out: wrap(t, s, A, B) is B(A(s)).
+func wrap(t *testing.T, s scenario.Stream, trs ...scenario.Transform) scenario.Stream {
+	t.Helper()
+	for _, tr := range trs {
+		var err error
+		if s, err = tr(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return s
 }
@@ -47,10 +54,7 @@ func TestDriftAbrupt(t *testing.T) {
 func TestDriftGradualRampsMonotonically(t *testing.T) {
 	base := mustGauss(t, 4, 0, 100, 13) // p=0 so drift is the only signal
 	ref := mustGauss(t, 4, 0, 100, 13)  // identical twin, undrifted
-	s, err := scenario.Compose(base, scenario.Drift(scenario.DriftConfig{Kind: scenario.Gradual, At: 100, Span: 200, Shift: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := wrap(t, base, scenario.Drift(scenario.DriftConfig{Kind: scenario.Gradual, At: 100, Span: 200, Shift: 4}))
 	vecs, _ := drain(t, s, 400)
 	refVecs, _ := drain(t, ref, 400)
 	// The displacement vs the undrifted twin must ramp: zero before At,
@@ -74,10 +78,7 @@ func TestDriftGradualRampsMonotonically(t *testing.T) {
 func TestDriftRecurringTogglesConcepts(t *testing.T) {
 	base := mustGauss(t, 2, 0, 100, 17)
 	ref := mustGauss(t, 2, 0, 100, 17)
-	s, err := scenario.Compose(base, scenario.Drift(scenario.DriftConfig{Kind: scenario.Recurring, At: 100, Span: 50, Period: 100, Shift: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := wrap(t, base, scenario.Drift(scenario.DriftConfig{Kind: scenario.Recurring, At: 100, Span: 50, Period: 100, Shift: 3}))
 	vecs, _ := drain(t, s, 400)
 	refVecs, _ := drain(t, ref, 400)
 	full := 3 * s.Scale(0)
@@ -96,10 +97,7 @@ func TestDriftRecurringTogglesConcepts(t *testing.T) {
 func TestDriftCovarianceMix(t *testing.T) {
 	base := mustGauss(t, 2, 0, 100, 19)
 	ref := mustGauss(t, 2, 0, 100, 19)
-	s, err := scenario.Compose(base, scenario.Drift(scenario.DriftConfig{Kind: scenario.Abrupt, At: 0, Shift: 0, Mix: 0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := wrap(t, base, scenario.Drift(scenario.DriftConfig{Kind: scenario.Abrupt, At: 0, Shift: 0, Mix: 0.5}))
 	vecs, _ := drain(t, s, 100)
 	refVecs, _ := drain(t, ref, 100)
 	for i := range vecs {
@@ -115,10 +113,7 @@ func TestDriftCovarianceMix(t *testing.T) {
 func TestSeasonAddsPeriodicity(t *testing.T) {
 	base := mustGauss(t, 3, 0, 100, 23)
 	ref := mustGauss(t, 3, 0, 100, 23)
-	s, err := scenario.Compose(base, scenario.Season(64, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := wrap(t, base, scenario.Season(64, 2))
 	vecs, labels := drain(t, s, 256)
 	refVecs, _ := drain(t, ref, 256)
 	assertExactCounts(t, s, labels)
@@ -136,10 +131,7 @@ func TestSeasonAddsPeriodicity(t *testing.T) {
 func TestScaleShift(t *testing.T) {
 	base := mustGauss(t, 2, 0, 100, 29)
 	ref := mustGauss(t, 2, 0, 100, 29)
-	s, err := scenario.Compose(base, scenario.ScaleShift(50, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := wrap(t, base, scenario.ScaleShift(50, 3))
 	vecs, _ := drain(t, s, 100)
 	refVecs, _ := drain(t, ref, 100)
 	for i := 0; i < 100; i++ {
@@ -256,17 +248,13 @@ func TestBurstOneShot(t *testing.T) {
 func TestComposedStack(t *testing.T) {
 	build := func() scenario.Stream {
 		g := mustGauss(t, 5, 0.04, 128, 43)
-		s, err := scenario.Compose(g,
+		return wrap(t, g,
 			scenario.Drift(scenario.DriftConfig{Kind: scenario.Recurring, At: 64, Span: 32, Period: 128, Shift: 2, ScaleMul: 1.5, Mix: 0.2}),
 			scenario.Season(48, 1.5),
 			scenario.ScaleShift(200, 0.5),
 			scenario.Dropout(scenario.DropoutConfig{At: 96, Span: 16, Period: 160, Channels: 2, Mode: scenario.Stuck, Seed: 9}),
 			scenario.Burst(scenario.BurstConfig{At: 150, Span: 12, Period: 200, Mag: 7}),
 		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
 	}
 	a := build()
 	vecsA, labelsA := drain(t, a, 600)

@@ -74,14 +74,6 @@ func (c *Conformal) Observe(f float64) {
 // N returns the number of calibration scores currently held.
 func (c *Conformal) N() int { return c.ring.Len() }
 
-// Epsilon returns the configured target false-positive rate.
-func (c *Conformal) Epsilon() float64 { return c.eps }
-
-// Dropped returns how many non-finite scores were discarded since
-// construction. It is diagnostic only, but the checkpoint carries it, so a
-// restored gate keeps counting from the checkpointed value.
-func (c *Conformal) Dropped() int { return c.dropped }
-
 // Alert implements Thresholder: the score's p-value is compared against
 // ε, then the score joins the calibration window.
 func (c *Conformal) Alert(f float64) bool {

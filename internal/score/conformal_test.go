@@ -88,7 +88,7 @@ func TestConformalThresholdConsistency(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		f := rng.Float64() * 1.2
-		alert := c.PValue(f) <= c.Epsilon()
+		alert := c.PValue(f) <= c.eps
 		if f > thr && !alert {
 			t.Fatalf("f=%v above threshold %v but p=%v > eps", f, thr, c.PValue(f))
 		}
@@ -108,8 +108,8 @@ func TestConformalNonFiniteDropped(t *testing.T) {
 	if c.N() != 0 {
 		t.Fatalf("N() = %d after non-finite observes, want 0", c.N())
 	}
-	if c.Dropped() != 3 {
-		t.Fatalf("Dropped() = %d, want 3", c.Dropped())
+	if c.dropped != 3 {
+		t.Fatalf("Dropped() = %d, want 3", c.dropped)
 	}
 	c.Observe(1)
 	if c.N() != 1 {
@@ -172,8 +172,8 @@ func TestConformalDroppedSurvivesRestore(t *testing.T) {
 	c.Observe(math.NaN())
 	c.Observe(math.Inf(1))
 	c.Observe(2.5)
-	if c.Dropped() != 2 {
-		t.Fatalf("Dropped() = %d, want 2", c.Dropped())
+	if c.dropped != 2 {
+		t.Fatalf("Dropped() = %d, want 2", c.dropped)
 	}
 	blob, err := c.MarshalBinary()
 	if err != nil {
@@ -183,8 +183,8 @@ func TestConformalDroppedSurvivesRestore(t *testing.T) {
 	if err := twin.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if twin.Dropped() != c.Dropped() {
-		t.Fatalf("restored Dropped() = %d, want %d", twin.Dropped(), c.Dropped())
+	if twin.dropped != c.dropped {
+		t.Fatalf("restored Dropped() = %d, want %d", twin.dropped, c.dropped)
 	}
 }
 
@@ -194,7 +194,6 @@ func TestZeroAllocScorers(t *testing.T) {
 	avg, al := NewAverage(8), NewAnomalyLikelihood(8, 2)
 	conf := NewConformal(16, 0.1)
 	ring := window.NewRing(8)
-	dst := make([]float64, 8)
 	for i := 0; i < 32; i++ {
 		f := float64(i%5) / 5
 		avg.Score(f)
@@ -209,7 +208,7 @@ func TestZeroAllocScorers(t *testing.T) {
 		"al":        func() { al.Score(0.3) },
 		"cosine":    func() { Cosine{}.Measure(target, pred) },
 		"conformal": func() { conf.Observe(conf.PValue(0.3)) },
-		"ring":      func() { ring.CopyInto(dst) },
+		"ring":      func() { ring.Push(0.3) },
 	} {
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Errorf("%s allocates %.1f objects per call, want 0", name, allocs)

@@ -143,11 +143,6 @@ func (p *QuantileThresholder) Alert(f float64) bool {
 	return f > th
 }
 
-// Dropped returns how many non-finite scores the estimator discarded
-// since construction (or restore — the counter is diagnostic and not
-// part of the checkpoint).
-func (p *QuantileThresholder) Dropped() int { return p.dropped }
-
 // Threshold implements Thresholder; +Inf until five scores have arrived.
 func (p *QuantileThresholder) Threshold() float64 {
 	if len(p.init) < 5 {
@@ -155,9 +150,6 @@ func (p *QuantileThresholder) Threshold() float64 {
 	}
 	return p.heights[2] // the middle marker tracks the q-quantile
 }
-
-// Count returns the number of observed scores.
-func (p *QuantileThresholder) Count() int { return p.count }
 
 // Name identifies the policy. It is a compat shim (see streamad.go):
 // only a wrapper in the frozen benchmark forwards it.

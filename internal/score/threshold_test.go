@@ -34,8 +34,8 @@ func TestQuantileThresholderTracksQuantile(t *testing.T) {
 	if math.Abs(got-exact) > 0.15 {
 		t.Fatalf("P² estimate %v vs exact 95th percentile %v", got, exact)
 	}
-	if q.Count() != 5000 {
-		t.Fatalf("Count = %d", q.Count())
+	if q.count != 5000 {
+		t.Fatalf("Count = %d", q.count)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestQuantileThresholderSurvivesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()} {
 		p.Alert(bad)
 	}
-	if got := p.Dropped(); got != 4 {
+	if got := p.dropped; got != 4 {
 		t.Fatalf("Dropped() = %d, want 4", got)
 	}
 	if th := p.Threshold(); math.IsNaN(th) || math.IsInf(th, 0) {
@@ -172,8 +172,8 @@ func TestQuantileThresholderDroppedSurvivesRestore(t *testing.T) {
 	for _, v := range []float64{0.1, math.NaN(), 0.2, math.Inf(-1), 0.3, 0.4, 0.5, 0.6} {
 		p.Alert(v)
 	}
-	if p.Dropped() != 2 {
-		t.Fatalf("Dropped() = %d, want 2", p.Dropped())
+	if p.dropped != 2 {
+		t.Fatalf("Dropped() = %d, want 2", p.dropped)
 	}
 	blob, err := p.MarshalBinary()
 	if err != nil {
@@ -183,8 +183,8 @@ func TestQuantileThresholderDroppedSurvivesRestore(t *testing.T) {
 	if err := twin.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if twin.Dropped() != p.Dropped() {
-		t.Fatalf("restored Dropped() = %d, want %d", twin.Dropped(), p.Dropped())
+	if twin.dropped != p.dropped {
+		t.Fatalf("restored Dropped() = %d, want %d", twin.dropped, p.dropped)
 	}
 }
 

@@ -24,10 +24,6 @@ func (s *Server) RestoreStreams() (restored int, warnings []string, err error) {
 	return s.reg.RestoreStreams()
 }
 
-// SnapshotAll checkpoints every stream with WAL entries outstanding and
-// returns the first error encountered (all streams are still attempted).
-func (s *Server) SnapshotAll() error { return s.reg.SnapshotAll() }
-
 // handleSnapshot serves GET /v1/streams/{id}/snapshot: a fresh checkpoint
 // of the stream in the persist file format (magic, version, CRC), suitable
 // for off-box backup. When a store is configured the checkpoint is also

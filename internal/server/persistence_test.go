@@ -99,7 +99,7 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatalf("persistent server diverged before crash at %d: %+v vs %+v", i, got, refResp[i])
 		}
 		if i == 59 {
-			if err := srv1.SnapshotAll(); err != nil {
+			if err := srv1.reg.SnapshotAll(); err != nil {
 				t.Fatalf("SnapshotAll: %v", err)
 			}
 		}
@@ -409,7 +409,7 @@ func TestEnsembleCrashRecovery(t *testing.T) {
 			t.Fatalf("ensemble server diverged before crash at %d: %+v vs %+v", i, got, refResp[i])
 		}
 		if i == 59 {
-			if err := srv1.SnapshotAll(); err != nil {
+			if err := srv1.reg.SnapshotAll(); err != nil {
 				t.Fatalf("SnapshotAll: %v", err)
 			}
 		}

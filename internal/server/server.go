@@ -177,10 +177,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the ingestion layer (stats, eviction, snapshots) to
-// embedders such as cmd/streamadd.
-func (s *Server) Registry() *ingest.Registry { return s.reg }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 

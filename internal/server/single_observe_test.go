@@ -59,7 +59,7 @@ func newSingleServer(t *testing.T, cfg Config) *Server {
 func waitQueued(t *testing.T, s *Server, id string, n int) {
 	t.Helper()
 	waitFor(t, 10*time.Second, fmt.Sprintf("%d queued vector(s) on %s", n, id), func() bool {
-		info, ok := s.Registry().StreamStats(id)
+		info, ok := s.reg.StreamStats(id)
 		return ok && info.QueueLen >= n
 	})
 }
@@ -219,7 +219,7 @@ func TestSingleObserveThroughNonOwner(t *testing.T) {
 	owner, via := srvs[0], srvs[1]
 	ownedID := func(prefix string) string {
 		for i := 0; ; i++ {
-			if id := fmt.Sprintf("%s-%d", prefix, i); owner.ClusterNode().Owner(id) == urls[0] {
+			if id := fmt.Sprintf("%s-%d", prefix, i); owner.node.Owner(id) == urls[0] {
 				return id
 			}
 		}

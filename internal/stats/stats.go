@@ -17,12 +17,6 @@ type Running struct {
 	m2   float64 // sum of squared deviations from the mean
 }
 
-// N returns the number of accumulated observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the current mean (0 for empty).
-func (r *Running) Mean() float64 { return r.mean }
-
 // Var returns the population variance (0 for fewer than 1 observation).
 func (r *Running) Var() float64 {
 	if r.n == 0 {

@@ -16,11 +16,11 @@ func TestRunningPush(t *testing.T) {
 	for _, x := range xs {
 		r.Push(x)
 	}
-	if r.N() != len(xs) {
-		t.Fatalf("N = %d", r.N())
+	if r.n != len(xs) {
+		t.Fatalf("N = %d", r.n)
 	}
-	if !almostEq(r.Mean(), 5, 1e-12) {
-		t.Fatalf("Mean = %v, want 5", r.Mean())
+	if !almostEq(r.mean, 5, 1e-12) {
+		t.Fatalf("Mean = %v, want 5", r.mean)
 	}
 	if !almostEq(r.StdDev(), 2, 1e-12) {
 		t.Fatalf("StdDev = %v, want 2", r.StdDev())
@@ -29,7 +29,7 @@ func TestRunningPush(t *testing.T) {
 
 func TestRunningEmpty(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.StdDev() != 0 {
+	if r.mean != 0 || r.Var() != 0 || r.StdDev() != 0 {
 		t.Fatal("empty Running should report zeros")
 	}
 }
@@ -37,8 +37,8 @@ func TestRunningEmpty(t *testing.T) {
 func TestRunningReplaceOnEmptyPushes(t *testing.T) {
 	var r Running
 	r.Replace(0, 5)
-	if r.N() != 1 || r.Mean() != 5 {
-		t.Fatalf("Replace on empty: N=%d mean=%v", r.N(), r.Mean())
+	if r.n != 1 || r.mean != 5 {
+		t.Fatalf("Replace on empty: N=%d mean=%v", r.n, r.mean)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestRunningReplaceProperty(t *testing.T) {
 			variance += (v - mean) * (v - mean)
 		}
 		variance /= float64(n)
-		return almostEq(r.Mean(), mean, 1e-8) && almostEq(r.Var(), variance, 1e-6)
+		return almostEq(r.mean, mean, 1e-8) && almostEq(r.Var(), variance, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestRunningReset(t *testing.T) {
 	var r Running
 	r.Push(3)
 	r.Reset()
-	if r.N() != 0 || r.Mean() != 0 {
+	if r.n != 0 || r.mean != 0 {
 		t.Fatal("Reset did not clear")
 	}
 }

@@ -139,15 +139,6 @@ func mid2(d, z int) int {
 	return m
 }
 
-// Dim returns the feature-vector length.
-func (m *Model) Dim() int { return m.dim }
-
-// Latent returns the bottleneck width.
-func (m *Model) Latent() int { return m.latent }
-
-// Epoch returns the adversarial schedule counter n.
-func (m *Model) Epoch() int { return m.epoch }
-
 // Predict implements the framework model contract: target is the feature
 // vector, prediction is the USAD inference reconstruction — the blend
 // α·AE₁(x) + β·AE₂(AE₁(x)) mirroring the original paper's inference score
@@ -184,15 +175,6 @@ func (m *Model) PredictBatch(xs []float64, batch int, scratch []float64) (target
 	}
 	m.scaler.InverseBatch(z, batch, out)
 	return xs, out
-}
-
-// Reconstructions returns (AE₁(x), AE₂(AE₁(x))) in the original space for
-// the blended inference score used by the Figure 1 experiment.
-func (m *Model) Reconstructions(x []float64) (r1, rBoth []float64) {
-	z := m.scaler.Transform(x, m.zbuf)
-	w1 := m.dec1.Predict(m.enc.Predict(z))
-	w3 := m.dec2.Predict(m.enc.Predict(w1))
-	return m.scaler.Inverse(w1, nil), m.scaler.Inverse(w3, nil)
 }
 
 // Fit refreshes the input scaler and runs one adversarial training epoch

@@ -29,14 +29,14 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 64 {
-		t.Fatalf("Dim = %d", m.Dim())
+	if m.dim != 64 {
+		t.Fatalf("Dim = %d", m.dim)
 	}
-	if m.Latent() < 2 || m.Latent() >= 64 {
-		t.Fatalf("Latent = %d", m.Latent())
+	if m.latent < 2 || m.latent >= 64 {
+		t.Fatalf("Latent = %d", m.latent)
 	}
-	if m.Epoch() != 0 {
-		t.Fatalf("fresh Epoch = %d", m.Epoch())
+	if m.epoch != 0 {
+		t.Fatalf("fresh Epoch = %d", m.epoch)
 	}
 }
 
@@ -45,8 +45,8 @@ func TestAdversarialScheduleAdvances(t *testing.T) {
 	set := sineSet(rand.New(rand.NewSource(1)), 20, 16)
 	m.Fit(set)
 	m.Fit(set)
-	if m.Epoch() != 2 {
-		t.Fatalf("Epoch = %d after two fits", m.Epoch())
+	if m.epoch != 2 {
+		t.Fatalf("Epoch = %d after two fits", m.epoch)
 	}
 }
 
@@ -96,11 +96,11 @@ func TestReconstructionsShapes(t *testing.T) {
 	m, _ := New(Config{Dim: 32, Seed: 4})
 	set := sineSet(rand.New(rand.NewSource(4)), 30, 32)
 	m.Fit(set)
-	r1, rBoth := m.Reconstructions(set[0])
-	if len(r1) != 32 || len(rBoth) != 32 {
-		t.Fatalf("shapes %d %d", len(r1), len(rBoth))
+	target, pred := m.Predict(set[0])
+	if len(target) != 32 || len(pred) != 32 {
+		t.Fatalf("shapes %d %d", len(target), len(pred))
 	}
-	for _, v := range append(r1, rBoth...) {
+	for _, v := range pred {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("non-finite reconstruction")
 		}
@@ -127,7 +127,7 @@ func TestCloneIsIndependentSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Epoch() != m.Epoch() {
+	if c.epoch != m.epoch {
 		t.Fatal("the copy must carry the schedule counter")
 	}
 	_, want := m.Predict(set[0])

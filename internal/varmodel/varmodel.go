@@ -46,15 +46,8 @@ func New(cfg Config) (*Model, error) {
 	return &Model{p: cfg.P, channels: cfg.Channels}, nil
 }
 
-// Order returns p.
-func (m *Model) Order() int { return m.p }
-
 // Channels returns N.
 func (m *Model) Channels() int { return m.channels }
-
-// Coef returns the stacked coefficient matrix [ν | A_1 | … | A_p], or nil
-// before the first fit.
-func (m *Model) Coef() *mat.Dense { return m.coef }
 
 // regressor builds [1, s_{t−1}, …, s_{t−p}] for the row at index t of the
 // series (series laid out as rows × N).

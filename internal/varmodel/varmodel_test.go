@@ -17,7 +17,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Order() != 2 || m.Channels() != 3 || m.fitted {
+	if m.p != 2 || m.Channels() != 3 || m.fitted {
 		t.Fatal("fresh model state wrong")
 	}
 }
@@ -50,7 +50,7 @@ func TestRecoversVAR1Coefficients(t *testing.T) {
 	if err := m.FitSeries(series); err != nil {
 		t.Fatal(err)
 	}
-	coef := m.Coef() // 2 × (1 + 2)
+	coef := m.coef // 2 × (1 + 2)
 	for i := 0; i < 2; i++ {
 		if math.Abs(coef.At(i, 0)-nu[i]) > 0.05 {
 			t.Fatalf("ν[%d] = %v, want %v", i, coef.At(i, 0), nu[i])
@@ -121,7 +121,7 @@ func TestFitFromSlidingWindowSet(t *testing.T) {
 	if !m.fitted {
 		t.Fatal("Fit from sliding-window set failed")
 	}
-	coef := m.Coef()
+	coef := m.coef
 	if math.Abs(coef.At(0, 1)-0.7) > 0.1 {
 		t.Fatalf("A1 = %v, want ≈0.7", coef.At(0, 1))
 	}

@@ -50,24 +50,6 @@ func (r *Ring) At(i int) float64 {
 	return r.buf[(r.head+i)%len(r.buf)]
 }
 
-// Slice copies the contents, oldest first, into a new slice.
-func (r *Ring) Slice() []float64 {
-	out := make([]float64, r.count)
-	for i := 0; i < r.count; i++ {
-		out[i] = r.At(i)
-	}
-	return out
-}
-
-// CopyInto copies the contents, oldest first, into dst (which must have
-// length ≥ Len) and returns the number of elements copied.
-func (r *Ring) CopyInto(dst []float64) int {
-	for i := 0; i < r.count; i++ {
-		dst[i] = r.At(i)
-	}
-	return r.count
-}
-
 // Reset empties the ring without reallocating.
 func (r *Ring) Reset() {
 	r.head = 0
@@ -163,17 +145,6 @@ func (r *VecRing) At(i int) []float64 {
 		panic("window: index out of range")
 	}
 	return r.buf[(r.head+i)%len(r.buf)]
-}
-
-// Snapshot copies all stored vectors, oldest first, into a new [][]float64.
-func (r *VecRing) Snapshot() [][]float64 {
-	out := make([][]float64, r.count)
-	backing := make([]float64, r.count*r.dim)
-	for i := 0; i < r.count; i++ {
-		out[i] = backing[i*r.dim : (i+1)*r.dim]
-		copy(out[i], r.At(i))
-	}
-	return out
 }
 
 // Reset empties the ring without reallocating.

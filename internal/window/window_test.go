@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"streamad/internal/wire"
 )
 
 func TestRingFillAndEvict(t *testing.T) {
@@ -24,25 +26,49 @@ func TestRingFillAndEvict(t *testing.T) {
 		t.Fatalf("evicted = %v %v, want 1 true", old, evicted)
 	}
 	want := []float64{2, 3, 4}
-	got := r.Slice()
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Slice = %v, want %v", got, want)
-		}
 		if r.At(i) != want[i] {
 			t.Fatalf("At(%d) = %v, want %v", i, r.At(i), want[i])
 		}
 	}
 }
 
+// contents returns r's values, oldest first.
+func contents(r *Ring) []float64 {
+	out := make([]float64, r.Len())
+	for i := range out {
+		out[i] = r.At(i)
+	}
+	return out
+}
+
+// copyOf decodes src's checkpoint into dst.
+func copyOf(t *testing.T, src, dst wire.Walker) {
+	t.Helper()
+	blob, err := wire.Append(nil, src)
+	if err == nil {
+		err = wire.Decode(blob, dst)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingCopyInto: a wrapped ring's checkpoint copies its contents,
+// oldest first, into a fresh ring that shares no storage with it.
 func TestRingCopyInto(t *testing.T) {
 	r := NewRing(4)
-	r.Push(1)
-	r.Push(2)
-	dst := make([]float64, 4)
-	n := r.CopyInto(dst)
-	if n != 2 || dst[0] != 1 || dst[1] != 2 {
-		t.Fatalf("CopyInto = %v (n=%d)", dst, n)
+	for _, v := range []float64{1, 2, 3, 4, 5, 6} {
+		r.Push(v)
+	}
+	c := NewRing(4)
+	copyOf(t, r, c)
+	if got := contents(c); len(got) != 4 || got[0] != 3 || got[3] != 6 {
+		t.Fatalf("copy holds %v, want [3 4 5 6]", got)
+	}
+	c.Push(7)
+	if r.At(0) != 3 {
+		t.Fatal("the copy aliases the ring")
 	}
 }
 
@@ -90,7 +116,7 @@ func TestRingKeepsLastKProperty(t *testing.T) {
 			start = len(all) - k
 		}
 		want := all[start:]
-		got := r.Slice()
+		got := contents(r)
 		if len(got) != len(want) {
 			return false
 		}
@@ -135,18 +161,20 @@ func TestVecRingCopiesInput(t *testing.T) {
 	}
 }
 
+// TestVecRingSnapshotFlatten: a ring's checkpoint, its vectors flattened
+// oldest first, restores into independent storage.
 func TestVecRingSnapshotFlatten(t *testing.T) {
 	r := NewVecRing(3, 2)
 	r.Push([]float64{1, 2})
 	r.Push([]float64{3, 4})
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap[1][1] != 4 {
-		t.Fatalf("Snapshot = %v", snap)
+	snap := NewVecRing(3, 2)
+	copyOf(t, r, snap)
+	if snap.Len() != 2 || snap.At(1)[1] != 4 {
+		t.Fatalf("snapshot holds %d vectors, last %v", snap.Len(), snap.At(snap.Len()-1))
 	}
-	// Snapshot must be independent storage.
-	snap[0][0] = 99
+	snap.At(0)[0] = 99
 	if r.At(0)[0] != 1 {
-		t.Fatal("Snapshot aliases ring storage")
+		t.Fatal("snapshot aliases ring storage")
 	}
 }
 
