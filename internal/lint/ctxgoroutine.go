@@ -2,9 +2,10 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 )
 
-// CtxGoroutine confines goroutine launches to lifecycle helpers. Every
+// ctxGoroutine confines goroutine launches to lifecycle helpers. Every
 // background goroutine the module starts has one of eight owners — the pool
 // workers and trainer slots, the ingest snapshotter and evictor, the
 // cluster prober, rebalancer and standby, the async fine-tune trainer,
@@ -20,24 +21,17 @@ import (
 // contract that every goroutine it starts is joined before the owning
 // subsystem reports closed. Every go statement outside a marked
 // function is flagged.
-var CtxGoroutine = &Analyzer{
-	Name: "ctxgoroutine",
-	Run:  runCtxGoroutine,
-}
-
-func runCtxGoroutine(p *Pass) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || hasMarker(fd.Doc, "streamad:lifecycle") {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					p.Reportf(g.Pos(), "goroutine launched outside a //streamad:lifecycle helper; it may outlive Close — route it through a lifecycle owner or mark this function")
-				}
-				return true
-			})
+func ctxGoroutine(f *ast.File, _ string, report func(token.Pos, string)) {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || hasMarker(fd.Doc, "streamad:lifecycle") {
+			continue
 		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				report(g.Pos(), "goroutine launched outside a //streamad:lifecycle helper; it may outlive Close — route it through a lifecycle owner or mark this function")
+			}
+			return true
+		})
 	}
 }

@@ -1,16 +1,19 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
+	"path"
 	"strings"
 )
 
-// DetRand enforces the repo's deterministic-RNG contract: every source
+// detRand enforces the repo's deterministic-RNG contract: every source
 // of randomness flows through internal/randstate, whose CountedSource
 // records (seed, draws) so a restored checkpoint fast-forwards to the
 // exact stream position and replays bit-identically.
 //
-// Flagged anywhere outside internal/randstate:
+// Flagged in any file outside a directory named internal/randstate:
 //
 //   - any use of math/rand's package-level state (rand.Intn,
 //     rand.Float64, rand.Seed, ...): the global source is shared across
@@ -24,9 +27,20 @@ import (
 // rand.New itself is fine — wrapping a *randstate.CountedSource is
 // exactly the sanctioned pattern — and so are math/rand's type names and
 // the methods of a *rand.Rand value, which are not package references.
-var DetRand = &Analyzer{
-	Name: "detrand",
-	Run:  runDetRand,
+func detRand(f *ast.File, file string, report func(token.Pos, string)) {
+	exempt := strings.HasSuffix(path.Dir(file), randstateSuffix)
+	imps := imports(f)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if path, name, ok := pkgRef(imps, n); ok && !exempt && isRandPath(path) {
+				checkRandRef(report, n, name)
+			}
+		case *ast.CallExpr:
+			checkTimeSeed(report, imps, n)
+		}
+		return true
+	})
 }
 
 // randstateSuffix identifies the one package allowed to touch raw
@@ -39,37 +53,19 @@ var randTypes = map[string]bool{"Rand": true, "Source": true, "Source64": true, 
 
 func isRandPath(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
 
-func runDetRand(p *Pass) {
-	exempt := strings.HasSuffix(p.PkgPath, randstateSuffix)
-	for _, f := range p.Files {
-		imps := imports(f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if path, name, ok := pkgRef(imps, n); ok && !exempt && isRandPath(path) {
-					checkRandRef(p, n, name)
-				}
-			case *ast.CallExpr:
-				checkTimeSeed(p, imps, n)
-			}
-			return true
-		})
-	}
-}
-
 // checkRandRef flags a forbidden reference into math/rand[/v2].
-func checkRandRef(p *Pass, sel *ast.SelectorExpr, name string) {
+func checkRandRef(report func(token.Pos, string), sel *ast.SelectorExpr, name string) {
 	switch {
 	case name == "New" || randTypes[name]:
 	case name == "NewSource" || name == "NewZipf" || name == "NewPCG" || name == "NewChaCha8":
-		p.Reportf(sel.Pos(), "raw rand.%s bypasses internal/randstate; use randstate.NewCountedSource so checkpoints restore bit-identically", name)
+		report(sel.Pos(), fmt.Sprintf("raw rand.%s bypasses internal/randstate; use randstate.NewCountedSource so checkpoints restore bit-identically", name))
 	default:
-		p.Reportf(sel.Pos(), "global math/rand state (rand.%s) is shared and not checkpointable; draw from a *rand.Rand built over randstate.NewCountedSource", name)
+		report(sel.Pos(), fmt.Sprintf("global math/rand state (rand.%s) is shared and not checkpointable; draw from a *rand.Rand built over randstate.NewCountedSource", name))
 	}
 }
 
 // checkTimeSeed flags time.Now-derived seeds inside RNG constructors.
-func checkTimeSeed(p *Pass, imps map[string]string, call *ast.CallExpr) {
+func checkTimeSeed(report func(token.Pos, string), imps map[string]string, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -80,7 +76,7 @@ func checkTimeSeed(p *Pass, imps map[string]string, call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		if callsTimeNow(imps, arg) {
-			p.Reportf(arg.Pos(), "time-seeded RNG makes runs unreproducible; derive the seed from configuration")
+			report(arg.Pos(), "time-seeded RNG makes runs unreproducible; derive the seed from configuration")
 		}
 	}
 }

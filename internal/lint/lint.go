@@ -8,75 +8,81 @@
 //     //streamad:lifecycle helpers whose shutdown is joined by a
 //     Close/Stop path.
 //
-// The suite mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
-// Pass, Reportf) but is built on go/parser alone: both checks resolve
-// names through a file's import table, so no type-checker is needed.
-// TestSuiteCleanOnRepo applies it to the whole module inside go test.
+// Each check is a function over one parsed file, built on go/parser
+// alone: both resolve names through the file's import table, so no
+// type-checker is needed. TestSuiteCleanOnRepo applies them to the whole
+// module inside go test.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 )
 
-// An Analyzer describes one invariant checker.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics.
-	Name string
-	// Run applies the analyzer to one package.
-	Run func(*Pass)
+// A Finding is one violation, positioned and attributed to its check.
+type Finding struct {
+	Pos     token.Position
+	Check   string
+	Message string
 }
 
-// A Pass provides one analyzer with one parsed package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	// PkgPath is the package's import path.
-	PkgPath string
+func (f Finding) String() string { return fmt.Sprintf("%s: %s: %s", f.Pos, f.Check, f.Message) }
 
-	report func(Diagnostic)
+// checks lists every check in report order. A check inspects one file,
+// whose slash-separated name it is given, and reports each violation.
+var checks = []struct {
+	name string
+	run  func(f *ast.File, file string, report func(token.Pos, string))
+}{
+	{"detrand", detRand},
+	{"ctxgoroutine", ctxGoroutine},
 }
 
-// Diagnostic is one finding, positioned and attributed to its analyzer.
-type Diagnostic struct {
-	Pos      token.Position
-	Analyzer string
-	Message  string
-}
-
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
-}
-
-// Reportf records a finding.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(Diagnostic{Pos: p.Fset.Position(pos), Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
-}
-
-// All returns the full analyzer catalogue in stable order.
-func All() []*Analyzer {
-	return []*Analyzer{DetRand, CtxGoroutine}
-}
-
-// Run applies analyzers to every package and returns the findings,
-// package by package.
-func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			a.Run(&Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				PkgPath:  pkg.Path,
-				report:   func(d Diagnostic) { diags = append(diags, d) },
+// Check applies every check to each file parsed into fset and returns
+// the findings in file order.
+func Check(fset *token.FileSet, files []*ast.File) []Finding {
+	var out []Finding
+	for _, f := range files {
+		name := filepath.ToSlash(fset.File(f.Pos()).Name())
+		for _, c := range checks {
+			c.run(f, name, func(pos token.Pos, msg string) {
+				out = append(out, Finding{fset.Position(pos), c.name, msg})
 			})
 		}
 	}
-	return diags
+	return out
+}
+
+// Parse parses every non-test .go file under root, skipping testdata,
+// vendor, dot- and underscore-directories below it: the invariants
+// guard the shipped code.
+func Parse(root string) (*token.FileSet, []*ast.File, error) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch name := d.Name(); {
+		case d.IsDir():
+			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, "."):
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		return nil
+	})
+	return fset, files, err
 }
 
 // hasMarker reports whether a doc comment carries the given marker
