@@ -221,17 +221,17 @@ func (w *Walk) read64(old uint64) uint64 {
 	return old
 }
 
-// Bool walks one byte, 0 or 1; decoding refuses any other.
+// Bool walks one byte, 0 or 1; decoding refuses any other. The two
+// appends keep it within the inlining budget, which one append of a
+// computed byte exceeds.
 func (w *Walk) Bool(v *bool) {
 	if w.decoding {
 		w.readBool(v)
-		return
+	} else if *v {
+		w.buf = append(w.buf, 1)
+	} else {
+		w.buf = append(w.buf, 0)
 	}
-	b := byte(0)
-	if *v {
-		b = 1
-	}
-	w.buf = append(w.buf, b)
 }
 
 func (w *Walk) readBool(v *bool) {
