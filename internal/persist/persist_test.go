@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,67 +80,81 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestWALAppendReadRotate(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	defer s.Close()
-	vecs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	for i, v := range vecs {
-		if err := s.Append("w", uint64(i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := s.ReadWAL("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("want 3 records, got %d", len(recs))
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i) || !reflect.DeepEqual(r.Vector, vecs[i]) {
-			t.Fatalf("record %d = %+v", i, r)
-		}
-	}
-	// Snapshot rotates the WAL.
-	if err := s.WriteSnapshot(&StreamSnapshot{ID: "w", Seq: 3}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = s.ReadWAL("w")
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("after rotate: recs=%d err=%v", len(recs), err)
-	}
-	// Appends keep working after rotation.
-	if err := s.Append("w", 3, []float64{7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ = s.ReadWAL("w")
-	if len(recs) != 1 || recs[0].Seq != 3 {
-		t.Fatalf("post-rotate append: %+v", recs)
+// withSyncWAL runs test as two subtests, with the store's SyncWAL off
+// and on: an fsync after every append must not change what is read back.
+func withSyncWAL(t *testing.T, test func(t *testing.T, sync bool)) {
+	for _, sync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SyncWAL=%v", sync), func(t *testing.T) { test(t, sync) })
 	}
 }
 
+func TestWALAppendReadRotate(t *testing.T) {
+	withSyncWAL(t, func(t *testing.T, sync bool) {
+		s, _ := Open(t.TempDir())
+		s.SyncWAL = sync
+		defer s.Close()
+		vecs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+		for i, v := range vecs {
+			if err := s.Append("w", uint64(i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := s.ReadWAL("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 3 {
+			t.Fatalf("want 3 records, got %d", len(recs))
+		}
+		for i, r := range recs {
+			if r.Seq != uint64(i) || !reflect.DeepEqual(r.Vector, vecs[i]) {
+				t.Fatalf("record %d = %+v", i, r)
+			}
+		}
+		// Snapshot rotates the WAL.
+		if err := s.WriteSnapshot(&StreamSnapshot{ID: "w", Seq: 3}); err != nil {
+			t.Fatal(err)
+		}
+		recs, err = s.ReadWAL("w")
+		if err != nil || len(recs) != 0 {
+			t.Fatalf("after rotate: recs=%d err=%v", len(recs), err)
+		}
+		// Appends keep working after rotation.
+		if err := s.Append("w", 3, []float64{7, 8}); err != nil {
+			t.Fatal(err)
+		}
+		recs, _ = s.ReadWAL("w")
+		if len(recs) != 1 || recs[0].Seq != 3 {
+			t.Fatalf("post-rotate append: %+v", recs)
+		}
+	})
+}
+
 func TestWALTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	s.Append("t", 0, []float64{1})
-	s.Append("t", 1, []float64{2})
-	s.Close()
-	path := filepath.Join(dir, "t.wal")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut the last record short, as a crash mid-write would.
-	os.WriteFile(path, raw[:len(raw)-5], 0o644)
-	s2, _ := Open(dir)
-	defer s2.Close()
-	recs, err := s2.ReadWAL("t")
-	if !errors.Is(err, ErrTornWAL) {
-		t.Fatalf("want ErrTornWAL, got %v", err)
-	}
-	if len(recs) != 1 || recs[0].Seq != 0 {
-		t.Fatalf("want the intact prefix, got %+v", recs)
-	}
+	withSyncWAL(t, func(t *testing.T, sync bool) {
+		dir := t.TempDir()
+		s, _ := Open(dir)
+		s.SyncWAL = sync
+		s.Append("t", 0, []float64{1})
+		s.Append("t", 1, []float64{2})
+		s.Close()
+		path := filepath.Join(dir, "t.wal")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cut the last record short, as a crash mid-write would.
+		os.WriteFile(path, raw[:len(raw)-5], 0o644)
+		s2, _ := Open(dir)
+		defer s2.Close()
+		recs, err := s2.ReadWAL("t")
+		if !errors.Is(err, ErrTornWAL) {
+			t.Fatalf("want ErrTornWAL, got %v", err)
+		}
+		if len(recs) != 1 || recs[0].Seq != 0 {
+			t.Fatalf("want the intact prefix, got %+v", recs)
+		}
+	})
 }
 
 func TestWALMidFileCorruptionIsHardError(t *testing.T) {
