@@ -2,16 +2,17 @@ GO ?= go
 
 .PHONY: ci build vet test race loc loc-check fuzz-smoke bench bench-hotpath bench-smoke bench-soak soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke lint fmtcheck shellcheck staticcheck vulncheck
 
-# ci is the fast gate; the race detector runs as its own CI job (make
-# race) so the concurrency suites don't slow the edit loop. The smoke
-# soaks run last: they need a building tree, and they are the only
-# targets that exercise a live streamadd end to end — soak-smoke on the
+# ci is the fast gate, the line-count ceiling (loc-check) included; the
+# race detector runs as its own CI job (make race) so the concurrency
+# suites don't slow the edit loop. The smoke soaks run last: they need a
+# building tree, and they are the only targets that exercise a live
+# streamadd end to end — soak-smoke on the
 # plain knn pipeline, cascade-smoke on the cascade(zscore, knn) screen,
 # shed-smoke and drop-smoke on the shed / drop-oldest overload policies
 # under deliberate overdrive, scale-smoke on the hot/warm/cold residency
 # ladder with a 2k-stream fleet, and cluster-smoke on a 3-node cluster
 # that loses a node mid-soak.
-ci: fmtcheck vet lint build test soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke
+ci: fmtcheck vet lint loc-check build test soak-smoke cascade-smoke shed-smoke drop-smoke scale-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -23,7 +24,7 @@ vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn
 
-# lint runs the repo's own analyzers (internal/lint: detrand and
+# lint runs the repo's own checks (internal/lint: detrand and
 # ctxgoroutine, parse-only) over the whole module through their
 # self-check test, then shellcheck, staticcheck and govulncheck when
 # they are on PATH (CI installs pinned versions; locally they are
