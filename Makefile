@@ -102,13 +102,16 @@ race:
 # batch forward and the backward went to AVX behind a CPUID probe,
 # 20,973 before isolation trees became two pointer-free slabs, 20,971
 # before each checkpointed component came to define its state once, as
-# one walk that both encodes and decodes.
+# one walk that both encodes and decodes, 20,539 before the code only
+# tests reached went (N-BEATS's fixed bases, the test-only accessors,
+# the model and nn codec one-liners, the dead Name methods and the lint
+# suite's Analyzer/Pass layer).
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 20539
+LOC_CEILING = 19862
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \
