@@ -30,6 +30,10 @@ func (s *Server) StartCluster() {
 	}
 }
 
+// ClusterNode exposes the node (nil outside cluster mode) to embedders
+// and tests.
+func (s *Server) ClusterNode() *cluster.Node { return s.node }
+
 // forwardGroup accumulates one peer's share of the records
 // observeRecords routes away: the NDJSON sub-batch to ship and, once
 // done is closed, the peer's response lines in sub-batch order. Fields

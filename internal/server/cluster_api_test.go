@@ -401,7 +401,7 @@ func TestBatchLoopGuardAndDeadPeerErrors(t *testing.T) {
 	var remote string
 	for i := 0; i < 1000; i++ {
 		id := fmt.Sprintf("lg-%d", i)
-		if srv.node.Owner(id) == deadPeer {
+		if srv.ClusterNode().Owner(id) == deadPeer {
 			remote = id
 			break
 		}
@@ -576,7 +576,7 @@ func TestClusterE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := fmt.Sprintf("e2e-%d", i)
-		owner := srvs[0].node.Owner(id)
+		owner := srvs[0].ClusterNode().Owner(id)
 		if res.Error != "" || res.Node != owner {
 			t.Fatalf("record %s = %+v, want scored on owner %s", id, res, owner)
 		}
@@ -593,7 +593,7 @@ func TestClusterE2E(t *testing.T) {
 	// must ship it to its owner with its history intact.
 	var misplaced string
 	for i := 0; ; i++ {
-		if id := fmt.Sprintf("mis-%d", i); srvs[0].node.Owner(id) == urls[1] {
+		if id := fmt.Sprintf("mis-%d", i); srvs[0].ClusterNode().Owner(id) == urls[1] {
 			misplaced = id
 			break
 		}
@@ -615,7 +615,7 @@ func TestClusterE2E(t *testing.T) {
 	// replica — history preserved — and keep scoring.
 	var owned string
 	for i := 0; ; i++ {
-		if id := fmt.Sprintf("own-%d", i); srvs[0].node.Owner(id) == urls[0] {
+		if id := fmt.Sprintf("own-%d", i); srvs[0].ClusterNode().Owner(id) == urls[0] {
 			owned = id
 			break
 		}
@@ -625,7 +625,7 @@ func TestClusterE2E(t *testing.T) {
 		observeLocal(t, srvs[0], owned, v)
 	}
 	waitFor(t, 10*time.Second, "successor to hold a standby replica", func() bool {
-		return srvs[1].node.Stats().StandbyStreams > 0
+		return srvs[1].ClusterNode().Stats().StandbyStreams > 0
 	})
 	// Keep the WAL moving while waiting: the replica bootstraps from a
 	// point-in-time snapshot, so only records that land after its
@@ -636,7 +636,7 @@ func TestClusterE2E(t *testing.T) {
 	waitFor(t, 10*time.Second, "standby to replay the owner's WAL tail", func() bool {
 		observeLocal(t, srvs[0], owned, vecs[fed%len(vecs)])
 		fed++
-		return srvs[1].node.Stats().StandbyReplayed > 0
+		return srvs[1].ClusterNode().Stats().StandbyReplayed > 0
 	})
 	https[0].Close()
 	srvs[0].Close()
@@ -647,9 +647,9 @@ func TestClusterE2E(t *testing.T) {
 	// The registry serves the stream as soon as the promotion installs
 	// it; cluster.Node.promote counts the promotion after that.
 	waitFor(t, 10*time.Second, "survivor to count the promotion", func() bool {
-		return srvs[1].node.Stats().Promotions > 0
+		return srvs[1].ClusterNode().Stats().Promotions > 0
 	})
-	if got := srvs[1].node.Stats().Promotions; got == 0 {
+	if got := srvs[1].ClusterNode().Stats().Promotions; got == 0 {
 		t.Fatal("survivor serves the stream but reports no promotion")
 	}
 	// The promoted stream keeps scoring in place.
@@ -757,7 +757,7 @@ func TestStandbyFailoverBitIdentical(t *testing.T) {
 	}
 	var id string
 	for i := 0; ; i++ {
-		if id = fmt.Sprintf("sb-%d", i); srvs[0].node.Owner(id) == urls[0] {
+		if id = fmt.Sprintf("sb-%d", i); srvs[0].ClusterNode().Owner(id) == urls[0] {
 			break
 		}
 	}
@@ -804,11 +804,11 @@ func TestStandbyFailoverBitIdentical(t *testing.T) {
 	// Bootstrap, then a WAL tail past the bootstrap point.
 	feed(0, 0, 30)
 	waitFor(t, 10*time.Second, "successor to bootstrap a standby replica", func() bool {
-		return srvs[1].node.Stats().StandbyStreams == 1
+		return srvs[1].ClusterNode().Stats().StandbyStreams == 1
 	})
 	feed(0, 30, 50)
 	waitFor(t, 10*time.Second, "standby to tail through seq 49", tailedTo(50))
-	if got := srvs[1].node.Stats().StandbyReplayed; got < 20 {
+	if got := srvs[1].ClusterNode().Stats().StandbyReplayed; got < 20 {
 		t.Fatalf("standby replayed %d WAL records, want at least the 20 fed after its bootstrap", got)
 	}
 
@@ -835,7 +835,7 @@ func TestStandbyFailoverBitIdentical(t *testing.T) {
 	https[0].Close()
 	srvs[0].Close()
 	waitFor(t, 10*time.Second, "survivor to promote the standby", func() bool {
-		return srvs[1].node.Stats().Promotions == 1
+		return srvs[1].ClusterNode().Stats().Promotions == 1
 	})
 	promoted, live := statsLocal(t, srvs[1], id)
 	if !live {

@@ -124,7 +124,7 @@ func TestMigrationOverTheWire(t *testing.T) {
 	go https[0].Serve(lns[0])
 	srvs[0].StartCluster()
 	waitFor(t, 10*time.Second, "A to mark B down", func() bool {
-		return srvs[0].node.Stats().RingNodes == 1
+		return srvs[0].ClusterNode().Stats().RingNodes == 1
 	})
 
 	// Every row's stream is one the full ring gives B (B's node was built
@@ -135,7 +135,7 @@ func TestMigrationOverTheWire(t *testing.T) {
 	vecs := testVectors(400)
 	for r, row := range rows {
 		for i := 0; ; i++ {
-			if id := fmt.Sprintf("%s-%d", row.name, i); srvs[1].node.Owner(id) == urls[1] {
+			if id := fmt.Sprintf("%s-%d", row.name, i); srvs[1].ClusterNode().Owner(id) == urls[1] {
 				ids[r] = id
 				break
 			}
@@ -223,14 +223,14 @@ func TestMigrationOverTheWire(t *testing.T) {
 			check(r, i, got)
 		}
 	}
-	if got := srvs[0].node.Stats().MigrationsOutOK; got < uint64(refused) {
+	if got := srvs[0].ClusterNode().Stats().MigrationsOutOK; got < uint64(refused) {
 		t.Fatalf("A counted %d successful migrations out, want at least %d", got, refused)
 	}
 
 	// The refused stream: A counts the failure and still holds the stream
 	// at the same seq, with the same checkpoint bytes.
 	waitFor(t, 20*time.Second, "A to count the refused migration", func() bool {
-		return srvs[0].node.Stats().MigrationsOutErr > 0
+		return srvs[0].ClusterNode().Stats().MigrationsOutErr > 0
 	})
 	waitFor(t, 10*time.Second, "A to hold the refused stream", func() bool {
 		st, live := statsLocal(t, srvs[0], ids[refused])

@@ -219,7 +219,7 @@ func TestSingleObserveThroughNonOwner(t *testing.T) {
 	owner, via := srvs[0], srvs[1]
 	ownedID := func(prefix string) string {
 		for i := 0; ; i++ {
-			if id := fmt.Sprintf("%s-%d", prefix, i); owner.node.Owner(id) == urls[0] {
+			if id := fmt.Sprintf("%s-%d", prefix, i); owner.ClusterNode().Owner(id) == urls[0] {
 				return id
 			}
 		}
