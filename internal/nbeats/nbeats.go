@@ -213,7 +213,7 @@ func (m *Model) BatchScratch(batch int) int {
 }
 
 // PredictBatch forecasts batch windows laid end to end in xs (window s at
-// xs[s*(BackcastRows()+1)*Channels():]) with one pass per layer, running
+// xs[s*(Config.BackcastRows+1)*Channels():]) with one pass per layer, running
 // forward's residual stack on feature-major slabs in scratch
 // (BatchScratch(batch) long). Targets and predictions are the windows'
 // final rows laid end to end in scratch, each bit-identical to that
