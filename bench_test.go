@@ -70,7 +70,7 @@ func benchDrift(b *testing.B, mk func(dim int) drift.Detector, channels, w, m in
 	dim := channels * w
 	rng := rand.New(rand.NewSource(1))
 	det := mk(dim)
-	sw := reservoir.NewSlidingWindow(m, dim)
+	sw := reservoir.NewSlidingWindow(m, dim, dim)
 	x := make([]float64, dim)
 	for i := 0; i < m; i++ {
 		for j := range x {
@@ -483,7 +483,7 @@ func BenchmarkKSWINThrottle(b *testing.B) {
 			dim := channels * w
 			k := drift.NewKSWIN(channels, w, drift.DefaultAlpha)
 			k.CheckEvery = every
-			sw := reservoir.NewSlidingWindow(m, dim)
+			sw := reservoir.NewSlidingWindow(m, dim, dim)
 			x := make([]float64, dim)
 			for i := 0; i < m; i++ {
 				for j := range x {

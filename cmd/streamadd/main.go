@@ -63,6 +63,7 @@ func main() {
 		stateDir     = flag.String("state-dir", "", "directory for snapshots and WALs (empty = no persistence)")
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "background checkpoint period (requires -state-dir)")
 		snapEntries  = flag.Int("snapshot-entries", 256, "checkpoint a stream once this many vectors sit in its WAL (0 = timer only)")
+		syncWAL      = flag.Bool("sync-wal", false, "fsync each vector's WAL append before it is scored, so an acknowledged vector survives a power failure, not only a process crash; one fsync per vector (requires -state-dir)")
 
 		shards     = flag.Int("shards", 8, "stream registry shards")
 		queueDepth = flag.Int("queue-depth", 64, "bounded per-stream ingestion queue depth")
@@ -121,6 +122,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer store.Close()
+		store.SyncWAL = *syncWAL
 	}
 
 	var newThresholder func(string) score.Thresholder

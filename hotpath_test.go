@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streamad/internal/core"
+	"streamad/internal/reservoir"
 )
 
 // syntheticVec fills dst with a deterministic multi-channel waveform.
@@ -358,5 +359,52 @@ func TestStepZeroAllocSanitizeAttribution(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Step with sanitize+attribution allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkSlidingWindowObserve measures one steady-state sliding-window
+// Observe at the ingest-light geometry (w=16, m=100, 8 channels): the
+// window is full, every op evicts the oldest vector and takes the next
+// one, which shifts the previous window by one row as the representation
+// does (that shift is part of the op). one drives a single window, whose
+// storage stays in the core's caches; fleet256 drives ingest-light's 256
+// windows round-robin, so each op finds its window as a fleet's stream
+// does.
+func BenchmarkSlidingWindowObserve(b *testing.B) {
+	const w, m, channels = 16, 100, 8
+	rows := make([][]float64, 1024)
+	for t := range rows {
+		rows[t] = syntheticVec(make([]float64, channels), t)
+	}
+	for _, streams := range []int{1, 256} {
+		name := "one"
+		if streams > 1 {
+			name = fmt.Sprintf("fleet%d", streams)
+		}
+		b.Run(name, func(b *testing.B) {
+			sws := make([]*reservoir.SlidingWindow, streams)
+			xs := make([][]float64, streams)
+			for i := range sws {
+				sws[i] = reservoir.NewSlidingWindow(m, w*channels, channels)
+				xs[i] = make([]float64, w*channels)
+			}
+			step := 0
+			next := func() {
+				i := step % streams
+				x := xs[i]
+				copy(x, x[channels:])
+				copy(x[len(x)-channels:], rows[(step/streams)%len(rows)])
+				step++
+				sws[i].Observe(x, 0)
+			}
+			for i := 0; i < 4*(m+w)*streams; i++ {
+				next()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next()
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ func FinetuneExperiment(cfg Fig1Config) (*Fig1Result, error) {
 		return nil, err
 	}
 	rep := core.NewRepresenter(p.Window, n)
-	set := reservoir.NewSlidingWindow(p.TrainSize, dim)
+	set := reservoir.NewSlidingWindow(p.TrainSize, dim, n)
 	det := drift.NewMuSigmaChange(dim)
 	measure := score.Cosine{}
 

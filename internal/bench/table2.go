@@ -42,7 +42,7 @@ func OpCountExperiment(channels, repWin, trainSize, steps int, seed int64) []OpR
 	}
 
 	run := func(det drift.Detector) drift.OpCounts {
-		set := reservoir.NewSlidingWindow(trainSize, dim)
+		set := reservoir.NewSlidingWindow(trainSize, dim, dim)
 		stream := mkStream()
 		// Fill and snapshot the reference.
 		for i := 0; i < trainSize; i++ {

@@ -43,7 +43,7 @@ func testConfig(model Model, w, n, m, warm int) Config {
 	return Config{
 		Representer:   NewRepresenter(w, n),
 		Model:         model,
-		TrainingSet:   reservoir.NewSlidingWindow(m, w*n),
+		TrainingSet:   reservoir.NewSlidingWindow(m, w*n, n),
 		Drift:         drift.NewMuSigmaChange(w * n),
 		Measure:       score.Cosine{},
 		Scorer:        &constScorer{},

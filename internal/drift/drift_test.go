@@ -9,7 +9,7 @@ import (
 
 // fillSW fills a sliding window with draws from gen and returns it.
 func fillSW(m, dim int, gen func(i int) []float64) *reservoir.SlidingWindow {
-	sw := reservoir.NewSlidingWindow(m, dim)
+	sw := reservoir.NewSlidingWindow(m, dim, dim)
 	for i := 0; i < m; i++ {
 		sw.Observe(gen(i), 0)
 	}

@@ -10,10 +10,12 @@ package randstate
 
 import "math/rand"
 
-// CountedSource is a rand.Source64 that counts draws.
+// CountedSource is a rand.Source64 that counts draws. The generator
+// behind it (about 5 KB) is built on the first draw, so an owner that
+// never draws, or restores to zero draws, pays only for the seed.
 type CountedSource struct {
 	seed  int64
-	src   rand.Source64
+	src   rand.Source64 // nil until the first draw after a (re)seed
 	draws uint64
 	// far continues the sequence after a Restore too far ahead to replay
 	// draw by draw; nil otherwise, and then src is the live generator.
@@ -22,7 +24,15 @@ type CountedSource struct {
 
 // NewCountedSource returns a counted source over rand.NewSource(seed).
 func NewCountedSource(seed int64) *CountedSource {
-	return &CountedSource{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+	return &CountedSource{seed: seed}
+}
+
+// live returns the generator, seeding it on first use.
+func (c *CountedSource) live() rand.Source64 {
+	if c.src == nil {
+		c.src = rand.NewSource(c.seed).(rand.Source64)
+	}
+	return c.src
 }
 
 // Int63 implements rand.Source.
@@ -34,15 +44,16 @@ func (c *CountedSource) Uint64() uint64 {
 	if c.far != nil {
 		return c.far.next()
 	}
-	return c.src.Uint64()
+	return c.live().Uint64()
 }
 
-// Seed implements rand.Source, resetting the draw count.
+// Seed implements rand.Source, resetting the draw count. It records the
+// seed only; the next draw seeds the generator.
 func (c *CountedSource) Seed(seed int64) {
 	c.seed = seed
 	c.draws = 0
 	c.far = nil
-	c.src.Seed(seed)
+	c.src = nil
 }
 
 // Draws returns the number of values drawn since the last (re)seed.
@@ -66,10 +77,11 @@ const replayLimit = 1 << 22
 func (c *CountedSource) Restore(seed int64, draws uint64) {
 	c.Seed(seed)
 	if draws > replayLimit {
-		c.far = jumpAhead(c.src, draws)
-	} else {
+		c.far = jumpAhead(c.live(), draws)
+	} else if draws > 0 {
+		src := c.live()
 		for i := uint64(0); i < draws; i++ {
-			c.src.Uint64()
+			src.Uint64()
 		}
 	}
 	c.draws = draws

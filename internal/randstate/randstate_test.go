@@ -63,3 +63,34 @@ func TestRestoreFarAheadContinuesSequence(t *testing.T) {
 		t.Fatal("a near restore after a far one did not return to the replayed sequence")
 	}
 }
+
+// TestSourceIsBuiltOnFirstDraw: a source seeded, reseeded or restored to
+// zero draws holds no generator, and once it draws, it continues the
+// standard library's sequence exactly where the count says.
+func TestSourceIsBuiltOnFirstDraw(t *testing.T) {
+	c := NewCountedSource(9)
+	c.Restore(9, 0)
+	if c.src != nil {
+		t.Fatal("a source restored to zero draws built its generator")
+	}
+	check := func(seed int64, skip int) {
+		t.Helper()
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < skip; i++ {
+			want.Uint64()
+		}
+		for i := 0; i < 1000; i++ {
+			if got, w := c.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed %d: draw %d is %#x, want %#x", seed, skip+i, got, w)
+			}
+		}
+	}
+	check(9, 0)
+	c.Seed(11)
+	if c.src != nil || c.Draws() != 0 {
+		t.Fatal("Seed kept the old generator or draw count")
+	}
+	check(11, 0)
+	c.Restore(11, 5)
+	check(11, 5)
+}

@@ -55,44 +55,51 @@ type TrainingSet interface {
 // SlidingWindow keeps the m most recent feature vectors in arrival order.
 // It is the only strategy that preserves stream contiguity, which the VAR
 // model requires.
+//
+// Consecutive windows of one stream share all but their last row, so the
+// vectors live in one log of values and each item is an offset into it.
+// A vector whose first dim−row values equal the newest item's last
+// dim−row values, bit for bit, appends its last row only; any other vector
+// appends all dim values, so every vector is accepted.
 type SlidingWindow struct {
-	m     int
-	dim   int
-	items [][]float64
+	m, dim, row int
+	// log holds the items' values; the live region runs from the oldest
+	// item's offset to tail, where the newest item ends.
+	log  []float64
+	tail int
+	// offs is the ring of item offsets into log, oldest at head.
+	offs  []int
 	head  int
 	count int
-	// scratch for evicted copies
+	// scratch for evicted copies: a compaction may move the evicted rows
 	evict []float64
 }
 
 // NewSlidingWindow returns a sliding window of capacity m over vectors of
-// length dim.
-func NewSlidingWindow(m, dim int) *SlidingWindow {
-	if m <= 0 || dim <= 0 {
-		panic("reservoir: m and dim must be positive")
+// length dim whose consecutive windows advance by row values (the
+// stream's channel count; dim stores every vector whole).
+func NewSlidingWindow(m, dim, row int) *SlidingWindow {
+	if m <= 0 || dim <= 0 || row <= 0 || row > dim {
+		panic("reservoir: m and dim must be positive and row in [1, dim]")
 	}
-	s := &SlidingWindow{m: m, dim: dim}
+	s := &SlidingWindow{m: m, dim: dim, row: row}
 	s.alloc()
 	return s
 }
 
-// alloc (re)creates the contiguous backing storage.
+// alloc (re)creates an empty log with room for twice the m windows of
+// one stream, so a window that keeps sliding never grows it.
 func (s *SlidingWindow) alloc() {
-	backing := make([]float64, s.m*s.dim)
-	s.items = make([][]float64, s.m)
-	for i := range s.items {
-		s.items[i] = backing[i*s.dim : (i+1)*s.dim]
-	}
+	s.log = make([]float64, 2*(s.dim+(s.m-1)*s.row))
+	s.offs = make([]int, s.m)
 	s.evict = make([]float64, s.dim)
 }
 
 // Release empties the window and frees its backing storage for warm-tier
 // paging; decoding its Walk reallocates on restore.
 func (s *SlidingWindow) Release() {
-	s.items = nil
-	s.evict = nil
-	s.head = 0
-	s.count = 0
+	s.log, s.offs, s.evict = nil, nil, nil
+	s.head, s.count, s.tail = 0, 0, 0
 }
 
 // Observe implements TrainingSet.
@@ -100,22 +107,77 @@ func (s *SlidingWindow) Observe(x []float64, _ float64) Update {
 	if len(x) != s.dim {
 		panic("reservoir: dimension mismatch")
 	}
-	if s.count < s.m {
-		copy(s.items[(s.head+s.count)%s.m], x)
-		s.count++
-		return Update{Kind: Added}
+	u := Update{Kind: Added}
+	if s.count == s.m {
+		copy(s.evict, s.item(0))
+		s.head = (s.head + 1) % s.m
+		s.count--
+		u = Update{Kind: Replaced, Evicted: s.evict}
 	}
-	copy(s.evict, s.items[s.head])
-	copy(s.items[s.head], x)
-	s.head = (s.head + 1) % s.m
-	return Update{Kind: Replaced, Evicted: s.evict}
+	s.push(x)
+	return u
 }
 
-// Items implements TrainingSet; vectors are returned oldest first.
+// push appends x as the newest item, sharing the newest item's rows when
+// x continues it. x may alias the log at tail (a decoded window).
+func (s *SlidingWindow) push(x []float64) {
+	shared := s.dim - s.row
+	if s.count == 0 || !sameBits(x[:shared], s.log[s.tail-shared:s.tail]) {
+		shared = 0
+	}
+	s.reserve(s.dim - shared)
+	s.offs[(s.head+s.count)%s.m] = s.tail - shared
+	s.tail += copy(s.log[s.tail:], x[shared:])
+	s.count++
+}
+
+// reserve makes room for k values at the tail. A full log slides its live
+// region to the front, and grows only when that region would fill more
+// than half of it, so the copies cost O(1) per appended value and a
+// window that keeps sliding allocates nothing.
+func (s *SlidingWindow) reserve(k int) {
+	if s.tail+k <= len(s.log) {
+		return
+	}
+	start := s.tail
+	if s.count > 0 {
+		start = s.offs[s.head]
+	}
+	live := s.tail - start
+	dst := s.log
+	if 2*(live+k) > len(s.log) {
+		dst = make([]float64, max(2*len(s.log), 2*(live+k)))
+	}
+	copy(dst, s.log[start:s.tail])
+	s.log, s.tail = dst, live
+	for i := range s.offs {
+		s.offs[i] -= start
+	}
+}
+
+// item returns the i-th oldest item as a view into the log.
+func (s *SlidingWindow) item(i int) []float64 {
+	off := s.offs[(s.head+i)%s.m]
+	return s.log[off : off+s.dim : off+s.dim]
+}
+
+// sameBits reports whether a and b[:len(a)] hold the same float64 bit
+// patterns. It reads both whole, without a branch per value.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	var diff uint64
+	for i, v := range a {
+		diff |= math.Float64bits(v) ^ math.Float64bits(b[i])
+	}
+	return diff == 0
+}
+
+// Items implements TrainingSet; vectors are returned oldest first, as
+// read-only views that share rows with each other.
 func (s *SlidingWindow) Items() [][]float64 {
 	out := make([][]float64, s.count)
-	for i := 0; i < s.count; i++ {
-		out[i] = s.items[(s.head+i)%s.m]
+	for i := range out {
+		out[i] = s.item(i)
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 func vec(vals ...float64) []float64 { return vals }
 
 func TestSlidingWindowOrderAndEviction(t *testing.T) {
-	sw := NewSlidingWindow(3, 1)
+	sw := NewSlidingWindow(3, 1, 1)
 	for i := 1; i <= 3; i++ {
 		u := sw.Observe(vec(float64(i)), 0)
 		if u.Kind != Added {
@@ -34,7 +34,7 @@ func TestSlidingWindowOrderAndEviction(t *testing.T) {
 }
 
 func TestSlidingWindowCopiesInput(t *testing.T) {
-	sw := NewSlidingWindow(2, 2)
+	sw := NewSlidingWindow(2, 2, 1)
 	buf := vec(1, 2)
 	sw.Observe(buf, 0)
 	buf[0] = 99
@@ -49,7 +49,7 @@ func TestSlidingWindowProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(8)
 		n := rng.Intn(40)
-		sw := NewSlidingWindow(m, 1)
+		sw := NewSlidingWindow(m, 1, 1)
 		var all []float64
 		for i := 0; i < n; i++ {
 			v := rng.Float64()
@@ -229,7 +229,7 @@ func TestARESNaNScoreTreatedAsAnomalous(t *testing.T) {
 func TestParamValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, f := range []func(){
-		func() { NewSlidingWindow(0, 1) },
+		func() { NewSlidingWindow(0, 1, 1) },
 		func() { NewUniformReservoir(1, 0, rng) },
 		func() { NewAnomalyAwareReservoirParams(1, 1, rng, 0, 0.9, 3, 3) },
 		func() { NewAnomalyAwareReservoirParams(1, 1, rng, 0.9, 0.7, 3, 3) },
@@ -246,7 +246,7 @@ func TestParamValidation(t *testing.T) {
 }
 
 func TestObserveDimensionMismatchPanics(t *testing.T) {
-	sw := NewSlidingWindow(2, 2)
+	sw := NewSlidingWindow(2, 2, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -8,18 +8,27 @@ import "streamad/internal/wire"
 // leads with its (m, dim) geometry, which the receiver's must match.
 
 // Walk implements wire.Walker: the stored vectors oldest first, so the
-// head index normalizes to zero on restore.
+// head index normalizes to zero on restore. Decoding reads each window
+// straight into the log tail, where push collapses it onto the previous
+// item's rows when it continues it.
 func (s *SlidingWindow) Walk(w *wire.Walk) {
 	w.Expect("reservoir: sliding-window (m, dim)", s.m, s.dim)
 	n := w.Count(s.count, s.m)
-	if w.Decoding() {
-		if s.items == nil {
-			s.alloc() // paged out by Release; restore reallocates
+	if !w.Decoding() {
+		for i := 0; i < n; i++ {
+			w.RawFloat64s(s.item(i))
 		}
-		s.head, s.count = 0, n
+		return
 	}
+	if s.log == nil {
+		s.alloc() // paged out by Release; restore reallocates
+	}
+	s.head, s.count, s.tail = 0, 0, 0
 	for i := 0; i < n; i++ {
-		w.RawFloat64s(s.items[(s.head+i)%s.m])
+		s.reserve(s.dim)
+		x := s.log[s.tail : s.tail+s.dim]
+		w.RawFloat64s(x)
+		s.push(x)
 	}
 }
 

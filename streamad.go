@@ -383,7 +383,7 @@ func New(cfg Config) (*Detector, error) {
 	var set reservoir.TrainingSet
 	switch cfg.Task1 {
 	case TaskSlidingWindow:
-		set = reservoir.NewSlidingWindow(cfg.TrainSize, dim)
+		set = reservoir.NewSlidingWindow(cfg.TrainSize, dim, cfg.Channels)
 	case TaskUniformReservoir:
 		set = reservoir.NewUniformReservoir(cfg.TrainSize, dim, rng)
 	case TaskAnomalyReservoir:
