@@ -107,13 +107,14 @@ race:
 # the model and nn codec one-liners, the dead Name methods and the lint
 # suite's Analyzer/Pass layer), 19,866 before the sliding window came to
 # store each stream row once, as a row log, the Task 1 generator came to
-# be built on its first draw, and streamadd gained -sync-wal.
+# be built on its first draw, and streamadd gained -sync-wal, and 19,951
+# before a batch request came to reuse its line buffer and record slice.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | tail -1
 
 # loc-check fails when loc has grown past the ceiling: a PR that needs
 # more lines raises LOC_CEILING in the same diff, where a reviewer sees it.
-LOC_CEILING = 19951
+LOC_CEILING = 19996
 loc-check:
 	@n=$$($(MAKE) -s loc | awk '{print $$1}'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

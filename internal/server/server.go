@@ -121,6 +121,8 @@ type Server struct {
 	node    *cluster.Node
 	trainer *pool.Pool // reported in /metrics; owned by the caller
 	metrics *metricSet
+	// batchFree holds up to four finished batches' scratch.
+	batchFree chan *batchScratch
 }
 
 // New validates the configuration and returns a Server.
@@ -155,8 +157,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		reg: reg, mux: http.NewServeMux(), trainer: cfg.TrainerPool,
-		obsLat:  stats.NewHistogram(ObserveLatencyBounds, 1e9),
-		metrics: newMetricSet(metricFamilies(), streamCap),
+		obsLat:    stats.NewHistogram(ObserveLatencyBounds, 1e9),
+		metrics:   newMetricSet(metricFamilies(), streamCap),
+		batchFree: make(chan *batchScratch, 4),
 	}
 	if cfg.Cluster != nil && len(cfg.Cluster.Peers) > 0 {
 		ccfg := *cfg.Cluster
@@ -462,9 +465,15 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer func() { s.obsLat.Observe(int64(time.Since(start))) }()
-	var pendings []pending
+	b := s.borrowBatch()
+	pendings := b.pendings
+	defer func() {
+		b.pendings = pendings
+		s.giveBackBatch(b)
+	}()
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxRecordBytes)
+	sc.Buffer(b.line, maxRecordBytes)
+	width := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -477,19 +486,20 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		var rec batchRecord
-		p := pending{}
-		switch err := json.Unmarshal(line, &rec); {
+		// Decode in place, into a vector as wide as the previous
+		// record's: json then grows it once, not by doubling.
+		pendings = append(pendings, pending{rec: batchRecord{Vector: make([]float64, 0, width)}})
+		p := &pendings[len(pendings)-1]
+		switch err := json.Unmarshal(line, &p.rec); {
 		case err != nil:
 			p.out = BatchResult{Error: "bad json: " + err.Error(), Status: http.StatusBadRequest}
-		case rec.Stream == "":
+		case p.rec.Stream == "":
 			p.out = BatchResult{Error: "missing stream id", Status: http.StatusBadRequest}
-		case len(rec.Vector) == 0:
-			p.out = BatchResult{Stream: rec.Stream, Error: "empty vector", Status: http.StatusBadRequest}
+		case len(p.rec.Vector) == 0:
+			p.out = BatchResult{Stream: p.rec.Stream, Error: "empty vector", Status: http.StatusBadRequest}
 		default:
-			p.rec, p.ok = rec, true
+			p.ok, width = true, len(p.rec.Vector)
 		}
-		pendings = append(pendings, p)
 	}
 	if err := sc.Err(); err != nil && len(pendings) == 0 {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
@@ -502,6 +512,41 @@ func (s *Server) handleBatchObserve(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	s.observeRecords(pendings, r.Header.Get(cluster.ForwardedHeader) != "", func(i int) { enc.Encode(&pendings[i].out) })
+}
+
+// batchScratch is one batch request's line buffer and record slice,
+// reused through Server.batchFree: allocated per request they were two
+// thirds of the daemon's garbage on 64-record batches, and a small live
+// heap was collected several times as often as the records make it.
+type batchScratch struct {
+	line     []byte
+	pendings []pending
+}
+
+// maxKeptPendings bounds the record slice a free scratch keeps.
+const maxKeptPendings = 1024
+
+// borrowBatch takes a free scratch, or allocates one.
+func (s *Server) borrowBatch() *batchScratch {
+	select {
+	case b := <-s.batchFree:
+		return b
+	default:
+		return &batchScratch{line: make([]byte, 0, 64*1024)}
+	}
+}
+
+// giveBackBatch frees b once nothing reads its records any more,
+// clearing them so a kept slice pins no vector.
+func (s *Server) giveBackBatch(b *batchScratch) {
+	clear(b.pendings)
+	if b.pendings = b.pendings[:0]; cap(b.pendings) > maxKeptPendings {
+		b.pendings = nil
+	}
+	select {
+	case s.batchFree <- b:
+	default:
+	}
 }
 
 // pending is one record on its way through observeRecords: parsed and

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -317,5 +318,49 @@ func TestSingleObserveAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, run); got > budget {
 		t.Fatalf("warm single observe = %.0f allocs, budget %d", got, budget)
+	}
+}
+
+// TestBatchObserveAllocBudget pins the heap a warm 64-record batch
+// allocates through ServeHTTP, request and recorder included: the
+// per-record parse and dispatch, with the request's line buffer and
+// record slice reused from the previous batch (borrowBatch). It read
+// 802 allocations and 154 KB with both allocated per request; a fresh
+// 64 KB line buffer alone would break the byte budget.
+func TestBatchObserveAllocBudget(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const (
+		records     = 64
+		allocBudget = 700
+		byteBudget  = 64 << 10
+	)
+	s := newSingleServer(t, Config{NewDetector: func(string) (Stepper, error) { return &stubDetector{dim: 2}, nil }})
+	var body []byte
+	for i := 0; i < records; i++ {
+		body = fmt.Appendf(body, `{"stream":"s%d","vector":[0.5,0.25]}`+"\n", i)
+	}
+	run := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/observe", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch observe = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, run)
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("warm %d-record batch: %.0f allocs, %d B", records, allocs, bytesPer)
+	if allocs > allocBudget || bytesPer > byteBudget {
+		t.Fatalf("warm %d-record batch = %.0f allocs and %d B, budget %d and %d B",
+			records, allocs, bytesPer, allocBudget, byteBudget)
 	}
 }
